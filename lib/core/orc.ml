@@ -20,12 +20,16 @@
     (Algorithm 7), including the hazard-index sharing ([usedHaz]) and the
     copy-direction rule of the assignment operator.
 
-    Deviations from the paper's listing, both required for leak-freedom
-    and documented in DESIGN.md: (1) releasing a hazard index drains its
-    handover slot (as PTP's clear does); (2) [decrementOrc] clears the
-    scratch hazard slot 0 before invoking retire — safe because the
-    BRETIRED bit, not the hazard, protects the object inside retire — so
-    a retiring thread never hands an object to itself. *)
+    Deviations from the paper's listing, documented in DESIGN.md §6.3:
+    (1) releasing a hazard index drains its handover slot (as PTP's
+    clear does); (2) [decrementOrc] clears the scratch hazard slot 0
+    before invoking retire — safe because the BRETIRED bit, not the
+    hazard, protects the object inside retire — so a retiring thread
+    never hands an object to itself; (3) a handle's old target gets its
+    zero-count check while the handle's slot still publishes it.  Two
+    additions to the handle API: {!advance} steps a traversal window
+    without moving any protection, and {!unlink_v} ends the victim's
+    protection inside the unlinking CAS. *)
 
 open Atomicx
 
@@ -149,6 +153,11 @@ module Make (N : NODE) = struct
   let unreclaimed t = Shard.get t.pending
   let hazard_watermark t = Atomic.get t.watermark
 
+  let hazard_row g =
+    let tl = g.t.tl.(g.tid) in
+    Array.init (Atomic.get g.t.watermark) (fun idx ->
+        (Atomic.get tl.hp_uid.(idx), tl.used_haz.(idx)))
+
   let stats t =
     {
       retires = Shard.get t.n_retires;
@@ -178,10 +187,23 @@ module Make (N : NODE) = struct
 
   (* {2 Retire (Algorithm 5) and its helpers (Algorithm 6)} *)
 
+  (* Index of the first slot in [hp] below [wm] publishing uid [pu],
+     walked upward from [idx]; -1 if none.  Functor-level so the scan
+     allocates no closure. *)
+  let rec find_in_row hp wm pu idx =
+    if idx >= wm then -1
+    else if Atomic.get hp.(idx) = pu then idx
+    else find_in_row hp wm pu (idx + 1)
+
   (* Scan every published hazardous pointer for [p]; on a match, swap [p]
-     into the paired handover slot and return the evictee.  The scan
-     covers [registered () * watermark] slots, and rows whose registry
-     slot is Free are skipped entirely — a recycled slot cannot hold a
+     into the paired handover slot and return the evictee.  The caller's
+     own row goes first: a node whose count is zeroed by a thread that
+     still protects it (a [store] or [cas_v] dropping a link to a node
+     the caller holds) is handed over on the first row walked.
+     Row order is free because a protection never moves between rows,
+     and each row is still walked upward, the direction in which
+     [assign] moves protections within a row.  Rows whose registry slot
+     is Free are skipped entirely — a recycled slot cannot hold a
      protection (see [Registry.in_use] for the memory-ordering
      argument), so after a churn burst the scan cost shrinks back to
      the live slot population instead of staying at the monotone
@@ -189,30 +211,39 @@ module Make (N : NODE) = struct
   let try_handover t ~tid p =
     let began = Obs.Sink.scan_begin t.sink in
     let wm = Atomic.get t.watermark in
-    let nreg = Registry.registered () in
     let pu = uid p in
-    let visited = ref 0 in
-    let result = ref None in
-    (try
-       for it = 0 to nreg - 1 do
-         if Registry.in_use it then begin
-           let tl = t.tl.(it) in
-           for idx = 0 to wm - 1 do
-             incr visited;
-             if Atomic.get tl.hp_uid.(idx) = pu then begin
-               result := Some (Atomic.exchange tl.handovers.(idx) (Some p));
-               Shard.incr t.n_handovers ~tid;
-               Obs.Sink.on_handover t.sink ~tid ~uid:pu;
+    let row = ref tid in
+    let idx = ref (find_in_row t.tl.(tid).hp_uid wm pu 0) in
+    let visited = ref (if !idx < 0 then wm else !idx + 1) in
+    (if !idx < 0 then
+       let nreg = Registry.registered () in
+       try
+         for it = 0 to nreg - 1 do
+           if it <> tid && Registry.in_use it then begin
+             let i = find_in_row t.tl.(it).hp_uid wm pu 0 in
+             if i < 0 then visited := !visited + wm
+             else begin
+               visited := !visited + i + 1;
+               row := it;
+               idx := i;
                raise_notrace Exit
              end
-           done
-         end
-       done
-     with Exit -> ());
+           end
+         done
+       with Exit -> ());
+    let result =
+      if !idx < 0 then None
+      else begin
+        let evictee = Atomic.exchange t.tl.(!row).handovers.(!idx) (Some p) in
+        Shard.incr t.n_handovers ~tid;
+        Obs.Sink.on_handover t.sink ~tid ~uid:pu;
+        Some evictee
+      end
+    in
     Shard.incr t.n_scans ~tid;
     Shard.add t.n_scan_slots ~tid !visited;
     Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began;
-    !result
+    result
 
   (* clearBitRetired (Algorithm 6 lines 147–158): give up BRETIRED
      ownership; if the count is back at zero immediately re-claim it.
@@ -542,29 +573,28 @@ module Make (N : NODE) = struct
     if idx <> 0 then t.tl.(tid).used_haz.(idx) <- t.tl.(tid).used_haz.(idx) + 1
 
   (* clear (Algorithm 5 lines 80–90) extended with the handover drain:
+     give the no-longer-referenced object its zero-count check, then
      release one share of hazard slot [idx]; when the slot becomes free,
-     unpublish it and adopt anything parked in its handover; finally give
-     the no-longer-referenced object its zero-count check. *)
+     unpublish it and adopt anything parked in its handover.
+
+     The check runs while slot [idx] still publishes the target.  Once
+     the hazard comes down, another thread can claim and free the
+     object (or the drain below frees it, when it was parked here), and
+     a pooled header is then recycled with a zero count: a check made
+     after that would claim a fresh, not-yet-linked node.  Claimed
+     while published, the object is handed over to this very slot and
+     freed by the drain. *)
   let clear t ~tid v idx ~reuse =
     let tl = t.tl.(tid) in
-    (* decode the view before unpublishing: once the hazard comes down
-       the target can be freed and its arena slot re-issued, after
-       which the word no longer means this node *)
-    let had = Link.v_has_target v in
-    let p = if had then target_of t v else no_node in
-    let released =
-      if (not reuse) && idx <> 0 then begin
-        tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
-        tl.used_haz.(idx) = 0
+    if Link.v_has_target v then maybe_retire t ~tid (target_of t v);
+    if (not reuse) && idx <> 0 then begin
+      tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
+      if tl.used_haz.(idx) = 0 then begin
+        Bitmask.release tl.free_idx idx;
+        Atomic.set tl.hp_uid.(idx) (-1);
+        drain_handover t ~tid idx
       end
-      else false
-    in
-    if released then begin
-      Bitmask.release tl.free_idx idx;
-      Atomic.set tl.hp_uid.(idx) (-1);
-      drain_handover t ~tid idx
-    end;
-    if had then maybe_retire t ~tid p
+    end
 
   (* {2 Guards and orc_ptr handles (Algorithm 7)} *)
 
@@ -665,14 +695,47 @@ module Make (N : NODE) = struct
     Reclaim.Neutralize.check ~tid:g.tid;
     ensure_exclusive g p;
     let t = g.t and tid = g.tid in
+    (* the outgoing target's zero-count check runs before its hazard
+       slot is overwritten, for the reason given at [clear] *)
+    if Link.v_has_target p.v then maybe_retire t ~tid (target_of t p.v);
+    p.v <- load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link (Link.view link)
+
+  (* One traversal hop: prev takes curr's (view, index) pair, curr takes
+     next's, next takes prev's old pair.  Nothing is published and no
+     share count moves — every slot keeps publishing what it did, only
+     the handles naming the slots are permuted — so the direction rule
+     of [assign] never comes into play.  prev's old target stays
+     published in the slot [next] now names until the next [load] into
+     [next] overwrites it (running that target's zero-count check). *)
+  let advance _ prev curr next =
+    if prev == curr || curr == next || prev == next then
+      invalid_arg "Orc.advance: handles must be distinct";
+    let v = prev.v and idx = prev.idx in
+    prev.v <- curr.v;
+    prev.idx <- curr.idx;
+    curr.v <- next.v;
+    curr.idx <- next.idx;
+    next.v <- v;
+    next.idx <- idx
+
+  (* The slot half of [drop]: [p] becomes a null handle that keeps its
+     index share; when it is the slot's only sharer, the slot is
+     unpublished and its handover adopted. *)
+  let unprotect g p =
+    let t = g.t and tid = g.tid in
     let tl = t.tl.(tid) in
-    let old = p.v in
-    let had_old = Link.v_has_target old in
-    (* decode the outgoing target before its hazard slot is overwritten:
-       after the overwrite the old word may stop meaning this node *)
-    let old_n = if had_old then target_of t old else no_node in
-    p.v <- load_loop t ~tid tl.hp_uid.(p.idx) link (Link.view link);
-    if had_old && not (Link.v_same old p.v) then maybe_retire t ~tid old_n
+    p.v <- Link.v_null;
+    if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then begin
+      Atomic.set tl.hp_uid.(p.idx) (-1);
+      drain_handover t ~tid p.idx
+    end
+
+  (* End [p]'s protection now rather than at guard exit: the zero-count
+     check while still published (see [clear]), then [unprotect]. *)
+  let drop g p =
+    Reclaim.Neutralize.check ~tid:g.tid;
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    unprotect g p
 
   (* orc_ptr assignment (Algorithm 7 lines 182–194): copies between
      hazard slots may only travel in the scan direction (upward), so a
@@ -723,12 +786,10 @@ module Make (N : NODE) = struct
     let hdr = Memdom.Alloc.hdr g.t.alloc () in
     let n = run_mk g mk hdr in
     ensure_exclusive g p;
-    let old = p.v in
-    let had_old = Link.v_has_target old in
-    let old_n = if had_old then target_of g.t old else no_node in
+    (* the outgoing target's check precedes the overwrite (see [clear]) *)
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
-    if had_old && not (old_n == n) then maybe_retire g.t ~tid:g.tid old_n;
     n
 
   (* {2 orc_atomic mutators (Algorithm 4)} *)
@@ -790,6 +851,31 @@ module Make (N : NODE) = struct
          if hd then inc g.t ~tid:g.tid td;
          if he then dec g.t ~tid:g.tid te
        end);
+      true
+    end
+    else false
+
+  (* [cas_v] expecting [victim]'s view, with [victim]'s protection
+     ended between the two count moves.  Until the [dec], the hard link
+     the CAS removed still holds the victim's count up (a count that
+     reads zero meanwhile has an [inc] pending by a thread that, by the
+     mutator precondition, protects the node), so nobody can free it
+     across the [unprotect].  The [dec] that zeroes the count then finds
+     no protection of ours to hand the node over to and frees it at
+     once, instead of parking it on our own slot until the handle is
+     released. *)
+  let unlink_v g link victim ~desired =
+    Reclaim.Neutralize.check ~tid:g.tid;
+    let expected = victim.v in
+    if Link.cas_v link expected desired then begin
+      let t = g.t and tid = g.tid in
+      let he = Link.v_has_target expected and hd = Link.v_has_target desired in
+      let te = if he then Link.v_target_exn link expected else no_node in
+      let td = if hd then Link.v_target_exn link desired else no_node in
+      let moves = not (he && hd && te == td) in
+      if moves && hd then inc t ~tid td;
+      unprotect g victim;
+      if moves && he then dec t ~tid te;
       true
     end
     else false

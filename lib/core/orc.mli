@@ -13,7 +13,8 @@
       {!Make.exchange} (the [orc_atomic] operations);
     + hold local references in {!Make.Ptr} handles owned by a
       {!Make.with_guard} scope (the RAII [orc_ptr]s), reading with
-      {!Make.load} and copying with {!Make.assign}.
+      {!Make.load}, copying with {!Make.assign} and stepping a
+      traversal window with {!Make.advance}.
 
     No retire or free call appears anywhere in the data structure: an
     object is reclaimed automatically at the first moment its hard-link
@@ -155,7 +156,33 @@ module Make (N : NODE) : sig
   (** [load g link p]: protect [link]'s current state in [p] (publish
       and re-validate, Algorithm 2 lines 4–11).  [link] must be
       reachable through a protected node or a root, and must not belong
-      to the node [p] itself currently protects. *)
+      to the node [p] itself currently protects.  [p]'s previous target
+      gets its zero-count check before its slot is overwritten. *)
+
+  val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
+  (** [advance g prev curr next]: one traversal hop as a pure
+      permutation of the three handles — [prev] takes [curr]'s target
+      and hazard index, [curr] takes [next]'s, [next] takes [prev]'s
+      old pair.  No publish, no index bookkeeping, no atomic operation:
+      every hazard slot keeps publishing what it did, so unlike
+      {!assign} no direction rule applies.  It replaces
+      [assign g prev curr; assign g curr next].
+
+      {b Contract:} afterwards [next] names [prev]'s old target, which
+      is still protected but no longer the successor of anything.
+      [next] must be {!load}ed (which also runs the old target's
+      zero-count check), or the guard exited, before anything reads
+      it.  The three handles must be distinct ([Invalid_argument]
+      otherwise).  Unlike the other entry points it makes no
+      neutralization check; the next [load] does. *)
+
+  val drop : guard -> Ptr.t -> unit
+  (** [drop g p]: end [p]'s protection now instead of at guard exit.
+      Runs the zero-count check on [p]'s target while it is still
+      published, then unpublishes [p]'s slot (unless another handle
+      shares it) and adopts anything parked in its handover — so a node
+      the caller unlinked, and handed over to itself, is freed here.
+      [p] stays a valid null handle for later loads. *)
 
   val assign : guard -> Ptr.t -> Ptr.t -> unit
   (** [assign g dst src]: copy [src]'s reference and protection into
@@ -216,6 +243,17 @@ module Make (N : NODE) : sig
   (** Counts move only on success; a pure mark/flag change on the same
       target moves no counts. *)
 
+  val unlink_v :
+    guard -> node Atomicx.Link.t -> Ptr.t -> desired:node Atomicx.Link.view -> bool
+  (** [unlink_v g link victim ~desired]: {!cas_v} expecting [victim]'s
+      view, for the CAS that physically unlinks [victim].  On success
+      [victim]'s protection ends as by {!drop}, but between the two
+      count moves: the removed hard link keeps the victim's count up
+      until its decrement, so ending the protection first is safe, and
+      the decrement that zeroes the count frees the node at once
+      instead of handing it over to the caller's own slot.  [victim]
+      is left a null handle on success and untouched on failure. *)
+
   val v_ptr : t -> node -> node Atomicx.Link.view
   (** Clean-pointer view of a node the caller protects, in the
       structure's representation (registers the node in the arena when
@@ -253,6 +291,11 @@ module Make (N : NODE) : sig
   (** Monotonic observability counters, for benchmarks and forensics.
       Sharded per thread and aggregated here; a read concurrent with
       operations is exact to within one in-flight delta per thread. *)
+
+  val hazard_row : guard -> (int * int) array
+  (** Whitebox snapshot of the caller's hazard row up to the watermark:
+      per slot, the published uid ([-1] = empty) and the number of
+      handles sharing the slot's index. *)
 
   val hazard_watermark : t -> int
   (** [1 +] the highest hazard index ever used by any thread — the

@@ -104,6 +104,12 @@ module Make (N : Orc.NODE) = struct
   let unreclaimed t = Shard.get t.pending
   let elided t = Shard.get t.n_elided
 
+  (* whitebox snapshot of the caller's row, as [Orc.hazard_row] *)
+  let hazard_row g =
+    let tl = g.t.tl.(g.tid) in
+    Array.init (Atomic.get g.t.watermark) (fun idx ->
+        (Atomic.get tl.hp_uid.(idx), tl.used_haz.(idx)))
+
   (* R = 2·H·t (scaled by the knob record) from the live Active-slot
      population, cached and refreshed on crossing / quarantine /
      neutralization, matching the manual HP baseline (see
@@ -409,25 +415,20 @@ module Make (N : Orc.NODE) = struct
   let using_idx t ~tid idx =
     if idx <> 0 then t.tl.(tid).used_haz.(idx) <- t.tl.(tid).used_haz.(idx) + 1
 
+  (* The zero-count check runs while slot [idx] still publishes the
+     target: once the hazard comes down another thread's scan may free
+     it and a pooled header be recycled with a zero count, which a late
+     check would claim (see [Orc.clear]). *)
   let clear t ~tid v idx ~reuse =
     let tl = t.tl.(tid) in
-    (* decode the view before unpublishing: once the hazard comes down
-       the target can be freed and its arena slot re-issued, after
-       which the word no longer means this node *)
-    let had = Link.v_has_target v in
-    let p = if had then target_of t v else no_node in
-    let released =
-      if (not reuse) && idx <> 0 then begin
-        tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
-        tl.used_haz.(idx) = 0
+    if Link.v_has_target v then maybe_retire t ~tid (target_of t v);
+    if (not reuse) && idx <> 0 then begin
+      tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
+      if tl.used_haz.(idx) = 0 then begin
+        Bitmask.release tl.free_idx idx;
+        Atomic.set tl.hp_uid.(idx) (-1)
       end
-      else false
-    in
-    if released then begin
-      Bitmask.release tl.free_idx idx;
-      Atomic.set tl.hp_uid.(idx) (-1)
-    end;
-    if had then maybe_retire t ~tid p
+    end
 
   module Ptr = struct
     type t = ptr
@@ -515,14 +516,35 @@ module Make (N : Orc.NODE) = struct
     Reclaim.Neutralize.check ~tid:g.tid;
     ensure_exclusive g p;
     let t = g.t and tid = g.tid in
-    let tl = t.tl.(tid) in
-    let old = p.v in
-    let had_old = Link.v_has_target old in
-    (* decode the outgoing target before its hazard slot is overwritten:
-       after the overwrite the old word may stop meaning this node *)
-    let old_n = if had_old then target_of t old else no_node in
-    p.v <- load_loop t ~tid tl.hp_uid.(p.idx) link (Link.view link);
-    if had_old && not (Link.v_same old p.v) then maybe_retire t ~tid old_n
+    (* check the outgoing target before its slot is overwritten *)
+    if Link.v_has_target p.v then maybe_retire t ~tid (target_of t p.v);
+    p.v <- load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link (Link.view link)
+
+  (* One traversal hop as a pure permutation of handle contents; see
+     [Orc.advance]. *)
+  let advance _ prev curr next =
+    if prev == curr || curr == next || prev == next then
+      invalid_arg "Orc_hp.advance: handles must be distinct";
+    let v = prev.v and idx = prev.idx in
+    prev.v <- curr.v;
+    prev.idx <- curr.idx;
+    curr.v <- next.v;
+    curr.idx <- next.idx;
+    next.v <- v;
+    next.idx <- idx
+
+  let unprotect g p =
+    let tl = g.t.tl.(g.tid) in
+    p.v <- Link.v_null;
+    if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then
+      Atomic.set tl.hp_uid.(p.idx) (-1)
+
+  (* End [p]'s protection before guard exit (see [Orc.drop]); a claimed
+     target waits on the retired list for the next scan. *)
+  let drop g p =
+    Reclaim.Neutralize.check ~tid:g.tid;
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    unprotect g p
 
   let assign g dst src =
     Reclaim.Neutralize.check ~tid:g.tid;
@@ -564,12 +586,9 @@ module Make (N : Orc.NODE) = struct
     let hdr = Memdom.Alloc.hdr g.t.alloc () in
     let n = run_mk g mk hdr in
     ensure_exclusive g p;
-    let old = p.v in
-    let had_old = Link.v_has_target old in
-    let old_n = if had_old then target_of g.t old else no_node in
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
-    if had_old && not (old_n == n) then maybe_retire g.t ~tid:g.tid old_n;
     n
 
   (* All the mutators below start with a neutralization check: they act
@@ -622,6 +641,24 @@ module Make (N : Orc.NODE) = struct
          if hd then inc g.t ~tid:g.tid td;
          if he then dec g.t ~tid:g.tid te
        end);
+      true
+    end
+    else false
+
+  (* [cas_v] that ends [victim]'s protection between the count moves;
+     see [Orc.unlink_v]. *)
+  let unlink_v g link victim ~desired =
+    Reclaim.Neutralize.check ~tid:g.tid;
+    let expected = victim.v in
+    if Link.cas_v link expected desired then begin
+      let t = g.t and tid = g.tid in
+      let he = Link.v_has_target expected and hd = Link.v_has_target desired in
+      let te = if he then Link.v_target_exn link expected else no_node in
+      let td = if hd then Link.v_target_exn link desired else no_node in
+      let moves = not (he && hd && te == td) in
+      if moves && hd then inc t ~tid td;
+      unprotect g victim;
+      if moves && he then dec t ~tid te;
       true
     end
     else false

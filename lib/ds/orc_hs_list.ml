@@ -97,8 +97,7 @@ module Make () = struct
       end
       else if key_of c >= key then (key_of c = key, !prev_link)
       else begin
-        O.assign g prev curr;
-        O.assign g curr next;
+        O.advance g prev curr next;
         prev_link := next_of c;
         loop ()
       end
@@ -172,10 +171,12 @@ module Make () = struct
             O.cas g (next_of c) ~expected:(O.Ptr.state next)
               ~desired:(Link.Mark nx)
           then begin
+            (* physical unlink, which also ends [curr]'s protection: the
+               victim is freed here unless another thread protects it *)
             if
               not
-                (O.cas g prev_link ~expected:(O.Ptr.state curr)
-                   ~desired:(Link.Ptr nx))
+                (O.unlink_v g prev_link curr
+                   ~desired:(Link.v_clean (O.Ptr.view next)))
             then ignore (find t g key ~prev ~curr ~next);
             true
           end

@@ -94,8 +94,7 @@ module Make () = struct
       end
       else if key_of c >= key then (key_of c = key, !prev_link)
       else begin
-        O.assign g prev curr;
-        O.assign g curr next;
+        O.advance g prev curr next;
         prev_link := next_of c;
         loop ()
       end
@@ -168,10 +167,12 @@ module Make () = struct
             O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
               ~desired:(Link.v_mark (O.Ptr.view next))
           then begin
-            (* attempt physical unlink; otherwise a later find cleans up *)
+            (* attempt physical unlink (otherwise a later find cleans
+               up); it ends [curr]'s protection, so the victim is freed
+               here unless another thread protects it *)
             if
               not
-                (O.cas_v g prev_link ~expected:(O.Ptr.view curr)
+                (O.unlink_v g prev_link curr
                    ~desired:(Link.v_clean (O.Ptr.view next)))
             then ignore (find t g key ~prev ~curr ~next);
             true

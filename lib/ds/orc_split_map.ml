@@ -65,6 +65,7 @@ module type CORE = sig
   val ptr : guard -> Ptr.t
   val load : guard -> node Link.t -> Ptr.t -> unit
   val assign : guard -> Ptr.t -> Ptr.t -> unit
+  val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
   val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
   val new_link : guard -> node Link.state -> node Link.t
   val store : guard -> node Link.t -> node Link.state -> unit
@@ -73,6 +74,9 @@ module type CORE = sig
   val cas_v :
     guard -> node Link.t ->
     expected:node Link.view -> desired:node Link.view -> bool
+
+  val unlink_v :
+    guard -> node Link.t -> Ptr.t -> desired:node Link.view -> bool
 
   val v_ptr : t -> node -> node Link.view
   val unreclaimed : t -> int
@@ -193,8 +197,7 @@ module Impl (O : CORE) = struct
       end
       else if so_of c >= so then (so_of c = so, !prev_link)
       else begin
-        O.assign g prev curr;
-        O.assign g curr next;
+        O.advance g prev curr next;
         prev_link := next_of c;
         loop ()
       end
@@ -350,9 +353,11 @@ module Impl (O : CORE) = struct
               O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
                 ~desired:(Link.v_mark (O.Ptr.view next))
             then begin
+              (* physical unlink, which also ends [curr]'s protection: the
+                 victim is freed here unless another thread protects it *)
               if
                 not
-                  (O.cas_v g prev_link ~expected:(O.Ptr.view curr)
+                  (O.unlink_v g prev_link curr
                      ~desired:(Link.v_clean (O.Ptr.view next)))
               then ignore (find_from t g e so ~prev ~curr ~next);
               true

@@ -185,8 +185,7 @@ module Make () = struct
       end
       else if key_of c >= key then (key_of c = key, !prev_link)
       else begin
-        O.assign g cu.prev cu.curr;
-        O.assign g cu.curr cu.next;
+        O.advance g cu.prev cu.curr cu.next;
         prev_link := next_of c;
         loop ()
       end

@@ -212,6 +212,181 @@ let test_ptr_rotation () =
   O.with_guard o (fun g -> O.store g root Link.Null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* A chain root -> 1 -> 2 -> ... -> n built through orc links. *)
+let build_chain g root n =
+  let p = O.ptr g and q = O.ptr g in
+  for i = n downto 1 do
+    O.load g root q;
+    let node = O.alloc_node_into g p (mk i) in
+    (match O.Ptr.state q with
+    | Link.Null -> ()
+    | st -> O.store g node.next st);
+    O.store g root (Link.Ptr node)
+  done
+
+let same_opt a b =
+  match a, b with Some x, Some y -> x == y | None, None -> true | _ -> false
+
+(* [advance] is a pure permutation of handle contents: the hazard row
+   (published uids and index share counts) is untouched, the handles
+   rotate prev <- curr <- next <- prev, and no word is allocated. *)
+let test_advance_permutes_only () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 2);
+  O.with_guard o (fun g ->
+      let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+      O.load g root curr;
+      O.load g (O.Ptr.node_exn curr).next next;
+      let a = O.Ptr.node curr and b = O.Ptr.node next in
+      let row = O.hazard_row g in
+      O.advance g prev curr next;
+      check_bool "row unchanged" true (row = O.hazard_row g);
+      check_bool "prev took curr" true (same_opt (O.Ptr.node prev) a);
+      check_bool "curr took next" true (same_opt (O.Ptr.node curr) b);
+      check_bool "next took prev's null" true (O.Ptr.is_null next);
+      (* three hops are the identity, so the window can be measured
+         repeatedly without changing what it measures *)
+      let three () =
+        O.advance g prev curr next;
+        O.advance g prev curr next;
+        O.advance g prev curr next
+      in
+      check_zero "advance" three;
+      check_bool "row still unchanged" true (row = O.hazard_row g);
+      check_bool "identity after three hops" true
+        (same_opt (O.Ptr.node prev) a && same_opt (O.Ptr.node curr) b);
+      Alcotest.check_raises "aliased handles rejected"
+        (Invalid_argument "Orc.advance: handles must be distinct") (fun () ->
+          O.advance g prev curr prev));
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* The zero-count check of a replaced target runs while the target is
+   still published.  A never-linked node is claimed by the [load] that
+   overwrites its handle, so the scan finds this very slot and parks
+   the node there (one handover); the slot's release at guard exit
+   frees it.  Checked after the overwrite instead, a pooled node could
+   already be freed and its header recycled under the check. *)
+let test_load_checks_while_published () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g ->
+      let p = O.alloc_node g (mk 1) in
+      let h0 = (O.stats o).O.handovers in
+      O.load g root p;
+      check_int "claimed while published" (h0 + 1) (O.stats o).O.handovers;
+      check_int "parked on the slot" 1 (Memdom.Alloc.live alloc));
+  check_int "freed at guard exit" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
+(* A zero-count node rotated out by [advance] stays protected in the
+   slot [next] now names; the next [load] into [next] claims it and the
+   guard exit frees it. *)
+let test_advance_rotated_out_freed () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 1);
+  O.with_guard o (fun g ->
+      let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+      let z = O.alloc_node_into g prev (mk 0) in
+      O.load g root curr;
+      O.load g (O.Ptr.node_exn curr).next next;
+      O.advance g prev curr next;
+      check_bool "next holds the rotated-out node" true
+        (same_opt (O.Ptr.node next) (Some z));
+      let h0 = (O.stats o).O.handovers in
+      O.load g root next;
+      check_int "claimed by the load" (h0 + 1) (O.stats o).O.handovers;
+      check_bool "still protected until guard exit" false
+        (Memdom.Hdr.is_freed z.hdr));
+  check_int "rotated-out node freed at guard exit" 1 (Memdom.Alloc.live alloc);
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.flush o;
+  check_int "flush leaves nothing live" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
+(* A guard neutralized after an [advance] takes the expired exit path,
+   which releases each handle's index share: the permuted handles must
+   still own exactly one share each, so the next guard finds a clean
+   row and every index free. *)
+let test_advance_then_neutralized () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 2);
+  let tid = Registry.tid () in
+  Reclaim.Neutralize.arm ();
+  Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
+      O.with_guard o (fun g ->
+          let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+          O.load g root curr;
+          O.load g (O.Ptr.node_exn curr).next next;
+          O.advance g prev curr next;
+          check_bool "fire" true
+            (Reclaim.Neutralize.fire ~by:tid ~tid ~age:1 ())));
+  O.with_guard o (fun g ->
+      Array.iteri
+        (fun i (u, shares) ->
+          check_int (Printf.sprintf "slot %d unpublished" i) (-1) u;
+          check_int (Printf.sprintf "slot %d unshared" i) 0 shares)
+        (O.hazard_row g);
+      for _ = 1 to Orc_core.Orc.max_haz - 1 do
+        ignore (O.ptr g)
+      done);
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.flush o;
+  check_int "no leak, no double free" 0 (Memdom.Alloc.live alloc)
+
+(* [drop] frees a node parked on the caller's own slot before the guard
+   ends, and leaves a null handle that can load again. *)
+let test_drop_frees_self_parked () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 1);
+  O.with_guard o (fun g ->
+      let p = O.ptr g in
+      O.load g root p;
+      let n = O.Ptr.node_exn p in
+      let h0 = (O.stats o).O.handovers in
+      O.store g root Link.Null;
+      check_int "self-parked" (h0 + 1) (O.stats o).O.handovers;
+      check_bool "pinned by the handle" false (Memdom.Hdr.is_freed n.hdr);
+      O.drop g p;
+      check_bool "freed by drop" true (Memdom.Hdr.is_freed n.hdr);
+      check_bool "handle is null" true (O.Ptr.is_null p);
+      O.load g root p;
+      check_bool "handle reloads" true (O.Ptr.is_null p));
+  check_int "no leak" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
+(* [unlink_v] ends the victim's protection between the CAS's two count
+   moves, so the victim is freed by the unlink itself — never handed
+   over to the caller's own slot — and the handle is left null.  A
+   failed unlink moves nothing. *)
+let test_unlink_frees_victim () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 2);
+  O.with_guard o (fun g ->
+      let curr = O.ptr g and next = O.ptr g and other = O.ptr g in
+      O.load g root curr;
+      O.load g (O.Ptr.node_exn curr).next next;
+      O.load g (O.Ptr.node_exn curr).next other;
+      let a = O.Ptr.node_exn curr in
+      check_bool "stale expectation fails" false
+        (O.unlink_v g root other ~desired:(O.Ptr.view next));
+      check_bool "failed unlink keeps the handle" false (O.Ptr.is_null other);
+      let h0 = (O.stats o).O.handovers in
+      check_bool "unlinked" true
+        (O.unlink_v g root curr ~desired:(O.Ptr.view next));
+      check_int "no self-handover" h0 (O.stats o).O.handovers;
+      check_bool "victim freed at the unlink" true (Memdom.Hdr.is_freed a.hdr);
+      check_bool "victim handle is null" true (O.Ptr.is_null curr));
+  check_int "successor still linked" 1 (Memdom.Alloc.live alloc);
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
 (* _orc word layout properties. *)
 let prop_ocnt_ignores_sequence =
   qtest "ocnt ignores the sequence field"
@@ -358,6 +533,18 @@ let suite =
         Alcotest.test_case "exchange" `Quick test_exchange;
         Alcotest.test_case "ptr rotation keeps protection" `Quick
           test_ptr_rotation;
+        Alcotest.test_case "advance permutes handles only" `Quick
+          test_advance_permutes_only;
+        Alcotest.test_case "load checks a replaced target while published"
+          `Quick test_load_checks_while_published;
+        Alcotest.test_case "advance: rotated-out node freed" `Quick
+          test_advance_rotated_out_freed;
+        Alcotest.test_case "advance then neutralized: indexes intact" `Quick
+          test_advance_then_neutralized;
+        Alcotest.test_case "drop frees a self-parked node" `Quick
+          test_drop_frees_self_parked;
+        Alcotest.test_case "unlink_v frees the victim at the unlink" `Quick
+          test_unlink_frees_victim;
         prop_ocnt_ignores_sequence;
         prop_bretired_flag_independent;
         prop_orc_model;

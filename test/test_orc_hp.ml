@@ -128,6 +128,125 @@ let test_concurrent_stress () =
   check_int "no leak after stress" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
+let build_chain g root n =
+  let p = O.ptr g and q = O.ptr g in
+  for i = n downto 1 do
+    O.load g root q;
+    let node = O.alloc_node_into g p (mk i) in
+    (match O.Ptr.state q with
+    | Link.Null -> ()
+    | st -> O.store g node.next st);
+    O.store g root (Link.Ptr node)
+  done
+
+let same_opt a b =
+  match a, b with Some x, Some y -> x == y | None, None -> true | _ -> false
+
+(* [advance] moves no protection: hazard row and share counts are
+   untouched, and three hops (the identity) allocate nothing. *)
+let test_advance_permutes_only () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 2);
+  O.with_guard o (fun g ->
+      let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+      O.load g root curr;
+      O.load g (O.Ptr.node_exn curr).next next;
+      let a = O.Ptr.node curr and b = O.Ptr.node next in
+      let row = O.hazard_row g in
+      O.advance g prev curr next;
+      check_bool "row unchanged" true (row = O.hazard_row g);
+      check_bool "rotated" true
+        (same_opt (O.Ptr.node prev) a
+        && same_opt (O.Ptr.node curr) b
+        && O.Ptr.is_null next);
+      let three () =
+        O.advance g prev curr next;
+        O.advance g prev curr next;
+        O.advance g prev curr next
+      in
+      check_zero "advance" three;
+      check_bool "row still unchanged" true (row = O.hazard_row g));
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.flush o;
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* A zero-count node rotated out by [advance] stays published until the
+   next [load] into [next]; that load claims it, and the next scan frees
+   it because nothing publishes it any more. *)
+let test_advance_rotated_out_freed () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 1);
+  let tid = Registry.tid () in
+  O.with_guard o (fun g ->
+      let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+      let z = O.alloc_node_into g prev (mk 0) in
+      O.load g root curr;
+      O.load g (O.Ptr.node_exn curr).next next;
+      O.advance g prev curr next;
+      O.scan o ~tid;
+      check_bool "protected while rotated out" false
+        (Memdom.Hdr.is_freed z.hdr);
+      O.load g root next;
+      O.scan o ~tid;
+      check_bool "claimed by the load, freed by the scan" true
+        (Memdom.Hdr.is_freed z.hdr));
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.flush o;
+  check_int "flush leaves nothing live" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
+(* The expired exit path of a guard neutralized after an [advance]
+   releases each permuted handle's share exactly once. *)
+let test_advance_then_neutralized () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 2);
+  let tid = Registry.tid () in
+  Reclaim.Neutralize.arm ();
+  Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
+      O.with_guard o (fun g ->
+          let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+          O.load g root curr;
+          O.load g (O.Ptr.node_exn curr).next next;
+          O.advance g prev curr next;
+          check_bool "fire" true
+            (Reclaim.Neutralize.fire ~by:tid ~tid ~age:1 ())));
+  O.with_guard o (fun g ->
+      Array.iteri
+        (fun i (u, shares) ->
+          check_int (Printf.sprintf "slot %d unpublished" i) (-1) u;
+          check_int (Printf.sprintf "slot %d unshared" i) 0 shares)
+        (O.hazard_row g);
+      for _ = 1 to Orc_core.Orc.max_haz - 1 do
+        ignore (O.ptr g)
+      done);
+  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.flush o;
+  check_int "no leak, no double free" 0 (Memdom.Alloc.live alloc)
+
+(* [drop] unpublishes before guard exit: a scan that had to keep the
+   unlinked node frees it right after the drop. *)
+let test_drop_unpublishes () =
+  let alloc, o = fresh () in
+  let root = Link.make Link.Null in
+  O.with_guard o (fun g -> build_chain g root 1);
+  let tid = Registry.tid () in
+  O.with_guard o (fun g ->
+      let p = O.ptr g in
+      O.load g root p;
+      let n = O.Ptr.node_exn p in
+      O.store g root Link.Null;
+      O.scan o ~tid;
+      check_bool "pinned by the handle" false (Memdom.Hdr.is_freed n.hdr);
+      O.drop g p;
+      O.scan o ~tid;
+      check_bool "freed after drop" true (Memdom.Hdr.is_freed n.hdr);
+      check_bool "handle is null" true (O.Ptr.is_null p));
+  check_int "no leak" 0 (Memdom.Alloc.live alloc);
+  check_int "nothing pending" 0 (O.unreclaimed o)
+
 let suite =
   [
     ( "orc-hp",
@@ -141,5 +260,13 @@ let suite =
           test_long_chain_cascade_iterative;
         Alcotest.test_case "concurrent stress, no UAF, no leak" `Slow
           test_concurrent_stress;
+        Alcotest.test_case "advance permutes handles only" `Quick
+          test_advance_permutes_only;
+        Alcotest.test_case "advance: rotated-out node freed" `Quick
+          test_advance_rotated_out_freed;
+        Alcotest.test_case "advance then neutralized: indexes intact" `Quick
+          test_advance_then_neutralized;
+        Alcotest.test_case "drop unpublishes before guard exit" `Quick
+          test_drop_unpublishes;
       ] );
   ]

@@ -37,22 +37,6 @@ end
 module Orc = Orc_core.Orc.Make (ON)
 module Orc_hp = Orc_core.Orc_hp.Make (ON)
 
-(* Minor words allocated by [f], with the boxed-float overhead of
-   [Gc.minor_words] itself calibrated out. *)
-let minor_delta f =
-  let a = Gc.minor_words () in
-  let b = Gc.minor_words () in
-  let overhead = b -. a in
-  let w0 = Gc.minor_words () in
-  f ();
-  let w1 = Gc.minor_words () in
-  w1 -. w0 -. overhead
-
-let check_zero name f =
-  f () (* warmup: lazy one-time costs land outside the window *);
-  let d = minor_delta f in
-  if d <> 0. then Alcotest.failf "%s allocated %.0f minor words" name d
-
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation: protected reads *)
 
