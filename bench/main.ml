@@ -26,7 +26,7 @@
      --scan         just the scan-cost section: snapshot scans and
                     publication elision, per scheme
      --pack         just the word-packing section: packed headers +
-                    tagged links (minor words/op on the protected-read
+                    word links (minor words/op on the protected-read
                     path, retire ns, CAS retries)
      --background   just the background-pipeline section: mutator
                     retire-path tail latency (p50/p99/p99.9) inline vs
@@ -427,11 +427,12 @@ let scan_run (module M : Reclaim.Scheme_intf.S with type node = snode) name
   let s2 = M.create ~max_hps:scan_hps ~sink:Obs.Sink.null alloc in
   M.begin_op s2 ~tid:0;
   let n0 = { s_hdr = Memdom.Alloc.hdr alloc () } in
-  let link = Atomicx.Link.make (Atomicx.Link.Ptr n0) in
+  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.s_hdr) () in
+  let link = Atomicx.Link.make_in arena (Atomicx.Link.Ptr n0) in
   let reads = 50_000 in
   let t1 = Obs.Sink.now_ns () in
   for _ = 1 to reads do
-    ignore (M.get_protected s2 ~tid:0 ~idx:0 link)
+    ignore (M.get_protected_v s2 ~tid:0 ~idx:0 link)
   done;
   let read_ns =
     float_of_int (Obs.Sink.now_ns () - t1) /. float_of_int reads
@@ -519,20 +520,25 @@ let scan_json rows =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Word packing: packed headers + tagged-immediate links.  The headline
-   numbers are minor-heap words allocated per protected read (exactly
-   0: views are immediates and HP-style schemes publish the target's
-   uid, one unboxed word), the per-retire latency of the fetch-and-add
+(* Word packing: packed headers + word links.  The headline numbers are
+   minor-heap words allocated per protected read (exactly 0: views are
+   immediates and every pointer-publishing scheme — hp, ptb, ptp and
+   both orc cores — publishes the target's uid, one unboxed word), the
+   per-retire latency of the fetch-and-add
    header transitions, and the CAS-retry (restart) count of a contended
    Michael list on word-CAS links. *)
 
 type pnode = { p_hdr : Memdom.Hdr.t; p_next : pnode Atomicx.Link.t }
 
-module Pack_hp = Reclaim.Hp.Make (struct
+module PN = struct
   type t = pnode
 
   let hdr n = n.p_hdr
-end)
+end
+
+module Pack_hp = Reclaim.Hp.Make (PN)
+module Pack_ptb = Reclaim.Ptb.Make (PN)
+module Pack_ptp = Orc_core.Ptp.Make (PN)
 
 module type PACK_ORC = sig
   type t
@@ -545,19 +551,14 @@ module type PACK_ORC = sig
     val node_exn : t -> pnode
   end
 
-  val create :
-    ?max_hps:int ->
-    ?sink:Obs.Sink.t ->
-    ?arena:pnode Atomicx.Link.arena ->
-    Memdom.Alloc.t ->
-    t
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
 
   val with_guard : t -> (guard -> 'a) -> 'a
   val ptr : guard -> Ptr.t
   val load : guard -> pnode Atomicx.Link.t -> Ptr.t -> unit
   val assign : guard -> Ptr.t -> Ptr.t -> unit
   val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> pnode) -> pnode
-  val new_link : guard -> pnode Atomicx.Link.state -> pnode Atomicx.Link.t
+  val new_link_v : guard -> pnode Atomicx.Link.view -> pnode Atomicx.Link.t
   val store_v : guard -> pnode Atomicx.Link.t -> pnode Atomicx.Link.view -> unit
   val v_ptr : t -> pnode -> pnode Atomicx.Link.view
   val flush : t -> unit
@@ -611,10 +612,12 @@ let pack_chain = 64
 let pack_reads = if smoke then 2_000 else 10_000
 let pack_retires = if smoke then 5_000 else 20_000
 
-let pack_hp_run () =
+(* A manual scheme's protected walk down a [pack_chain] chain, then
+   [pack_retires] retires of private nodes. *)
+let pack_manual_run (module S : Reclaim.Scheme_intf.S with type node = pnode) =
   let open Atomicx in
-  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null "pack-hp" in
-  let s = Pack_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
+  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-" ^ S.name) in
+  let s = S.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
   let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
   let tail =
     { p_hdr = Memdom.Alloc.hdr alloc (); p_next = Link.make_in arena Link.Null }
@@ -628,9 +631,9 @@ let pack_hp_run () =
       }
   done;
   let root = Link.make_in arena (Link.Ptr !head) in
-  Pack_hp.begin_op s ~tid:0;
+  S.begin_op s ~tid:0;
   let rec walk link idx =
-    let v = Pack_hp.get_protected_v s ~tid:0 ~idx link in
+    let v = S.get_protected_v s ~tid:0 ~idx link in
     if Link.v_has_target v then
       walk (Link.v_target_exn link v).p_next (1 - idx)
   in
@@ -644,16 +647,16 @@ let pack_hp_run () =
   (* retire side: park-and-scan cycles through the packed transitions *)
   let t0 = Obs.Sink.now_ns () in
   for _ = 1 to pack_retires do
-    Pack_hp.retire s ~tid:0
+    S.retire s ~tid:0
       { p_hdr = Memdom.Alloc.hdr alloc (); p_next = Link.make_in arena Link.Null }
   done;
   let retire_ns =
     float_of_int (Obs.Sink.now_ns () - t0) /. float_of_int pack_retires
   in
-  Pack_hp.end_op s ~tid:0;
-  Pack_hp.flush s;
+  S.end_op s ~tid:0;
+  S.flush s;
   {
-    pk_scheme = "hp";
+    pk_scheme = S.name;
     pk_read_ns = ns /. hops;
     pk_read_words = words /. hops;
     pk_retire_ns = retire_ns;
@@ -663,16 +666,15 @@ let pack_hp_run () =
 let pack_orc_run (module O : PACK_ORC) name =
   let open Atomicx in
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-" ^ name) in
-  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
-  let o = O.create ~sink:Obs.Sink.null ~arena alloc in
+  let o = O.create ~sink:Obs.Sink.null alloc in
   let row =
     O.with_guard o (fun g ->
-        let root = O.new_link g Link.Null in
+        let root = O.new_link_v g Link.v_null in
         let np = O.ptr g in
         for _ = 1 to pack_chain do
           let n =
             O.alloc_node_into g np (fun hdr ->
-                { p_hdr = hdr; p_next = O.new_link g Link.Null })
+                { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
           in
           (* prepend: n.next takes the old chain head, root takes n *)
           O.store_v g n.p_next (Link.view root);
@@ -694,12 +696,12 @@ let pack_orc_run (module O : PACK_ORC) name =
         let hops = float_of_int (pack_reads / 4 * pack_chain) in
         (* retire side: link in, unlink — the count hits zero under a
            live hazard, driving the full retire/handover machinery *)
-        let sl = O.new_link g Link.Null in
+        let sl = O.new_link_v g Link.v_null in
         let t0 = Obs.Sink.now_ns () in
         for _ = 1 to pack_retires / 4 do
           let n =
             O.alloc_node_into g np (fun hdr ->
-                { p_hdr = hdr; p_next = O.new_link g Link.Null })
+                { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
           in
           O.store_v g sl (O.v_ptr o n);
           O.store_v g sl Link.v_null
@@ -750,11 +752,13 @@ let pack_list_retries (module L : PACK_SET) =
   r
 
 let run_pack () =
-  Format.printf "@.== Word packing: packed headers + tagged links ==@.";
+  Format.printf "@.== Word packing: packed headers + word links ==@.";
   Format.printf "  %-8s %12s %14s %12s %12s@." "scheme" "read-ns" "words/read"
     "retire-ns" "cas-retries";
   let module L_orc_pack = Ds.Orc_michael_list.Make () in
-  let hp = pack_hp_run () in
+  let hp = pack_manual_run (module Pack_hp) in
+  let ptb = pack_manual_run (module Pack_ptb) in
+  let ptp = pack_manual_run (module Pack_ptp) in
   let orc = pack_orc_run (module Pack_orc) "orc" in
   let orc_hp = pack_orc_run (module Pack_orc_hp) "orc-hp" in
   let hp_retries = pack_list_retries (module Pack_list_hp) in
@@ -762,6 +766,8 @@ let run_pack () =
   let rows =
     [
       { hp with pk_cas_retries = hp_retries };
+      ptb;
+      ptp;
       { orc with pk_cas_retries = orc_retries };
       orc_hp;
     ]
@@ -1192,7 +1198,7 @@ let ad_phase_dur = if smoke then 0.1 else 0.2
    table, retire the evictees ([extra] additional retires per op models
    the burst phase), tick the controller and sample the unreclaimed
    high-water mark every 64 ops. *)
-let ad_churn api table alloc ~tid ~extra =
+let ad_churn api arena table alloc ~tid ~extra =
   let rng = ref 0x9E3779B9 in
   let next_slot () =
     rng := (!rng * 1103515245) + 12345;
@@ -1209,11 +1215,11 @@ let ad_churn api table alloc ~tid ~extra =
     api.aa_get ~tid table.(next_slot ());
     let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
     api.aa_protect ~tid (Some n);
-    let old = Atomicx.Link.exchange table.(next_slot ()) (Atomicx.Link.Ptr n) in
+    let nv = Atomicx.Link.v_ptr_in arena n in
+    let old = Atomicx.Link.exchange_v table.(next_slot ()) nv in
     api.aa_end ~tid;
-    (match Atomicx.Link.target old with
-    | Some o -> api.aa_retire ~tid o
-    | None -> ());
+    if Atomicx.Link.v_has_target old then
+      api.aa_retire ~tid (Atomicx.Link.v_node arena old);
     for _ = 1 to extra do
       api.aa_retire ~tid { s_hdr = Memdom.Alloc.hdr alloc () }
     done;
@@ -1232,9 +1238,11 @@ let ad_contest ~name (mk_api : Memdom.Alloc.t -> ad_api) =
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("adaptive-" ^ name) in
   let api = mk_api alloc in
   let tid = Atomicx.Registry.tid () in
+  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.s_hdr) () in
   let table =
     Array.init 8 (fun _ ->
-        Atomicx.Link.make (Atomicx.Link.Ptr { s_hdr = Memdom.Alloc.hdr alloc () }))
+        Atomicx.Link.make_in arena
+          (Atomicx.Link.Ptr { s_hdr = Memdom.Alloc.hdr alloc () }))
   in
   (* untimed warmup: domain spawns (reclaimer, controller state) and
      first-touch of the pool all land outside the measured windows *)
@@ -1245,7 +1253,7 @@ let ad_contest ~name (mk_api : Memdom.Alloc.t -> ad_api) =
     api.aa_end ~tid
   done;
   (* phase 1: steady churn *)
-  let calm, _ = ad_churn api table alloc ~tid ~extra:0 in
+  let calm, _ = ad_churn api arena table alloc ~tid ~extra:0 in
   (* phase 2: stall-injected churn *)
   let started = Atomic.make false in
   let release = Atomic.make false in
@@ -1269,19 +1277,18 @@ let ad_contest ~name (mk_api : Memdom.Alloc.t -> ad_api) =
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  let stall, _ = ad_churn api table alloc ~tid ~extra:0 in
+  let stall, _ = ad_churn api arena table alloc ~tid ~extra:0 in
   Atomic.set release true;
   Domain.join victim;
   (* phase 3: retire-heavy burst with the stall gone — the adaptive
      stack must relax back toward the fast policy in here *)
-  let burst, _ = ad_churn api table alloc ~tid ~extra:3 in
+  let burst, _ = ad_churn api arena table alloc ~tid ~extra:3 in
   (* quiesce *)
   Array.iter
     (fun slot ->
-      match Atomicx.Link.target (Atomicx.Link.exchange slot Atomicx.Link.Null)
-      with
-      | Some n -> api.aa_retire ~tid n
-      | None -> ())
+      let old = Atomicx.Link.exchange_v slot Atomicx.Link.v_null in
+      if Atomicx.Link.v_has_target old then
+        api.aa_retire ~tid (Atomicx.Link.v_node arena old))
     table;
   api.aa_teardown ();
   api.aa_flush ();
@@ -1308,7 +1315,7 @@ let ad_ebr_api alloc =
     aa_begin = (fun ~tid -> Ad_ebr.begin_op s ~tid);
     aa_end = (fun ~tid -> Ad_ebr.end_op s ~tid);
     aa_protect = (fun ~tid n -> Ad_ebr.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Ad_ebr.get_protected s ~tid ~idx:0 l));
+    aa_get = (fun ~tid l -> ignore (Ad_ebr.get_protected_v s ~tid ~idx:0 l));
     aa_retire = (fun ~tid n -> Ad_ebr.retire s ~tid n);
     aa_unreclaimed = (fun () -> Ad_ebr.unreclaimed s);
     aa_flush = (fun () -> Ad_ebr.flush s);
@@ -1326,7 +1333,7 @@ let ad_hp_api alloc =
     aa_begin = (fun ~tid -> Scan_hp.begin_op s ~tid);
     aa_end = (fun ~tid -> Scan_hp.end_op s ~tid);
     aa_protect = (fun ~tid n -> Scan_hp.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Scan_hp.get_protected s ~tid ~idx:0 l));
+    aa_get = (fun ~tid l -> ignore (Scan_hp.get_protected_v s ~tid ~idx:0 l));
     aa_retire = (fun ~tid n -> Scan_hp.retire s ~tid n);
     aa_unreclaimed = (fun () -> Scan_hp.unreclaimed s);
     aa_flush = (fun () -> Scan_hp.flush s);
@@ -1373,7 +1380,7 @@ let ad_adaptive_api alloc =
     aa_begin = (fun ~tid -> Ad_sw.begin_op s ~tid);
     aa_end = (fun ~tid -> Ad_sw.end_op s ~tid);
     aa_protect = (fun ~tid n -> Ad_sw.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Ad_sw.get_protected s ~tid ~idx:0 l));
+    aa_get = (fun ~tid l -> ignore (Ad_sw.get_protected_v s ~tid ~idx:0 l));
     aa_retire = (fun ~tid n -> Ad_sw.retire s ~tid n);
     aa_unreclaimed = (fun () -> Ad_sw.unreclaimed s);
     aa_flush = (fun () -> Ad_sw.flush s);

@@ -87,8 +87,9 @@ let () =
   let s = Unsafe.create alloc in
   let tid = Registry.tid () in
   let n = { TN.hdr = Memdom.Alloc.hdr alloc (); v = 42 } in
-  let link = Link.make (Link.Ptr n) in
-  ignore (Unsafe.get_protected s ~tid ~idx:0 link);
+  let arena = Memdom.Handle.arena ~hdr:TN.hdr () in
+  let link = Link.make_in arena (Link.Ptr n) in
+  ignore (Unsafe.get_protected_v s ~tid ~idx:0 link);
   Unsafe.retire s ~tid n (* frees immediately, despite the protection *);
   (try
      Memdom.Hdr.check_access n.TN.hdr;

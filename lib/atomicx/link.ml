@@ -1,23 +1,22 @@
-(* Atomic links with two representations:
+(* Atomic links: one [int Atomic.t] per link, the C++ original's
+   [std::atomic<T*>] with the mark bits in the low bits.  A word names
+   its target by arena slot and carries a per-link write stamp above the
+   slot field:
 
-   - Boxed: an ['a state Atomic.t] — every read returns a heap-allocated
-     variant box, CAS compares boxes physically.
-   - Tagged: an [int Atomic.t] holding the target's arena slot shifted
-     left 3 plus mark/flag/tag bits, with Null = 0 and Poison = 1 —
-     the C++ original's word-tagged pointer, CAS compares values.
+     bits 0-2   mark/flag/tag          (0 clean, 1 mark, 2 flag, 4 tag,
+                                        6 flag+tag)
+     bits 3-26  slot + 1               (0 = no target)
+     bits 27-61 write stamp            (previous stamp + 1 on every write)
 
-   The representation is chosen per structure: links made through
-   [make_in arena] are always Tagged; links made through [make] are
-   always Boxed, so structures that were never converted to the view
-   API keep physical-equality semantics.
-
-   Views ([!view] etc.) are the allocation-free read surface: a view of
-   a Boxed link IS the state value it holds (block, or immediate 0/1
-   for Null/Poison); a view of a Tagged link IS the raw word.  The two
-   never collide: Null and Poison encode as the same immediates 0 and 1
-   in both representations, and every other tagged word is >= 8 while
-   every other boxed state is a block.  [Obj.is_int] therefore fully
-   describes a view, except for dereferencing, which needs the arena. *)
+   Null and Poison are the payloads 0 and 1 (no target).  Every write
+   ([set_v], [cas_v], [exchange_v]) installs the previous word's stamp
+   plus one, so a word read before any later write to the same link
+   never reappears in it (short of 2^35 writes): a CAS or a [view_eq]
+   against a stale view fails, the ABA-freedom the TBKP list, the turn
+   and KP queues, the NM tree and CRF-skip rely on (DESIGN.md §4.1).
+   Null and Poison carry no identity and compare by payload alone.
+   Views are the raw words; reading, comparing and bit-twiddling them
+   never allocates. *)
 
 type 'a state =
   | Null
@@ -76,13 +75,13 @@ let rec chunk_for a b =
       if Atomic.compare_and_set a.chunks.(b) None (Some c) then c
       else chunk_for a b
 
-(* Deref is the tagged read hot path: two atomic loads and one plain
+(* Deref is the read hot path: two atomic loads and one plain
    load, no allocation. *)
 let deref a s =
   match Atomic.get a.chunks.(s lsr chunk_bits) with
   | Some c ->
       let n = c.nodes.(s land (chunk_size - 1)) in
-      if Obj.is_int n then
+      if n == Obj.repr 0 then
         invalid_arg "Link.arena: dereference of unregistered slot"
       else Obj.obj n
   | None -> invalid_arg "Link.arena: dereference of unallocated chunk"
@@ -169,72 +168,125 @@ let arena_released a = Atomic.get a.n_released
 let arena_live a = arena_registered a - arena_released a
 let arena_capacity a = Atomic.get a.next_fresh
 
-(* {2 Word encoding}
+(* {2 Word encoding} *)
 
-   word = (slot + 1) lsl 3 lor bits, bits: 0 clean, 1 mark, 2 flag,
-   4 tag, 6 flag+tag.  Null = 0, Poison = 1; words 2..7 never occur. *)
-
-let b_clean = 0
 let b_mark = 1
 let b_flag = 2
 let b_tag = 4
 let b_flagtag = 6
 let w_null = 0
 let w_poison = 1
+let stamp_shift = 27
+let payload_mask = (1 lsl stamp_shift) - 1
+let slot_field = payload_mask land lnot 7
+
+(* 35 stamp bits keep every word non-negative *)
+let stamp_mask = (1 lsl 35) - 1
 
 let word_of a n bits = ((ensure_registered a n + 1) lsl 3) lor bits
 
 let encode a = function
   | Null -> w_null
   | Poison -> w_poison
-  | Ptr n -> word_of a n b_clean
+  | Ptr n -> word_of a n 0
   | Mark n -> word_of a n b_mark
   | Flag n -> word_of a n b_flag
   | Tag n -> word_of a n b_tag
   | FlagTag n -> word_of a n b_flagtag
 
+let slot_of_word w = ((w land slot_field) lsr 3) - 1
+
 let decode a w =
-  if w = w_null then Null
-  else if w = w_poison then Poison
-  else
-    let n = deref a ((w lsr 3) - 1) in
-    match w land 7 with
-    | 0 -> Ptr n
-    | 1 -> Mark n
-    | 2 -> Flag n
-    | 4 -> Tag n
-    | 6 -> FlagTag n
-    | _ -> assert false
+  match w land payload_mask with
+  | 0 -> Null
+  | 1 -> Poison
+  | p -> (
+      let n = deref a (slot_of_word p) in
+      match p land 7 with
+      | 0 -> Ptr n
+      | 1 -> Mark n
+      | 2 -> Flag n
+      | 4 -> Tag n
+      | 6 -> FlagTag n
+      | _ -> assert false)
+
+(* {2 Views} *)
+
+type 'a view = int
+
+(* [d]'s payload under the stamp that follows [w]'s *)
+let v_after (w : 'a view) (d : 'a view) : 'a view =
+  (d land payload_mask)
+  lor ((((w lsr stamp_shift) + 1) land stamp_mask) lsl stamp_shift)
+
+let view_eq (a : 'a view) (b : 'a view) =
+  a = b || ((a lor b) land slot_field = 0 && a land 7 = b land 7)
+
+let v_null : 'a view = w_null
+let v_poison : 'a view = w_poison
+let v_is_null (v : 'a view) = v land payload_mask = w_null
+let v_is_poison (v : 'a view) = v land payload_mask = w_poison
+let v_has_target (v : 'a view) = v land slot_field <> 0
+let v_is_marked (v : 'a view) = v_has_target v && v land 7 = b_mark
+let v_is_flagged (v : 'a view) = v_has_target v && v land b_flag <> 0
+let v_is_tagged (v : 'a view) = v_has_target v && v land b_tag <> 0
+
+let v_clean (v : 'a view) : 'a view =
+  if v_has_target v then v land lnot 7 else v
+
+let v_mark (v : 'a view) : 'a view =
+  if v_has_target v then (v land lnot 7) lor b_mark else v
+
+(* the BST edge bits: a marked word (list deletion) takes neither *)
+let v_flag (v : 'a view) : 'a view =
+  if v_has_target v && v land 7 <> b_mark then v lor b_flag else v
+
+let v_tag (v : 'a view) : 'a view =
+  if v_has_target v && v land 7 <> b_mark then v lor b_tag else v
+
+let v_same (a : 'a view) (b : 'a view) =
+  a land payload_mask = b land payload_mask
+
+let v_node a (v : 'a view) =
+  if v_has_target v then deref a (slot_of_word v)
+  else invalid_arg "Link.v_node: no target"
+
+let v_ptr_in a (n : 'a) : 'a view = word_of a n 0
+let v_of_state_in a (st : 'a state) : 'a view = encode a st
+let v_state_in a (v : 'a view) : 'a state = decode a v
 
 (* {2 Links} *)
 
-type 'a t =
-  | B of 'a state Atomic.t
-  | T of { word : int Atomic.t; arena : 'a arena }
+type 'a t = { word : int Atomic.t; arena : 'a arena }
 
-let make st = B (Atomic.make st)
+let make_in a st = { word = Atomic.make (encode a st); arena = a }
+let make_of_view a (v : 'a view) =
+  { word = Atomic.make (v land payload_mask); arena = a }
+let view l : 'a view = Atomic.get l.word
+let v_target_exn l v = v_node l.arena v
+let v_state l v = decode l.arena v
 
-let make_in a st = T { word = Atomic.make (encode a st); arena = a }
+let rec exchange_v l (v : 'a view) : 'a view =
+  let cur = Atomic.get l.word in
+  if Atomic.compare_and_set l.word cur (v_after cur v) then cur
+  else exchange_v l v
 
-let get = function B l -> Atomic.get l | T { word; arena } -> decode arena (Atomic.get word)
+let set_v l v = ignore (exchange_v l v)
 
-let set l st =
-  match l with
-  | B l -> Atomic.set l st
-  | T { word; arena } -> Atomic.set word (encode arena st)
+(* A target-bearing expectation is one exact word, stamp included.  A
+   Null/Poison expectation matches the payload under any stamp, so the
+   current word is re-read until the CAS lands or the payload differs. *)
+let rec cas_v l (expected : 'a view) (desired : 'a view) =
+  if v_has_target expected then
+    Atomic.compare_and_set l.word expected (v_after expected desired)
+  else
+    let cur = Atomic.get l.word in
+    cur land payload_mask = expected land payload_mask
+    && (Atomic.compare_and_set l.word cur (v_after cur desired)
+       || cas_v l expected desired)
 
-let cas l expected desired =
-  match l with
-  | B l -> Atomic.compare_and_set l expected desired
-  | T { word; arena } ->
-      (* genuine word compare-and-set: any state with the same target
-         and bits matches, whatever box it came from *)
-      Atomic.compare_and_set word (encode arena expected) (encode arena desired)
-
-let exchange l st =
-  match l with
-  | B l -> Atomic.exchange l st
-  | T { word; arena } -> decode arena (Atomic.exchange word (encode arena st))
+let get l = decode l.arena (Atomic.get l.word)
+let set l st = set_v l (encode l.arena st)
 
 let target = function
   | Null | Poison -> None
@@ -244,204 +296,6 @@ let is_marked = function
   | Mark _ -> true
   | Null | Ptr _ | Flag _ | Tag _ | FlagTag _ | Poison -> false
 
-let is_flagged = function
-  | Flag _ | FlagTag _ -> true
-  | Null | Ptr _ | Mark _ | Tag _ | Poison -> false
-
-let is_tagged = function
-  | Tag _ | FlagTag _ -> true
-  | Null | Ptr _ | Mark _ | Flag _ | Poison -> false
-
 let is_poison = function
   | Poison -> true
   | Null | Ptr _ | Mark _ | Flag _ | Tag _ | FlagTag _ -> false
-
-let with_tag = function
-  | Ptr n -> Tag n
-  | Flag n -> FlagTag n
-  | (Tag _ | FlagTag _ | Null | Poison | Mark _) as st -> st
-
-let clean = function
-  | Ptr n | Mark n | Flag n | Tag n | FlagTag n -> Ptr n
-  | (Null | Poison) as st -> st
-
-let same a b =
-  match a, b with
-  | Null, Null | Poison, Poison -> true
-  | Ptr x, Ptr y | Mark x, Mark y | Flag x, Flag y | Tag x, Tag y
-  | FlagTag x, FlagTag y ->
-      x == y
-  | (Null | Ptr _ | Mark _ | Flag _ | Tag _ | FlagTag _ | Poison), _ -> false
-
-let pp pp_node fmt = function
-  | Null -> Format.pp_print_string fmt "null"
-  | Poison -> Format.pp_print_string fmt "poison"
-  | Ptr n -> Format.fprintf fmt "ptr(%a)" pp_node n
-  | Mark n -> Format.fprintf fmt "mark(%a)" pp_node n
-  | Flag n -> Format.fprintf fmt "flag(%a)" pp_node n
-  | Tag n -> Format.fprintf fmt "tag(%a)" pp_node n
-  | FlagTag n -> Format.fprintf fmt "flagtag(%a)" pp_node n
-
-(* {2 Views} *)
-
-type 'a view = Obj.t
-
-let view = function
-  | B l -> Obj.repr (Atomic.get l)
-  | T { word; _ } -> Obj.repr (Atomic.get word)
-
-let view_eq (a : 'a view) (b : 'a view) = a == b
-let v_null : 'a view = Obj.repr 0
-let v_is_null (v : 'a view) = v == Obj.repr Null
-let v_is_poison (v : 'a view) = v == Obj.repr Poison
-let v_is_word (v : 'a view) = Obj.is_int v
-
-let v_has_target (v : 'a view) =
-  if Obj.is_int v then (Obj.obj v : int) >= 8 else true
-
-let v_is_marked (v : 'a view) =
-  if Obj.is_int v then
-    let w : int = Obj.obj v in
-    w >= 8 && w land 7 = b_mark
-  else is_marked (Obj.obj v : _ state)
-
-let v_is_flagged (v : 'a view) =
-  if Obj.is_int v then
-    let w : int = Obj.obj v in
-    w >= 8 && w land b_flag <> 0
-  else is_flagged (Obj.obj v : _ state)
-
-let v_is_tagged (v : 'a view) =
-  if Obj.is_int v then
-    let w : int = Obj.obj v in
-    w >= 8 && w land b_tag <> 0
-  else is_tagged (Obj.obj v : _ state)
-
-(* Strip mark/flag/tag, keep the target; Null/Poison unchanged.  On a
-   word this is pure arithmetic; on a box it allocates the clean state
-   (exactly what the boxed algorithms allocated before). *)
-let v_clean (v : 'a view) : 'a view =
-  if Obj.is_int v then
-    let w : int = Obj.obj v in
-    if w < 8 then v else Obj.repr (w land lnot 7)
-  else Obj.repr (clean (Obj.obj v : _ state))
-
-let v_mark (v : 'a view) : 'a view =
-  if Obj.is_int v then
-    let w : int = Obj.obj v in
-    if w < 8 then v else Obj.repr ((w land lnot 7) lor b_mark)
-  else
-    match (Obj.obj v : _ state) with
-    | Ptr n | Mark n | Flag n | Tag n | FlagTag n -> Obj.repr (Mark n)
-    | (Null | Poison) as st -> Obj.repr st
-
-let v_same (a : 'a view) (b : 'a view) =
-  if a == b then true
-  else if Obj.is_int a || Obj.is_int b then false
-  else same (Obj.obj a : _ state) (Obj.obj b : _ state)
-
-let state_target_exn (st : _ state) =
-  match st with
-  | Ptr n | Mark n | Flag n | Tag n | FlagTag n -> n
-  | Null | Poison -> invalid_arg "Link.v_target: no target"
-
-let v_node a (v : 'a view) =
-  if Obj.is_int v then begin
-    let w : int = Obj.obj v in
-    if w >= 8 then deref a ((w lsr 3) - 1)
-    else invalid_arg "Link.v_target: no target"
-  end
-  else state_target_exn (Obj.obj v : _ state)
-
-let v_target_exn l (v : 'a view) =
-  if Obj.is_int v then begin
-    let w : int = Obj.obj v in
-    if w >= 8 then
-      match l with
-      | T { arena; _ } -> deref arena ((w lsr 3) - 1)
-      | B _ -> invalid_arg "Link.v_target_exn: word view on boxed link"
-    else invalid_arg "Link.v_target: no target"
-  end
-  else state_target_exn (Obj.obj v : _ state)
-
-let v_node_in ao (v : 'a view) =
-  if Obj.is_int v then begin
-    let w : int = Obj.obj v in
-    if w >= 8 then
-      match ao with
-      | Some a -> deref a ((w lsr 3) - 1)
-      | None -> invalid_arg "Link.v_node_in: word view without arena"
-    else invalid_arg "Link.v_target: no target"
-  end
-  else state_target_exn (Obj.obj v : _ state)
-
-let v_ptr_in a (n : 'a) : 'a view = Obj.repr (word_of a n b_clean)
-
-let v_of_state_in ao (st : 'a state) : 'a view =
-  match ao with Some a -> Obj.repr (encode a st) | None -> Obj.repr st
-
-let v_state_in ao (v : 'a view) : 'a state =
-  if Obj.is_int v then begin
-    let w : int = Obj.obj v in
-    if w < 8 then if w = w_null then Null else Poison
-    else
-      match ao with
-      | Some a -> decode a w
-      | None -> invalid_arg "Link.v_state_in: word view without arena"
-  end
-  else (Obj.obj v : _ state)
-
-let v_state l (v : 'a view) : 'a state =
-  if Obj.is_int v then begin
-    let w : int = Obj.obj v in
-    if w < 8 then if w = w_null then Null else Poison
-    else
-      match l with
-      | T { arena; _ } -> decode arena w
-      | B _ -> invalid_arg "Link.v_state: word view on boxed link"
-  end
-  else (Obj.obj v : _ state)
-
-(* Encode [v] for writing into link [l], converting between
-   representations when the view came from the other kind of link. *)
-let repr_for l (v : 'a view) : Obj.t =
-  match l with
-  | B _ ->
-      if Obj.is_int v then begin
-        let w : int = Obj.obj v in
-        if w = w_null then Obj.repr Null
-        else if w = w_poison then Obj.repr Poison
-        else invalid_arg "Link: word view written to boxed link"
-      end
-      else v
-  | T { arena; _ } ->
-      if Obj.is_int v then v else Obj.repr (encode arena (Obj.obj v : _ state))
-
-let set_v l (v : 'a view) =
-  match l with
-  | B b -> Atomic.set b (Obj.obj (repr_for l v))
-  | T { word; _ } -> Atomic.set word (Obj.obj (repr_for l v))
-
-let cas_v l (expected : 'a view) (desired : 'a view) =
-  match l with
-  | B b ->
-      (* boxed views are the boxes themselves: physical CAS, exactly
-         the historical semantics *)
-      Atomic.compare_and_set b
-        (Obj.obj (repr_for l expected))
-        (Obj.obj (repr_for l desired))
-  | T { word; _ } ->
-      Atomic.compare_and_set word
-        (Obj.obj (repr_for l expected))
-        (Obj.obj (repr_for l desired))
-
-let exchange_v l (v : 'a view) : 'a view =
-  match l with
-  | B b -> Obj.repr (Atomic.exchange b (Obj.obj (repr_for l v)))
-  | T { word; _ } -> Obj.repr (Atomic.exchange word (Obj.obj (repr_for l v)))
-
-let make_of_view a (v : 'a view) =
-  let w =
-    if Obj.is_int v then (Obj.obj v : int) else encode a (Obj.obj v : _ state)
-  in
-  T { word = Atomic.make w; arena = a }

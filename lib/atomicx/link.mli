@@ -1,36 +1,27 @@
-(** Atomic links between nodes, with mark/flag/tag bits and two
-    runtime representations.
+(** Atomic links between nodes, with mark/flag/tag bits.
 
     In the C++ original a link is a raw [std::atomic<Node*>] whose low
     bits carry deletion marks and whose CAS compares machine words.
-    Historically this library rendered that as a boxed variant
-    ([state]) in an [Atomic.t]; since the word-packing PR a link can
-    also be a {e tagged immediate}: one [int Atomic.t] holding the
-    target's arena-slot index shifted left 3 with the mark/flag/tag
-    bits in the low bits ([Null] = 0, [Poison] = 1).  The tagged form
-    is what the paper's O(1) cost model assumes — reads allocate
-    nothing and CAS is a genuine word compare-and-set.
+    Here a link is one [int Atomic.t]: the target's slot in a
+    per-structure {!arena} shifted left 3, the mark/flag/tag bits in
+    the low bits ([Null] = 0, [Poison] = 1), and a {e write stamp} in
+    the high bits.  Reads allocate nothing and CAS is a genuine word
+    compare-and-set.
 
-    {b Representation choice.}  Links built with {!make} are always
-    boxed; links built with {!make_in} or {!make_of_view} are always
-    tagged.  A structure that keeps an {!arena} therefore never mixes
-    representations, and unconverted structures keep the boxed
-    semantics.
+    {b Write stamps.}  Every write ({!set_v}, {!cas_v}, {!exchange_v})
+    installs the previous word's stamp plus one, so a view read from a
+    link never reappears in it after any later write — not even when
+    the link is rewritten A→B→A.  A CAS, or a {!view_eq}, against a
+    view loaded before some other write to the link therefore always
+    fails.  [Null] and [Poison] carry no identity: they compare by
+    payload alone, whatever stamp the link word holds.  An expectation
+    {e constructed} with {!v_ptr_in} (stamp 0) only matches a link that
+    was never written since it was built; CAS expectations must be
+    views loaded from the link.
 
-    {b CAS semantics.}  On a boxed link, [Atomic.compare_and_set]
-    compares the box physically: a competitor writing a fresh box with
-    the same logical content makes the CAS fail — a spurious retry,
-    indistinguishable from contention, never a safety issue.  On a
-    tagged link the comparison is by {e value}: any state that encodes
-    to the same word matches, which eliminates that spurious-retry
-    class entirely (see DESIGN.md, "Word-packed representation").
-
-    {b Views} are the allocation-free read surface shared by both
-    representations: a view of a boxed link is the state value itself
-    and a view of a tagged link is the raw word, distinguished at
-    runtime by immediacy.  {!view_eq} is physical equality, which on
-    boxed views is exactly the historical box-identity validation and
-    on tagged views is word equality. *)
+    {b Views} are the raw words: the allocation-free read surface.  The
+    [state] variant survives for construction ({!make_in}), quiescent
+    teardown and tests ({!get}/{!set}). *)
 
 type 'a state =
   | Null
@@ -42,25 +33,23 @@ type 'a state =
   | Poison
 
 type 'a t
-(** A link.  No longer concretely ['a state Atomic.t]: use the
-    accessors below. *)
+(** A link: one atomic word plus the arena its targets live in. *)
 
-type 'a view
-(** What a link currently holds, in its native representation: the
-    state value of a boxed link, the raw word of a tagged link.
-    Reading, comparing and bit-twiddling views never allocates.  See
-    the {e Views} section below. *)
+type 'a view = private int
+(** What a link holds: the raw word, stamp included.  Reading,
+    comparing and bit-twiddling views never allocates. *)
 
 (** {2 Arenas (handle tables)}
 
-    A tagged word names its target by index into a per-structure
-    arena: a lock-free chunked table whose chunks never move (so a
-    registration store cannot be lost to growth) with a version-counted
-    free-list of recycled slots.  A slot keeps its last occupant until
-    reuse — type-stable memory, the same assumption the paper's
-    reclamation schemes already make.  Registration happens on the
-    thread that still owns the node privately; release is wired through
-    {!Memdom.Hdr.t} by the allocator when the node is freed. *)
+    A word names its target by index into a per-structure arena: a
+    lock-free chunked table whose chunks never move (so a registration
+    store cannot be lost to growth) with a version-counted free-list of
+    recycled slots.  A slot keeps its last occupant until reuse —
+    type-stable memory, the same assumption the paper's reclamation
+    schemes already make.  Registration happens on the thread that
+    still owns the node privately; release is wired through
+    {!Memdom.Hdr.t} by the allocator when the node is freed.  A node
+    belongs to one arena. *)
 
 type 'a arena
 
@@ -84,59 +73,35 @@ val arena_capacity : 'a arena -> int
 
 (** {2 Construction} *)
 
-val make : 'a state -> 'a t
-(** Always boxed. *)
-
 val make_in : 'a arena -> 'a state -> 'a t
-(** A tagged link; registers the target when it was never
+(** A link at stamp 0; registers the target when it was never
     registered. *)
 
 val make_of_view : 'a arena -> 'a view -> 'a t
-(** Like {!make_in} but seeded from a view (no decode round-trip). *)
+(** Like {!make_in} but seeded from a view's target and bits. *)
 
-(** {2 State API (compatibility layer)}
+(** {2 States: construction, quiescent teardown, tests}
 
-    On tagged links, [get]/[exchange] materialize a fresh state box per
-    call and [set]/[cas] encode their arguments — correct but
-    allocating; hot paths should use views. *)
+    [get] decodes (allocating a state) and [set] encodes; both are
+    stamped like every other access.  Concurrent code uses views. *)
 
 val get : 'a t -> 'a state
 val set : 'a t -> 'a state -> unit
-
-val cas : 'a t -> 'a state -> 'a state -> bool
-(** [cas l expected desired] — physical box comparison on boxed links,
-    value comparison on tagged links (see the header comment). *)
-
-val exchange : 'a t -> 'a state -> 'a state
-
 val target : 'a state -> 'a option
 val is_marked : 'a state -> bool
-val is_flagged : 'a state -> bool
-val is_tagged : 'a state -> bool
 val is_poison : 'a state -> bool
-
-val with_tag : 'a state -> 'a state
-(** Set the tag bit, preserving target and flag ([Null]/[Poison]/[Mark]
-    are returned unchanged — only BST edge states carry tags). *)
-
-val clean : 'a state -> 'a state
-(** Strip mark/flag/tag: [Ptr n] for any state targeting [n], [Null] or
-    [Poison] unchanged. *)
-
-val same : 'a state -> 'a state -> bool
-(** Logical equality: same constructor and physically-equal target. *)
-
-val pp :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a state -> unit
 
 (** {2 Views — the allocation-free hot path} *)
 
 val view : 'a t -> 'a view
+
 val view_eq : 'a view -> 'a view -> bool
-(** Physical equality: box identity for boxed views (the historical
-    validation), word equality for tagged views. *)
+(** Word equality, stamp included; [Null]/[Poison] by payload alone.
+    Two views of one link are [view_eq] only if no write separated
+    their loads (or the link held [Null]/[Poison] both times). *)
 
 val v_null : 'a view
+val v_poison : 'a view
 val v_is_null : 'a view -> bool
 val v_is_poison : 'a view -> bool
 val v_is_marked : 'a view -> bool
@@ -144,49 +109,54 @@ val v_is_flagged : 'a view -> bool
 val v_is_tagged : 'a view -> bool
 val v_has_target : 'a view -> bool
 
-val v_is_word : 'a view -> bool
-(** [true] iff the view is a tagged word (always [false] for views of
-    boxed links). *)
-
 val v_clean : 'a view -> 'a view
-(** Strip mark/flag/tag.  Pure arithmetic on words; allocates the clean
-    state on boxes (as the boxed algorithms always did). *)
+(** Strip mark/flag/tag, keeping target and stamp. *)
 
 val v_mark : 'a view -> 'a view
 (** Set the mark bit on a view with a target; identity otherwise. *)
 
+val v_flag : 'a view -> 'a view
+val v_tag : 'a view -> 'a view
+(** Set the flag / tag bit (BST edge states), preserving target, stamp
+    and the other bit; [Null], [Poison] and marked views are returned
+    unchanged. *)
+
 val v_same : 'a view -> 'a view -> bool
-(** {!same} lifted to views: value equality on words, logical equality
-    on boxes.  Physically equal views are always [v_same]. *)
+(** Same target and bits, stamps ignored: the logical comparison of
+    views loaded from different links. *)
+
+val v_after : 'a view -> 'a view -> 'a view
+(** [v_after expected desired] is the word a successful
+    [cas_v l expected desired] installs when [expected] has a target:
+    [desired]'s target and bits under [expected]'s stamp plus one.  The
+    view to keep validating against after such a CAS. *)
 
 val v_target_exn : 'a t -> 'a view -> 'a
 (** Dereference through the link's arena (any link of the same
     structure works).  Raises [Invalid_argument] on [Null]/[Poison].
     {b Stability:} the result is only guaranteed to stay the word's
     meaning while the caller's reclamation protection (hazard/era/orc
-    count) pins the target — exactly the discipline the schemes already
-    enforce for boxed states. *)
+    count) pins the target. *)
 
 val v_node : 'a arena -> 'a view -> 'a
 (** Like {!v_target_exn} with an explicit arena. *)
 
-val v_node_in : 'a arena option -> 'a view -> 'a
-(** Like {!v_node}; [None] is accepted for views that are provably
-    boxed (raises [Invalid_argument] on a word view). *)
-
 val v_ptr_in : 'a arena -> 'a -> 'a view
-(** The clean-pointer word view of [n] (registers [n] when it was never
-    registered). *)
+(** The clean-pointer view of [n] at stamp 0 (registers [n] when it was
+    never registered).  A value to write, not to expect. *)
 
-val v_of_state_in : 'a arena option -> 'a state -> 'a view
-val v_state_in : 'a arena option -> 'a view -> 'a state
+val v_of_state_in : 'a arena -> 'a state -> 'a view
+val v_state_in : 'a arena -> 'a view -> 'a state
 val v_state : 'a t -> 'a view -> 'a state
 
 val set_v : 'a t -> 'a view -> unit
+(** Install [v]'s target and bits under the next stamp. *)
+
 val cas_v : 'a t -> 'a view -> 'a view -> bool
-(** Physical CAS on boxed links, word CAS on tagged links.  Views
-    produced by the other representation are converted on the way in
-    (a word view can only be written to a boxed link when it is
-    [Null]/[Poison]). *)
+(** [cas_v l expected desired]: if [l] holds [expected] (the exact
+    word when [expected] has a target; any [Null]/[Poison] word of the
+    same payload otherwise), install [desired]'s target and bits under
+    the next stamp. *)
 
 val exchange_v : 'a t -> 'a view -> 'a view
+(** {!set_v} returning the word it replaced. *)

@@ -130,6 +130,14 @@ module CN = struct
   let hdr n = n.hdr
 end
 
+(* Slot tables of cnode links, one arena per table *)
+let cnode_arena () = Memdom.Handle.arena ~hdr:(fun (n : cnode) -> n.hdr) ()
+
+(* [Link.exchange_v] returning the evicted node, if any *)
+let evict arena slot v =
+  let old = Link.exchange_v slot v in
+  if Link.v_has_target old then Some (Link.v_node arena old) else None
+
 module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
   let mk alloc v = { hdr = Memdom.Alloc.hdr alloc (); payload = v }
 
@@ -137,7 +145,7 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
     Memdom.Hdr.check_access n.hdr;
     n.payload
 
-  let worker s alloc table cfg ~tid ~rng ~out =
+  let worker s alloc arena table cfg ~tid ~rng ~out =
     let nslots = Array.length table in
     for k = 1 to cfg.ops do
       let slot = table.(Rng.int rng nslots) in
@@ -148,7 +156,7 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
             (* die inside the guard, protection published: the exit
                path must unpublish it or the node pins forever *)
             S.begin_op s ~tid;
-            ignore (S.get_protected s ~tid ~idx:0 slot);
+            ignore (S.get_protected_v s ~tid ~idx:0 slot);
             out := `Killed;
             raise Killed
         | 1 ->
@@ -163,7 +171,7 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
             (* abrupt death: hazards up, slot left Active; only the
                controller's [force_release] can reclaim it *)
             S.begin_op s ~tid;
-            ignore (S.get_protected s ~tid ~idx:0 slot);
+            ignore (S.get_protected_v s ~tid ~idx:0 slot);
             out := `Abandoned (Registry.abandon ());
             raise Killed
       else begin
@@ -172,17 +180,16 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
           (* writer: swap in a fresh node, retire the evictee *)
           let n = mk alloc k in
           S.protect_raw s ~tid ~idx:0 (Some n);
-          let old = Link.exchange slot (Link.Ptr n) in
+          let old = evict arena slot (Link.v_ptr_in arena n) in
           S.end_op s ~tid;
-          match Link.target old with
+          match old with
           | Some o -> S.retire s ~tid o
           | None -> ()
         end
         else begin
-          let st = S.get_protected s ~tid ~idx:(1 + Rng.int rng 3) slot in
-          (match Link.target st with
-          | Some n -> ignore (Sys.opaque_identity (read n))
-          | None -> ());
+          let v = S.get_protected_v s ~tid ~idx:(1 + Rng.int rng 3) slot in
+          if Link.v_has_target v then
+            ignore (Sys.opaque_identity (read (Link.v_node arena v)));
           S.end_op s ~tid
         end
       end
@@ -194,12 +201,15 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
       Memdom.Alloc.create ~mode ~sink:cfg.sink (S.name ^ suffix ^ "-chaos")
     in
     let s = S.create ~max_hps:4 ~sink:cfg.sink alloc in
+    let arena = cnode_arena () in
     let table =
-      Array.init cfg.slots (fun i -> Link.make (Link.Ptr (mk alloc i)))
+      Array.init cfg.slots (fun i ->
+          Link.make_in arena (Link.Ptr (mk alloc i)))
     in
     let killed, abandoned, forced, peak, errors =
       drive cfg
-        ~worker:(fun ~tid ~rng ~out -> worker s alloc table cfg ~tid ~rng ~out)
+        ~worker:(fun ~tid ~rng ~out ->
+          worker s alloc arena table cfg ~tid ~rng ~out)
         ~sample:(fun () -> S.unreclaimed s)
     in
     (* quiesce: unlink the table, then drain retired lists, handovers
@@ -207,7 +217,7 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
     let tid = Registry.tid () in
     Array.iter
       (fun slot ->
-        match Link.target (Link.exchange slot Link.Null) with
+        match evict arena slot Link.v_null with
         | Some n -> S.retire s ~tid n
         | None -> ())
       table;
@@ -258,30 +268,27 @@ module type AUTO = sig
   module Ptr : sig
     type t
 
-    val state : t -> anode Link.state
+    val view : t -> anode Link.view
     val node : t -> anode option
   end
 
   val name : string
-  val create :
-    ?max_hps:int ->
-    ?sink:Obs.Sink.t ->
-    ?arena:anode Link.arena ->
-    Memdom.Alloc.t ->
-    t
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
 
   val with_guard : t -> (guard -> 'a) -> 'a
   val ptr : guard -> Ptr.t
   val load : guard -> anode Link.t -> Ptr.t -> unit
-  val store : guard -> anode Link.t -> anode Link.state -> unit
+  val store_v : guard -> anode Link.t -> anode Link.view -> unit
   val alloc_node : guard -> (Memdom.Hdr.t -> anode) -> Ptr.t
-  val new_link : guard -> anode Link.state -> anode Link.t
+  val new_link_v : guard -> anode Link.view -> anode Link.t
+  val arena : t -> anode Link.arena
   val unreclaimed : t -> int
   val flush : t -> unit
 end
 
 module Auto_battery (O : AUTO) = struct
-  let amk v hdr = { hdr; av = v; next = Link.make Link.Null }
+  let amk o v hdr =
+    { hdr; av = v; next = Link.make_in (O.arena o) Link.Null }
 
   (* [with_guard] scopes cannot be skipped the way manual [end_op]
      calls can, so the kill points are an exception escaping the guard
@@ -306,8 +313,8 @@ module Auto_battery (O : AUTO) = struct
                 ignore (Sys.opaque_identity n.av)
             | None -> ());
             if Rng.bool rng then begin
-              let np = O.alloc_node g (amk k) in
-              O.store g slot (O.Ptr.state np)
+              let np = O.alloc_node g (amk o k) in
+              O.store_v g slot (O.Ptr.view np)
             end;
             if kill then begin
               out := `Killed;
@@ -324,8 +331,8 @@ module Auto_battery (O : AUTO) = struct
     let table =
       O.with_guard o (fun g ->
           Array.init cfg.slots (fun i ->
-              let p = O.alloc_node g (amk i) in
-              O.new_link g (O.Ptr.state p)))
+              let p = O.alloc_node g (amk o i) in
+              O.new_link_v g (O.Ptr.view p)))
     in
     let killed, abandoned, forced, peak, errors =
       drive cfg
@@ -333,7 +340,7 @@ module Auto_battery (O : AUTO) = struct
         ~sample:(fun () -> O.unreclaimed o)
     in
     O.with_guard o (fun g ->
-        Array.iter (fun slot -> O.store g slot Link.Null) table);
+        Array.iter (fun slot -> O.store_v g slot Link.v_null) table);
     O.flush o;
     {
       name = O.name ^ suffix;
@@ -429,7 +436,8 @@ let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
   let alloc = Memdom.Alloc.create "stall-chaos" in
   let s = Stall_hp.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let table = Array.init 4 (fun i -> Link.make (Link.Ptr (mk i))) in
+  let arena = cnode_arena () in
+  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
   let sink = Obs.Sink.make () in
   (* fresh registry: this battery's series never mix with the ambient
      default; the watchdog itself is process-global, which is the point
@@ -457,7 +465,7 @@ let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
               let rec park () =
                 try
                   Stall_hp.begin_op s ~tid;
-                  ignore (Stall_hp.get_protected s ~tid ~idx:0 table.(0));
+                  ignore (Stall_hp.get_protected_v s ~tid ~idx:0 table.(0));
                   Atomic.set victim_tid tid;
                   while not (Atomic.get release) do
                     Unix.sleepf (interval /. 2.)
@@ -483,10 +491,10 @@ let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
                     let n = mk k in
                     Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
                     let old =
-                      Link.exchange table.(Rng.int rng 4) (Link.Ptr n)
+                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
                     in
                     Stall_hp.end_op s ~tid;
-                    match Link.target old with
+                    match old with
                     | Some o -> Stall_hp.retire s ~tid o
                     | None -> ()
                   done)
@@ -534,7 +542,7 @@ let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
   let tid = Registry.tid () in
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match evict arena slot Link.v_null with
       | Some n -> Stall_hp.retire s ~tid n
       | None -> ())
     table;
@@ -617,7 +625,11 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   let s = Stall_hp.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
   let pinned = mk 0 in
-  let table = Array.init 4 (fun i -> Link.make (Link.Ptr (if i = 0 then pinned else mk i))) in
+  let arena = cnode_arena () in
+  let table =
+    Array.init 4 (fun i ->
+        Link.make_in arena (Link.Ptr (if i = 0 then pinned else mk i)))
+  in
   let sink = Obs.Sink.make () in
   let registry = Obs.Metrics.create () in
   let channel = Reclaim.Channel.create ~bound:128 ~registry () in
@@ -651,7 +663,7 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
               let rec park () =
                 try
                   Stall_hp.begin_op s ~tid;
-                  ignore (Stall_hp.get_protected s ~tid ~idx:0 table.(0));
+                  ignore (Stall_hp.get_protected_v s ~tid ~idx:0 table.(0));
                   Atomic.set victim_tid tid;
                   while not (Atomic.get release) do
                     Unix.sleepf (interval /. 2.)
@@ -663,7 +675,7 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                  while we slept, so the wake-up protection acquisition
                  must refuse — handing out a validated protection here
                  would be a use-after-free in waiting *)
-              (match Stall_hp.get_protected s ~tid ~idx:1 table.(1) with
+              (match Stall_hp.get_protected_v s ~tid ~idx:1 table.(1) with
               | _ -> ()
               | exception Reclaim.Neutralize.Neutralized _ ->
                   Atomic.set victim_raised true);
@@ -700,10 +712,10 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                     let n = mk !k in
                     Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
                     let old =
-                      Link.exchange table.(Rng.int rng 4) (Link.Ptr n)
+                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
                     in
                     Stall_hp.end_op s ~tid;
-                    (match Link.target old with
+                    (match old with
                     | Some o -> retire_out o
                     | None -> ());
                     if !k land 0x3F = 0 then Domain.cpu_relax ()
@@ -749,7 +761,7 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   let tid = Registry.tid () in
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match evict arena slot Link.v_null with
       | Some n -> Stall_hp.retire s ~tid n
       | None -> ())
     table;
@@ -787,7 +799,8 @@ let run_reclaimer_kill ?(interval = 0.001) ?(churners = 3) ?(ops = 800)
   let alloc = Memdom.Alloc.create "reclaimer-kill-chaos" in
   let s = Stall_hp.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let table = Array.init 4 (fun i -> Link.make (Link.Ptr (mk i))) in
+  let arena = cnode_arena () in
+  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
   let channel = Reclaim.Channel.create ~bound () in
   Stall_hp.set_background s (Some channel);
   let reclaimer = Reclaim.Reclaimer.start ~interval channel in
@@ -802,10 +815,10 @@ let run_reclaimer_kill ?(interval = 0.001) ?(churners = 3) ?(ops = 800)
                     let n = mk k in
                     Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
                     let old =
-                      Link.exchange table.(Rng.int rng 4) (Link.Ptr n)
+                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
                     in
                     Stall_hp.end_op s ~tid;
-                    match Link.target old with
+                    match old with
                     | Some o -> Stall_hp.retire s ~tid o
                     | None -> ()
                   done)
@@ -829,7 +842,7 @@ let run_reclaimer_kill ?(interval = 0.001) ?(churners = 3) ?(ops = 800)
   Stall_hp.set_background s None;
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match evict arena slot Link.v_null with
       | Some n -> Stall_hp.retire s ~tid n
       | None -> ())
     table;
@@ -919,7 +932,8 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   let alloc = Memdom.Alloc.create "adaptive-chaos" in
   let s = Sw.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let table = Array.init 4 (fun i -> Link.make (Link.Ptr (mk i))) in
+  let arena = cnode_arena () in
+  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
   let sink = Obs.Sink.make () in
   let registry = Obs.Metrics.create () in
   let channel = Reclaim.Channel.create ~bound:256 ~registry () in
@@ -989,10 +1003,10 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                     let n = mk !k in
                     Sw.protect_raw s ~tid ~idx:0 (Some n);
                     let old =
-                      Link.exchange table.(Rng.int rng 4) (Link.Ptr n)
+                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
                     in
                     Sw.end_op s ~tid;
-                    (match Link.target old with
+                    (match old with
                     | Some o -> retire_out o
                     | None -> ());
                     if !k land 0x3F = 0 then Domain.cpu_relax ()
@@ -1034,7 +1048,7 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
               let rec park () =
                 try
                   Sw.begin_op s ~tid;
-                  ignore (Sw.get_protected s ~tid ~idx:0 table.(0));
+                  ignore (Sw.get_protected_v s ~tid ~idx:0 table.(0));
                   Atomic.set victim_tid tid;
                   while not (Atomic.get release) do
                     Unix.sleepf (interval /. 2.)
@@ -1042,7 +1056,7 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                 with Reclaim.Neutralize.Neutralized _ -> park ()
               in
               park ();
-              (match Sw.get_protected s ~tid ~idx:1 table.(1) with
+              (match Sw.get_protected_v s ~tid ~idx:1 table.(1) with
               | _ -> ()
               | exception Reclaim.Neutralize.Neutralized _ ->
                   Atomic.set victim_raised true);
@@ -1073,7 +1087,7 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                   let tid = Registry.tid () in
                   Sw.begin_op s ~tid;
                   ignore
-                    (Sw.get_protected s ~tid ~idx:0 table.(Rng.int rng 4));
+                    (Sw.get_protected_v s ~tid ~idx:0 table.(Rng.int rng 4));
                   (* abrupt death: hazards up, slot left Active *)
                   Registry.abandon ()
                 with e ->
@@ -1113,7 +1127,7 @@ let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   let tid = Registry.tid () in
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match evict arena slot Link.v_null with
       | Some n -> Sw.retire s ~tid n
       | None -> ())
     table;

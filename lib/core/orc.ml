@@ -5,8 +5,8 @@
     Each tracked object's header carries the [_orc] word (Algorithm 3):
     bits 0–21 a signed hard-link count biased at [orc_zero], bit 23 the
     BRETIRED ownership bit, bits 24+ a sequence bumped on every count
-    change.  Hard links are only mutated through {!store}, {!cas} and
-    {!exchange}, which update the counts of the old and new targets; when
+    change.  Hard links are only mutated through {!store_v}, {!cas_v} and
+    {!unlink_v}, which update the counts of the old and new targets; when
     a count returns to zero the mutator that observed it claims BRETIRED
     and runs [retire] (Algorithm 5), which may pass the object to a
     protecting thread ([tryHandover]), un-retire it if it became
@@ -61,9 +61,9 @@ module Make (N : NODE) = struct
 
   type tl_info = {
     (* published hazardous pointers, one word each: the protected
-       node's uid, for boxed and tagged links alike (-1 = empty; uid 0
-       is a real uid).  Uids never repeat, so uid equality is node
-       identity for every node a scan can still hand over. *)
+       node's uid (-1 = empty; uid 0 is a real uid).  Uids never
+       repeat, so uid equality is node identity for every node a scan
+       can still hand over. *)
     hp_uid : int Atomic.t array;
     handovers : node option Atomic.t array;
     used_haz : int array; (* orc_ptr share counts; owner-thread only *)
@@ -75,9 +75,8 @@ module Make (N : NODE) = struct
   type t = {
     alloc : Memdom.Alloc.t;
     sink : Obs.Sink.t;
-    (* the structure's tagged-link handle table, when it opted in via
-       [create ?arena]; None keeps every view boxed (legacy behaviour) *)
-    arena : node Link.arena option;
+    (* the handle table the structure's link words index *)
+    arena : node Link.arena;
     tl : tl_info array;
     watermark : int Atomic.t; (* 1 + highest hazard index ever used *)
     pending : Shard.t; (* BRETIRED-marked objects not yet freed *)
@@ -123,14 +122,10 @@ module Make (N : NODE) = struct
      path must not act on them. *)
   type guard = { t : t; tid : int; gen : int; mutable ptrs : ptr list }
 
-  (* An orc_ptr holds the link *view* it read (a raw word for tagged
-     structures — no box per load) plus the arena needed to decode it
-     for the compatibility [Ptr.state]/[Ptr.node] accessors. *)
-  and ptr = {
-    mutable v : node Link.view;
-    mutable idx : int;
-    ar : node Link.arena option;
-  }
+  (* An orc_ptr holds the link view it read (no box per load) and the
+     node that view names, decoded once while protecting it ([no_node]
+     without a target), plus its hazard index. *)
+  and ptr = { mutable v : node Link.view; mutable n : node; mutable idx : int }
 
   let name = "orc"
   let alloc_ctx t = t.alloc
@@ -140,16 +135,12 @@ module Make (N : NODE) = struct
   (* Placeholder carried where a view has no target; only ever written
      or compared under a [v_has_target] guard, never dereferenced. *)
   let no_node : node = Obj.magic 0
-  let target_of t v = Link.v_node_in t.arena v
 
-  (* Clean-pointer view of a node the caller protects, in the
-     structure's representation (registers the node in the arena when
-     tagged — legal here because every call site still owns the node
-     privately or holds it protected). *)
-  let v_ptr t n =
-    match t.arena with
-    | Some a -> Link.v_ptr_in a n
-    | None -> Link.v_of_state_in None (Link.Ptr n)
+  (* Clean-pointer view of a node the caller protects (registers the
+     node in the arena — legal here because every call site still owns
+     the node privately or holds it protected). *)
+  let v_ptr t n = Link.v_ptr_in t.arena n
+  let arena t = t.arena
   let unreclaimed t = Shard.get t.pending
   let hazard_watermark t = Atomic.get t.watermark
 
@@ -478,7 +469,7 @@ module Make (N : NODE) = struct
   let tuning t = t.tuning
   let set_tuning t tn = t.tuning <- tn
 
-  let create ?max_hps:_ ?sink ?arena alloc =
+  let create ?max_hps:_ ?sink alloc =
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
     in
@@ -499,7 +490,7 @@ module Make (N : NODE) = struct
       {
         alloc;
         sink;
-        arena;
+        arena = Memdom.Handle.arena ~hdr:N.hdr ();
         tl = Array.init Registry.max_threads mk_tl;
         watermark = Atomic.make 1;
         pending = Shard.create ();
@@ -584,9 +575,10 @@ module Make (N : NODE) = struct
      after that would claim a fresh, not-yet-linked node.  Claimed
      while published, the object is handed over to this very slot and
      freed by the drain. *)
-  let clear t ~tid v idx ~reuse =
+  let clear t ~tid p ~reuse =
     let tl = t.tl.(tid) in
-    if Link.v_has_target v then maybe_retire t ~tid (target_of t v);
+    let idx = p.idx in
+    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
     if (not reuse) && idx <> 0 then begin
       tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
       if tl.used_haz.(idx) = 0 then begin
@@ -602,21 +594,18 @@ module Make (N : NODE) = struct
     type t = ptr
 
     let view p = p.v
-    let state p = Link.v_state_in p.ar p.v
     let is_marked p = Link.v_is_marked p.v
     let is_poison p = Link.v_is_poison p.v
     let is_null p = Link.v_is_null p.v
-
-    let node p =
-      if Link.v_has_target p.v then Some (Link.v_node_in p.ar p.v) else None
+    let node p = if Link.v_has_target p.v then Some p.n else None
 
     let node_exn p =
-      if Link.v_has_target p.v then Link.v_node_in p.ar p.v
+      if Link.v_has_target p.v then p.n
       else invalid_arg "Orc.Ptr.node_exn: null"
 
     let same_node a b =
       match Link.v_has_target a.v, Link.v_has_target b.v with
-      | true, true -> Link.v_node_in a.ar a.v == Link.v_node_in b.ar b.v
+      | true, true -> a.n == b.n
       | false, false -> true
       | true, false | false, true -> false
 
@@ -625,21 +614,17 @@ module Make (N : NODE) = struct
        actually installed in memory.  Protection is unchanged, so the
        targets must match. *)
     let retag_v p v' =
-      let ok =
-        match Link.v_has_target v', Link.v_has_target p.v with
-        | true, true -> Link.v_node_in p.ar v' == Link.v_node_in p.ar p.v
-        | false, false -> true
-        | true, false | false, true -> false
-      in
-      if ok then p.v <- v'
-      else invalid_arg "Orc.Ptr.retag: different target"
-
-    let retag p st = retag_v p (Link.v_of_state_in p.ar st)
+      if Link.v_same (Link.v_clean v') (Link.v_clean p.v) then p.v <- v'
+      else invalid_arg "Orc.Ptr.retag_v: different target"
   end
 
   let ptr g =
     let p =
-      { v = Link.v_null; idx = get_new_idx g.t ~tid:g.tid ~start:1; ar = g.t.arena }
+      {
+        v = Link.v_null;
+        n = no_node;
+        idx = get_new_idx g.t ~tid:g.tid ~start:1;
+      }
     in
     g.ptrs <- p :: g.ptrs;
     p
@@ -661,11 +646,15 @@ module Make (N : NODE) = struct
      The protect loop lives at functor level with its free variables as
      arguments: an inner [let rec] would allocate its closure on every
      load, spoiling the allocation-free word path. *)
-  let rec load_loop t ~tid slot link v =
+  let rec load_loop t ~tid slot link p v =
     if not (Link.v_has_target v) then begin
       Atomic.set slot (-1);
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot link v'
+      if Link.view_eq v' v then begin
+        p.v <- v;
+        p.n <- no_node
+      end
+      else load_loop t ~tid slot link p v'
     end
     else begin
       let n = Link.v_target_exn link v in
@@ -676,18 +665,24 @@ module Make (N : NODE) = struct
         Shard.incr t.n_elided ~tid;
         Obs.Sink.on_elide t.sink ~tid;
         let v' = Link.view link in
-        if Link.view_eq v' v then v else load_loop t ~tid slot link v'
+        if Link.view_eq v' v then begin
+          p.v <- v;
+          p.n <- n
+        end
+        else load_loop t ~tid slot link p v'
       end
       else begin
-        (* the validation re-derefs the view and re-reads the uid:
-           value-equal words do not guarantee a stable slot meaning,
-           and a pooled node can be recycled under a new uid (see
-           hp.ml) *)
+        (* the validation re-derefs the view and re-reads the uid: an
+           unchanged word does not guarantee a stable slot meaning, and
+           a pooled node can be recycled under a new uid (see hp.ml) *)
         Atomic.set slot u;
         let v' = Link.view link in
         if Link.view_eq v' v && Link.v_target_exn link v == n && uid n = u
-        then v
-        else load_loop t ~tid slot link v'
+        then begin
+          p.v <- v;
+          p.n <- n
+        end
+        else load_loop t ~tid slot link p v'
       end
     end
 
@@ -697,11 +692,11 @@ module Make (N : NODE) = struct
     let t = g.t and tid = g.tid in
     (* the outgoing target's zero-count check runs before its hazard
        slot is overwritten, for the reason given at [clear] *)
-    if Link.v_has_target p.v then maybe_retire t ~tid (target_of t p.v);
-    p.v <- load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link (Link.view link)
+    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
+    load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link p (Link.view link)
 
-  (* One traversal hop: prev takes curr's (view, index) pair, curr takes
-     next's, next takes prev's old pair.  Nothing is published and no
+  (* One traversal hop: prev takes curr's (view, node, index) triple,
+     curr takes next's, next takes prev's old triple.  Nothing is published and no
      share count moves — every slot keeps publishing what it did, only
      the handles naming the slots are permuted — so the direction rule
      of [assign] never comes into play.  prev's old target stays
@@ -710,12 +705,15 @@ module Make (N : NODE) = struct
   let advance _ prev curr next =
     if prev == curr || curr == next || prev == next then
       invalid_arg "Orc.advance: handles must be distinct";
-    let v = prev.v and idx = prev.idx in
+    let v = prev.v and n = prev.n and idx = prev.idx in
     prev.v <- curr.v;
+    prev.n <- curr.n;
     prev.idx <- curr.idx;
     curr.v <- next.v;
+    curr.n <- next.n;
     curr.idx <- next.idx;
     next.v <- v;
+    next.n <- n;
     next.idx <- idx
 
   (* The slot half of [drop]: [p] becomes a null handle that keeps its
@@ -725,6 +723,7 @@ module Make (N : NODE) = struct
     let t = g.t and tid = g.tid in
     let tl = t.tl.(tid) in
     p.v <- Link.v_null;
+    p.n <- no_node;
     if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then begin
       Atomic.set tl.hp_uid.(p.idx) (-1);
       drain_handover t ~tid p.idx
@@ -734,7 +733,7 @@ module Make (N : NODE) = struct
      check while still published (see [clear]), then [unprotect]. *)
   let drop g p =
     Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
     unprotect g p
 
   (* orc_ptr assignment (Algorithm 7 lines 182–194): copies between
@@ -746,19 +745,20 @@ module Make (N : NODE) = struct
     if dst != src then begin
       let tl = g.t.tl.(g.tid) in
       let reuse = src.idx < dst.idx && tl.used_haz.(dst.idx) = 1 in
-      clear g.t ~tid:g.tid dst.v dst.idx ~reuse;
+      clear g.t ~tid:g.tid dst ~reuse;
       if src.idx < dst.idx then begin
         if not reuse then dst.idx <- get_new_idx g.t ~tid:g.tid ~start:(src.idx + 1);
         (* re-publish src's protection at dst's slot; src's own slot
            protects the target across this window *)
         Atomic.set tl.hp_uid.(dst.idx)
-          (if Link.v_has_target src.v then uid (target_of g.t src.v) else -1)
+          (if Link.v_has_target src.v then uid src.n else -1)
       end
       else begin
         using_idx g.t ~tid:g.tid src.idx;
         dst.idx <- src.idx
       end;
-      dst.v <- src.v
+      dst.v <- src.v;
+      dst.n <- src.n
     end
 
   (* make_orc<T> (Algorithm 3 lines 31–36): allocate, then protect the
@@ -777,6 +777,7 @@ module Make (N : NODE) = struct
     let p = ptr g in
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
+    p.n <- n;
     p
 
   (* make_orc into an existing handle, for loops that allocate many nodes
@@ -787,51 +788,20 @@ module Make (N : NODE) = struct
     let n = run_mk g mk hdr in
     ensure_exclusive g p;
     (* the outgoing target's check precedes the overwrite (see [clear]) *)
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
+    p.n <- n;
     n
 
   (* {2 orc_atomic mutators (Algorithm 4)} *)
 
-  (* store (lines 63–67).  The target of [st], if any, must be protected
+  (* store (lines 63–67).  The target of [v], if any, must be protected
      by the caller (a live Ptr or a fresh node).
 
      All the mutators below start with a neutralization check: they act
      on the strength of the caller's protections, which a neutralized
      guard no longer holds (see [Reclaim.Neutralize]). *)
-  let store g link st =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    let old = Link.exchange link st in
-    match Link.target old with Some n -> dec g.t ~tid:g.tid n | None -> ()
-
-  (* compare_exchange (lines 69–74): counts move only on success, and a
-     pure mark/unmark transition on the same target leaves them alone. *)
-  let cas g link ~expected ~desired =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.cas link expected desired then begin
-      let te = Link.target expected and td = Link.target desired in
-      (match te, td with
-      | Some a, Some b when a == b -> ()
-      | _ ->
-          (match td with Some n -> inc g.t ~tid:g.tid n | None -> ());
-          (match te with Some n -> dec g.t ~tid:g.tid n | None -> ()));
-      true
-    end
-    else false
-
-  let exchange g link st =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    let old = Link.exchange link st in
-    (match Link.target old with Some n -> dec g.t ~tid:g.tid n | None -> ());
-    old
-
-  (* View-plane mutators: same count discipline as above, but the old
-     and new targets are decoded from views instead of boxed states —
-     no allocation on tagged structures. *)
-
   let store_v g link v =
     Reclaim.Neutralize.check ~tid:g.tid;
     if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_target_exn link v);
@@ -840,6 +810,8 @@ module Make (N : NODE) = struct
        alive until this dec *)
     if Link.v_has_target old then dec g.t ~tid:g.tid (Link.v_target_exn link old)
 
+  (* compare_exchange (lines 69–74): counts move only on success, and a
+     pure mark/unmark transition on the same target leaves them alone. *)
   let cas_v g link ~expected ~desired =
     Reclaim.Neutralize.check ~tid:g.tid;
     if Link.cas_v link expected desired then begin
@@ -882,17 +854,9 @@ module Make (N : NODE) = struct
 
   (* Build a link during single-threaded construction of a node or root
      whose initial target is private or otherwise protected. *)
-  let new_link g st =
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    match g.t.arena with
-    | Some a -> Link.make_in a st
-    | None -> Link.make st
-
   let new_link_v g v =
-    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_node_in g.t.arena v);
-    match g.t.arena with
-    | Some a -> Link.make_of_view a v
-    | None -> Link.make (Link.v_state_in None v)
+    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_node g.t.arena v);
+    Link.make_of_view g.t.arena v
 
   let with_guard t f =
     let tid = Registry.tid () in
@@ -908,7 +872,7 @@ module Make (N : NODE) = struct
       Reclaim.Neutralize.ack ~tid;
       let tl = t.tl.(tid) in
       if Registry.generation tid = g.gen then
-        List.iter (fun p -> clear t ~tid p.v p.idx ~reuse:false) g.ptrs
+        List.iter (fun p -> clear t ~tid p ~reuse:false) g.ptrs
       else
         (* A neutralization expired this guard: the hazards are
            already down and the parked handovers were adopted by the

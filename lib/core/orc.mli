@@ -9,8 +9,9 @@
       fields in {!NODE.iter_links};
     + allocate nodes with {!Make.alloc_node} / {!Make.alloc_node_into}
       (the [make_orc] of the paper);
-    + mutate shared links only through {!Make.store}, {!Make.cas} and
-      {!Make.exchange} (the [orc_atomic] operations);
+    + mutate shared links only through {!Make.store_v}, {!Make.cas_v} and
+      {!Make.unlink_v} (the [orc_atomic] operations), building them with
+      {!Make.new_link_v} over the instance's {!Make.arena};
     + hold local references in {!Make.Ptr} handles owned by a
       {!Make.with_guard} scope (the RAII [orc_ptr]s), reading with
       {!Make.load}, copying with {!Make.assign} and stepping a
@@ -71,22 +72,16 @@ module Make (N : NODE) : sig
 
   val name : string
 
-  val create :
-    ?max_hps:int ->
-    ?sink:Obs.Sink.t ->
-    ?arena:node Atomicx.Link.arena ->
-    Memdom.Alloc.t ->
-    t
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
   (** [create alloc] builds an instance whose reclaimed objects return to
       [alloc].  [max_hps] is accepted for interface symmetry with the
       manual schemes and ignored (the hazard array is self-sizing).
       [sink] receives lifecycle events (retire, handover, cascade, scan,
-      guard) and defaults to [Memdom.Alloc.sink alloc].  [arena] opts the
-      structure into tagged-immediate links: links built through
-      {!Make.new_link} / {!Make.new_link_v} use it, so views are
-      immediate words and the read hot path allocates nothing.  Every
-      [load], boxed or tagged, publishes the target's uid: hazards are
-      one unboxed word per slot.  [create] also
+      guard) and defaults to [Memdom.Alloc.sink alloc].  Each instance
+      builds its own {!arena} from [N.hdr]: every link of the structure
+      indexes it, views are immediate words and the read hot path
+      allocates nothing.  Every [load] publishes the target's uid:
+      hazards are one unboxed word per slot.  [create] also
       registers {!thread_exit} with [Atomicx.Registry.on_quarantine],
       so domain exit and [force_release] clean up departing tids
       automatically. *)
@@ -122,17 +117,14 @@ module Make (N : NODE) : sig
     type t
 
     val view : t -> node Atomicx.Link.view
-    (** The exact link view this handle read — the value to use as a
-        [cas_v] expectation.  On a tagged structure this is a raw word;
-        holding or comparing it allocates nothing. *)
-
-    val state : t -> node Atomicx.Link.state
-    (** The held view decoded to the variant form (mark bits included).
-        On a boxed structure this is the exact box read — usable as a
-        physical CAS expectation; on a tagged structure it is a decoded
-        (possibly fresh) box, for inspection only. *)
+    (** The exact word this handle read, write stamp included — the
+        value to use as a [cas_v] expectation, and the one a stale read
+        is told apart by ({!Atomicx.Link.view_eq}).  Holding or
+        comparing it allocates nothing. *)
 
     val node : t -> node option
+    (** The protected target, decoded once when the handle was loaded. *)
+
     val node_exn : t -> node
     val is_marked : t -> bool
     val is_poison : t -> bool
@@ -142,11 +134,8 @@ module Make (N : NODE) : sig
     val retag_v : t -> node Atomicx.Link.view -> unit
     (** Replace the held view by another for the {e same} target — used
         after a successful CAS to keep validating against the value
-        actually installed.  Raises [Invalid_argument] on a different
-        target. *)
-
-    val retag : t -> node Atomicx.Link.state -> unit
-    (** {!retag_v} on the handle's representation of a state. *)
+        actually installed ({!Atomicx.Link.v_after}).  Raises
+        [Invalid_argument] on a different target. *)
   end
 
   val ptr : guard -> Ptr.t
@@ -201,36 +190,12 @@ module Make (N : NODE) : sig
 
   (** {2 orc_atomic mutators (Algorithm 4)}
 
-      All three maintain the hard-link counts of the old and new targets
-      and trigger retirement when a count reaches zero.  The target of a
-      written state must be protected by the caller (held in a live
-      [Ptr] or freshly allocated). *)
-
-  val store : guard -> node Atomicx.Link.t -> node Atomicx.Link.state -> unit
-
-  val cas :
-    guard ->
-    node Atomicx.Link.t ->
-    expected:node Atomicx.Link.state ->
-    desired:node Atomicx.Link.state ->
-    bool
-  (** Counts move only on success; a pure mark/flag change on the same
-      target moves no counts. *)
-
-  val exchange :
-    guard -> node Atomicx.Link.t -> node Atomicx.Link.state -> node Atomicx.Link.state
-
-  val new_link : guard -> node Atomicx.Link.state -> node Atomicx.Link.t
-  (** Build a link during single-threaded construction of a node or root
-      whose initial target is private or otherwise protected.  The link
-      follows the structure's representation (tagged when the instance
-      was created with an [arena]). *)
-
-  (** {2 View-plane mutators}
-
-      The same count discipline as the state mutators, operating on raw
-      {!Atomicx.Link.view}s — on a tagged structure these paths box
-      nothing, and [cas_v] is a genuine single-word compare-and-set. *)
+      All of them maintain the hard-link counts of the old and new
+      targets and trigger retirement when a count reaches zero.  The
+      target of a written view must be protected by the caller (held in
+      a live [Ptr] or freshly allocated).  Writes are word operations on
+      the structure's arena links and box nothing; [cas_v] is a single
+      word compare-and-set, stamp included (see {!Atomicx.Link}). *)
 
   val store_v : guard -> node Atomicx.Link.t -> node Atomicx.Link.view -> unit
 
@@ -255,13 +220,19 @@ module Make (N : NODE) : sig
       is left a null handle on success and untouched on failure. *)
 
   val v_ptr : t -> node -> node Atomicx.Link.view
-  (** Clean-pointer view of a node the caller protects, in the
-      structure's representation (registers the node in the arena when
-      tagged — the caller must own the node privately or hold it
-      protected). *)
+  (** Clean-pointer view of a node the caller protects, at stamp 0
+      (registers the node in the arena — the caller must own the node
+      privately or hold it protected).  A value to write; a CAS
+      expectation must be a loaded view. *)
 
   val new_link_v : guard -> node Atomicx.Link.view -> node Atomicx.Link.t
-  (** {!new_link} on the view plane. *)
+  (** Build a link during single-threaded construction of a node or root
+      whose initial target is private or otherwise protected; the
+      target's count goes up by one. *)
+
+  val arena : t -> node Atomicx.Link.arena
+  (** The instance's handle table, for links that hold no count
+      ({!Atomicx.Link.make_in}) and for decoding views. *)
 
   (** {2 Introspection} *)
 

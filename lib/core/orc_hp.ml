@@ -45,9 +45,8 @@ module Make (N : Orc.NODE) = struct
   type t = {
     alloc : Memdom.Alloc.t;
     sink : Obs.Sink.t;
-    (* the structure's tagged-link handle table, when it opted in via
-       [create ?arena]; None keeps every view boxed (legacy behaviour) *)
-    arena : node Link.arena option;
+    (* the handle table the structure's link words index *)
+    arena : node Link.arena;
     tl : tl_info array;
     watermark : int Atomic.t;
     hps : int;
@@ -77,14 +76,10 @@ module Make (N : Orc.NODE) = struct
      path must not act on them. *)
   type guard = { t : t; tid : int; gen : int; mutable ptrs : ptr list }
 
-  (* An orc_ptr holds the link *view* it read (a raw word for tagged
-     structures — no box per load) plus the arena needed to decode it
-     for the compatibility [Ptr.state]/[Ptr.node] accessors. *)
-  and ptr = {
-    mutable v : node Link.view;
-    mutable idx : int;
-    ar : node Link.arena option;
-  }
+  (* An orc_ptr holds the link view it read (no box per load) and the
+     node that view names, decoded once while protecting it ([no_node]
+     without a target), plus its hazard index. *)
+  and ptr = { mutable v : node Link.view; mutable n : node; mutable idx : int }
 
   let name = "orc-hp"
   let alloc_ctx t = t.alloc
@@ -94,12 +89,9 @@ module Make (N : Orc.NODE) = struct
   (* Placeholder carried where a view has no target; only ever written
      or compared under a [v_has_target] guard, never dereferenced. *)
   let no_node : node = Obj.magic 0
-  let target_of t v = Link.v_node_in t.arena v
 
-  let v_ptr t n =
-    match t.arena with
-    | Some a -> Link.v_ptr_in a n
-    | None -> Link.v_of_state_in None (Link.Ptr n)
+  let v_ptr t n = Link.v_ptr_in t.arena n
+  let arena t = t.arena
 
   let unreclaimed t = Shard.get t.pending
   let elided t = Shard.get t.n_elided
@@ -336,7 +328,7 @@ module Make (N : Orc.NODE) = struct
     t.tuning <- tn;
     refresh_threshold t
 
-  let create ?(max_hps = 8) ?sink ?arena alloc =
+  let create ?(max_hps = 8) ?sink alloc =
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
     in
@@ -355,7 +347,7 @@ module Make (N : Orc.NODE) = struct
       {
         alloc;
         sink;
-        arena;
+        arena = Memdom.Handle.arena ~hdr:N.hdr ();
         tl = Array.init Registry.max_threads mk_tl;
         watermark = Atomic.make 1;
         hps = max_hps;
@@ -419,9 +411,10 @@ module Make (N : Orc.NODE) = struct
      target: once the hazard comes down another thread's scan may free
      it and a pooled header be recycled with a zero count, which a late
      check would claim (see [Orc.clear]). *)
-  let clear t ~tid v idx ~reuse =
+  let clear t ~tid p ~reuse =
     let tl = t.tl.(tid) in
-    if Link.v_has_target v then maybe_retire t ~tid (target_of t v);
+    let idx = p.idx in
+    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
     if (not reuse) && idx <> 0 then begin
       tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
       if tl.used_haz.(idx) = 0 then begin
@@ -434,40 +427,37 @@ module Make (N : Orc.NODE) = struct
     type t = ptr
 
     let view p = p.v
-    let state p = Link.v_state_in p.ar p.v
     let is_marked p = Link.v_is_marked p.v
     let is_poison p = Link.v_is_poison p.v
     let is_null p = Link.v_is_null p.v
-
-    let node p =
-      if Link.v_has_target p.v then Some (Link.v_node_in p.ar p.v) else None
+    let node p = if Link.v_has_target p.v then Some p.n else None
 
     let node_exn p =
-      if Link.v_has_target p.v then Link.v_node_in p.ar p.v
+      if Link.v_has_target p.v then p.n
       else invalid_arg "Orc_hp.Ptr.node_exn: null"
 
     let same_node a b =
       match Link.v_has_target a.v, Link.v_has_target b.v with
-      | true, true -> Link.v_node_in a.ar a.v == Link.v_node_in b.ar b.v
+      | true, true -> a.n == b.n
       | false, false -> true
       | true, false | false, true -> false
 
+    (* Replace the held view by another for the *same* target — used
+       after a successful CAS to keep validating against the value
+       actually installed in memory.  Protection is unchanged, so the
+       targets must match. *)
     let retag_v p v' =
-      let ok =
-        match Link.v_has_target v', Link.v_has_target p.v with
-        | true, true -> Link.v_node_in p.ar v' == Link.v_node_in p.ar p.v
-        | false, false -> true
-        | true, false | false, true -> false
-      in
-      if ok then p.v <- v'
-      else invalid_arg "Orc_hp.Ptr.retag: different target"
-
-    let retag p st = retag_v p (Link.v_of_state_in p.ar st)
+      if Link.v_same (Link.v_clean v') (Link.v_clean p.v) then p.v <- v'
+      else invalid_arg "Orc_hp.Ptr.retag_v: different target"
   end
 
   let ptr g =
     let p =
-      { v = Link.v_null; idx = get_new_idx g.t ~tid:g.tid ~start:1; ar = g.t.arena }
+      {
+        v = Link.v_null;
+        n = no_node;
+        idx = get_new_idx g.t ~tid:g.tid ~start:1;
+      }
     in
     g.ptrs <- p :: g.ptrs;
     p
@@ -482,11 +472,15 @@ module Make (N : Orc.NODE) = struct
   (* The protect loop lives at functor level with its free variables as
      arguments: an inner [let rec] would allocate its closure on every
      load, spoiling the allocation-free word path. *)
-  let rec load_loop t ~tid slot link v =
+  let rec load_loop t ~tid slot link p v =
     if not (Link.v_has_target v) then begin
       Atomic.set slot (-1);
       let v' = Link.view link in
-      if Link.view_eq v' v then v else load_loop t ~tid slot link v'
+      if Link.view_eq v' v then begin
+        p.v <- v;
+        p.n <- no_node
+      end
+      else load_loop t ~tid slot link p v'
     end
     else begin
       let n = Link.v_target_exn link v in
@@ -497,18 +491,24 @@ module Make (N : Orc.NODE) = struct
         Shard.incr t.n_elided ~tid;
         Obs.Sink.on_elide t.sink ~tid;
         let v' = Link.view link in
-        if Link.view_eq v' v then v else load_loop t ~tid slot link v'
+        if Link.view_eq v' v then begin
+          p.v <- v;
+          p.n <- n
+        end
+        else load_loop t ~tid slot link p v'
       end
       else begin
-        (* the validation re-derefs the view and re-reads the uid:
-           value-equal words do not guarantee a stable slot meaning,
-           and a pooled node can be recycled under a new uid (see
-           hp.ml) *)
+        (* the validation re-derefs the view and re-reads the uid: an
+           unchanged word does not guarantee a stable slot meaning, and
+           a pooled node can be recycled under a new uid (see hp.ml) *)
         Atomic.set slot u;
         let v' = Link.view link in
         if Link.view_eq v' v && Link.v_target_exn link v == n && uid n = u
-        then v
-        else load_loop t ~tid slot link v'
+        then begin
+          p.v <- v;
+          p.n <- n
+        end
+        else load_loop t ~tid slot link p v'
       end
     end
 
@@ -517,25 +517,29 @@ module Make (N : Orc.NODE) = struct
     ensure_exclusive g p;
     let t = g.t and tid = g.tid in
     (* check the outgoing target before its slot is overwritten *)
-    if Link.v_has_target p.v then maybe_retire t ~tid (target_of t p.v);
-    p.v <- load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link (Link.view link)
+    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
+    load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link p (Link.view link)
 
   (* One traversal hop as a pure permutation of handle contents; see
      [Orc.advance]. *)
   let advance _ prev curr next =
     if prev == curr || curr == next || prev == next then
       invalid_arg "Orc_hp.advance: handles must be distinct";
-    let v = prev.v and idx = prev.idx in
+    let v = prev.v and n = prev.n and idx = prev.idx in
     prev.v <- curr.v;
+    prev.n <- curr.n;
     prev.idx <- curr.idx;
     curr.v <- next.v;
+    curr.n <- next.n;
     curr.idx <- next.idx;
     next.v <- v;
+    next.n <- n;
     next.idx <- idx
 
   let unprotect g p =
     let tl = g.t.tl.(g.tid) in
     p.v <- Link.v_null;
+    p.n <- no_node;
     if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then
       Atomic.set tl.hp_uid.(p.idx) (-1)
 
@@ -543,7 +547,7 @@ module Make (N : Orc.NODE) = struct
      target waits on the retired list for the next scan. *)
   let drop g p =
     Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
     unprotect g p
 
   let assign g dst src =
@@ -551,19 +555,20 @@ module Make (N : Orc.NODE) = struct
     if dst != src then begin
       let tl = g.t.tl.(g.tid) in
       let reuse = src.idx < dst.idx && tl.used_haz.(dst.idx) = 1 in
-      clear g.t ~tid:g.tid dst.v dst.idx ~reuse;
+      clear g.t ~tid:g.tid dst ~reuse;
       if src.idx < dst.idx then begin
         if not reuse then dst.idx <- get_new_idx g.t ~tid:g.tid ~start:(src.idx + 1);
         (* re-publish src's protection at dst's slot; src's own slot
            protects the target across this window *)
         Atomic.set tl.hp_uid.(dst.idx)
-          (if Link.v_has_target src.v then uid (target_of g.t src.v) else -1)
+          (if Link.v_has_target src.v then uid src.n else -1)
       end
       else begin
         using_idx g.t ~tid:g.tid src.idx;
         dst.idx <- src.idx
       end;
-      dst.v <- src.v
+      dst.v <- src.v;
+      dst.n <- src.n
     end
 
   let run_mk g mk hdr =
@@ -579,6 +584,7 @@ module Make (N : Orc.NODE) = struct
     let p = ptr g in
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
+    p.n <- n;
     p
 
   let alloc_node_into g p mk =
@@ -586,44 +592,15 @@ module Make (N : Orc.NODE) = struct
     let hdr = Memdom.Alloc.hdr g.t.alloc () in
     let n = run_mk g mk hdr in
     ensure_exclusive g p;
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid (target_of g.t p.v);
+    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
     Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.t n;
+    p.n <- n;
     n
 
   (* All the mutators below start with a neutralization check: they act
      on the strength of the caller's protections, which a neutralized
      guard no longer holds (see [Reclaim.Neutralize]). *)
-  let store g link st =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    let old = Link.exchange link st in
-    match Link.target old with Some n -> dec g.t ~tid:g.tid n | None -> ()
-
-  let cas g link ~expected ~desired =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.cas link expected desired then begin
-      let te = Link.target expected and td = Link.target desired in
-      (match te, td with
-      | Some a, Some b when a == b -> ()
-      | _ ->
-          (match td with Some n -> inc g.t ~tid:g.tid n | None -> ());
-          (match te with Some n -> dec g.t ~tid:g.tid n | None -> ()));
-      true
-    end
-    else false
-
-  let exchange g link st =
-    Reclaim.Neutralize.check ~tid:g.tid;
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    let old = Link.exchange link st in
-    (match Link.target old with Some n -> dec g.t ~tid:g.tid n | None -> ());
-    old
-
-  (* View-plane mutators: same count discipline as above, but the old
-     and new targets are decoded from views instead of boxed states —
-     no allocation on tagged structures. *)
-
   let store_v g link v =
     Reclaim.Neutralize.check ~tid:g.tid;
     if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_target_exn link v);
@@ -663,17 +640,9 @@ module Make (N : Orc.NODE) = struct
     end
     else false
 
-  let new_link g st =
-    (match Link.target st with Some n -> inc g.t ~tid:g.tid n | None -> ());
-    match g.t.arena with
-    | Some a -> Link.make_in a st
-    | None -> Link.make st
-
   let new_link_v g v =
-    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_node_in g.t.arena v);
-    match g.t.arena with
-    | Some a -> Link.make_of_view a v
-    | None -> Link.make (Link.v_state_in None v)
+    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_node g.t.arena v);
+    Link.make_of_view g.t.arena v
 
   let with_guard t f =
     let tid = Registry.tid () in
@@ -689,7 +658,7 @@ module Make (N : Orc.NODE) = struct
       Reclaim.Neutralize.ack ~tid;
       let tl = t.tl.(tid) in
       if Registry.generation tid = g.gen then
-        List.iter (fun p -> clear t ~tid p.v p.idx ~reuse:false) g.ptrs
+        List.iter (fun p -> clear t ~tid p ~reuse:false) g.ptrs
       else
         (* A neutralization expired this guard: the hazards are
            already down.  Skipping the per-handle [maybe_retire] is

@@ -35,7 +35,9 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     alloc : Memdom.Alloc.t;
     sink : Obs.Sink.t;
     hps : int;
-    hp : node option Atomic.t array array; (* [tid][idx] *)
+    (* hazards, [tid][idx]: the protected node's uid, one word per slot
+       (-1 = empty), as in Reclaim.Hp *)
+    hp : int Atomic.t array array;
     handovers : node option Atomic.t array array; (* [tid][idx] *)
     counters : Reclaim.Scheme_intf.Counters.t;
     wd : Obs.Watchdog.t; (* guard-stall stamp table *)
@@ -67,64 +69,52 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     Obs.Watchdog.enter t.wd ~tid;
     Obs.Sink.guard_begin t.sink ~tid
 
-  let publish t ~tid ~idx n =
-    if !publish_with_exchange then ignore (Atomic.exchange t.hp.(tid).(idx) n)
-    else Atomic.set t.hp.(tid).(idx) n
+  let uid n = (N.hdr n).Memdom.Hdr.uid
 
-  let protect_raw t ~tid ~idx n = publish t ~tid ~idx n
+  let publish t ~tid ~idx u =
+    if !publish_with_exchange then ignore (Atomic.exchange t.hp.(tid).(idx) u)
+    else Atomic.set t.hp.(tid).(idx) u
+
+  let protect_raw t ~tid ~idx n =
+    publish t ~tid ~idx (match n with Some n -> uid n | None -> -1)
 
   let copy_protection t ~tid ~src ~dst =
     Reclaim.Neutralize.check ~tid;
     publish t ~tid ~idx:dst (Atomic.get t.hp.(tid).(src))
 
-  let get_protected t ~tid ~idx link =
-    Reclaim.Neutralize.check ~tid;
-    let slot = t.hp.(tid).(idx) in
-    let rec loop st =
-      (match Link.target st with
-      | Some n
-        when match Atomic.get slot with Some m -> m == n | None -> false ->
-          (* slot already publishes [n]: the earlier store is still in
-             force for every scanner, so skip the publish (and, under
-             the exchange flavour, its full fence) *)
-          Reclaim.Scheme_intf.Counters.elided t.counters ~tid;
-          Obs.Sink.on_elide t.sink ~tid
-      | target -> publish t ~tid ~idx target);
-      let st' = Link.get link in
-      if st' == st then st else loop st'
-    in
-    loop (Link.get link)
-
-  (* View-plane protection: the hazard slot still holds the node itself
-     (the handover walk compares physically), so a word view is derefed
-     before publishing and re-derefed after — word equality alone does
-     not prove the slot's meaning stayed stable (see hp.ml). *)
-  let get_protected_v t ~tid ~idx link =
-    Reclaim.Neutralize.check ~tid;
-    let slot = t.hp.(tid).(idx) in
-    let rec loop v =
-      if not (Link.v_has_target v) then begin
-        publish t ~tid ~idx None;
+  (* The protect loop of Reclaim.Hp: publish the target's uid (skipped
+     when the slot already holds it — the earlier store is still in
+     force for every scanner, so the publish and, under the exchange
+     flavour, its full fence go), then validate the triple (view, node,
+     uid) against a re-read.  Functor-level so the loop allocates no
+     closure. *)
+  let rec gpv_loop t ~tid ~idx slot link v =
+    if not (Link.v_has_target v) then begin
+      publish t ~tid ~idx (-1);
+      let v' = Link.view link in
+      if Link.view_eq v' v then v else gpv_loop t ~tid ~idx slot link v'
+    end
+    else begin
+      let n = Link.v_target_exn link v in
+      let u = uid n in
+      if Atomic.get slot = u then begin
+        Reclaim.Scheme_intf.Counters.elided t.counters ~tid;
+        Obs.Sink.on_elide t.sink ~tid;
         let v' = Link.view link in
-        if Link.view_eq v' v then v else loop v'
+        if Link.view_eq v' v then v else gpv_loop t ~tid ~idx slot link v'
       end
       else begin
-        let n = Link.v_target_exn link v in
-        (if match Atomic.get slot with Some m -> m == n | None -> false
-         then begin
-           Reclaim.Scheme_intf.Counters.elided t.counters ~tid;
-           Obs.Sink.on_elide t.sink ~tid
-         end
-         else publish t ~tid ~idx (Some n));
+        publish t ~tid ~idx u;
         let v' = Link.view link in
-        if
-          Link.view_eq v' v
-          && ((not (Link.v_is_word v)) || Link.v_target_exn link v == n)
+        if Link.view_eq v' v && Link.v_target_exn link v == n && uid n = u
         then v
-        else loop v'
+        else gpv_loop t ~tid ~idx slot link v'
       end
-    in
-    loop (Link.view link)
+    end
+
+  let get_protected_v t ~tid ~idx link =
+    Reclaim.Neutralize.check ~tid;
+    gpv_loop t ~tid ~idx t.hp.(tid).(idx) link (Link.view link)
 
   let free_node t ~tid n =
     Reclaim.Scheme_intf.Counters.freed t.counters ~tid;
@@ -152,23 +142,20 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
              | None -> raise_notrace Exit
              | Some p -> (
                  incr visited;
-                 match Atomic.get t.hp.(it).(!idx) with
-                 | Some m when m == p -> (
-                     let prev =
-                       Atomic.exchange t.handovers.(it).(!idx) (Some p)
-                     in
-                     Obs.Sink.on_handover t.sink ~tid
-                       ~uid:(N.hdr p).Memdom.Hdr.uid;
-                     cur := prev;
-                     match prev with
-                     | None -> raise_notrace Exit
-                     | Some q -> (
-                         (* Check it is not the new pointer (line 31): if the
-                            slot protects the evictee, stay on this slot. *)
-                         match Atomic.get t.hp.(it).(!idx) with
-                         | Some m2 when m2 == q -> ()
-                         | Some _ | None -> incr idx))
-                 | Some _ | None -> incr idx)
+                 if Atomic.get t.hp.(it).(!idx) = uid p then begin
+                   let prev =
+                     Atomic.exchange t.handovers.(it).(!idx) (Some p)
+                   in
+                   Obs.Sink.on_handover t.sink ~tid ~uid:(uid p);
+                   cur := prev;
+                   match prev with
+                   | None -> raise_notrace Exit
+                   | Some q ->
+                       (* Check it is not the new pointer (line 31): if the
+                          slot protects the evictee, stay on this slot. *)
+                       if Atomic.get t.hp.(it).(!idx) <> uid q then incr idx
+                 end
+                 else incr idx)
            done
          end
        done
@@ -207,7 +194,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
         end
 
   let clear t ~tid ~idx =
-    Atomic.set t.hp.(tid).(idx) None;
+    Atomic.set t.hp.(tid).(idx) (-1);
     if !clear_handover then
       match Atomic.get t.handovers.(tid).(idx) with
       | None -> ()
@@ -227,14 +214,14 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
      leaves exactly two things behind: published hazards (which would
      trap objects in other threads' scans forever) and parked
      handovers (which have no owner left to drain them on [clear]).
-     Lower the hazards *first* — once [hp.(tid)] is all-None, no
+     Lower the hazards *first* — once [hp.(tid)] is all-empty, no
      concurrent handover scan can park anything new on this row — then
      re-run each evicted object through the normal handover path on
      the operating thread (the departing thread itself on the exit
      path, the reclaiming survivor under [force_release]). *)
   let orphan t ~tid =
     for idx = 0 to t.hps - 1 do
-      Atomic.set t.hp.(tid).(idx) None
+      Atomic.set t.hp.(tid).(idx) (-1)
     done;
     let self = Registry.tid () in
     for idx = 0 to t.hps - 1 do
@@ -257,7 +244,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
      cannot break the O(Ht) bound). *)
   let neutralize_clear t ~tid =
     for idx = 0 to t.hps - 1 do
-      Atomic.set t.hp.(tid).(idx) None
+      Atomic.set t.hp.(tid).(idx) (-1)
     done;
     let self = Registry.tid () in
     for idx = 0 to t.hps - 1 do
@@ -273,14 +260,17 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
     in
-    let mk _ = Padded.atomic_array max_hps None in
     let t =
       {
         alloc;
         sink;
         hps = max_hps;
-        hp = Array.init Registry.max_threads mk;
-        handovers = Array.init Registry.max_threads mk;
+        hp =
+          Array.init Registry.max_threads (fun _ ->
+              Padded.atomic_array max_hps (-1));
+        handovers =
+          Array.init Registry.max_threads (fun _ ->
+              Padded.atomic_array max_hps None);
         counters = Reclaim.Scheme_intf.Counters.create ();
         wd = Obs.Watchdog.create ();
         bg = Atomic.make None;

@@ -26,6 +26,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     tail : node; (* shared sentinel, never retired *)
     scheme : S.t;
     alloc : Memdom.Alloc.t;
+    arena : node Link.arena;
   }
 
   let scheme_name = S.name
@@ -41,14 +42,22 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "hash_map" in
     let scheme = S.create ~max_hps:4 alloc in
+    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
     let tail =
-      { key = max_int; next = Link.make Link.Null; hdr = Memdom.Alloc.hdr alloc () }
+      {
+        key = max_int;
+        next = Link.make_in arena Link.Null;
+        hdr = Memdom.Alloc.hdr alloc ();
+      }
     in
     {
-      buckets = Array.init default_buckets (fun _ -> Link.make (Link.Ptr tail));
+      buckets =
+        Array.init default_buckets (fun _ ->
+            Link.make_in arena (Link.Ptr tail));
       tail;
       scheme;
       alloc;
+      arena;
     }
 
   (* Fibonacci hashing over the key. *)
@@ -56,37 +65,30 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     t.buckets.((key * 0x2545F4914F6CDD1D) land max_int
                mod Array.length t.buckets)
 
-  let target_exn st =
-    match Link.target st with Some n -> n | None -> assert false
-
   (* Same window-find as Michael_list, anchored at the bucket head. *)
   let rec find t ~tid key =
     let prev_link = ref (bucket t key) in
-    let curr_st = ref (S.get_protected t.scheme ~tid ~idx:0 !prev_link) in
+    let curr_v = ref (S.get_protected_v t.scheme ~tid ~idx:0 !prev_link) in
     let restart () = find t ~tid key in
     let rec loop () =
-      let curr = target_exn !curr_st in
-      let next_st = S.get_protected t.scheme ~tid ~idx:1 (next_of curr) in
-      if not (Link.get !prev_link == !curr_st) then restart ()
-      else if Link.is_marked next_st then begin
-        let unmarked =
-          match Link.target next_st with
-          | Some nx -> Link.Ptr nx
-          | None -> Link.Null
-        in
-        if Link.cas !prev_link !curr_st unmarked then begin
+      let curr = Link.v_target_exn !prev_link !curr_v in
+      let next_v = S.get_protected_v t.scheme ~tid ~idx:1 (next_of curr) in
+      if not (Link.view_eq (Link.view !prev_link) !curr_v) then restart ()
+      else if Link.v_is_marked next_v then begin
+        let unmarked = Link.v_after !curr_v (Link.v_clean next_v) in
+        if Link.cas_v !prev_link !curr_v unmarked then begin
           S.retire t.scheme ~tid curr;
-          curr_st := unmarked;
+          curr_v := unmarked;
           S.copy_protection t.scheme ~tid ~src:1 ~dst:0;
           loop ()
         end
         else restart ()
       end
-      else if key_of curr >= key then (key_of curr = key, !prev_link, !curr_st)
+      else if key_of curr >= key then (key_of curr = key, !prev_link, !curr_v)
       else begin
         S.copy_protection t.scheme ~tid ~src:0 ~dst:2;
         prev_link := next_of curr;
-        curr_st := next_st;
+        curr_v := next_v;
         S.copy_protection t.scheme ~tid ~src:1 ~dst:0;
         loop ()
       end
@@ -110,13 +112,17 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     let tid = Registry.tid () in
     S.begin_op t.scheme ~tid;
     let rec loop () =
-      let found, prev_link, curr_st = find t ~tid key in
+      let found, prev_link, curr_v = find t ~tid key in
       if found then false
       else
         let node =
-          { key; next = Link.make curr_st; hdr = Memdom.Alloc.hdr t.alloc () }
+          {
+            key;
+            next = Link.make_of_view t.arena curr_v;
+            hdr = Memdom.Alloc.hdr t.alloc ();
+          }
         in
-        if Link.cas prev_link curr_st (Link.Ptr node) then true
+        if Link.cas_v prev_link curr_v (Link.v_ptr_in t.arena node) then true
         else begin
           Memdom.Alloc.free t.alloc node.hdr;
           loop ()
@@ -131,30 +137,23 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     let tid = Registry.tid () in
     S.begin_op t.scheme ~tid;
     let rec loop () =
-      let found, prev_link, curr_st = find t ~tid key in
+      let found, prev_link, curr_v = find t ~tid key in
       if not found then false
       else
-        let curr = target_exn curr_st in
-        let next_st = S.get_protected t.scheme ~tid ~idx:1 (next_of curr) in
-        if Link.is_marked next_st then loop ()
-        else
-          let marked =
-            match Link.target next_st with
-            | Some nx -> Link.Mark nx
-            | None -> assert false
-          in
-          if Link.cas (next_of curr) next_st marked then begin
-            let unmarked =
-              match Link.target next_st with
-              | Some nx -> Link.Ptr nx
-              | None -> Link.Null
-            in
-            if Link.cas prev_link curr_st unmarked then
+        let curr = Link.v_target_exn prev_link curr_v in
+        let next_v = S.get_protected_v t.scheme ~tid ~idx:1 (next_of curr) in
+        if Link.v_is_marked next_v then loop ()
+        else begin
+          (* the tail sentinel follows every found node *)
+          assert (Link.v_has_target next_v);
+          if Link.cas_v (next_of curr) next_v (Link.v_mark next_v) then begin
+            if Link.cas_v prev_link curr_v (Link.v_clean next_v) then
               S.retire t.scheme ~tid curr
             else ignore (find t ~tid key);
             true
           end
           else loop ()
+        end
     in
     let r = loop () in
     S.end_op t.scheme ~tid;
@@ -186,7 +185,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       (fun head ->
         let rec free_chain n =
           if n != t.tail then begin
-            let nx = target_exn (Link.get n.next) in
+            let nx = Option.get (Link.target (Link.get n.next)) in
             Memdom.Alloc.free t.alloc n.hdr;
             free_chain nx
           end

@@ -50,6 +50,7 @@ struct
     tail : node Link.t;
     scheme : S.t;
     alloc : Memdom.Alloc.t;
+    arena : node Link.arena;
   }
 
   let scheme_name = S.name
@@ -64,7 +65,7 @@ struct
 
   let fresh_cell i = { safe = true; cidx = i; value = None }
 
-  let mk_crq ?first alloc =
+  let mk_crq ?first alloc arena =
     let ring = Array.init ring_size (fun i -> Atomic.make (fresh_cell i)) in
     let qtail =
       match first with
@@ -77,15 +78,22 @@ struct
       ring;
       qhead = Atomic.make 0;
       qtail = Atomic.make qtail;
-      next = Link.make Link.Null;
+      next = Link.make_in arena Link.Null;
       hdr = Memdom.Alloc.hdr alloc ();
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "lcrq" in
     let scheme = S.create ~max_hps:2 alloc in
-    let crq = mk_crq alloc in
-    { head = Link.make (Link.Ptr crq); tail = Link.make (Link.Ptr crq); scheme; alloc }
+    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
+    let crq = mk_crq alloc arena in
+    {
+      head = Link.make_in arena (Link.Ptr crq);
+      tail = Link.make_in arena (Link.Ptr crq);
+      scheme;
+      alloc;
+      arena;
+    }
 
   let rec close_crq crq =
     let t = Atomic.get crq.qtail in
@@ -171,30 +179,27 @@ struct
     let tid = Registry.tid () in
     S.begin_op q.scheme ~tid;
     let rec loop () =
-      let ltail_st = S.get_protected q.scheme ~tid ~idx:0 q.tail in
-      match Link.target ltail_st with
-      | None -> assert false
-      | Some crq -> (
-          match Link.get (next_of crq) with
-          | Link.Ptr _ as nx ->
-              (* tail is lagging *)
-              ignore (Link.cas q.tail ltail_st nx);
+      let ltail_v = S.get_protected_v q.scheme ~tid ~idx:0 q.tail in
+      let crq = Link.v_target_exn q.tail ltail_v in
+      let nx = Link.view (next_of crq) in
+      if Link.v_has_target nx then begin
+        (* tail is lagging *)
+        ignore (Link.cas_v q.tail ltail_v nx);
+        loop ()
+      end
+      else
+        match enq_crq crq v with
+        | `Ok -> ()
+        | `Closed ->
+            let ncrq = mk_crq ~first:v q.alloc q.arena in
+            let nv = Link.v_ptr_in q.arena ncrq in
+            if Link.cas_v (next_of crq) nx nv then
+              ignore (Link.cas_v q.tail ltail_v nv)
+            else begin
+              (* lost the link race: never published *)
+              Memdom.Alloc.free q.alloc ncrq.hdr;
               loop ()
-          | Link.Null -> (
-              match enq_crq crq v with
-              | `Ok -> ()
-              | `Closed ->
-                  let ncrq = mk_crq ~first:v q.alloc in
-                  if Link.cas (next_of crq) Link.Null (Link.Ptr ncrq) then
-                    ignore (Link.cas q.tail ltail_st (Link.Ptr ncrq))
-                  else begin
-                    (* lost the link race: never published *)
-                    Memdom.Alloc.free q.alloc ncrq.hdr;
-                    loop ()
-                  end)
-          | Link.Mark _ | Link.Flag _ | Link.Tag _ | Link.FlagTag _
-          | Link.Poison ->
-              assert false)
+            end
     in
     loop ();
     S.end_op q.scheme ~tid
@@ -203,31 +208,26 @@ struct
     let tid = Registry.tid () in
     S.begin_op q.scheme ~tid;
     let rec loop () =
-      let lhead_st = S.get_protected q.scheme ~tid ~idx:0 q.head in
-      match Link.target lhead_st with
-      | None -> assert false
-      | Some crq -> (
-          match deq_crq crq with
-          | Some v -> Some v
-          | None -> (
-              let next_st = S.get_protected q.scheme ~tid ~idx:1 (next_of crq) in
-              match Link.target next_st with
-              | None -> None (* truly empty *)
-              | Some _ -> (
-                  (* a successor exists: drain once more, then advance *)
-                  match deq_crq crq with
-                  | Some v -> Some v
-                  | None ->
-                      (* make sure the tail is past this segment before it
-                         can be retired: tail is a root reference too *)
-                      let tail_st = Link.get q.tail in
-                      (match Link.target tail_st with
-                      | Some tl when tl == crq ->
-                          ignore (Link.cas q.tail tail_st next_st)
-                      | Some _ | None -> ());
-                      if Link.cas q.head lhead_st next_st then
-                        S.retire q.scheme ~tid crq;
-                      loop ())))
+      let lhead_v = S.get_protected_v q.scheme ~tid ~idx:0 q.head in
+      let crq = Link.v_target_exn q.head lhead_v in
+      match deq_crq crq with
+      | Some v -> Some v
+      | None -> (
+          let next_v = S.get_protected_v q.scheme ~tid ~idx:1 (next_of crq) in
+          if not (Link.v_has_target next_v) then None (* truly empty *)
+          else
+            (* a successor exists: drain once more, then advance *)
+            match deq_crq crq with
+            | Some v -> Some v
+            | None ->
+                (* make sure the tail is past this segment before it can
+                   be retired: tail is a root reference too *)
+                let tail_v = Link.view q.tail in
+                if Link.v_same tail_v lhead_v then
+                  ignore (Link.cas_v q.tail tail_v next_v);
+                if Link.cas_v q.head lhead_v next_v then
+                  S.retire q.scheme ~tid crq;
+                loop ())
     in
     let r = loop () in
     S.end_op q.scheme ~tid;

@@ -8,14 +8,13 @@
     at a fixed program point.
 
     Hazard indexes: 0 = curr, 1 = next, 2 = prev node.  The traversal
-    runs on the link *view* plane: on a boxed link a view is the very
-    box stored, so window validation by [Link.view_eq] is the legacy
-    box-identity check; on a tagged link it is the raw word, and word
-    equality is sound because the word's target (curr) is protected at
-    hazard 0 — a protected node's arena slot cannot be recycled, so an
-    unchanged word still means the same node.  With a tagged arena a
-    clean traversal allocates nothing: views are immediates, CASes are
-    word compare-and-sets, and protection goes through
+    runs on the link *view* plane: a view is the raw word, write stamp
+    included, so window validation by [Link.view_eq] fails once the
+    link was written, and word equality is sound because the word's
+    target (curr) is protected at hazard 0 — a protected node's arena
+    slot cannot be recycled, so an unchanged word still means the same
+    node.  A clean traversal allocates nothing: views are immediates,
+    CASes are word compare-and-sets, and protection goes through
     [S.get_protected_v] (unboxed uid plane on HP).
 
     Keys must lie strictly between [min_int] and [max_int] (the sentinel
@@ -90,7 +89,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       search_restart t ~tid key
     else if Link.v_is_marked next_v then begin
       (* curr is logically deleted: unlink it physically *)
-      let unmarked = Link.v_clean next_v in
+      let unmarked = Link.v_after curr_v (Link.v_clean next_v) in
       if Link.cas_v prev_link curr_v unmarked then begin
         S.retire t.scheme ~tid curr;
         S.copy_protection t.scheme ~tid ~src:1 ~dst:0;
@@ -128,7 +127,9 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       let next_v = S.get_protected_v t.scheme ~tid ~idx:1 (next_of curr) in
       if not (Link.view_eq (Link.view !prev_link) !curr_v) then restart ()
       else if Link.v_is_marked next_v then begin
-        let unmarked = Link.v_clean next_v in
+        (* the word the CAS installs: the window keeps validating
+           against it *)
+        let unmarked = Link.v_after !curr_v (Link.v_clean next_v) in
         if Link.cas_v !prev_link !curr_v unmarked then begin
           S.retire t.scheme ~tid curr;
           curr_v := unmarked;

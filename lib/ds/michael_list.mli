@@ -3,11 +3,11 @@
     one list of the paper's four that manual schemes *can* handle.
 
     Hazard indexes: 0 = curr, 1 = next, 2 = prev.  The traversal runs on
-    the link view plane: boxed links validate by box identity (strictly
-    stronger than the C++ tag comparison); tagged links validate by word
-    equality, sound because the word's target is hazard-protected and a
-    protected node's arena slot cannot be recycled.  Keys must lie
-    strictly between [min_int] and [max_int]. *)
+    the link view plane and validates by word equality, write stamp
+    included (strictly stronger than the C++ word comparison), sound
+    because the word's target is hazard-protected and a protected node's
+    arena slot cannot be recycled.  Keys must lie strictly between
+    [min_int] and [max_int]. *)
 
 module Make (R : Reclaim.Scheme_intf.MAKER) : sig
   include Intf.SET

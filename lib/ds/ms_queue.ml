@@ -32,6 +32,7 @@ struct
     tail : node Link.t;
     scheme : S.t;
     alloc : Memdom.Alloc.t;
+    arena : node Link.arena;
   }
 
   let scheme_name = S.name
@@ -49,43 +50,51 @@ struct
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "ms_queue" in
     let scheme = S.create ~max_hps:4 alloc in
+    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
     let sentinel =
-      { item = None; next = Link.make Link.Null; hdr = Memdom.Alloc.hdr alloc () }
+      {
+        item = None;
+        next = Link.make_in arena Link.Null;
+        hdr = Memdom.Alloc.hdr alloc ();
+      }
     in
     {
-      head = Link.make (Link.Ptr sentinel);
-      tail = Link.make (Link.Ptr sentinel);
+      head = Link.make_in arena (Link.Ptr sentinel);
+      tail = Link.make_in arena (Link.Ptr sentinel);
       scheme;
       alloc;
+      arena;
     }
 
   let enqueue q v =
     let tid = Registry.tid () in
     S.begin_op q.scheme ~tid;
     let node =
-      { item = Some v; next = Link.make Link.Null; hdr = Memdom.Alloc.hdr q.alloc () }
+      {
+        item = Some v;
+        next = Link.make_in q.arena Link.Null;
+        hdr = Memdom.Alloc.hdr q.alloc ();
+      }
     in
+    let nv = Link.v_ptr_in q.arena node in
     let backoff = Backoff.create () in
     let rec loop () =
-      let ltail_st = S.get_protected q.scheme ~tid ~idx:0 q.tail in
-      match Link.target ltail_st with
-      | None -> assert false (* tail is never null *)
-      | Some ltail -> (
-          match Link.get (next_of ltail) with
-          | Link.Null ->
-              if Link.cas (next_of ltail) Link.Null (Link.Ptr node) then
-                ignore (Link.cas q.tail ltail_st (Link.Ptr node))
-              else begin
-                Backoff.once backoff;
-                loop ()
-              end
-          | Link.Ptr _ as lnext ->
-              (* help: swing the lagging tail forward *)
-              ignore (Link.cas q.tail ltail_st lnext);
-              loop ()
-          | Link.Mark _ | Link.Flag _ | Link.Tag _ | Link.FlagTag _
-          | Link.Poison ->
-              assert false)
+      let ltail_v = S.get_protected_v q.scheme ~tid ~idx:0 q.tail in
+      (* the tail is never null *)
+      let ltail = Link.v_target_exn q.tail ltail_v in
+      let lnext_v = Link.view (next_of ltail) in
+      if Link.v_is_null lnext_v then
+        if Link.cas_v (next_of ltail) lnext_v nv then
+          ignore (Link.cas_v q.tail ltail_v nv)
+        else begin
+          Backoff.once backoff;
+          loop ()
+        end
+      else begin
+        (* help: swing the lagging tail forward *)
+        ignore (Link.cas_v q.tail ltail_v lnext_v);
+        loop ()
+      end
     in
     loop ();
     S.end_op q.scheme ~tid
@@ -95,34 +104,29 @@ struct
     S.begin_op q.scheme ~tid;
     let backoff = Backoff.create () in
     let rec loop () =
-      let lhead_st = S.get_protected q.scheme ~tid ~idx:0 q.head in
-      match Link.target lhead_st with
-      | None -> assert false
-      | Some lhead -> (
-          let ltail_st = Link.get q.tail in
-          let lnext_st = S.get_protected q.scheme ~tid ~idx:1 (next_of lhead) in
-          (* re-validate: head must not have moved while we protected next *)
-          if not (Link.get q.head == lhead_st) then loop ()
-          else
-            match Link.target lnext_st with
-            | None ->
-                (* empty (head = tail with no successor) *)
-                None
-            | Some next ->
-                if Link.same lhead_st ltail_st then begin
-                  (* tail is lagging: help and retry *)
-                  ignore (Link.cas q.tail ltail_st lnext_st);
-                  loop ()
-                end
-                else if Link.cas q.head lhead_st lnext_st then begin
-                  let v = item_of next in
-                  S.retire q.scheme ~tid lhead;
-                  v
-                end
-                else begin
-                  Backoff.once backoff;
-                  loop ()
-                end)
+      let lhead_v = S.get_protected_v q.scheme ~tid ~idx:0 q.head in
+      let lhead = Link.v_target_exn q.head lhead_v in
+      let ltail_v = Link.view q.tail in
+      let lnext_v = S.get_protected_v q.scheme ~tid ~idx:1 (next_of lhead) in
+      (* re-validate: head must not have moved while we protected next *)
+      if not (Link.view_eq (Link.view q.head) lhead_v) then loop ()
+      else if not (Link.v_has_target lnext_v) then
+        (* empty (head = tail with no successor) *)
+        None
+      else if Link.v_same lhead_v ltail_v then begin
+        (* tail is lagging: help and retry *)
+        ignore (Link.cas_v q.tail ltail_v lnext_v);
+        loop ()
+      end
+      else if Link.cas_v q.head lhead_v lnext_v then begin
+        let v = item_of (Link.v_target_exn q.head lnext_v) in
+        S.retire q.scheme ~tid lhead;
+        v
+      end
+      else begin
+        Backoff.once backoff;
+        loop ()
+      end
     in
     let r = loop () in
     S.end_op q.scheme ~tid;

@@ -5,7 +5,7 @@
     *flags* the edge to the doomed leaf, *tags* the parent's other edge
     to freeze it, then swings the deepest clean ancestor edge directly to
     the surviving sibling — excising the whole frozen path at once.
-    Because edges only ever change by box replacement, a stale CAS
+    Every edge write bumps the link's write stamp, so a stale CAS
     expectation can never succeed, which is what makes overlapping
     cleanups safe (the C++ original gets the same property from its
     flag/tag bits changing the word value).
@@ -44,6 +44,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     s : node; (* sentinel child, immortal *)
     scheme : S.t;
     alloc : Memdom.Alloc.t;
+    arena : node Link.arena;
   }
 
   type seek_record = {
@@ -51,8 +52,8 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
     mutable succ : node;
     mutable par : node;
     mutable leaf : node;
-    mutable anc_edge : node Link.state; (* box read from edge anc->succ *)
-    mutable par_edge : node Link.state; (* box read from edge par->leaf *)
+    mutable anc_edge : node Link.view; (* word read from edge anc->succ *)
+    mutable par_edge : node Link.view; (* word read from edge par->leaf *)
   }
 
   let scheme_name = S.name
@@ -72,37 +73,41 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
   (* route: the child edge of internal node [n] for [key] *)
   let child_link n key = if key < key_of n then left_of n else right_of n
 
-  let mk_leaf alloc key =
+  (* an edge holding a plain pointer, no mark/flag/tag bit *)
+  let is_clean e = Link.v_has_target e && Link.v_same e (Link.v_clean e)
+
+  let mk_leaf alloc arena key =
     {
       key;
-      left = Link.make Link.Null;
-      right = Link.make Link.Null;
+      left = Link.make_in arena Link.Null;
+      right = Link.make_in arena Link.Null;
       hdr = Memdom.Alloc.hdr alloc ();
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "nm_tree" in
     let scheme = S.create ~max_hps:5 alloc in
-    let l0 = mk_leaf alloc inf0 in
-    let l1 = mk_leaf alloc inf1 in
-    let l2 = mk_leaf alloc inf2 in
+    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
+    let l0 = mk_leaf alloc arena inf0 in
+    let l1 = mk_leaf alloc arena inf1 in
+    let l2 = mk_leaf alloc arena inf2 in
     let s =
       {
         key = inf1;
-        left = Link.make (Link.Ptr l0);
-        right = Link.make (Link.Ptr l1);
+        left = Link.make_in arena (Link.Ptr l0);
+        right = Link.make_in arena (Link.Ptr l1);
         hdr = Memdom.Alloc.hdr alloc ();
       }
     in
     let r =
       {
         key = inf2;
-        left = Link.make (Link.Ptr s);
-        right = Link.make (Link.Ptr l2);
+        left = Link.make_in arena (Link.Ptr s);
+        right = Link.make_in arena (Link.Ptr l2);
         hdr = Memdom.Alloc.hdr alloc ();
       }
     in
-    { r; s; scheme; alloc }
+    { r; s; scheme; alloc; arena }
 
   let target_exn st =
     match Link.target st with Some n -> n | None -> assert false
@@ -122,71 +127,78 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
         succ = t.s;
         par = t.s;
         leaf = t.s (* placeholder, set below *);
-        anc_edge = Link.get t.r.left (* immortal edge R->S *);
-        par_edge = Link.Null;
+        anc_edge = Link.view t.r.left (* immortal edge R->S *);
+        par_edge = Link.v_null;
       }
     in
-    let par_edge = S.get_protected t.scheme ~tid ~idx:3 t.s.left in
+    let par_edge = S.get_protected_v t.scheme ~tid ~idx:3 t.s.left in
     sk.par_edge <- par_edge;
-    sk.leaf <- target_exn par_edge;
+    sk.leaf <- Link.v_node t.arena par_edge;
     let restart = ref false in
     let rec walk () =
       let l = sk.leaf in
-      let probe = Link.get (left_of l) in
-      if Link.is_poison probe then restart := true
-      else
-        match Link.target probe with
-        | None -> () (* l is a leaf: done *)
-        | Some _ ->
-            (* l is internal: descend by key *)
-            let cur_st =
-              S.get_protected t.scheme ~tid ~idx:4 (child_link l key)
-            in
-            if Link.is_poison cur_st then restart := true
-            else begin
-              if not (Link.is_tagged sk.par_edge) then begin
-                sk.anc <- sk.par;
-                sk.succ <- sk.leaf;
-                sk.anc_edge <- sk.par_edge;
-                S.copy_protection t.scheme ~tid ~src:2 ~dst:0;
-                S.copy_protection t.scheme ~tid ~src:3 ~dst:1
-              end;
-              sk.par <- l;
-              S.copy_protection t.scheme ~tid ~src:3 ~dst:2;
-              sk.par_edge <- cur_st;
-              sk.leaf <- target_exn cur_st;
-              S.copy_protection t.scheme ~tid ~src:4 ~dst:3;
-              walk ()
-            end
+      let probe = Link.view (left_of l) in
+      if Link.v_is_poison probe then restart := true
+      else if not (Link.v_has_target probe) then () (* l is a leaf: done *)
+      else begin
+        (* l is internal: descend by key *)
+        let cur_v =
+          S.get_protected_v t.scheme ~tid ~idx:4 (child_link l key)
+        in
+        if Link.v_is_poison cur_v then restart := true
+        else begin
+          if not (Link.v_is_tagged sk.par_edge) then begin
+            sk.anc <- sk.par;
+            sk.succ <- sk.leaf;
+            sk.anc_edge <- sk.par_edge;
+            S.copy_protection t.scheme ~tid ~src:2 ~dst:0;
+            S.copy_protection t.scheme ~tid ~src:3 ~dst:1
+          end;
+          sk.par <- l;
+          S.copy_protection t.scheme ~tid ~src:3 ~dst:2;
+          sk.par_edge <- cur_v;
+          sk.leaf <- Link.v_node t.arena cur_v;
+          S.copy_protection t.scheme ~tid ~src:4 ~dst:3;
+          walk ()
+        end
+      end
     in
     walk ();
     if !restart then seek t ~tid key else sk
 
   (* Excise and retire the removed region: every node reachable from [x]
-     except the surviving sibling subtree rooted at [w].  The region is
-     frozen (all its edges flagged/tagged) and bounded by the number of
-     concurrent deletes.  Its edges are poisoned *before* any node is
-     retired so that concurrent traversals stuck inside the region fail
-     their next protection step and restart instead of chasing frozen
-     links into freed memory. *)
-  let excise_region t ~tid x w =
+     except the surviving sibling subtree, whose root the frozen edge
+     word [sv] names.  The region is frozen (all its edges
+     flagged/tagged) and bounded by the number of concurrent deletes.
+     Its edges are poisoned *before* any node is retired so that
+     concurrent traversals stuck inside the region fail their next
+     protection step and restart instead of chasing frozen links into
+     freed memory.
+
+     The survivor is recognised by its arena slot, never dereferenced:
+     it is now linked under the ancestor, unprotected, so a concurrent
+     delete may free it and its slot be re-issued while the region is
+     collected.  Every other edge of the region targets a region node,
+     which stays allocated until this call retires it, so no region
+     node can hold the survivor's slot. *)
+  let excise_region t ~tid x sv =
+    let survivor = Link.v_clean sv in
     let nodes = ref [] in
     let rec collect x =
-      if x != w then begin
-        (match Link.target (Link.get x.left) with
-        | Some c -> collect c
-        | None -> ());
-        (match Link.target (Link.get x.right) with
-        | Some c -> collect c
-        | None -> ());
-        nodes := x :: !nodes
-      end
+      let child l =
+        let v = Link.view l in
+        if Link.v_has_target v && not (Link.v_same (Link.v_clean v) survivor)
+        then collect (Link.v_node t.arena v)
+      in
+      child x.left;
+      child x.right;
+      nodes := x :: !nodes
     in
     collect x;
     List.iter
       (fun n ->
-        ignore (Link.exchange n.left Link.Poison);
-        ignore (Link.exchange n.right Link.Poison))
+        Link.set_v n.left Link.v_poison;
+        Link.set_v n.right Link.v_poison)
       !nodes;
     List.iter (fun n -> S.retire t.scheme ~tid n) !nodes
 
@@ -198,34 +210,34 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       if key < key_of par then (left_of par, right_of par)
       else (right_of par, left_of par)
     in
-    let child_st = Link.get child_l in
-    if Link.is_poison child_st then false (* region already reclaimed *)
+    let child_v = Link.view child_l in
+    if Link.v_is_poison child_v then false (* region already reclaimed *)
     else begin
       (* if the child edge is not flagged, the flag sits on the other side
          (we are helping a delete whose leaf is our routing sibling) *)
       let sibling_l =
-        if Link.is_flagged child_st then sibling_l else child_l
+        if Link.v_is_flagged child_v then sibling_l else child_l
       in
       (* tag the sibling edge so it cannot change under us *)
       let rec tag () =
-        let s = Link.get sibling_l in
-        if Link.is_poison s then None
-        else if Link.is_tagged s then Some s
+        let s = Link.view sibling_l in
+        if Link.v_is_poison s then None
+        else if Link.v_is_tagged s then Some s
         else begin
-          ignore (Link.cas sibling_l s (Link.with_tag s));
+          ignore (Link.cas_v sibling_l s (Link.v_tag s));
           tag ()
         end
       in
       match tag () with
       | None -> false
       | Some s ->
-          let w = target_exn s in
           let desired =
-            if Link.is_flagged s then Link.Flag w else Link.Ptr w
+            if Link.v_is_flagged s then Link.v_flag (Link.v_clean s)
+            else Link.v_clean s
           in
           let anc_link = child_link sk.anc key in
-          if Link.cas anc_link sk.anc_edge desired then begin
-            excise_region t ~tid sk.succ w;
+          if Link.cas_v anc_link sk.anc_edge desired then begin
+            excise_region t ~tid sk.succ s;
             true
           end
           else false
@@ -252,40 +264,34 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       if key_of sk.leaf = key then false
       else begin
         let cl = child_link sk.par key in
-        match sk.par_edge with
-        | Link.Ptr leaf when leaf == sk.leaf ->
-            let new_leaf = mk_leaf t.alloc key in
-            let lkey = key_of sk.leaf in
-            let internal =
-              if key < lkey then
-                {
-                  key = lkey;
-                  left = Link.make (Link.Ptr new_leaf);
-                  right = Link.make sk.par_edge;
-                  hdr = Memdom.Alloc.hdr t.alloc ();
-                }
-              else
-                {
-                  key;
-                  left = Link.make sk.par_edge;
-                  right = Link.make (Link.Ptr new_leaf);
-                  hdr = Memdom.Alloc.hdr t.alloc ();
-                }
-            in
-            if Link.cas cl sk.par_edge (Link.Ptr internal) then true
-            else begin
-              (* never published: plain frees *)
-              Memdom.Alloc.free t.alloc new_leaf.hdr;
-              Memdom.Alloc.free t.alloc internal.hdr;
-              (* help an obstructing delete before retrying *)
-              if Link.is_flagged (Link.get cl) || Link.is_tagged (Link.get cl)
-              then ignore (cleanup t ~tid key sk);
-              loop ()
-            end
-        | Link.Flag _ | Link.Tag _ | Link.FlagTag _ ->
-            ignore (cleanup t ~tid key sk);
+        let e = sk.par_edge in
+        if is_clean e then begin
+          let new_leaf = mk_leaf t.alloc t.arena key in
+          let lkey = key_of sk.leaf in
+          let leaf_l = Link.make_in t.arena (Link.Ptr new_leaf) in
+          let old_l = Link.make_of_view t.arena e in
+          let internal =
+            let hdr = Memdom.Alloc.hdr t.alloc () in
+            if key < lkey then { key = lkey; left = leaf_l; right = old_l; hdr }
+            else { key; left = old_l; right = leaf_l; hdr }
+          in
+          if Link.cas_v cl e (Link.v_ptr_in t.arena internal) then true
+          else begin
+            (* never published: plain frees *)
+            Memdom.Alloc.free t.alloc new_leaf.hdr;
+            Memdom.Alloc.free t.alloc internal.hdr;
+            (* help an obstructing delete before retrying *)
+            let c = Link.view cl in
+            if Link.v_is_flagged c || Link.v_is_tagged c then
+              ignore (cleanup t ~tid key sk);
             loop ()
-        | Link.Ptr _ | Link.Null | Link.Mark _ | Link.Poison -> loop ()
+          end
+        end
+        else if Link.v_is_flagged e || Link.v_is_tagged e then begin
+          ignore (cleanup t ~tid key sk);
+          loop ()
+        end
+        else loop ()
       end
     in
     let r = loop () in
@@ -301,16 +307,17 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       if key_of sk.leaf <> key then false
       else begin
         let cl = child_link sk.par key in
-        match sk.par_edge with
-        | Link.Ptr leaf when leaf == sk.leaf ->
-            if Link.cas cl sk.par_edge (Link.Flag leaf) then
-              if cleanup t ~tid key sk then true else pursue leaf
-            else injection ()
-        | Link.Flag _ | Link.Tag _ | Link.FlagTag _ ->
-            (* someone is deleting here: help, then re-examine *)
-            ignore (cleanup t ~tid key sk);
-            injection ()
-        | Link.Ptr _ | Link.Null | Link.Mark _ | Link.Poison -> injection ()
+        let e = sk.par_edge in
+        if is_clean e then
+          if Link.cas_v cl e (Link.v_flag e) then
+            if cleanup t ~tid key sk then true else pursue sk.leaf
+          else injection ()
+        else if Link.v_is_flagged e || Link.v_is_tagged e then begin
+          (* someone is deleting here: help, then re-examine *)
+          ignore (cleanup t ~tid key sk);
+          injection ()
+        end
+        else injection ()
       end
     (* cleanup mode: our leaf is flagged; finish or detect completion *)
     and pursue leaf =

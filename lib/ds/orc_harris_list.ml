@@ -46,19 +46,23 @@ module Make () = struct
     O.with_guard orc (fun g ->
         let tp =
           O.alloc_node g (fun hdr ->
-              { key = max_int; next = Link.make Link.Null; hdr })
+              {
+                key = max_int;
+                next = Link.make_in (O.arena orc) Link.Null;
+                hdr;
+              })
         in
         let tail = O.Ptr.node_exn tp in
         let hp =
           O.alloc_node g (fun hdr ->
-              { key = min_int; next = O.new_link g (Link.Ptr tail); hdr })
+              { key = min_int; next = O.new_link_v g (O.Ptr.view tp); hdr })
         in
         let head = O.Ptr.node_exn hp in
         {
           head;
           tail;
-          head_root = O.new_link g (Link.Ptr head);
-          tail_root = O.new_link g (Link.Ptr tail);
+          head_root = O.new_link_v g (O.Ptr.view hp);
+          tail_root = O.new_link_v g (O.Ptr.view tp);
           orc;
           alloc;
         })
@@ -66,12 +70,12 @@ module Make () = struct
   (* Harris search: find adjacent (left, right) with left.key < key <=
      right.key and right unmarked, excising any marked chain in between
      with one CAS.  On return [left] and [right] are protected and the
-     returned state is the box installed in left.next (pointing at
+     returned view is the word installed in left.next (pointing at
      right).  The cursor walks *through* marked nodes — the behaviour
      that breaks manual schemes and that OrcGC supports unchanged. *)
   let rec search t g key ~left ~right ~tnext =
     let left_link = ref t.head.next in
-    let left_next = ref Link.Null in
+    let left_next = ref Link.v_null in
     let restart () = search t g key ~left ~right ~tnext in
     (* [right] plays Harris's cursor t; start at head *)
     O.load g t.head_root right;
@@ -82,7 +86,7 @@ module Make () = struct
       if not (O.Ptr.is_marked tnext) then begin
         O.assign g left right;
         left_link := next_of tn;
-        left_next := O.Ptr.state tnext
+        left_next := O.Ptr.view tnext
       end;
       match O.Ptr.node tnext with
       | None -> () (* only the tail has a null next *)
@@ -95,19 +99,22 @@ module Make () = struct
     in
     walk ();
     let right_node = O.Ptr.node_exn right in
-    if Link.same !left_next (Link.Ptr right_node) then begin
+    let right_v = Link.v_clean (O.Ptr.view right) in
+    if Link.v_same !left_next right_v then begin
       (* adjacent already; restart if right got marked meanwhile *)
-      if right_node != t.tail && Link.is_marked (Link.get (next_of right_node))
+      if
+        right_node != t.tail
+        && Link.v_is_marked (Link.view (next_of right_node))
       then restart ()
       else (!left_link, !left_next)
     end
     else begin
       (* excise the marked chain [left_next .. right) in one CAS *)
-      let desired = Link.Ptr right_node in
-      if O.cas g !left_link ~expected:!left_next ~desired then begin
+      let desired = Link.v_after !left_next right_v in
+      if O.cas_v g !left_link ~expected:!left_next ~desired then begin
         if
           right_node != t.tail
-          && Link.is_marked (Link.get (next_of right_node))
+          && Link.v_is_marked (Link.view (next_of right_node))
         then restart ()
         else (!left_link, desired)
       end
@@ -131,7 +138,7 @@ module Make () = struct
     let left = O.ptr g and right = O.ptr g and tnext = O.ptr g in
     let node = ref None in
     let rec loop () =
-      let left_link, right_st = search t g key ~left ~right ~tnext in
+      let left_link, right_lv = search t g key ~left ~right ~tnext in
       let right_node = O.Ptr.node_exn right in
       if key_of right_node = key then false
       else begin
@@ -141,14 +148,19 @@ module Make () = struct
           | None ->
               let p =
                 O.alloc_node g (fun hdr ->
-                    { key; next = Link.make Link.Null; hdr })
+                    {
+                      key;
+                      next = Link.make_in (O.arena t.orc) Link.Null;
+                      hdr;
+                    })
               in
               let n = O.Ptr.node_exn p in
               node := Some n;
               n
         in
-        O.store g n.next (Link.Ptr right_node);
-        if O.cas g left_link ~expected:right_st ~desired:(Link.Ptr n) then true
+        O.store_v g n.next (Link.v_clean (O.Ptr.view right));
+        if O.cas_v g left_link ~expected:right_lv ~desired:(O.v_ptr t.orc n)
+        then true
         else loop ()
       end
     in
@@ -160,22 +172,23 @@ module Make () = struct
     let left = O.ptr g and right = O.ptr g and tnext = O.ptr g in
     let rnext = O.ptr g in
     let rec loop () =
-      let left_link, right_st = search t g key ~left ~right ~tnext in
+      let left_link, right_lv = search t g key ~left ~right ~tnext in
       let right_node = O.Ptr.node_exn right in
       if key_of right_node <> key then false
       else begin
         O.load g (next_of right_node) rnext;
         if O.Ptr.is_marked rnext then loop ()
         else
-          let nx = O.Ptr.node_exn rnext in
+          let nv = O.Ptr.view rnext in
           if
-            O.cas g (next_of right_node) ~expected:(O.Ptr.state rnext)
-              ~desired:(Link.Mark nx)
+            O.cas_v g (next_of right_node) ~expected:nv
+              ~desired:(Link.v_mark nv)
           then begin
             (* try to unlink right; otherwise a later search excises it *)
             if
               not
-                (O.cas g left_link ~expected:right_st ~desired:(Link.Ptr nx))
+                (O.cas_v g left_link ~expected:right_lv
+                   ~desired:(Link.v_clean nv))
             then ignore (search t g key ~left ~right ~tnext);
             true
           end
@@ -200,8 +213,8 @@ module Make () = struct
 
   let destroy t =
     O.with_guard t.orc (fun g ->
-        O.store g t.head_root Link.Null;
-        O.store g t.tail_root Link.Null)
+        O.store_v g t.head_root Link.v_null;
+        O.store_v g t.tail_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

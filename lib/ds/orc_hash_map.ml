@@ -41,15 +41,19 @@ module Make () = struct
     O.with_guard orc (fun g ->
         let tp =
           O.alloc_node g (fun hdr ->
-              { key = max_int; next = Link.make Link.Null; hdr })
+              {
+                key = max_int;
+                next = Link.make_in (O.arena orc) Link.Null;
+                hdr;
+              })
         in
         let tail = O.Ptr.node_exn tp in
         {
           buckets =
             Array.init default_buckets (fun _ ->
-                O.new_link g (Link.Ptr tail));
+                O.new_link_v g (O.Ptr.view tp));
           tail;
-          tail_root = O.new_link g (Link.Ptr tail);
+          tail_root = O.new_link_v g (O.Ptr.view tp);
           orc;
           alloc;
         })
@@ -65,17 +69,16 @@ module Make () = struct
     let rec loop () =
       let c = O.Ptr.node_exn curr in
       O.load g (next_of c) next;
-      if not (Link.get !prev_link == O.Ptr.state curr) then restart ()
+      if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view curr)) then
+        restart ()
       else if O.Ptr.is_marked next then begin
         let unmarked =
-          match O.Ptr.node next with
-          | Some nx -> Link.Ptr nx
-          | None -> Link.Null
+          Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
         in
-        if O.cas g !prev_link ~expected:(O.Ptr.state curr) ~desired:unmarked
+        if O.cas_v g !prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
         then begin
           O.assign g curr next;
-          O.Ptr.retag curr unmarked;
+          O.Ptr.retag_v curr unmarked;
           loop ()
         end
         else restart ()
@@ -114,14 +117,20 @@ module Make () = struct
           | None ->
               let p =
                 O.alloc_node g (fun hdr ->
-                    { key; next = Link.make Link.Null; hdr })
+                    {
+                      key;
+                      next = Link.make_in (O.arena t.orc) Link.Null;
+                      hdr;
+                    })
               in
               let n = O.Ptr.node_exn p in
               node := Some n;
               n
         in
-        O.store g n.next (O.Ptr.state curr);
-        if O.cas g prev_link ~expected:(O.Ptr.state curr) ~desired:(Link.Ptr n)
+        O.store_v g n.next (O.Ptr.view curr);
+        if
+          O.cas_v g prev_link ~expected:(O.Ptr.view curr)
+            ~desired:(O.v_ptr t.orc n)
         then true
         else loop ()
       end
@@ -140,10 +149,9 @@ module Make () = struct
         O.load g (next_of c) next;
         if O.Ptr.is_marked next then loop ()
         else
-          let nx = O.Ptr.node_exn next in
           if
-            O.cas g (next_of c) ~expected:(O.Ptr.state next)
-              ~desired:(Link.Mark nx)
+            O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
+              ~desired:(Link.v_mark (O.Ptr.view next))
           then begin
             (* physical unlink, which also ends [curr]'s protection: the
                victim is freed here unless another thread protects it *)
@@ -181,8 +189,8 @@ module Make () = struct
 
   let destroy t =
     O.with_guard t.orc (fun g ->
-        Array.iter (fun head -> O.store g head Link.Null) t.buckets;
-        O.store g t.tail_root Link.Null)
+        Array.iter (fun head -> O.store_v g head Link.v_null) t.buckets;
+        O.store_v g t.tail_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

@@ -56,12 +56,12 @@ struct
     Memdom.Hdr.check_access n.hdr;
     n.next
 
-  let mk_node v etid hdr =
+  let mk_node arena v etid hdr =
     {
       item = Some v;
       enq_tid = etid;
       deq_tid = Atomic.make (-1);
-      next = Link.make Link.Null;
+      next = Link.make_in arena Link.Null;
       phase = -1;
       pending = false;
       is_enq = false;
@@ -73,10 +73,7 @@ struct
       item = None;
       enq_tid = -1;
       deq_tid = Atomic.make (-1);
-      next =
-        (match node with
-        | Some n -> O.new_link g (Link.Ptr n)
-        | None -> Link.make Link.Null);
+      next = O.new_link_v g node;
       phase;
       pending;
       is_enq;
@@ -93,26 +90,26 @@ struct
                 item = None;
                 enq_tid = -1;
                 deq_tid = Atomic.make (-1);
-                next = Link.make Link.Null;
+                next = Link.make_in (O.arena orc) Link.Null;
                 phase = -1;
                 pending = false;
                 is_enq = false;
                 hdr;
               })
         in
-        let sentinel = O.Ptr.node_exn sp in
         let dp = O.ptr g in
         let state =
           Array.init Registry.max_threads (fun _ ->
               let d =
                 O.alloc_node_into g dp
-                  (mk_desc ~phase:(-1) ~pending:false ~is_enq:true ~node:None g)
+                  (mk_desc ~phase:(-1) ~pending:false ~is_enq:true
+                     ~node:Link.v_null g)
               in
-              O.new_link g (Link.Ptr d))
+              O.new_link_v g (O.v_ptr orc d))
         in
         {
-          head = O.new_link g (Link.Ptr sentinel);
-          tail = O.new_link g (Link.Ptr sentinel);
+          head = O.new_link_v g (O.Ptr.view sp);
+          tail = O.new_link_v g (O.Ptr.view sp);
           state;
           orc;
           alloc;
@@ -165,21 +162,21 @@ struct
         if etid >= 0 then begin
           O.load g t.state.(etid) cu.sp;
           let d = O.Ptr.node_exn cu.sp in
-          if Link.get t.tail == O.Ptr.state cu.ltail then begin
+          if Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail) then begin
             O.load g (next_of d) cu.dn;
             match O.Ptr.node cu.dn with
             | Some dnode when dnode == nx ->
                 let nd =
                   O.alloc_node_into g cu.dp
                     (mk_desc ~phase:d.phase ~pending:false ~is_enq:true
-                       ~node:(Some nx) g)
+                       ~node:(O.Ptr.view cu.lnext) g)
                 in
                 ignore
-                  (O.cas g t.state.(etid) ~expected:(O.Ptr.state cu.sp)
-                     ~desired:(Link.Ptr nd));
+                  (O.cas_v g t.state.(etid) ~expected:(O.Ptr.view cu.sp)
+                     ~desired:(O.v_ptr t.orc nd));
                 ignore
-                  (O.cas g t.tail ~expected:(O.Ptr.state cu.ltail)
-                     ~desired:(Link.Ptr nx))
+                  (O.cas_v g t.tail ~expected:(O.Ptr.view cu.ltail)
+                     ~desired:(O.v_ptr t.orc nx))
             | Some _ | None -> ()
           end
         end
@@ -190,7 +187,7 @@ struct
         O.load g t.tail cu.ltail;
         let last = O.Ptr.node_exn cu.ltail in
         O.load g (next_of last) cu.lnext;
-        if Link.get t.tail == O.Ptr.state cu.ltail then
+        if Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail) then
           if O.Ptr.is_null cu.lnext then begin
             if is_still_pending t g cu i ph then begin
               (* cu.sp now holds thread i's descriptor *)
@@ -199,8 +196,8 @@ struct
               match O.Ptr.node cu.dn with
               | Some n ->
                   if
-                    O.cas g (next_of last) ~expected:(O.Ptr.state cu.lnext)
-                      ~desired:(Link.Ptr n)
+                    O.cas_v g (next_of last) ~expected:(O.Ptr.view cu.lnext)
+                      ~desired:(O.v_ptr t.orc n)
                   then help_finish_enq t g cu
                   else loop ()
               | None -> loop ()
@@ -224,21 +221,21 @@ struct
       O.load g t.state.(dtid) cu.sp;
       let d = O.Ptr.node_exn cu.sp in
       if
-        Link.get t.head == O.Ptr.state cu.lhead
+        Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead)
         && not (O.Ptr.is_null cu.lnext)
       then begin
         O.load g (next_of d) cu.dn;
         let nd =
           O.alloc_node_into g cu.dp
             (mk_desc ~phase:d.phase ~pending:false ~is_enq:false
-               ~node:(O.Ptr.node cu.dn) g)
+               ~node:(O.Ptr.view cu.dn) g)
         in
         ignore
-          (O.cas g t.state.(dtid) ~expected:(O.Ptr.state cu.sp)
-             ~desired:(Link.Ptr nd));
+          (O.cas_v g t.state.(dtid) ~expected:(O.Ptr.view cu.sp)
+             ~desired:(O.v_ptr t.orc nd));
         ignore
-          (O.cas g t.head ~expected:(O.Ptr.state cu.lhead)
-             ~desired:(O.Ptr.state cu.lnext))
+          (O.cas_v g t.head ~expected:(O.Ptr.view cu.lhead)
+             ~desired:(O.Ptr.view cu.lnext))
       end
     end
 
@@ -249,7 +246,7 @@ struct
         let first = O.Ptr.node_exn cu.lhead in
         O.load g t.tail cu.ltail;
         O.load g (next_of first) cu.lnext;
-        if Link.get t.head == O.Ptr.state cu.lhead then
+        if Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead) then
           if O.Ptr.same_node cu.lhead cu.ltail then
             if O.Ptr.is_null cu.lnext then begin
               (* empty: complete i's op with no node *)
@@ -257,16 +254,16 @@ struct
               let d = O.Ptr.node_exn cu.sp in
               if d.pending && d.phase <= ph then begin
                 if
-                  Link.get t.tail == O.Ptr.state cu.ltail
+                  Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail)
                 then begin
                   let nd =
                     O.alloc_node_into g cu.dp
                       (mk_desc ~phase:d.phase ~pending:false ~is_enq:false
-                         ~node:None g)
+                         ~node:Link.v_null g)
                   in
                   ignore
-                    (O.cas g t.state.(i) ~expected:(O.Ptr.state cu.sp)
-                       ~desired:(Link.Ptr nd))
+                    (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
+                       ~desired:(O.v_ptr t.orc nd))
                 end;
                 loop ()
               end
@@ -281,7 +278,8 @@ struct
             let d = O.Ptr.node_exn cu.sp in
             if d.pending && d.phase <= ph then begin
               O.load g (next_of d) cu.dn;
-              if Link.get t.head == O.Ptr.state cu.lhead then begin
+              if Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead)
+              then begin
                 let recorded =
                   match O.Ptr.node cu.dn with
                   | Some x -> x == first
@@ -293,10 +291,10 @@ struct
                   let nd =
                     O.alloc_node_into g cu.dp
                       (mk_desc ~phase:d.phase ~pending:true ~is_enq:false
-                         ~node:(Some first) g)
+                         ~node:(O.Ptr.view cu.lhead) g)
                   in
-                  O.cas g t.state.(i) ~expected:(O.Ptr.state cu.sp)
-                    ~desired:(Link.Ptr nd)
+                  O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
+                    ~desired:(O.v_ptr t.orc nd)
                 in
                 if proceed then begin
                   ignore (Atomic.compare_and_set first.deq_tid (-1) i);
@@ -327,12 +325,12 @@ struct
     let cu = cursor g in
     let ph = max_phase q g cu + 1 in
     let np = O.ptr g in
-    let n = O.alloc_node_into g np (mk_node v tid) in
-    let d =
-      O.alloc_node_into g cu.dp
-        (mk_desc ~phase:ph ~pending:true ~is_enq:true ~node:(Some n) g)
-    in
-    O.store g q.state.(tid) (Link.Ptr d);
+    ignore (O.alloc_node_into g np (mk_node (O.arena q.orc) v tid));
+    ignore
+      (O.alloc_node_into g cu.dp
+         (mk_desc ~phase:ph ~pending:true ~is_enq:true
+            ~node:(O.Ptr.view np) g));
+    O.store_v g q.state.(tid) (O.Ptr.view cu.dp);
     help q g cu ph;
     help_finish_enq q g cu
 
@@ -341,11 +339,10 @@ struct
     let tid = Registry.tid () in
     let cu = cursor g in
     let ph = max_phase q g cu + 1 in
-    let d =
-      O.alloc_node_into g cu.dp
-        (mk_desc ~phase:ph ~pending:true ~is_enq:false ~node:None g)
-    in
-    O.store g q.state.(tid) (Link.Ptr d);
+    ignore
+      (O.alloc_node_into g cu.dp
+         (mk_desc ~phase:ph ~pending:true ~is_enq:false ~node:Link.v_null g));
+    O.store_v g q.state.(tid) (O.Ptr.view cu.dp);
     help q g cu ph;
     help_finish_deq q g cu;
     O.load g q.state.(tid) cu.sp;
@@ -359,9 +356,9 @@ struct
 
   let destroy q =
     O.with_guard q.orc @@ fun g ->
-    O.store g q.head Link.Null;
-    O.store g q.tail Link.Null;
-    Array.iter (fun s -> O.store g s Link.Null) q.state
+    O.store_v g q.head Link.v_null;
+    O.store_v g q.tail Link.v_null;
+    Array.iter (fun s -> O.store_v g s Link.v_null) q.state
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc

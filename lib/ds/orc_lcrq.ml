@@ -56,7 +56,7 @@ struct
 
   let fresh_cell i = { safe = true; cidx = i; value = None }
 
-  let mk_crq ?first hdr =
+  let mk_crq ?first arena hdr =
     let ring = Array.init ring_size (fun i -> Atomic.make (fresh_cell i)) in
     let qtail =
       match first with
@@ -69,7 +69,7 @@ struct
       ring;
       qhead = Atomic.make 0;
       qtail = Atomic.make qtail;
-      next = Link.make Link.Null;
+      next = Link.make_in arena Link.Null;
       hdr;
     }
 
@@ -77,11 +77,10 @@ struct
     let alloc = Memdom.Alloc.create ~mode "orc_lcrq" in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let cp = O.alloc_node g (mk_crq ?first:None) in
-        let crq = O.Ptr.node_exn cp in
+        let cp = O.alloc_node g (mk_crq (O.arena orc)) in
         {
-          head = O.new_link g (Link.Ptr crq);
-          tail = O.new_link g (Link.Ptr crq);
+          head = O.new_link_v g (O.Ptr.view cp);
+          tail = O.new_link_v g (O.Ptr.view cp);
           orc;
           alloc;
         })
@@ -173,22 +172,24 @@ struct
       O.load g (next_of crq) lnext;
       if not (O.Ptr.is_null lnext) then begin
         ignore
-          (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-             ~desired:(O.Ptr.state lnext));
+          (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+             ~desired:(O.Ptr.view lnext));
         loop ()
       end
       else
         match enq_crq crq v with
         | `Ok -> ()
         | `Closed ->
-            let ncrq = O.alloc_node_into g np (mk_crq ~first:v) in
+            let ncrq =
+              O.alloc_node_into g np (mk_crq ~first:v (O.arena q.orc))
+            in
             if
-              O.cas g (next_of crq) ~expected:(O.Ptr.state lnext)
-                ~desired:(Link.Ptr ncrq)
+              O.cas_v g (next_of crq) ~expected:(O.Ptr.view lnext)
+                ~desired:(O.v_ptr q.orc ncrq)
             then
               ignore
-                (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-                   ~desired:(Link.Ptr ncrq))
+                (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+                   ~desired:(O.v_ptr q.orc ncrq))
             else loop ()
     in
     loop ()
@@ -211,19 +212,19 @@ struct
                 O.load g q.tail ltail;
                 if O.Ptr.same_node ltail lhead then
                   ignore
-                    (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-                       ~desired:(O.Ptr.state lnext));
+                    (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+                       ~desired:(O.Ptr.view lnext));
                 ignore
-                  (O.cas g q.head ~expected:(O.Ptr.state lhead)
-                     ~desired:(O.Ptr.state lnext));
+                  (O.cas_v g q.head ~expected:(O.Ptr.view lhead)
+                     ~desired:(O.Ptr.view lnext));
                 loop ())
     in
     loop ()
 
   let destroy q =
     O.with_guard q.orc @@ fun g ->
-    O.store g q.head Link.Null;
-    O.store g q.tail Link.Null
+    O.store_v g q.head Link.v_null;
+    O.store_v g q.tail Link.v_null
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc

@@ -4,12 +4,11 @@
     retire call; unlinking a node drops its last hard link and OrcGC
     reclaims it once unprotected (paper §4.1.1 methodology).
 
-    The structure opts into tagged-immediate links by passing its arena
-    to [O.create]: handles then hold raw words ([O.Ptr.view]), window
-    validation compares words ([Link.view_eq] — sound because the
-    word's target is hazard-protected, pinning its arena slot), and the
-    CASes go through the view-plane mutators, so a clean traversal
-    allocates nothing. *)
+    Handles hold raw link words ([O.Ptr.view]), window validation
+    compares words ([Link.view_eq] — sound because the word's target is
+    hazard-protected, pinning its arena slot, and the write stamp tells
+    a rewritten link apart), and the CASes are word operations, so a
+    clean traversal allocates nothing. *)
 
 open Atomicx
 
@@ -45,21 +44,24 @@ module Make () = struct
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "orc_michael_list" in
-    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
-    let orc = O.create ~arena alloc in
+    let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let tp =
           O.alloc_node g (fun hdr ->
-              { key = max_int; next = O.new_link g Link.Null; hdr })
+              { key = max_int; next = O.new_link_v g Link.v_null; hdr })
         in
         let tail = O.Ptr.node_exn tp in
         let hp =
           O.alloc_node g (fun hdr ->
-              { key = min_int; next = O.new_link g (Link.Ptr tail); hdr })
+              {
+                key = min_int;
+                next = O.new_link_v g (O.v_ptr orc tail);
+                hdr;
+              })
         in
         let head = O.Ptr.node_exn hp in
-        let head_root = O.new_link g (Link.Ptr head) in
-        let tail_root = O.new_link g (Link.Ptr tail) in
+        let head_root = O.new_link_v g (O.v_ptr orc head) in
+        let tail_root = O.new_link_v g (O.v_ptr orc tail) in
         { head; tail; head_root; tail_root; orc; alloc; restarts = Atomic.make 0 })
 
   let restarts t = Atomic.get t.restarts
@@ -83,7 +85,9 @@ module Make () = struct
         restart ()
       else if O.Ptr.is_marked next then begin
         (* curr logically deleted: unlink; its count drops automatically *)
-        let unmarked = Link.v_clean (O.Ptr.view next) in
+        let unmarked =
+          Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
+        in
         if O.cas_v g !prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
         then begin
           O.assign g curr next;
@@ -126,7 +130,7 @@ module Make () = struct
           | None ->
               let p =
                 O.alloc_node g (fun hdr ->
-                    { key; next = O.new_link g Link.Null; hdr })
+                    { key; next = O.new_link_v g Link.v_null; hdr })
               in
               let n = O.Ptr.node_exn p in
               node := Some n;
@@ -203,8 +207,8 @@ module Make () = struct
   (* Drop the roots and the head's chain: OrcGC cascades. *)
   let destroy t =
     O.with_guard t.orc (fun g ->
-        O.store g t.head_root Link.Null;
-        O.store g t.tail_root Link.Null)
+        O.store_v g t.head_root Link.v_null;
+        O.store_v g t.tail_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

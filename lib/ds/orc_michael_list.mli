@@ -1,8 +1,8 @@
 (** Michael's lock-free list with OrcGC — same algorithm as
     {!Michael_list} with type annotations only; unlinking drops the
     node's last hard link and OrcGC reclaims it once unprotected.
-    Opts into tagged-immediate links (word views, unboxed uid hazard
-    plane), so a clean traversal allocates nothing. *)
+    Word views and the unboxed uid hazard plane keep a clean traversal
+    allocation-free. *)
 
 module Make () : sig
   include Intf.SET

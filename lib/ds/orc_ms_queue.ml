@@ -46,19 +46,20 @@ struct
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let s =
-          O.alloc_node g (fun hdr -> { item = None; next = Link.make Link.Null; hdr })
+          O.alloc_node g (fun hdr ->
+              { item = None; next = Link.make_in (O.arena orc) Link.Null; hdr })
         in
-        let sentinel = O.Ptr.node_exn s in
-        let head = O.new_link g (Link.Ptr sentinel) in
-        let tail = O.new_link g (Link.Ptr sentinel) in
+        let head = O.new_link_v g (O.Ptr.view s) in
+        let tail = O.new_link_v g (O.Ptr.view s) in
         { head; tail; orc; alloc })
 
   let enqueue q v =
     O.with_guard q.orc @@ fun g ->
     let new_node =
-      O.alloc_node g (fun hdr -> { item = Some v; next = Link.make Link.Null; hdr })
+      O.alloc_node g (fun hdr ->
+          { item = Some v; next = Link.make_in (O.arena q.orc) Link.Null; hdr })
     in
-    let nn = O.Ptr.node_exn new_node in
+    let nv = O.Ptr.view new_node in
     let ltail = O.ptr g in
     let lnext = O.ptr g in
     let backoff = Backoff.create () in
@@ -67,9 +68,8 @@ struct
       let tl = O.Ptr.node_exn ltail in
       O.load g (next_of tl) lnext;
       if O.Ptr.is_null lnext then begin
-        if O.cas g (next_of tl) ~expected:Link.Null ~desired:(Link.Ptr nn) then
-          ignore
-            (O.cas g q.tail ~expected:(O.Ptr.state ltail) ~desired:(Link.Ptr nn))
+        if O.cas_v g (next_of tl) ~expected:Link.v_null ~desired:nv then
+          ignore (O.cas_v g q.tail ~expected:(O.Ptr.view ltail) ~desired:nv)
         else begin
           Backoff.once backoff;
           loop ()
@@ -77,8 +77,8 @@ struct
       end
       else begin
         ignore
-          (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-             ~desired:(O.Ptr.state lnext));
+          (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+             ~desired:(O.Ptr.view lnext));
         loop ()
       end
     in
@@ -100,16 +100,16 @@ struct
         if O.Ptr.is_null lnext then None
         else begin
           ignore
-            (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-               ~desired:(O.Ptr.state lnext));
+            (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+               ~desired:(O.Ptr.view lnext));
           loop ()
         end
       end
       else begin
         O.load g (next_of (O.Ptr.node_exn node)) lnext;
         if
-          O.cas g q.head ~expected:(O.Ptr.state node)
-            ~desired:(O.Ptr.state lnext)
+          O.cas_v g q.head ~expected:(O.Ptr.view node)
+            ~desired:(O.Ptr.view lnext)
         then item_of (O.Ptr.node_exn lnext)
         else begin
           Backoff.once backoff;
@@ -123,8 +123,8 @@ struct
      remaining chain (via the recursive list, not the program stack). *)
   let destroy q =
     O.with_guard q.orc @@ fun g ->
-    O.store g q.head Link.Null;
-    O.store g q.tail Link.Null
+    O.store_v g q.head Link.v_null;
+    O.store_v g q.tail Link.v_null
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc

@@ -41,8 +41,8 @@ module Make () = struct
   }
 
   type seek_record = {
-    mutable anc_edge : node Link.state;
-    mutable par_edge : node Link.state;
+    mutable anc_edge : node Link.view;
+    mutable par_edge : node Link.view;
   }
 
   let scheme_name = "orc"
@@ -61,67 +61,74 @@ module Make () = struct
 
   let child_link n key = if key < key_of n then left_of n else right_of n
 
+  (* an edge holding a plain pointer, no flag/tag bit *)
+  let is_clean e = Link.v_has_target e && Link.v_same e (Link.v_clean e)
+
+  let mk_leaf orc key hdr =
+    let ar = O.arena orc in
+    {
+      key;
+      left = Link.make_in ar Link.Null;
+      right = Link.make_in ar Link.Null;
+      hdr;
+    }
+
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "orc_nm_tree" in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let leaf k =
-          O.alloc_node g (fun hdr ->
-              { key = k; left = Link.make Link.Null; right = Link.make Link.Null; hdr })
-        in
+        let leaf k = O.alloc_node g (mk_leaf orc k) in
         let l0 = leaf inf0 and l1 = leaf inf1 and l2 = leaf inf2 in
         let sp =
           O.alloc_node g (fun hdr ->
               {
                 key = inf1;
-                left = O.new_link g (Link.Ptr (O.Ptr.node_exn l0));
-                right = O.new_link g (Link.Ptr (O.Ptr.node_exn l1));
+                left = O.new_link_v g (O.Ptr.view l0);
+                right = O.new_link_v g (O.Ptr.view l1);
                 hdr;
               })
         in
-        let s = O.Ptr.node_exn sp in
         let rp =
           O.alloc_node g (fun hdr ->
               {
                 key = inf2;
-                left = O.new_link g (Link.Ptr s);
-                right = O.new_link g (Link.Ptr (O.Ptr.node_exn l2));
+                left = O.new_link_v g (O.Ptr.view sp);
+                right = O.new_link_v g (O.Ptr.view l2);
                 hdr;
               })
         in
-        let r = O.Ptr.node_exn rp in
         {
-          r;
-          s;
-          r_root = O.new_link g (Link.Ptr r);
-          s_root = O.new_link g (Link.Ptr s);
+          r = O.Ptr.node_exn rp;
+          s = O.Ptr.node_exn sp;
+          r_root = O.new_link_v g (O.Ptr.view rp);
+          s_root = O.new_link_v g (O.Ptr.view sp);
           orc;
           alloc;
         })
 
   (* seek with guard-scoped protections for (anc, succ, par, leaf, cur). *)
   let seek t g key ~anc ~succ ~par ~leaf ~cur =
-    let sk = { anc_edge = Link.get t.r.left; par_edge = Link.Null } in
+    let sk = { anc_edge = Link.view t.r.left; par_edge = Link.v_null } in
     O.load g t.r_root anc;
     O.load g t.s_root succ;
     O.load g t.s_root par;
     O.load g t.s.left leaf;
-    sk.par_edge <- O.Ptr.state leaf;
+    sk.par_edge <- O.Ptr.view leaf;
     let rec walk () =
       let l = O.Ptr.node_exn leaf in
-      match Link.target (Link.get (left_of l)) with
-      | None -> () (* reached a leaf *)
-      | Some _ ->
-          O.load g (child_link l key) cur;
-          if not (Link.is_tagged sk.par_edge) then begin
-            O.assign g anc par;
-            O.assign g succ leaf;
-            sk.anc_edge <- sk.par_edge
-          end;
-          O.assign g par leaf;
-          sk.par_edge <- O.Ptr.state cur;
-          O.assign g leaf cur;
-          walk ()
+      if Link.v_has_target (Link.view (left_of l)) then begin
+        (* an internal node: descend *)
+        O.load g (child_link l key) cur;
+        if not (Link.v_is_tagged sk.par_edge) then begin
+          O.assign g anc par;
+          O.assign g succ leaf;
+          sk.anc_edge <- sk.par_edge
+        end;
+        O.assign g par leaf;
+        sk.par_edge <- O.Ptr.view cur;
+        O.assign g leaf cur;
+        walk ()
+      end
     in
     walk ();
     sk
@@ -136,24 +143,27 @@ module Make () = struct
       else (right_of p, left_of p)
     in
     let sibling_l =
-      if Link.is_flagged (Link.get child_l) then sibling_l else child_l
+      if Link.v_is_flagged (Link.view child_l) then sibling_l else child_l
     in
     let rec tag () =
-      let s = Link.get sibling_l in
-      if not (Link.is_tagged s) then
-        if not (O.cas g sibling_l ~expected:s ~desired:(Link.with_tag s)) then
+      let s = Link.view sibling_l in
+      if not (Link.v_is_tagged s) then
+        if not (O.cas_v g sibling_l ~expected:s ~desired:(Link.v_tag s)) then
           tag ()
     in
     tag ();
     (* protect the survivor before granting it a new hard link *)
     O.load g sibling_l wp;
-    let s = O.Ptr.state wp in
-    match Link.target s with
-    | None -> false (* sibling vanished: the region is gone; re-seek *)
-    | Some w ->
-        let desired = if Link.is_flagged s then Link.Flag w else Link.Ptr w in
-        let anc_link = child_link (O.Ptr.node_exn anc) key in
-        O.cas g anc_link ~expected:sk.anc_edge ~desired
+    let s = O.Ptr.view wp in
+    if not (Link.v_has_target s) then
+      false (* sibling vanished: the region is gone; re-seek *)
+    else
+      let desired =
+        if Link.v_is_flagged s then Link.v_flag (Link.v_clean s)
+        else Link.v_clean s
+      in
+      let anc_link = child_link (O.Ptr.node_exn anc) key in
+      O.cas_v g anc_link ~expected:sk.anc_edge ~desired
 
   let check_key key =
     if key >= inf0 then invalid_arg "Orc_nm_tree: key must be < max_int - 2"
@@ -178,48 +188,32 @@ module Make () = struct
       if key_of lf = key then false
       else begin
         let cl = child_link (O.Ptr.node_exn par) key in
-        match sk.par_edge with
-        | Link.Ptr l when l == lf ->
-            let new_leaf =
-              O.alloc_node_into g lp (fun hdr ->
-                  {
-                    key;
-                    left = Link.make Link.Null;
-                    right = Link.make Link.Null;
-                    hdr;
-                  })
-            in
-            let lkey = key_of lf in
-            let internal =
-              O.alloc_node_into g ip (fun hdr ->
-                  if key < lkey then
-                    {
-                      key = lkey;
-                      left = O.new_link g (Link.Ptr new_leaf);
-                      right = O.new_link g sk.par_edge;
-                      hdr;
-                    }
-                  else
-                    {
-                      key;
-                      left = O.new_link g sk.par_edge;
-                      right = O.new_link g (Link.Ptr new_leaf);
-                      hdr;
-                    })
-            in
-            if O.cas g cl ~expected:sk.par_edge ~desired:(Link.Ptr internal)
-            then true
-            else begin
-              (match Link.get cl with
-              | Link.Flag _ | Link.Tag _ | Link.FlagTag _ ->
-                  ignore (cleanup g key sk ~anc ~par ~wp)
-              | Link.Null | Link.Ptr _ | Link.Mark _ | Link.Poison -> ());
-              loop ()
-            end
-        | Link.Flag _ | Link.Tag _ | Link.FlagTag _ ->
-            ignore (cleanup g key sk ~anc ~par ~wp);
+        let e = sk.par_edge in
+        if is_clean e then begin
+          ignore (O.alloc_node_into g lp (mk_leaf t.orc key));
+          let lkey = key_of lf in
+          let internal =
+            O.alloc_node_into g ip (fun hdr ->
+                let leaf_l = O.new_link_v g (O.Ptr.view lp) in
+                let old_l = O.new_link_v g e in
+                if key < lkey then
+                  { key = lkey; left = leaf_l; right = old_l; hdr }
+                else { key; left = old_l; right = leaf_l; hdr })
+          in
+          if O.cas_v g cl ~expected:e ~desired:(O.v_ptr t.orc internal) then
+            true
+          else begin
+            let c = Link.view cl in
+            if Link.v_is_flagged c || Link.v_is_tagged c then
+              ignore (cleanup g key sk ~anc ~par ~wp);
             loop ()
-        | Link.Ptr _ | Link.Null | Link.Mark _ | Link.Poison -> loop ()
+          end
+        end
+        else if Link.v_is_flagged e || Link.v_is_tagged e then begin
+          ignore (cleanup g key sk ~anc ~par ~wp);
+          loop ()
+        end
+        else loop ()
       end
     in
     loop ()
@@ -235,15 +229,16 @@ module Make () = struct
       if key_of lf <> key then false
       else begin
         let cl = child_link (O.Ptr.node_exn par) key in
-        match sk.par_edge with
-        | Link.Ptr l when l == lf ->
-            if O.cas g cl ~expected:sk.par_edge ~desired:(Link.Flag lf) then
-              if cleanup g key sk ~anc ~par ~wp then true else pursue lf
-            else injection ()
-        | Link.Flag _ | Link.Tag _ | Link.FlagTag _ ->
-            ignore (cleanup g key sk ~anc ~par ~wp);
-            injection ()
-        | Link.Ptr _ | Link.Null | Link.Mark _ | Link.Poison -> injection ()
+        let e = sk.par_edge in
+        if is_clean e then
+          if O.cas_v g cl ~expected:e ~desired:(Link.v_flag e) then
+            if cleanup g key sk ~anc ~par ~wp then true else pursue lf
+          else injection ()
+        else if Link.v_is_flagged e || Link.v_is_tagged e then begin
+          ignore (cleanup g key sk ~anc ~par ~wp);
+          injection ()
+        end
+        else injection ()
       end
     and pursue lf =
       let sk = seek t g key ~anc ~succ ~par ~leaf ~cur in
@@ -271,8 +266,8 @@ module Make () = struct
 
   let destroy t =
     O.with_guard t.orc (fun g ->
-        O.store g t.r_root Link.Null;
-        O.store g t.s_root Link.Null)
+        O.store_v g t.r_root Link.v_null;
+        O.store_v g t.s_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

@@ -57,9 +57,7 @@ module type CORE = sig
 
   val name : string
 
-  val create :
-    ?max_hps:int -> ?sink:Obs.Sink.t -> ?arena:node Link.arena ->
-    Memdom.Alloc.t -> t
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
 
   val with_guard : t -> (guard -> 'a) -> 'a
   val ptr : guard -> Ptr.t
@@ -67,8 +65,7 @@ module type CORE = sig
   val assign : guard -> Ptr.t -> Ptr.t -> unit
   val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
   val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
-  val new_link : guard -> node Link.state -> node Link.t
-  val store : guard -> node Link.t -> node Link.state -> unit
+  val new_link_v : guard -> node Link.view -> node Link.t
   val store_v : guard -> node Link.t -> node Link.view -> unit
 
   val cas_v :
@@ -131,29 +128,38 @@ module Impl (O : CORE) = struct
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "orc_split_map" in
-    let arena = Memdom.Handle.arena ~hdr:(fun n -> n.hdr) () in
-    let orc = O.create ~arena alloc in
+    let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let tp = O.ptr g in
         let tail =
           O.alloc_node_into g tp (fun hdr ->
-              { key = max_int; so = max_int; next = O.new_link g Link.Null; hdr })
+              {
+                key = max_int;
+                so = max_int;
+                next = O.new_link_v g Link.v_null;
+                hdr;
+              })
         in
         let hp = O.ptr g in
         let head =
           O.alloc_node_into g hp (fun hdr ->
-              { key = 0; so = So.dummy 0; next = O.new_link g (Link.Ptr tail); hdr })
+              {
+                key = 0;
+                so = So.dummy 0;
+                next = O.new_link_v g (O.v_ptr orc tail);
+                hdr;
+              })
         in
         let dir = So.dir_create () in
         let e0 =
-          So.dir_entry dir ~mk_null:(fun () -> O.new_link g Link.Null) 0
+          So.dir_entry dir ~mk_null:(fun () -> O.new_link_v g Link.v_null) 0
         in
         let t =
           {
             dir;
             entry0 = e0;
             tail;
-            tail_root = O.new_link g (Link.Ptr tail);
+            tail_root = O.new_link_v g (O.v_ptr orc tail);
             buckets_a = Atomic.make initial_buckets;
             count = Atomic.make 0;
             grows = Atomic.make 0;
@@ -163,7 +169,7 @@ module Impl (O : CORE) = struct
             probes = [];
           }
         in
-        O.store g e0 (Link.Ptr head);
+        O.store_v g e0 (O.v_ptr orc head);
         t.probes <- register_metrics t;
         t)
 
@@ -186,7 +192,9 @@ module Impl (O : CORE) = struct
       if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view curr)) then
         restart ()
       else if O.Ptr.is_marked next then begin
-        let unmarked = Link.v_clean (O.Ptr.view next) in
+        let unmarked =
+          Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
+        in
         if O.cas_v g !prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
         then begin
           O.assign g curr next;
@@ -210,7 +218,9 @@ module Impl (O : CORE) = struct
      The [dnode] handle is reused across levels, so initializing a
      20-deep ancestor chain costs no extra hazard indexes. *)
   let rec get_entry t g b ~prev ~curr ~next ~dnode =
-    let e = So.dir_entry t.dir ~mk_null:(fun () -> O.new_link g Link.Null) b in
+    let e =
+      So.dir_entry t.dir ~mk_null:(fun () -> O.new_link_v g Link.v_null) b
+    in
     if Link.v_is_null (Link.view e) then
       init_bucket t g b e ~prev ~curr ~next ~dnode;
     e
@@ -224,7 +234,7 @@ module Impl (O : CORE) = struct
       else begin
         let n =
           O.alloc_node_into g dnode (fun hdr ->
-              { key = b; so; next = O.new_link g Link.Null; hdr })
+              { key = b; so; next = O.new_link_v g Link.v_null; hdr })
         in
         O.store_v g n.next (O.Ptr.view curr);
         if
@@ -297,7 +307,7 @@ module Impl (O : CORE) = struct
             | None ->
                 let n =
                   O.alloc_node_into g dnode (fun hdr ->
-                      { key; so; next = O.new_link g Link.Null; hdr })
+                      { key; so; next = O.new_link_v g Link.v_null; hdr })
                 in
                 node := Some n;
                 n
@@ -420,8 +430,9 @@ module Impl (O : CORE) = struct
   let destroy t =
     O.with_guard t.orc (fun g ->
         So.dir_iter t.dir (fun e ->
-            if not (Link.v_is_null (Link.view e)) then O.store g e Link.Null);
-        O.store g t.tail_root Link.Null)
+            if not (Link.v_is_null (Link.view e)) then
+              O.store_v g e Link.v_null);
+        O.store_v g t.tail_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

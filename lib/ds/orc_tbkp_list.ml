@@ -11,8 +11,8 @@
 
     Simplification relative to the C++ original, documented in DESIGN.md:
     the insert idempotency machinery (the hardest part of TBKP) leans on
-    the substrate's ABA-free box CAS — a window expectation read before
-    any interfering change can never succeed afterwards, so a stale
+    the substrate's ABA-free stamped-word CAS — a window expectation read
+    before any interfering change can never succeed afterwards, so a stale
     helper can neither double-insert nor resurrect a removed node; a
     node's marked [next] additionally witnesses "was linked, then
     removed" for late outcome decisions.
@@ -73,34 +73,31 @@ module Make () = struct
     Memdom.Hdr.check_access n.hdr;
     n.dnode
 
-  let mk_node key hdr =
+  let mk_node g key hdr =
     {
       key;
-      next = Link.make Link.Null;
+      next = O.new_link_v g Link.v_null;
       ins_claim = Atomic.make (-1);
       del_claim = Atomic.make (-1);
       phase = -1;
       pending = false;
       is_insert = false;
       success = false;
-      dnode = Link.make Link.Null;
+      dnode = O.new_link_v g Link.v_null;
       hdr;
     }
 
   let mk_desc ~phase ~pending ~is_insert ~success ~node g hdr =
     {
       key = 0;
-      next = Link.make Link.Null;
+      next = O.new_link_v g Link.v_null;
       ins_claim = Atomic.make (-1);
       del_claim = Atomic.make (-1);
       phase;
       pending;
       is_insert;
       success;
-      dnode =
-        (match node with
-        | Some n -> O.new_link g (Link.Ptr n)
-        | None -> Link.make Link.Null);
+      dnode = O.new_link_v g node;
       hdr;
     }
 
@@ -108,14 +105,13 @@ module Make () = struct
     let alloc = Memdom.Alloc.create ~mode "orc_tbkp_list" in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let tail = O.Ptr.node_exn (O.alloc_node g (mk_node max_int)) in
-        let head =
-          O.Ptr.node_exn
-            (O.alloc_node g (fun hdr ->
-                 {
-                   (mk_node min_int hdr) with
-                   next = O.new_link g (Link.Ptr tail);
-                 }))
+        let tp = O.alloc_node g (mk_node g max_int) in
+        let hp =
+          O.alloc_node g (fun hdr ->
+              {
+                (mk_node g min_int hdr) with
+                next = O.new_link_v g (O.Ptr.view tp);
+              })
         in
         let dp = O.ptr g in
         let state =
@@ -123,15 +119,15 @@ module Make () = struct
               let d =
                 O.alloc_node_into g dp
                   (mk_desc ~phase:(-1) ~pending:false ~is_insert:true
-                     ~success:false ~node:None g)
+                     ~success:false ~node:Link.v_null g)
               in
-              O.new_link g (Link.Ptr d))
+              O.new_link_v g (O.v_ptr orc d))
         in
         {
-          head;
-          tail;
-          head_root = O.new_link g (Link.Ptr head);
-          tail_root = O.new_link g (Link.Ptr tail);
+          head = O.Ptr.node_exn hp;
+          tail = O.Ptr.node_exn tp;
+          head_root = O.new_link_v g (O.Ptr.view hp);
+          tail_root = O.new_link_v g (O.Ptr.view tp);
           state;
           orc;
           alloc;
@@ -160,7 +156,7 @@ module Make () = struct
 
   (* Michael-style find (unlinks marked nodes); on return cu.curr is the
      first node with key >= [key] and the returned link is the
-     predecessor link holding [Ptr.state cu.curr]. *)
+     predecessor link holding [Ptr.view cu.curr]. *)
   let rec find t g key cu =
     let prev_link = ref t.head.next in
     O.load g !prev_link cu.curr;
@@ -168,17 +164,16 @@ module Make () = struct
     let rec loop () =
       let c = O.Ptr.node_exn cu.curr in
       O.load g (next_of c) cu.next;
-      if not (Link.get !prev_link == O.Ptr.state cu.curr) then restart ()
+      if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view cu.curr)) then
+        restart ()
       else if O.Ptr.is_marked cu.next then begin
         let unmarked =
-          match O.Ptr.node cu.next with
-          | Some nx -> Link.Ptr nx
-          | None -> Link.Null
+          Link.v_after (O.Ptr.view cu.curr) (Link.v_clean (O.Ptr.view cu.next))
         in
-        if O.cas g !prev_link ~expected:(O.Ptr.state cu.curr) ~desired:unmarked
+        if O.cas_v g !prev_link ~expected:(O.Ptr.view cu.curr) ~desired:unmarked
         then begin
           O.assign g cu.curr cu.next;
-          O.Ptr.retag cu.curr unmarked;
+          O.Ptr.retag_v cu.curr unmarked;
           loop ()
         end
         else restart ()
@@ -209,11 +204,11 @@ module Make () = struct
     let nd =
       O.alloc_node_into g cu.dp
         (mk_desc ~phase:d.phase ~pending:false ~is_insert:d.is_insert ~success
-           ~node:(O.Ptr.node cu.dn) g)
+           ~node:(O.Ptr.view cu.dn) g)
     in
     ignore
-      (O.cas g t.state.(i) ~expected:(O.Ptr.state cu.sp)
-         ~desired:(Link.Ptr nd))
+      (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
+         ~desired:(O.v_ptr t.orc nd))
 
   let still_pending t g cu i ph =
     O.load g t.state.(i) cu.sp;
@@ -243,7 +238,7 @@ module Make () = struct
         | Some node ->
             let found, prev_link = find t g node.key cu in
             let was_linked_then_removed () =
-              Link.is_marked (Link.get (next_of node))
+              Link.v_is_marked (Link.view (next_of node))
             in
             let complete_false () =
               if
@@ -273,17 +268,15 @@ module Make () = struct
               if O.Ptr.is_marked cu.own then complete t g cu i ~success:true
               else begin
                 let ok =
-                  match O.Ptr.node cu.own, O.Ptr.node cu.curr with
-                  | Some a, Some b when a == b -> true
-                  | _, Some b ->
-                      O.cas g (next_of node) ~expected:(O.Ptr.state cu.own)
-                        ~desired:(Link.Ptr b)
-                  | _, None -> false
+                  (not (O.Ptr.is_null cu.curr))
+                  && (O.Ptr.same_node cu.own cu.curr
+                     || O.cas_v g (next_of node) ~expected:(O.Ptr.view cu.own)
+                          ~desired:(O.Ptr.view cu.curr))
                 in
                 if
                   ok
-                  && O.cas g prev_link ~expected:(O.Ptr.state cu.curr)
-                       ~desired:(Link.Ptr node)
+                  && O.cas_v g prev_link ~expected:(O.Ptr.view cu.curr)
+                       ~desired:(O.Ptr.view cu.dn)
                 then complete t g cu i ~success:true (* claim kept: linked *)
                 else begin
                   ignore (Atomic.compare_and_set node.ins_claim (-2) (-1));
@@ -310,16 +303,15 @@ module Make () = struct
             let found, _ = find t g d.key cu in
             if not found then complete t g cu i ~success:false
             else begin
-              let victim = O.Ptr.node_exn cu.curr in
               let nd =
                 O.alloc_node_into g cu.dp (fun hdr ->
                     { (mk_desc ~phase:d.phase ~pending:true ~is_insert:false
-                         ~success:false ~node:(Some victim) g hdr)
+                         ~success:false ~node:(O.Ptr.view cu.curr) g hdr)
                       with key = d.key })
               in
               ignore
-                (O.cas g t.state.(i) ~expected:(O.Ptr.state cu.sp)
-                   ~desired:(Link.Ptr nd));
+                (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
+                   ~desired:(O.v_ptr t.orc nd));
               attempt ()
             end
         | Some victim ->
@@ -330,15 +322,14 @@ module Make () = struct
               let rec mark () =
                 O.load g (next_of victim) cu.own;
                 if not (O.Ptr.is_marked cu.own) then begin
-                  match O.Ptr.node cu.own with
-                  | Some nx ->
-                      if
-                        not
-                          (O.cas g (next_of victim)
-                             ~expected:(O.Ptr.state cu.own)
-                             ~desired:(Link.Mark nx))
-                      then mark ()
-                  | None -> () (* victim is a sentinel: impossible *)
+                  let ov = O.Ptr.view cu.own in
+                  (* a null own link would be the tail sentinel: impossible *)
+                  if
+                    Link.v_has_target ov
+                    && not
+                         (O.cas_v g (next_of victim) ~expected:ov
+                            ~desired:(Link.v_mark ov))
+                  then mark ()
                 end
               in
               mark ();
@@ -350,12 +341,12 @@ module Make () = struct
               let nd =
                 O.alloc_node_into g cu.dp (fun hdr ->
                     { (mk_desc ~phase:d.phase ~pending:true ~is_insert:false
-                         ~success:false ~node:None g hdr)
+                         ~success:false ~node:Link.v_null g hdr)
                       with key = d.key })
               in
               ignore
-                (O.cas g t.state.(i) ~expected:(O.Ptr.state cu.sp)
-                   ~desired:(Link.Ptr nd));
+                (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
+                   ~desired:(O.v_ptr t.orc nd));
               attempt ()
             end
       end
@@ -399,13 +390,12 @@ module Make () = struct
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
     let np = O.ptr g in
-    let node = O.alloc_node_into g np (mk_node key) in
-    let d =
-      O.alloc_node_into g cu.dp
-        (mk_desc ~phase:ph ~pending:true ~is_insert:true ~success:false
-           ~node:(Some node) g)
-    in
-    O.store g t.state.(tid) (Link.Ptr d);
+    ignore (O.alloc_node_into g np (mk_node g key));
+    ignore
+      (O.alloc_node_into g cu.dp
+         (mk_desc ~phase:ph ~pending:true ~is_insert:true ~success:false
+            ~node:(O.Ptr.view np) g));
+    O.store_v g t.state.(tid) (O.Ptr.view cu.dp);
     help t g cu ph;
     outcome t g cu tid ph
 
@@ -415,13 +405,12 @@ module Make () = struct
     let tid = Registry.tid () in
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
-    let d =
-      O.alloc_node_into g cu.dp (fun hdr ->
-          { (mk_desc ~phase:ph ~pending:true ~is_insert:false ~success:false
-               ~node:None g hdr)
-            with key })
-    in
-    O.store g t.state.(tid) (Link.Ptr d);
+    ignore
+      (O.alloc_node_into g cu.dp (fun hdr ->
+           { (mk_desc ~phase:ph ~pending:true ~is_insert:false ~success:false
+                ~node:Link.v_null g hdr)
+             with key }));
+    O.store_v g t.state.(tid) (O.Ptr.view cu.dp);
     help t g cu ph;
     outcome t g cu tid ph
 
@@ -462,9 +451,9 @@ module Make () = struct
 
   let destroy t =
     O.with_guard t.orc @@ fun g ->
-    O.store g t.head_root Link.Null;
-    O.store g t.tail_root Link.Null;
-    Array.iter (fun s -> O.store g s Link.Null) t.state
+    O.store_v g t.head_root Link.v_null;
+    O.store_v g t.tail_root Link.v_null;
+    Array.iter (fun s -> O.store_v g s Link.v_null) t.state
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

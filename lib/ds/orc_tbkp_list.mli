@@ -2,7 +2,7 @@
     Petrank [27], with OrcGC: per-thread operation descriptors, phase
     numbers, bounded helping; remove ownership via a claim word in the
     victim.  The insert idempotency machinery is simplified on top of
-    the substrate's ABA-free box CAS (DESIGN.md §6.5); a stalled
+    the substrate's ABA-free stamped-word CAS (DESIGN.md §6.5); a stalled
     insert's progress degrades to lock-free, lookups stay wait-free.
     Obstacle 1 applies: nodes are referenced from the list and from
     descriptors. *)

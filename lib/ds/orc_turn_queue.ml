@@ -20,7 +20,7 @@
     was meanwhile served by the empty-queue path (the only server that
     bypasses head transitions) is released again; the head is
     re-validated *after* reading the grant state, which confines every
-    stale-helper CAS to failure by box identity.
+    stale-helper CAS to failure by the links' write stamps.
 
     Reclamation-wise this is another obstacle-1 structure: queue nodes
     are referenced from [head]/[tail], three request arrays *and* claim
@@ -80,37 +80,39 @@ struct
     Memdom.Hdr.check_access n.hdr;
     n.claim
 
-  let mk_node ?item ?(enq_tid = -1) () hdr =
+  let mk_node ?item ?(enq_tid = -1) arena hdr =
     {
       item;
       enq_tid;
       req_tid = -1;
-      claim = Link.make Link.Null;
-      next = Link.make Link.Null;
+      claim = Link.make_in arena Link.Null;
+      next = Link.make_in arena Link.Null;
       hdr;
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode "orc_turn_queue" in
     let orc = O.create alloc in
+    let ar = O.arena orc in
     O.with_guard orc (fun g ->
-        let sentinel = O.Ptr.node_exn (O.alloc_node g (mk_node ())) in
-        let dummy_self = O.Ptr.node_exn (O.alloc_node g (mk_node ())) in
+        let sentinel = O.alloc_node g (mk_node ar) in
+        let dummy_self = O.alloc_node g (mk_node ar) in
         let dp = O.ptr g in
         {
-          head = O.new_link g (Link.Ptr sentinel);
-          tail = O.new_link g (Link.Ptr sentinel);
+          head = O.new_link_v g (O.Ptr.view sentinel);
+          tail = O.new_link_v g (O.Ptr.view sentinel);
           enqueuers =
-            Array.init Registry.max_threads (fun _ -> Link.make Link.Null);
+            Array.init Registry.max_threads (fun _ ->
+                Link.make_in ar Link.Null);
           deqself =
             Array.init Registry.max_threads (fun _ ->
-                O.new_link g (Link.Ptr dummy_self));
+                O.new_link_v g (O.Ptr.view dummy_self));
           deqhelp =
             Array.init Registry.max_threads (fun i ->
                 (* per-thread dummies: tokens must be unique per owner *)
-                let d = O.alloc_node_into g dp (mk_node ()) in
+                let d = O.alloc_node_into g dp (mk_node ar) in
                 d.req_tid <- i;
-                O.new_link g (Link.Ptr d));
+                O.new_link_v g (O.Ptr.view dp));
           deq_turn = Atomic.make 0;
           orc;
           alloc;
@@ -128,8 +130,8 @@ struct
       match O.Ptr.node req with
       | Some r when r == lt ->
           ignore
-            (O.cas g q.enqueuers.(et) ~expected:(O.Ptr.state req)
-               ~desired:Link.Null)
+            (O.cas_v g q.enqueuers.(et) ~expected:(O.Ptr.view req)
+               ~desired:Link.v_null)
       | Some _ | None -> ()
     end;
     (* serve the next pending request, round-robin after [et] *)
@@ -138,33 +140,33 @@ struct
        for j = 1 to hw do
          let i = (et + j + hw) mod hw in
          O.load g q.enqueuers.(i) req;
-         match O.Ptr.node req with
-         | Some r ->
-             ignore
-               (O.cas g (next_of lt) ~expected:Link.Null ~desired:(Link.Ptr r));
-             raise_notrace Exit
-         | None -> ()
+         if not (O.Ptr.is_null req) then begin
+           ignore
+             (O.cas_v g (next_of lt) ~expected:Link.v_null
+                ~desired:(O.Ptr.view req));
+           raise_notrace Exit
+         end
        done
      with Exit -> ());
     (* advance the tail over whatever is linked *)
     O.load g (next_of lt) lnext;
     if not (O.Ptr.is_null lnext) then
       ignore
-        (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-           ~desired:(O.Ptr.state lnext))
+        (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+           ~desired:(O.Ptr.view lnext))
 
   let enqueue q v =
     O.with_guard q.orc @@ fun g ->
     let tid = Registry.tid () in
     let np = O.ptr g in
-    let my = O.alloc_node_into g np (mk_node ~item:v ~enq_tid:tid ()) in
-    O.store g q.enqueuers.(tid) (Link.Ptr my);
+    ignore
+      (O.alloc_node_into g np (mk_node ~item:v ~enq_tid:tid (O.arena q.orc)));
+    let my = O.Ptr.view np in
+    O.store_v g q.enqueuers.(tid) my;
     let ltail = O.ptr g and lnext = O.ptr g and req = O.ptr g in
-    let pending () =
-      match Link.target (Link.get q.enqueuers.(tid)) with
-      | Some r -> r == my
-      | None -> false
-    in
+    (* [np] keeps [my]'s slot from being re-issued, so an equal target
+       word names [my] *)
+    let pending () = Link.v_same (Link.view q.enqueuers.(tid)) my in
     while pending () do
       enq_round q g ~ltail ~lnext ~req
     done
@@ -200,18 +202,18 @@ struct
       (* empty: serve one open request with a fresh empty marker *)
       let anchor, r = pick_open q g ~tok ~grant in
       if r >= 0 then begin
-        let e = O.alloc_node_into g ep (mk_node ()) in
+        ignore (O.alloc_node_into g ep (mk_node (O.arena q.orc)));
         if
-          O.cas g q.deqhelp.(r) ~expected:(O.Ptr.state grant)
-            ~desired:(Link.Ptr e)
+          O.cas_v g q.deqhelp.(r) ~expected:(O.Ptr.view grant)
+            ~desired:(O.Ptr.view ep)
         then bump_turn q anchor r
       end
     end
     else if O.Ptr.same_node lhead ltail then
       (* an enqueue is in flight: help the tail forward *)
       ignore
-        (O.cas g q.tail ~expected:(O.Ptr.state ltail)
-           ~desired:(O.Ptr.state lnext))
+        (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+           ~desired:(O.Ptr.view lnext))
     else begin
       let nx = O.Ptr.node_exn lnext in
       (* (1) ensure the node is claimed by some request's token.  Claims
@@ -222,28 +224,29 @@ struct
          the head before claiming, and clean up a claim that is observed
          to have landed after the head moved. *)
       O.load g (claim_of nx) claimp;
-      if O.Ptr.is_null claimp && Link.get q.head == O.Ptr.state lhead then begin
+      if
+        O.Ptr.is_null claimp
+        && Link.view_eq (Link.view q.head) (O.Ptr.view lhead)
+      then begin
         let anchor, r = pick_open q g ~tok ~grant in
         if r >= 0 then begin
           ignore anchor;
-          match O.Ptr.node tok with
-          | Some token ->
-              ignore
-                (O.cas g (claim_of nx) ~expected:(O.Ptr.state claimp)
-                   ~desired:(Link.Ptr token))
-          | None -> ()
+          if not (O.Ptr.is_null tok) then
+            ignore
+              (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
+                 ~desired:(O.Ptr.view tok))
         end;
         O.load g (claim_of nx) claimp
       end;
       if
         (not (O.Ptr.is_null claimp))
-        && not (Link.get q.head == O.Ptr.state lhead)
+        && not (Link.view_eq (Link.view q.head) (O.Ptr.view lhead))
       then begin
         (* the transition completed under us: any claim left on [nx] is
            garbage now; remove it (whoever installed it) *)
         ignore
-          (O.cas g (claim_of nx) ~expected:(O.Ptr.state claimp)
-             ~desired:Link.Null)
+          (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
+             ~desired:Link.v_null)
       end
       else
         match O.Ptr.node claimp with
@@ -256,13 +259,13 @@ struct
             (* re-validate the transition only after reading the grant:
                any serve-elsewhere forces a head move first, so a stale
                view cannot reach the release branch wrongly *)
-            if Link.get q.head == O.Ptr.state lhead then begin
+            if Link.view_eq (Link.view q.head) (O.Ptr.view lhead) then begin
               match O.Ptr.node grant with
               | Some gn when gn == tstar ->
                   (* (2) deliver the node to the claimed request *)
                   if
-                    O.cas g q.deqhelp.(w) ~expected:(O.Ptr.state grant)
-                      ~desired:(Link.Ptr nx)
+                    O.cas_v g q.deqhelp.(w) ~expected:(O.Ptr.view grant)
+                      ~desired:(O.Ptr.view lnext)
                   then bump_turn q (Atomic.get q.deq_turn) w;
                   (* (3) advance once delivery is visible; the advance
                      winner also clears the claim link, which would
@@ -272,22 +275,22 @@ struct
                   (match O.Ptr.node grant with
                   | Some gn' when gn' == nx ->
                       if
-                        O.cas g q.head ~expected:(O.Ptr.state lhead)
-                          ~desired:(O.Ptr.state lnext)
-                      then O.store g (claim_of nx) Link.Null
+                        O.cas_v g q.head ~expected:(O.Ptr.view lhead)
+                          ~desired:(O.Ptr.view lnext)
+                      then O.store_v g (claim_of nx) Link.v_null
                   | Some _ | None -> ())
               | Some gn when gn == nx ->
                   (* already delivered: advance *)
                   if
-                    O.cas g q.head ~expected:(O.Ptr.state lhead)
-                      ~desired:(O.Ptr.state lnext)
-                  then O.store g (claim_of nx) Link.Null
+                    O.cas_v g q.head ~expected:(O.Ptr.view lhead)
+                      ~desired:(O.Ptr.view lnext)
+                  then O.store_v g (claim_of nx) Link.v_null
               | Some _ | None ->
                   (* the claimed token was served by the empty path:
                      release the claim so the item can be re-served *)
                   ignore
-                    (O.cas g (claim_of nx) ~expected:(O.Ptr.state claimp)
-                       ~desired:Link.Null)
+                    (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
+                       ~desired:Link.v_null)
             end
           end
     end
@@ -302,13 +305,15 @@ struct
       match O.Ptr.node grant with Some n -> n | None -> assert false
     in
     token.req_tid <- tid;
-    O.store g q.deqself.(tid) (O.Ptr.state grant);
+    let token_v = O.Ptr.view grant in
+    O.store_v g q.deqself.(tid) token_v;
     let lhead = O.ptr g and ltail = O.ptr g and lnext = O.ptr g in
     let claimp = O.ptr g and ep = O.ptr g in
+    (* [deqself] holds the token, so its slot is not re-issued while we
+       wait: a different target word is a grant *)
     let served () =
-      match Link.target (Link.get q.deqhelp.(tid)) with
-      | Some n -> not (n == token)
-      | None -> false
+      let v = Link.view q.deqhelp.(tid) in
+      Link.v_has_target v && not (Link.v_same v token_v)
     in
     while not (served ()) do
       deq_round q g ~lhead ~ltail ~lnext ~tok ~grant ~claimp ~ep
@@ -318,11 +323,11 @@ struct
 
   let destroy q =
     O.with_guard q.orc @@ fun g ->
-    O.store g q.head Link.Null;
-    O.store g q.tail Link.Null;
-    Array.iter (fun l -> O.store g l Link.Null) q.enqueuers;
-    Array.iter (fun l -> O.store g l Link.Null) q.deqself;
-    Array.iter (fun l -> O.store g l Link.Null) q.deqhelp
+    O.store_v g q.head Link.v_null;
+    O.store_v g q.tail Link.v_null;
+    Array.iter (fun l -> O.store_v g l Link.v_null) q.enqueuers;
+    Array.iter (fun l -> O.store_v g l Link.v_null) q.deqself;
+    Array.iter (fun l -> O.store_v g l Link.v_null) q.deqhelp
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc

@@ -11,11 +11,12 @@
 
     - [poison = true]: **CRF-skip**, the paper's new design.  Once a
       victim is unlinked from every level — after which it can never be
-      re-linked, because the edge to a victim is the very box both a
-      stale insert and the snip must CAS — the victim's forward
-      pointers are poisoned, isolating it completely.  Searches restart
-      when they step on poison (contains drops to lock-free), and the
-      severed links keep unreclaimed memory linear.
+      re-linked, because the edge to a victim is the very word, write
+      stamp included, that both a stale insert and the snip must CAS —
+      the victim's forward pointers are poisoned, isolating it
+      completely.  Searches restart when they step on poison (contains
+      drops to lock-free), and the severed links keep unreclaimed
+      memory linear.
 
     Marks live on the *victim's own* forward pointers; edges pointing at
     a node are only ever clean or poisoned.  Three rules keep a poisoned
@@ -23,7 +24,7 @@
 
     - [find] never CASes a marked edge: a marked first read at a level
       means the level's pred is being removed, so [find] restarts
-      rather than pass the marked box as the expected value of a snip
+      rather than pass the marked word as the expected value of a snip
       or insert, which would clear the mark and resurrect the pred;
     - [add] never links a node in front of a removed node with the same
       key (a stale upper-level window can offer one), so each level
@@ -91,7 +92,9 @@ struct
               {
                 key = max_int;
                 height = levels;
-                next = Array.init levels (fun _ -> Link.make Link.Null);
+                next =
+                  Array.init levels (fun _ ->
+                      Link.make_in (O.arena orc) Link.Null);
                 hdr;
                 settled = Atomic.make 0;
               })
@@ -103,7 +106,7 @@ struct
                 key = min_int;
                 height = levels;
                 next =
-                  Array.init levels (fun _ -> O.new_link g (Link.Ptr tail));
+                  Array.init levels (fun _ -> O.new_link_v g (O.Ptr.view tp));
                 hdr;
                 settled = Atomic.make 0;
               })
@@ -112,8 +115,8 @@ struct
         {
           head;
           tail;
-          head_root = O.new_link g (Link.Ptr head);
-          tail_root = O.new_link g (Link.Ptr tail);
+          head_root = O.new_link_v g (O.Ptr.view hp);
+          tail_root = O.new_link_v g (O.Ptr.view tp);
           rngs = Array.init Registry.max_threads (fun i -> Rng.create (i + 1));
           orc;
           alloc;
@@ -161,14 +164,17 @@ struct
           if O.Ptr.is_poison cu.succ then raise_notrace Restart;
           if O.Ptr.is_marked cu.succ then begin
             (* c is logically deleted: snip it from this level *)
-            let desired = Link.Ptr (O.Ptr.node_exn cu.succ) in
+            let desired =
+              Link.v_after (O.Ptr.view cu.curr)
+                (Link.v_clean (O.Ptr.view cu.succ))
+            in
             if
-              O.cas g
+              O.cas_v g
                 (next_link (O.Ptr.node_exn cu.pred) level)
-                ~expected:(O.Ptr.state cu.curr) ~desired
+                ~expected:(O.Ptr.view cu.curr) ~desired
             then begin
               O.assign g cu.curr cu.succ;
-              O.Ptr.retag cu.curr desired;
+              O.Ptr.retag_v cu.curr desired;
               step ()
             end
             else raise_notrace Restart
@@ -195,7 +201,7 @@ struct
      the victim is unlinked from every level, which is permanent. *)
   let isolate g victim =
     for i = 0 to victim.height - 1 do
-      O.store g victim.next.(i) Link.Poison
+      O.store_v g victim.next.(i) Link.v_poison
     done
 
   (* CRF isolation hand-off.  Poisoning is safe only once no level can
@@ -226,7 +232,7 @@ struct
           | Some n ->
               (* refresh forward pointers to the new window *)
               for i = 0 to height - 1 do
-                O.store g n.next.(i) (O.Ptr.state cu.succs.(i))
+                O.store_v g n.next.(i) (O.Ptr.view cu.succs.(i))
               done;
               n
           | None ->
@@ -237,7 +243,7 @@ struct
                       height;
                       next =
                         Array.init height (fun i ->
-                            O.new_link g (O.Ptr.state cu.succs.(i)));
+                            O.new_link_v g (O.Ptr.view cu.succs.(i)));
                       hdr;
                       settled = Atomic.make 0;
                     })
@@ -246,17 +252,18 @@ struct
               n
         in
         if
-          O.cas g
+          O.cas_v g
             (next_link (O.Ptr.node_exn cu.preds.(0)) 0)
-            ~expected:(O.Ptr.state cu.succs.(0)) ~desired:(Link.Ptr n)
+            ~expected:(O.Ptr.view cu.succs.(0)) ~desired:(O.v_ptr t.orc n)
         then begin
           (* bottom level linked: the node is in the set; now build the
              express lanes *)
           let rec link level =
             if level < height then begin
-              let own = Link.get n.next.(level) in
+              let own = Link.view n.next.(level) in
               (* a marked own edge means a concurrent remove: stop *)
-              if not (Link.is_marked own || Link.is_poison own) then begin
+              if not (Link.v_is_marked own || Link.v_is_poison own) then begin
+                let sv = O.Ptr.view cu.succs.(level) in
                 let s = O.Ptr.node_exn cu.succs.(level) in
                 (* A successor with our key is a removed node still linked
                    at this level.  Linking in front of it would hide it
@@ -265,15 +272,12 @@ struct
                    the window instead, which snips it. *)
                 let linked =
                   key_of s <> key
-                  && (match Link.target own with
-                     | Some x when x == s -> true
-                     | Some _ | None ->
-                         O.cas g n.next.(level) ~expected:own
-                           ~desired:(Link.Ptr s))
-                  && O.cas g
+                  && (Link.v_same own sv
+                     || O.cas_v g n.next.(level) ~expected:own ~desired:sv)
+                  && O.cas_v g
                        (next_link (O.Ptr.node_exn cu.preds.(level)) level)
-                       ~expected:(O.Ptr.state cu.succs.(level))
-                       ~desired:(Link.Ptr n)
+                       ~expected:(O.Ptr.view cu.succs.(level))
+                       ~desired:(O.v_ptr t.orc n)
                 in
                 if linked then link (level + 1)
                 else if find t g key cu then
@@ -307,8 +311,8 @@ struct
           if not (O.Ptr.is_marked tmp || O.Ptr.is_poison tmp) then
             if
               not
-                (O.cas g victim.next.(level) ~expected:(O.Ptr.state tmp)
-                   ~desired:(Link.Mark (O.Ptr.node_exn tmp)))
+                (O.cas_v g victim.next.(level) ~expected:(O.Ptr.view tmp)
+                   ~desired:(Link.v_mark (O.Ptr.view tmp)))
             then mark ()
         in
         mark ()
@@ -319,8 +323,8 @@ struct
         if O.Ptr.is_marked tmp || O.Ptr.is_poison tmp then false
           (* another remover won *)
         else if
-          O.cas g victim.next.(0) ~expected:(O.Ptr.state tmp)
-            ~desired:(Link.Mark (O.Ptr.node_exn tmp))
+          O.cas_v g victim.next.(0) ~expected:(O.Ptr.view tmp)
+            ~desired:(Link.v_mark (O.Ptr.view tmp))
         then begin
           (* unlink everywhere (find restarts internally until clean);
              CRF defers that to whichever of adder and remover settles
@@ -368,8 +372,8 @@ struct
           let c = O.Ptr.node_exn curr in
           key_of c = key
           && not
-               (let st = Link.get (next_link c 0) in
-                Link.is_marked st || Link.is_poison st)
+               (let v = Link.view (next_link c 0) in
+                Link.v_is_marked v || Link.v_is_poison v)
       | exception Restart -> search ()
     in
     search ()
@@ -392,8 +396,8 @@ struct
 
   let destroy t =
     O.with_guard t.orc (fun g ->
-        O.store g t.head_root Link.Null;
-        O.store g t.tail_root Link.Null)
+        O.store_v g t.head_root Link.v_null;
+        O.store_v g t.tail_root Link.v_null)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

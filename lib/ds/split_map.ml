@@ -140,7 +140,9 @@ module Make (R : Reclaim.Scheme_intf.MAKER) = struct
       let next_v = S.get_protected_v t.scheme ~tid ~idx:1 (next_of curr) in
       if not (Link.view_eq (Link.view !prev_link) !curr_v) then restart ()
       else if Link.v_is_marked next_v then begin
-        let unmarked = Link.v_clean next_v in
+        (* the word the CAS installs: the window keeps validating
+           against it *)
+        let unmarked = Link.v_after !curr_v (Link.v_clean next_v) in
         if Link.cas_v !prev_link !curr_v unmarked then begin
           S.retire t.scheme ~tid curr;
           curr_v := unmarked;

@@ -527,11 +527,12 @@ module Ob_hp = Orc_core.Orc_hp.Make (Bnode)
 
 let ablation_backend p =
   let threads = List.fold_left max 1 p.threads in
-  let mk_node hdr = { bhdr = hdr; bnext = Atomicx.Link.make Atomicx.Link.Null } in
-  let churn ~k_backend ~with_guard ~alloc_node_into ~fresh_ptr ~store ~ptr_state
-      ~unreclaimed ~drop =
+  let churn ~k_backend ~arena ~with_guard ~alloc_node_into ~fresh_ptr ~store
+      ~view ~unreclaimed ~drop =
+    let module Link = Atomicx.Link in
+    let mk_node hdr = { bhdr = hdr; bnext = Link.make_in arena Link.Null } in
     let nslots = 16 in
-    let roots = Array.init nslots (fun _ -> Atomicx.Link.make Atomicx.Link.Null) in
+    let roots = Array.init nslots (fun _ -> Link.make_in arena Link.Null) in
     let peak = ref 0 in
     let r =
       Runner.run ~threads ~duration:p.duration
@@ -545,8 +546,8 @@ let ablation_backend p =
             with_guard (fun g ->
                 let hp = fresh_ptr g in
                 let root = roots.(Rng.int rng nslots) in
-                let n = alloc_node_into g hp mk_node in
-                store g root (ptr_state n);
+                ignore (alloc_node_into g hp mk_node);
+                store g root (view hp);
                 incr count)
           done;
           !count)
@@ -558,34 +559,27 @@ let ablation_backend p =
   let ptp_row =
     let alloc = Memdom.Alloc.create "orc-ptp-backend" in
     let o = Ob_ptp.create alloc in
-    let row =
-      churn ~k_backend:"orc(ptp)"
-        ~with_guard:(fun f -> Ob_ptp.with_guard o f)
-        ~alloc_node_into:(fun g hp mk -> Ob_ptp.alloc_node_into g hp mk)
-        ~fresh_ptr:Ob_ptp.ptr
-        ~store:(fun g l st -> Ob_ptp.store g l st)
-        ~ptr_state:(fun n -> Atomicx.Link.Ptr n)
-        ~unreclaimed:(fun () -> Ob_ptp.unreclaimed o)
-        ~drop:(fun roots ->
-          Ob_ptp.with_guard o (fun g ->
-              Array.iter (fun r -> Ob_ptp.store g r Atomicx.Link.Null) roots);
-          Ob_ptp.flush o)
-    in
-    row
+    churn ~k_backend:"orc(ptp)" ~arena:(Ob_ptp.arena o)
+      ~with_guard:(fun f -> Ob_ptp.with_guard o f)
+      ~alloc_node_into:(fun g hp mk -> Ob_ptp.alloc_node_into g hp mk)
+      ~fresh_ptr:Ob_ptp.ptr ~store:Ob_ptp.store_v ~view:Ob_ptp.Ptr.view
+      ~unreclaimed:(fun () -> Ob_ptp.unreclaimed o)
+      ~drop:(fun roots ->
+        Ob_ptp.with_guard o (fun g ->
+            Array.iter (fun r -> Ob_ptp.store_v g r Atomicx.Link.v_null) roots);
+        Ob_ptp.flush o)
   in
   let hp_row =
     let alloc = Memdom.Alloc.create "orc-hp-backend" in
     let o = Ob_hp.create alloc in
-    churn ~k_backend:"orc(hp)"
+    churn ~k_backend:"orc(hp)" ~arena:(Ob_hp.arena o)
       ~with_guard:(fun f -> Ob_hp.with_guard o f)
       ~alloc_node_into:(fun g hp mk -> Ob_hp.alloc_node_into g hp mk)
-      ~fresh_ptr:Ob_hp.ptr
-      ~store:(fun g l st -> Ob_hp.store g l st)
-      ~ptr_state:(fun n -> Atomicx.Link.Ptr n)
+      ~fresh_ptr:Ob_hp.ptr ~store:Ob_hp.store_v ~view:Ob_hp.Ptr.view
       ~unreclaimed:(fun () -> Ob_hp.unreclaimed o)
       ~drop:(fun roots ->
         Ob_hp.with_guard o (fun g ->
-            Array.iter (fun r -> Ob_hp.store g r Atomicx.Link.Null) roots);
+            Array.iter (fun r -> Ob_hp.store_v g r Atomicx.Link.v_null) roots);
         Ob_hp.flush o)
   in
   [ ptp_row; hp_row ]
@@ -650,8 +644,8 @@ let alloc_queue_run (module Q : QUEUE) ~mode ~ops =
    node and every remove retires one, so at steady state the pool
    recycles the entire working set (misses are bounded by the scheme's
    scan-threshold backlog).  The key range is kept small so per-op
-   traversal allocation (boxed link states) doesn't drown the header
-   savings the experiment is about. *)
+   traversal cost doesn't drown the header savings the experiment is
+   about. *)
 let alloc_list_run (module S : SET) ~mode ~ops =
   let t = S.create ~mode () in
   let keys = 16 in

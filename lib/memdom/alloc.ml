@@ -116,7 +116,7 @@ let hdr t ?label () =
 
 let free t h =
   Hdr.mark_freed h;
-  (* Freed ⇒ no scheme protects the object, so its tagged-link arena
+  (* Freed ⇒ no scheme protects the object, so its link arena
      slot (if it ever got one) can be recycled for a future node. *)
   Hdr.release_slot h;
   let tid = Atomicx.Registry.tid () in

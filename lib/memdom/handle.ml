@@ -1,4 +1,4 @@
-(* Glue between the tagged-link arenas of [Atomicx.Link] and the object
+(* Glue between the link arenas of [Atomicx.Link] and the object
    headers of this layer: the header is where a node's arena slot lives
    (one [mutable int] plus the release callback), so the arena needs no
    side table and slot release costs no lookup.  See link.mli for the

@@ -1,10 +1,9 @@
-(** Header-backed tagged-link arenas.
+(** Header-backed link arenas.
 
     [arena ~hdr ()] builds an {!Atomicx.Link.arena} whose slot storage
     is the node's {!Hdr.t} ([slot]/[slot_release] fields): registration
     stamps the header, and [Alloc.free] releases the slot via
     {!Hdr.release_slot} when the node's life ends.  Every tracked data
-    structure that opts into tagged links builds its arena through
-    this. *)
+    structure builds its arena through this. *)
 
 val arena : hdr:('a -> Hdr.t) -> unit -> 'a Atomicx.Link.arena

@@ -27,7 +27,7 @@
       atomic word, so a reader gets a torn-free pair from one load and
       retire-side stamping never allocates.  Read through
       {!birth_era}/{!death_era}, written through {!set_death_era}.
-    - [slot]/[slot_release]: the object's tagged-link arena slot (see
+    - [slot]/[slot_release]: the object's link arena slot (see
       {!Atomicx.Link.arena}), released exactly once by the allocator
       when the object is freed. *)
 
@@ -56,7 +56,7 @@ type t = {
           side measures retire→free latency from it without any shared
           lookup table. *)
   mutable slot : int;
-      (** tagged-link arena slot, -1 when unregistered.  Written by the
+      (** link arena slot, -1 when unregistered.  Written by the
           registering thread while it still privately owns the node. *)
   mutable slot_release : int -> unit;
       (** how to hand [slot] back to its arena; installed at

@@ -61,17 +61,11 @@ module Make (N : Scheme_intf.NODE) = struct
     Obs.Sink.guard_end t.sink ~tid;
     Obs.Watchdog.leave t.wd ~tid
 
-  (* Protection is implicit in the epoch announcement: a plain validated
-     read suffices — but the neutralization check is load-bearing here:
-     a neutralized reader's announcement went quiescent, so every
-     subsequent read would be unprotected. *)
-  let get_protected _t ~tid ~idx:_ link =
-    Neutralize.check ~tid;
-    Link.get link
-
-  (* The epoch announced at [begin_op] already protects everything
-     reachable; a read needs no per-pointer work, so the view plane is
-     a single allocation-free load (plus the neutralization probe). *)
+  (* Protection is implicit in the epoch announcement: the epoch
+     announced at [begin_op] already protects everything reachable, so a
+     read is a single allocation-free load — but the neutralization
+     check is load-bearing: a neutralized reader's announcement went
+     quiescent, so every subsequent read would be unprotected. *)
   let get_protected_v _t ~tid ~idx:_ link =
     Neutralize.check ~tid;
     Link.view link

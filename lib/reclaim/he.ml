@@ -65,30 +65,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Sink.guard_end t.sink ~tid;
     Obs.Watchdog.leave t.wd ~tid
 
-  (* HE protect (also used by IBR 2GE): publish the era, then re-read the
-     link; stable era + stable link validate the protection. *)
-  let get_protected t ~tid ~idx link =
-    Neutralize.check ~tid;
-    let slot = t.he.(tid).(idx) in
-    let prev = ref (Atomic.get slot) in
-    let rec loop () =
-      let st = Link.get link in
-      let era = Memdom.Alloc.era t.alloc in
-      if era = !prev then begin
-        (* stable era: the published reservation already covers this
-           read — era schemes' native elision; counted (not traced:
-           this is their common case) so bench can compare read sides *)
-        Scheme_intf.Counters.elided t.counters ~tid;
-        st
-      end
-      else begin
-        Atomic.set slot era;
-        prev := era;
-        loop ()
-      end
-    in
-    loop ()
-
   (* Same era-publication protocol on the view plane: the node itself
      plays no part in an era reservation, so the loop is read-view /
      read-era / publish-era — allocation-free on both representations

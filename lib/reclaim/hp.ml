@@ -18,7 +18,7 @@ module Make (N : Scheme_intf.NODE) = struct
     sink : Obs.Sink.t;
     hps : int;
     (* The hazard plane: each slot publishes the protected node's uid,
-       one unboxed word, for boxed and tagged links alike.  -1 = empty
+       one unboxed word.  -1 = empty
        (uid 0 is a real uid: local 0 on tid 0).  Uids never repeat, so
        uid membership is exactly the physical-identity test for any
        node still retirable (see [build_snapshot]). *)
@@ -77,11 +77,11 @@ module Make (N : Scheme_intf.NODE) = struct
   (* The protect loop publishes the target's uid — no [Some] box, no
      allocation anywhere on the path — and then confirms not just that
      the link still holds the same view but that the view still names
-     the same node carrying the same uid.  For a word view a slot can
-     be released and re-issued between the deref and the publish, so
-     word equality alone could pin a corpse while the link's actual
-     target goes unprotected; for a boxed view the box fixes the node,
-     but a pooled node can be recycled under a new uid.  Once the
+     the same node carrying the same uid.  An arena slot can be
+     released and re-issued between the deref and the publish, and a
+     pooled node can be recycled under a new uid; the link's write
+     stamp already rules both out for an unchanged word, and the
+     re-deref keeps the check local to this loop.  Once the
      triple (view, node, uid) re-reads stable after the publish, any
      later retire of that node observes the published uid.
 
@@ -121,9 +121,6 @@ module Make (N : Scheme_intf.NODE) = struct
   let get_protected_v t ~tid ~idx link =
     Neutralize.check ~tid;
     gpv_loop t ~tid t.hp_uid.(tid).(idx) link (Link.view link)
-
-  let get_protected t ~tid ~idx link =
-    Link.v_state link (get_protected_v t ~tid ~idx link)
 
   let free_node t ~tid n =
     Scheme_intf.Counters.freed t.counters ~tid;

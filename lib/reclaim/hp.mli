@@ -1,7 +1,7 @@
 (** Hazard pointers (Michael [19]) — manual baseline scheme.
 
-    Protection publishes the node's uid (one unboxed word, for boxed and
-    tagged links alike) in a per-thread hazard slot and re-validates
+    Protection publishes the node's uid (one unboxed word) in a
+    per-thread hazard slot and re-validates
     against the source link.  Retiring pushes the node onto
     a thread-local retired list; once the list exceeds a scan threshold
     the thread scans all published hazards and frees every retired node

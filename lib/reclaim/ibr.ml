@@ -66,27 +66,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Sink.guard_end t.sink ~tid;
     Obs.Watchdog.leave t.wd ~tid
 
-  (* Extend the reservation to cover the read: loop until the link is
-     re-read under an era already covered by [hi]. *)
-  let get_protected t ~tid ~idx:_ link =
-    Neutralize.check ~tid;
-    let rec loop () =
-      let st = Link.get link in
-      let e = Memdom.Alloc.era t.alloc in
-      if e <= Atomic.get t.hi.(tid) then begin
-        (* reservation already covers the read — IBR's native elision;
-           counted (not traced: this is the common case) so bench can
-           compare read sides across schemes *)
-        Scheme_intf.Counters.elided t.counters ~tid;
-        st
-      end
-      else begin
-        Atomic.set t.hi.(tid) e;
-        loop ()
-      end
-    in
-    loop ()
-
   (* Same interval-extension protocol on the view plane; the node plays
      no part in a reservation, so the loop allocates nothing on either
      representation (hoisted to functor level: an inner [let rec] would

@@ -14,7 +14,7 @@
 
    - the victim, whenever it wakes, hits the handshake at its next
      scheme entry point: [check ~tid] (inlined into begin_op /
-     get_protected / retire) sees the pending flag, acknowledges it,
+     get_protected_v / retire) sees the pending flag, acknowledges it,
      and raises {!Neutralized} — the role the signal's longjmp plays in
      DEBRA+.  The operation restarts from scratch, republishing through
      the scheme's ordinary protect loop; any protection validated

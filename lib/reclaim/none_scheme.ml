@@ -62,7 +62,6 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
 
   let begin_op t ~tid = Obs.Sink.guard_begin t.sink ~tid
   let end_op t ~tid = Obs.Sink.guard_end t.sink ~tid
-  let get_protected _ ~tid:_ ~idx:_ link = Link.get link
   let get_protected_v _ ~tid:_ ~idx:_ link = Link.view link
   let protect_raw _ ~tid:_ ~idx:_ _ = ()
   let copy_protection _ ~tid:_ ~src:_ ~dst:_ = ()
@@ -129,7 +128,6 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
 
   let begin_op t ~tid = Obs.Sink.guard_begin t.sink ~tid
   let end_op t ~tid = Obs.Sink.guard_end t.sink ~tid
-  let get_protected _ ~tid:_ ~idx:_ link = Link.get link
   let get_protected_v _ ~tid:_ ~idx:_ link = Link.view link
   let protect_raw _ ~tid:_ ~idx:_ _ = ()
   let copy_protection _ ~tid:_ ~src:_ ~dst:_ = ()

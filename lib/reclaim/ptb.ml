@@ -23,7 +23,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     alloc : Memdom.Alloc.t;
     sink : Obs.Sink.t;
     hps : int;
-    post : node option Atomic.t array array; (* guards, [tid][idx] *)
+    (* guards, [tid][idx]: the guarded node's uid, one word per slot
+       (-1 = lowered), as in hp.ml *)
+    post : int Atomic.t array array;
     handoff : handoff Atomic.t array array;
     retired : node list ref array;
     scratch : Scan_set.t array; (* [tid]; per-liberate guard snapshots *)
@@ -53,47 +55,38 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Watchdog.enter t.wd ~tid;
     Obs.Sink.guard_begin t.sink ~tid
 
-  let protect_raw t ~tid ~idx n = Atomic.set t.post.(tid).(idx) n
+  let uid n = (N.hdr n).Memdom.Hdr.uid
+
+  let protect_raw t ~tid ~idx n =
+    Atomic.set t.post.(tid).(idx) (match n with Some n -> uid n | None -> -1)
 
   let copy_protection t ~tid ~src ~dst =
     Neutralize.check ~tid;
     Atomic.set t.post.(tid).(dst) (Atomic.get t.post.(tid).(src))
 
-  let get_protected t ~tid ~idx link =
-    Neutralize.check ~tid;
-    let slot = t.post.(tid).(idx) in
-    let rec loop st =
-      Atomic.set slot (Link.target st);
-      let st' = Link.get link in
-      if st' == st then st else loop st'
-    in
-    loop (Link.get link)
+  (* Guard posting publishes the target's uid and validates the triple
+     (view, node, uid) against a re-read, exactly as hp.ml's protect
+     loop (without its elision): an unchanged word does not prove the
+     arena slot kept its meaning, and a pooled node can be recycled
+     under a new uid.  Functor-level so the loop allocates no closure. *)
+  let rec post_loop slot link v =
+    if not (Link.v_has_target v) then begin
+      Atomic.set slot (-1);
+      let v' = Link.view link in
+      if Link.view_eq v' v then v else post_loop slot link v'
+    end
+    else begin
+      let n = Link.v_target_exn link v in
+      let u = uid n in
+      Atomic.set slot u;
+      let v' = Link.view link in
+      if Link.view_eq v' v && Link.v_target_exn link v == n && uid n = u then v
+      else post_loop slot link v'
+    end
 
-  (* View-plane posting: the guard still holds the node itself (the
-     liberate walk compares physically), so a word view is derefed
-     before posting and re-derefed after — word equality alone does not
-     prove the slot's meaning was stable (see hp.ml). *)
   let get_protected_v t ~tid ~idx link =
     Neutralize.check ~tid;
-    let slot = t.post.(tid).(idx) in
-    let rec loop v =
-      if not (Link.v_has_target v) then begin
-        Atomic.set slot None;
-        let v' = Link.view link in
-        if Link.view_eq v' v then v else loop v'
-      end
-      else begin
-        let n = Link.v_target_exn link v in
-        Atomic.set slot (Some n);
-        let v' = Link.view link in
-        if
-          Link.view_eq v' v
-          && ((not (Link.v_is_word v)) || Link.v_target_exn link v == n)
-        then v
-        else loop v'
-      end
-    in
-    loop (Link.view link)
+    post_loop t.post.(tid).(idx) link (Link.view link)
 
   let free_node t ~tid n =
     Scheme_intf.Counters.freed t.counters ~tid;
@@ -115,11 +108,8 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
       if Registry.in_use it then
         for idx = 0 to t.hps - 1 do
           incr visited;
-          match Atomic.get t.post.(it).(idx) with
-          | Some m ->
-              Scan_set.add_kv s ~key:(N.hdr m).Memdom.Hdr.uid
-                ~value:((it * t.hps) + idx)
-          | None -> ()
+          let u = Atomic.get t.post.(it).(idx) in
+          if u >= 0 then Scan_set.add_kv s ~key:u ~value:((it * t.hps) + idx)
         done
     done;
     Scan_set.seal s;
@@ -136,7 +126,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     let visited = ref 0 in
     build_snapshot t ~tid ~visited;
     let find_trap p =
-      match Scan_set.find t.scratch.(tid) (N.hdr p).Memdom.Hdr.uid with
+      match Scan_set.find t.scratch.(tid) (uid p) with
       | -1 -> None
       | packed ->
           Scheme_intf.Counters.snapshot_hit t.counters ~tid;
@@ -169,7 +159,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began
 
   let clear t ~tid ~idx =
-    Atomic.set t.post.(tid).(idx) None;
+    Atomic.set t.post.(tid).(idx) (-1);
     let slot = t.handoff.(tid).(idx) in
     let h = Atomic.get slot in
     match h.v with
@@ -252,7 +242,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      everything for adoption by the next liberator. *)
   let orphan t ~tid =
     for idx = 0 to t.hps - 1 do
-      Atomic.set t.post.(tid).(idx) None
+      Atomic.set t.post.(tid).(idx) (-1)
     done;
     refresh_threshold t;
     let batch = take_handoffs t ~tid @ !(t.retired.(tid)) in
@@ -267,7 +257,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      while it may be alive). *)
   let neutralize_clear t ~tid =
     for idx = 0 to t.hps - 1 do
-      Atomic.set t.post.(tid).(idx) None
+      Atomic.set t.post.(tid).(idx) (-1)
     done;
     refresh_threshold t;
     match take_handoffs t ~tid with
@@ -278,7 +268,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
     in
-    let mk_posts _ = Padded.atomic_array max_hps None in
+    let mk_posts _ = Padded.atomic_array max_hps (-1) in
     let mk_handoffs _ =
       Array.init max_hps (fun _ -> Atomic.make { v = None; ver = 0 })
     in

@@ -3,7 +3,7 @@
     Every scheme — the baselines here (hazard pointers, pass-the-buck,
     epoch-based, hazard eras) and the paper's pass-the-pointer in
     [Orc_core.Ptp] — exposes the same three operations the paper names:
-    *protect* (via {!S.get_protected}), *retire* and *clear*, plus the
+    *protect* (via {!S.get_protected_v}), *retire* and *clear*, plus the
     per-operation brackets that quiescence-based schemes need.
 
     Schemes are functors over the node type so that the hazard arrays are
@@ -168,7 +168,7 @@ module type S = sig
       neutralizing reclaimer is armed, every scheme checks the caller's
       pending flag at its entry points.  [begin_op], [end_op] and
       [clear] acknowledge silently (nothing published yet / finalizer
-      paths must not raise); [get_protected], [get_protected_v],
+      paths must not raise); [get_protected_v],
       [copy_protection] and [retire] acknowledge and raise
       [Neutralize.Neutralized] — every protection validated before the
       neutralization is gone, so the operation must restart.  Unarmed,
@@ -177,26 +177,18 @@ module type S = sig
   val end_op : t -> tid:int -> unit
   (** Leave the operation: clears all this thread's protections. *)
 
-  val get_protected :
-    t -> tid:int -> idx:int -> node Atomicx.Link.t -> node Atomicx.Link.state
-  (** Read [link] and protect its target in hazard slot [idx], looping
-      until the published protection is validated against a re-read
-      (Algorithm 2 lines 4–11).  Returns the validated link state, mark
-      included.  Lock-free: a retry implies another thread made
-      progress. *)
-
   val get_protected_v :
     t -> tid:int -> idx:int -> node Atomicx.Link.t -> node Atomicx.Link.view
-  (** {!get_protected} on the allocation-free view plane: same protocol
-      (publish, validate against a re-read, loop), but the result is the
-      link's native {!Atomicx.Link.view} — a raw word for tagged links —
-      and on tagged links the whole loop performs no minor-heap
-      allocation for the pointer-publishing schemes that matter to the
-      paper's cost model (hp, and the orc schemes' internal variants).
-      On word views the validated publication additionally re-derefs the
-      word after publishing: value equality of words does not imply the
-      slot's meaning was stable, so the scheme confirms the decoded node
-      is unchanged before trusting the protection (see DESIGN.md,
+  (** Read [link] and protect its target in hazard slot [idx], looping
+      until the published protection is validated against a re-read
+      (Algorithm 2 lines 4–11).  Returns the validated view, mark bits
+      and write stamp included — the value to use as a [cas_v]
+      expectation.  Lock-free: a retry implies another thread made
+      progress.  The pointer-publishing schemes perform no minor-heap
+      allocation on this path.  The validation re-derefs the word after
+      publishing: an unchanged word does not prove the arena slot kept
+      its meaning, so the scheme confirms the decoded node (and its
+      uid) is unchanged before trusting the protection (see DESIGN.md,
       "Word-packed representation"). *)
 
   val protect_raw : t -> tid:int -> idx:int -> node option -> unit

@@ -110,10 +110,6 @@ module Make (N : Scheme_intf.NODE) = struct
     if t.op_mode.(tid) <> fast then H.end_op t.h ~tid;
     E.end_op t.e ~tid
 
-  let get_protected t ~tid ~idx link =
-    if t.op_mode.(tid) = fast then E.get_protected t.e ~tid ~idx link
-    else H.get_protected t.h ~tid ~idx link
-
   let get_protected_v t ~tid ~idx link =
     if t.op_mode.(tid) = fast then E.get_protected_v t.e ~tid ~idx link
     else H.get_protected_v t.h ~tid ~idx link

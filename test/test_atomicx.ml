@@ -308,10 +308,22 @@ let test_barrier_reusable () =
         Barrier.wait b
       done)
 
+(* Link tests run on word links over a small arena of [lnode]s. *)
+type lnode = { id : int; mutable slot : int }
+
+let link_arena () =
+  Link.arena
+    ~slot_of:(fun n -> n.slot)
+    ~on_register:(fun n s ~release:_ -> n.slot <- s)
+    ()
+
+let lnode id = { id; slot = -1 }
+
 let test_link_basics () =
-  let l = Link.make Link.Null in
+  let ar = link_arena () in
+  let l = Link.make_in ar Link.Null in
   check_bool "null" true (Link.get l = Link.Null);
-  let n = ref 1 in
+  let n = lnode 1 in
   Link.set l (Link.Ptr n);
   (match Link.target (Link.get l) with
   | Some x -> check_bool "target" true (x == n)
@@ -319,41 +331,74 @@ let test_link_basics () =
   check_bool "not marked" false (Link.is_marked (Link.get l));
   Link.set l (Link.Mark n);
   check_bool "marked" true (Link.is_marked (Link.get l));
+  check_bool "marked view" true (Link.v_is_marked (Link.view l));
+  check_int "marked view decodes" 1 (Link.v_target_exn l (Link.view l)).id;
   check_bool "poison" true (Link.is_poison Link.Poison)
 
-let test_link_cas_physical () =
-  let n = ref 1 in
-  let l = Link.make (Link.Ptr n) in
-  let seen = Link.get l in
-  (* CAS against a *fresh* box with equal content must fail... *)
-  check_bool "fresh box fails" false (Link.cas l (Link.Ptr n) (Link.Null));
-  (* ...while CAS against the loaded box succeeds. *)
-  check_bool "loaded box succeeds" true (Link.cas l seen Link.Null);
-  check_bool "null now" true (Link.get l = Link.Null)
+(* The write stamp: a view loaded before an A->B->A rewrite names the
+   same target with the same bits, yet fails both its CAS and its
+   [view_eq].  Null carries no identity: a loaded null view still
+   matches after the link was written and nulled again. *)
+let test_link_stale_view () =
+  let ar = link_arena () in
+  let a = lnode 1 and b = lnode 2 in
+  let l = Link.make_in ar (Link.Ptr a) in
+  let seen = Link.view l in
+  check_bool "A->B" true (Link.cas_v l seen (Link.v_ptr_in ar b));
+  check_bool "B->A" true (Link.cas_v l (Link.view l) (Link.v_ptr_in ar a));
+  check_bool "same target and bits again" true
+    (Link.v_same (Link.view l) seen);
+  check_bool "stale view_eq fails" false (Link.view_eq (Link.view l) seen);
+  check_bool "stale CAS fails" false (Link.cas_v l seen (Link.v_ptr_in ar b));
+  check_bool "A still installed" true (Link.v_target_exn l (Link.view l) == a);
+  check_bool "loaded view succeeds" true
+    (Link.cas_v l (Link.view l) Link.v_null);
+  let null_seen = Link.view l in
+  Link.set l (Link.Ptr b);
+  Link.set l Link.Null;
+  check_bool "null views compare by payload" true
+    (Link.view_eq (Link.view l) null_seen);
+  check_bool "null CAS matches any null" true
+    (Link.cas_v l null_seen (Link.v_ptr_in ar a));
+  check_bool "A installed" true (Link.get l = Link.Ptr a)
 
 let test_link_same () =
-  let n = ref 1 and m = ref 2 in
-  check_bool "null=null" true (Link.same Link.Null Link.Null);
-  check_bool "ptr same target" true (Link.same (Link.Ptr n) (Link.Ptr n));
-  check_bool "ptr diff target" false (Link.same (Link.Ptr n) (Link.Ptr m));
-  check_bool "ptr vs mark" false (Link.same (Link.Ptr n) (Link.Mark n));
-  check_bool "poison" true (Link.same Link.Poison Link.Poison)
+  let ar = link_arena () in
+  let n = lnode 1 and m = lnode 2 in
+  let ln = Link.make_in ar (Link.Ptr n) and lm = Link.make_in ar (Link.Ptr m) in
+  let other = Link.make_in ar Link.Null in
+  Link.set other (Link.Ptr n);
+  Link.set other (Link.Ptr n);
+  check_bool "null=null" true (Link.v_same Link.v_null Link.v_null);
+  check_bool "ptr same target, other link and stamp" true
+    (Link.v_same (Link.view ln) (Link.view other));
+  check_bool "stamps differ" false
+    (Link.view_eq (Link.view ln) (Link.view other));
+  check_bool "ptr diff target" false
+    (Link.v_same (Link.view ln) (Link.view lm));
+  check_bool "ptr vs mark" false
+    (Link.v_same (Link.view ln) (Link.v_mark (Link.view ln)));
+  check_bool "clean strips the mark" true
+    (Link.v_same (Link.view ln) (Link.v_clean (Link.v_mark (Link.view ln))))
 
 let test_link_exchange () =
-  let n = ref 1 in
-  let l = Link.make (Link.Ptr n) in
-  let old = Link.exchange l Link.Poison in
-  check_bool "old returned" true (Link.same old (Link.Ptr n));
-  check_bool "new visible" true (Link.is_poison (Link.get l))
+  let ar = link_arena () in
+  let n = lnode 1 in
+  let l = Link.make_in ar (Link.Ptr n) in
+  let old = Link.exchange_v l Link.v_poison in
+  check_bool "old returned" true (Link.v_same old (Link.v_ptr_in ar n));
+  check_bool "new visible" true (Link.is_poison (Link.get l));
+  check_bool "poison view" true (Link.v_is_poison (Link.view l))
 
 let test_link_cas_parallel_single_winner () =
-  (* n domains CAS the same expected box: exactly one must win. *)
-  let v = ref 0 in
-  let l = Link.make (Link.Ptr v) in
-  let seen = Link.get l in
+  (* n domains CAS the same expected view: exactly one must win. *)
+  let ar = link_arena () in
+  let l = Link.make_in ar (Link.Ptr (lnode 0)) in
+  let seen = Link.view l in
+  let mine = Array.init 6 (fun i -> Link.v_ptr_in ar (lnode (i + 1))) in
   let winners =
     run_domains 6 (fun ~i ~tid:_ ->
-        if Link.cas l seen (Link.Mark (ref i)) then 1 else 0)
+        if Link.cas_v l seen (Link.v_mark mine.(i)) then 1 else 0)
   in
   check_int "single winner" 1 (List.fold_left ( + ) 0 winners)
 
@@ -400,7 +445,8 @@ let suite =
         Alcotest.test_case "barrier aligns" `Quick test_barrier_aligns;
         Alcotest.test_case "barrier reusable" `Quick test_barrier_reusable;
         Alcotest.test_case "link basics" `Quick test_link_basics;
-        Alcotest.test_case "link CAS is physical" `Quick test_link_cas_physical;
+        Alcotest.test_case "link CAS fails on a stale view (A->B->A)" `Quick
+          test_link_stale_view;
         Alcotest.test_case "link same" `Quick test_link_same;
         Alcotest.test_case "link exchange" `Quick test_link_exchange;
         Alcotest.test_case "link CAS single winner" `Quick

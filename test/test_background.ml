@@ -168,6 +168,8 @@ module BN = struct
   let hdr n = n.hdr
 end
 
+let bn_arena = Memdom.Handle.arena ~hdr:BN.hdr ()
+
 let _read_payload n =
   Memdom.Hdr.check_access n.hdr;
   n.payload
@@ -184,14 +186,14 @@ let test_hp_background_drain () =
   let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
   Hp.set_background s (Some ch);
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let table = Array.init 4 (fun i -> Link.make (Link.Ptr (mk i))) in
+  let table = Array.init 4 (fun i -> Link.make_in bn_arena (Link.Ptr (mk i))) in
   run_domains_exn 3 (fun ~i ~tid ->
       let rng = Rng.create (0xB0 + i) in
       for k = 1 to 500 do
         Hp.begin_op s ~tid;
         let n = mk k in
         Hp.protect_raw s ~tid ~idx:0 (Some n);
-        let old = Link.exchange table.(Rng.int rng 4) (Link.Ptr n) in
+        let old = swap bn_arena table.(Rng.int rng 4) (Link.Ptr n) in
         Hp.end_op s ~tid;
         match Link.target old with
         | Some o -> Hp.retire s ~tid o
@@ -206,7 +208,7 @@ let test_hp_background_drain () =
   let tid = Registry.tid () in
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match Link.target (swap bn_arena slot Link.Null) with
       | Some n -> Hp.retire s ~tid n
       | None -> ())
     table;
@@ -225,7 +227,7 @@ let test_neutralize_orphan_interplay () =
   let alloc = Memdom.Alloc.create "bg-orphan" in
   let s = Hp.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let hot = Link.make (Link.Ptr (mk 0)) in
+  let hot = Link.make_in bn_arena (Link.Ptr (mk 0)) in
   let by = Registry.tid () in
   Reclaim.Neutralize.arm ();
   Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
@@ -235,7 +237,7 @@ let test_neutralize_orphan_interplay () =
         Domain.spawn (fun () ->
             Registry.with_tid (fun tid ->
                 Hp.begin_op s ~tid;
-                ignore (Hp.get_protected s ~tid ~idx:0 hot);
+                ignore (Hp.get_protected_v s ~tid ~idx:0 hot);
                 (* a backlog below the scan threshold: stays parked on
                    the retired list until quarantine publishes it *)
                 for j = 1 to 8 do
@@ -259,7 +261,7 @@ let test_neutralize_orphan_interplay () =
         (Reclaim.Neutralize.pending_count ());
       check_bool "backlog published for adoption" true (Hp.orphaned s > 0);
       (* a survivor's scan adopts the orphans; flush plays that role *)
-      (match Link.target (Link.exchange hot Link.Null) with
+      (match Link.target (swap bn_arena hot Link.Null) with
       | Some n -> Hp.retire s ~tid:by n
       | None -> ());
       Hp.flush s;
@@ -288,8 +290,8 @@ let test_orc_background_drain () =
   let ch = Reclaim.Channel.create () in
   let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
   O.set_background o (Some ch);
-  let amk v hdr = { hdr; ov = v; next = Link.make Link.Null } in
-  let table = Array.init 4 (fun _ -> Link.make Link.Null) in
+  let amk v hdr = { hdr; ov = v; next = Link.make_in (O.arena o) Link.Null } in
+  let table = Array.init 4 (fun _ -> Link.make_in (O.arena o) Link.Null) in
   run_domains_exn 3 (fun ~i ~tid:_ ->
       let rng = Rng.create (0x0C + i) in
       for k = 1 to 400 do
@@ -298,12 +300,12 @@ let test_orc_background_drain () =
             let p = O.ptr g in
             O.load g slot p;
             let np = O.alloc_node g (amk k) in
-            O.store g slot (O.Ptr.state np))
+            O.store_v g slot (O.Ptr.view np))
       done);
   Reclaim.Reclaimer.stop reclaimer;
   O.set_background o None;
   O.with_guard o (fun g ->
-      Array.iter (fun slot -> O.store g slot Link.Null) table);
+      Array.iter (fun slot -> O.store_v g slot Link.v_null) table);
   O.flush o;
   check_int "orc background pipeline leaked nothing" 0
     (Memdom.Alloc.live alloc);

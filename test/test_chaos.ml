@@ -23,6 +23,8 @@ end
 
 module Ptp = Orc_core.Ptp.Make (TN)
 
+let tn_arena = Memdom.Handle.arena ~hdr:TN.hdr ()
+
 type onode = { hdr : Memdom.Hdr.t; v : int; next : onode Link.t }
 
 module O = Orc_core.Orc.Make (struct
@@ -33,7 +35,7 @@ module O = Orc_core.Orc.Make (struct
 end)
 
 let mk alloc v = { hdr = Memdom.Alloc.hdr alloc (); value = v }
-let omk v hdr = { hdr; v; next = Link.make Link.Null }
+let omk o v hdr = { hdr; v; next = Link.make_in (O.arena o) Link.Null }
 
 (* The full churn soak, one battery per scheme.  Default cfg spawns
    8 batteries x 20 waves x 8 domains = 1280 short-lived domains — ten
@@ -85,13 +87,13 @@ let test_ptp_abrupt_death_containment () =
   let alloc = Memdom.Alloc.create "ptp-chaos" in
   let s = Ptp.create ~max_hps:4 alloc in
   let n = mk alloc 7 in
-  let link = Link.make (Link.Ptr n) in
+  let link = Link.make_in tn_arena (Link.Ptr n) in
   let dead_tid =
     Domain.join
       (Domain.spawn (fun () ->
            Registry.with_tid (fun tid ->
                Ptp.begin_op s ~tid;
-               ignore (Ptp.get_protected s ~tid ~idx:0 link);
+               ignore (Ptp.get_protected_v s ~tid ~idx:0 link);
                (* die with the hazard still published *)
                Registry.abandon ())))
   in
@@ -116,8 +118,8 @@ let test_orc_death_in_guard () =
   let o = O.create alloc in
   let root =
     O.with_guard o (fun g ->
-        let p = O.alloc_node g (omk 1) in
-        O.new_link g (O.Ptr.state p))
+        let p = O.alloc_node g (omk o 1) in
+        O.new_link_v g (O.Ptr.view p))
   in
   let dead_tid, gen_before =
     Domain.join
@@ -130,7 +132,7 @@ let test_orc_death_in_guard () =
                      O.load g root p;
                      (* unlink while protecting: the node retires onto
                         this dying row *)
-                     O.store g root Link.Null;
+                     O.store_v g root Link.v_null;
                      raise Exit)
                with
                | () -> Alcotest.fail "guard should have raised"

@@ -188,16 +188,18 @@ let prop_ptr_assign_chains =
     (fun choices ->
       let alloc = Memdom.Alloc.create "ptr-prop" in
       let o = O.create alloc in
-      let root = Link.make Link.Null in
+      let root = Link.make_in (O.arena o) Link.Null in
       O.with_guard o (fun g ->
           (* build a small ring of handles over a 3-node chain *)
-          let mk v hdr = { hdr; v; next = Link.make Link.Null } in
+          let mk v hdr =
+            { hdr; v; next = Link.make_in (O.arena o) Link.Null }
+          in
           let a = O.alloc_node g (mk 1) in
           let b = O.alloc_node g (mk 2) in
           let c = O.alloc_node g (mk 3) in
-          O.store g (O.Ptr.node_exn a).next (O.Ptr.state b);
-          O.store g (O.Ptr.node_exn b).next (O.Ptr.state c);
-          O.store g root (O.Ptr.state a);
+          O.store_v g (O.Ptr.node_exn a).next (O.Ptr.view b);
+          O.store_v g (O.Ptr.node_exn b).next (O.Ptr.view c);
+          O.store_v g root (O.Ptr.view a);
           let handles = [| O.ptr g; O.ptr g; O.ptr g; O.ptr g |] in
           List.iter
             (fun choice ->
@@ -220,7 +222,7 @@ let prop_ptr_assign_chains =
                   | None -> ())
                 handles)
             choices);
-      O.with_guard o (fun g -> O.store g root Link.Null);
+      O.with_guard o (fun g -> O.store_v g root Link.v_null);
       O.flush o;
       Memdom.Alloc.live alloc = 0)
 

@@ -21,6 +21,8 @@ end
 module Ebr = Reclaim.Ebr.Make (TN)
 module Ptp = Orc_core.Ptp.Make (TN)
 
+let tn_arena = Memdom.Handle.arena ~hdr:TN.hdr ()
+
 type onode = { hdr : Memdom.Hdr.t; v : int; next : onode Link.t }
 
 module O = Orc_core.Orc.Make (struct
@@ -30,22 +32,22 @@ module O = Orc_core.Orc.Make (struct
   let iter_links n f = f n.next
 end)
 
-let mk v hdr = { hdr; v; next = Link.make Link.Null }
+let mk o v hdr = { hdr; v; next = Link.make_in (O.arena o) Link.Null }
 
 (* An exception inside a guard must release every protection: the node
    loaded before the crash is reclaimable afterwards. *)
 let test_exception_in_guard_releases () =
   let alloc = Memdom.Alloc.create "faults" in
   let o = O.create alloc in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 1) in
-      O.store g root (O.Ptr.state p));
+      let p = O.alloc_node g (mk o 1) in
+      O.store_v g root (O.Ptr.view p));
   (match
      O.with_guard o (fun g ->
          let h = O.ptr g in
          O.load g root h;
-         O.store g root Link.Null;
+         O.store_v g root Link.v_null;
          (* node pinned by h; now die *)
          raise Boom)
    with
@@ -109,9 +111,9 @@ let stalled_reader_growth (module S : Reclaim.Scheme_intf.S
   (* the stalled reader: enters an operation (EBR) / protects one node
      (PTP) and never finishes *)
   let stalled = { hdr = Memdom.Alloc.hdr alloc (); value = 0 } in
-  let link = Link.make (Link.Ptr stalled) in
+  let link = Link.make_in tn_arena (Link.Ptr stalled) in
   S.begin_op s ~tid:9;
-  ignore (S.get_protected s ~tid:9 ~idx:0 link);
+  ignore (S.get_protected_v s ~tid:9 ~idx:0 link);
   (* churn: retire a thousand unrelated nodes *)
   for i = 1 to 1_000 do
     let n = { hdr = Memdom.Alloc.hdr alloc (); value = i } in
@@ -146,10 +148,10 @@ let test_stalled_reader_ebr_vs_ptp () =
 let test_stalled_orc_guard_pins_o1 () =
   let alloc = Memdom.Alloc.create "faults" in
   let o = O.create alloc in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 0) in
-      O.store g root (O.Ptr.state p));
+      let p = O.alloc_node g (mk o 0) in
+      O.store_v g root (O.Ptr.view p));
   let release = Atomic.make false in
   let pinned_during = Atomic.make (-1) in
   run_domains_exn 2 (fun ~i ~tid:_ ->
@@ -166,8 +168,8 @@ let test_stalled_orc_guard_pins_o1 () =
         O.with_guard o (fun g ->
             let p = O.ptr g in
             for k = 1 to 1_000 do
-              let n = O.alloc_node_into g p (mk k) in
-              O.store g root (Link.Ptr n)
+              let n = O.alloc_node_into g p (mk o k) in
+              O.store_v g root (O.v_ptr o n)
             done);
         Atomic.set pinned_during (Memdom.Alloc.live alloc);
         Atomic.set release true
@@ -179,7 +181,7 @@ let test_stalled_orc_guard_pins_o1 () =
        (Atomic.get pinned_during))
     true
     (Atomic.get pinned_during < 16);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 

@@ -309,6 +309,8 @@ let test_trace_validate_rejects () =
 
 type tnode = { hdr : Memdom.Hdr.t }
 
+let tn_arena = Memdom.Handle.arena ~hdr:(fun (n : tnode) -> n.hdr) ()
+
 module TN = struct
   type t = tnode
 
@@ -325,8 +327,8 @@ let churn (type t) (module S : Reclaim.Scheme_intf.S
   for _ = 1 to n do
     S.begin_op s ~tid;
     let node = { hdr = Memdom.Alloc.hdr alloc () } in
-    let link = Link.make (Link.Ptr node) in
-    ignore (S.get_protected s ~tid ~idx:0 link);
+    let link = Link.make_in tn_arena (Link.Ptr node) in
+    ignore (S.get_protected_v s ~tid ~idx:0 link);
     Link.set link Link.Null;
     S.end_op s ~tid;
     S.retire s ~tid node

@@ -16,7 +16,7 @@ let fresh () =
   let alloc = Memdom.Alloc.create "orc-test" in
   (alloc, O.create alloc)
 
-let mk v hdr = { hdr; value = v; next = Link.make Link.Null }
+let mk o v hdr = { hdr; value = v; next = Link.make_in (O.arena o) Link.Null }
 
 let read_value n =
   Memdom.Hdr.check_access n.hdr;
@@ -28,7 +28,7 @@ let test_unlinked_alloc_reclaimed () =
   let alloc, o = fresh () in
   let node =
     O.with_guard o (fun g ->
-        let p = O.alloc_node g (mk 1) in
+        let p = O.alloc_node g (mk o 1) in
         let n = O.Ptr.node_exn p in
         check_int "accessible inside guard" 1 (read_value n);
         n)
@@ -41,16 +41,16 @@ let test_unlinked_alloc_reclaimed () =
    the root reclaims it — no retire call anywhere. *)
 let test_root_link_keeps_alive () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   let node =
     O.with_guard o (fun g ->
-        let p = O.alloc_node g (mk 42) in
-        O.store g root (O.Ptr.state p);
+        let p = O.alloc_node g (mk o 42) in
+        O.store_v g root (O.Ptr.view p);
         O.Ptr.node_exn p)
   in
   check_bool "alive via root" false (Memdom.Hdr.is_freed node.hdr);
   check_int "readable" 42 (read_value node);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_bool "freed after unlink" true (Memdom.Hdr.is_freed node.hdr);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
@@ -58,16 +58,16 @@ let test_root_link_keeps_alive () =
    reclaimed only when the guard scope ends — the orc_ptr contract. *)
 let test_local_ref_pins () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   let node = ref None in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 5) in
-      O.store g root (O.Ptr.state p);
+      let p = O.alloc_node g (mk o 5) in
+      O.store_v g root (O.Ptr.view p);
       let q = O.ptr g in
       O.load g root q;
       node := O.Ptr.node q;
       (* unlink: count drops to zero but q still protects it *)
-      O.store g root Link.Null;
+      O.store_v g root Link.v_null;
       let n = Option.get !node in
       check_bool "pinned by local ref" false (Memdom.Hdr.is_freed n.hdr);
       check_int "still readable" 5 (read_value n));
@@ -79,21 +79,21 @@ let test_local_ref_pins () =
    while a local reference exists must not be reclaimed. *)
 let test_reinsertion_survives () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 9) in
-      O.store g root (O.Ptr.state p);
+      let p = O.alloc_node g (mk o 9) in
+      O.store_v g root (O.Ptr.view p);
       let q = O.ptr g in
       O.load g root q;
-      O.store g root Link.Null;
+      O.store_v g root Link.v_null;
       (* temporarily unreachable, possibly already marked retired *)
-      O.store g root (O.Ptr.state q));
+      O.store_v g root (O.Ptr.view q));
   (match Link.target (Link.get root) with
   | Some n ->
       check_bool "alive after reinsertion" false (Memdom.Hdr.is_freed n.hdr);
       check_int "value intact" 9 (read_value n)
   | None -> Alcotest.fail "root lost node");
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
@@ -102,21 +102,19 @@ let test_reinsertion_survives () =
 let test_long_chain_cascade () =
   let alloc, o = fresh () in
   let n = 50_000 in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
       let p = O.ptr g in
       let q = O.ptr g in
       for i = 1 to n do
         (* push-front: node.next := old head; root := node *)
         O.load g root q;
-        let node = O.alloc_node_into g p (mk i) in
-        (match O.Ptr.state q with
-        | Link.Null -> ()
-        | st -> O.store g node.next st);
-        O.store g root (Link.Ptr node)
+        let node = O.alloc_node_into g p (mk o i) in
+        O.store_v g node.next (O.Ptr.view q);
+        O.store_v g root (O.v_ptr o node)
       done);
   check_int "chain allocated" n (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "entire chain reclaimed" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
@@ -124,73 +122,77 @@ let test_long_chain_cascade () =
    count, while retargeting moves both counts. *)
 let test_cas_counts () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk 1) in
-      let b = O.alloc_node g (mk 2) in
-      O.store g root (O.Ptr.state a);
+      let a = O.alloc_node g (mk o 1) in
+      let b = O.alloc_node g (mk o 2) in
+      O.store_v g root (O.Ptr.view a);
       let an = O.Ptr.node_exn a and bn = O.Ptr.node_exn b in
       (* mark transition on same target *)
-      let st = Link.get root in
-      check_bool "mark cas" true (O.cas g root ~expected:st ~desired:(Link.Mark an));
+      let v = Link.view root in
+      check_bool "mark cas" true
+        (O.cas_v g root ~expected:v ~desired:(Link.v_mark v));
       check_bool "a alive" false (Memdom.Hdr.is_freed an.hdr);
       (* retarget to b: a loses its only hard link *)
-      let st = Link.get root in
+      let v = Link.view root in
       check_bool "retarget cas" true
-        (O.cas g root ~expected:st ~desired:(Link.Ptr bn));
+        (O.cas_v g root ~expected:v ~desired:(O.Ptr.view b));
+      check_bool "b alive" false (Memdom.Hdr.is_freed bn.hdr);
       check_bool "a pinned by local ref" false (Memdom.Hdr.is_freed an.hdr));
   (* guard gone: a has no links and no local refs *)
   check_int "only b remains" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 (* A failed cas must not move any count. *)
 let test_cas_failure_no_count_change () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk 1) in
-      let b = O.alloc_node g (mk 2) in
-      O.store g root (O.Ptr.state a);
-      (* stale expected: a fresh box never matches physically *)
-      check_bool "cas fails" false
-        (O.cas g root
-           ~expected:(Link.Ptr (O.Ptr.node_exn b))
-           ~desired:Link.Null));
+      let a = O.alloc_node g (mk o 1) in
+      let b = O.alloc_node g (mk o 2) in
+      O.store_v g root (O.Ptr.view a);
+      check_bool "cas on another target fails" false
+        (O.cas_v g root ~expected:(O.Ptr.view b) ~desired:Link.v_null);
+      (* stale expected: a word read before a rewrite of the same value
+         never matches again *)
+      let stale = Link.view root in
+      O.store_v g root (O.Ptr.view a);
+      check_bool "stale cas fails" false
+        (O.cas_v g root ~expected:stale ~desired:Link.v_null));
   check_int "a still live via root" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
-(* exchange returns the old state and fixes both counts. *)
-let test_exchange () =
+(* A store over a linked target moves both counts: the old target's
+   down (freed once unprotected), the new one's up. *)
+let test_store_retarget () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk 1) in
-      let b = O.alloc_node g (mk 2) in
-      O.store g root (O.Ptr.state a);
-      let old = O.exchange g root (O.Ptr.state b) in
-      check_bool "old was a" true
-        (Link.same old (Link.Ptr (O.Ptr.node_exn a))));
+      let a = O.alloc_node g (mk o 1) in
+      let b = O.alloc_node g (mk o 2) in
+      O.store_v g root (O.Ptr.view a);
+      O.store_v g root (O.Ptr.view b);
+      check_bool "root holds b" true
+        (Link.v_target_exn root (Link.view root) == O.Ptr.node_exn b));
   check_int "only b remains" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 (* Ptr assignment in both index directions (Algorithm 7): a rotation
    prev <- curr <- next, repeated, must keep protection sound. *)
 let test_ptr_rotation () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
       (* build a 10-node chain *)
       let p = O.ptr g and q = O.ptr g in
       for i = 1 to 10 do
         O.load g root q;
-        let node = O.alloc_node_into g p (mk i) in
-        (match O.Ptr.state q with
-        | Link.Null -> ()
-        | st -> O.store g node.next st);
-        O.store g root (Link.Ptr node)
+        let node = O.alloc_node_into g p (mk o i) in
+        O.store_v g node.next (O.Ptr.view q);
+        O.store_v g root (O.v_ptr o node)
       done);
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
@@ -209,19 +211,17 @@ let test_ptr_rotation () =
       in
       walk ();
       check_int "walked the chain" 10 !steps);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 (* A chain root -> 1 -> 2 -> ... -> n built through orc links. *)
-let build_chain g root n =
+let build_chain o g root n =
   let p = O.ptr g and q = O.ptr g in
   for i = n downto 1 do
     O.load g root q;
-    let node = O.alloc_node_into g p (mk i) in
-    (match O.Ptr.state q with
-    | Link.Null -> ()
-    | st -> O.store g node.next st);
-    O.store g root (Link.Ptr node)
+    let node = O.alloc_node_into g p (mk o i) in
+    O.store_v g node.next (O.Ptr.view q);
+    O.store_v g root (O.v_ptr o node)
   done
 
 let same_opt a b =
@@ -232,8 +232,8 @@ let same_opt a b =
    rotate prev <- curr <- next <- prev, and no word is allocated. *)
 let test_advance_permutes_only () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 2);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
       O.load g root curr;
@@ -259,7 +259,7 @@ let test_advance_permutes_only () =
       Alcotest.check_raises "aliased handles rejected"
         (Invalid_argument "Orc.advance: handles must be distinct") (fun () ->
           O.advance g prev curr prev));
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 (* The zero-count check of a replaced target runs while the target is
@@ -270,9 +270,9 @@ let test_advance_permutes_only () =
    already be freed and its header recycled under the check. *)
 let test_load_checks_while_published () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 1) in
+      let p = O.alloc_node g (mk o 1) in
       let h0 = (O.stats o).O.handovers in
       O.load g root p;
       check_int "claimed while published" (h0 + 1) (O.stats o).O.handovers;
@@ -285,11 +285,11 @@ let test_load_checks_while_published () =
    guard exit frees it. *)
 let test_advance_rotated_out_freed () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 1);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 1);
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-      let z = O.alloc_node_into g prev (mk 0) in
+      let z = O.alloc_node_into g prev (mk o 0) in
       O.load g root curr;
       O.load g (O.Ptr.node_exn curr).next next;
       O.advance g prev curr next;
@@ -301,7 +301,7 @@ let test_advance_rotated_out_freed () =
       check_bool "still protected until guard exit" false
         (Memdom.Hdr.is_freed z.hdr));
   check_int "rotated-out node freed at guard exit" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "flush leaves nothing live" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
@@ -312,8 +312,8 @@ let test_advance_rotated_out_freed () =
    row and every index free. *)
 let test_advance_then_neutralized () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 2);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
   let tid = Registry.tid () in
   Reclaim.Neutralize.arm ();
   Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
@@ -333,7 +333,7 @@ let test_advance_then_neutralized () =
       for _ = 1 to Orc_core.Orc.max_haz - 1 do
         ignore (O.ptr g)
       done);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "no leak, no double free" 0 (Memdom.Alloc.live alloc)
 
@@ -341,14 +341,14 @@ let test_advance_then_neutralized () =
    ends, and leaves a null handle that can load again. *)
 let test_drop_frees_self_parked () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 1);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 1);
   O.with_guard o (fun g ->
       let p = O.ptr g in
       O.load g root p;
       let n = O.Ptr.node_exn p in
       let h0 = (O.stats o).O.handovers in
-      O.store g root Link.Null;
+      O.store_v g root Link.v_null;
       check_int "self-parked" (h0 + 1) (O.stats o).O.handovers;
       check_bool "pinned by the handle" false (Memdom.Hdr.is_freed n.hdr);
       O.drop g p;
@@ -365,8 +365,8 @@ let test_drop_frees_self_parked () =
    failed unlink moves nothing. *)
 let test_unlink_frees_victim () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 2);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
   O.with_guard o (fun g ->
       let curr = O.ptr g and next = O.ptr g and other = O.ptr g in
       O.load g root curr;
@@ -383,7 +383,7 @@ let test_unlink_frees_victim () =
       check_bool "victim freed at the unlink" true (Memdom.Hdr.is_freed a.hdr);
       check_bool "victim handle is null" true (O.Ptr.is_null curr));
   check_int "successor still linked" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
@@ -412,17 +412,17 @@ let prop_orc_model =
     QCheck2.Gen.(list_size (int_range 20 120) (pair (int_range 0 3) small_nat))
     (fun ops ->
       let alloc, o = fresh () in
-      let roots = Array.init 4 (fun _ -> Link.make Link.Null) in
+      let roots = Array.init 4 (fun _ -> Link.make_in (O.arena o) Link.Null) in
       O.with_guard o (fun g ->
           let p = O.ptr g in
           List.iter
             (fun (r, v) ->
               let root = roots.(r) in
               if v land 1 = 0 then begin
-                let n = O.alloc_node_into g p (mk v) in
-                O.store g root (Link.Ptr n)
+                let n = O.alloc_node_into g p (mk o v) in
+                O.store_v g root (O.v_ptr o n)
               end
-              else O.store g root Link.Null)
+              else O.store_v g root Link.v_null)
             ops);
       let reachable =
         Array.fold_left
@@ -432,7 +432,7 @@ let prop_orc_model =
       in
       let ok = Memdom.Alloc.live alloc = reachable in
       O.with_guard o (fun g ->
-          Array.iter (fun r -> O.store g r Link.Null) roots);
+          Array.iter (fun r -> O.store_v g r Link.v_null) roots);
       ok && Memdom.Alloc.live alloc = 0)
 
 (* The flagship stress test: concurrent domains hammer a table of root
@@ -443,7 +443,7 @@ let test_concurrent_stress () =
   let alloc, o = fresh () in
   let nslots = 8 in
   let iters = 2_500 in
-  let roots = Array.init nslots (fun _ -> Link.make Link.Null) in
+  let roots = Array.init nslots (fun _ -> Link.make_in (O.arena o) Link.Null) in
   run_domains_exn 4 (fun ~i ~tid:_ ->
       let rng = Rng.create ((i + 1) * 104729) in
       for k = 1 to iters do
@@ -452,17 +452,17 @@ let test_concurrent_stress () =
             match Rng.int rng 4 with
             | 0 ->
                 (* replace with fresh node *)
-                let p = O.alloc_node g (mk k) in
-                O.store g root (O.Ptr.state p)
-            | 1 -> O.store g root Link.Null
+                let p = O.alloc_node g (mk o k) in
+                O.store_v g root (O.Ptr.view p)
+            | 1 -> O.store_v g root Link.v_null
             | 2 ->
                 (* cas current -> fresh *)
                 let q = O.ptr g in
                 O.load g root q;
-                let p = O.alloc_node g (mk k) in
+                let p = O.alloc_node g (mk o k) in
                 ignore
-                  (O.cas g root ~expected:(O.Ptr.state q)
-                     ~desired:(O.Ptr.state p))
+                  (O.cas_v g root ~expected:(O.Ptr.view q)
+                     ~desired:(O.Ptr.view p))
             | _ ->
                 (* read *)
                 let q = O.ptr g in
@@ -473,7 +473,7 @@ let test_concurrent_stress () =
       done);
   (* quiesce and drain *)
   O.with_guard o (fun g ->
-      Array.iter (fun r -> O.store g r Link.Null) roots);
+      Array.iter (fun r -> O.store_v g r Link.v_null) roots);
   O.flush o;
   check_int "no leak after stress" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
@@ -482,10 +482,10 @@ let test_concurrent_stress () =
    the reader's guard exit must reclaim it. *)
 let test_cross_thread_handover () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 1) in
-      O.store g root (O.Ptr.state p));
+      let p = O.alloc_node g (mk o 1) in
+      O.store_v g root (O.Ptr.view p));
   let pinned = Atomic.make false in
   let release = Atomic.make false in
   run_domains_exn 2 (fun ~i ~tid:_ ->
@@ -506,7 +506,7 @@ let test_cross_thread_handover () =
         while not (Atomic.get pinned) do
           Domain.cpu_relax ()
         done;
-        O.with_guard o (fun g -> O.store g root Link.Null);
+        O.with_guard o (fun g -> O.store_v g root Link.v_null);
         check_int "node survives writer guard" 1 (Memdom.Alloc.live alloc);
         Atomic.set release true
       end);
@@ -530,7 +530,8 @@ let suite =
         Alcotest.test_case "cas count transitions" `Quick test_cas_counts;
         Alcotest.test_case "failed cas moves nothing" `Quick
           test_cas_failure_no_count_change;
-        Alcotest.test_case "exchange" `Quick test_exchange;
+        Alcotest.test_case "store_v retarget moves both counts" `Quick
+          test_store_retarget;
         Alcotest.test_case "ptr rotation keeps protection" `Quick
           test_ptr_rotation;
         Alcotest.test_case "advance permutes handles only" `Quick

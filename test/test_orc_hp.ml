@@ -18,7 +18,7 @@ let fresh () =
   let alloc = Memdom.Alloc.create "orc-hp-test" in
   (alloc, O.create alloc)
 
-let mk v hdr = { hdr; value = v; next = Link.make Link.Null }
+let mk o v hdr = { hdr; value = v; next = Link.make_in (O.arena o) Link.Null }
 
 let read_value n =
   Memdom.Hdr.check_access n.hdr;
@@ -26,29 +26,29 @@ let read_value n =
 
 let test_root_link_keeps_alive () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   let node =
     O.with_guard o (fun g ->
-        let p = O.alloc_node g (mk 42) in
-        O.store g root (O.Ptr.state p);
+        let p = O.alloc_node g (mk o 42) in
+        O.store_v g root (O.Ptr.view p);
         O.Ptr.node_exn p)
   in
   check_bool "alive via root" false (Memdom.Hdr.is_freed node.hdr);
   check_int "readable" 42 (read_value node);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_bool "freed after unlink+flush" true (Memdom.Hdr.is_freed node.hdr);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 let test_local_ref_pins () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 5) in
-      O.store g root (O.Ptr.state p);
+      let p = O.alloc_node g (mk o 5) in
+      O.store_v g root (O.Ptr.view p);
       let q = O.ptr g in
       O.load g root q;
-      O.store g root Link.Null;
+      O.store_v g root Link.v_null;
       let n = O.Ptr.node_exn q in
       check_bool "pinned by local ref" false (Memdom.Hdr.is_freed n.hdr);
       check_int "still readable" 5 (read_value n));
@@ -57,39 +57,37 @@ let test_local_ref_pins () =
 
 let test_reinsertion_survives () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk 9) in
-      O.store g root (O.Ptr.state p);
+      let p = O.alloc_node g (mk o 9) in
+      O.store_v g root (O.Ptr.view p);
       let q = O.ptr g in
       O.load g root q;
-      O.store g root Link.Null;
-      O.store g root (O.Ptr.state q));
+      O.store_v g root Link.v_null;
+      O.store_v g root (O.Ptr.view q));
   (match Link.target (Link.get root) with
   | Some n ->
       check_bool "alive after reinsertion" false (Memdom.Hdr.is_freed n.hdr);
       check_int "value intact" 9 (read_value n)
   | None -> Alcotest.fail "root lost node");
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 let test_long_chain_cascade_iterative () =
   let alloc, o = fresh () in
   let n = 50_000 in
-  let root = Link.make Link.Null in
+  let root = Link.make_in (O.arena o) Link.Null in
   O.with_guard o (fun g ->
       let p = O.ptr g and q = O.ptr g in
       for i = 1 to n do
         O.load g root q;
-        let node = O.alloc_node_into g p (mk i) in
-        (match O.Ptr.state q with
-        | Link.Null -> ()
-        | st -> O.store g node.next st);
-        O.store g root (Link.Ptr node)
+        let node = O.alloc_node_into g p (mk o i) in
+        O.store_v g node.next (O.Ptr.view q);
+        O.store_v g root (O.v_ptr o node)
       done);
   check_int "chain allocated" n (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "entire chain reclaimed, no stack overflow" 0
     (Memdom.Alloc.live alloc)
@@ -97,7 +95,7 @@ let test_long_chain_cascade_iterative () =
 let test_concurrent_stress () =
   let alloc, o = fresh () in
   let nslots = 8 in
-  let roots = Array.init nslots (fun _ -> Link.make Link.Null) in
+  let roots = Array.init nslots (fun _ -> Link.make_in (O.arena o) Link.Null) in
   run_domains_exn 4 (fun ~i ~tid:_ ->
       let rng = Rng.create ((i + 1) * 104729) in
       for k = 1 to 2_500 do
@@ -105,16 +103,16 @@ let test_concurrent_stress () =
         O.with_guard o (fun g ->
             match Rng.int rng 4 with
             | 0 ->
-                let p = O.alloc_node g (mk k) in
-                O.store g root (O.Ptr.state p)
-            | 1 -> O.store g root Link.Null
+                let p = O.alloc_node g (mk o k) in
+                O.store_v g root (O.Ptr.view p)
+            | 1 -> O.store_v g root Link.v_null
             | 2 ->
                 let q = O.ptr g in
                 O.load g root q;
-                let p = O.alloc_node g (mk k) in
+                let p = O.alloc_node g (mk o k) in
                 ignore
-                  (O.cas g root ~expected:(O.Ptr.state q)
-                     ~desired:(O.Ptr.state p))
+                  (O.cas_v g root ~expected:(O.Ptr.view q)
+                     ~desired:(O.Ptr.view p))
             | _ ->
                 let q = O.ptr g in
                 O.load g root q;
@@ -123,20 +121,18 @@ let test_concurrent_stress () =
                 | None -> ()))
       done);
   O.with_guard o (fun g ->
-      Array.iter (fun r -> O.store g r Link.Null) roots);
+      Array.iter (fun r -> O.store_v g r Link.v_null) roots);
   O.flush o;
   check_int "no leak after stress" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
-let build_chain g root n =
+let build_chain o g root n =
   let p = O.ptr g and q = O.ptr g in
   for i = n downto 1 do
     O.load g root q;
-    let node = O.alloc_node_into g p (mk i) in
-    (match O.Ptr.state q with
-    | Link.Null -> ()
-    | st -> O.store g node.next st);
-    O.store g root (Link.Ptr node)
+    let node = O.alloc_node_into g p (mk o i) in
+    O.store_v g node.next (O.Ptr.view q);
+    O.store_v g root (O.v_ptr o node)
   done
 
 let same_opt a b =
@@ -146,8 +142,8 @@ let same_opt a b =
    untouched, and three hops (the identity) allocate nothing. *)
 let test_advance_permutes_only () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 2);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
       O.load g root curr;
@@ -167,7 +163,7 @@ let test_advance_permutes_only () =
       in
       check_zero "advance" three;
       check_bool "row still unchanged" true (row = O.hazard_row g));
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
@@ -176,12 +172,12 @@ let test_advance_permutes_only () =
    it because nothing publishes it any more. *)
 let test_advance_rotated_out_freed () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 1);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 1);
   let tid = Registry.tid () in
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-      let z = O.alloc_node_into g prev (mk 0) in
+      let z = O.alloc_node_into g prev (mk o 0) in
       O.load g root curr;
       O.load g (O.Ptr.node_exn curr).next next;
       O.advance g prev curr next;
@@ -192,7 +188,7 @@ let test_advance_rotated_out_freed () =
       O.scan o ~tid;
       check_bool "claimed by the load, freed by the scan" true
         (Memdom.Hdr.is_freed z.hdr));
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "flush leaves nothing live" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
@@ -201,8 +197,8 @@ let test_advance_rotated_out_freed () =
    releases each permuted handle's share exactly once. *)
 let test_advance_then_neutralized () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 2);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
   let tid = Registry.tid () in
   Reclaim.Neutralize.arm ();
   Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
@@ -222,7 +218,7 @@ let test_advance_then_neutralized () =
       for _ = 1 to Orc_core.Orc.max_haz - 1 do
         ignore (O.ptr g)
       done);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   O.flush o;
   check_int "no leak, no double free" 0 (Memdom.Alloc.live alloc)
 
@@ -230,14 +226,14 @@ let test_advance_then_neutralized () =
    unlinked node frees it right after the drop. *)
 let test_drop_unpublishes () =
   let alloc, o = fresh () in
-  let root = Link.make Link.Null in
-  O.with_guard o (fun g -> build_chain g root 1);
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 1);
   let tid = Registry.tid () in
   O.with_guard o (fun g ->
       let p = O.ptr g in
       O.load g root p;
       let n = O.Ptr.node_exn p in
-      O.store g root Link.Null;
+      O.store_v g root Link.v_null;
       O.scan o ~tid;
       check_bool "pinned by the handle" false (Memdom.Hdr.is_freed n.hdr);
       O.drop g p;

@@ -2,9 +2,8 @@
    header + tagged link hot paths (protected reads, and the orc
    hard-link drop whose [dec] publishes a scratch uid), the bit-layout
    boundaries of the packed words ([Hdr.state], the [_orc] word), the
-   literal header transitions including their exceptions, the uid
-   hazard plane protecting through boxed links, and Michael lists on
-   tagged links against the sequential set model.
+   literal header transitions including their exceptions, and Michael
+   lists on word links against the sequential set model.
 
    The zero-alloc assertions are exact ([delta = 0.], not "small"):
    [Gc.minor_words] itself allocates the boxed float it returns after
@@ -26,6 +25,13 @@ module PN = struct
 end
 
 module Hp = Reclaim.Hp.Make (PN)
+module He = Reclaim.He.Make (PN)
+module Ibr = Reclaim.Ibr.Make (PN)
+module Ebr = Reclaim.Ebr.Make (PN)
+module Ptb = Reclaim.Ptb.Make (PN)
+module Ptp = Orc_core.Ptp.Make (PN)
+module Leak = Reclaim.None_scheme.Leak (PN)
+module Sw = Reclaim.Switchable.Make (PN)
 
 module ON = struct
   type t = pnode
@@ -42,9 +48,15 @@ module Orc_hp = Orc_core.Orc_hp.Make (ON)
 
 let chain_len = 32
 
-let test_zero_alloc_hp () =
-  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null "pack-test-hp" in
-  let s = Hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
+(* Every manual scheme's protected walk down a word-link chain: views
+   are immediates and the pointer-publishing schemes publish a uid, so
+   nothing on the path may allocate. *)
+let zero_alloc_walk (module S : Reclaim.Scheme_intf.S with type node = pnode)
+    () =
+  let alloc =
+    Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-test-" ^ S.name)
+  in
+  let s = S.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
   let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
   let tail =
     { p_hdr = Memdom.Alloc.hdr alloc (); p_next = Link.make_in arena Link.Null }
@@ -58,16 +70,16 @@ let test_zero_alloc_hp () =
       }
   done;
   let root = Link.make_in arena (Link.Ptr !head) in
-  Hp.begin_op s ~tid:0;
+  S.begin_op s ~tid:0;
   let rec walk link idx =
-    let v = Hp.get_protected_v s ~tid:0 ~idx link in
+    let v = S.get_protected_v s ~tid:0 ~idx link in
     if Link.v_has_target v then walk (Link.v_target_exn link v).p_next (1 - idx)
   in
-  check_zero "hp packed protected walk" (fun () ->
+  check_zero (S.name ^ " packed protected walk") (fun () ->
       for _ = 1 to 50 do
         walk root 0
       done);
-  Hp.end_op s ~tid:0
+  S.end_op s ~tid:0
 
 (* Shared shape for the two orc cores (both satisfy it structurally). *)
 module type PACK_ORC = sig
@@ -81,19 +93,14 @@ module type PACK_ORC = sig
     val node_exn : t -> pnode
   end
 
-  val create :
-    ?max_hps:int ->
-    ?sink:Obs.Sink.t ->
-    ?arena:pnode Link.arena ->
-    Memdom.Alloc.t ->
-    t
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
 
   val with_guard : t -> (guard -> 'a) -> 'a
   val ptr : guard -> Ptr.t
   val load : guard -> pnode Link.t -> Ptr.t -> unit
   val assign : guard -> Ptr.t -> Ptr.t -> unit
   val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> pnode) -> pnode
-  val new_link : guard -> pnode Link.state -> pnode Link.t
+  val new_link_v : guard -> pnode Link.view -> pnode Link.t
   val store_v : guard -> pnode Link.t -> pnode Link.view -> unit
 
   val cas_v :
@@ -109,15 +116,14 @@ end
 
 let orc_zero_alloc (module O : PACK_ORC) name () =
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-test-" ^ name) in
-  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
-  let o = O.create ~sink:Obs.Sink.null ~arena alloc in
+  let o = O.create ~sink:Obs.Sink.null alloc in
   O.with_guard o (fun g ->
-      let root = O.new_link g Link.Null in
+      let root = O.new_link_v g Link.v_null in
       let np = O.ptr g in
       for _ = 1 to chain_len do
         let n =
           O.alloc_node_into g np (fun hdr ->
-              { p_hdr = hdr; p_next = O.new_link g Link.Null })
+              { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
         in
         O.store_v g n.p_next (Link.view root);
         O.store_v g root (O.v_ptr o n)
@@ -144,17 +150,16 @@ let orc_zero_alloc (module O : PACK_ORC) name () =
    below moves one count down to 1 and another up to 2. *)
 let orc_dec_zero_alloc (module O : PACK_ORC) name () =
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-dec-" ^ name) in
-  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
-  let o = O.create ~sink:Obs.Sink.null ~arena alloc in
+  let o = O.create ~sink:Obs.Sink.null alloc in
   O.with_guard o (fun g ->
       let np = O.ptr g in
       let mk () =
         O.alloc_node_into g np (fun hdr ->
-            { p_hdr = hdr; p_next = O.new_link g Link.Null })
+            { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
       in
       (* link each fresh node before [np] moves on and drops it *)
       let hold n =
-        let l = O.new_link g Link.Null in
+        let l = O.new_link_v g Link.v_null in
         O.store_v g l (O.v_ptr o n);
         l
       in
@@ -163,20 +168,23 @@ let orc_dec_zero_alloc (module O : PACK_ORC) name () =
       let b = mk () in
       let hold_b = hold b in
       let va = O.v_ptr o a and vb = O.v_ptr o b in
-      let l = O.new_link g Link.Null in
+      let l = O.new_link_v g Link.v_null in
       O.store_v g l va;
       check_zero (name ^ " store_v dropping a held link") (fun () ->
           for _ = 1 to 50 do
             O.store_v g l vb;
             O.store_v g l va
           done);
-      let swap expected desired =
-        if not (O.cas_v g l ~expected ~desired) then Alcotest.fail "cas_v lost"
+      (* expectations are loaded: a constructed view only matches a
+         link never written since it was built *)
+      let swap desired =
+        if not (O.cas_v g l ~expected:(Link.view l) ~desired) then
+          Alcotest.fail "cas_v lost"
       in
       check_zero (name ^ " cas_v dropping a held link") (fun () ->
           for _ = 1 to 50 do
-            swap va vb;
-            swap vb va
+            swap vb;
+            swap va
           done);
       check_bool "a still live" false (Memdom.Hdr.is_freed a.p_hdr);
       check_bool "b still live" false (Memdom.Hdr.is_freed b.p_hdr);
@@ -297,44 +305,7 @@ let test_header_transitions () =
   check_int "death era stamped" 7 (H.death_era h)
 
 (* ------------------------------------------------------------------ *)
-(* The uid hazard plane protects through boxed links too: an Hp
-   protection taken on a [Link.make] link keeps its node across
-   retire + scan, and the node is freed by the first scan after the
-   slot is cleared. *)
-
-let test_hp_boxed_protection () =
-  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null "uid-plane-hp" in
-  let s = Hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-  let tid = Registry.tid () in
-  let mk () =
-    { p_hdr = Memdom.Alloc.hdr alloc (); p_next = Link.make Link.Null }
-  in
-  let a = mk () and b = mk () in
-  let la = Link.make (Link.Ptr a) and lb = Link.make (Link.Ptr b) in
-  Hp.begin_op s ~tid;
-  let v = Hp.get_protected_v s ~tid ~idx:0 la in
-  check_bool "boxed view" false (Link.v_is_word v);
-  ignore (Hp.get_protected s ~tid ~idx:1 lb);
-  Link.set la Link.Null;
-  Link.set lb Link.Null;
-  Hp.retire s ~tid a;
-  Hp.retire s ~tid b;
-  Hp.scan s ~tid;
-  check_bool "view protection survives the scan" false
-    (Memdom.Hdr.is_freed a.p_hdr);
-  check_bool "state protection survives the scan" false
-    (Memdom.Hdr.is_freed b.p_hdr);
-  Hp.clear s ~tid ~idx:0;
-  Hp.scan s ~tid;
-  check_bool "freed once its slot is cleared" true
-    (Memdom.Hdr.is_freed a.p_hdr);
-  check_bool "other slot still protects" false (Memdom.Hdr.is_freed b.p_hdr);
-  Hp.end_op s ~tid;
-  Hp.scan s ~tid;
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
-
-(* ------------------------------------------------------------------ *)
-(* Michael lists on tagged links follow the sequential set model *)
+(* Michael lists on word links follow the sequential set model *)
 
 module L_hp = Ds.Michael_list.Make (Reclaim.Hp.Make)
 module L_orc = Ds.Orc_michael_list.Make ()
@@ -381,12 +352,24 @@ let matches_model (module M : SET_OPS) name () =
   (* sanity: the sequence actually exercised the list *)
   check_bool (name ^ ": non-trivial run") true (not (IntSet.is_empty !model))
 
+let walk_case (module S : Reclaim.Scheme_intf.S with type node = pnode) =
+  Alcotest.test_case
+    (S.name ^ ": packed protected walk allocates nothing")
+    `Quick
+    (zero_alloc_walk (module S))
+
 let suite =
   [
     ( "pack_zero_alloc",
       [
-        Alcotest.test_case "hp: packed protected walk allocates nothing"
-          `Quick test_zero_alloc_hp;
+        walk_case (module Hp);
+        walk_case (module He);
+        walk_case (module Ibr);
+        walk_case (module Ebr);
+        walk_case (module Ptb);
+        walk_case (module Ptp);
+        walk_case (module Leak);
+        walk_case (module Sw);
         Alcotest.test_case "orc: packed guarded traversal allocates nothing"
           `Quick
           (orc_zero_alloc (module Orc) "orc");
@@ -415,10 +398,5 @@ let suite =
           (matches_model (module L_hp) "hp list");
         Alcotest.test_case "michael list (orc): matches set model" `Quick
           (matches_model (module L_orc) "orc list");
-      ] );
-    ( "uid_plane",
-      [
-        Alcotest.test_case "hp: boxed-link protection survives retire+scan"
-          `Quick test_hp_boxed_protection;
       ] );
   ]

@@ -7,6 +7,8 @@ open Atomicx
 
 type tnode = { hdr : Memdom.Hdr.t; mutable value : int }
 
+let tn_arena = Memdom.Handle.arena ~hdr:(fun (n : tnode) -> n.hdr) ()
+
 module TN = struct
   type t = tnode
 
@@ -39,8 +41,8 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     let tid = Registry.tid () in
     S.begin_op s ~tid;
     let n = mk alloc 7 in
-    let link = Link.make (Link.Ptr n) in
-    let st = S.get_protected s ~tid ~idx:0 link in
+    let link = Link.make_in tn_arena (Link.Ptr n) in
+    let st = Link.v_state link (S.get_protected_v s ~tid ~idx:0 link) in
     (match Link.target st with
     | Some m -> check_bool "protected target" true (m == n)
     | None -> Alcotest.fail "lost target");
@@ -62,8 +64,8 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     for i = 1 to 2_000 do
       S.begin_op s ~tid;
       let n = mk alloc i in
-      let link = Link.make (Link.Ptr n) in
-      ignore (S.get_protected s ~tid ~idx:0 link);
+      let link = Link.make_in tn_arena (Link.Ptr n) in
+      ignore (S.get_protected_v s ~tid ~idx:0 link);
       Link.set link Link.Null;
       S.end_op s ~tid;
       S.retire s ~tid n
@@ -72,15 +74,15 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     check_int "all reclaimed" 0 (Memdom.Alloc.live alloc);
     check_int "nothing pending" 0 (S.unreclaimed s)
 
-  (* get_protected must chase a moving link until it validates. *)
+  (* get_protected_v must chase a moving link until it validates. *)
   let test_get_protected_validates () =
     let alloc, s = fresh () in
     let tid = Registry.tid () in
     S.begin_op s ~tid;
     let a = mk alloc 1 and b = mk alloc 2 in
-    let link = Link.make (Link.Ptr a) in
+    let link = Link.make_in tn_arena (Link.Ptr a) in
     Link.set link (Link.Ptr b);
-    let st = S.get_protected s ~tid ~idx:0 link in
+    let st = Link.v_state link (S.get_protected_v s ~tid ~idx:0 link) in
     (match Link.target st with
     | Some m -> check_int "sees latest" 2 (read_value m)
     | None -> Alcotest.fail "null");
@@ -96,7 +98,7 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     let nslots = 16 in
     let iters = 3_000 in
     let table =
-      Array.init nslots (fun i -> Link.make (Link.Ptr (mk alloc i)))
+      Array.init nslots (fun i -> Link.make_in tn_arena (Link.Ptr (mk alloc i)))
     in
     run_domains_exn 4 (fun ~i ~tid ->
         let rng = Rng.create (i * 7919) in
@@ -107,7 +109,7 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
             (* writer: swap in a fresh node, retire the old one *)
             let n = mk alloc k in
             S.protect_raw s ~tid ~idx:0 (Some n);
-            let old = Link.exchange slot (Link.Ptr n) in
+            let old = swap tn_arena slot (Link.Ptr n) in
             S.end_op s ~tid;
             match Link.target old with
             | Some o -> S.retire s ~tid o
@@ -115,7 +117,7 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
           end
           else begin
             (* reader: protect, then dereference *)
-            let st = S.get_protected s ~tid ~idx:0 slot in
+            let st = Link.v_state slot (S.get_protected_v s ~tid ~idx:0 slot) in
             (match Link.target st with
             | Some n -> ignore (read_value n)
             | None -> ());
@@ -125,7 +127,7 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     (* quiesce: drop the table and drain *)
     Array.iter
       (fun slot ->
-        match Link.target (Link.exchange slot Link.Null) with
+        match Link.target (swap tn_arena slot Link.Null) with
         | Some n -> S.retire s ~tid:(Registry.tid ()) n
         | None -> ())
       table;
@@ -141,13 +143,13 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
   let test_tid_recycling () =
     let alloc, s = fresh () in
     let node = mk alloc 1 in
-    let link = Link.make (Link.Ptr node) in
+    let link = Link.make_in tn_arena (Link.Ptr node) in
     let tid1, gen1 =
       Domain.join
         (Domain.spawn (fun () ->
              Registry.with_tid (fun tid ->
                  S.begin_op s ~tid;
-                 ignore (S.get_protected s ~tid ~idx:0 link);
+                 ignore (S.get_protected_v s ~tid ~idx:0 link);
                  Link.set link Link.Null;
                  S.retire s ~tid node;
                  for i = 1 to 8 do
@@ -162,7 +164,9 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
              Registry.with_tid (fun tid ->
                  (* the recycled slot must behave like a fresh one *)
                  S.begin_op s ~tid;
-                 let st = S.get_protected s ~tid ~idx:0 link in
+                 let st =
+                   Link.v_state link (S.get_protected_v s ~tid ~idx:0 link)
+                 in
                  check_bool "sees the unlinked table" true
                    (Link.target st = None);
                  S.end_op s ~tid;
@@ -209,8 +213,8 @@ let test_unsafe_detected () =
   let s = Unsafe.create alloc in
   let tid = Registry.tid () in
   let n = { hdr = Memdom.Alloc.hdr alloc (); value = 1 } in
-  let link = Link.make (Link.Ptr n) in
-  ignore (Unsafe.get_protected s ~tid ~idx:0 link);
+  let link = Link.make_in tn_arena (Link.Ptr n) in
+  ignore (Unsafe.get_protected_v s ~tid ~idx:0 link);
   Link.set link Link.Null;
   Unsafe.retire s ~tid n;
   (match read_value n with
@@ -250,8 +254,8 @@ let test_ptp_handover_parks_then_clear_frees () =
   let s = Ptp.create ~max_hps:4 alloc in
   let tid = Registry.tid () in
   let n = { hdr = Memdom.Alloc.hdr alloc (); value = 1 } in
-  let link = Link.make (Link.Ptr n) in
-  ignore (Ptp.get_protected s ~tid ~idx:2 link);
+  let link = Link.make_in tn_arena (Link.Ptr n) in
+  ignore (Ptp.get_protected_v s ~tid ~idx:2 link);
   Link.set link Link.Null;
   Ptp.retire s ~tid n;
   (* parked in our handover slot, not freed *)
@@ -268,7 +272,8 @@ let test_ptp_linear_bound_under_stress () =
   let nslots = 8 in
   let table =
     Array.init nslots (fun i ->
-        Link.make (Link.Ptr { hdr = Memdom.Alloc.hdr alloc (); value = i }))
+        Link.make_in tn_arena
+          (Link.Ptr { hdr = Memdom.Alloc.hdr alloc (); value = i }))
   in
   let workers = 4 in
   let stop = Atomic.make false in
@@ -291,13 +296,13 @@ let test_ptp_linear_bound_under_stress () =
         let slot = table.(Rng.int rng nslots) in
         if i land 1 = 0 then begin
           let n = { hdr = Memdom.Alloc.hdr alloc (); value = k } in
-          match Link.target (Link.exchange slot (Link.Ptr n)) with
+          match Link.target (swap tn_arena slot (Link.Ptr n)) with
           | Some o -> Ptp.retire s ~tid o
           | None -> ()
         end
         else begin
           let idx = Rng.int rng hps in
-          ignore (Ptp.get_protected s ~tid ~idx slot);
+          ignore (Ptp.get_protected_v s ~tid ~idx slot);
           if Rng.bool rng then Ptp.clear s ~tid ~idx
         end;
         Ptp.end_op s ~tid
@@ -314,7 +319,7 @@ let test_ptp_linear_bound_under_stress () =
     (Atomic.get max_seen <= bound);
   Array.iter
     (fun slot ->
-      match Link.target (Link.exchange slot Link.Null) with
+      match Link.target (swap tn_arena slot Link.Null) with
       | Some n -> Ptp.retire s ~tid:(Registry.tid ()) n
       | None -> ())
     table;

@@ -8,6 +8,8 @@ module Scan_set = Reclaim.Scan_set
 
 type tnode = { hdr : Memdom.Hdr.t; mutable value : int }
 
+let tn_arena = Memdom.Handle.arena ~hdr:(fun (n : tnode) -> n.hdr) ()
+
 module TN = struct
   type t = tnode
 
@@ -178,15 +180,15 @@ let test_elision_hp () =
   let tid = Registry.tid () in
   Hp.begin_op s ~tid;
   let a = mk alloc 1 and b = mk alloc 2 in
-  let link = Link.make (Link.Ptr a) in
-  ignore (Hp.get_protected s ~tid ~idx:0 link);
+  let link = Link.make_in tn_arena (Link.Ptr a) in
+  ignore (Hp.get_protected_v s ~tid ~idx:0 link);
   check_int "first read publishes" 0 (Hp.stats s).elided;
-  ignore (Hp.get_protected s ~tid ~idx:0 link);
+  ignore (Hp.get_protected_v s ~tid ~idx:0 link);
   check_int "second read elides" 1 (Hp.stats s).elided;
   (* the elided read must still protect: retire [a] and confirm it
      survives until the slot clears *)
   Link.set link (Link.Ptr b);
-  ignore (Hp.get_protected s ~tid ~idx:0 link);
+  ignore (Hp.get_protected_v s ~tid ~idx:0 link);
   check_int "moved link re-publishes" 1 (Hp.stats s).elided;
   Hp.retire s ~tid a;
   Hp.retire s ~tid b;
@@ -203,10 +205,10 @@ let test_elision_he () =
   let tid = Registry.tid () in
   He.begin_op s ~tid;
   let a = mk alloc 1 in
-  let link = Link.make (Link.Ptr a) in
-  ignore (He.get_protected s ~tid ~idx:0 link);
+  let link = Link.make_in tn_arena (Link.Ptr a) in
+  ignore (He.get_protected_v s ~tid ~idx:0 link);
   let first = (He.stats s).elided in
-  ignore (He.get_protected s ~tid ~idx:0 link);
+  ignore (He.get_protected_v s ~tid ~idx:0 link);
   check_bool "stable era elides" true ((He.stats s).elided > first);
   He.end_op s ~tid;
   He.retire s ~tid a;
@@ -225,7 +227,7 @@ struct
     let nslots = 8 in
     let iters = 3_000 in
     let table =
-      Array.init nslots (fun i -> Link.make (Link.Ptr (mk alloc i)))
+      Array.init nslots (fun i -> Link.make_in tn_arena (Link.Ptr (mk alloc i)))
     in
     run_domains_exn 4 (fun ~i ~tid ->
         let rng = Rng.create ((i * 7919) + 13) in
@@ -235,7 +237,7 @@ struct
           if i land 1 = 0 then begin
             let n = mk alloc k in
             S.protect_raw s ~tid ~idx:0 (Some n);
-            let old = Link.exchange slot (Link.Ptr n) in
+            let old = swap tn_arena slot (Link.Ptr n) in
             S.end_op s ~tid;
             match Link.target old with
             | Some o -> S.retire s ~tid o
@@ -244,8 +246,8 @@ struct
           else begin
             (* double protected read of the same link: the second is
                the elision fast path unless a writer moved it *)
-            ignore (S.get_protected s ~tid ~idx:0 slot);
-            let st = S.get_protected s ~tid ~idx:0 slot in
+            ignore (S.get_protected_v s ~tid ~idx:0 slot);
+            let st = Link.v_state slot (S.get_protected_v s ~tid ~idx:0 slot) in
             (match Link.target st with
             | Some n -> ignore (read_value n)
             | None -> ());
@@ -255,7 +257,7 @@ struct
     check_bool "elision fired under stress" true ((S.stats s).elided > 0);
     Array.iter
       (fun slot ->
-        match Link.target (Link.exchange slot Link.Null) with
+        match Link.target (swap tn_arena slot Link.Null) with
         | Some n -> S.retire s ~tid:(Registry.tid ()) n
         | None -> ())
       table;

@@ -140,20 +140,18 @@ let test_orc_indexes_recycle_across_guards () =
 let test_orc_stats_counters () =
   let alloc = Memdom.Alloc.create "orc-wb" in
   let o = O.create alloc in
-  let root = Link.make Link.Null in
-  let mk hdr = { hdr; next = Link.make Link.Null } in
+  let root = Link.make_in (O.arena o) Link.Null in
+  let mk hdr = { hdr; next = Link.make_in (O.arena o) Link.Null } in
   (* build a chain of 100, then drop it: cascades must show up *)
   O.with_guard o (fun g ->
       let p = O.ptr g and q = O.ptr g in
       for _ = 1 to 100 do
         O.load g root q;
         let n = O.alloc_node_into g p mk in
-        (match O.Ptr.state q with
-        | Link.Null -> ()
-        | st -> O.store g n.next st);
-        O.store g root (Link.Ptr n)
+        O.store_v g n.next (O.Ptr.view q);
+        O.store_v g root (O.v_ptr o n)
       done);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   let st = O.stats o in
   check_bool "retires counted" true (st.O.retires >= 100);
   check_bool "cascade drained recursively" true (st.O.cascades >= 90);
@@ -161,10 +159,10 @@ let test_orc_stats_counters () =
   (* a pinned unlink must count a handover *)
   O.with_guard o (fun g ->
       let p = O.alloc_node g mk in
-      O.store g root (O.Ptr.state p);
+      O.store_v g root (O.Ptr.view p);
       let h = O.ptr g in
       O.load g root h;
-      O.store g root Link.Null (* p pinned by h: parked via handover *));
+      O.store_v g root Link.v_null (* p pinned by h: parked via handover *));
   let st2 = O.stats o in
   check_bool "handover counted" true (st2.O.handovers > st.O.handovers);
   check_int "reclaimed after guard exit" 0 (Memdom.Alloc.live alloc)
@@ -177,19 +175,17 @@ let test_orc_stats_counters () =
 let test_orc_scan_cost_bounded () =
   let alloc = Memdom.Alloc.create "orc-wb" in
   let o = O.create alloc in
-  let root = Link.make Link.Null in
-  let mk hdr = { hdr; next = Link.make Link.Null } in
+  let root = Link.make_in (O.arena o) Link.Null in
+  let mk hdr = { hdr; next = Link.make_in (O.arena o) Link.Null } in
   O.with_guard o (fun g ->
       let p = O.ptr g and q = O.ptr g in
       for _ = 1 to 200 do
         O.load g root q;
         let n = O.alloc_node_into g p mk in
-        (match O.Ptr.state q with
-        | Link.Null -> ()
-        | st -> O.store g n.next st);
-        O.store g root (Link.Ptr n)
+        O.store_v g n.next (O.Ptr.view q);
+        O.store_v g root (O.v_ptr o n)
       done);
-  O.with_guard o (fun g -> O.store g root Link.Null);
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
   let st = O.stats o in
   check_bool "retires drove scans" true (st.O.scans >= 200);
   let per_scan_bound = Registry.registered () * O.hazard_watermark o in

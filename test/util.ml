@@ -100,3 +100,8 @@ let trace_retry ~name ~bound ~first run =
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* Scheme tests model a structure as a table of root links over one
+   arena per node type; [swap] is their atomic state-level exchange. *)
+let swap arena l st =
+  Link.v_state_in arena (Link.exchange_v l (Link.v_of_state_in arena st))

@@ -8,7 +8,7 @@
      registered row count the scans walk and slots_per_row is H for the
      pointer and era schemes and 1 for IBR's single interval,
    - read-side elision actually firing (elided > 0) for the schemes
-     that implement it (hp and the era schemes; PTB's get_protected
+     that implement it (hp and the era schemes; PTB's get_protected_v
      keeps the unconditional publish).
 
      dune exec tools/check_scan.exe -- BENCH_orc.json
