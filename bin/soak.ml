@@ -114,7 +114,7 @@ let targets ?mode () =
   ]
 
 (* KV soak (--kv): zipfian YCSB-B traffic over the resizable
-   split-ordered maps — one per scheme twin, all growing from two
+   split-ordered maps — one per scheme, all growing from two
    buckets under load — until the time budget runs out.  Unlike the
    uniform main soak, the skewed draw concentrates contention on a few
    hot keys while the long tail keeps forcing directory doublings;
@@ -442,7 +442,7 @@ let kv_arg =
     & info [ "kv" ]
         ~doc:
           "KV mode: zipfian YCSB-B traffic over the resizable \
-           split-ordered maps (one per scheme twin), asserting directory \
+           split-ordered maps (one per scheme), asserting directory \
            growth, structural coherence and leak-freedom at teardown.")
 
 let pool_arg =

@@ -223,7 +223,7 @@ val run_adaptive :
 (** {2 Split-ordered map growth}
 
     The directory-doubling battery: insert-heavy churn over
-    {!Ds.Orc_split_map} (and the manual HP twin) forces repeated
+    {!Ds.Orc_split_map} (and {!Ds.Split_map} over HP) forces repeated
     doublings while domains die right after witnessing one — sometimes
     abruptly, slot left Active — so the freshly split buckets'
     directory entries are still uninitialized when their initializer

@@ -942,4 +942,18 @@ module Make (N : NODE) = struct
       if !progress then drain_bufs ()
     in
     drain_bufs ()
+
+  (* The calls a manual scheme makes at the same program points
+     ([Ds.Intf.CORE]).  Here the hard-link counts do that work: an
+     unlinked or never-published node is freed by its count and its
+     handle, and dropping the roots cascades through the structure. *)
+  let retire _ _ = ()
+  let discard _ _ = ()
+
+  let release_roots t roots =
+    with_guard t (fun g ->
+        List.iter
+          (fun r ->
+            if not (Link.v_is_null (Link.view r)) then store_v g r Link.v_null)
+          roots)
 end

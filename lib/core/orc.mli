@@ -300,4 +300,19 @@ module Make (N : NODE) : sig
       adopt every parked handover and retire the background buffers.
       Destroys all live protections — only call with no concurrent
       operations. *)
+
+  (** {2 The manual-scheme calls, as no-ops}
+
+      A structure written once against [Ds.Intf.CORE] makes the calls a
+      manual scheme needs at the program points where it needs them.
+      Under OrcGC the hard-link counts do that work, so [retire] and
+      [discard] do nothing: an unlinked node is freed when its count
+      drops, and a never-published node by the handle that holds it. *)
+
+  val retire : guard -> Ptr.t -> unit
+  val discard : guard -> node -> unit
+
+  val release_roots : t -> node Atomicx.Link.t list -> unit
+  (** Quiesced teardown: store null into each root; the counts cascade
+      through everything only the roots kept alive. *)
 end

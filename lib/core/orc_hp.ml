@@ -716,4 +716,18 @@ module Make (N : Orc.NODE) = struct
       if Memdom.Alloc.freed t.alloc > freed_before then drain ()
     in
     drain ()
+
+  (* The calls a manual scheme makes at the same program points
+     ([Ds.Intf.CORE]).  Here the hard-link counts do that work: an
+     unlinked or never-published node is freed by its count and its
+     handle, and dropping the roots cascades through the structure. *)
+  let retire _ _ = ()
+  let discard _ _ = ()
+
+  let release_roots t roots =
+    with_guard t (fun g ->
+        List.iter
+          (fun r ->
+            if not (Link.v_is_null (Link.view r)) then store_v g r Link.v_null)
+          roots)
 end

@@ -1,7 +1,8 @@
-(** Michael's lock-free hash table [18] (same paper as the list):
-    fixed-size array of lock-free list buckets sharing one scheme
-    instance, one allocator and one tail sentinel.  Parameterized by a
-    manual reclamation scheme. *)
+(** Michael's lock-free hash table [18] (same paper as the list) over a
+    manual reclamation scheme: the same source as {!Orc_hash_map}, run
+    over {!Manual_core} — a fixed-size array of lock-free list buckets
+    sharing one scheme instance, one allocator and one tail
+    sentinel. *)
 
 val default_buckets : int
 

@@ -63,3 +63,83 @@ module type SET = sig
   val flush : t -> unit
   val alloc : t -> Memdom.Alloc.t
 end
+
+(** The reclamation interface a set algorithm is written against — the
+    paper's §4.1.1 methodology as a signature: an OrcGC structure and
+    its manual-reclamation version differ only in the calls below, so
+    each algorithm is written once as a functor over [CORE].
+
+    Three families satisfy it: [Orc_core.Orc.Make] (scheme "orc"),
+    [Orc_core.Orc_hp.Make] ("orc-hp") and {!Manual_core.Make} over any
+    manual scheme.  Handles ([Ptr.t]) are guard-scoped local references,
+    each owning one hazard index; [load] protects a link's target in the
+    handle, [advance] steps a prev/curr/next window by permuting the
+    three handles (no publish), and the mutators take the word views
+    the handles hold. *)
+module type CORE = sig
+  type node
+  type t
+  type guard
+
+  module Ptr : sig
+    type t
+
+    val view : t -> node Atomicx.Link.view
+    val node_exn : t -> node
+    val is_marked : t -> bool
+    val retag_v : t -> node Atomicx.Link.view -> unit
+  end
+
+  val name : string
+  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
+
+  val with_guard : t -> (guard -> 'a) -> 'a
+  (** One operation; every handle's protection ends on exit, normal or
+      exceptional. *)
+
+  val ptr : guard -> Ptr.t
+  val load : guard -> node Atomicx.Link.t -> Ptr.t -> unit
+  val assign : guard -> Ptr.t -> Ptr.t -> unit
+  val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
+  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
+  val new_link_v : guard -> node Atomicx.Link.view -> node Atomicx.Link.t
+  val store_v : guard -> node Atomicx.Link.t -> node Atomicx.Link.view -> unit
+
+  val cas_v :
+    guard ->
+    node Atomicx.Link.t ->
+    expected:node Atomicx.Link.view ->
+    desired:node Atomicx.Link.view ->
+    bool
+
+  val unlink_v :
+    guard ->
+    node Atomicx.Link.t ->
+    Ptr.t ->
+    desired:node Atomicx.Link.view ->
+    bool
+  (** The CAS that physically unlinks the handle's target, which is
+      retired on success (orc: its protection ends, and the count drop
+      frees it). *)
+
+  val retire : guard -> Ptr.t -> unit
+  (** The handle's target was just unlinked by a successful [cas_v]:
+      hand it to the scheme.  A no-op under orc, where the count drop
+      does the work. *)
+
+  val discard : guard -> node -> unit
+  (** Free a node that was allocated but never published.  A no-op
+      under orc, where the handle that holds it frees it. *)
+
+  val release_roots : t -> node Atomicx.Link.t list -> unit
+  (** Quiesced teardown: free everything reachable from [roots] and null
+      them.  Orc stores null into each root and lets the counts
+      cascade; a manual scheme frees each reachable node once and then
+      flushes. *)
+
+  val v_ptr : t -> node -> node Atomicx.Link.view
+  val unreclaimed : t -> int
+  val flush : t -> unit
+  val tuning : t -> Reclaim.Tuning.t
+  val set_tuning : t -> Reclaim.Tuning.t -> unit
+end

@@ -1,30 +1,43 @@
-(** Michael's lock-free list with OrcGC — same algorithm as
-    {!Michael_list} but with type annotations only: links are orc-managed,
-    local references are guard-scoped [Ptr] handles, and there is no
-    retire call; unlinking a node drops its last hard link and OrcGC
-    reclaims it once unprotected (paper §4.1.1 methodology).
+(** Michael's lock-free linked-list set [18] ("Michael-Harris" in the
+    paper's figures), written once against {!Intf.CORE}: {!Make} runs
+    it under OrcGC, {!Michael_list.Make} over a manual scheme.
+
+    This is the one list of the paper's four that manual schemes {e
+    can} handle: a node is marked (logical delete) and then physically
+    unlinked by a single CAS, and only the unlinking thread retires it,
+    so retire's precondition — unreachable from the roots — holds at a
+    fixed program point.  Those points are the core's [retire] and
+    [unlink_v]; under OrcGC the first is a no-op and the second drops
+    the node's last hard link (paper §4.1.1 methodology).
 
     Handles hold raw link words ([O.Ptr.view]), window validation
     compares words ([Link.view_eq] — sound because the word's target is
-    hazard-protected, pinning its arena slot, and the write stamp tells
-    a rewritten link apart), and the CASes are word operations, so a
-    clean traversal allocates nothing. *)
+    protected, pinning its arena slot, and the write stamp tells a
+    rewritten link apart), and the CASes are word operations.  Keys
+    must lie strictly between [min_int] and [max_int] (the sentinel
+    keys). *)
 
 open Atomicx
 
-module Make () = struct
-  type node = { key : int; next : node Link.t; hdr : Memdom.Hdr.t }
+type node = { key : int; next : node Link.t; hdr : Memdom.Hdr.t }
 
-  module O = Orc_core.Orc.Make (struct
-    type t = node
+module N = struct
+  type t = node
 
-    let hdr n = n.hdr
-    let iter_links n f = f n.next
-  end)
+  let hdr n = n.hdr
+  let iter_links n f = f n.next
+end
 
+module type S = sig
+  include Intf.SET
+
+  val restarts : t -> int
+end
+
+module Impl (O : Intf.CORE with type node = node) = struct
   type t = {
-    head : node;
-    tail : node;
+    head : node; (* sentinel, never retired *)
+    tail : node; (* sentinel, never retired *)
     head_root : node Link.t; (* root links keep the sentinels counted *)
     tail_root : node Link.t;
     orc : O.t;
@@ -32,7 +45,7 @@ module Make () = struct
     restarts : int Atomic.t; (* traversal restarts (validation failures) *)
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
 
   let next_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -43,23 +56,21 @@ module Make () = struct
     n.key
 
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_michael_list" in
-    let orc = O.create alloc in
+    let alloc = Memdom.Alloc.create ~mode ("michael_list/" ^ O.name) in
+    let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let tp =
-          O.alloc_node g (fun hdr ->
+        let tail =
+          O.alloc_node_into g (O.ptr g) (fun hdr ->
               { key = max_int; next = O.new_link_v g Link.v_null; hdr })
         in
-        let tail = O.Ptr.node_exn tp in
-        let hp =
-          O.alloc_node g (fun hdr ->
+        let head =
+          O.alloc_node_into g (O.ptr g) (fun hdr ->
               {
                 key = min_int;
                 next = O.new_link_v g (O.v_ptr orc tail);
                 hdr;
               })
         in
-        let head = O.Ptr.node_exn hp in
         let head_root = O.new_link_v g (O.v_ptr orc head) in
         let tail_root = O.new_link_v g (O.v_ptr orc tail) in
         { head; tail; head_root; tail_root; orc; alloc; restarts = Atomic.make 0 })
@@ -72,42 +83,43 @@ module Make () = struct
      ready to be used as a CAS expectation.  [prev] protects the node
      that owns that link (or is irrelevant when it is the head's). *)
   let rec find t g key ~prev ~curr ~next =
-    let prev_link = ref t.head.next in
-    O.load g !prev_link curr;
     let restart () =
       Atomic.incr t.restarts;
       find t g key ~prev ~curr ~next
     in
-    let rec loop () =
+    let rec loop prev_link =
       let c = O.Ptr.node_exn curr in
       O.load g (next_of c) next;
-      if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view curr)) then
+      if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
         restart ()
       else if O.Ptr.is_marked next then begin
-        (* curr logically deleted: unlink; its count drops automatically *)
+        (* curr is logically deleted: unlink it physically; the window
+           keeps validating against the word the CAS installs *)
         let unmarked =
           Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
         in
-        if O.cas_v g !prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
+        if O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
         then begin
+          O.retire g curr;
           O.assign g curr next;
           O.Ptr.retag_v curr unmarked;
-          loop ()
+          loop prev_link
         end
         else restart ()
       end
-      else if key_of c >= key then (key_of c = key, !prev_link)
+      else if key_of c >= key then (key_of c = key, prev_link)
       else begin
         O.advance g prev curr next;
-        prev_link := next_of c;
-        loop ()
+        loop (next_of c)
       end
     in
-    loop ()
+    let root = t.head.next in
+    O.load g root curr;
+    loop root
 
   let check_key key =
     if key = min_int || key = max_int then
-      invalid_arg "Orc_michael_list: key out of range"
+      invalid_arg "Michael_list: key must be strictly inside (min_int, max_int)"
 
   let contains t key =
     check_key key;
@@ -122,21 +134,23 @@ module Make () = struct
     let node = ref None in
     let rec loop () =
       let found, prev_link = find t g key ~prev ~curr ~next in
-      if found then false
+      if found then begin
+        Option.iter (O.discard g) !node;
+        false
+      end
       else begin
         let n =
           match !node with
           | Some n -> n
           | None ->
-              let p =
-                O.alloc_node g (fun hdr ->
+              let n =
+                O.alloc_node_into g (O.ptr g) (fun hdr ->
                     { key; next = O.new_link_v g Link.v_null; hdr })
               in
-              let n = O.Ptr.node_exn p in
               node := Some n;
               n
         in
-        (* point the private node at curr (counts maintained), then CAS *)
+        (* point the private node at curr, then CAS *)
         O.store_v g n.next (O.Ptr.view curr);
         if
           O.cas_v g prev_link ~expected:(O.Ptr.view curr)
@@ -171,9 +185,9 @@ module Make () = struct
             O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
               ~desired:(Link.v_mark (O.Ptr.view next))
           then begin
-            (* attempt physical unlink (otherwise a later find cleans
-               up); it ends [curr]'s protection, so the victim is freed
-               here unless another thread protects it *)
+            (* attempt the physical unlink, which retires [curr] (orc:
+               ends its protection, so the victim is freed here unless
+               another thread protects it); otherwise a find cleans up *)
             if
               not
                 (O.unlink_v g prev_link curr
@@ -190,6 +204,8 @@ module Make () = struct
     in
     loop ()
 
+  (* Quiesced helpers: the keys of nodes that are reachable and not
+     logically deleted. *)
   let to_list t =
     let rec walk acc n =
       match Link.target (Link.get n.next) with
@@ -203,14 +219,10 @@ module Make () = struct
     walk [] t.head
 
   let size t = List.length (to_list t)
-
-  (* Drop the roots and the head's chain: OrcGC cascades. *)
-  let destroy t =
-    O.with_guard t.orc (fun g ->
-        O.store_v g t.head_root Link.v_null;
-        O.store_v g t.tail_root Link.v_null)
-
+  let destroy t = O.release_roots t.orc [ t.head_root; t.tail_root ]
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc
   let alloc t = t.alloc
 end
+
+module Make () = Impl (Orc_core.Orc.Make (N))

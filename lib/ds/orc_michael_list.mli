@@ -1,10 +1,14 @@
-(** Michael's lock-free list with OrcGC — same algorithm as
-    {!Michael_list} with type annotations only; unlinking drops the
-    node's last hard link and OrcGC reclaims it once unprotected.
-    Word views and the unboxed uid hazard plane keep a clean traversal
-    allocation-free. *)
+(** Michael's lock-free list, written once against {!Intf.CORE}; see
+    the implementation header.  {!Make} runs it under OrcGC, where
+    unlinking drops the node's last hard link and OrcGC reclaims it
+    once unprotected; {!Michael_list.Make} runs {!Impl} over a manual
+    scheme. *)
 
-module Make () : sig
+type node
+
+module N : Orc_core.Orc.NODE with type t = node
+
+module type S = sig
   include Intf.SET
 
   val restarts : t -> int
@@ -12,3 +16,6 @@ module Make () : sig
       since [create] — whitebox visibility into contention for tests and
       the pack benchmark. *)
 end
+
+module Impl (_ : Intf.CORE with type node = node) : S
+module Make () : S

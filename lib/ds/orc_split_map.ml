@@ -1,23 +1,41 @@
-(** Split-ordered resizable hash map with OrcGC — the automatic twin
-    of {!Split_map}, and the structure where split ordering and OrcGC
-    compose best: a resize moves no node, so it flips no hard-link
-    count and retires nothing; growing under churn adds {e zero}
+(** Split-ordered lock-free resizable hash map (Shalev & Shavit) — the
+    resizable successor of {!Orc_hash_map}, written once against
+    {!Intf.CORE}.
+
+    The whole map is one Michael list sorted by so-key
+    ({!Split_order}): every bucket is a dummy node spliced into that
+    list, the bucket directory is a never-moving segment table of entry
+    links, and growing the table is a single atomic doubling of the
+    bucket count — no node moves, nothing is rehashed, and (crucially
+    for the reclamation story) a resize retires {e nothing} and, under
+    OrcGC, flips no hard-link count: growing under churn adds zero
     reclamation traffic beyond the inserts and deletes themselves.
+    Buckets are initialized lazily and recursively: bucket [b]'s dummy
+    is inserted by a list insert anchored at [parent b]'s dummy.
 
-    Directory entry links are orc links, so a bucket's dummy is kept
+    Traversal, unlinking and retirement are {!Orc_michael_list}'s
+    window search, anchored at a bucket entry and ordered by so-key
+    instead of key.  Dummies are never marked and never retired (only
+    regular so-keys are ever removed), so an entry link, once set,
+    points at a live node until [destroy].  Under OrcGC a dummy is kept
     alive by its entry (count from the directory) plus its list
-    predecessor — dummies die only at [destroy], when the entries are
-    nulled and the one list cascades.
+    predecessor, and dies when [destroy] nulls the entries and the one
+    list cascades.
 
-    The core is a functor over the orc backend so the pass-the-pointer
-    instance ({!Make}, scheme "orc") and the hazard-pointer-backend
-    ablation ({!Make_hp}, scheme "orc-hp") share every line of map
-    logic. *)
+    {!Make} runs on the paper's pass-the-pointer backend (scheme
+    "orc"), {!Make_hp} on the hazard-pointer-backend ablation
+    ("orc-hp"), and {!Split_map.Make} on any manual scheme through
+    {!Manual_core}: one source, three reclamation families.
+
+    The grow policy reads {!Reclaim.Tuning.load_factor} from the
+    core's knob record, so the adaptive controller can defer doublings
+    under memory pressure.  Keys must lie in
+    [[0, Split_order.max_key]]. *)
 
 open Atomicx
 module So = Split_order
 
-let initial_buckets = Split_map.initial_buckets
+let initial_buckets = 2
 
 type node = { key : int; so : int; next : node Link.t; hdr : Memdom.Hdr.t }
 
@@ -28,7 +46,7 @@ module N = struct
   let iter_links n f = f n.next
 end
 
-(** What the twins expose: {!Intf.SET} plus map introspection. *)
+(** {!Intf.SET} plus map introspection. *)
 module type MAP = sig
   include Intf.SET
 
@@ -40,66 +58,25 @@ module type MAP = sig
   val set_tuning : t -> Reclaim.Tuning.t -> unit
 end
 
-(** The orc surface the map needs — satisfied by both
-    [Orc_core.Orc.Make (N)] and [Orc_core.Orc_hp.Make (N)]. *)
-module type CORE = sig
-  type t
-  type guard
-
-  module Ptr : sig
-    type t
-
-    val view : t -> node Link.view
-    val node_exn : t -> node
-    val is_marked : t -> bool
-    val retag_v : t -> node Link.view -> unit
-  end
-
-  val name : string
-
-  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
-
-  val with_guard : t -> (guard -> 'a) -> 'a
-  val ptr : guard -> Ptr.t
-  val load : guard -> node Link.t -> Ptr.t -> unit
-  val assign : guard -> Ptr.t -> Ptr.t -> unit
-  val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
-  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
-  val new_link_v : guard -> node Link.view -> node Link.t
-  val store_v : guard -> node Link.t -> node Link.view -> unit
-
-  val cas_v :
-    guard -> node Link.t ->
-    expected:node Link.view -> desired:node Link.view -> bool
-
-  val unlink_v :
-    guard -> node Link.t -> Ptr.t -> desired:node Link.view -> bool
-
-  val v_ptr : t -> node -> node Link.view
-  val unreclaimed : t -> int
-  val flush : t -> unit
-  val tuning : t -> Reclaim.Tuning.t
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
-end
-
-module Impl (O : CORE) = struct
-  type nonrec node = node
-
+module Impl (O : Intf.CORE with type node = node) = struct
   type t = {
     dir : node So.dir;
     entry0 : node Link.t; (* bucket 0's entry, materialized at create *)
-    tail : node;
+    tail : node; (* sentinel, so = max_int, never retired *)
     tail_root : node Link.t;
-    buckets_a : int Atomic.t;
-    count : int Atomic.t;
+    buckets_a : int Atomic.t; (* current bucket count (power of two) *)
+    count : int Atomic.t; (* live regular keys (exact on quiescence) *)
     grows : int Atomic.t;
     orc : O.t;
     alloc : Memdom.Alloc.t;
     restarts : int Atomic.t;
-    mutable probes : (unit -> int) list; (* keep-alive, see Split_map *)
+    mutable probes : (unit -> int) list;
+        (* metrics closures are weakly held by the registry; anchoring
+           them here keeps the probes alive exactly as long as the map *)
   }
 
   let scheme_name = O.name
+  let core t = t.orc
 
   let next_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -117,6 +94,7 @@ module Impl (O : CORE) = struct
     let labels = [ ("map", "split"); ("scheme", O.name) ] in
     let buckets () = Atomic.get t.buckets_a in
     let lf100 () =
+      (* observed load factor in hundredths (keys per bucket × 100) *)
       Atomic.get t.count * 100 / max 1 (Atomic.get t.buckets_a)
     in
     let grows () = Atomic.get t.grows in
@@ -126,22 +104,20 @@ module Impl (O : CORE) = struct
     Obs.Metrics.probe reg ~labels ~counter:true "orcgc_map_grows_total" grows;
     [ buckets; lf100; grows ]
 
+  let mk_null g () = O.new_link_v g Link.v_null
+
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_split_map" in
-    let orc = O.create alloc in
+    let alloc = Memdom.Alloc.create ~mode ("split_map/" ^ O.name) in
+    let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
         let tp = O.ptr g in
         let tail =
           O.alloc_node_into g tp (fun hdr ->
-              {
-                key = max_int;
-                so = max_int;
-                next = O.new_link_v g Link.v_null;
-                hdr;
-              })
+              { key = max_int; so = max_int; next = mk_null g (); hdr })
         in
         let hp = O.ptr g in
         let head =
+          (* bucket 0's dummy: so = 0, first node of the one list *)
           O.alloc_node_into g hp (fun hdr ->
               {
                 key = 0;
@@ -151,9 +127,7 @@ module Impl (O : CORE) = struct
               })
         in
         let dir = So.dir_create () in
-        let e0 =
-          So.dir_entry dir ~mk_null:(fun () -> O.new_link_v g Link.v_null) 0
-        in
+        let e0 = So.dir_entry dir ~mk_null:(mk_null g) 0 in
         let t =
           {
             dir;
@@ -178,39 +152,40 @@ module Impl (O : CORE) = struct
   let grows t = Atomic.get t.grows
 
   (* Michael window-find from entry [e] by so-key; same handle
-     discipline as Orc_michael_list.find. *)
+     discipline as Orc_michael_list.find.  On [true], [curr] holds
+     [so]; so-keys are unique (bijective hash), so so-equality is
+     key-equality. *)
   let rec find_from t g e so ~prev ~curr ~next =
-    let prev_link = ref e in
-    O.load g !prev_link curr;
     let restart () =
       Atomic.incr t.restarts;
       find_from t g e so ~prev ~curr ~next
     in
-    let rec loop () =
+    let rec loop prev_link =
       let c = O.Ptr.node_exn curr in
       O.load g (next_of c) next;
-      if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view curr)) then
+      if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
         restart ()
       else if O.Ptr.is_marked next then begin
         let unmarked =
           Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
         in
-        if O.cas_v g !prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
+        if O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
         then begin
+          O.retire g curr;
           O.assign g curr next;
           O.Ptr.retag_v curr unmarked;
-          loop ()
+          loop prev_link
         end
         else restart ()
       end
-      else if so_of c >= so then (so_of c = so, !prev_link)
+      else if so_of c >= so then (so_of c = so, prev_link)
       else begin
         O.advance g prev curr next;
-        prev_link := next_of c;
-        loop ()
+        loop (next_of c)
       end
     in
-    loop ()
+    O.load g e curr;
+    loop e
 
   (* Lazy recursive bucket initialization: the dummy goes in by a list
      insert anchored at the parent's dummy, then one CAS publishes it
@@ -218,9 +193,7 @@ module Impl (O : CORE) = struct
      The [dnode] handle is reused across levels, so initializing a
      20-deep ancestor chain costs no extra hazard indexes. *)
   let rec get_entry t g b ~prev ~curr ~next ~dnode =
-    let e =
-      So.dir_entry t.dir ~mk_null:(fun () -> O.new_link_v g Link.v_null) b
-    in
+    let e = So.dir_entry t.dir ~mk_null:(mk_null g) b in
     if Link.v_is_null (Link.view e) then
       init_bucket t g b e ~prev ~curr ~next ~dnode;
     e
@@ -234,7 +207,7 @@ module Impl (O : CORE) = struct
       else begin
         let n =
           O.alloc_node_into g dnode (fun hdr ->
-              { key = b; so; next = O.new_link_v g Link.v_null; hdr })
+              { key = b; so; next = mk_null g (); hdr })
         in
         O.store_v g n.next (O.Ptr.view curr);
         if
@@ -242,6 +215,8 @@ module Impl (O : CORE) = struct
             ~desired:(O.v_ptr t.orc n)
         then n
         else begin
+          (* lost the race: the fresh dummy was never published *)
+          O.discard g n;
           Atomic.incr t.restarts;
           loop ()
         end
@@ -255,8 +230,11 @@ module Impl (O : CORE) = struct
 
   let check_key key =
     if key < 0 || key > So.max_key then
-      invalid_arg "Orc_split_map: key out of range [0, 2^60)"
+      invalid_arg "Split_map: key out of range [0, 2^60)"
 
+  (* Size-triggered doubling, checked after successful adds.  One CAS
+     per doubling — losers simply observe the new size on their next
+     operation. *)
   let maybe_grow t =
     let size = Atomic.get t.buckets_a in
     if size < So.max_buckets then
@@ -299,7 +277,10 @@ module Impl (O : CORE) = struct
       let node = ref None in
       let rec loop () =
         let found, prev_link = find_from t g e so ~prev ~curr ~next in
-        if found then false
+        if found then begin
+          Option.iter (O.discard g) !node;
+          false
+        end
         else begin
           let n =
             match !node with
@@ -307,7 +288,7 @@ module Impl (O : CORE) = struct
             | None ->
                 let n =
                   O.alloc_node_into g dnode (fun hdr ->
-                      { key; so; next = O.new_link_v g Link.v_null; hdr })
+                      { key; so; next = mk_null g (); hdr })
                 in
                 node := Some n;
                 n
@@ -363,8 +344,9 @@ module Impl (O : CORE) = struct
               O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
                 ~desired:(Link.v_mark (O.Ptr.view next))
             then begin
-              (* physical unlink, which also ends [curr]'s protection: the
-                 victim is freed here unless another thread protects it *)
+              (* physical unlink, which retires [curr] (orc: ends its
+                 protection, so it is freed here unless another thread
+                 protects it); on failure a find cleans up *)
               if
                 not
                   (O.unlink_v g prev_link curr
@@ -387,8 +369,9 @@ module Impl (O : CORE) = struct
   let head_of t =
     match Link.target (Link.get t.entry0) with
     | Some h -> h
-    | None -> invalid_arg "Orc_split_map: destroyed"
+    | None -> invalid_arg "Split_map: destroyed"
 
+  (* Quiesced helpers: walk the one list from bucket 0's dummy. *)
   let to_list t =
     let rec walk acc n =
       match Link.target (Link.get n.next) with
@@ -406,33 +389,36 @@ module Impl (O : CORE) = struct
 
   let size t = List.length (to_list t)
 
+  (* Quiesced structural check: so-keys strictly increase along the
+     list (so the split ordering held through every grow), the walk
+     reaches the tail, and every initialized entry targets an unmarked
+     dummy carrying exactly its bucket's so-key. *)
   let invariant t =
     let ok = ref true in
     let rec walk n prev_so =
       if n != t.tail then begin
         if so_of n <= prev_so then ok := false;
         match Link.target (Link.get n.next) with
-        | None -> ok := false
+        | None -> ok := false (* only the tail terminates the list *)
         | Some nx -> walk nx (so_of n)
       end
     in
     walk (head_of t) (-1);
-    So.dir_iter t.dir (fun e ->
-        match Link.target (Link.get e) with
-        | None -> ()
-        | Some d ->
-            if not (So.is_dummy (so_of d)) || Link.is_marked (Link.get d.next)
-            then ok := false);
+    O.with_guard t.orc (fun g ->
+        for b = 0 to Atomic.get t.buckets_a - 1 do
+          let e = So.dir_entry t.dir ~mk_null:(mk_null g) b in
+          match Link.target (Link.get e) with
+          | None -> () (* lazily uninitialized is fine *)
+          | Some d ->
+              if so_of d <> So.dummy b || Link.is_marked (Link.get d.next) then
+                ok := false
+        done);
     !ok
 
-  (* Null every entry and the tail root: each store drops one hard
-     link, and the one list cascades from bucket 0's dummy. *)
   let destroy t =
-    O.with_guard t.orc (fun g ->
-        So.dir_iter t.dir (fun e ->
-            if not (Link.v_is_null (Link.view e)) then
-              O.store_v g e Link.v_null);
-        O.store_v g t.tail_root Link.v_null)
+    let roots = ref [ t.tail_root ] in
+    So.dir_iter t.dir (fun e -> roots := e :: !roots);
+    O.release_roots t.orc !roots
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

@@ -1,23 +1,45 @@
-(** Split-ordered resizable hash map with OrcGC — automatic twin of
-    {!Split_map}; see the implementation header.  {!Make} runs on the
+(** Split-ordered resizable hash map, written once against
+    {!Intf.CORE} — see the implementation header.  {!Make} runs on the
     paper's pass-the-pointer backend ("orc"), {!Make_hp} on the
-    hazard-pointer backend ablation ("orc-hp"); both satisfy
-    {!Intf.SET} plus the introspection below. *)
+    hazard-pointer backend ablation ("orc-hp"), and {!Split_map.Make}
+    runs {!Impl} over a manual scheme; all satisfy {!MAP}. *)
 
 val initial_buckets : int
+
+type node
+
+module N : Orc_core.Orc.NODE with type t = node
 
 module type MAP = sig
   include Intf.SET
 
   val restarts : t -> int
+  (** Traversal restarts (validation failures + lost CAS races). *)
+
   val buckets : t -> int
+  (** Current bucket count (power of two). *)
+
   val grows : t -> int
+  (** Directory doublings performed since creation. *)
 
   val invariant : t -> bool
-  (** Quiesced structural check (see {!Split_map.Make.invariant}). *)
+  (** Quiesced structural check: so-keys strictly increase along the
+      list, the walk reaches the tail, and every initialized bucket
+      entry targets an unmarked dummy with the bucket's so-key. *)
 
   val tuning : t -> Reclaim.Tuning.t
+  (** The core's knob record; its {!Reclaim.Tuning.load_factor} drives
+      the grow policy. *)
+
   val set_tuning : t -> Reclaim.Tuning.t -> unit
+end
+
+(** The map over any reclamation core; [core] exposes the instance
+    (for the scheme's own counters). *)
+module Impl (O : Intf.CORE with type node = node) : sig
+  include MAP
+
+  val core : t -> O.t
 end
 
 module Make () : MAP

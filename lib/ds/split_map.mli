@@ -1,33 +1,13 @@
 (** Split-ordered resizable lock-free hash map over a manual
-    reclamation scheme — see the implementation header for the
-    algorithm and {!Split_order} for the key encoding.  Satisfies
-    {!Intf.SET} plus the map-specific introspection below. *)
+    reclamation scheme: the same source as {!Orc_split_map}, run over
+    {!Manual_core}.  See {!Orc_split_map} for the algorithm and
+    {!Split_order} for the key encoding. *)
 
 val initial_buckets : int
 (** 2 — every map starts at two buckets and doubles on demand. *)
 
 module Make (_ : Reclaim.Scheme_intf.MAKER) : sig
-  include Intf.SET
-
-  val restarts : t -> int
-  (** Traversal restarts (validation failures + lost CAS races). *)
-
-  val buckets : t -> int
-  (** Current bucket count (power of two). *)
-
-  val grows : t -> int
-  (** Directory doublings performed since creation. *)
-
-  val invariant : t -> bool
-  (** Quiesced structural check: so-keys strictly increase along the
-      list, the walk reaches the tail, and every initialized bucket
-      entry targets an unmarked dummy with the bucket's so-key. *)
-
-  val tuning : t -> Reclaim.Tuning.t
-  (** The underlying scheme's knob record; its
-      {!Reclaim.Tuning.load_factor} drives the grow policy. *)
-
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
+  include Orc_split_map.MAP
 
   val stats : t -> Reclaim.Scheme_intf.stats
   (** The scheme's unified counters — [retires] counts exactly the
