@@ -540,43 +540,14 @@ module Pack_hp = Reclaim.Hp.Make (PN)
 module Pack_ptb = Reclaim.Ptb.Make (PN)
 module Pack_ptp = Orc_core.Ptp.Make (PN)
 
-module type PACK_ORC = sig
-  type t
-  type guard
+module PON = struct
+  include PN
 
-  module Ptr : sig
-    type t
-
-    val view : t -> pnode Atomicx.Link.view
-    val node_exn : t -> pnode
-  end
-
-  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
-
-  val with_guard : t -> (guard -> 'a) -> 'a
-  val ptr : guard -> Ptr.t
-  val load : guard -> pnode Atomicx.Link.t -> Ptr.t -> unit
-  val assign : guard -> Ptr.t -> Ptr.t -> unit
-  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> pnode) -> pnode
-  val new_link_v : guard -> pnode Atomicx.Link.view -> pnode Atomicx.Link.t
-  val store_v : guard -> pnode Atomicx.Link.t -> pnode Atomicx.Link.view -> unit
-  val v_ptr : t -> pnode -> pnode Atomicx.Link.view
-  val flush : t -> unit
+  let iter_links n f = f n.p_next
 end
 
-module Pack_orc = Orc_core.Orc.Make (struct
-  type t = pnode
-
-  let hdr n = n.p_hdr
-  let iter_links n f = f n.p_next
-end)
-
-module Pack_orc_hp = Orc_core.Orc_hp.Make (struct
-  type t = pnode
-
-  let hdr n = n.p_hdr
-  let iter_links n f = f n.p_next
-end)
+module Pack_orc = Orc_core.Orc.Make (PON)
+module Pack_orc_hp = Orc_core.Orc.Make_hp (PON)
 
 module type PACK_SET = sig
   include Ds.Intf.SET
@@ -663,7 +634,7 @@ let pack_manual_run (module S : Reclaim.Scheme_intf.S with type node = pnode) =
     pk_cas_retries = -1;
   }
 
-let pack_orc_run (module O : PACK_ORC) name =
+let pack_orc_run (module O : Orc_core.Orc.S with type node = pnode) name =
   let open Atomicx in
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-" ^ name) in
   let o = O.create ~sink:Obs.Sink.null alloc in

@@ -259,34 +259,7 @@ module AN = struct
   let iter_links n f = f n.next
 end
 
-(* The slice of the Orc/Orc_hp interfaces the battery needs; both
-   functors produce supermodules of this. *)
-module type AUTO = sig
-  type t
-  type guard
-
-  module Ptr : sig
-    type t
-
-    val view : t -> anode Link.view
-    val node : t -> anode option
-  end
-
-  val name : string
-  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
-
-  val with_guard : t -> (guard -> 'a) -> 'a
-  val ptr : guard -> Ptr.t
-  val load : guard -> anode Link.t -> Ptr.t -> unit
-  val store_v : guard -> anode Link.t -> anode Link.view -> unit
-  val alloc_node : guard -> (Memdom.Hdr.t -> anode) -> Ptr.t
-  val new_link_v : guard -> anode Link.view -> anode Link.t
-  val arena : t -> anode Link.arena
-  val unreclaimed : t -> int
-  val flush : t -> unit
-end
-
-module Auto_battery (O : AUTO) = struct
+module Auto_battery (O : Orc_core.Orc.S with type node = anode) = struct
   let amk o v hdr =
     { hdr; av = v; next = Link.make_in (O.arena o) Link.Null }
 
@@ -360,7 +333,7 @@ module Auto_battery (O : AUTO) = struct
 end
 
 module Orc = Auto_battery (Orc_core.Orc.Make (AN))
-module Orc_hp = Auto_battery (Orc_core.Orc_hp.Make (AN))
+module Orc_hp = Auto_battery (Orc_core.Orc.Make_hp (AN))
 
 (* Pool-mode batteries are a representative subset (one manual HP-style
    scheme, the paper's PTP, and automatic OrcGC) rather than all eight:

@@ -1,19 +1,31 @@
 (** OrcGC (paper §4, Algorithms 3–7): automatic lock-free memory
-    reclamation by per-object reference counting of *hard links* plus
-    pass-the-pointer protection of *local references*.
+    reclamation by per-object reference counting of *hard links* plus a
+    pointer-based scheme protecting the *local references*.
 
-    Each tracked object's header carries the [_orc] word (Algorithm 3):
-    bits 0–21 a signed hard-link count biased at [orc_zero], bit 23 the
-    BRETIRED ownership bit, bits 24+ a sequence bumped on every count
-    change.  Hard links are only mutated through {!store_v}, {!cas_v} and
-    {!unlink_v}, which update the counts of the old and new targets; when
-    a count returns to zero the mutator that observed it claims BRETIRED
-    and runs [retire] (Algorithm 5), which may pass the object to a
-    protecting thread ([tryHandover]), un-retire it if it became
-    reachable again ([clearBitRetired]) or delete it — destructor
-    included, which drops the object's own outgoing links and can cascade
-    (drained iteratively through the recursive list to bound stack
-    depth).
+    The automatic layer is written once ({!Make_gen}).  Each tracked
+    object's header carries the [_orc] word (Algorithm 3): bits 0–21 a
+    signed hard-link count biased at [orc_zero], bit 23 the BRETIRED
+    ownership bit, bits 24+ a sequence bumped on every count change.
+    Hard links are only mutated through {!store_v}, {!cas_v} and
+    {!unlink_v}, which update the counts of the old and new targets;
+    when a count returns to zero the mutator that observed it claims
+    BRETIRED and hands the object to its {!BACKEND}.  The destructor
+    drops the object's own outgoing links and can cascade.
+
+    The backend decides what happens to a claimed zero-count object —
+    the paper's §4 remark that "most of the existing pointer-based
+    reclamation schemes can be used by OrcGC to protect the local
+    references of type orc_ptr":
+    - {!Ptp_backend} ("orc", Algorithms 5–6) passes the object to a
+      protecting thread ([tryHandover]), un-retires it if it became
+      reachable again ([clearBitRetired]) or deletes it, draining
+      cascades iteratively through the recursive list to bound stack
+      depth;
+    - {!Hp_backend} ("orc-hp") parks it on a thread-local retired list
+      scanned against the published hazards, Lemma 1's sequence check
+      deciding the delete.  The unreclaimed bound degrades from PTP's
+      O(Ht) to HP's O(Ht²), and a cascading destructor merely pushes
+      more entries.
 
     Local references live in {!Ptr.t} handles owned by a per-operation
     {!with_guard} scope — the OCaml rendering of the C++ RAII [orc_ptr]
@@ -21,15 +33,16 @@
     copy-direction rule of the assignment operator.
 
     Deviations from the paper's listing, documented in DESIGN.md §6.3:
-    (1) releasing a hazard index drains its handover slot (as PTP's
-    clear does); (2) [decrementOrc] clears the scratch hazard slot 0
-    before invoking retire — safe because the BRETIRED bit, not the
-    hazard, protects the object inside retire — so a retiring thread
-    never hands an object to itself; (3) a handle's old target gets its
-    zero-count check while the handle's slot still publishes it.  Two
-    additions to the handle API: {!advance} steps a traversal window
-    without moving any protection, and {!unlink_v} ends the victim's
-    protection inside the unlinking CAS. *)
+    (1) releasing a hazard index runs the PTP backend's slot-release
+    hook, which drains its handover slot (as PTP's clear does); (2)
+    [decrementOrc] clears the scratch hazard slot 0 before invoking
+    retire — safe because the BRETIRED bit, not the hazard, protects the
+    object inside retire — so a retiring thread never hands an object to
+    itself; (3) a handle's old target gets its zero-count check while the
+    handle's slot still publishes it.  Two additions to the handle API:
+    {!advance} steps a traversal window without moving any protection,
+    and {!unlink_v} ends the victim's protection inside the unlinking
+    CAS. *)
 
 open Atomicx
 
@@ -56,65 +69,544 @@ module type NODE = sig
       to drop the node's outgoing hard links. *)
 end
 
-module Make (N : NODE) = struct
-  type node = N.t
+module type S = Orc_intf.S
 
-  type tl_info = {
-    (* published hazardous pointers, one word each: the protected
-       node's uid (-1 = empty; uid 0 is a real uid).  Uids never
-       repeat, so uid equality is node identity for every node a scan
-       can still hand over. *)
-    hp_uid : int Atomic.t array;
-    handovers : node option Atomic.t array;
-    used_haz : int array; (* orc_ptr share counts; owner-thread only *)
-    free_idx : Bitmask.t; (* taken hazard indexes; owner-thread only *)
+(* {1 The state the automatic layer shares with its backend} *)
+
+type row = {
+  (* published hazardous pointers, one word each: the protected
+     node's uid (-1 = empty; uid 0 is a real uid).  Uids never
+     repeat, so uid equality is node identity for every node a scan
+     can still find. *)
+  hp_uid : int Atomic.t array;
+  used_haz : int array; (* orc_ptr share counts; owner-thread only *)
+  free_idx : Bitmask.t; (* taken hazard indexes; owner-thread only *)
+}
+
+(* One instance over nodes ['n] and backend state ['b]. *)
+type ('n, 'b) core = {
+  hdr : 'n -> Memdom.Hdr.t;
+  alloc : Memdom.Alloc.t;
+  sink : Obs.Sink.t;
+  (* the handle table the structure's link words index *)
+  arena : 'n Link.arena;
+  tl : row array;
+  watermark : int Atomic.t; (* 1 + highest hazard index ever used *)
+  pending : Shard.t; (* BRETIRED-marked objects not yet freed *)
+  (* observability counters (monotonic, per-thread sharded) *)
+  n_retires : Shard.t; (* objects that entered the retired state *)
+  n_handovers : Shard.t; (* tryHandover successes *)
+  n_cascades : Shard.t; (* destructor-triggered recursive retires *)
+  n_scans : Shard.t; (* hazard scans: tryHandover calls, HP scans *)
+  n_scan_slots : Shard.t; (* hazard slots visited by those scans *)
+  n_elided : Shard.t; (* hazard publishes skipped in [load] *)
+  wd : Obs.Watchdog.t; (* guard-stall stamp table *)
+  (* background drain: when set, the backend ships claimed nodes to the
+     reclaimer; None (the default) reclaims inline *)
+  bg : Reclaim.Channel.t option Atomic.t;
+  (* knob record, read live so the controller can retune it *)
+  mutable tuning : Reclaim.Tuning.t;
+  bk : 'b;
+  (* the destructor, for the backend's reclamation paths: it is
+     defined by the automatic layer, which itself calls the backend *)
+  delete : tid:int -> 'n -> unit;
+  (* strong reference keeping the weakly-registered quarantine
+     cleaner alive exactly as long as this scheme *)
+  mutable lifecycle : int -> unit;
+  (* same keep-alive contract for the neutralize hook *)
+  mutable neutralizer : int -> unit;
+  (* strong reference keeping the weakly-registered metrics probes
+     alive exactly as long as this scheme *)
+  mutable metrics : (string * (unit -> int)) list;
+}
+
+let uid c n = (c.hdr n).Memdom.Hdr.uid
+let orc_word c n = (c.hdr n).Memdom.Hdr.orc
+
+let note_retired c ~tid n =
+  let h = c.hdr n in
+  Memdom.Hdr.mark_retired h;
+  h.Memdom.Hdr.retired_ns <-
+    Obs.Sink.on_retire c.sink ~tid ~uid:h.Memdom.Hdr.uid;
+  Shard.incr c.pending ~tid;
+  Shard.incr c.n_retires ~tid
+
+let note_unretired c ~tid n =
+  let h = c.hdr n in
+  Memdom.Hdr.unretire h;
+  (* unreachable-again objects are no longer "waiting to be freed": a
+     later free must not report a latency measured from this aborted
+     retire *)
+  h.Memdom.Hdr.retired_ns <- 0;
+  Shard.add c.pending ~tid (-1)
+
+(* clearBitRetired (Algorithm 6 lines 147–158): give up BRETIRED
+   ownership; if the count is back at zero immediately re-claim it.
+   Returns the re-claimed [_orc] value, or 0 if ownership was lost. *)
+let clear_bit_retired c ~tid p =
+  let tl = c.tl.(tid) in
+  Atomic.set tl.hp_uid.(0) (uid c p);
+  (* the header goes back to Live while we still own BRETIRED: once
+     the bit is released another thread may claim it and mark the
+     header Retired *)
+  note_unretired c ~tid p;
+  let lorc = Atomic.fetch_and_add (orc_word c p) (-bretired) - bretired in
+  if
+    ocnt lorc = orc_zero
+    && Atomic.compare_and_set (orc_word c p) lorc (lorc + bretired)
+  then begin
+    note_retired c ~tid p;
+    Atomic.set tl.hp_uid.(0) (-1);
+    lorc + bretired
+  end
+  else begin
+    Atomic.set tl.hp_uid.(0) (-1);
+    0
+  end
+
+(* Index of the first slot in [hp] below [wm] publishing uid [pu],
+   walked upward from [idx]; -1 if none.  Top-level so the scans
+   allocate no closure. *)
+let rec find_in_row hp wm pu idx =
+  if idx >= wm then -1
+  else if Atomic.get hp.(idx) = pu then idx
+  else find_in_row hp wm pu (idx + 1)
+
+(* {1 Backends: what happens to a claimed zero-count node}
+
+   Operations reach the backend only on the zero-count path ([retire])
+   and the slot-release path ([slot_released]): [advance] never does,
+   [load] and [assign] only when they claim a zero-count node or
+   release a slot. *)
+
+module type BACKEND = sig
+  type 'n t
+
+  val name : string
+
+  val create : max_hps:int option -> 'n t
+  (** [max_hps] is the [?max_hps] given to [create]. *)
+
+  val retire : ('n, 'n t) core -> tid:int -> 'n -> unit
+  (** The caller owns the node's BRETIRED bit and passes it on. *)
+
+  val slot_released : ('n, 'n t) core -> tid:int -> int -> unit
+  (** Hazard index [idx] of [tid]'s row stopped publishing: its share
+      count reached 0, or [drop] unpublished its only sharer. *)
+
+  val thread_exit : ('n, 'n t) core -> tid:int -> self:int -> unit
+  (** Rest of the quarantine cleaner, once [tid]'s hazards are down and
+      its index bookkeeping reset; [self] is the operating thread. *)
+
+  val neutralize_clear : ('n, 'n t) core -> tid:int -> self:int -> unit
+  (** Rest of the neutralize hook, once [tid]'s hazards are down. *)
+
+  val flush : ('n, 'n t) core -> tid:int -> unit
+  (** Rest of the quiesced drain, once every hazard is down. *)
+
+  val retune : ('n, 'n t) core -> unit
+  (** The knob record was swapped. *)
+end
+
+module Ptp_backend = struct
+  type 'n handover_row = {
+    handovers : 'n option Atomic.t array;
     mutable retire_started : bool;
-    recursive : node Queue.t;
+    recursive : 'n Queue.t;
+    (* background batch, bounded by the bg batch knob; owner-thread
+       only *)
+    mutable bg_buf : 'n list;
+    mutable bg_count : int;
   }
 
-  type t = {
-    alloc : Memdom.Alloc.t;
-    sink : Obs.Sink.t;
-    (* the handle table the structure's link words index *)
-    arena : node Link.arena;
-    tl : tl_info array;
-    watermark : int Atomic.t; (* 1 + highest hazard index ever used *)
-    pending : Shard.t; (* BRETIRED-marked objects not yet freed *)
-    (* observability counters (monotonic, per-thread sharded) *)
-    n_retires : Shard.t; (* objects that entered the retired state *)
-    n_handovers : Shard.t; (* tryHandover successes *)
-    n_cascades : Shard.t; (* destructor-triggered recursive retires *)
-    n_scans : Shard.t; (* tryHandover invocations *)
-    n_scan_slots : Shard.t; (* hazard slots visited by those scans *)
-    n_elided : Shard.t; (* hazard publishes skipped in [load] *)
-    wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-    (* background drain: when set, freshly claimed BRETIRED nodes are
-       buffered per thread and shipped to the reclaimer in batches;
-       None (the default) retires inline *)
-    bg : Reclaim.Channel.t option Atomic.t;
-    bg_buf : node list ref array; (* owner-thread only *)
-    bg_count : int ref array; (* owner-thread only *)
-    (* knob record: the batch size is read per buffered retire so the
-       controller can retune it live *)
-    mutable tuning : Reclaim.Tuning.t;
-    (* strong reference keeping the weakly-registered quarantine
-       cleaner alive exactly as long as this scheme *)
-    mutable lifecycle : int -> unit;
-    (* same keep-alive contract for the neutralize hook *)
-    mutable neutralizer : int -> unit;
-    (* strong reference keeping the weakly-registered metrics probes
-       alive exactly as long as this scheme *)
-    mutable metrics : (string * (unit -> int)) list;
+  type 'n t = 'n handover_row array
+
+  let name = "orc"
+
+  let create ~max_hps:_ =
+    Array.init Registry.max_threads (fun _ ->
+        {
+          handovers = Padded.atomic_array max_haz None;
+          retire_started = false;
+          recursive = Queue.create ();
+          bg_buf = [];
+          bg_count = 0;
+        })
+
+  (* Scan every published hazardous pointer for [p]; on a match, swap [p]
+     into the paired handover slot and return the evictee.  The caller's
+     own row goes first: a node whose count is zeroed by a thread that
+     still protects it (a [store] or [cas_v] dropping a link to a node
+     the caller holds) is handed over on the first row walked.
+     Row order is free because a protection never moves between rows,
+     and each row is still walked upward, the direction in which
+     [assign] moves protections within a row.  Rows whose registry slot
+     is Free are skipped entirely — a recycled slot cannot hold a
+     protection (see [Registry.in_use] for the memory-ordering
+     argument), so after a churn burst the scan cost shrinks back to
+     the live slot population instead of staying at the monotone
+     high-water mark forever. *)
+  let try_handover c ~tid p =
+    let began = Obs.Sink.scan_begin c.sink in
+    let wm = Atomic.get c.watermark in
+    let pu = uid c p in
+    let row = ref tid in
+    let idx = ref (find_in_row c.tl.(tid).hp_uid wm pu 0) in
+    let visited = ref (if !idx < 0 then wm else !idx + 1) in
+    (if !idx < 0 then
+       let nreg = Registry.registered () in
+       try
+         for it = 0 to nreg - 1 do
+           if it <> tid && Registry.in_use it then begin
+             let i = find_in_row c.tl.(it).hp_uid wm pu 0 in
+             if i < 0 then visited := !visited + wm
+             else begin
+               visited := !visited + i + 1;
+               row := it;
+               idx := i;
+               raise_notrace Exit
+             end
+           end
+         done
+       with Exit -> ());
+    let result =
+      if !idx < 0 then None
+      else begin
+        let evictee = Atomic.exchange c.bk.(!row).handovers.(!idx) (Some p) in
+        Shard.incr c.n_handovers ~tid;
+        Obs.Sink.on_handover c.sink ~tid ~uid:pu;
+        Some evictee
+      end
+    in
+    Shard.incr c.n_scans ~tid;
+    Shard.add c.n_scan_slots ~tid !visited;
+    Obs.Sink.scan_end c.sink ~tid ~slots:!visited ~began;
+    result
+
+  (* retire (Algorithm 5 lines 92–118).  Precondition: the caller owns
+     [p]'s BRETIRED bit.  Reentrant calls (from the destructor's [dec])
+     queue onto the recursive list and are drained here, keeping the
+     stack depth constant no matter how long the unreachable chain is. *)
+  let retire_inline c ~tid p =
+    let r = c.bk.(tid) in
+    if r.retire_started then begin
+      Shard.incr c.n_cascades ~tid;
+      Obs.Sink.on_cascade c.sink ~tid ~uid:(uid c p);
+      Queue.add p r.recursive
+    end
+    else begin
+      r.retire_started <- true;
+      let cur = ref (Some p) in
+      let outer_done = ref false in
+      while not !outer_done do
+        (try
+           while true do
+             match !cur with
+             | None -> raise_notrace Exit
+             | Some p ->
+                 let lorc = ref (Atomic.get (orc_word c p)) in
+                 if ocnt !lorc <> retired_zero then begin
+                   let l = clear_bit_retired c ~tid p in
+                   if l = 0 then raise_notrace Exit;
+                   lorc := l
+                 end;
+                 (match try_handover c ~tid p with
+                 | Some evictee -> cur := evictee
+                 | None ->
+                     let lorc2 = Atomic.get (orc_word c p) in
+                     if lorc2 <> !lorc then begin
+                       if ocnt !lorc <> retired_zero then
+                         if clear_bit_retired c ~tid p = 0 then
+                           raise_notrace Exit
+                       (* else: revalidate from the top of the loop *)
+                     end
+                     else begin
+                       c.delete ~tid p;
+                       raise_notrace Exit
+                     end)
+           done
+         with Exit -> ());
+        match Queue.take_opt r.recursive with
+        | None -> outer_done := true
+        | Some q -> cur := Some q
+      done;
+      r.retire_started <- false
+    end
+
+  (* Background split point: every non-lifecycle retirement funnels
+     through here.  With a channel set, the freshly claimed node is
+     buffered thread-locally and the batch shipped to the reclaimer as
+     a job — BRETIRED ownership travels with the closure, and
+     [retire_inline] revalidates the count under the reclaimer's tid
+     exactly as it would inline, so resurrection and handover behave
+     identically.  A refused send (channel closed or full — reclaimer
+     dead or behind) retires the batch inline: backpressure degrades to
+     the [None] path.  The buffer is drained by [thread_exit] and
+     [flush]. *)
+  let retire c ~tid p =
+    match Atomic.get c.bg with
+    | None -> retire_inline c ~tid p
+    | Some ch ->
+        let r = c.bk.(tid) in
+        r.bg_buf <- p :: r.bg_buf;
+        r.bg_count <- r.bg_count + 1;
+        if r.bg_count >= Reclaim.Tuning.bg_batch c.tuning then begin
+          let batch = r.bg_buf and n = r.bg_count in
+          r.bg_buf <- [];
+          r.bg_count <- 0;
+          let job ~tid:rtid =
+            List.iter (fun q -> retire_inline c ~tid:rtid q) batch
+          in
+          if not (Reclaim.Channel.send ch ~tid ~count:n job) then
+            List.iter (fun q -> retire_inline c ~tid q) batch
+        end
+
+  (* A released slot adopts whatever a scanner parked on its handover:
+     the parked node carries BRETIRED, so we own it now. *)
+  let slot_released c ~tid idx =
+    let h = c.bk.(tid).handovers.(idx) in
+    match Atomic.get h with
+    | None -> ()
+    | Some _ -> (
+        match Atomic.exchange h None with
+        | Some q -> retire c ~tid q
+        | None -> ())
+
+  (* Retire under [self] everything parked on [tid]'s handovers (sole
+     ownership via exchange).  With [tid]'s hazards down no scan can
+     park anything new there. *)
+  let adopt_handovers c ~tid ~self =
+    let h = c.bk.(tid).handovers in
+    for idx = 0 to Atomic.get c.watermark - 1 do
+      match Atomic.exchange h.(idx) None with
+      | Some q -> retire_inline c ~tid:self q
+      | None -> ()
+    done
+
+  (* Retire under [self] the background batch [tid] still owns; false
+     if it was empty. *)
+  let retire_buffer c ~tid ~self =
+    let r = c.bk.(tid) in
+    match r.bg_buf with
+    | [] -> false
+    | batch ->
+        r.bg_buf <- [];
+        r.bg_count <- 0;
+        List.iter (fun q -> retire_inline c ~tid:self q) batch;
+        true
+
+  (* Everything the dead row still owned is adopted: queued recursive
+     retires (possible only under abrupt death mid-retire), parked
+     handovers and the background buffer all carry BRETIRED.  They are
+     retired inline — quarantine must make progress even with the
+     reclaimer gone, and the next owner of this tid starts empty. *)
+  let thread_exit c ~tid ~self =
+    let r = c.bk.(tid) in
+    r.retire_started <- false;
+    let rec drain_queue () =
+      match Queue.take_opt r.recursive with
+      | Some q ->
+          retire_inline c ~tid:self q;
+          drain_queue ()
+      | None -> ()
+    in
+    drain_queue ();
+    adopt_handovers c ~tid ~self;
+    ignore (retire_buffer c ~tid ~self)
+
+  (* Only the row's atomic state is touched: the victim may be alive and
+     about to wake, and its buffer is bounded by [bg_batch]. *)
+  let neutralize_clear = adopt_handovers
+
+  (* A retire here can cascade through [dec] back into [retire] and
+     re-buffer under an active channel, hence the fixpoint. *)
+  let flush c ~tid =
+    let nreg = Registry.registered () in
+    for it = 0 to nreg - 1 do
+      adopt_handovers c ~tid:it ~self:tid
+    done;
+    let rec drain_bufs () =
+      let progress = ref false in
+      for it = 0 to nreg - 1 do
+        if retire_buffer c ~tid:it ~self:tid then progress := true
+      done;
+      if !progress then drain_bufs ()
+    in
+    drain_bufs ()
+
+  let retune _ = ()
+end
+
+module Hp_backend = struct
+  (* owner-thread only *)
+  type 'n retired_row = { mutable retired : 'n list; mutable count : int }
+
+  type 'n t = {
+    hps : int; (* the H of R = 2·H·t *)
+    threshold : int Atomic.t; (* cached scaled R, refreshed on crossing *)
+    rows : 'n retired_row array;
+    orphans : 'n Reclaim.Orphan.t;
   }
 
-  type stats = {
-    retires : int;
-    handovers : int;
-    cascades : int;
-    scans : int;
-    scan_slots : int;
-    elided : int;
-  }
+  let name = "orc-hp"
+
+  let create ~max_hps =
+    let hps = Option.value max_hps ~default:8 in
+    {
+      hps;
+      threshold = Atomic.make (max 2 (2 * hps));
+      rows =
+        Array.init Registry.max_threads (fun _ -> { retired = []; count = 0 });
+      orphans = Reclaim.Orphan.create ();
+    }
+
+  (* R = 2·H·t (scaled by the knob record) from the live Active-slot
+     population, cached and refreshed on crossing / quarantine /
+     neutralization, matching the manual HP baseline (see
+     [Reclaim.Hp.threshold_crossed]) *)
+  let refresh_threshold c =
+    Atomic.set c.bk.threshold (Reclaim.Tuning.threshold c.tuning ~hps:c.bk.hps)
+
+  let threshold_crossed c ~count =
+    count >= Atomic.get c.bk.threshold
+    && begin
+         refresh_threshold c;
+         count >= Atomic.get c.bk.threshold
+       end
+
+  (* Does any row publish [p]?  Rows whose registry slot is Free cannot
+     hold a protection and are skipped, so scan cost tracks live slots,
+     not the monotone high-water mark (see [Registry.in_use]). *)
+  let protected_by_any c ~visited p =
+    let wm = Atomic.get c.watermark and pu = uid c p in
+    let nreg = Registry.registered () in
+    let found = ref false and it = ref 0 in
+    while (not !found) && !it < nreg do
+      if Registry.in_use !it then begin
+        let i = find_in_row c.tl.(!it).hp_uid wm pu 0 in
+        visited := !visited + if i < 0 then wm else i + 1;
+        found := i >= 0
+      end;
+      incr it
+    done;
+    !found
+
+  let scan c ~tid =
+    let began = Obs.Sink.scan_begin c.sink in
+    let visited = ref 0 in
+    let r = c.bk.rows.(tid) in
+    (* fold dead threads' published lists into this scan's batch *)
+    let batch =
+      List.rev_append (Reclaim.Orphan.adopt c.bk.orphans c.sink ~tid) r.retired
+    in
+    r.retired <- [];
+    r.count <- 0;
+    List.iter
+      (fun p ->
+        let keep () =
+          r.retired <- p :: r.retired;
+          r.count <- r.count + 1
+        in
+        let lorc = Atomic.get (orc_word c p) in
+        if ocnt lorc <> retired_zero then begin
+          (* resurrected: release ownership; re-park only if re-claimed *)
+          if clear_bit_retired c ~tid p <> 0 then keep ()
+        end
+        else if protected_by_any c ~visited p then keep ()
+        else
+          (* Lemma 1: the seq must not have moved across the hazard scan *)
+          let lorc2 = Atomic.get (orc_word c p) in
+          if lorc2 <> lorc then keep () else c.delete ~tid p)
+      batch;
+    Shard.incr c.n_scans ~tid;
+    Shard.add c.n_scan_slots ~tid !visited;
+    Obs.Sink.scan_end c.sink ~tid ~slots:!visited ~began
+
+  (* Background split point: ship the swapped-out retired list to the
+     reclaimer as a job that splices it into the {e running} thread's
+     list and scans — the batch left this thread's list before the
+     send, so exactly one owner ever touches it.  A refused send
+     (channel closed or full — reclaimer dead or behind) restores the
+     batch and scans inline: backpressure degrades to the [None]
+     path. *)
+  let drain_background c ~tid ch =
+    let r = c.bk.rows.(tid) in
+    let batch = r.retired and n = r.count in
+    r.retired <- [];
+    r.count <- 0;
+    let job ~tid:rtid =
+      let rr = c.bk.rows.(rtid) in
+      rr.retired <- List.rev_append batch rr.retired;
+      rr.count <- rr.count + n;
+      scan c ~tid:rtid
+    in
+    if not (Reclaim.Channel.send ch ~tid ~count:n job) then begin
+      r.retired <- List.rev_append batch r.retired;
+      r.count <- r.count + n;
+      scan c ~tid
+    end
+
+  (* Retiring = parking on the thread-local list; reclamation happens in
+     [scan].  Cascades need no recursion guard: a destructor's [dec]
+     just pushes more entries. *)
+  let retire c ~tid p =
+    let r = c.bk.rows.(tid) in
+    r.retired <- p :: r.retired;
+    r.count <- r.count + 1;
+    if threshold_crossed c ~count:r.count then
+      match Atomic.get c.bg with
+      | None -> scan c ~tid
+      | Some ch -> drain_background c ~tid ch
+
+  let slot_released _ ~tid:_ _ = ()
+
+  (* Publish the retired list to the orphan pool — survivors fold it
+     into their next [scan], which re-runs the full Lemma-1 /
+     resurrection checks on every adopted node.  (Publishing rather
+     than re-retiring matters on the exit path: re-retiring would just
+     re-park onto the very list being vacated.) *)
+  let thread_exit c ~tid ~self:_ =
+    let r = c.bk.rows.(tid) in
+    match r.retired with
+    | [] -> ()
+    | batch ->
+        r.retired <- [];
+        r.count <- 0;
+        Reclaim.Orphan.publish c.bk.orphans c.sink ~tid batch;
+        refresh_threshold c
+
+  (* The victim's retired list is owner-private and bounded by the
+     threshold, so it stays; the Active population just changed shape,
+     so R is re-derived. *)
+  let neutralize_clear c ~tid:_ ~self:_ = refresh_threshold c
+
+  (* Scan every thread's retired list from the caller's row to a fixed
+     point: freeing a chain link retires its successor, so [pending]
+     can stay flat while real progress happens — the monotone freed
+     counter tracks it instead. *)
+  let flush c ~tid =
+    let rec drain () =
+      let freed_before = Memdom.Alloc.freed c.alloc in
+      for it = 0 to Registry.registered () - 1 do
+        let r = c.bk.rows.(it) in
+        let batch = r.retired in
+        r.retired <- [];
+        r.count <- 0;
+        List.iter (fun p -> retire c ~tid p) batch
+      done;
+      scan c ~tid;
+      if Memdom.Alloc.freed c.alloc > freed_before then drain ()
+    in
+    drain ()
+
+  let retune = refresh_threshold
+end
+
+(* {1 The automatic layer} *)
+
+module Make_gen (B : BACKEND) (N : NODE) = struct
+  type node = N.t
+  type t = (node, node B.t) core
 
   (* [gen] snapshots the registry slot generation at guard entry: a
      mismatch at guard exit means a neutralization expired this guard's
@@ -127,7 +619,16 @@ module Make (N : NODE) = struct
      without a target), plus its hazard index. *)
   and ptr = { mutable v : node Link.view; mutable n : node; mutable idx : int }
 
-  let name = "orc"
+  type stats = {
+    retires : int;
+    handovers : int;
+    cascades : int;
+    scans : int;
+    scan_slots : int;
+    elided : int;
+  }
+
+  let name = B.name
   let alloc_ctx t = t.alloc
   let orc_word n = (N.hdr n).Memdom.Hdr.orc
   let uid n = (N.hdr n).Memdom.Hdr.uid
@@ -159,106 +660,7 @@ module Make (N : NODE) = struct
       elided = Shard.get t.n_elided;
     }
 
-  let note_retired t ~tid n =
-    let h = N.hdr n in
-    Memdom.Hdr.mark_retired h;
-    h.Memdom.Hdr.retired_ns <-
-      Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid;
-    Shard.incr t.pending ~tid;
-    Shard.incr t.n_retires ~tid
-
-  let note_unretired t ~tid n =
-    let h = N.hdr n in
-    Memdom.Hdr.unretire h;
-    (* unreachable-again objects are no longer "waiting to be freed": a
-       later free must not report a latency measured from this aborted
-       retire *)
-    h.Memdom.Hdr.retired_ns <- 0;
-    Shard.add t.pending ~tid (-1)
-
-  (* {2 Retire (Algorithm 5) and its helpers (Algorithm 6)} *)
-
-  (* Index of the first slot in [hp] below [wm] publishing uid [pu],
-     walked upward from [idx]; -1 if none.  Functor-level so the scan
-     allocates no closure. *)
-  let rec find_in_row hp wm pu idx =
-    if idx >= wm then -1
-    else if Atomic.get hp.(idx) = pu then idx
-    else find_in_row hp wm pu (idx + 1)
-
-  (* Scan every published hazardous pointer for [p]; on a match, swap [p]
-     into the paired handover slot and return the evictee.  The caller's
-     own row goes first: a node whose count is zeroed by a thread that
-     still protects it (a [store] or [cas_v] dropping a link to a node
-     the caller holds) is handed over on the first row walked.
-     Row order is free because a protection never moves between rows,
-     and each row is still walked upward, the direction in which
-     [assign] moves protections within a row.  Rows whose registry slot
-     is Free are skipped entirely — a recycled slot cannot hold a
-     protection (see [Registry.in_use] for the memory-ordering
-     argument), so after a churn burst the scan cost shrinks back to
-     the live slot population instead of staying at the monotone
-     high-water mark forever. *)
-  let try_handover t ~tid p =
-    let began = Obs.Sink.scan_begin t.sink in
-    let wm = Atomic.get t.watermark in
-    let pu = uid p in
-    let row = ref tid in
-    let idx = ref (find_in_row t.tl.(tid).hp_uid wm pu 0) in
-    let visited = ref (if !idx < 0 then wm else !idx + 1) in
-    (if !idx < 0 then
-       let nreg = Registry.registered () in
-       try
-         for it = 0 to nreg - 1 do
-           if it <> tid && Registry.in_use it then begin
-             let i = find_in_row t.tl.(it).hp_uid wm pu 0 in
-             if i < 0 then visited := !visited + wm
-             else begin
-               visited := !visited + i + 1;
-               row := it;
-               idx := i;
-               raise_notrace Exit
-             end
-           end
-         done
-       with Exit -> ());
-    let result =
-      if !idx < 0 then None
-      else begin
-        let evictee = Atomic.exchange t.tl.(!row).handovers.(!idx) (Some p) in
-        Shard.incr t.n_handovers ~tid;
-        Obs.Sink.on_handover t.sink ~tid ~uid:pu;
-        Some evictee
-      end
-    in
-    Shard.incr t.n_scans ~tid;
-    Shard.add t.n_scan_slots ~tid !visited;
-    Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began;
-    result
-
-  (* clearBitRetired (Algorithm 6 lines 147–158): give up BRETIRED
-     ownership; if the count is back at zero immediately re-claim it.
-     Returns the re-claimed [_orc] value, or 0 if ownership was lost. *)
-  let clear_bit_retired t ~tid p =
-    let tl = t.tl.(tid) in
-    Atomic.set tl.hp_uid.(0) (uid p);
-    (* the header goes back to Live while we still own BRETIRED: once
-       the bit is released another thread may claim it and mark the
-       header Retired *)
-    note_unretired t ~tid p;
-    let lorc = Atomic.fetch_and_add (orc_word p) (-bretired) - bretired in
-    if
-      ocnt lorc = orc_zero
-      && Atomic.compare_and_set (orc_word p) lorc (lorc + bretired)
-    then begin
-      note_retired t ~tid p;
-      Atomic.set tl.hp_uid.(0) (-1);
-      lorc + bretired
-    end
-    else begin
-      Atomic.set tl.hp_uid.(0) (-1);
-      0
-    end
+  (* {2 Counts (Algorithm 4) and the destructor} *)
 
   (* The destructor: drop the node's outgoing hard links (each drop may
      cascade through [dec]), then return the memory. *)
@@ -270,82 +672,6 @@ module Make (N : NODE) = struct
     Memdom.Alloc.free t.alloc (N.hdr p);
     Shard.add t.pending ~tid (-1)
 
-  (* retire (Algorithm 5 lines 92–118).  Precondition: the caller owns
-     [p]'s BRETIRED bit.  Reentrant calls (from the destructor's [dec])
-     queue onto the recursive list and are drained here, keeping the
-     stack depth constant no matter how long the unreachable chain is. *)
-  and retire t ~tid p =
-    let tl = t.tl.(tid) in
-    if tl.retire_started then begin
-      Shard.incr t.n_cascades ~tid;
-      Obs.Sink.on_cascade t.sink ~tid ~uid:(N.hdr p).Memdom.Hdr.uid;
-      Queue.add p tl.recursive
-    end
-    else begin
-      tl.retire_started <- true;
-      let cur = ref (Some p) in
-      let outer_done = ref false in
-      while not !outer_done do
-        (try
-           while true do
-             match !cur with
-             | None -> raise_notrace Exit
-             | Some p ->
-                 let lorc = ref (Atomic.get (orc_word p)) in
-                 if ocnt !lorc <> retired_zero then begin
-                   let l = clear_bit_retired t ~tid p in
-                   if l = 0 then raise_notrace Exit;
-                   lorc := l
-                 end;
-                 (match try_handover t ~tid p with
-                 | Some evictee -> cur := evictee
-                 | None ->
-                     let lorc2 = Atomic.get (orc_word p) in
-                     if lorc2 <> !lorc then begin
-                       if ocnt !lorc <> retired_zero then
-                         if clear_bit_retired t ~tid p = 0 then
-                           raise_notrace Exit
-                       (* else: revalidate from the top of the loop *)
-                     end
-                     else begin
-                       delete t ~tid p;
-                       raise_notrace Exit
-                     end)
-           done
-         with Exit -> ());
-        match Queue.take_opt tl.recursive with
-        | None -> outer_done := true
-        | Some q -> cur := Some q
-      done;
-      tl.retire_started <- false
-    end
-
-  (* Background split point: every non-lifecycle retirement funnels
-     through here.  With a channel set, the freshly claimed node is
-     buffered thread-locally and the batch shipped to the reclaimer as
-     a job — BRETIRED ownership travels with the closure, and [retire]
-     revalidates the count under the reclaimer's tid exactly as it
-     would inline, so resurrection and handover behave identically.  A
-     refused send (channel closed or full — reclaimer dead or behind)
-     retires the batch inline: backpressure degrades to the [None]
-     path.  The buffer is owner-private plain state, bounded by the
-     bg batch knob, and drained by [thread_exit] and [flush]. *)
-  and submit_retire t ~tid p =
-    match Atomic.get t.bg with
-    | None -> retire t ~tid p
-    | Some ch ->
-        let buf = t.bg_buf.(tid) and cnt = t.bg_count.(tid) in
-        buf := p :: !buf;
-        incr cnt;
-        if !cnt >= Reclaim.Tuning.bg_batch t.tuning then begin
-          let batch = !buf and n = !cnt in
-          buf := [];
-          cnt := 0;
-          let job ~tid:rtid = List.iter (fun q -> retire t ~tid:rtid q) batch in
-          if not (Reclaim.Channel.send ch ~tid ~count:n job) then
-            List.iter (fun q -> retire t ~tid q) batch
-        end
-
   (* incrementOrc (Algorithm 4 lines 38–43).  Caller must hold a
      protected reference to [p]. *)
   and inc t ~tid p =
@@ -353,7 +679,7 @@ module Make (N : NODE) = struct
     if ocnt lorc = orc_zero then
       if Atomic.compare_and_set (orc_word p) lorc (lorc + bretired) then begin
         note_retired t ~tid p;
-        submit_retire t ~tid p
+        B.retire t ~tid p
       end
 
   (* decrementOrc (Algorithm 4 lines 45–51): protects [p] in the scratch
@@ -369,9 +695,9 @@ module Make (N : NODE) = struct
       note_retired t ~tid p;
       (* Drop the scratch protection before retiring: BRETIRED ownership
          keeps [p] alive inside retire, and a live scratch hazard would
-         make the scan hand [p] to ourselves. *)
+         make the scan find [p] protected by ourselves. *)
       Atomic.set tl.hp_uid.(0) (-1);
-      submit_retire t ~tid p
+      B.retire t ~tid p
     end
     else Atomic.set tl.hp_uid.(0) (-1)
 
@@ -382,116 +708,74 @@ module Make (N : NODE) = struct
     if ocnt lorc = orc_zero then
       if Atomic.compare_and_set (orc_word p) lorc (lorc + bretired) then begin
         note_retired t ~tid p;
-        submit_retire t ~tid p
+        B.retire t ~tid p
       end
 
-  let drain_handover t ~tid idx =
+  let unpublish_row t ~tid =
     let tl = t.tl.(tid) in
-    match Atomic.get tl.handovers.(idx) with
-    | None -> ()
-    | Some _ -> (
-        match Atomic.exchange tl.handovers.(idx) None with
-        | Some q ->
-            (* q carries BRETIRED: we own it now *)
-            submit_retire t ~tid q
-        | None -> ())
+    for idx = 0 to Atomic.get t.watermark - 1 do
+      Atomic.set tl.hp_uid.(idx) (-1)
+    done
 
   (* Quarantine cleaner (registered with [Registry.on_quarantine] by
      [create]): make a departing tid's row safe to re-issue.  Hazards
-     come down first — once the row is all-None, no concurrent
-     [try_handover] can park anything new on it — then the owner-local
-     hazard-index bookkeeping is reset so the next owner starts from an
-     empty mask (scratch slot 0 re-reserved), and finally everything
-     the dead row still owned is adopted: queued recursive retires
-     (possible only under abrupt death mid-retire) and parked handovers
-     all carry BRETIRED, so the operating thread — the departing thread
-     itself on the exit path, the survivor under [force_release] —
-     owns them the moment it takes them and can run them through the
-     normal retire path. *)
+     come down first — a leftover hazard would pin its target in every
+     scan, and once the row is empty no scan can hand it anything new —
+     then the owner-local hazard-index bookkeeping is reset so the next
+     owner starts from an empty mask (scratch slot 0 re-reserved), and
+     finally the backend disposes of what the row still owned, under
+     the operating thread: the departing thread itself on the exit
+     path, the survivor under [force_release]. *)
   let thread_exit t ~tid =
     let tl = t.tl.(tid) in
-    let wm = Atomic.get t.watermark in
-    for idx = 0 to wm - 1 do
-      Atomic.set tl.hp_uid.(idx) (-1)
-    done;
+    unpublish_row t ~tid;
     Array.fill tl.used_haz 0 (Array.length tl.used_haz) 0;
     Bitmask.reset tl.free_idx;
     ignore (Bitmask.acquire tl.free_idx ~from:0);
-    tl.retire_started <- false;
-    let self = Registry.tid () in
-    let rec drain_queue () =
-      match Queue.take_opt tl.recursive with
-      | Some q ->
-          retire t ~tid:self q;
-          drain_queue ()
-      | None -> ()
-    in
-    drain_queue ();
-    for idx = 0 to wm - 1 do
-      match Atomic.exchange tl.handovers.(idx) None with
-      | Some q -> retire t ~tid:self q
-      | None -> ()
-    done;
-    (* the dead row's background buffer still owns its BRETIRED batch;
-       retire it inline — quarantine must make progress even with the
-       reclaimer gone, and the next owner of this tid starts empty *)
-    (match !(t.bg_buf.(tid)) with
-    | [] -> ()
-    | batch ->
-        t.bg_buf.(tid) := [];
-        t.bg_count.(tid) := 0;
-        List.iter (fun q -> retire t ~tid:self q) batch)
+    B.thread_exit t ~tid ~self:(Registry.tid ())
 
   (* Neutralize hook (registered with [Registry.on_neutralize] by
      [create]): expire a stalled tid's protections.  Only the row's
-     {e atomic} state is touched — the hazards come down so no scan can
-     hand anything new to the row, then the parked handovers
-     (sole ownership via exchange) are retired under the neutralizer's
-     own tid.  Owner-private plain state (used_haz, free_idx, the
-     recursive queue, the background buffer) is left alone: the victim
-     may be alive and about to wake, and its buffer is bounded by
-     [bg_batch].  The victim detects the generation bump at its next
-     scheme entry point and restarts (see [Reclaim.Neutralize]). *)
+     {e atomic} state is touched — the hazards come down, then the
+     backend reacts under the neutralizer's own tid.  Owner-private
+     plain state (used_haz, free_idx) is left alone: the victim may be
+     alive and about to wake.  The victim detects the generation bump
+     at its next scheme entry point and restarts (see
+     [Reclaim.Neutralize]). *)
   let neutralize_clear t ~tid =
-    let tl = t.tl.(tid) in
-    let wm = Atomic.get t.watermark in
-    for idx = 0 to wm - 1 do
-      Atomic.set tl.hp_uid.(idx) (-1)
-    done;
-    let self = Registry.tid () in
-    for idx = 0 to wm - 1 do
-      match Atomic.exchange tl.handovers.(idx) None with
-      | Some q -> retire t ~tid:self q
-      | None -> ()
-    done
+    unpublish_row t ~tid;
+    B.neutralize_clear t ~tid ~self:(Registry.tid ())
 
   let set_background t ch = Atomic.set t.bg ch
   let tuning t = t.tuning
-  let set_tuning t tn = t.tuning <- tn
 
-  let create ?max_hps:_ ?sink alloc =
+  let set_tuning t tn =
+    t.tuning <- tn;
+    B.retune t
+
+  let create ?max_hps ?sink alloc =
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
     in
-    let mk_tl _ =
+    let mk_row _ =
       let free_idx = Bitmask.create max_haz in
       (* slot 0 is the permanently-reserved scratch hazard *)
       ignore (Bitmask.acquire free_idx ~from:0);
       {
         hp_uid = Padded.atomic_array max_haz (-1);
-        handovers = Padded.atomic_array max_haz None;
         used_haz = Array.make max_haz 0;
         free_idx;
-        retire_started = false;
-        recursive = Queue.create ();
       }
     in
-    let t =
+    let tl = Array.init Registry.max_threads mk_row in
+    let bk = B.create ~max_hps in
+    let rec t =
       {
+        hdr = N.hdr;
         alloc;
         sink;
         arena = Memdom.Handle.arena ~hdr:N.hdr ();
-        tl = Array.init Registry.max_threads mk_tl;
+        tl;
         watermark = Atomic.make 1;
         pending = Shard.create ();
         n_retires = Shard.create ();
@@ -502,9 +786,9 @@ module Make (N : NODE) = struct
         n_elided = Shard.create ();
         wd = Obs.Watchdog.create ();
         bg = Atomic.make None;
-        bg_buf = Array.init Registry.max_threads (fun _ -> ref []);
-        bg_count = Array.init Registry.max_threads (fun _ -> ref 0);
         tuning = Reclaim.Tuning.create ();
+        bk;
+        delete = (fun ~tid p -> delete t ~tid p);
         lifecycle = ignore;
         neutralizer = ignore;
         metrics = [];
@@ -563,30 +847,31 @@ module Make (N : NODE) = struct
   let using_idx t ~tid idx =
     if idx <> 0 then t.tl.(tid).used_haz.(idx) <- t.tl.(tid).used_haz.(idx) + 1
 
-  (* clear (Algorithm 5 lines 80–90) extended with the handover drain:
-     give the no-longer-referenced object its zero-count check, then
-     release one share of hazard slot [idx]; when the slot becomes free,
-     unpublish it and adopt anything parked in its handover.
+  (* Release one share of hazard slot [idx]; when the slot becomes free,
+     unpublish it and tell the backend. *)
+  let release_idx t ~tid idx =
+    let tl = t.tl.(tid) in
+    tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
+    if tl.used_haz.(idx) = 0 then begin
+      Bitmask.release tl.free_idx idx;
+      Atomic.set tl.hp_uid.(idx) (-1);
+      B.slot_released t ~tid idx
+    end
+
+  (* clear (Algorithm 5 lines 80–90) extended with the slot-release
+     hook: give the no-longer-referenced object its zero-count check,
+     then release one share of hazard slot [idx].
 
      The check runs while slot [idx] still publishes the target.  Once
      the hazard comes down, another thread can claim and free the
-     object (or the drain below frees it, when it was parked here), and
-     a pooled header is then recycled with a zero count: a check made
-     after that would claim a fresh, not-yet-linked node.  Claimed
-     while published, the object is handed over to this very slot and
-     freed by the drain. *)
+     object (or the release hook frees it, when it was parked here),
+     and a pooled header is then recycled with a zero count: a check
+     made after that would claim a fresh, not-yet-linked node.  Claimed
+     while published, the object is handed over to this very slot
+     (PTP) or kept by the scan (HP) until the slot comes down. *)
   let clear t ~tid p ~reuse =
-    let tl = t.tl.(tid) in
-    let idx = p.idx in
     if Link.v_has_target p.v then maybe_retire t ~tid p.n;
-    if (not reuse) && idx <> 0 then begin
-      tl.used_haz.(idx) <- tl.used_haz.(idx) - 1;
-      if tl.used_haz.(idx) = 0 then begin
-        Bitmask.release tl.free_idx idx;
-        Atomic.set tl.hp_uid.(idx) (-1);
-        drain_handover t ~tid idx
-      end
-    end
+    if (not reuse) && p.idx <> 0 then release_idx t ~tid p.idx
 
   (* {2 Guards and orc_ptr handles (Algorithm 7)} *)
 
@@ -718,7 +1003,7 @@ module Make (N : NODE) = struct
 
   (* The slot half of [drop]: [p] becomes a null handle that keeps its
      index share; when it is the slot's only sharer, the slot is
-     unpublished and its handover adopted. *)
+     unpublished and released to the backend. *)
   let unprotect g p =
     let t = g.t and tid = g.tid in
     let tl = t.tl.(tid) in
@@ -726,7 +1011,7 @@ module Make (N : NODE) = struct
     p.n <- no_node;
     if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then begin
       Atomic.set tl.hp_uid.(p.idx) (-1);
-      drain_handover t ~tid p.idx
+      B.slot_released t ~tid p.idx
     end
 
   (* End [p]'s protection now rather than at guard exit: the zero-count
@@ -833,8 +1118,8 @@ module Make (N : NODE) = struct
      reads zero meanwhile has an [inc] pending by a thread that, by the
      mutator precondition, protects the node), so nobody can free it
      across the [unprotect].  The [dec] that zeroes the count then finds
-     no protection of ours to hand the node over to and frees it at
-     once, instead of parking it on our own slot until the handle is
+     no protection of ours, and the backend can free the node at once
+     instead of holding it for our own slot until the handle is
      released. *)
   let unlink_v g link victim ~desired =
     Reclaim.Neutralize.check ~tid:g.tid;
@@ -870,78 +1155,38 @@ module Make (N : NODE) = struct
     Obs.Sink.guard_begin t.sink ~tid;
     let finally () =
       Reclaim.Neutralize.ack ~tid;
-      let tl = t.tl.(tid) in
       if Registry.generation tid = g.gen then
         List.iter (fun p -> clear t ~tid p ~reuse:false) g.ptrs
       else
         (* A neutralization expired this guard: the hazards are
-           already down and the parked handovers were adopted by the
-           neutralizer.  Skipping the per-handle [maybe_retire] is
-           mandatory, not an optimization — the unprotected targets may
-           already be freed and their headers re-issued, so a stale
-           zero-count claim here would retire a {e live} object.  Any
-           zero-count node this guard referenced is (or will be)
-           claimed by the thread whose dec zeroed it, or was parked on
-           this row and adopted.  Only the owner-local index
-           bookkeeping is reset, plus a drain for stragglers parked by
+           already down and the backend has reacted.  Skipping the
+           per-handle [maybe_retire] is mandatory, not an optimization
+           — the unprotected targets may already be freed and their
+           headers re-issued, so a stale zero-count claim here would
+           retire a {e live} object.  Any zero-count node this guard
+           referenced is (or will be) claimed by the thread whose dec
+           zeroed it, or was parked on this row and adopted.  Only the
+           owner-local index bookkeeping is released, each freed slot
+           still running the release hook for stragglers parked by
            scanners that read the hazards before they came down. *)
-        List.iter
-          (fun p ->
-            if p.idx <> 0 then begin
-              tl.used_haz.(p.idx) <- tl.used_haz.(p.idx) - 1;
-              if tl.used_haz.(p.idx) = 0 then begin
-                Bitmask.release tl.free_idx p.idx;
-                Atomic.set tl.hp_uid.(p.idx) (-1);
-                drain_handover t ~tid p.idx
-              end
-            end)
-          g.ptrs;
+        List.iter (fun p -> if p.idx <> 0 then release_idx t ~tid p.idx) g.ptrs;
       g.ptrs <- [];
-      Atomic.set tl.hp_uid.(0) (-1);
-      drain_handover t ~tid 0;
+      Atomic.set t.tl.(tid).hp_uid.(0) (-1);
+      B.slot_released t ~tid 0;
       Obs.Sink.guard_end t.sink ~tid;
       Obs.Watchdog.leave t.wd ~tid
     in
     Fun.protect ~finally (fun () -> f g)
 
-  (* Quiesced drain for tests and shutdown: unpublish every hazard, adopt
-     every parked object, and give every remaining BRETIRED owner-less
-     object nothing — objects still pending after this are genuinely
-     reachable (or leaked, which the tests assert against). *)
+  (* Quiesced drain for tests and shutdown: unpublish every hazard, then
+     let the backend reclaim everything it holds.  Objects still pending
+     after this are genuinely reachable (or leaked, which the tests
+     assert against). *)
   let flush t =
-    let tid = Registry.tid () in
-    let wm = Atomic.get t.watermark in
-    let nreg = Registry.registered () in
-    for it = 0 to nreg - 1 do
-      for idx = 0 to wm - 1 do
-        Atomic.set t.tl.(it).hp_uid.(idx) (-1)
-      done
+    for it = 0 to Registry.registered () - 1 do
+      unpublish_row t ~tid:it
     done;
-    for it = 0 to nreg - 1 do
-      for idx = 0 to wm - 1 do
-        match Atomic.exchange t.tl.(it).handovers.(idx) None with
-        | Some q -> retire t ~tid q
-        | None -> ()
-      done
-    done;
-    (* background buffers: batches parked by [submit_retire] that never
-       reached the channel threshold still carry BRETIRED.  A retire
-       here can cascade through [dec] back into [submit_retire] and
-       re-buffer under an active channel, hence the fixpoint. *)
-    let rec drain_bufs () =
-      let progress = ref false in
-      for it = 0 to nreg - 1 do
-        match !(t.bg_buf.(it)) with
-        | [] -> ()
-        | batch ->
-            t.bg_buf.(it) := [];
-            t.bg_count.(it) := 0;
-            progress := true;
-            List.iter (fun q -> retire t ~tid q) batch
-      done;
-      if !progress then drain_bufs ()
-    in
-    drain_bufs ()
+    B.flush t ~tid:(Registry.tid ())
 
   (* The calls a manual scheme makes at the same program points
      ([Ds.Intf.CORE]).  Here the hard-link counts do that work: an
@@ -956,4 +1201,12 @@ module Make (N : NODE) = struct
           (fun r ->
             if not (Link.v_is_null (Link.view r)) then store_v g r Link.v_null)
           roots)
+end
+
+module Make = Make_gen (Ptp_backend)
+
+module Make_hp (N : NODE) = struct
+  include Make_gen (Hp_backend) (N)
+
+  let scan t ~tid = Hp_backend.scan t ~tid
 end

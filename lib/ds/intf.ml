@@ -70,7 +70,7 @@ end
     each algorithm is written once as a functor over [CORE].
 
     Three families satisfy it: [Orc_core.Orc.Make] (scheme "orc"),
-    [Orc_core.Orc_hp.Make] ("orc-hp") and {!Manual_core.Make} over any
+    [Orc_core.Orc.Make_hp] ("orc-hp") and {!Manual_core.Make} over any
     manual scheme.  Handles ([Ptr.t]) are guard-scoped local references,
     each owning one hazard index; [load] protects a link's target in the
     handle, [advance] steps a prev/curr/next window by permuting the

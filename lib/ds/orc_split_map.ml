@@ -428,4 +428,4 @@ module Impl (O : Intf.CORE with type node = node) = struct
 end
 
 module Make () = Impl (Orc_core.Orc.Make (N))
-module Make_hp () = Impl (Orc_core.Orc_hp.Make (N))
+module Make_hp () = Impl (Orc_core.Orc.Make_hp (N))

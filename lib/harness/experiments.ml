@@ -523,13 +523,14 @@ module Bnode = struct
 end
 
 module Ob_ptp = Orc_core.Orc.Make (Bnode)
-module Ob_hp = Orc_core.Orc_hp.Make (Bnode)
+module Ob_hp = Orc_core.Orc.Make_hp (Bnode)
 
 let ablation_backend p =
   let threads = List.fold_left max 1 p.threads in
-  let churn ~k_backend ~arena ~with_guard ~alloc_node_into ~fresh_ptr ~store
-      ~view ~unreclaimed ~drop =
+  let churn backend (module O : Orc_core.Orc.S with type node = bnode) =
     let module Link = Atomicx.Link in
+    let o = O.create (Memdom.Alloc.create ("orc-" ^ backend ^ "-backend")) in
+    let arena = O.arena o in
     let mk_node hdr = { bhdr = hdr; bnext = Link.make_in arena Link.Null } in
     let nslots = 16 in
     let roots = Array.init nslots (fun _ -> Link.make_in arena Link.Null) in
@@ -537,52 +538,32 @@ let ablation_backend p =
     let r =
       Runner.run ~threads ~duration:p.duration
         ~sampler:(fun () ->
-          let u = unreclaimed () in
+          let u = O.unreclaimed o in
           if u > !peak then peak := u)
         ~worker:(fun ~i ~tid:_ ~stop ->
           let rng = Rng.create ((i + 1) * 6700417) in
           let count = ref 0 in
           while not (stop ()) do
-            with_guard (fun g ->
-                let hp = fresh_ptr g in
+            O.with_guard o (fun g ->
+                let hp = O.ptr g in
                 let root = roots.(Rng.int rng nslots) in
-                ignore (alloc_node_into g hp mk_node);
-                store g root (view hp);
+                ignore (O.alloc_node_into g hp mk_node);
+                O.store_v g root (O.Ptr.view hp);
                 incr count)
           done;
           !count)
         ()
     in
-    drop roots;
-    { k_backend; k_mops = r.Runner.mops; k_peak_unreclaimed = !peak }
+    O.with_guard o (fun g ->
+        Array.iter (fun r -> O.store_v g r Link.v_null) roots);
+    O.flush o;
+    {
+      k_backend = "orc(" ^ backend ^ ")";
+      k_mops = r.Runner.mops;
+      k_peak_unreclaimed = !peak;
+    }
   in
-  let ptp_row =
-    let alloc = Memdom.Alloc.create "orc-ptp-backend" in
-    let o = Ob_ptp.create alloc in
-    churn ~k_backend:"orc(ptp)" ~arena:(Ob_ptp.arena o)
-      ~with_guard:(fun f -> Ob_ptp.with_guard o f)
-      ~alloc_node_into:(fun g hp mk -> Ob_ptp.alloc_node_into g hp mk)
-      ~fresh_ptr:Ob_ptp.ptr ~store:Ob_ptp.store_v ~view:Ob_ptp.Ptr.view
-      ~unreclaimed:(fun () -> Ob_ptp.unreclaimed o)
-      ~drop:(fun roots ->
-        Ob_ptp.with_guard o (fun g ->
-            Array.iter (fun r -> Ob_ptp.store_v g r Atomicx.Link.v_null) roots);
-        Ob_ptp.flush o)
-  in
-  let hp_row =
-    let alloc = Memdom.Alloc.create "orc-hp-backend" in
-    let o = Ob_hp.create alloc in
-    churn ~k_backend:"orc(hp)" ~arena:(Ob_hp.arena o)
-      ~with_guard:(fun f -> Ob_hp.with_guard o f)
-      ~alloc_node_into:(fun g hp mk -> Ob_hp.alloc_node_into g hp mk)
-      ~fresh_ptr:Ob_hp.ptr ~store:Ob_hp.store_v ~view:Ob_hp.Ptr.view
-      ~unreclaimed:(fun () -> Ob_hp.unreclaimed o)
-      ~drop:(fun roots ->
-        Ob_hp.with_guard o (fun g ->
-            Array.iter (fun r -> Ob_hp.store_v g r Atomicx.Link.v_null) roots);
-        Ob_hp.flush o)
-  in
-  [ ptp_row; hp_row ]
+  [ churn "ptp" (module Ob_ptp); churn "hp" (module Ob_hp) ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocator modes: System vs the type-stable Pool, at equal op count. *)

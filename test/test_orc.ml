@@ -5,12 +5,14 @@ open Atomicx
 
 type onode = { hdr : Memdom.Hdr.t; value : int; next : onode Link.t }
 
-module O = Orc_core.Orc.Make (struct
+module ON = struct
   type t = onode
 
   let hdr n = n.hdr
   let iter_links n f = f n.next
-end)
+end
+
+module O = Orc_core.Orc.Make (ON)
 
 let fresh () =
   let alloc = Memdom.Alloc.create "orc-test" in
@@ -118,101 +120,154 @@ let test_long_chain_cascade () =
   check_int "entire chain reclaimed" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
-(* cas transitions: a mark change on the same target must not disturb the
-   count, while retargeting moves both counts. *)
-let test_cas_counts () =
-  let alloc, o = fresh () in
-  let root = Link.make_in (O.arena o) Link.Null in
-  O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk o 1) in
-      let b = O.alloc_node g (mk o 2) in
-      O.store_v g root (O.Ptr.view a);
-      let an = O.Ptr.node_exn a and bn = O.Ptr.node_exn b in
-      (* mark transition on same target *)
-      let v = Link.view root in
-      check_bool "mark cas" true
-        (O.cas_v g root ~expected:v ~desired:(Link.v_mark v));
-      check_bool "a alive" false (Memdom.Hdr.is_freed an.hdr);
-      (* retarget to b: a loses its only hard link *)
-      let v = Link.view root in
-      check_bool "retarget cas" true
-        (O.cas_v g root ~expected:v ~desired:(O.Ptr.view b));
-      check_bool "b alive" false (Memdom.Hdr.is_freed bn.hdr);
-      check_bool "a pinned by local ref" false (Memdom.Hdr.is_freed an.hdr));
-  (* guard gone: a has no links and no local refs *)
-  check_int "only b remains" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store_v g root Link.v_null);
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+(* The count-transition cases, over either backend.  [B.eager]: the
+   backend frees a claimed node where its last protection ends (PTP);
+   otherwise (HP) the node waits for a scan, which [settle] forces
+   before each count of live objects. *)
+module Counts
+    (O : Orc_core.Orc.S with type node = onode)
+    (B : sig
+      val eager : bool
+    end) =
+struct
+  let fresh () =
+    let alloc = Memdom.Alloc.create (O.name ^ "-test") in
+    (alloc, O.create alloc)
 
-(* A failed cas must not move any count. *)
-let test_cas_failure_no_count_change () =
-  let alloc, o = fresh () in
-  let root = Link.make_in (O.arena o) Link.Null in
-  O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk o 1) in
-      let b = O.alloc_node g (mk o 2) in
-      O.store_v g root (O.Ptr.view a);
-      check_bool "cas on another target fails" false
-        (O.cas_v g root ~expected:(O.Ptr.view b) ~desired:Link.v_null);
-      (* stale expected: a word read before a rewrite of the same value
-         never matches again *)
-      let stale = Link.view root in
-      O.store_v g root (O.Ptr.view a);
-      check_bool "stale cas fails" false
-        (O.cas_v g root ~expected:stale ~desired:Link.v_null));
-  check_int "a still live via root" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store_v g root Link.v_null);
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+  let mk o v hdr = { hdr; value = v; next = Link.make_in (O.arena o) Link.Null }
+  let settle o = if not B.eager then O.flush o
 
-(* A store over a linked target moves both counts: the old target's
-   down (freed once unprotected), the new one's up. *)
-let test_store_retarget () =
-  let alloc, o = fresh () in
-  let root = Link.make_in (O.arena o) Link.Null in
-  O.with_guard o (fun g ->
-      let a = O.alloc_node g (mk o 1) in
-      let b = O.alloc_node g (mk o 2) in
-      O.store_v g root (O.Ptr.view a);
-      O.store_v g root (O.Ptr.view b);
-      check_bool "root holds b" true
-        (Link.v_target_exn root (Link.view root) == O.Ptr.node_exn b));
-  check_int "only b remains" 1 (Memdom.Alloc.live alloc);
-  O.with_guard o (fun g -> O.store_v g root Link.v_null);
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+  (* cas transitions: a mark change on the same target must not disturb the
+     count, while retargeting moves both counts. *)
+  let test_cas_counts () =
+    let alloc, o = fresh () in
+    let root = Link.make_in (O.arena o) Link.Null in
+    O.with_guard o (fun g ->
+        let a = O.alloc_node g (mk o 1) in
+        let b = O.alloc_node g (mk o 2) in
+        O.store_v g root (O.Ptr.view a);
+        let an = O.Ptr.node_exn a and bn = O.Ptr.node_exn b in
+        (* mark transition on same target *)
+        let v = Link.view root in
+        check_bool "mark cas" true
+          (O.cas_v g root ~expected:v ~desired:(Link.v_mark v));
+        check_bool "a alive" false (Memdom.Hdr.is_freed an.hdr);
+        (* retarget to b: a loses its only hard link *)
+        let v = Link.view root in
+        check_bool "retarget cas" true
+          (O.cas_v g root ~expected:v ~desired:(O.Ptr.view b));
+        check_bool "b alive" false (Memdom.Hdr.is_freed bn.hdr);
+        check_bool "a pinned by local ref" false (Memdom.Hdr.is_freed an.hdr));
+    (* guard gone: a has no links and no local refs *)
+    settle o;
+    check_int "only b remains" 1 (Memdom.Alloc.live alloc);
+    O.with_guard o (fun g -> O.store_v g root Link.v_null);
+    settle o;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
-(* Ptr assignment in both index directions (Algorithm 7): a rotation
-   prev <- curr <- next, repeated, must keep protection sound. *)
-let test_ptr_rotation () =
-  let alloc, o = fresh () in
-  let root = Link.make_in (O.arena o) Link.Null in
-  O.with_guard o (fun g ->
-      (* build a 10-node chain *)
-      let p = O.ptr g and q = O.ptr g in
-      for i = 1 to 10 do
-        O.load g root q;
-        let node = O.alloc_node_into g p (mk o i) in
-        O.store_v g node.next (O.Ptr.view q);
-        O.store_v g root (O.v_ptr o node)
-      done);
-  O.with_guard o (fun g ->
-      let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-      O.load g root curr;
-      let steps = ref 0 in
-      let rec walk () =
-        match O.Ptr.node curr with
-        | None -> ()
-        | Some n ->
-            incr steps;
-            ignore (read_value n);
-            O.load g n.next next;
-            O.assign g prev curr;
-            O.assign g curr next;
-            walk ()
-      in
-      walk ();
-      check_int "walked the chain" 10 !steps);
-  O.with_guard o (fun g -> O.store_v g root Link.v_null);
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+  (* A failed cas must not move any count. *)
+  let test_cas_failure_no_count_change () =
+    let alloc, o = fresh () in
+    let root = Link.make_in (O.arena o) Link.Null in
+    O.with_guard o (fun g ->
+        let a = O.alloc_node g (mk o 1) in
+        let b = O.alloc_node g (mk o 2) in
+        O.store_v g root (O.Ptr.view a);
+        check_bool "cas on another target fails" false
+          (O.cas_v g root ~expected:(O.Ptr.view b) ~desired:Link.v_null);
+        (* stale expected: a word read before a rewrite of the same value
+           never matches again *)
+        let stale = Link.view root in
+        O.store_v g root (O.Ptr.view a);
+        check_bool "stale cas fails" false
+          (O.cas_v g root ~expected:stale ~desired:Link.v_null));
+    settle o;
+    check_int "a still live via root" 1 (Memdom.Alloc.live alloc);
+    O.with_guard o (fun g -> O.store_v g root Link.v_null);
+    settle o;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+  (* A store over a linked target moves both counts: the old target's
+     down (freed once unprotected), the new one's up. *)
+  let test_store_retarget () =
+    let alloc, o = fresh () in
+    let root = Link.make_in (O.arena o) Link.Null in
+    O.with_guard o (fun g ->
+        let a = O.alloc_node g (mk o 1) in
+        let b = O.alloc_node g (mk o 2) in
+        O.store_v g root (O.Ptr.view a);
+        O.store_v g root (O.Ptr.view b);
+        check_bool "root holds b" true
+          (Link.v_target_exn root (Link.view root) == O.Ptr.node_exn b));
+    settle o;
+    check_int "only b remains" 1 (Memdom.Alloc.live alloc);
+    O.with_guard o (fun g -> O.store_v g root Link.v_null);
+    settle o;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+  (* Ptr assignment in both index directions (Algorithm 7): a rotation
+     prev <- curr <- next, repeated, must keep protection sound. *)
+  let test_ptr_rotation () =
+    let alloc, o = fresh () in
+    let root = Link.make_in (O.arena o) Link.Null in
+    O.with_guard o (fun g ->
+        (* build a 10-node chain *)
+        let p = O.ptr g and q = O.ptr g in
+        for i = 1 to 10 do
+          O.load g root q;
+          let node = O.alloc_node_into g p (mk o i) in
+          O.store_v g node.next (O.Ptr.view q);
+          O.store_v g root (O.v_ptr o node)
+        done);
+    O.with_guard o (fun g ->
+        let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+        O.load g root curr;
+        let steps = ref 0 in
+        let rec walk () =
+          match O.Ptr.node curr with
+          | None -> ()
+          | Some n ->
+              incr steps;
+              ignore (read_value n);
+              O.load g n.next next;
+              O.assign g prev curr;
+              O.assign g curr next;
+              walk ()
+        in
+        walk ();
+        check_int "walked the chain" 10 !steps);
+    O.with_guard o (fun g -> O.store_v g root Link.v_null);
+    settle o;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+  (* The zero-count check of a replaced target runs while the target is
+     still published.  A never-linked node is claimed by the [load] that
+     overwrites its handle.  Under PTP the scan finds this very slot and
+     parks the node there (one handover), and the slot's release at guard
+     exit frees it; under HP it waits on the retired list.  Checked after
+     the overwrite instead, a pooled node could already be freed and its
+     header recycled under the check. *)
+  let test_load_checks_while_published () =
+    let alloc, o = fresh () in
+    let root = Link.make_in (O.arena o) Link.Null in
+    O.with_guard o (fun g ->
+        let p = O.alloc_node g (mk o 1) in
+        let s0 = O.stats o in
+        O.load g root p;
+        let s1 = O.stats o in
+        check_int "claimed by the load" (s0.O.retires + 1) s1.O.retires;
+        check_int "claimed while published"
+          (s0.O.handovers + if B.eager then 1 else 0)
+          s1.O.handovers;
+        check_int "parked on the slot" 1 (Memdom.Alloc.live alloc));
+    settle o;
+    check_int "freed at guard exit" 0 (Memdom.Alloc.live alloc);
+    check_int "nothing pending" 0 (O.unreclaimed o)
+end
+
+module C = Counts (O) (struct
+  let eager = true
+end)
 
 (* A chain root -> 1 -> 2 -> ... -> n built through orc links. *)
 let build_chain o g root n =
@@ -261,24 +316,6 @@ let test_advance_permutes_only () =
           O.advance g prev curr prev));
   O.with_guard o (fun g -> O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
-
-(* The zero-count check of a replaced target runs while the target is
-   still published.  A never-linked node is claimed by the [load] that
-   overwrites its handle, so the scan finds this very slot and parks
-   the node there (one handover); the slot's release at guard exit
-   frees it.  Checked after the overwrite instead, a pooled node could
-   already be freed and its header recycled under the check. *)
-let test_load_checks_while_published () =
-  let alloc, o = fresh () in
-  let root = Link.make_in (O.arena o) Link.Null in
-  O.with_guard o (fun g ->
-      let p = O.alloc_node g (mk o 1) in
-      let h0 = (O.stats o).O.handovers in
-      O.load g root p;
-      check_int "claimed while published" (h0 + 1) (O.stats o).O.handovers;
-      check_int "parked on the slot" 1 (Memdom.Alloc.live alloc));
-  check_int "freed at guard exit" 0 (Memdom.Alloc.live alloc);
-  check_int "nothing pending" 0 (O.unreclaimed o)
 
 (* A zero-count node rotated out by [advance] stays protected in the
    slot [next] now names; the next [load] into [next] claims it and the
@@ -527,17 +564,17 @@ let suite =
           test_reinsertion_survives;
         Alcotest.test_case "long chain cascade, constant stack" `Slow
           test_long_chain_cascade;
-        Alcotest.test_case "cas count transitions" `Quick test_cas_counts;
+        Alcotest.test_case "cas count transitions" `Quick C.test_cas_counts;
         Alcotest.test_case "failed cas moves nothing" `Quick
-          test_cas_failure_no_count_change;
+          C.test_cas_failure_no_count_change;
         Alcotest.test_case "store_v retarget moves both counts" `Quick
-          test_store_retarget;
+          C.test_store_retarget;
         Alcotest.test_case "ptr rotation keeps protection" `Quick
-          test_ptr_rotation;
+          C.test_ptr_rotation;
         Alcotest.test_case "advance permutes handles only" `Quick
           test_advance_permutes_only;
         Alcotest.test_case "load checks a replaced target while published"
-          `Quick test_load_checks_while_published;
+          `Quick C.test_load_checks_while_published;
         Alcotest.test_case "advance: rotated-out node freed" `Quick
           test_advance_rotated_out_freed;
         Alcotest.test_case "advance then neutralized: indexes intact" `Quick

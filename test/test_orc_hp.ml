@@ -1,5 +1,5 @@
-(* The HP-backed OrcGC variant must satisfy the same automatic-
-   reclamation contract as the PTP-backed one (paper §4: the backend is
+(* OrcGC over the HP backend must satisfy the same automatic-reclamation
+   contract as over the PTP backend (paper §4: the backend is
    pluggable); only the memory bound differs. *)
 
 open Util
@@ -7,7 +7,7 @@ open Atomicx
 
 type onode = { hdr : Memdom.Hdr.t; value : int; next : onode Link.t }
 
-module O = Orc_core.Orc_hp.Make (struct
+module O = Orc_core.Orc.Make_hp (struct
   type t = onode
 
   let hdr n = n.hdr
@@ -243,6 +243,37 @@ let test_drop_unpublishes () =
   check_int "no leak" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
+(* orc-hp reports the same stats record as orc: the retires and the HP
+   scans (with the slots they visit) count, while the PTP-only
+   handovers and cascades stay 0. *)
+let test_stats_after_churn () =
+  let alloc, o = fresh () in
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g ->
+      let p = O.ptr g in
+      for k = 1 to 200 do
+        ignore (O.alloc_node_into g p (mk o k));
+        O.store_v g root (O.Ptr.view p)
+      done;
+      O.store_v g root Link.v_null);
+  O.flush o;
+  let s = O.stats o in
+  check_bool "retires counted" true (s.O.retires > 0);
+  check_bool "scans counted" true (s.O.scans > 0);
+  check_bool "scan slots counted" true (s.O.scan_slots > 0);
+  check_int "no handovers" 0 s.O.handovers;
+  check_int "no cascades" 0 s.O.cascades;
+  check_int "nothing unreclaimed" 0 (O.unreclaimed o);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* The count-transition cases of the orc suite, over this backend. *)
+module C =
+  Test_orc.Counts
+    (Orc_core.Orc.Make_hp (Test_orc.ON))
+    (struct
+      let eager = false
+    end)
+
 let suite =
   [
     ( "orc-hp",
@@ -264,5 +295,16 @@ let suite =
           test_advance_then_neutralized;
         Alcotest.test_case "drop unpublishes before guard exit" `Quick
           test_drop_unpublishes;
+        Alcotest.test_case "stats after churn and flush" `Quick
+          test_stats_after_churn;
+        Alcotest.test_case "cas count transitions" `Quick C.test_cas_counts;
+        Alcotest.test_case "failed cas moves nothing" `Quick
+          C.test_cas_failure_no_count_change;
+        Alcotest.test_case "store_v retarget moves both counts" `Quick
+          C.test_store_retarget;
+        Alcotest.test_case "ptr rotation keeps protection" `Quick
+          C.test_ptr_rotation;
+        Alcotest.test_case "load checks a replaced target while published"
+          `Quick C.test_load_checks_while_published;
       ] );
   ]

@@ -41,7 +41,7 @@ module ON = struct
 end
 
 module Orc = Orc_core.Orc.Make (ON)
-module Orc_hp = Orc_core.Orc_hp.Make (ON)
+module Orc_hp = Orc_core.Orc.Make_hp (ON)
 
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation: protected reads *)
@@ -81,40 +81,7 @@ let zero_alloc_walk (module S : Reclaim.Scheme_intf.S with type node = pnode)
       done);
   S.end_op s ~tid:0
 
-(* Shared shape for the two orc cores (both satisfy it structurally). *)
-module type PACK_ORC = sig
-  type t
-  type guard
-
-  module Ptr : sig
-    type t
-
-    val view : t -> pnode Link.view
-    val node_exn : t -> pnode
-  end
-
-  val create : ?max_hps:int -> ?sink:Obs.Sink.t -> Memdom.Alloc.t -> t
-
-  val with_guard : t -> (guard -> 'a) -> 'a
-  val ptr : guard -> Ptr.t
-  val load : guard -> pnode Link.t -> Ptr.t -> unit
-  val assign : guard -> Ptr.t -> Ptr.t -> unit
-  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> pnode) -> pnode
-  val new_link_v : guard -> pnode Link.view -> pnode Link.t
-  val store_v : guard -> pnode Link.t -> pnode Link.view -> unit
-
-  val cas_v :
-    guard ->
-    pnode Link.t ->
-    expected:pnode Link.view ->
-    desired:pnode Link.view ->
-    bool
-
-  val v_ptr : t -> pnode -> pnode Link.view
-  val flush : t -> unit
-end
-
-let orc_zero_alloc (module O : PACK_ORC) name () =
+let orc_zero_alloc (module O : Orc_core.Orc.S with type node = pnode) name () =
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-test-" ^ name) in
   let o = O.create ~sink:Obs.Sink.null alloc in
   O.with_guard o (fun g ->
@@ -148,7 +115,7 @@ let orc_zero_alloc (module O : PACK_ORC) name () =
    the target's uid and comes down again, which must not allocate.
    [a] and [b] each stay held by a second link, so every store/CAS
    below moves one count down to 1 and another up to 2. *)
-let orc_dec_zero_alloc (module O : PACK_ORC) name () =
+let orc_dec_zero_alloc (module O : Orc_core.Orc.S with type node = pnode) name () =
   let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("pack-dec-" ^ name) in
   let o = O.create ~sink:Obs.Sink.null alloc in
   O.with_guard o (fun g ->
