@@ -14,25 +14,28 @@ let print_mix_tables title tables =
       Harness.Report.print_table ~title:(title ^ " / " ^ mix) series)
     tables
 
-let run_experiment name (p : Harness.Experiments.params) =
+type experiment =
+  [ `Fig1 | `Fig3 | `Fig5 | `Fig7 | `Table1 | `Mem | `Hashmap | `Ablation ]
+
+let run_experiment (e : experiment) (p : Harness.Experiments.params) =
   let open Harness in
-  match name with
-  | "fig1" | "fig2" ->
+  match e with
+  | `Fig1 ->
       let s = Experiments.fig1_queues p in
       Report.print_table ~title:"Fig 1/2: queues, enq/deq pairs" s;
       Report.print_table ~title:"Fig 1/2 normalized (vs ms-hp)"
         ~unit_label:"x vs ms-hp"
         (Report.normalize ~base_label:"ms-hp" s)
-  | "fig3" | "fig4" ->
+  | `Fig3 ->
       print_mix_tables "Fig 3/4: Michael-Harris list, schemes"
         (Experiments.fig3_list_schemes p)
-  | "fig5" | "fig6" ->
+  | `Fig5 ->
       print_mix_tables "Fig 5/6: lists with OrcGC"
         (Experiments.fig5_orc_lists p)
-  | "fig7" | "fig8" ->
+  | `Fig7 ->
       print_mix_tables "Fig 7/8: tree and skip lists"
         (Experiments.fig7_trees p)
-  | "table1" | "bounds" ->
+  | `Table1 ->
       Format.printf "@.== Table 1 (measured): peak unreclaimed objects ==@.";
       Format.printf "  %-10s %8s %6s %16s %12s %12s@." "scheme" "threads" "H"
         "peak-unreclaimed" "bound" "bound-value";
@@ -44,7 +47,7 @@ let run_experiment name (p : Harness.Experiments.params) =
             (if r.b_bound_value < 0 then "-"
              else string_of_int r.b_bound_value))
         (Experiments.table1_bounds p)
-  | "mem" ->
+  | `Mem ->
       Format.printf "@.== Memory footprint: HS-skip vs CRF-skip ==@.";
       Format.printf "  %-12s %12s %12s %12s %14s %14s@." "structure"
         "peak-live" "final-live" "~reachable" "pinned-chain" "after-unpin";
@@ -54,10 +57,10 @@ let run_experiment name (p : Harness.Experiments.params) =
             m.Experiments.m_structure m.m_peak_live m.m_final_live
             m.m_reachable m.m_pinned_live m.m_pinned_after)
         (Experiments.mem_footprint p)
-  | "hashmap" ->
+  | `Hashmap ->
       Report.print_table ~title:"Extension: Michael hash table (write-heavy)"
         (Experiments.ext_hashmap p)
-  | "ablation" ->
+  | `Ablation ->
       Report.print_table ~title:"Ablation: PTP publish instruction"
         (Experiments.ablation_publish p);
       Format.printf "@.== Ablation: OrcGC protection backend ==@.";
@@ -71,18 +74,41 @@ let run_experiment name (p : Harness.Experiments.params) =
         (fun (label, residual) ->
           Format.printf "  %-24s residual unreclaimed = %d@." label residual)
         (Experiments.ablation_clear_handover p)
-  | other -> Format.printf "unknown experiment %S@." other
 
 let all_experiments =
-  [ "fig1"; "fig3"; "fig5"; "fig7"; "table1"; "mem"; "ablation"; "hashmap" ]
+  [ `Fig1; `Fig3; `Fig5; `Fig7; `Table1; `Mem; `Ablation; `Hashmap ]
+
+(* An unknown name is a usage error: cmdliner prints the usage and the
+   process exits non-zero. *)
+let experiments =
+  [
+    ("all", `All);
+    ("fig1", `Fig1);
+    ("fig2", `Fig1);
+    ("fig3", `Fig3);
+    ("fig4", `Fig3);
+    ("fig5", `Fig5);
+    ("fig6", `Fig5);
+    ("fig7", `Fig7);
+    ("fig8", `Fig7);
+    ("table1", `Table1);
+    ("bounds", `Table1);
+    ("mem", `Mem);
+    ("hashmap", `Hashmap);
+    ("ablation", `Ablation);
+  ]
 
 let exp_arg =
   let doc =
     "Experiment to run: fig1/fig2 (queues), fig3/fig4 (list x schemes), \
-     fig5/fig6 (OrcGC lists), fig7/fig8 (tree and skip lists), table1 \
-     (memory bounds), mem (footprint), ablation, or all."
+     fig5/fig6 (OrcGC lists), fig7/fig8 (tree and skip lists), \
+     table1/bounds (memory bounds), mem (footprint), hashmap, ablation, \
+     or all."
   in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(
+    value
+    & pos 0 (enum (List.map (fun (n, e) -> (n, (n, e))) experiments)) ("all", `All)
+    & info [] ~docv:"EXPERIMENT" ~doc)
 
 let threads_arg =
   let doc = "Comma-separated thread counts to sweep." in
@@ -104,15 +130,16 @@ let csv_arg =
   let doc = "Append results as CSV rows to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let main exp threads duration list_keys big_keys csv =
+let main (name, exp) threads duration list_keys big_keys csv =
   let p =
     { Harness.Experiments.threads; duration; list_keys; big_keys; csv }
   in
-  Format.printf "orcgc-bench: %s (threads=%s, %.2fs/point)@." exp
+  Format.printf "orcgc-bench: %s (threads=%s, %.2fs/point)@." name
     (String.concat "," (List.map string_of_int threads))
     duration;
-  if exp = "all" then List.iter (fun e -> run_experiment e p) all_experiments
-  else run_experiment exp p
+  match exp with
+  | `All -> List.iter (fun e -> run_experiment e p) all_experiments
+  | #experiment as e -> run_experiment e p
 
 let cmd =
   let doc = "Reproduce the OrcGC paper's evaluation (PPoPP '21)" in

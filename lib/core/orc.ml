@@ -439,7 +439,12 @@ end
 
 module Hp_backend = struct
   (* owner-thread only *)
-  type 'n retired_row = { mutable retired : 'n list; mutable count : int }
+  (* [quiet]: guard exits since the row last retired or scanned *)
+  type 'n retired_row = {
+    mutable retired : 'n list;
+    mutable count : int;
+    mutable quiet : int;
+  }
 
   type 'n t = {
     hps : int; (* the H of R = 2·H·t *)
@@ -456,7 +461,8 @@ module Hp_backend = struct
       hps;
       threshold = Atomic.make (max 2 (2 * hps));
       rows =
-        Array.init Registry.max_threads (fun _ -> { retired = []; count = 0 });
+        Array.init Registry.max_threads (fun _ ->
+            { retired = []; count = 0; quiet = 0 });
       orphans = Reclaim.Orphan.create ();
     }
 
@@ -499,25 +505,37 @@ module Hp_backend = struct
     let batch =
       List.rev_append (Reclaim.Orphan.adopt c.bk.orphans c.sink ~tid) r.retired
     in
-    r.retired <- [];
-    r.count <- 0;
-    List.iter
-      (fun p ->
-        let keep () =
-          r.retired <- p :: r.retired;
-          r.count <- r.count + 1
-        in
-        let lorc = Atomic.get (orc_word c p) in
-        if ocnt lorc <> retired_zero then begin
-          (* resurrected: release ownership; re-park only if re-claimed *)
-          if clear_bit_retired c ~tid p <> 0 then keep ()
-        end
-        else if protected_by_any c ~visited p then keep ()
-        else
-          (* Lemma 1: the seq must not have moved across the hazard scan *)
-          let lorc2 = Atomic.get (orc_word c p) in
-          if lorc2 <> lorc then keep () else c.delete ~tid p)
-      batch;
+    r.quiet <- 0;
+    let kept = ref [] and nkept = ref 0 in
+    let keep p =
+      kept := p :: !kept;
+      incr nkept
+    in
+    (* A destructor's [dec] parks the successor it zeroed on [r.retired];
+       those are scanned too, pass after pass, so a chain whose links
+       each hold the next (a queue's dequeued nodes) is freed in one
+       scan rather than one link per threshold crossing. *)
+    let rec pass batch =
+      r.retired <- [];
+      r.count <- 0;
+      List.iter
+        (fun p ->
+          let lorc = Atomic.get (orc_word c p) in
+          if ocnt lorc <> retired_zero then begin
+            (* resurrected: release ownership; re-park only if re-claimed *)
+            if clear_bit_retired c ~tid p <> 0 then keep p
+          end
+          else if protected_by_any c ~visited p then keep p
+          else
+            (* Lemma 1: the seq must not have moved across the hazard scan *)
+            let lorc2 = Atomic.get (orc_word c p) in
+            if lorc2 <> lorc then keep p else c.delete ~tid p)
+        batch;
+      match r.retired with [] -> () | cascaded -> pass cascaded
+    in
+    pass batch;
+    r.retired <- List.rev_append !kept r.retired;
+    r.count <- r.count + !nkept;
     Shard.incr c.n_scans ~tid;
     Shard.add c.n_scan_slots ~tid !visited;
     Obs.Sink.scan_end c.sink ~tid ~slots:!visited ~began
@@ -546,6 +564,11 @@ module Hp_backend = struct
       scan c ~tid
     end
 
+  let reclaim c ~tid =
+    match Atomic.get c.bg with
+    | None -> scan c ~tid
+    | Some ch -> drain_background c ~tid ch
+
   (* Retiring = parking on the thread-local list; reclamation happens in
      [scan].  Cascades need no recursion guard: a destructor's [dec]
      just pushes more entries. *)
@@ -553,12 +576,21 @@ module Hp_backend = struct
     let r = c.bk.rows.(tid) in
     r.retired <- p :: r.retired;
     r.count <- r.count + 1;
-    if threshold_crossed c ~count:r.count then
-      match Atomic.get c.bg with
-      | None -> scan c ~tid
-      | Some ch -> drain_background c ~tid ch
+    r.quiet <- 0;
+    if threshold_crossed c ~count:r.count then reclaim c ~tid
 
-  let slot_released _ ~tid:_ _ = ()
+  (* Slot 0, the scratch slot, is released only at guard exit.  A
+     parked list that has not grown for R guards is reclaimed anyway: a
+     parked node can pin a chain that retires nothing until the node is
+     freed — a queue's old sentinel holds every node dequeued after
+     it — so waiting for R more retires could wait forever. *)
+  let slot_released c ~tid idx =
+    if idx = 0 then begin
+      let r = c.bk.rows.(tid) in
+      r.quiet <- r.quiet + 1;
+      if r.count > 0 && r.quiet >= Atomic.get c.bk.threshold then
+        reclaim c ~tid
+    end
 
   (* Publish the retired list to the orphan pool — survivors fold it
      into their next [scan], which re-runs the full Lemma-1 /
@@ -1193,6 +1225,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      unlinked or never-published node is freed by its count and its
      handle, and dropping the roots cascades through the structure. *)
   let retire _ _ = ()
+  let retire_region _ _ ~keep:_ = ()
   let discard _ _ = ()
 
   let release_roots t roots =
@@ -1200,7 +1233,8 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         List.iter
           (fun r ->
             if not (Link.v_is_null (Link.view r)) then store_v g r Link.v_null)
-          roots)
+          roots);
+    flush t
 end
 
 module Make = Make_gen (Ptp_backend)

@@ -33,7 +33,8 @@
       ignored: the hazard array is self-sizing;
     - {!Make_hp} ("orc-hp") uses hazard pointers: the object waits on a
       thread-local retired list until the list crosses the scan
-      threshold R = 2·H·t — O(Ht²) unreclaimed.  [create]'s [?max_hps]
+      threshold R = 2·H·t, or stops growing for R guards — O(Ht²)
+      unreclaimed.  [create]'s [?max_hps]
       is that H (default 8); the hazard array is still self-sizing.
 
     Deviations from the paper's listing (DESIGN.md §6.3): (1) releasing

@@ -261,14 +261,18 @@ module type S = sig
 
       A structure written once against [Ds.Intf.CORE] makes the calls a
       manual scheme needs at the program points where it needs them.
-      Under OrcGC the hard-link counts do that work, so [retire] and
-      [discard] do nothing: an unlinked node is freed when its count
-      drops, and a never-published node by the handle that holds it. *)
+      Under OrcGC the hard-link counts do that work, so [retire],
+      [retire_region] and [discard] do nothing: an unlinked node — or a
+      whole excised region — is freed when its count drops, and a
+      never-published node by the handle that holds it.  In particular
+      orc never poisons a region. *)
 
   val retire : guard -> Ptr.t -> unit
+  val retire_region : guard -> Ptr.t -> keep:node Atomicx.Link.view -> unit
   val discard : guard -> node -> unit
 
   val release_roots : t -> node Atomicx.Link.t list -> unit
-  (** Quiesced teardown: store null into each root; the counts cascade
-      through everything only the roots kept alive. *)
+  (** Quiesced teardown: store null into each root, so the counts
+      cascade through everything only the roots kept alive, then
+      {!flush} (under HP the cascade parks on the retired lists). *)
 end

@@ -64,10 +64,12 @@ module type SET = sig
   val alloc : t -> Memdom.Alloc.t
 end
 
-(** The reclamation interface a set algorithm is written against — the
-    paper's §4.1.1 methodology as a signature: an OrcGC structure and
-    its manual-reclamation version differ only in the calls below, so
-    each algorithm is written once as a functor over [CORE].
+(** The reclamation interface every algorithm with a manual version —
+    the three sets, the two queues and the NM tree — is written
+    against: the paper's §4.1.1 methodology as a signature.  An OrcGC
+    structure and its manual-reclamation version differ only in the
+    calls below, so each algorithm is written once as a functor over
+    [CORE].
 
     Three families satisfy it: [Orc_core.Orc.Make] (scheme "orc"),
     [Orc_core.Orc.Make_hp] ("orc-hp") and {!Manual_core.Make} over any
@@ -127,6 +129,16 @@ module type CORE = sig
       hand it to the scheme.  A no-op under orc, where the count drop
       does the work. *)
 
+  val retire_region : guard -> Ptr.t -> keep:node Atomicx.Link.view -> unit
+  (** [retire_region g root ~keep]: the region under the handle's
+      target was just excised by one CAS that installed [keep]'s target
+      in its place.  A manual scheme collects every node reachable from
+      [root] except through [keep] (recognised by slot, never
+      dereferenced), poisons every link of the region, so a traversal
+      still inside it restarts, and only then retires each node.  A
+      no-op under orc, where the count drop cascades through the
+      region. *)
+
   val discard : guard -> node -> unit
   (** Free a node that was allocated but never published.  A no-op
       under orc, where the handle that holds it frees it. *)
@@ -134,8 +146,8 @@ module type CORE = sig
   val release_roots : t -> node Atomicx.Link.t list -> unit
   (** Quiesced teardown: free everything reachable from [roots] and null
       them.  Orc stores null into each root and lets the counts
-      cascade; a manual scheme frees each reachable node once and then
-      flushes. *)
+      cascade; a manual scheme frees each reachable node once.  Both
+      then flush, so nothing is left retired. *)
 
   val v_ptr : t -> node -> node Atomicx.Link.view
   val unreclaimed : t -> int

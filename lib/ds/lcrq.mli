@@ -1,16 +1,9 @@
-(** LCRQ — Morrison & Afek's linked concurrent ring queue [21],
-    parameterized by a manual reclamation scheme.
-
-    A lock-free list of ring segments driven by fetch-and-add counters;
-    a filled or livelocked ring is closed and a new segment linked
-    behind it.  The reclamation unit is the segment.  The paper's
-    double-word CAS cells become immutable boxed records under a single
-    physical CAS.  FAA-based structures like this are outside the
-    normalized form required by FreeAccess/AOA (§2). *)
-
-val ring_size : int
-val closed_bit : int
-val idx_mask : int
+(** LCRQ — Morrison & Afek's linked concurrent ring queue [21] over a
+    manual reclamation scheme.  The same source as {!Orc_lcrq}, run over
+    {!Manual_core}: the reclamation unit is the segment, retired by the
+    CAS that swings the queue head past it.  FAA-based structures like
+    this are outside the normalized form required by FreeAccess/AOA
+    (§2). *)
 
 module Make (V : sig
   type t

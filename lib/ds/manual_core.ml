@@ -11,7 +11,8 @@
     [copy_protection], and [advance] permutes the three pairs as
     [Orc.advance] permutes its triples: every slot keeps publishing
     what it did, so a traversal hop costs one protect and no copy.
-    [retire] and [unlink_v] hand the unlinked node to [S.retire];
+    [retire] and [unlink_v] hand the unlinked node to [S.retire],
+    [retire_region] poisons and retires an excised region, and
     [discard] frees a node that was never published. *)
 
 open Atomicx
@@ -127,6 +128,31 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
          victim.v <- Link.v_null;
          true
        end
+
+  (* The region is frozen (every edge flagged or tagged) and bounded by
+     the number of concurrent deletes.  The survivor is recognised by
+     its arena slot, never dereferenced: the caller need not protect
+     it, and once linked under the CAS's link a concurrent delete may
+     free it and its slot be re-issued while the region is collected.
+     Every other
+     region edge targets a region node, which stays allocated until
+     this call retires it, so no region node can hold the survivor's
+     slot.  The edges are poisoned before any node is retired, so a
+     traversal inside the region fails its next protection step. *)
+  let retire_region g root ~keep =
+    let survivor = Link.v_clean keep and nodes = ref [] in
+    let rec collect x =
+      N.iter_links x (fun l ->
+          let v = Link.view l in
+          if Link.v_has_target v && not (Link.v_same (Link.v_clean v) survivor)
+          then collect (Link.v_node g.c.arena v));
+      nodes := x :: !nodes
+    in
+    collect (Ptr.node_exn root);
+    List.iter
+      (fun n -> N.iter_links n (fun l -> Link.set_v l Link.v_poison))
+      !nodes;
+    List.iter (fun n -> S.retire g.c.s ~tid:g.tid n) !nodes
 
   (* Collect every node reachable from the roots (once each, by uid)
      before freeing any, so no link is decoded after its target's slot

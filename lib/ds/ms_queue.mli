@@ -1,10 +1,7 @@
-(** Michael–Scott lock-free queue [20], parameterized by a *manual*
-    reclamation scheme (HP, PTB, EBR, HE, IBR, PTP, Leak).
-
-    The classical target of manual schemes: the dequeuer that swings
-    [head] knows the old sentinel just became unreachable and calls
-    retire at exactly that point.  Hazard indexes: 0 = head/tail
-    snapshot, 1 = successor. *)
+(** Michael–Scott lock-free queue [20] over a manual reclamation scheme
+    (HP, PTB, EBR, HE, IBR, PTP, Leak).  The same source as
+    {!Orc_ms_queue}, run over {!Manual_core}: the CAS that swings
+    [head] past the old sentinel retires it. *)
 
 module Make (V : sig
   type t

@@ -1,50 +1,70 @@
-(** LCRQ with OrcGC — segment lifetime managed entirely by hard-link
-    counts: the queue's head/tail roots and the previous segment's [next]
-    link are the only references, so a segment is reclaimed exactly when
-    both roots have moved past it and no thread protects it.  The ring
-    cells themselves hold plain values, not tracked objects.
+(** LCRQ — Morrison & Afek's linked concurrent ring queue [21], written
+    once against {!Intf.CORE}: {!Make} runs it under OrcGC,
+    {!Lcrq.Make} over a manual scheme.
 
-    This queue uses fetch-and-add, which places it outside the
-    Timnat–Petrank normalized form — FreeAccess and AOA cannot be applied
-    to it (§2), while OrcGC needs only the type annotations. *)
+    A lock-free list of CRQ segments: each segment is a ring of cells
+    driven by fetch-and-add head/tail counters; when a ring fills up or
+    livelocks it is *closed* and a fresh segment is linked behind it, MS
+    queue style.  The reclamation unit is the segment: the dequeuer
+    that swings the queue head past an empty closed segment unlinks it
+    with the core's [unlink_v], which retires it under a manual scheme;
+    under OrcGC the head/tail roots and the previous segment's [next]
+    link are its only counted references, so it is reclaimed once both
+    roots have moved past it and no thread protects it.  A segment
+    that loses the link race was never published and is discarded.
+
+    The paper's C++ uses a double-word CAS on (flags, index, value)
+    cells; here a cell is an immutable boxed record in an [Atomic.t], so
+    a single physical CAS covers all three fields.  The cells hold
+    plain values, not tracked objects.
+
+    Data structures built on fetch-and-add like this one are exactly
+    the class that normalized-form automatic schemes (FreeAccess/AOA)
+    cannot handle (§2) — OrcGC and the manual schemes can. *)
 
 open Atomicx
 
-let ring_size = Lcrq.ring_size
-let closed_bit = Lcrq.closed_bit
-let idx_mask = Lcrq.idx_mask
+let ring_size = 128
+let closed_bit = 1 lsl 62
+let idx_mask = closed_bit - 1
 
-module Make (V : sig
+module Node (V : sig
   type t
 end) =
 struct
-  type item = V.t
-
   type cell = { safe : bool; cidx : int; value : V.t option }
 
-  type node = {
+  type t = {
     ring : cell Atomic.t array;
     qhead : int Atomic.t;
-    qtail : int Atomic.t;
-    next : node Link.t;
+    qtail : int Atomic.t; (* bit 62 = closed *)
+    next : t Link.t;
     hdr : Memdom.Hdr.t;
   }
 
-  module O = Orc_core.Orc.Make (struct
-    type t = node
+  let hdr n = n.hdr
+  let iter_links n f = f n.next
+end
 
-    let hdr n = n.hdr
-    let iter_links n f = f n.next
-  end)
+module Impl
+    (V : sig
+      type t
+    end)
+    (O : Intf.CORE with type node = Node(V).t) =
+struct
+  module Nd = Node (V)
+  open Nd
+
+  type item = V.t
 
   type t = {
-    head : node Link.t;
-    tail : node Link.t;
+    head : Nd.t Link.t;
+    tail : Nd.t Link.t;
     orc : O.t;
     alloc : Memdom.Alloc.t;
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
 
   let ring_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -56,7 +76,7 @@ struct
 
   let fresh_cell i = { safe = true; cidx = i; value = None }
 
-  let mk_crq ?first arena hdr =
+  let mk_crq ?first g hdr =
     let ring = Array.init ring_size (fun i -> Atomic.make (fresh_cell i)) in
     let qtail =
       match first with
@@ -69,18 +89,18 @@ struct
       ring;
       qhead = Atomic.make 0;
       qtail = Atomic.make qtail;
-      next = Link.make_in arena Link.Null;
+      next = O.new_link_v g Link.v_null;
       hdr;
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_lcrq" in
-    let orc = O.create alloc in
+    let alloc = Memdom.Alloc.create ~mode ("lcrq/" ^ O.name) in
+    let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let cp = O.alloc_node g (mk_crq (O.arena orc)) in
+        let crq = O.alloc_node_into g (O.ptr g) (mk_crq g) in
         {
-          head = O.new_link_v g (O.Ptr.view cp);
-          tail = O.new_link_v g (O.Ptr.view cp);
+          head = O.new_link_v g (O.v_ptr orc crq);
+          tail = O.new_link_v g (O.v_ptr orc crq);
           orc;
           alloc;
         })
@@ -91,6 +111,8 @@ struct
       if not (Atomic.compare_and_set crq.qtail t (t lor closed_bit)) then
         close_crq crq
 
+  (* Try to enqueue into one segment; [`Closed] means a new segment is
+     needed. *)
   let enq_crq crq v =
     let rec loop attempts =
       if attempts > 4 * ring_size then begin
@@ -122,6 +144,7 @@ struct
     in
     loop 0
 
+  (* Head passed tail: bring tail forward so emptiness is observable. *)
   let rec fix_state crq =
     let h = Atomic.get crq.qhead in
     let t = Atomic.get crq.qtail in
@@ -164,13 +187,14 @@ struct
 
   let enqueue q v =
     O.with_guard q.orc @@ fun g ->
-    let ltail = O.ptr g and lnext = O.ptr g in
-    let np = O.ptr g in
+    let ltail = O.ptr g and lnext = O.ptr g and np = O.ptr g in
     let rec loop () =
       O.load g q.tail ltail;
       let crq = O.Ptr.node_exn ltail in
-      O.load g (next_of crq) lnext;
-      if not (O.Ptr.is_null lnext) then begin
+      let nx = Link.view (next_of crq) in
+      if Link.v_has_target nx then begin
+        (* tail is lagging: swing it onto its protected successor *)
+        O.load g (next_of crq) lnext;
         ignore
           (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
              ~desired:(O.Ptr.view lnext));
@@ -180,23 +204,21 @@ struct
         match enq_crq crq v with
         | `Ok -> ()
         | `Closed ->
-            let ncrq =
-              O.alloc_node_into g np (mk_crq ~first:v (O.arena q.orc))
-            in
-            if
-              O.cas_v g (next_of crq) ~expected:(O.Ptr.view lnext)
-                ~desired:(O.v_ptr q.orc ncrq)
-            then
-              ignore
-                (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
-                   ~desired:(O.v_ptr q.orc ncrq))
-            else loop ()
+            let ncrq = O.alloc_node_into g np (mk_crq ~first:v g) in
+            let nv = O.v_ptr q.orc ncrq in
+            if O.cas_v g (next_of crq) ~expected:nx ~desired:nv then
+              ignore (O.cas_v g q.tail ~expected:(O.Ptr.view ltail) ~desired:nv)
+            else begin
+              (* lost the link race: never published *)
+              O.discard g ncrq;
+              loop ()
+            end
     in
     loop ()
 
   let dequeue q =
     O.with_guard q.orc @@ fun g ->
-    let lhead = O.ptr g and lnext = O.ptr g and ltail = O.ptr g in
+    let lhead = O.ptr g and lnext = O.ptr g in
     let rec loop () =
       O.load g q.head lhead;
       let crq = O.Ptr.node_exn lhead in
@@ -204,29 +226,33 @@ struct
       | Some v -> Some v
       | None -> (
           O.load g (next_of crq) lnext;
-          if O.Ptr.is_null lnext then None
+          if not (Link.v_has_target (O.Ptr.view lnext)) then
+            None (* truly empty *)
           else
+            (* a successor exists: drain once more, then advance *)
             match deq_crq crq with
             | Some v -> Some v
             | None ->
-                O.load g q.tail ltail;
-                if O.Ptr.same_node ltail lhead then
+                (* make sure the tail is past this segment before it can
+                   be retired: tail is a root reference too.  A tail
+                   equal to the head names the protected segment. *)
+                let tail_v = Link.view q.tail in
+                if Link.v_same tail_v (O.Ptr.view lhead) then
                   ignore
-                    (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
+                    (O.cas_v g q.tail ~expected:tail_v
                        ~desired:(O.Ptr.view lnext));
-                ignore
-                  (O.cas_v g q.head ~expected:(O.Ptr.view lhead)
-                     ~desired:(O.Ptr.view lnext));
+                ignore (O.unlink_v g q.head lhead ~desired:(O.Ptr.view lnext));
                 loop ())
     in
     loop ()
 
-  let destroy q =
-    O.with_guard q.orc @@ fun g ->
-    O.store_v g q.head Link.v_null;
-    O.store_v g q.tail Link.v_null
-
+  let destroy q = O.release_roots q.orc [ q.head; q.tail ]
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc
   let alloc q = q.alloc
 end
+
+module Make (V : sig
+  type t
+end) =
+  Impl (V) (Orc_core.Orc.Make (Node (V)))

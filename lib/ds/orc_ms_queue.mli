@@ -1,9 +1,19 @@
-(** Michael–Scott queue with OrcGC (paper Algorithm 1).
+(** Michael–Scott queue (paper Algorithm 1), written once against
+    {!Intf.CORE}; see the implementation header.  {!Make} runs it under
+    OrcGC, where there is no retire call anywhere: the dequeue swings
+    [head] and the old sentinel's count drop reclaims it once
+    unprotected.  {!Ms_queue.Make} runs {!Impl} over a manual scheme. *)
 
-    No retire call anywhere: the dequeue swings [head] and OrcGC notices
-    the old sentinel's hard-link count reach zero, reclaiming it once
-    unprotected.  Versus the textbook algorithm only the type
-    annotations change — the paper's deployment methodology (§4.1.1). *)
+module Node (V : sig
+  type t
+end) : Orc_core.Orc.NODE
+(** The queue's node over items of type [V.t]. *)
+
+module Impl
+    (V : sig
+      type t
+    end)
+    (_ : Intf.CORE with type node = Node(V).t) : Intf.QUEUE with type item = V.t
 
 module Make (V : sig
   type t

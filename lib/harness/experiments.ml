@@ -62,18 +62,6 @@ module Hm_orc = Ds.Orc_hash_map.Make ()
 (* ------------------------------------------------------------------ *)
 (* First-class adapters so experiments can iterate heterogeneously.    *)
 
-module type QUEUE = sig
-  type t
-
-  val create : ?mode:Memdom.Alloc.mode -> unit -> t
-  val enqueue : t -> int -> unit
-  val dequeue : t -> int option
-  val destroy : t -> unit
-  val unreclaimed : t -> int
-  val flush : t -> unit
-  val alloc : t -> Memdom.Alloc.t
-end
-
 type queue_ops = {
   q_name : string;
   q_enq : int -> unit;
@@ -83,7 +71,7 @@ type queue_ops = {
   q_live : unit -> int;
 }
 
-let make_queue name (module Q : QUEUE) () =
+let make_queue name (module Q : Ds.Intf.QUEUE with type item = int) () =
   let t = Q.create () in
   {
     q_name = name;
@@ -97,19 +85,6 @@ let make_queue name (module Q : QUEUE) () =
     q_live = (fun () -> Memdom.Alloc.live (Q.alloc t));
   }
 
-module type SET = sig
-  type t
-
-  val create : ?mode:Memdom.Alloc.mode -> unit -> t
-  val add : t -> int -> bool
-  val remove : t -> int -> bool
-  val contains : t -> int -> bool
-  val destroy : t -> unit
-  val unreclaimed : t -> int
-  val flush : t -> unit
-  val alloc : t -> Memdom.Alloc.t
-end
-
 type set_ops = {
   s_name : string;
   s_add : int -> bool;
@@ -120,7 +95,7 @@ type set_ops = {
   s_live : unit -> int;
 }
 
-let make_set name (module S : SET) () =
+let make_set name (module S : Ds.Intf.SET) () =
   let t = S.create () in
   {
     s_name = name;
@@ -603,7 +578,7 @@ let alloc_measure ~warm ~window ~alloc ~ops =
     g1.Gc.minor_words -. g0.Gc.minor_words,
     g1.Gc.minor_collections - g0.Gc.minor_collections )
 
-let alloc_queue_run (module Q : QUEUE) ~mode ~ops =
+let alloc_queue_run (module Q : Ds.Intf.QUEUE with type item = int) ~mode ~ops =
   let t = Q.create ~mode () in
   let pairs n =
     for i = 1 to n do
@@ -627,7 +602,7 @@ let alloc_queue_run (module Q : QUEUE) ~mode ~ops =
    scan-threshold backlog).  The key range is kept small so per-op
    traversal cost doesn't drown the header savings the experiment is
    about. *)
-let alloc_list_run (module S : SET) ~mode ~ops =
+let alloc_list_run (module S : Ds.Intf.SET) ~mode ~ops =
   let t = S.create ~mode () in
   let keys = 16 in
   let churn n =

@@ -5,28 +5,12 @@
 
 open Util
 
-module type SET = sig
-  type t
-
-  val scheme_name : string
-  val create : ?mode:Memdom.Alloc.mode -> unit -> t
-  val add : t -> int -> bool
-  val remove : t -> int -> bool
-  val contains : t -> int -> bool
-  val to_list : t -> int list
-  val size : t -> int
-  val destroy : t -> unit
-  val unreclaimed : t -> int
-  val flush : t -> unit
-  val alloc : t -> Memdom.Alloc.t
-end
-
 module IntSet = Set.Make (Int)
 
 module Battery (L : sig
   val name : string
 end)
-(S : SET) =
+(S : Ds.Intf.SET) =
 struct
   let test_sequential_semantics () =
     let s = S.create () in

@@ -1,5 +1,5 @@
-(* The manual-scheme adapter behind Michael_list, Hash_map and
-   Split_map: every removed node is retired exactly once under each
+(* The manual-scheme adapter behind Michael_list, Hash_map, Split_map
+   and Nm_tree: every removed node is retired exactly once under each
    manual scheme, [release_roots] frees a shared, partly marked graph
    exactly once, and [advance] keeps a rotated-out node protected until
    the guard ends. *)
@@ -93,6 +93,13 @@ let split_map (module R : Reclaim.Scheme_intf.MAKER) =
     ~residents:(fun _ -> 1 + Hashtbl.length inited)
     ()
 
+(* A tree removal excises a region through [retire_region]; what stays
+   is r, s and the three infinity leaves. *)
+let nm_tree (module R : Reclaim.Scheme_intf.MAKER) =
+  retire_exactly_once
+    (module Ds.Nm_tree.Make (R))
+    ~keys ~rounds ~touch:nothing ~residents:(fun _ -> 5)
+
 let retire_cases =
   List.concat_map
     (fun (name, r) ->
@@ -101,6 +108,7 @@ let retire_cases =
         Alcotest.test_case ("hashmap-" ^ name) `Quick (hash_map r);
         Alcotest.test_case ("splitmap-" ^ name) `Quick (fun () ->
             split_map r);
+        Alcotest.test_case ("nmtree-" ^ name) `Quick (nm_tree r);
       ])
     schemes
 

@@ -1,21 +1,9 @@
 (* Queue tests, generic over reclamation scheme: the same battery runs on
-   the Michael-Scott queue under HP, PTB, EBR, HE, PTP, Leak — and on the
-   OrcGC queue, which has no retire calls at all. *)
+   the Michael-Scott queue and the LCRQ under manual schemes and under
+   OrcGC over both of its backends — one source per queue, which has no
+   retire calls at all under orc. *)
 
 open Util
-
-module type QUEUE = sig
-  type t
-
-  val scheme_name : string
-  val create : ?mode:Memdom.Alloc.mode -> unit -> t
-  val enqueue : t -> int -> unit
-  val dequeue : t -> int option
-  val destroy : t -> unit
-  val unreclaimed : t -> int
-  val flush : t -> unit
-  val alloc : t -> Memdom.Alloc.t
-end
 
 module Int_item = struct
   type t = int
@@ -32,10 +20,23 @@ module Q_orc = Ds.Orc_ms_queue.Make (Int_item)
 module Q_kp = Ds.Orc_kp_queue.Make (Int_item)
 module Q_lcrq_hp = Ds.Lcrq.Make (Int_item) (Reclaim.Hp.Make)
 module Q_lcrq_ptp = Ds.Lcrq.Make (Int_item) (Orc_core.Ptp.Make)
+module Q_lcrq_ebr = Ds.Lcrq.Make (Int_item) (Reclaim.Ebr.Make)
 module Q_lcrq_orc = Ds.Orc_lcrq.Make (Int_item)
+
+(* OrcGC over its hazard-pointer backend, through each queue's [Impl] *)
+module Q_orc_hp =
+  Ds.Orc_ms_queue.Impl
+    (Int_item)
+    (Orc_core.Orc.Make_hp (Ds.Orc_ms_queue.Node (Int_item)))
+
+module Q_lcrq_orc_hp =
+  Ds.Orc_lcrq.Impl
+    (Int_item)
+    (Orc_core.Orc.Make_hp (Ds.Orc_lcrq.Node (Int_item)))
+
 module Q_turn = Ds.Orc_turn_queue.Make (Int_item)
 
-module Battery (Q : QUEUE) = struct
+module Battery (Q : Ds.Intf.QUEUE with type item = int) = struct
   let test_fifo_sequential () =
     let q = Q.create () in
     check_bool "empty at start" true (Q.dequeue q = None);
@@ -261,6 +262,20 @@ module B_lcrq_orc = Battery (struct
   let scheme_name = "lcrq-orc"
 end)
 
+module B_orc_hp = Battery (Q_orc_hp)
+
+module B_lcrq_ebr = Battery (struct
+  include Q_lcrq_ebr
+
+  let scheme_name = "lcrq-ebr"
+end)
+
+module B_lcrq_orc_hp = Battery (struct
+  include Q_lcrq_orc_hp
+
+  let scheme_name = "lcrq-orc-hp"
+end)
+
 module B_turn = Battery (struct
   include Q_turn
 
@@ -297,6 +312,9 @@ let suite =
     ("queue:lcrq-ptp", B_lcrq_ptp.cases);
     ("queue:lcrq-orc", B_lcrq_orc.cases);
     ("queue:turn-orc", B_turn.cases);
+    ("queue:ms-orc-hp", B_orc_hp.cases);
+    ("queue:lcrq-ebr", B_lcrq_ebr.cases);
+    ("queue:lcrq-orc-hp", B_lcrq_orc_hp.cases);
     ( "queue:orc-specific",
       [
         Alcotest.test_case "orc queue reclaims inline" `Quick

@@ -1,6 +1,6 @@
 (* Natarajan-Mittal BST tests: the shared set battery over the manual
-   variants (HP, PTB, HE, PTP) and the OrcGC variant, plus tree-specific
-   checks on the flag/tag cleanup machinery. *)
+   variants (HP, HE, EBR, PTP, IBR) and OrcGC over both of its backends,
+   plus tree-specific checks on the flag/tag cleanup machinery. *)
 
 open Util
 open Set_battery
@@ -9,13 +9,19 @@ module T_hp = Ds.Nm_tree.Make (Reclaim.Hp.Make)
 module T_he = Ds.Nm_tree.Make (Reclaim.He.Make)
 module T_ptp = Ds.Nm_tree.Make (Orc_core.Ptp.Make)
 module T_ebr = Ds.Nm_tree.Make (Reclaim.Ebr.Make)
+module T_ibr = Ds.Nm_tree.Make (Reclaim.Ibr.Make)
 module T_orc = Ds.Orc_nm_tree.Make ()
+
+(* OrcGC over its hazard-pointer backend, through the tree's [Impl] *)
+module T_orc_hp = Ds.Orc_nm_tree.Impl (Orc_core.Orc.Make_hp (Ds.Orc_nm_tree.N))
 
 module B_hp = Battery (struct let name = "nmtree-hp" end) (T_hp)
 module B_he = Battery (struct let name = "nmtree-he" end) (T_he)
 module B_ptp = Battery (struct let name = "nmtree-ptp" end) (T_ptp)
 module B_ebr = Battery (struct let name = "nmtree-ebr" end) (T_ebr)
 module B_orc = Battery (struct let name = "nmtree-orc" end) (T_orc)
+module B_ibr = Battery (struct let name = "nmtree-ibr" end) (T_ibr)
+module B_orc_hp = Battery (struct let name = "nmtree-orc-hp" end) (T_orc_hp)
 
 (* A larger sequential workload shapes the tree deeper than the battery's
    small key ranges do: exercises multi-level seeks and cleanups. *)
@@ -65,6 +71,8 @@ let suite =
     ("tree:nm-ebr", B_ebr.cases);
     ("tree:nm-ptp", B_ptp.cases);
     ("tree:nm-orc", B_orc.cases);
+    ("tree:nm-ibr", B_ibr.cases);
+    ("tree:nm-orc-hp", B_orc_hp.cases);
     ( "tree:nm-specific",
       [
         Alcotest.test_case "large sequential build/teardown" `Slow
