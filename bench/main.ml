@@ -58,7 +58,6 @@ let pack_only = arg_flag "--pack"
 let metrics_only = arg_flag "--metrics"
 let background_only = arg_flag "--background"
 let adaptive_only = arg_flag "--adaptive"
-let kv_only = arg_flag "--kv"
 let trace_out = arg_value "--trace="
 
 let json_out = if arg_flag "--json" then Some "BENCH_orc.json" else None
@@ -1458,241 +1457,6 @@ let adaptive_json rows =
        rows
     @ [ ("rounds", Json.Int ad_rounds) ])
 
-(* ------------------------------------------------------------------ *)
-(* KV serving: zipfian YCSB-B over the fixed-bucket Michael hash map
-   vs the resizable split-ordered map, per scheme, at growing
-   keyspaces.  The fixed map's 64 buckets degrade linearly with the
-   keyspace while the split map doubles its directory to hold the load
-   factor, so the headline is the crossover: at 1M keys the split map
-   must serve at least 2x the fixed map's throughput (check_kv guards
-   exactly that).  Preload inserts keys in descending order so the
-   fixed map's sorted bucket lists always extend at the head — O(1)
-   per insert instead of a half-bucket walk — which is what keeps the
-   4M preload tractable; the split map is insensitive to insert order.
-   Per-op latencies land in a sharded [Obs.Hist] (p50/p99/p99.9 are
-   bucket-floor estimates, within 2x), and the unreclaimed high-water
-   mark is sampled every 1024 ops per worker. *)
-
-module Kv_fixed_hp = Ds.Hash_map.Make (Reclaim.Hp.Make)
-module Kv_fixed_ebr = Ds.Hash_map.Make (Reclaim.Ebr.Make)
-module Kv_fixed_orc = Ds.Orc_hash_map.Make ()
-module Kv_split_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
-module Kv_split_ebr = Ds.Split_map.Make (Reclaim.Ebr.Make)
-module Kv_split_orc = Ds.Orc_split_map.Make ()
-module Kv_split_orc_hp = Ds.Orc_split_map.Make_hp ()
-
-type kv_row = {
-  kv_scheme : string;
-  kv_kind : string; (* "fixed" | "split" *)
-  kv_keys : int;
-  kv_load_mops : float; (* preload throughput *)
-  kv_mops : float;
-  kv_ops : int;
-  kv_p50 : int;
-  kv_p99 : int;
-  kv_p999 : int;
-  kv_max : int;
-  kv_hwm : int; (* peak unreclaimed sampled during the run *)
-  kv_grows : int; (* -1 for the fixed map *)
-  kv_buckets : int; (* -1 for the fixed map *)
-  kv_leaked : int; (* after destroy + flush — must be 0 *)
-}
-
-let kv_workers = 2
-let kv_dur = if smoke then 0.15 else 0.4
-let kv_sizes = if smoke then [ 20_000 ] else [ 100_000; 1_000_000; 4_000_000 ]
-
-let kv_drive ~scheme ~kind ~keys ~add ~remove ~contains ~unreclaimed ~grows
-    ~buckets ~teardown =
-  (* level the field: the previous contestant's heap is gone before the
-     preload is timed *)
-  Gc.compact ();
-  let t0 = Obs.Sink.now_ns () in
-  for k = keys downto 1 do
-    ignore (add k)
-  done;
-  let load_mops =
-    float_of_int keys *. 1e3 /. float_of_int (max 1 (Obs.Sink.now_ns () - t0))
-  in
-  (* zeta(n) is O(n): build each worker's generator before the clock
-     starts so the measured window is all serving, no setup *)
-  let kgs =
-    List.init kv_workers (fun i ->
-        Harness.Keygen.create
-          (Harness.Keygen.Zipfian { theta = Harness.Keygen.default_theta })
-          ~n:keys
-          ~seed:(0x2C0FFEE lxor ((i + 1) * 0x9E3779B9)))
-  in
-  let hist = Obs.Hist.create () in
-  let hwm = Atomic.make 0 in
-  let bump_hwm u =
-    let rec go () =
-      let cur = Atomic.get hwm in
-      if u > cur && not (Atomic.compare_and_set hwm cur u) then go ()
-    in
-    go ()
-  in
-  let total = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let tm0 = Unix.gettimeofday () in
-  let doms =
-    List.mapi
-      (fun i kg ->
-        Domain.spawn (fun () ->
-            Atomicx.Registry.with_tid (fun tid ->
-                let coin = Atomicx.Rng.create (0xD1CE lxor ((i + 1) * 7919)) in
-                let ops = ref 0 in
-                while not (Atomic.get stop) do
-                  let k = 1 + Harness.Keygen.next kg in
-                  let t0 = Obs.Sink.now_ns () in
-                  (match Harness.Keygen.next_op kg Harness.Keygen.mix_b with
-                  | Harness.Keygen.Read -> ignore (contains k)
-                  | Harness.Keygen.Update ->
-                      if Atomicx.Rng.bool coin then ignore (add k)
-                      else ignore (remove k));
-                  Obs.Hist.record hist ~tid (Obs.Sink.now_ns () - t0);
-                  incr ops;
-                  if !ops land 1023 = 0 then bump_hwm (unreclaimed ())
-                done;
-                ignore (Atomic.fetch_and_add total !ops))))
-      kgs
-  in
-  Unix.sleepf kv_dur;
-  Atomic.set stop true;
-  List.iter Domain.join doms;
-  let dt = Unix.gettimeofday () -. tm0 in
-  bump_hwm (unreclaimed ());
-  let rep = Obs.Hist.report hist in
-  let g = grows () and b = buckets () in
-  let leaked = teardown () in
-  {
-    kv_scheme = scheme;
-    kv_kind = kind;
-    kv_keys = keys;
-    kv_load_mops = load_mops;
-    kv_mops = float_of_int (Atomic.get total) /. dt /. 1e6;
-    kv_ops = Atomic.get total;
-    kv_p50 = rep.Obs.Hist.p50;
-    kv_p99 = rep.Obs.Hist.p99;
-    kv_p999 = rep.Obs.Hist.p999;
-    kv_max = rep.Obs.Hist.max;
-    kv_hwm = Atomic.get hwm;
-    kv_grows = g;
-    kv_buckets = b;
-    kv_leaked = leaked;
-  }
-
-let kv_run_fixed (module M : Ds.Intf.SET) ~scheme ~keys =
-  let s = M.create () in
-  kv_drive ~scheme ~kind:"fixed" ~keys
-    ~add:(fun k -> M.add s k)
-    ~remove:(fun k -> M.remove s k)
-    ~contains:(fun k -> M.contains s k)
-    ~unreclaimed:(fun () -> M.unreclaimed s)
-    ~grows:(fun () -> -1)
-    ~buckets:(fun () -> -1)
-    ~teardown:(fun () ->
-      M.destroy s;
-      M.flush s;
-      Memdom.Alloc.live (M.alloc s))
-
-let kv_run_split (module M : Ds.Orc_split_map.MAP) ~scheme ~keys =
-  let s = M.create () in
-  kv_drive ~scheme ~kind:"split" ~keys
-    ~add:(fun k -> M.add s k)
-    ~remove:(fun k -> M.remove s k)
-    ~contains:(fun k -> M.contains s k)
-    ~unreclaimed:(fun () -> M.unreclaimed s)
-    ~grows:(fun () -> M.grows s)
-    ~buckets:(fun () -> M.buckets s)
-    ~teardown:(fun () ->
-      M.destroy s;
-      M.flush s;
-      Memdom.Alloc.live (M.alloc s))
-
-(* Thunks, not a literal list of results: list literals evaluate
-   right-to-left, and each contestant must fully tear down (and the
-   preload must be timed) before the next one allocates its keyspace. *)
-let kv_contestants keys =
-  [
-    (fun () -> kv_run_fixed (module Kv_fixed_hp) ~scheme:"hp" ~keys);
-    (fun () -> kv_run_split (module Kv_split_hp) ~scheme:"hp" ~keys);
-    (fun () -> kv_run_fixed (module Kv_fixed_ebr) ~scheme:"ebr" ~keys);
-    (fun () -> kv_run_split (module Kv_split_ebr) ~scheme:"ebr" ~keys);
-    (fun () -> kv_run_fixed (module Kv_fixed_orc) ~scheme:"orc" ~keys);
-    (fun () -> kv_run_split (module Kv_split_orc) ~scheme:"orc" ~keys);
-    (fun () -> kv_run_split (module Kv_split_orc_hp) ~scheme:"orc-hp" ~keys);
-  ]
-
-let run_kv () =
-  Format.printf
-    "@.== KV service: zipfian YCSB-B (theta %.2f), fixed Michael map vs \
-     split-ordered map (%d workers, %.2fs/point) ==@."
-    Harness.Keygen.default_theta kv_workers kv_dur;
-  List.map
-    (fun keys ->
-      Format.printf "  -- %d keys --@." keys;
-      Format.printf "  %-7s %-6s %9s %9s %9s %9s %11s %7s %6s %9s@." "scheme"
-        "kind" "load-M/s" "Mops/s" "p50-ns" "p99-ns" "p99.9-ns" "hwm" "grows"
-        "buckets";
-      let rows =
-        List.map
-          (fun f ->
-            let r = f () in
-            Format.printf "  %-7s %-6s %9.3f %9.3f %9d %9d %11d %7d %6s %9s@."
-              r.kv_scheme r.kv_kind r.kv_load_mops r.kv_mops r.kv_p50 r.kv_p99
-              r.kv_p999 r.kv_hwm
-              (if r.kv_grows < 0 then "-" else string_of_int r.kv_grows)
-              (if r.kv_buckets < 0 then "-" else string_of_int r.kv_buckets);
-            if r.kv_leaked <> 0 then
-              Format.printf "  WARNING: %s/%s leaked %d objects@." r.kv_scheme
-                r.kv_kind r.kv_leaked;
-            r)
-          (kv_contestants keys)
-      in
-      (keys, rows))
-    kv_sizes
-
-let kv_json sizes =
-  let open Harness in
-  let row_json r =
-    Json.Obj
-      [
-        ("scheme", Json.Str r.kv_scheme);
-        ("kind", Json.Str r.kv_kind);
-        ("load_mops", Json.Float r.kv_load_mops);
-        ("mops", Json.Float r.kv_mops);
-        ("ops", Json.Int r.kv_ops);
-        ("p50_ns", Json.Int r.kv_p50);
-        ("p99_ns", Json.Int r.kv_p99);
-        ("p999_ns", Json.Int r.kv_p999);
-        ("max_ns", Json.Int r.kv_max);
-        ("unreclaimed_hwm", Json.Int r.kv_hwm);
-        ("grows", if r.kv_grows < 0 then Json.Null else Json.Int r.kv_grows);
-        ( "buckets",
-          if r.kv_buckets < 0 then Json.Null else Json.Int r.kv_buckets );
-        ("leaked", Json.Int r.kv_leaked);
-      ]
-  in
-  Json.Obj
-    [
-      ("mix", Json.Str "B");
-      ("read_pct", Json.Int 95);
-      ("theta", Json.Float Harness.Keygen.default_theta);
-      ("workers", Json.Int kv_workers);
-      ("duration_s", Json.Float kv_dur);
-      ( "sizes",
-        Json.List
-          (List.map
-             (fun (keys, rows) ->
-               Json.Obj
-                 [
-                   ("keys", Json.Int keys);
-                   ("rows", Json.List (List.map row_json rows));
-                 ])
-             sizes) );
-    ]
-
 let print_mix_tables title tables =
   List.iter
     (fun (mix, series) ->
@@ -1783,7 +1547,7 @@ let run_full () =
       Format.printf "  %-24s residual unreclaimed = %d@." label residual)
     (Experiments.ablation_clear_handover params);
 
-  Report.print_table ~title:"Extension: Michael hash table (write-heavy)"
+  Report.print_table ~title:"Extension: split-ordered hash map (write-heavy)"
     (Experiments.ext_hashmap params);
 
   let backend = Experiments.ablation_backend params in
@@ -1863,10 +1627,10 @@ let run_sections () =
     @ (if background_only then
          [ ("background", background_json (run_background ())) ]
        else [])
-    @ (if adaptive_only then
-         [ ("adaptive", adaptive_json (run_adaptive_bench ())) ]
-       else [])
-    @ if kv_only then [ ("kv_service", kv_json (run_kv ())) ] else []
+    @
+    if adaptive_only then
+      [ ("adaptive", adaptive_json (run_adaptive_bench ())) ]
+    else []
   in
   match json_out with
   | None -> ()
@@ -1882,7 +1646,7 @@ let () =
     (if smoke then ", smoke" else "");
   if
     churn_only || alloc_only || scan_only || pack_only || metrics_only
-    || background_only || adaptive_only || kv_only
+    || background_only || adaptive_only
   then run_sections ()
   else if smoke then run_smoke ()
   else run_full ();

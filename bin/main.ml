@@ -58,7 +58,7 @@ let run_experiment (e : experiment) (p : Harness.Experiments.params) =
             m.m_reachable m.m_pinned_live m.m_pinned_after)
         (Experiments.mem_footprint p)
   | `Hashmap ->
-      Report.print_table ~title:"Extension: Michael hash table (write-heavy)"
+      Report.print_table ~title:"Extension: split-ordered hash map (write-heavy)"
         (Experiments.ext_hashmap p)
   | `Ablation ->
       Report.print_table ~title:"Ablation: PTP publish instruction"

@@ -84,8 +84,6 @@ module Nm_hp = Ds.Nm_tree.Make (Reclaim.Hp.Make)
 module Nm_orc = Ds.Orc_nm_tree.Make ()
 module Skip_hs = Ds.Orc_hs_skiplist.Make ()
 module Skip_crf = Ds.Orc_crf_skiplist.Make ()
-module Hm_hp = Ds.Hash_map.Make (Reclaim.Hp.Make)
-module Hm_orc = Ds.Orc_hash_map.Make ()
 module Sp_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
 module Sp_ebr = Ds.Split_map.Make (Reclaim.Ebr.Make)
 module Sp_orc = Ds.Orc_split_map.Make ()
@@ -109,8 +107,8 @@ let targets ?mode () =
     set_target ?mode "nmtree-orc" ~keys:1024 (module Nm_orc);
     set_target ?mode "hs-skip" ~keys:1024 (module Skip_hs);
     set_target ?mode "crf-skip" ~keys:1024 (module Skip_crf);
-    set_target ?mode "hashmap-hp" ~keys:1024 (module Hm_hp);
-    set_target ?mode "hashmap-orc" ~keys:1024 (module Hm_orc);
+    set_target ?mode "splitmap-hp" ~keys:1024 (module Sp_hp);
+    set_target ?mode "splitmap-orc" ~keys:1024 (module Sp_orc);
   ]
 
 (* KV soak (--kv): zipfian YCSB-B traffic over the resizable

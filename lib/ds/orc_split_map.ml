@@ -1,6 +1,5 @@
-(** Split-ordered lock-free resizable hash map (Shalev & Shavit) — the
-    resizable successor of {!Orc_hash_map}, written once against
-    {!Intf.CORE}.
+(** Split-ordered lock-free resizable hash map (Shalev & Shavit),
+    written once against {!Intf.CORE}.
 
     The whole map is one Michael list sorted by so-key
     ({!Split_order}): every bucket is a dummy node spliced into that
@@ -13,14 +12,16 @@
     Buckets are initialized lazily and recursively: bucket [b]'s dummy
     is inserted by a list insert anchored at [parent b]'s dummy.
 
-    Traversal, unlinking and retirement are {!Orc_michael_list}'s
-    window search, anchored at a bucket entry and ordered by so-key
-    instead of key.  Dummies are never marked and never retired (only
-    regular so-keys are ever removed), so an entry link, once set,
-    points at a live node until [destroy].  Under OrcGC a dummy is kept
-    alive by its entry (count from the directory) plus its list
-    predecessor, and dies when [destroy] nulls the entries and the one
-    list cascades.
+    Find, insert and delete are {!Orc_michael_list.Window}, anchored
+    at a bucket entry, over the list's node with the so-key as its
+    order ([ord]).  So-keys are unique (the hash is a bijection), so
+    so-key equality is key equality, and a node stores no key: the
+    quiesced [to_list] decodes it from the so-key.  Dummies are
+    never marked and never retired (only regular so-keys are ever
+    removed), so an entry link, once set, points at a live node until
+    [destroy].  Under OrcGC a dummy is kept alive by its entry (count
+    from the directory) plus its list predecessor, and dies when
+    [destroy] nulls the entries and the one list cascades.
 
     {!Make} runs on the paper's pass-the-pointer backend (scheme
     "orc"), {!Make_hp} on the hazard-pointer-backend ablation
@@ -33,18 +34,10 @@
     [[0, Split_order.max_key]]. *)
 
 open Atomicx
+open Orc_michael_list
 module So = Split_order
 
 let initial_buckets = 2
-
-type node = { key : int; so : int; next : node Link.t; hdr : Memdom.Hdr.t }
-
-module N = struct
-  type t = node
-
-  let hdr n = n.hdr
-  let iter_links n f = f n.next
-end
 
 (** {!Intf.SET} plus map introspection. *)
 module type MAP = sig
@@ -59,10 +52,12 @@ module type MAP = sig
 end
 
 module Impl (O : Intf.CORE with type node = node) = struct
+  module W = Window (O)
+
   type t = {
     dir : node So.dir;
     entry0 : node Link.t; (* bucket 0's entry, materialized at create *)
-    tail : node; (* sentinel, so = max_int, never retired *)
+    tail : node; (* sentinel, ord = max_int, never retired *)
     tail_root : node Link.t;
     buckets_a : int Atomic.t; (* current bucket count (power of two) *)
     count : int Atomic.t; (* live regular keys (exact on quiescence) *)
@@ -77,18 +72,6 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   let scheme_name = O.name
   let core t = t.orc
-
-  let next_of n =
-    Memdom.Hdr.check_access n.hdr;
-    n.next
-
-  let so_of n =
-    Memdom.Hdr.check_access n.hdr;
-    n.so
-
-  let key_of n =
-    Memdom.Hdr.check_access n.hdr;
-    n.key
 
   let register_metrics t =
     let labels = [ ("map", "split"); ("scheme", O.name) ] in
@@ -113,15 +96,14 @@ module Impl (O : Intf.CORE with type node = node) = struct
         let tp = O.ptr g in
         let tail =
           O.alloc_node_into g tp (fun hdr ->
-              { key = max_int; so = max_int; next = mk_null g (); hdr })
+              { ord = max_int; next = mk_null g (); hdr })
         in
         let hp = O.ptr g in
         let head =
-          (* bucket 0's dummy: so = 0, first node of the one list *)
+          (* bucket 0's dummy: so-key 0, first node of the one list *)
           O.alloc_node_into g hp (fun hdr ->
               {
-                key = 0;
-                so = So.dummy 0;
+                ord = So.dummy 0;
                 next = O.new_link_v g (O.v_ptr orc tail);
                 hdr;
               })
@@ -151,47 +133,12 @@ module Impl (O : Intf.CORE with type node = node) = struct
   let buckets t = Atomic.get t.buckets_a
   let grows t = Atomic.get t.grows
 
-  (* Michael window-find from entry [e] by so-key; same handle
-     discipline as Orc_michael_list.find.  On [true], [curr] holds
-     [so]; so-keys are unique (bijective hash), so so-equality is
-     key-equality. *)
-  let rec find_from t g e so ~prev ~curr ~next =
-    let restart () =
-      Atomic.incr t.restarts;
-      find_from t g e so ~prev ~curr ~next
-    in
-    let rec loop prev_link =
-      let c = O.Ptr.node_exn curr in
-      O.load g (next_of c) next;
-      if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
-        restart ()
-      else if O.Ptr.is_marked next then begin
-        let unmarked =
-          Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
-        in
-        if O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
-        then begin
-          O.retire g curr;
-          O.assign g curr next;
-          O.Ptr.retag_v curr unmarked;
-          loop prev_link
-        end
-        else restart ()
-      end
-      else if so_of c >= so then (so_of c = so, prev_link)
-      else begin
-        O.advance g prev curr next;
-        loop (next_of c)
-      end
-    in
-    O.load g e curr;
-    loop e
-
-  (* Lazy recursive bucket initialization: the dummy goes in by a list
-     insert anchored at the parent's dummy, then one CAS publishes it
-     in the entry (idempotent — the dummy for an so-key is unique).
-     The [dnode] handle is reused across levels, so initializing a
-     20-deep ancestor chain costs no extra hazard indexes. *)
+  (* Lazy recursive bucket initialization: the dummy goes in by the
+     window's insert-if-absent anchored at the parent's dummy, then one
+     CAS publishes it in the entry (idempotent — the dummy for an
+     so-key is unique).  The [dnode] handle is reused across levels, so
+     initializing a 20-deep ancestor chain costs no extra hazard
+     indexes. *)
   let rec get_entry t g b ~prev ~curr ~next ~dnode =
     let e = So.dir_entry t.dir ~mk_null:(mk_null g) b in
     if Link.v_is_null (Link.view e) then
@@ -200,29 +147,14 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   and init_bucket t g b e ~prev ~curr ~next ~dnode =
     let parent_e = get_entry t g (So.parent b) ~prev ~curr ~next ~dnode in
-    let so = So.dummy b in
-    let rec loop () =
-      let found, prev_link = find_from t g parent_e so ~prev ~curr ~next in
-      if found then O.Ptr.node_exn curr
-      else begin
-        let n =
-          O.alloc_node_into g dnode (fun hdr ->
-              { key = b; so; next = mk_null g (); hdr })
-        in
-        O.store_v g n.next (O.Ptr.view curr);
-        if
-          O.cas_v g prev_link ~expected:(O.Ptr.view curr)
-            ~desired:(O.v_ptr t.orc n)
-        then n
-        else begin
-          (* lost the race: the fresh dummy was never published *)
-          O.discard g n;
-          Atomic.incr t.restarts;
-          loop ()
-        end
-      end
+    let d =
+      O.Ptr.node_exn
+        (if
+           W.insert t.restarts t.orc g parent_e (So.dummy b) ~prev ~curr
+             ~next ~into:dnode
+         then dnode
+         else curr)
     in
-    let d = loop () in
     (* d is protected (curr or dnode); publish it in the entry *)
     let ev = Link.view e in
     if Link.v_is_null ev then
@@ -244,6 +176,12 @@ module Impl (O : Intf.CORE with type node = node) = struct
         && Atomic.compare_and_set t.buckets_a size (2 * size)
       then Atomic.incr t.grows
 
+  (* The initialized entry of hash [h]'s bucket at the current size. *)
+  let entry t g h ~prev ~curr ~next ~dnode =
+    get_entry t g
+      (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
+      ~prev ~curr ~next ~dnode
+
   let contains t key =
     check_key key;
     O.with_guard t.orc (fun g ->
@@ -252,12 +190,8 @@ module Impl (O : Intf.CORE with type node = node) = struct
         and next = O.ptr g
         and dnode = O.ptr g in
         let h = So.hash key in
-        let e =
-          get_entry t g
-            (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
-            ~prev ~curr ~next ~dnode
-        in
-        fst (find_from t g e (So.regular h) ~prev ~curr ~next))
+        let e = entry t g h ~prev ~curr ~next ~dnode in
+        fst (W.find t.restarts g e (So.regular h) ~prev ~curr ~next))
 
   let add t key =
     check_key key;
@@ -268,43 +202,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
       and next = O.ptr g
       and dnode = O.ptr g in
       let h = So.hash key in
-      let so = So.regular h in
-      let e =
-        get_entry t g
-          (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
-          ~prev ~curr ~next ~dnode
-      in
-      let node = ref None in
-      let rec loop () =
-        let found, prev_link = find_from t g e so ~prev ~curr ~next in
-        if found then begin
-          Option.iter (O.discard g) !node;
-          false
-        end
-        else begin
-          let n =
-            match !node with
-            | Some n -> n
-            | None ->
-                let n =
-                  O.alloc_node_into g dnode (fun hdr ->
-                      { key; so; next = mk_null g (); hdr })
-                in
-                node := Some n;
-                n
-          in
-          O.store_v g n.next (O.Ptr.view curr);
-          if
-            O.cas_v g prev_link ~expected:(O.Ptr.view curr)
-              ~desired:(O.v_ptr t.orc n)
-          then true
-          else begin
-            Atomic.incr t.restarts;
-            loop ()
-          end
-        end
-      in
-      loop ()
+      let e = entry t g h ~prev ~curr ~next ~dnode in
+      W.insert t.restarts t.orc g e (So.regular h) ~prev ~curr ~next
+        ~into:dnode
     in
     if r then begin
       Atomic.incr t.count;
@@ -321,47 +221,8 @@ module Impl (O : Intf.CORE with type node = node) = struct
       and next = O.ptr g
       and dnode = O.ptr g in
       let h = So.hash key in
-      let so = So.regular h in
-      let e =
-        get_entry t g
-          (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
-          ~prev ~curr ~next ~dnode
-      in
-      let rec loop () =
-        let found, prev_link = find_from t g e so ~prev ~curr ~next in
-        if not found then false
-        else begin
-          let c = O.Ptr.node_exn curr in
-          O.load g (next_of c) next;
-          if O.Ptr.is_marked next then begin
-            Atomic.incr t.restarts;
-            loop ()
-          end
-          else begin
-            (* a found node precedes the tail — next has a target *)
-            ignore (O.Ptr.node_exn next);
-            if
-              O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
-                ~desired:(Link.v_mark (O.Ptr.view next))
-            then begin
-              (* physical unlink, which retires [curr] (orc: ends its
-                 protection, so it is freed here unless another thread
-                 protects it); on failure a find cleans up *)
-              if
-                not
-                  (O.unlink_v g prev_link curr
-                     ~desired:(Link.v_clean (O.Ptr.view next)))
-              then ignore (find_from t g e so ~prev ~curr ~next);
-              true
-            end
-            else begin
-              Atomic.incr t.restarts;
-              loop ()
-            end
-          end
-        end
-      in
-      loop ()
+      let e = entry t g h ~prev ~curr ~next ~dnode in
+      W.delete t.restarts g e (So.regular h) ~prev ~curr ~next
     in
     if r then Atomic.decr t.count;
     r
@@ -381,7 +242,8 @@ module Impl (O : Intf.CORE with type node = node) = struct
           else
             let deleted = Link.is_marked (Link.get nx.next) in
             let acc =
-              if deleted || So.is_dummy nx.so then acc else key_of nx :: acc
+              if deleted || So.is_dummy nx.ord then acc
+              else So.key_of_regular nx.ord :: acc
             in
             walk acc nx
     in
@@ -397,10 +259,10 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let ok = ref true in
     let rec walk n prev_so =
       if n != t.tail then begin
-        if so_of n <= prev_so then ok := false;
+        if ord_of n <= prev_so then ok := false;
         match Link.target (Link.get n.next) with
         | None -> ok := false (* only the tail terminates the list *)
-        | Some nx -> walk nx (so_of n)
+        | Some nx -> walk nx (ord_of n)
       end
     in
     walk (head_of t) (-1);
@@ -410,7 +272,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
           match Link.target (Link.get e) with
           | None -> () (* lazily uninitialized is fine *)
           | Some d ->
-              if so_of d <> So.dummy b || Link.is_marked (Link.get d.next) then
+              if ord_of d <> So.dummy b || Link.is_marked (Link.get d.next) then
                 ok := false
         done);
     !ok

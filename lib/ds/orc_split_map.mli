@@ -6,10 +6,6 @@
 
 val initial_buckets : int
 
-type node
-
-module N : Orc_core.Orc.NODE with type t = node
-
 module type MAP = sig
   include Intf.SET
 
@@ -36,7 +32,7 @@ end
 
 (** The map over any reclamation core; [core] exposes the instance
     (for the scheme's own counters). *)
-module Impl (O : Intf.CORE with type node = node) : sig
+module Impl (O : Intf.CORE with type node = Orc_michael_list.node) : sig
   include MAP
 
   val core : t -> O.t

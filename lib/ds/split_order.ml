@@ -14,9 +14,18 @@ let hash_bits = 60
 let hash_mask = (1 lsl hash_bits) - 1
 let max_key = hash_mask
 
-(* Fibonacci multiplier (same as the fixed maps), odd => invertible
-   mod 2^60. *)
-let hash key = key * 0x2545F4914F6CDD1D land hash_mask
+(* Fibonacci multiplier, odd => invertible mod 2^60. *)
+let multiplier = 0x2545F4914F6CDD1D
+let hash key = key * multiplier land hash_mask
+
+(* The multiplier's inverse mod 2^60 by Newton's iteration: an odd m is
+   its own inverse mod 2^3, and each step doubles the correct low bits
+   (3, 6, ..., 96 >= 60). *)
+let inverse =
+  let rec go x n =
+    if n = 0 then x else go (x * (2 - (multiplier * x))) (n - 1)
+  in
+  go multiplier 5 land hash_mask
 
 (* Bit reversal of the 60-bit domain, byte table composed so no
    intermediate exceeds the 62-bit immediate range: the j-th byte of
@@ -43,6 +52,7 @@ let rev60 h =
    bucket will ever hold and after every key of the preceding bucket,
    at every table size — the split-ordering invariant. *)
 let regular h = (rev60 h lsl 1) lor 1
+let key_of_regular so = rev60 (so lsr 1) * inverse land hash_mask
 let dummy b = rev60 b lsl 1
 let is_dummy so = so land 1 = 0
 let bucket_of ~hash ~size = hash land (size - 1)

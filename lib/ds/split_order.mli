@@ -32,6 +32,10 @@ val regular : int -> int
 (** [regular h] is the so-key of a real key with hash [h]:
     [rev60 h] shifted left one with the regular bit set. *)
 
+val key_of_regular : int -> int
+(** The key whose so-key is the given regular so-key: the inverse of
+    [regular (hash key)] on [[0, max_key]]. *)
+
 val dummy : int -> int
 (** [dummy b] is the so-key of bucket [b]'s dummy node (regular bit
     clear).  For every table size it sorts before all keys bucket [b]

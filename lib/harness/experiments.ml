@@ -54,10 +54,10 @@ module Nm_ptp = Ds.Nm_tree.Make (Orc_core.Ptp.Make)
 module Nm_orc = Ds.Orc_nm_tree.Make ()
 module Skip_hs = Ds.Orc_hs_skiplist.Make ()
 module Skip_crf = Ds.Orc_crf_skiplist.Make ()
-module Hm_hp = Ds.Hash_map.Make (Reclaim.Hp.Make)
-module Hm_ebr = Ds.Hash_map.Make (Reclaim.Ebr.Make)
-module Hm_ptp = Ds.Hash_map.Make (Orc_core.Ptp.Make)
-module Hm_orc = Ds.Orc_hash_map.Make ()
+module Sm_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
+module Sm_ebr = Ds.Split_map.Make (Reclaim.Ebr.Make)
+module Sm_ptp = Ds.Split_map.Make (Orc_core.Ptp.Make)
+module Sm_orc = Ds.Orc_split_map.Make ()
 
 (* ------------------------------------------------------------------ *)
 (* First-class adapters so experiments can iterate heterogeneously.    *)
@@ -454,16 +454,17 @@ let ablation_clear_handover p =
   Orc_core.Ptp.clear_handover := true;
   [ ("clear-drains-handover", with_drain); ("no-drain", without_drain) ]
 
-(* Extension (not a paper figure): Michael's hash table [18], the second
-   structure of the paper that gives us the list — a sanity check that
-   the scheme ranking generalizes beyond pointer-chasing shapes. *)
+(* Extension (not a paper figure): the split-ordered hash map, Michael's
+   list window anchored at lazily initialized bucket dummies — a sanity
+   check that the scheme ranking generalizes beyond pointer-chasing
+   shapes. *)
 let ext_hashmap p =
   let factories =
     [
-      make_set "hashmap-hp" (module Hm_hp);
-      make_set "hashmap-ebr" (module Hm_ebr);
-      make_set "hashmap-ptp" (module Hm_ptp);
-      make_set "hashmap-orc" (module Hm_orc);
+      make_set "splitmap-hp" (module Sm_hp);
+      make_set "splitmap-ebr" (module Sm_ebr);
+      make_set "splitmap-ptp" (module Sm_ptp);
+      make_set "splitmap-orc" (module Sm_orc);
     ]
   in
   let series =

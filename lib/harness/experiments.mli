@@ -76,8 +76,9 @@ val ablation_clear_handover : params -> (string * int) list
     enabled vs disabled. *)
 
 val ext_hashmap : params -> Report.series list
-(** Extension beyond the paper's figures: Michael's lock-free hash
-    table [18] (write-heavy mix) across HP, EBR, PTP and OrcGC. *)
+(** Extension beyond the paper's figures: the split-ordered hash map
+    ({!Ds.Split_map}, {!Ds.Orc_split_map}; write-heavy mix) across HP,
+    EBR, PTP and OrcGC. *)
 
 type backend_row = {
   k_backend : string;

@@ -233,3 +233,25 @@ struct
     ]
 end
 
+
+(* A key outside the set's range: [add], [remove] and [contains] each
+   raise [Invalid_argument], allocate nothing, and leave the set usable. *)
+let rejects_keys (type t) (module S : Ds.Intf.SET with type t = t) bad () =
+  let s = S.create () in
+  check_bool "add in range" true (S.add s 1);
+  let live = Memdom.Alloc.live (S.alloc s) in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (op, f) ->
+          match f s k with
+          | _ -> Alcotest.failf "%s %d accepted" op k
+          | exception Invalid_argument _ -> ())
+        [ ("add", S.add); ("remove", S.remove); ("contains", S.contains) ])
+    bad;
+  check_int "nothing allocated" live (Memdom.Alloc.live (S.alloc s));
+  check_bool "still usable" true
+    (S.add s 2 && S.contains s 1 && S.remove s 1 && S.to_list s = [ 2 ]);
+  S.destroy s;
+  S.flush s;
+  check_int "no leak" 0 (Memdom.Alloc.live (S.alloc s))

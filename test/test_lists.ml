@@ -1,8 +1,9 @@
 (* Linked-list set tests, generic over implementation and scheme.  The
    same battery runs over: Michael's list under every manual scheme, and
    the OrcGC versions of Michael, Harris (original!), and Herlihy-Shavit
-   (wait-free lookups) — the latter two being the structures for which no
-   manual scheme is applicable (paper §2, obstacles 1-3). *)
+   (wait-free lookups, under both OrcGC backends) — the latter two being
+   the structures for which no manual scheme is applicable (paper §2,
+   obstacles 1-3). *)
 
 open Util
 
@@ -17,10 +18,11 @@ module M_ptp = Ds.Michael_list.Make (Orc_core.Ptp.Make)
 module M_orc = Ds.Orc_michael_list.Make ()
 module Harris_orc = Ds.Orc_harris_list.Make ()
 module Hs_orc = Ds.Orc_hs_list.Make ()
+
+module Hs_orc_hp =
+  Ds.Orc_hs_list.Impl (Orc_core.Orc.Make_hp (Ds.Orc_michael_list.N))
+
 module Tbkp_orc = Ds.Orc_tbkp_list.Make ()
-module Hm_hp = Ds.Hash_map.Make (Reclaim.Hp.Make)
-module Hm_ptp = Ds.Hash_map.Make (Orc_core.Ptp.Make)
-module Hm_orc = Ds.Orc_hash_map.Make ()
 
 module B_m_hp = Battery (struct let name = "michael-hp" end) (M_hp)
 module B_m_ptb = Battery (struct let name = "michael-ptb" end) (M_ptb)
@@ -32,9 +34,7 @@ module B_m_orc = Battery (struct let name = "michael-orc" end) (M_orc)
 module B_harris = Battery (struct let name = "harris-orc" end) (Harris_orc)
 module B_hs = Battery (struct let name = "hs-orc" end) (Hs_orc)
 module B_tbkp = Battery (struct let name = "tbkp-orc" end) (Tbkp_orc)
-module B_hm_hp = Battery (struct let name = "hashmap-hp" end) (Hm_hp)
-module B_hm_ptp = Battery (struct let name = "hashmap-ptp" end) (Hm_ptp)
-module B_hm_orc = Battery (struct let name = "hashmap-orc" end) (Hm_orc)
+module B_hs_hp = Battery (struct let name = "hs-orc-hp" end) (Hs_orc_hp)
 
 (* HS-specific: lookups through logically deleted nodes must still be
    answered (and raise nothing) while a writer removes the key. *)
@@ -71,12 +71,20 @@ let suite =
     ("list:harris-orc", B_harris.cases);
     ("list:hs-orc", B_hs.cases);
     ("list:tbkp-orc", B_tbkp.cases);
-    ("hashmap:hp", B_hm_hp.cases);
-    ("hashmap:ptp", B_hm_ptp.cases);
-    ("hashmap:orc", B_hm_orc.cases);
+    ("hs:orc-hp", B_hs_hp.cases);
     ( "list:hs-specific",
       [
         Alcotest.test_case "wait-free lookup during removal" `Slow
           test_hs_lookup_during_removal;
       ] );
+    ( "list:key-range",
+      (let sentinels = [ min_int; max_int ] in
+       [
+         Alcotest.test_case "michael-hp rejects sentinels" `Quick
+           (rejects_keys (module M_hp) sentinels);
+         Alcotest.test_case "michael-orc rejects sentinels" `Quick
+           (rejects_keys (module M_orc) sentinels);
+         Alcotest.test_case "hs-orc rejects sentinels" `Quick
+           (rejects_keys (module Hs_orc) sentinels);
+       ]) );
   ]

@@ -1,5 +1,5 @@
-(* The manual-scheme adapter behind Michael_list, Hash_map, Split_map
-   and Nm_tree: every removed node is retired exactly once under each
+(* The manual-scheme adapter behind Michael_list, Split_map and
+   Nm_tree: every removed node is retired exactly once under each
    manual scheme, [release_roots] frees a shared, partly marked graph
    exactly once, and [advance] keeps a rotated-out node protected until
    the guard ends. *)
@@ -69,11 +69,6 @@ let michael (module R : Reclaim.Scheme_intf.MAKER) =
     (module Ds.Michael_list.Make (R))
     ~keys ~rounds ~touch:nothing ~residents:(fun _ -> 2 (* head, tail *))
 
-let hash_map (module R : Reclaim.Scheme_intf.MAKER) =
-  retire_exactly_once
-    (module Ds.Hash_map.Make (R))
-    ~keys ~rounds ~touch:nothing ~residents:(fun _ -> 1 (* the shared tail *))
-
 (* The split map's residents are the tail plus one dummy per bucket
    ever initialized: every bucket an operation landed in, at the size
    the table had then, and all its ancestors. *)
@@ -105,7 +100,6 @@ let retire_cases =
     (fun (name, r) ->
       [
         Alcotest.test_case ("michael-" ^ name) `Quick (michael r);
-        Alcotest.test_case ("hashmap-" ^ name) `Quick (hash_map r);
         Alcotest.test_case ("splitmap-" ^ name) `Quick (fun () ->
             split_map r);
         Alcotest.test_case ("nmtree-" ^ name) `Quick (nm_tree r);

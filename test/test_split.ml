@@ -1,6 +1,6 @@
 (* Split-ordered map invariants: the so-key encoding (bit-reversal
    round trip, split-ordering of dummies vs regular keys), the shared
-   set battery over three schemes, dummy-node-never-retired, and
+   set battery over five schemes, out-of-range keys rejected, dummy-node-never-retired, and
    grow-under-churn across multiple doublings with exact leak
    accounting.  The chaos battery (domain killed mid-grow) lives in
    Chaos.run_split_grow and is driven from test_chaos. *)
@@ -11,11 +11,13 @@ module So = Ds.Split_order
 
 module Sm_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
 module Sm_ebr = Ds.Split_map.Make (Reclaim.Ebr.Make)
+module Sm_ptp = Ds.Split_map.Make (Orc_core.Ptp.Make)
 module Sm_orc = Ds.Orc_split_map.Make ()
 module Sm_orc_hp = Ds.Orc_split_map.Make_hp ()
 
 module B_hp = Battery (struct let name = "splitmap-hp" end) (Sm_hp)
 module B_ebr = Battery (struct let name = "splitmap-ebr" end) (Sm_ebr)
+module B_ptp = Battery (struct let name = "splitmap-ptp" end) (Sm_ptp)
 module B_orc = Battery (struct let name = "splitmap-orc" end) (Sm_orc)
 module B_orc_hp = Battery (struct let name = "splitmap-orc-hp" end) (Sm_orc_hp)
 
@@ -51,6 +53,11 @@ let prop_split_ordering =
       So.dummy b < so
       && (if splits_left then so < So.dummy split else so > So.dummy split)
       && (b = 0 || So.dummy (So.parent b) < So.dummy b))
+
+let prop_key_of_regular =
+  qtest "so-key decodes to its key"
+    QCheck2.Gen.(int_range 0 So.max_key)
+    (fun key -> So.key_of_regular (So.regular (So.hash key)) = key)
 
 let prop_so_keys_unique =
   qtest "distinct keys have distinct so-keys"
@@ -149,9 +156,11 @@ let suite =
         prop_rev60_roundtrip;
         prop_split_ordering;
         prop_so_keys_unique;
+        prop_key_of_regular;
       ] );
     ("splitmap:hp", B_hp.cases);
     ("splitmap:ebr", B_ebr.cases);
+    ("splitmap:ptp", B_ptp.cases);
     ("splitmap:orc", B_orc.cases);
     ("splitmap:orc-hp", B_orc_hp.cases);
     ( "split:invariants",
@@ -165,4 +174,12 @@ let suite =
         Alcotest.test_case "load-factor knob defers growth" `Quick
           test_load_factor_knob;
       ] );
+    ( "split:key-range",
+      (let outside = [ -1; So.max_key + 1 ] in
+       [
+         Alcotest.test_case "splitmap-hp rejects outside keys" `Quick
+           (rejects_keys (module Sm_hp) outside);
+         Alcotest.test_case "splitmap-orc rejects outside keys" `Quick
+           (rejects_keys (module Sm_orc) outside);
+       ]) );
   ]
