@@ -8,76 +8,6 @@
 
 open Cmdliner
 
-let print_mix_tables title tables =
-  List.iter
-    (fun (mix, series) ->
-      Harness.Report.print_table ~title:(title ^ " / " ^ mix) series)
-    tables
-
-type experiment =
-  [ `Fig1 | `Fig3 | `Fig5 | `Fig7 | `Table1 | `Mem | `Hashmap | `Ablation ]
-
-let run_experiment (e : experiment) (p : Harness.Experiments.params) =
-  let open Harness in
-  match e with
-  | `Fig1 ->
-      let s = Experiments.fig1_queues p in
-      Report.print_table ~title:"Fig 1/2: queues, enq/deq pairs" s;
-      Report.print_table ~title:"Fig 1/2 normalized (vs ms-hp)"
-        ~unit_label:"x vs ms-hp"
-        (Report.normalize ~base_label:"ms-hp" s)
-  | `Fig3 ->
-      print_mix_tables "Fig 3/4: Michael-Harris list, schemes"
-        (Experiments.fig3_list_schemes p)
-  | `Fig5 ->
-      print_mix_tables "Fig 5/6: lists with OrcGC"
-        (Experiments.fig5_orc_lists p)
-  | `Fig7 ->
-      print_mix_tables "Fig 7/8: tree and skip lists"
-        (Experiments.fig7_trees p)
-  | `Table1 ->
-      Format.printf "@.== Table 1 (measured): peak unreclaimed objects ==@.";
-      Format.printf "  %-10s %8s %6s %16s %12s %12s@." "scheme" "threads" "H"
-        "peak-unreclaimed" "bound" "bound-value";
-      List.iter
-        (fun r ->
-          Format.printf "  %-10s %8d %6d %16d %12s %12s@."
-            r.Experiments.b_scheme r.b_threads r.b_hps r.b_max_unreclaimed
-            r.b_bound
-            (if r.b_bound_value < 0 then "-"
-             else string_of_int r.b_bound_value))
-        (Experiments.table1_bounds p)
-  | `Mem ->
-      Format.printf "@.== Memory footprint: HS-skip vs CRF-skip ==@.";
-      Format.printf "  %-12s %12s %12s %12s %14s %14s@." "structure"
-        "peak-live" "final-live" "~reachable" "pinned-chain" "after-unpin";
-      List.iter
-        (fun m ->
-          Format.printf "  %-12s %12d %12d %12d %14d %14d@."
-            m.Experiments.m_structure m.m_peak_live m.m_final_live
-            m.m_reachable m.m_pinned_live m.m_pinned_after)
-        (Experiments.mem_footprint p)
-  | `Hashmap ->
-      Report.print_table ~title:"Extension: split-ordered hash map (write-heavy)"
-        (Experiments.ext_hashmap p)
-  | `Ablation ->
-      Report.print_table ~title:"Ablation: PTP publish instruction"
-        (Experiments.ablation_publish p);
-      Format.printf "@.== Ablation: OrcGC protection backend ==@.";
-      List.iter
-        (fun r ->
-          Format.printf "  %-10s %8.3f Mops/s   peak-unreclaimed=%d@."
-            r.Experiments.k_backend r.k_mops r.k_peak_unreclaimed)
-        (Experiments.ablation_backend p);
-      Format.printf "@.== Ablation: handover drain on clear ==@.";
-      List.iter
-        (fun (label, residual) ->
-          Format.printf "  %-24s residual unreclaimed = %d@." label residual)
-        (Experiments.ablation_clear_handover p)
-
-let all_experiments =
-  [ `Fig1; `Fig3; `Fig5; `Fig7; `Table1; `Mem; `Ablation; `Hashmap ]
-
 (* An unknown name is a usage error: cmdliner prints the usage and the
    process exits non-zero. *)
 let experiments =
@@ -137,9 +67,10 @@ let main (name, exp) threads duration list_keys big_keys csv =
   Format.printf "orcgc-bench: %s (threads=%s, %.2fs/point)@." name
     (String.concat "," (List.map string_of_int threads))
     duration;
+  let run e = ignore (Harness.Experiments.run_experiment e p) in
   match exp with
-  | `All -> List.iter (fun e -> run_experiment e p) all_experiments
-  | #experiment as e -> run_experiment e p
+  | `All -> List.iter run Harness.Experiments.all_experiments
+  | #Harness.Experiments.experiment as e -> run e
 
 let cmd =
   let doc = "Reproduce the OrcGC paper's evaluation (PPoPP '21)" in

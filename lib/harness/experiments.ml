@@ -693,3 +693,137 @@ let tracing_overhead p =
   let sink = Obs.Sink.make () in
   let active_mops = Obs.Sink.with_default sink (fun () -> run ()) in
   (null_mops, active_mops)
+
+(* ------------------------------------------------------------------ *)
+(* The §5 printer, shared by bin/main.exe and the bench's default run. *)
+
+type experiment =
+  [ `Fig1 | `Fig3 | `Fig5 | `Fig7 | `Table1 | `Mem | `Hashmap | `Ablation ]
+
+let all_experiments =
+  [ `Fig1; `Fig3; `Fig5; `Fig7; `Table1; `Mem; `Ablation; `Hashmap ]
+
+let print_mix_tables title tables =
+  List.iter
+    (fun (mix, series) ->
+      Report.print_table ~title:(title ^ " / " ^ mix) series)
+    tables
+
+let mixes_json tables =
+  Json.Obj (List.map (fun (mix, series) -> (mix, Json.of_series series)) tables)
+
+let run_experiment (e : experiment) p =
+  match e with
+  | `Fig1 ->
+      let s = fig1_queues p in
+      Report.print_table ~title:"Fig 1/2: queues, enq/deq pairs" s;
+      Report.print_table ~title:"Fig 1/2 normalized (vs ms-hp)"
+        ~unit_label:"x vs ms-hp"
+        (Report.normalize ~base_label:"ms-hp" s);
+      [ ("fig1_queues", Json.of_series s) ]
+  | `Fig3 ->
+      let t = fig3_list_schemes p in
+      print_mix_tables "Fig 3/4: Michael-Harris list, schemes" t;
+      [ ("fig3_list_schemes", mixes_json t) ]
+  | `Fig5 ->
+      let t = fig5_orc_lists p in
+      print_mix_tables "Fig 5/6: lists with OrcGC" t;
+      [ ("fig5_orc_lists", mixes_json t) ]
+  | `Fig7 ->
+      let t = fig7_trees p in
+      print_mix_tables "Fig 7/8: tree and skip lists" t;
+      [ ("fig7_trees", mixes_json t) ]
+  | `Table1 ->
+      let rows = table1_bounds p in
+      Format.printf "@.== Table 1 (measured): peak unreclaimed objects ==@.";
+      Format.printf "  %-10s %8s %6s %16s %12s %12s@." "scheme" "threads" "H"
+        "peak-unreclaimed" "bound" "bound-value";
+      List.iter
+        (fun r ->
+          Format.printf "  %-10s %8d %6d %16d %12s %12s@." r.b_scheme
+            r.b_threads r.b_hps r.b_max_unreclaimed r.b_bound
+            (if r.b_bound_value < 0 then "-"
+             else string_of_int r.b_bound_value))
+        rows;
+      [
+        ( "table1_bounds",
+          Json.List
+            (List.map
+               (fun r ->
+                 Json.Obj
+                   [
+                     ("scheme", Json.Str r.b_scheme);
+                     ("threads", Json.Int r.b_threads);
+                     ("hps", Json.Int r.b_hps);
+                     ("peak_unreclaimed", Json.Int r.b_max_unreclaimed);
+                     ("bound", Json.Str r.b_bound);
+                     ( "bound_value",
+                       if r.b_bound_value < 0 then Json.Null
+                       else Json.Int r.b_bound_value );
+                   ])
+               rows) );
+      ]
+  | `Mem ->
+      let rows = mem_footprint p in
+      Format.printf "@.== Memory footprint: HS-skip vs CRF-skip ==@.";
+      Format.printf "  %-12s %12s %12s %12s %14s %14s@." "structure"
+        "peak-live" "final-live" "~reachable" "pinned-chain" "after-unpin";
+      List.iter
+        (fun m ->
+          Format.printf "  %-12s %12d %12d %12d %14d %14d@." m.m_structure
+            m.m_peak_live m.m_final_live m.m_reachable m.m_pinned_live
+            m.m_pinned_after)
+        rows;
+      [
+        ( "mem_footprint",
+          Json.List
+            (List.map
+               (fun m ->
+                 Json.Obj
+                   [
+                     ("structure", Json.Str m.m_structure);
+                     ("peak_live", Json.Int m.m_peak_live);
+                     ("final_live", Json.Int m.m_final_live);
+                     ("reachable", Json.Int m.m_reachable);
+                     ("pinned_live", Json.Int m.m_pinned_live);
+                     ("pinned_after", Json.Int m.m_pinned_after);
+                   ])
+               rows) );
+      ]
+  | `Hashmap ->
+      let s = ext_hashmap p in
+      Report.print_table
+        ~title:"Extension: split-ordered hash map (write-heavy)" s;
+      [ ("ext_hashmap", Json.of_series s) ]
+  | `Ablation ->
+      let publish = ablation_publish p in
+      Report.print_table ~title:"Ablation: PTP publish instruction" publish;
+      let backend = ablation_backend p in
+      Format.printf "@.== Ablation: OrcGC protection backend ==@.";
+      List.iter
+        (fun r ->
+          Format.printf "  %-10s %8.3f Mops/s   peak-unreclaimed=%d@."
+            r.k_backend r.k_mops r.k_peak_unreclaimed)
+        backend;
+      let clear = ablation_clear_handover p in
+      Format.printf "@.== Ablation: handover drain on clear ==@.";
+      List.iter
+        (fun (label, residual) ->
+          Format.printf "  %-24s residual unreclaimed = %d@." label residual)
+        clear;
+      [
+        ("ablation_publish", Json.of_series publish);
+        ( "ablation_backend",
+          Json.List
+            (List.map
+               (fun r ->
+                 Json.Obj
+                   [
+                     ("backend", Json.Str r.k_backend);
+                     ("mops", Json.Float r.k_mops);
+                     ("peak_unreclaimed", Json.Int r.k_peak_unreclaimed);
+                   ])
+               backend) );
+        ( "ablation_clear_handover",
+          Json.Obj (List.map (fun (label, n) -> (label, Json.Int n)) clear) );
+      ]

@@ -132,3 +132,19 @@ val tracing_overhead : params -> float * float
     with the compiled-in hooks left disabled (null sink — the default)
     vs with full event capture.  The null number prices the
     instrumentation itself and belongs in EXPERIMENTS.md. *)
+
+(** {1 The §5 printer} *)
+
+type experiment =
+  [ `Fig1 | `Fig3 | `Fig5 | `Fig7 | `Table1 | `Mem | `Hashmap | `Ablation ]
+
+val all_experiments : experiment list
+(** Every experiment, in the order [bin/main.exe all] and the bench's
+    default run print them. *)
+
+val run_experiment : experiment -> params -> (string * Json.t) list
+(** Run one experiment, print its tables to stdout, and return its
+    results as top-level BENCH_orc.json entries: one per experiment
+    (["fig1_queues"], ["table1_bounds"], …), three for the ablation
+    (["ablation_publish"], ["ablation_backend"],
+    ["ablation_clear_handover"]). *)

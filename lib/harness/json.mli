@@ -21,6 +21,6 @@ val write_merged : string -> (string * t) list -> unit
 (** Merge [sections] into the top-level object already stored at the
     path (a missing or unparseable file starts empty), replacing
     sections with the same name, refreshing the ["meta"] block, and
-    writing the result back.  This is how [bench/main.exe --json]
-    composes [--scan], [--pack] and [--metrics] runs into one
-    [BENCH_orc.json] instead of clobbering it. *)
+    writing the result back.  This is how successive
+    [bench/main.exe --json] runs (say [--smoke], then some section flags)
+    compose into one [BENCH_orc.json] instead of clobbering it. *)

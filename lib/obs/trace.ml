@@ -112,7 +112,7 @@ let to_file ?pid ?process_name path sink =
   Json.to_file path (to_json ?pid ?process_name sink)
 
 (* {2 Validation} — structural well-formedness plus guard pairing, used
-   by tools/check_trace and the test suite. *)
+   by the bench's tracing guard and the test suite. *)
 
 let validate json =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in

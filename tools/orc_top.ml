@@ -26,7 +26,30 @@
 
    FILE defaults to BENCH_orc.json. *)
 
-open Tool_support
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 1)
+    fmt
+
+let load path =
+  match Obs.Json.of_file path with
+  | doc -> doc
+  | exception Obs.Json.Parse_error e -> fail "%s: JSON parse error: %s" path e
+  | exception Sys_error e -> fail "%s" e
+
+(* A numeric field of a JSON row; nan when absent. *)
+let field row name =
+  match Obs.Json.member name row with
+  | Some (Obs.Json.Int i) -> float_of_int i
+  | Some (Obs.Json.Float f) -> f
+  | _ -> nan
+
+let str_field row name =
+  match Obs.Json.member name row with
+  | Some (Obs.Json.Str s) -> Some s
+  | _ -> None
 
 let arg_flag name = Array.exists (( = ) name) Sys.argv
 
@@ -131,7 +154,11 @@ let labels_string kvs =
 
 let rows_of_file path =
   let doc = load path in
-  let m = section doc ~path "metrics" in
+  let m =
+    match Obs.Json.member "metrics" doc with
+    | Some m -> m
+    | None -> fail "%s: no metrics section" path
+  in
   let series =
     match Obs.Json.member "series" m with
     | Some (Obs.Json.List ss) -> ss
