@@ -184,8 +184,15 @@ module type BACKEND = sig
 
   val name : string
 
-  val create : max_hps:int option -> 'n t
-  (** [max_hps] is the [?max_hps] given to [create]. *)
+  val create :
+    max_hps:int option ->
+    sink:Obs.Sink.t ->
+    bg:Reclaim.Channel.t option Atomic.t ->
+    scans:Shard.t ->
+    scan_slots:Shard.t ->
+    'n t
+  (** [max_hps] is the [?max_hps] given to [create]; the sink, the
+      background route and the scan counters are the instance's own. *)
 
   val retire : ('n, 'n t) core -> tid:int -> 'n -> unit
   (** The caller owns the node's BRETIRED bit and passes it on. *)
@@ -223,7 +230,7 @@ module Ptp_backend = struct
 
   let name = "orc"
 
-  let create ~max_hps:_ =
+  let create ~max_hps:_ ~sink:_ ~bg:_ ~scans:_ ~scan_slots:_ =
     Array.init Registry.max_threads (fun _ ->
         {
           handovers = Padded.atomic_array max_haz None;
@@ -438,47 +445,21 @@ module Ptp_backend = struct
 end
 
 module Hp_backend = struct
-  (* owner-thread only *)
-  (* [quiet]: guard exits since the row last retired or scanned *)
-  type 'n retired_row = {
-    mutable retired : 'n list;
-    mutable count : int;
-    mutable quiet : int;
-  }
-
   type 'n t = {
-    hps : int; (* the H of R = 2·H·t *)
-    threshold : int Atomic.t; (* cached scaled R, refreshed on crossing *)
-    rows : 'n retired_row array;
-    orphans : 'n Reclaim.Orphan.t;
+    batch : 'n Reclaim.Batch.t;
+    (* [tid]: guard exits since the row last retired or scanned;
+       owner-thread only *)
+    quiet : int array;
   }
 
   let name = "orc-hp"
 
-  let create ~max_hps =
+  let create ~max_hps ~sink ~bg ~scans ~scan_slots =
     let hps = Option.value max_hps ~default:8 in
     {
-      hps;
-      threshold = Atomic.make (max 2 (2 * hps));
-      rows =
-        Array.init Registry.max_threads (fun _ ->
-            { retired = []; count = 0; quiet = 0 });
-      orphans = Reclaim.Orphan.create ();
+      batch = Reclaim.Batch.create ~hps ~sink ~bg ~scans ~scan_slots;
+      quiet = Array.make Registry.max_threads 0;
     }
-
-  (* R = 2·H·t (scaled by the knob record) from the live Active-slot
-     population, cached and refreshed on crossing / quarantine /
-     neutralization, matching the manual HP baseline (see
-     [Reclaim.Hp.threshold_crossed]) *)
-  let refresh_threshold c =
-    Atomic.set c.bk.threshold (Reclaim.Tuning.threshold c.tuning ~hps:c.bk.hps)
-
-  let threshold_crossed c ~count =
-    count >= Atomic.get c.bk.threshold
-    && begin
-         refresh_threshold c;
-         count >= Atomic.get c.bk.threshold
-       end
 
   (* Does any row publish [p]?  Rows whose registry slot is Free cannot
      hold a protection and are skipped, so scan cost tracks live slots,
@@ -497,87 +478,39 @@ module Hp_backend = struct
     done;
     !found
 
-  let scan c ~tid =
-    let began = Obs.Sink.scan_begin c.sink in
-    let visited = ref 0 in
-    let r = c.bk.rows.(tid) in
-    (* fold dead threads' published lists into this scan's batch *)
-    let batch =
-      List.rev_append (Reclaim.Orphan.adopt c.bk.orphans c.sink ~tid) r.retired
-    in
-    r.quiet <- 0;
-    let kept = ref [] and nkept = ref 0 in
-    let keep p =
-      kept := p :: !kept;
-      incr nkept
-    in
-    (* A destructor's [dec] parks the successor it zeroed on [r.retired];
-       those are scanned too, pass after pass, so a chain whose links
-       each hold the next (a queue's dequeued nodes) is freed in one
-       scan rather than one link per threshold crossing. *)
-    let rec pass batch =
-      r.retired <- [];
-      r.count <- 0;
-      List.iter
-        (fun p ->
-          let lorc = Atomic.get (orc_word c p) in
-          if ocnt lorc <> retired_zero then begin
-            (* resurrected: release ownership; re-park only if re-claimed *)
-            if clear_bit_retired c ~tid p <> 0 then keep p
-          end
-          else if protected_by_any c ~visited p then keep p
-          else
-            (* Lemma 1: the seq must not have moved across the hazard scan *)
-            let lorc2 = Atomic.get (orc_word c p) in
-            if lorc2 <> lorc then keep p else c.delete ~tid p)
-        batch;
-      match r.retired with [] -> () | cascaded -> pass cascaded
-    in
-    pass batch;
-    r.retired <- List.rev_append !kept r.retired;
-    r.count <- r.count + !nkept;
-    Shard.incr c.n_scans ~tid;
-    Shard.add c.n_scan_slots ~tid !visited;
-    Obs.Sink.scan_end c.sink ~tid ~slots:!visited ~began
+  (* No snapshot: each verdict walks the rows itself, so the context a
+     pass hands the verdicts is just the slot counter. *)
+  let no_snapshot _ ~tid:_ ~visited = visited
 
-  (* Background split point: ship the swapped-out retired list to the
-     reclaimer as a job that splices it into the {e running} thread's
-     list and scans — the batch left this thread's list before the
-     send, so exactly one owner ever touches it.  A refused send
-     (channel closed or full — reclaimer dead or behind) restores the
-     batch and scans inline: backpressure degrades to the [None]
-     path. *)
-  let drain_background c ~tid ch =
-    let r = c.bk.rows.(tid) in
-    let batch = r.retired and n = r.count in
-    r.retired <- [];
-    r.count <- 0;
-    let job ~tid:rtid =
-      let rr = c.bk.rows.(rtid) in
-      rr.retired <- List.rev_append batch rr.retired;
-      rr.count <- rr.count + n;
-      scan c ~tid:rtid
-    in
-    if not (Reclaim.Channel.send ch ~tid ~count:n job) then begin
-      r.retired <- List.rev_append batch r.retired;
-      r.count <- r.count + n;
-      scan c ~tid
+  (* The per-node verdict.  A resurrected node gives up ownership and
+     stays parked only if re-claimed; a published node stays; an
+     unpublished one is deleted unless its seq moved across the hazard
+     walk (Lemma 1).  A destructor's [dec] parks the successor it
+     zeroed on this row, and the engine judges those too, so a chain
+     whose links each hold the next (a queue's dequeued nodes) is freed
+     in one scan rather than one link per threshold crossing. *)
+  let verdict c ~tid visited p =
+    let lorc = Atomic.get (orc_word c p) in
+    if ocnt lorc <> retired_zero then clear_bit_retired c ~tid p <> 0
+    else if protected_by_any c ~visited p then true
+    else if Atomic.get (orc_word c p) <> lorc then true
+    else begin
+      c.delete ~tid p;
+      false
     end
 
-  let reclaim c ~tid =
-    match Atomic.get c.bg with
-    | None -> scan c ~tid
-    | Some ch -> drain_background c ~tid ch
+  let scan c ~tid =
+    c.bk.quiet.(tid) <- 0;
+    Reclaim.Batch.scan c.bk.batch c ~tid ~snapshot:no_snapshot ~keep:verdict
+
+  let reclaim c ~tid = Reclaim.Batch.reclaim c.bk.batch c ~tid ~scan
 
   (* Retiring = parking on the thread-local list; reclamation happens in
      [scan].  Cascades need no recursion guard: a destructor's [dec]
      just pushes more entries. *)
   let retire c ~tid p =
-    let r = c.bk.rows.(tid) in
-    r.retired <- p :: r.retired;
-    r.count <- r.count + 1;
-    r.quiet <- 0;
-    if threshold_crossed c ~count:r.count then reclaim c ~tid
+    c.bk.quiet.(tid) <- 0;
+    if Reclaim.Batch.push c.bk.batch ~tid c.tuning p then reclaim c ~tid
 
   (* Slot 0, the scratch slot, is released only at guard exit.  A
      parked list that has not grown for R guards is reclaimed anyway: a
@@ -586,10 +519,12 @@ module Hp_backend = struct
      it — so waiting for R more retires could wait forever. *)
   let slot_released c ~tid idx =
     if idx = 0 then begin
-      let r = c.bk.rows.(tid) in
-      r.quiet <- r.quiet + 1;
-      if r.count > 0 && r.quiet >= Atomic.get c.bk.threshold then
-        reclaim c ~tid
+      let q = c.bk.quiet.(tid) + 1 in
+      c.bk.quiet.(tid) <- q;
+      if
+        Reclaim.Batch.pending c.bk.batch ~tid > 0
+        && q >= Reclaim.Batch.threshold c.bk.batch
+      then reclaim c ~tid
     end
 
   (* Publish the retired list to the orphan pool — survivors fold it
@@ -598,19 +533,13 @@ module Hp_backend = struct
      than re-retiring matters on the exit path: re-retiring would just
      re-park onto the very list being vacated.) *)
   let thread_exit c ~tid ~self:_ =
-    let r = c.bk.rows.(tid) in
-    match r.retired with
-    | [] -> ()
-    | batch ->
-        r.retired <- [];
-        r.count <- 0;
-        Reclaim.Orphan.publish c.bk.orphans c.sink ~tid batch;
-        refresh_threshold c
+    Reclaim.Batch.orphan c.bk.batch ~tid c.tuning
 
   (* The victim's retired list is owner-private and bounded by the
      threshold, so it stays; the Active population just changed shape,
      so R is re-derived. *)
-  let neutralize_clear c ~tid:_ ~self:_ = refresh_threshold c
+  let neutralize_clear c ~tid:_ ~self:_ =
+    Reclaim.Batch.refresh c.bk.batch c.tuning
 
   (* Scan every thread's retired list from the caller's row to a fixed
      point: freeing a chain link retires its successor, so [pending]
@@ -620,18 +549,14 @@ module Hp_backend = struct
     let rec drain () =
       let freed_before = Memdom.Alloc.freed c.alloc in
       for it = 0 to Registry.registered () - 1 do
-        let r = c.bk.rows.(it) in
-        let batch = r.retired in
-        r.retired <- [];
-        r.count <- 0;
-        List.iter (fun p -> retire c ~tid p) batch
+        List.iter (retire c ~tid) (Reclaim.Batch.take c.bk.batch ~tid:it)
       done;
       scan c ~tid;
       if Memdom.Alloc.freed c.alloc > freed_before then drain ()
     in
     drain ()
 
-  let retune = refresh_threshold
+  let retune c = Reclaim.Batch.refresh c.bk.batch c.tuning
 end
 
 (* {1 The automatic layer} *)
@@ -800,7 +725,11 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
       }
     in
     let tl = Array.init Registry.max_threads mk_row in
-    let bk = B.create ~max_hps in
+    let bg = Atomic.make None in
+    let n_scans = Shard.create () and n_scan_slots = Shard.create () in
+    let bk =
+      B.create ~max_hps ~sink ~bg ~scans:n_scans ~scan_slots:n_scan_slots
+    in
     let rec t =
       {
         hdr = N.hdr;
@@ -813,11 +742,11 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         n_retires = Shard.create ();
         n_handovers = Shard.create ();
         n_cascades = Shard.create ();
-        n_scans = Shard.create ();
-        n_scan_slots = Shard.create ();
+        n_scans;
+        n_scan_slots;
         n_elided = Shard.create ();
         wd = Obs.Watchdog.create ();
-        bg = Atomic.make None;
+        bg;
         tuning = Reclaim.Tuning.create ();
         bk;
         delete = (fun ~tid p -> delete t ~tid p);
@@ -830,10 +759,8 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     Registry.on_quarantine t.lifecycle;
     t.neutralizer <- (fun tid -> neutralize_clear t ~tid);
     Registry.on_neutralize t.neutralizer;
-    (* OrcGC's stats record is richer than [Scheme_intf.stats], so the
-       probes are registered directly rather than through
-       [register_metrics]; same weak-probe keep-alive contract. *)
-    let labels = [ ("scheme", name) ] in
+    (* OrcGC's stats record is richer than [Scheme_intf.stats], so it
+       names its own probes. *)
     let counters =
       [
         ("orcgc_retires_total", fun () -> Shard.get t.n_retires);
@@ -849,14 +776,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         ("orcgc_stall_age_max", fun () -> Obs.Watchdog.stall_age_max t.wd);
       ]
     in
-    List.iter
-      (fun (n, f) ->
-        Obs.Metrics.probe Obs.Metrics.default ~labels ~counter:true n f)
-      counters;
-    List.iter
-      (fun (n, f) -> Obs.Metrics.probe Obs.Metrics.default ~labels n f)
-      gauges;
-    t.metrics <- counters @ gauges;
+    t.metrics <- Reclaim.Shell.probes ~name ~counters ~gauges;
     t
 
   (* {2 Hazard-index management (Algorithm 6 lines 119–132)} *)

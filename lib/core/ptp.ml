@@ -32,42 +32,23 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
   type node = N.t
 
   type t = {
-    alloc : Memdom.Alloc.t;
-    sink : Obs.Sink.t;
-    hps : int;
+    sh : Reclaim.Shell.t;
     (* hazards, [tid][idx]: the protected node's uid, one word per slot
        (-1 = empty), as in Reclaim.Hp *)
     hp : int Atomic.t array array;
     handovers : node option Atomic.t array array; (* [tid][idx] *)
-    counters : Reclaim.Scheme_intf.Counters.t;
-    wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-    bg : Reclaim.Channel.t option Atomic.t; (* background drain route *)
     (* PTP has no retired lists, so background mode buffers retires
        here (owner-private, bounded by the bg batch knob) and ships each
        batch as one channel job — one send per batch instead of one
-       handover walk per retire. *)
+       handover walk per retire.  The batch size is read per retire
+       from the knob record, so the controller can retune it live. *)
     bg_buf : node list ref array;
     bg_count : int ref array;
-    (* batch size comes from the knob record so the controller can
-       retune it live; read per retire (one atomic load, no derivation) *)
-    mutable tuning : Reclaim.Tuning.t;
-    (* strong reference keeping the weakly-registered quarantine
-       cleaner alive exactly as long as this scheme *)
-    mutable lifecycle : int -> unit;
-    (* likewise for the neutralize hook (atomic-state-only clear) *)
-    mutable neutralizer : int -> unit;
-    (* strong reference keeping the weakly-registered metrics probes
-       alive exactly as long as this scheme *)
-    mutable metrics : (string * (unit -> int)) list;
   }
 
   let name = "ptp"
-  let max_hps t = t.hps
-
-  let begin_op t ~tid =
-    Reclaim.Neutralize.ack ~tid;
-    Obs.Watchdog.enter t.wd ~tid;
-    Obs.Sink.guard_begin t.sink ~tid
+  let max_hps t = t.sh.hps
+  let begin_op t ~tid = Reclaim.Shell.begin_op t.sh ~tid
 
   let uid n = (N.hdr n).Memdom.Hdr.uid
 
@@ -98,8 +79,8 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
       let n = Link.v_target_exn link v in
       let u = uid n in
       if Atomic.get slot = u then begin
-        Reclaim.Scheme_intf.Counters.elided t.counters ~tid;
-        Obs.Sink.on_elide t.sink ~tid;
+        Reclaim.Scheme_intf.Counters.elided t.sh.counters ~tid;
+        Obs.Sink.on_elide t.sh.sink ~tid;
         let v' = Link.view link in
         if Link.view_eq v' v then v else gpv_loop t ~tid ~idx slot link v'
       end
@@ -116,10 +97,6 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     Reclaim.Neutralize.check ~tid;
     gpv_loop t ~tid ~idx t.hp.(tid).(idx) link (Link.view link)
 
-  let free_node t ~tid n =
-    Reclaim.Scheme_intf.Counters.freed t.counters ~tid;
-    Memdom.Alloc.free t.alloc (N.hdr n)
-
   (* Algorithm 2, handoverOrDelete: push [n] forward through the hazard
      scan until it is either handed to a protecting thread or proven
      unprotected and deleted. *)
@@ -130,14 +107,14 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
      scan cost tracks the live slot population, not the monotone
      high-water mark. *)
   let handover_or_delete t ~tid n ~start =
-    let began = Obs.Sink.scan_begin t.sink in
+    let began = Obs.Sink.scan_begin t.sh.sink in
     let visited = ref 0 in
     let cur = ref (Some n) in
     (try
        for it = start to Registry.registered () - 1 do
          if Registry.in_use it then begin
            let idx = ref 0 in
-           while !idx < t.hps do
+           while !idx < t.sh.hps do
              match !cur with
              | None -> raise_notrace Exit
              | Some p -> (
@@ -146,7 +123,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
                    let prev =
                      Atomic.exchange t.handovers.(it).(!idx) (Some p)
                    in
-                   Obs.Sink.on_handover t.sink ~tid ~uid:(uid p);
+                   Obs.Sink.on_handover t.sh.sink ~tid ~uid:(uid p);
                    cur := prev;
                    match prev with
                    | None -> raise_notrace Exit
@@ -160,37 +137,33 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
          end
        done
      with Exit -> ());
-    Reclaim.Scheme_intf.Counters.scanned t.counters ~tid ~slots:!visited;
-    Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began;
-    match !cur with Some p -> free_node t ~tid p | None -> ()
+    Reclaim.Scheme_intf.Counters.scanned t.sh.counters ~tid ~slots:!visited;
+    Obs.Sink.scan_end t.sh.sink ~tid ~slots:!visited ~began;
+    match !cur with
+    | Some p -> Reclaim.Shell.free t.sh ~tid (N.hdr p)
+    | None -> ()
 
-  let set_background t ch = Atomic.set t.bg ch
+  let retire_all t ~tid batch =
+    List.iter (fun p -> handover_or_delete t ~tid p ~start:0) batch
+
+  let set_background t ch = Atomic.set t.sh.bg ch
 
   let retire t ~tid n =
-    Reclaim.Neutralize.check ~tid;
-    let h = N.hdr n in
-    Memdom.Hdr.mark_retired h;
-    h.Memdom.Hdr.retired_ns <-
-      Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid;
-    Reclaim.Scheme_intf.Counters.retired t.counters ~tid;
-    match Atomic.get t.bg with
+    Reclaim.Shell.retire t.sh ~tid (N.hdr n);
+    match Atomic.get t.sh.bg with
     | None -> handover_or_delete t ~tid n ~start:0
     | Some ch ->
         t.bg_buf.(tid) := n :: !(t.bg_buf.(tid));
         incr t.bg_count.(tid);
-        if !(t.bg_count.(tid)) >= Reclaim.Tuning.bg_batch t.tuning then begin
+        if !(t.bg_count.(tid)) >= Reclaim.Tuning.bg_batch t.sh.tuning then begin
           let batch = !(t.bg_buf.(tid)) and count = !(t.bg_count.(tid)) in
           t.bg_buf.(tid) := [];
           t.bg_count.(tid) := 0;
-          let job ~tid:rtid =
-            List.iter
-              (fun p -> handover_or_delete t ~tid:rtid p ~start:0)
-              batch
-          in
+          let job ~tid:rtid = retire_all t ~tid:rtid batch in
           if not (Reclaim.Channel.send ch ~tid ~count job) then
             (* refused (closed/full): inline fallback, single-owner safe
                — the batch left the buffer before the send *)
-            List.iter (fun p -> handover_or_delete t ~tid p ~start:0) batch
+            retire_all t ~tid batch
         end
 
   let clear t ~tid ~idx =
@@ -204,11 +177,35 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
           | None -> ())
 
   let end_op t ~tid =
-    for idx = 0 to t.hps - 1 do
+    for idx = 0 to t.sh.hps - 1 do
       clear t ~tid ~idx
     done;
-    Obs.Sink.guard_end t.sink ~tid;
-    Obs.Watchdog.leave t.wd ~tid
+    Reclaim.Shell.end_op t.sh ~tid
+
+  (* Re-run, under [self], every object parked on [tid]'s handovers
+     (sole ownership via exchange). *)
+  let adopt_handovers t ~tid ~self =
+    for idx = 0 to t.sh.hps - 1 do
+      match Atomic.exchange t.handovers.(tid).(idx) None with
+      | Some p -> handover_or_delete t ~tid:self p ~start:0
+      | None -> ()
+    done
+
+  (* Re-run, under [self], the background buffer [tid] still owns:
+     single-owner (the owner itself, a reclaimer over a provably dead
+     one, or a quiesced flush), so the plain swap is safe. *)
+  let retire_buffer t ~tid ~self =
+    match !(t.bg_buf.(tid)) with
+    | [] -> ()
+    | batch ->
+        t.bg_buf.(tid) := [];
+        t.bg_count.(tid) := 0;
+        retire_all t ~tid:self batch
+
+  let lower t ~tid =
+    for idx = 0 to t.sh.hps - 1 do
+      Atomic.set t.hp.(tid).(idx) (-1)
+    done
 
   (* Quarantine cleaner.  PTP has no retired lists, so thread death
      leaves exactly two things behind: published hazards (which would
@@ -220,85 +217,43 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
      the operating thread (the departing thread itself on the exit
      path, the reclaiming survivor under [force_release]). *)
   let orphan t ~tid =
-    for idx = 0 to t.hps - 1 do
-      Atomic.set t.hp.(tid).(idx) (-1)
-    done;
+    lower t ~tid;
     let self = Registry.tid () in
-    for idx = 0 to t.hps - 1 do
-      match Atomic.exchange t.handovers.(tid).(idx) None with
-      | Some p -> handover_or_delete t ~tid:self p ~start:0
-      | None -> ()
-    done;
-    (* background buffer: single-owner (departing thread or a reclaimer
-       over a provably dead one), so the plain swap is safe here *)
-    match !(t.bg_buf.(tid)) with
-    | [] -> ()
-    | batch ->
-        t.bg_buf.(tid) := [];
-        t.bg_count.(tid) := 0;
-        List.iter (fun p -> handover_or_delete t ~tid:self p ~start:0) batch
+    adopt_handovers t ~tid ~self;
+    retire_buffer t ~tid ~self
 
   (* Neutralize hook: lower the victim's hazards and re-run its parked
      handovers through the scan — both atomic planes; the owner-private
      background buffer stays put (bounded by the bg batch knob, it
      cannot break the O(Ht) bound). *)
   let neutralize_clear t ~tid =
-    for idx = 0 to t.hps - 1 do
-      Atomic.set t.hp.(tid).(idx) (-1)
-    done;
-    let self = Registry.tid () in
-    for idx = 0 to t.hps - 1 do
-      match Atomic.exchange t.handovers.(tid).(idx) None with
-      | Some p -> handover_or_delete t ~tid:self p ~start:0
-      | None -> ()
-    done
+    lower t ~tid;
+    adopt_handovers t ~tid ~self:(Registry.tid ())
 
   (* Handover drains re-park or free immediately; nothing pools. *)
   let orphaned _ = 0
 
-  let create ?(max_hps = 8) ?sink alloc =
-    let sink =
-      match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
-    in
+  let create ?max_hps ?sink alloc =
+    let sh = Reclaim.Shell.create ?max_hps ?sink alloc in
     let t =
       {
-        alloc;
-        sink;
-        hps = max_hps;
-        hp =
-          Array.init Registry.max_threads (fun _ ->
-              Padded.atomic_array max_hps (-1));
-        handovers =
-          Array.init Registry.max_threads (fun _ ->
-              Padded.atomic_array max_hps None);
-        counters = Reclaim.Scheme_intf.Counters.create ();
-        wd = Obs.Watchdog.create ();
-        bg = Atomic.make None;
+        sh;
+        hp = Padded.atomic_matrix Registry.max_threads sh.hps (-1);
+        handovers = Padded.atomic_matrix Registry.max_threads sh.hps None;
         bg_buf = Array.init Registry.max_threads (fun _ -> ref []);
         bg_count = Array.init Registry.max_threads (fun _ -> ref 0);
-        tuning = Reclaim.Tuning.create ();
-        lifecycle = ignore;
-        neutralizer = ignore;
-        metrics = [];
       }
     in
-    t.lifecycle <- (fun tid -> orphan t ~tid);
-    Registry.on_quarantine t.lifecycle;
-    t.neutralizer <- (fun tid -> neutralize_clear t ~tid);
-    Registry.on_neutralize t.neutralizer;
-    t.metrics <-
-      Reclaim.Scheme_intf.register_metrics ~scheme:name
-        ~stats:(fun () -> Reclaim.Scheme_intf.Counters.stats t.counters)
-        ~unreclaimed:(fun () ->
-          Reclaim.Scheme_intf.Counters.unreclaimed t.counters)
-        ~wd:t.wd ();
+    Reclaim.Shell.register sh ~name
+      ~orphan:(fun tid -> orphan t ~tid)
+      ~neutralize:(fun tid -> neutralize_clear t ~tid);
     t
 
-  let unreclaimed t = Reclaim.Scheme_intf.Counters.unreclaimed t.counters
-  let tuning t = t.tuning
-  let set_tuning t tn = t.tuning <- tn
-  let stats t = Reclaim.Scheme_intf.Counters.stats t.counters
-  let pp_stats fmt t = Reclaim.Scheme_intf.pp_stats_record fmt (stats t)
+  let unreclaimed t = Reclaim.Shell.unreclaimed t.sh
+  let tuning t = t.sh.tuning
+  let set_tuning t tn = t.sh.tuning <- tn
+  let stats t = Reclaim.Shell.stats t.sh
+  let pp_stats fmt t = Reclaim.Shell.pp_stats fmt t.sh
 
   (* Drain every handover slot; anything still protected simply parks
      again, anything unprotected is freed.  Unlike the other schemes PTP
@@ -306,16 +261,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
   let flush t =
     let self = Registry.tid () in
     for tid = 0 to Registry.registered () - 1 do
-      (match !(t.bg_buf.(tid)) with
-      | [] -> ()
-      | batch ->
-          t.bg_buf.(tid) := [];
-          t.bg_count.(tid) := 0;
-          List.iter (fun p -> handover_or_delete t ~tid:self p ~start:0) batch);
-      for idx = 0 to t.hps - 1 do
-        match Atomic.exchange t.handovers.(tid).(idx) None with
-        | Some p -> handover_or_delete t ~tid:self p ~start:0
-        | None -> ()
-      done
+      retire_buffer t ~tid ~self;
+      adopt_handovers t ~tid ~self
     done
 end

@@ -18,48 +18,22 @@ module Make (N : Scheme_intf.NODE) = struct
   let quiescent = max_int
 
   type t = {
-    alloc : Memdom.Alloc.t;
-    sink : Obs.Sink.t;
-    hps : int;
+    sh : Shell.t;
     global_epoch : int Atomic.t;
     announce : int Atomic.t array; (* [tid]; [quiescent] when outside an op *)
-    retired : (node * int) list ref array; (* (node, retire epoch) *)
-    retired_count : int ref array;
-    (* cached scaled threshold (Tuning.threshold): ebr historically used
-       a flat 128 here, which over-retained small runs and
-       under-amortized large ones; it now rides the same 2·H·t-derived
-       cache as the pointer schemes, refreshed on crossing, quarantine
-       and neutralization *)
-    threshold : int Atomic.t;
-    mutable tuning : Tuning.t;
-    counters : Scheme_intf.Counters.t;
-    orphans : (node * int) Orphan.t; (* batches keep their retire epochs *)
-    wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-    bg : Channel.t option Atomic.t; (* background drain route *)
-    (* strong reference keeping the weakly-registered quarantine
-       cleaner alive exactly as long as this scheme *)
-    mutable lifecycle : int -> unit;
-    (* likewise for the neutralize hook (atomic-state-only clear) *)
-    mutable neutralizer : int -> unit;
-    (* strong reference keeping the weakly-registered metrics probes
-       alive exactly as long as this scheme *)
-    mutable metrics : (string * (unit -> int)) list;
+    batch : (node * int) Batch.t; (* (node, retire epoch) *)
   }
 
   let name = "ebr"
-  let max_hps t = t.hps
+  let max_hps t = t.sh.hps
 
   let begin_op t ~tid =
-    Neutralize.ack ~tid;
-    Obs.Watchdog.enter t.wd ~tid;
-    Atomic.set t.announce.(tid) (Atomic.get t.global_epoch);
-    Obs.Sink.guard_begin t.sink ~tid
+    Shell.begin_op t.sh ~tid;
+    Atomic.set t.announce.(tid) (Atomic.get t.global_epoch)
 
   let end_op t ~tid =
     Atomic.set t.announce.(tid) quiescent;
-    Neutralize.ack ~tid;
-    Obs.Sink.guard_end t.sink ~tid;
-    Obs.Watchdog.leave t.wd ~tid
+    Shell.end_op t.sh ~tid
 
   (* Protection is implicit in the epoch announcement: the epoch
      announced at [begin_op] already protects everything reachable, so a
@@ -94,78 +68,30 @@ module Make (N : Scheme_intf.NODE) = struct
     if min_announced t ~visited >= e then
       ignore (Atomic.compare_and_set t.global_epoch e (e + 1))
 
-  let free_node t ~tid n =
-    Scheme_intf.Counters.freed t.counters ~tid;
-    Memdom.Alloc.free t.alloc (N.hdr n)
-
-  let scan t ~tid =
-    (match Orphan.adopt t.orphans t.sink ~tid with
-    | [] -> ()
-    | adopted ->
-        t.retired.(tid) := List.rev_append adopted !(t.retired.(tid));
-        t.retired_count.(tid) := !(t.retired_count.(tid)) + List.length adopted);
-    let began = Obs.Sink.scan_begin t.sink in
-    let visited = ref 0 in
+  (* The scan's snapshot is the oldest epoch any thread may still be
+     reading in, after one advance attempt. *)
+  let safe_epoch t ~tid:_ ~visited =
     try_advance t ~visited;
-    let safe = min (min_announced t ~visited) (Atomic.get t.global_epoch) in
-    let keep = ref [] and kept = ref 0 and release = ref [] in
-    List.iter
-      (fun ((_, e) as r) ->
-        if e >= safe - 1 then begin
-          keep := r :: !keep;
-          incr kept
-        end
-        else release := r :: !release)
-      !(t.retired.(tid));
-    t.retired.(tid) := !keep;
-    t.retired_count.(tid) := !kept;
-    List.iter (fun (n, _) -> free_node t ~tid n) !release;
-    Scheme_intf.Counters.scanned t.counters ~tid ~slots:!visited;
-    Obs.Sink.scan_end t.sink ~tid ~slots:!visited ~began
+    min (min_announced t ~visited) (Atomic.get t.global_epoch)
 
-  (* Background drain — see [Hp.drain_background]; batches carry their
-     retire epochs, so replaying them under the reclaimer's tid
-     preserves the epoch-distance safety test exactly. *)
-  let drain_background t ~tid ch =
-    let batch = !(t.retired.(tid)) and n = !(t.retired_count.(tid)) in
-    t.retired.(tid) := [];
-    t.retired_count.(tid) := 0;
-    let job ~tid:rtid =
-      t.retired.(rtid) := List.rev_append batch !(t.retired.(rtid));
-      t.retired_count.(rtid) := !(t.retired_count.(rtid)) + n;
-      scan t ~tid:rtid
-    in
-    if not (Channel.send ch ~tid ~count:n job) then begin
-      t.retired.(tid) := batch;
-      t.retired_count.(tid) := n;
-      scan t ~tid
+  let within_grace t ~tid safe (n, e) =
+    if e >= safe - 1 then true
+    else begin
+      Shell.free t.sh ~tid (N.hdr n);
+      false
     end
 
-  let set_background t ch = Atomic.set t.bg ch
+  let scan t ~tid =
+    Batch.scan t.batch t ~tid ~snapshot:safe_epoch ~keep:within_grace
 
-  let refresh_threshold t =
-    Atomic.set t.threshold (Tuning.threshold t.tuning ~hps:t.hps)
+  let set_background t ch = Atomic.set t.sh.bg ch
 
-  let threshold_crossed t ~tid =
-    !(t.retired_count.(tid)) >= Atomic.get t.threshold
-    && begin
-         refresh_threshold t;
-         !(t.retired_count.(tid)) >= Atomic.get t.threshold
-       end
-
+  (* Entries carry their retire epochs, so a batch replayed under the
+     reclaimer's tid keeps the epoch-distance test exact. *)
   let retire t ~tid n =
-    Neutralize.check ~tid;
-    let h = N.hdr n in
-    Memdom.Hdr.mark_retired h;
-    h.Memdom.Hdr.retired_ns <-
-      Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid;
-    Scheme_intf.Counters.retired t.counters ~tid;
-    t.retired.(tid) := (n, Atomic.get t.global_epoch) :: !(t.retired.(tid));
-    incr t.retired_count.(tid);
-    if threshold_crossed t ~tid then
-      match Atomic.get t.bg with
-      | None -> scan t ~tid
-      | Some ch -> drain_background t ~tid ch
+    Shell.retire t.sh ~tid (N.hdr n);
+    if Batch.push t.batch ~tid t.sh.tuning (n, Atomic.get t.global_epoch)
+    then Batch.reclaim t.batch t ~tid ~scan
 
   (* Quarantine cleaner: a departing thread must go quiescent (a stale
      announcement would stall the global epoch — §2's blocked-reclamation
@@ -173,15 +99,9 @@ module Make (N : Scheme_intf.NODE) = struct
      the orphan pool, where survivors fold it into their next scan. *)
   let orphan t ~tid =
     Atomic.set t.announce.(tid) quiescent;
-    refresh_threshold t;
-    match !(t.retired.(tid)) with
-    | [] -> ()
-    | batch ->
-        t.retired.(tid) := [];
-        t.retired_count.(tid) := 0;
-        Orphan.publish t.orphans t.sink ~tid batch
+    Batch.orphan t.batch ~tid t.sh.tuning
 
-  let orphaned t = Orphan.pending t.orphans
+  let orphaned t = Batch.orphaned t.batch
 
   (* Neutralize hook: force the victim quiescent — the single stalled
      announcement that blocks the global epoch (§2's failure mode) is
@@ -189,55 +109,35 @@ module Make (N : Scheme_intf.NODE) = struct
      retired list is owner-private plain state and stays put. *)
   let neutralize_clear t ~tid =
     Atomic.set t.announce.(tid) quiescent;
-    refresh_threshold t
+    Batch.refresh t.batch t.sh.tuning
 
-  let create ?(max_hps = 8) ?sink alloc =
-    let sink =
-      match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
-    in
+  let create ?max_hps ?sink alloc =
+    let sh = Shell.create ?max_hps ?sink alloc in
     let t =
       {
-        alloc;
-        sink;
-        hps = max_hps;
+        sh;
         global_epoch = Atomic.make 2;
         announce =
           Array.init Registry.max_threads (fun _ -> Atomic.make quiescent);
-        retired = Array.init Registry.max_threads (fun _ -> ref []);
-        retired_count = Array.init Registry.max_threads (fun _ -> ref 0);
-        threshold = Atomic.make (max 2 (2 * max_hps));
-        tuning = Tuning.create ();
-        counters = Scheme_intf.Counters.create ();
-        orphans = Orphan.create ();
-        wd = Obs.Watchdog.create ();
-        bg = Atomic.make None;
-        lifecycle = ignore;
-        neutralizer = ignore;
-        metrics = [];
+        batch = Shell.batch sh;
       }
     in
-    t.lifecycle <- (fun tid -> orphan t ~tid);
-    Registry.on_quarantine t.lifecycle;
-    t.neutralizer <- (fun tid -> neutralize_clear t ~tid);
-    Registry.on_neutralize t.neutralizer;
-    t.metrics <-
-      Scheme_intf.register_metrics ~scheme:name
-        ~stats:(fun () -> Scheme_intf.Counters.stats t.counters)
-        ~unreclaimed:(fun () -> Scheme_intf.Counters.unreclaimed t.counters)
-        ~wd:t.wd ();
+    Shell.register sh ~name
+      ~orphan:(fun tid -> orphan t ~tid)
+      ~neutralize:(fun tid -> neutralize_clear t ~tid);
     t
 
-  let unreclaimed t = Scheme_intf.Counters.unreclaimed t.counters
-  let stats t = Scheme_intf.Counters.stats t.counters
-  let pp_stats fmt t = Scheme_intf.pp_stats_record fmt (stats t)
-  let tuning t = t.tuning
+  let unreclaimed t = Shell.unreclaimed t.sh
+  let stats t = Shell.stats t.sh
+  let pp_stats fmt t = Shell.pp_stats fmt t.sh
+  let tuning t = t.sh.tuning
 
   let set_tuning t tn =
-    t.tuning <- tn;
-    refresh_threshold t
+    t.sh.tuning <- tn;
+    Batch.refresh t.batch tn
 
-  let pending t ~tid = !(t.retired_count.(tid))
-  let stall_age_max t = Obs.Watchdog.stall_age_max t.wd
+  let pending t ~tid = Batch.pending t.batch ~tid
+  let stall_age_max t = Shell.stall_age_max t.sh
   let global_epoch t = Atomic.get t.global_epoch
   let min_announced_now t = min_announced t ~visited:(ref 0)
   let try_advance_epoch t = try_advance t ~visited:(ref 0)

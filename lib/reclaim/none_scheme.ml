@@ -18,7 +18,7 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     hps : int;
     retired : node list ref array;
     counters : Scheme_intf.Counters.t;
-    orphans : node Orphan.t;
+    orphans : node Memdom.Orphan.t;
     mutable lifecycle : int -> unit;
     (* the controls have no thresholds; the record is carried so the
        knob surface is uniform across every Scheme_intf.S *)
@@ -36,9 +36,9 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     | [] -> ()
     | batch ->
         t.retired.(tid) := [];
-        Orphan.publish t.orphans t.sink ~tid batch
+        Memdom.Orphan.publish t.orphans t.sink ~tid batch
 
-  let orphaned t = Orphan.pending t.orphans
+  let orphaned t = Memdom.Orphan.pending t.orphans
 
   let create ?(max_hps = 8) ?sink alloc =
     let sink =
@@ -51,7 +51,7 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
         hps = max_hps;
         retired = Array.init Registry.max_threads (fun _ -> ref []);
         counters = Scheme_intf.Counters.create ();
-        orphans = Orphan.create ();
+        orphans = Memdom.Orphan.create ();
         lifecycle = ignore;
         tuning = Tuning.create ();
       }
@@ -89,7 +89,7 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     for tid = 0 to Registry.registered () - 1 do
       let mine = !(t.retired.(tid)) in
       let all =
-        List.rev_append (Orphan.adopt t.orphans t.sink ~tid) mine
+        List.rev_append (Memdom.Orphan.adopt t.orphans t.sink ~tid) mine
       in
       List.iter
         (fun n ->

@@ -101,39 +101,6 @@ module Counters = struct
     max 0 (r - f)
 end
 
-(* Register one scheme instance's unified stats, unreclaimed population
-   and watchdog stall age as probes in a metrics registry, labelled by
-   scheme name.  Instances of the same scheme aggregate by summation at
-   sample time (the [Metrics.probe] contract).  Returns the probe
-   closures: they are held weakly, so the scheme MUST store the result
-   in its own record — the same keep-alive idiom as the quarantine
-   cleaner. *)
-let register_metrics ?(registry = Obs.Metrics.default) ~scheme
-    ~(stats : unit -> stats) ~(unreclaimed : unit -> int)
-    ~(wd : Obs.Watchdog.t) () =
-  let labels = [ ("scheme", scheme) ] in
-  let counters =
-    [
-      ("orcgc_retires_total", fun () -> (stats ()).retires);
-      ("orcgc_frees_total", fun () -> (stats ()).frees);
-      ("orcgc_scans_total", fun () -> (stats ()).scans);
-      ("orcgc_scan_slots_total", fun () -> (stats ()).scan_slots);
-      ("orcgc_snapshot_builds_total", fun () -> (stats ()).snapshot_builds);
-      ("orcgc_snapshot_hits_total", fun () -> (stats ()).snapshot_hits);
-      ("orcgc_elided_total", fun () -> (stats ()).elided);
-    ]
-  and gauges =
-    [
-      ("orcgc_unreclaimed", unreclaimed);
-      ("orcgc_stall_age_max", fun () -> Obs.Watchdog.stall_age_max wd);
-    ]
-  in
-  List.iter
-    (fun (name, f) -> Obs.Metrics.probe registry ~labels ~counter:true name f)
-    counters;
-  List.iter (fun (name, f) -> Obs.Metrics.probe registry ~labels name f) gauges;
-  counters @ gauges
-
 module type NODE = sig
   type t
 
@@ -166,9 +133,10 @@ module type S = sig
 
       {b Neutralization handshake} (see {!Neutralize}): while a
       neutralizing reclaimer is armed, every scheme checks the caller's
-      pending flag at its entry points.  [begin_op], [end_op] and
-      [clear] acknowledge silently (nothing published yet / finalizer
-      paths must not raise); [get_protected_v],
+      pending flag at its entry points.  [begin_op] and [end_op]
+      acknowledge silently (nothing published yet / finalizer paths
+      must not raise); [clear] does not look at the flag (lowering a
+      protection is safe either way); [get_protected_v],
       [copy_protection] and [retire] acknowledge and raise
       [Neutralize.Neutralized] — every protection validated before the
       neutralization is gone, so the operation must restart.  Unarmed,

@@ -178,44 +178,82 @@ module Hp = Reclaim.Hp.Make (BN)
 
 (* Background drain, manual scheme: retires routed through the channel
    are reclaimed by the reclaimer domain; stopping the reclaimer and
-   flushing accounts for every object. *)
-let test_hp_background_drain () =
-  let alloc = Memdom.Alloc.create "bg-hp" in
-  let s = Hp.create ~max_hps:4 alloc in
-  let ch = Reclaim.Channel.create () in
-  let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
-  Hp.set_background s (Some ch);
-  let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let table = Array.init 4 (fun i -> Link.make_in bn_arena (Link.Ptr (mk i))) in
-  run_domains_exn 3 (fun ~i ~tid ->
-      let rng = Rng.create (0xB0 + i) in
-      for k = 1 to 500 do
-        Hp.begin_op s ~tid;
-        let n = mk k in
-        Hp.protect_raw s ~tid ~idx:0 (Some n);
-        let old = swap bn_arena table.(Rng.int rng 4) (Link.Ptr n) in
-        Hp.end_op s ~tid;
-        match Link.target old with
-        | Some o -> Hp.retire s ~tid o
-        | None -> ()
-      done);
-  Reclaim.Reclaimer.stop reclaimer;
-  check_bool "reclaimer exited" false (Reclaim.Reclaimer.alive reclaimer);
-  check_bool "reclaimer made passes" true
-    (Reclaim.Reclaimer.passes reclaimer > 0);
-  check_int "stopped channel holds nothing" 0 (Reclaim.Channel.depth ch);
-  Hp.set_background s None;
-  let tid = Registry.tid () in
-  Array.iter
-    (fun slot ->
-      match Link.target (swap bn_arena slot Link.Null) with
-      | Some n -> Hp.retire s ~tid n
-      | None -> ())
-    table;
-  Hp.flush s;
-  check_int "no object leaked through the pipeline" 0
-    (Memdom.Alloc.live alloc);
-  check_int "unreclaimed zero" 0 (Hp.unreclaimed s)
+   flushing accounts for every object.  [closed] runs the same load
+   against a closed channel with no reclaimer: every send is refused,
+   each batch is reclaimed inline on the retiring thread, and nothing
+   may leak on that path either. *)
+module Drain (S : Reclaim.Scheme_intf.S with type node = bnode) = struct
+  let run ~closed () =
+    let alloc = Memdom.Alloc.create ("bg-" ^ S.name) in
+    let s = S.create ~max_hps:4 alloc in
+    let ch = Reclaim.Channel.create () in
+    let reclaimer =
+      if closed then begin
+        Reclaim.Channel.close ch;
+        None
+      end
+      else Some (Reclaim.Reclaimer.start ~interval:0.001 ch)
+    in
+    S.set_background s (Some ch);
+    let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
+    let table =
+      Array.init 4 (fun i -> Link.make_in bn_arena (Link.Ptr (mk i)))
+    in
+    run_domains_exn 3 (fun ~i ~tid ->
+        let rng = Rng.create (0xB0 + i) in
+        for k = 1 to 500 do
+          S.begin_op s ~tid;
+          let n = mk k in
+          S.protect_raw s ~tid ~idx:0 (Some n);
+          let old = swap bn_arena table.(Rng.int rng 4) (Link.Ptr n) in
+          S.end_op s ~tid;
+          match Link.target old with
+          | Some o -> S.retire s ~tid o
+          | None -> ()
+        done);
+    (match reclaimer with
+    | Some r ->
+        Reclaim.Reclaimer.stop r;
+        check_bool "reclaimer exited" false (Reclaim.Reclaimer.alive r);
+        check_bool "reclaimer made passes" true (Reclaim.Reclaimer.passes r > 0);
+        check_bool "batches travelled the channel" true
+          (Reclaim.Channel.sent ch > 0)
+    | None ->
+        check_int "a closed channel accepts nothing" 0
+          (Reclaim.Channel.sent ch);
+        check_bool "refused batches fell back inline" true
+          (Reclaim.Channel.fallbacks ch > 0));
+    check_int "stopped channel holds nothing" 0 (Reclaim.Channel.depth ch);
+    S.set_background s None;
+    let tid = Registry.tid () in
+    Array.iter
+      (fun slot ->
+        match Link.target (swap bn_arena slot Link.Null) with
+        | Some n -> S.retire s ~tid n
+        | None -> ())
+      table;
+    S.flush s;
+    check_int "no object leaked through the pipeline" 0
+      (Memdom.Alloc.live alloc);
+    check_int "unreclaimed zero" 0 (S.unreclaimed s)
+
+  let drain =
+    Alcotest.test_case
+      (S.name ^ ": background drain leaks nothing")
+      `Quick (run ~closed:false)
+
+  let closed =
+    Alcotest.test_case
+      (S.name ^ ": closed channel scans inline")
+      `Quick (run ~closed:true)
+end
+
+module Drain_hp = Drain (Hp)
+module Drain_he = Drain (Reclaim.He.Make (BN))
+module Drain_ibr = Drain (Reclaim.Ibr.Make (BN))
+module Drain_ebr = Drain (Reclaim.Ebr.Make (BN))
+module Drain_ptb = Drain (Reclaim.Ptb.Make (BN))
+module Drain_ptp = Drain (Orc_core.Ptp.Make (BN))
 
 (* Neutralize-vs-orphan interplay: a victim neutralized mid-guard with
    a retired backlog then dies without touching another entry point.
@@ -273,43 +311,50 @@ let test_neutralize_orphan_interplay () =
    node including cascades through the structure's links. *)
 type onode = { hdr : Memdom.Hdr.t; ov : int; next : onode Link.t }
 
-module O = Orc_core.Orc.Make (struct
+module ON = struct
   type t = onode
 
   let hdr n = n.hdr
   let iter_links n f = f n.next
-end)
+end
 
 let _read_ov n =
   Memdom.Hdr.check_access n.hdr;
   n.ov
 
-let test_orc_background_drain () =
-  let alloc = Memdom.Alloc.create "bg-orc" in
-  let o = O.create alloc in
-  let ch = Reclaim.Channel.create () in
-  let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
-  O.set_background o (Some ch);
-  let amk v hdr = { hdr; ov = v; next = Link.make_in (O.arena o) Link.Null } in
-  let table = Array.init 4 (fun _ -> Link.make_in (O.arena o) Link.Null) in
-  run_domains_exn 3 (fun ~i ~tid:_ ->
-      let rng = Rng.create (0x0C + i) in
-      for k = 1 to 400 do
-        O.with_guard o (fun g ->
-            let slot = table.(Rng.int rng 4) in
-            let p = O.ptr g in
-            O.load g slot p;
-            let np = O.alloc_node g (amk k) in
-            O.store_v g slot (O.Ptr.view np))
-      done);
-  Reclaim.Reclaimer.stop reclaimer;
-  O.set_background o None;
-  O.with_guard o (fun g ->
-      Array.iter (fun slot -> O.store_v g slot Link.v_null) table);
-  O.flush o;
-  check_int "orc background pipeline leaked nothing" 0
-    (Memdom.Alloc.live alloc);
-  check_int "orc unreclaimed zero" 0 (O.unreclaimed o)
+module Orc_drain (O : Orc_core.Orc.S with type node = onode) = struct
+  let run () =
+    let alloc = Memdom.Alloc.create ("bg-" ^ O.name) in
+    let o = O.create alloc in
+    let ch = Reclaim.Channel.create () in
+    let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
+    O.set_background o (Some ch);
+    let amk v hdr =
+      { hdr; ov = v; next = Link.make_in (O.arena o) Link.Null }
+    in
+    let table = Array.init 4 (fun _ -> Link.make_in (O.arena o) Link.Null) in
+    run_domains_exn 3 (fun ~i ~tid:_ ->
+        let rng = Rng.create (0x0C + i) in
+        for k = 1 to 400 do
+          O.with_guard o (fun g ->
+              let slot = table.(Rng.int rng 4) in
+              let p = O.ptr g in
+              O.load g slot p;
+              let np = O.alloc_node g (amk k) in
+              O.store_v g slot (O.Ptr.view np))
+        done);
+    Reclaim.Reclaimer.stop reclaimer;
+    O.set_background o None;
+    O.with_guard o (fun g ->
+        Array.iter (fun slot -> O.store_v g slot Link.v_null) table);
+    O.flush o;
+    check_int "orc background pipeline leaked nothing" 0
+      (Memdom.Alloc.live alloc);
+    check_int "orc unreclaimed zero" 0 (O.unreclaimed o)
+end
+
+module Orc_ptp_drain = Orc_drain (Orc_core.Orc.Make (ON))
+module Orc_hp_drain = Orc_drain (Orc_core.Orc.Make_hp (ON))
 
 (* ------------------------------------------------------------------ *)
 (* Batteries *)
@@ -351,15 +396,27 @@ let suite =
           test_check_raises_ack_silent;
         Alcotest.test_case "neutralize: disarmed handshake is inert" `Quick
           test_disarmed_is_inert;
-        Alcotest.test_case "hp: background drain leaks nothing" `Quick
-          test_hp_background_drain;
+        Drain_hp.drain;
         Alcotest.test_case "hp: neutralize vs orphan adoption" `Quick
           test_neutralize_orphan_interplay;
         Alcotest.test_case "orc: background drain leaks nothing" `Quick
-          test_orc_background_drain;
+          Orc_ptp_drain.run;
+        Alcotest.test_case "orc-hp: background drain leaks nothing" `Quick
+          Orc_hp_drain.run;
         Alcotest.test_case "battery: stalled guard neutralized" `Slow
           test_neutralize_battery;
         Alcotest.test_case "battery: reclaimer killed mid-run" `Slow
           test_reclaimer_kill_battery;
+        Drain_hp.closed;
+        Drain_he.drain;
+        Drain_he.closed;
+        Drain_ibr.drain;
+        Drain_ibr.closed;
+        Drain_ebr.drain;
+        Drain_ebr.closed;
+        Drain_ptb.drain;
+        Drain_ptb.closed;
+        Drain_ptp.drain;
+        Drain_ptp.closed;
       ] );
   ]

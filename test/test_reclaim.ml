@@ -179,6 +179,25 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
     check_int "nothing pending" 0 (S.unreclaimed s);
     check_int "orphan pool drained" 0 (S.orphaned s)
 
+  (* A neutralization that lands mid-operation is acknowledged by
+     [end_op]: the silent half of the handshake, which every scheme
+     runs (the flag must not survive into the thread's next op). *)
+  let test_end_op_acks_neutralize () =
+    let _alloc, s = fresh () in
+    let tid = Registry.tid () in
+    Reclaim.Neutralize.arm ();
+    Fun.protect
+      ~finally:(fun () ->
+        Reclaim.Neutralize.ack ~tid;
+        Reclaim.Neutralize.disarm ())
+      (fun () ->
+        S.begin_op s ~tid;
+        check_bool "fire" true
+          (Reclaim.Neutralize.fire ~by:tid ~tid ~age:1 ());
+        S.end_op s ~tid;
+        check_bool "end_op acknowledged" false
+          (Reclaim.Neutralize.is_pending ~tid))
+
   let cases =
     [
       Alcotest.test_case
@@ -196,6 +215,47 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
       Alcotest.test_case
         (S.name ^ ": tid recycling starts clean")
         `Quick test_tid_recycling;
+      Alcotest.test_case
+        (S.name ^ ": end_op acks a neutralization")
+        `Quick test_end_op_acks_neutralize;
+    ]
+end
+
+(* The batching schemes' threshold contract: with nothing protected,
+   the scan runs at exactly the R-th retire, R read from the instance's
+   own knob record, and a swapped-in record moves R. *)
+module Batching (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
+  let hps = 4
+
+  let scans_at_r s alloc ~tid =
+    let r = Reclaim.Tuning.threshold (S.tuning s) ~hps in
+    let scans0 = (S.stats s).scans in
+    for i = 1 to r - 1 do
+      S.retire s ~tid { hdr = Memdom.Alloc.hdr alloc (); value = i }
+    done;
+    check_int "no scan below R" scans0 (S.stats s).scans;
+    S.retire s ~tid { hdr = Memdom.Alloc.hdr alloc (); value = r };
+    check_int "one scan at the R-th retire" (scans0 + 1) (S.stats s).scans;
+    r
+
+  let test_threshold () =
+    let alloc = Memdom.Alloc.create (S.name ^ "-threshold") in
+    let s = S.create ~max_hps:hps alloc in
+    let tid = Registry.tid () in
+    let r = scans_at_r s alloc ~tid in
+    S.set_tuning s (Reclaim.Tuning.create ~r_scale_pct:400 ());
+    S.flush s;
+    check_int "drained before the rescaled round" 0 (S.unreclaimed s);
+    let r' = scans_at_r s alloc ~tid in
+    check_int "rescaled R" (4 * r) r';
+    S.flush s;
+    check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+  let cases =
+    [
+      Alcotest.test_case
+        (S.name ^ ": scans at the R-th retire")
+        `Quick test_threshold;
     ]
 end
 
@@ -205,6 +265,11 @@ module Gen_ebr = Generic (Ebr)
 module Gen_he = Generic (He)
 module Gen_ibr = Generic (Ibr)
 module Gen_ptp = Generic (Ptp)
+module Bat_hp = Batching (Hp)
+module Bat_ptb = Batching (Ptb)
+module Bat_ebr = Batching (Ebr)
+module Bat_he = Batching (He)
+module Bat_ibr = Batching (Ibr)
 
 (* The Unsafe control frees at retire: proves the substrate detects the
    use-after-free the real schemes must prevent. *)
@@ -328,11 +393,11 @@ let test_ptp_linear_bound_under_stress () =
 
 let suite =
   [
-    ("scheme:hp", Gen_hp.cases);
-    ("scheme:ptb", Gen_ptb.cases);
-    ("scheme:ebr", Gen_ebr.cases);
-    ("scheme:he", Gen_he.cases);
-    ("scheme:ibr", Gen_ibr.cases);
+    ("scheme:hp", Gen_hp.cases @ Bat_hp.cases);
+    ("scheme:ptb", Gen_ptb.cases @ Bat_ptb.cases);
+    ("scheme:ebr", Gen_ebr.cases @ Bat_ebr.cases);
+    ("scheme:he", Gen_he.cases @ Bat_he.cases);
+    ("scheme:ibr", Gen_ibr.cases @ Bat_ibr.cases);
     ("scheme:ptp", Gen_ptp.cases);
     ( "scheme:controls",
       [
