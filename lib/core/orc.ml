@@ -17,15 +17,16 @@
     reclamation schemes can be used by OrcGC to protect the local
     references of type orc_ptr":
     - {!Ptp_backend} ("orc", Algorithms 5–6) passes the object to a
-      protecting thread ([tryHandover]), un-retires it if it became
+      protecting thread ([tryHandover]) through the {!Reclaim.Handover}
+      plane that PTP and PTB share, un-retires it if it became
       reachable again ([clearBitRetired]) or deletes it, draining
       cascades iteratively through the recursive list to bound stack
       depth;
     - {!Hp_backend} ("orc-hp") parks it on a thread-local retired list
-      scanned against the published hazards, Lemma 1's sequence check
-      deciding the delete.  The unreclaimed bound degrades from PTP's
-      O(Ht) to HP's O(Ht²), and a cascading destructor merely pushes
-      more entries.
+      of the {!Reclaim.Batch} engine, scanned against the published
+      hazards, Lemma 1's sequence check deciding the delete.  The
+      unreclaimed bound degrades from PTP's O(Ht) to HP's O(Ht²), and a
+      cascading destructor merely pushes more entries.
 
     Local references live in {!Ptr.t} handles owned by a per-operation
     {!with_guard} scope — the OCaml rendering of the C++ RAII [orc_ptr]
@@ -45,6 +46,7 @@
     CAS. *)
 
 open Atomicx
+module Handover = Reclaim.Handover
 
 let seq_unit = 1 lsl 24
 let bretired = 1 lsl 23
@@ -103,7 +105,7 @@ type ('n, 'b) core = {
   wd : Obs.Watchdog.t; (* guard-stall stamp table *)
   (* background drain: when set, the backend ships claimed nodes to the
      reclaimer; None (the default) reclaims inline *)
-  bg : Reclaim.Channel.t option Atomic.t;
+  bg : Reclaim.Channel.route;
   (* knob record, read live so the controller can retune it *)
   mutable tuning : Reclaim.Tuning.t;
   bk : 'b;
@@ -164,14 +166,6 @@ let clear_bit_retired c ~tid p =
     0
   end
 
-(* Index of the first slot in [hp] below [wm] publishing uid [pu],
-   walked upward from [idx]; -1 if none.  Top-level so the scans
-   allocate no closure. *)
-let rec find_in_row hp wm pu idx =
-  if idx >= wm then -1
-  else if Atomic.get hp.(idx) = pu then idx
-  else find_in_row hp wm pu (idx + 1)
-
 (* {1 Backends: what happens to a claimed zero-count node}
 
    Operations reach the backend only on the zero-count path ([retire])
@@ -187,12 +181,14 @@ module type BACKEND = sig
   val create :
     max_hps:int option ->
     sink:Obs.Sink.t ->
-    bg:Reclaim.Channel.t option Atomic.t ->
+    bg:Reclaim.Channel.route ->
+    handovers:Shard.t ->
     scans:Shard.t ->
     scan_slots:Shard.t ->
     'n t
   (** [max_hps] is the [?max_hps] given to [create]; the sink, the
-      background route and the scan counters are the instance's own. *)
+      background route and the handover and scan counters are the
+      instance's own. *)
 
   val retire : ('n, 'n t) core -> tid:int -> 'n -> unit
   (** The caller owns the node's BRETIRED bit and passes it on. *)
@@ -216,86 +212,93 @@ module type BACKEND = sig
 end
 
 module Ptp_backend = struct
-  type 'n handover_row = {
-    handovers : 'n option Atomic.t array;
-    mutable retire_started : bool;
-    recursive : 'n Queue.t;
-    (* background batch, bounded by the bg batch knob; owner-thread
-       only *)
-    mutable bg_buf : 'n list;
-    mutable bg_count : int;
-  }
+  (* [tid]'s cascade state; owner-thread only *)
+  type 'n cascade = { mutable retire_started : bool; recursive : 'n Queue.t }
 
-  type 'n t = 'n handover_row array
+  type 'n t = {
+    (* one handover slot per hazard index, and the background buffer *)
+    plane : 'n Handover.t;
+    cascades : 'n cascade array;
+  }
 
   let name = "orc"
 
-  let create ~max_hps:_ ~sink:_ ~bg:_ ~scans:_ ~scan_slots:_ =
-    Array.init Registry.max_threads (fun _ ->
-        {
-          handovers = Padded.atomic_array max_haz None;
-          retire_started = false;
-          recursive = Queue.create ();
-          bg_buf = [];
-          bg_count = 0;
-        })
+  let create ~max_hps:_ ~sink ~bg:_ ~handovers ~scans:_ ~scan_slots:_ =
+    {
+      plane = Handover.create ~slots:max_haz ~sink ~handovers;
+      cascades =
+        Array.init Registry.max_threads (fun _ ->
+            { retire_started = false; recursive = Queue.create () });
+    }
 
-  (* Scan every published hazardous pointer for [p]; on a match, swap [p]
-     into the paired handover slot and return the evictee.  The caller's
-     own row goes first: a node whose count is zeroed by a thread that
-     still protects it (a [store] or [cas_v] dropping a link to a node
-     the caller holds) is handed over on the first row walked.
-     Row order is free because a protection never moves between rows,
-     and each row is still walked upward, the direction in which
-     [assign] moves protections within a row.  Rows whose registry slot
-     is Free are skipped entirely — a recycled slot cannot hold a
-     protection (see [Registry.in_use] for the memory-ordering
-     argument), so after a churn burst the scan cost shrinks back to
-     the live slot population instead of staying at the monotone
-     high-water mark forever. *)
+  (* Scan every published hazardous pointer for [p]; on a match, hand
+     [p] to the paired handover slot and return the evictee (or the
+     plane's empty sentinel); [p] itself when no row publishes it.  The
+     caller's own row goes first: a node whose count is zeroed by a
+     thread that still protects it (a [store] or [cas_v] dropping a
+     link to a node the caller holds) is handed over on the first row
+     walked.  Row order is free because a protection never moves
+     between rows, and each row is still walked upward, the direction
+     in which [assign] moves protections within a row.  Rows whose
+     registry slot is Free are skipped entirely — a recycled slot
+     cannot hold a protection (see [Registry.in_use] for the
+     memory-ordering argument), so after a churn burst the scan cost
+     shrinks back to the live slot population instead of staying at
+     the monotone high-water mark forever. *)
   let try_handover c ~tid p =
     let began = Obs.Sink.scan_begin c.sink in
-    let wm = Atomic.get c.watermark in
-    let pu = uid c p in
-    let row = ref tid in
-    let idx = ref (find_in_row c.tl.(tid).hp_uid wm pu 0) in
+    let wm = Atomic.get c.watermark and pu = uid c p in
+    let row = ref tid and it = ref 0 and nreg = Registry.registered () in
+    let idx = ref (Handover.find_in_row c.tl.(tid).hp_uid wm pu 0) in
     let visited = ref (if !idx < 0 then wm else !idx + 1) in
-    (if !idx < 0 then
-       let nreg = Registry.registered () in
-       try
-         for it = 0 to nreg - 1 do
-           if it <> tid && Registry.in_use it then begin
-             let i = find_in_row c.tl.(it).hp_uid wm pu 0 in
-             if i < 0 then visited := !visited + wm
-             else begin
-               visited := !visited + i + 1;
-               row := it;
-               idx := i;
-               raise_notrace Exit
-             end
-           end
-         done
-       with Exit -> ());
+    while !idx < 0 && !it < nreg do
+      if !it <> tid && Registry.in_use !it then begin
+        row := !it;
+        idx := Handover.find_in_row c.tl.(!it).hp_uid wm pu 0;
+        visited := !visited + if !idx < 0 then wm else !idx + 1
+      end;
+      incr it
+    done;
     let result =
-      if !idx < 0 then None
-      else begin
-        let evictee = Atomic.exchange c.bk.(!row).handovers.(!idx) (Some p) in
-        Shard.incr c.n_handovers ~tid;
-        Obs.Sink.on_handover c.sink ~tid ~uid:pu;
-        Some evictee
-      end
+      if !idx < 0 then p
+      else Handover.hand c.bk.plane ~tid ~row:!row ~idx:!idx ~uid:pu p
     in
     Shard.incr c.n_scans ~tid;
     Shard.add c.n_scan_slots ~tid !visited;
     Obs.Sink.scan_end c.sink ~tid ~slots:!visited ~began;
     result
 
+  (* The loop of retire (Algorithm 5 lines 96–117) over one node we own
+     BRETIRED on: re-claim it if it was resurrected, hand it over and go
+     on with the evictee, or — no row publishes it — delete it unless
+     its [_orc] word moved across the scan, in which case revalidate
+     from the top.  Tail-recursive, so it runs as a loop. *)
+  let rec handover_or_delete c ~tid p =
+    let lorc = Atomic.get (orc_word c p) in
+    let lorc =
+      if ocnt lorc = retired_zero then lorc else clear_bit_retired c ~tid p
+    in
+    if lorc <> 0 then begin
+      let q = try_handover c ~tid p in
+      if q != p then begin
+        if not (Handover.is_empty q) then handover_or_delete c ~tid q
+      end
+      else if Atomic.get (orc_word c p) <> lorc then handover_or_delete c ~tid p
+      else c.delete ~tid p
+    end
+
+  let rec drain_recursive c ~tid r =
+    if not (Queue.is_empty r.recursive) then begin
+      handover_or_delete c ~tid (Queue.take r.recursive);
+      drain_recursive c ~tid r
+    end
+
   (* retire (Algorithm 5 lines 92–118).  Precondition: the caller owns
      [p]'s BRETIRED bit.  Reentrant calls (from the destructor's [dec])
      queue onto the recursive list and are drained here, keeping the
      stack depth constant no matter how long the unreachable chain is. *)
   let retire_inline c ~tid p =
-    let r = c.bk.(tid) in
+    let r = c.bk.cascades.(tid) in
     if r.retire_started then begin
       Shard.incr c.n_cascades ~tid;
       Obs.Sink.on_cascade c.sink ~tid ~uid:(uid c p);
@@ -303,144 +306,49 @@ module Ptp_backend = struct
     end
     else begin
       r.retire_started <- true;
-      let cur = ref (Some p) in
-      let outer_done = ref false in
-      while not !outer_done do
-        (try
-           while true do
-             match !cur with
-             | None -> raise_notrace Exit
-             | Some p ->
-                 let lorc = ref (Atomic.get (orc_word c p)) in
-                 if ocnt !lorc <> retired_zero then begin
-                   let l = clear_bit_retired c ~tid p in
-                   if l = 0 then raise_notrace Exit;
-                   lorc := l
-                 end;
-                 (match try_handover c ~tid p with
-                 | Some evictee -> cur := evictee
-                 | None ->
-                     let lorc2 = Atomic.get (orc_word c p) in
-                     if lorc2 <> !lorc then begin
-                       if ocnt !lorc <> retired_zero then
-                         if clear_bit_retired c ~tid p = 0 then
-                           raise_notrace Exit
-                       (* else: revalidate from the top of the loop *)
-                     end
-                     else begin
-                       c.delete ~tid p;
-                       raise_notrace Exit
-                     end)
-           done
-         with Exit -> ());
-        match Queue.take_opt r.recursive with
-        | None -> outer_done := true
-        | Some q -> cur := Some q
-      done;
+      handover_or_delete c ~tid p;
+      drain_recursive c ~tid r;
       r.retire_started <- false
     end
 
   (* Background split point: every non-lifecycle retirement funnels
-     through here.  With a channel set, the freshly claimed node is
-     buffered thread-locally and the batch shipped to the reclaimer as
-     a job — BRETIRED ownership travels with the closure, and
-     [retire_inline] revalidates the count under the reclaimer's tid
-     exactly as it would inline, so resurrection and handover behave
-     identically.  A refused send (channel closed or full — reclaimer
-     dead or behind) retires the batch inline: backpressure degrades to
-     the [None] path.  The buffer is drained by [thread_exit] and
-     [flush]. *)
+     through here.  With a channel set, the node joins the plane's
+     background buffer.  BRETIRED ownership travels with a shipped
+     batch, and [retire_inline] revalidates the count under the
+     reclaimer's tid exactly as it would inline, so resurrection and
+     handover behave identically. *)
   let retire c ~tid p =
     match Atomic.get c.bg with
     | None -> retire_inline c ~tid p
     | Some ch ->
-        let r = c.bk.(tid) in
-        r.bg_buf <- p :: r.bg_buf;
-        r.bg_count <- r.bg_count + 1;
-        if r.bg_count >= Reclaim.Tuning.bg_batch c.tuning then begin
-          let batch = r.bg_buf and n = r.bg_count in
-          r.bg_buf <- [];
-          r.bg_count <- 0;
-          let job ~tid:rtid =
-            List.iter (fun q -> retire_inline c ~tid:rtid q) batch
-          in
-          if not (Reclaim.Channel.send ch ~tid ~count:n job) then
-            List.iter (fun q -> retire_inline c ~tid q) batch
-        end
+        Handover.push c.bk.plane c ~tid c.tuning ch p ~run:retire_inline
 
   (* A released slot adopts whatever a scanner parked on its handover:
      the parked node carries BRETIRED, so we own it now. *)
   let slot_released c ~tid idx =
-    let h = c.bk.(tid).handovers.(idx) in
-    match Atomic.get h with
-    | None -> ()
-    | Some _ -> (
-        match Atomic.exchange h None with
-        | Some q -> retire c ~tid q
-        | None -> ())
-
-  (* Retire under [self] everything parked on [tid]'s handovers (sole
-     ownership via exchange).  With [tid]'s hazards down no scan can
-     park anything new there. *)
-  let adopt_handovers c ~tid ~self =
-    let h = c.bk.(tid).handovers in
-    for idx = 0 to Atomic.get c.watermark - 1 do
-      match Atomic.exchange h.(idx) None with
-      | Some q -> retire_inline c ~tid:self q
-      | None -> ()
-    done
-
-  (* Retire under [self] the background batch [tid] still owns; false
-     if it was empty. *)
-  let retire_buffer c ~tid ~self =
-    let r = c.bk.(tid) in
-    match r.bg_buf with
-    | [] -> false
-    | batch ->
-        r.bg_buf <- [];
-        r.bg_count <- 0;
-        List.iter (fun q -> retire_inline c ~tid:self q) batch;
-        true
+    let q = Handover.take c.bk.plane ~row:tid ~idx in
+    if not (Handover.is_empty q) then retire c ~tid q
 
   (* Everything the dead row still owned is adopted: queued recursive
      retires (possible only under abrupt death mid-retire), parked
      handovers and the background buffer all carry BRETIRED.  They are
      retired inline — quarantine must make progress even with the
-     reclaimer gone, and the next owner of this tid starts empty. *)
+     reclaimer gone, and the next owner of this tid starts empty.  With
+     [tid]'s hazards down no scan can park anything new there. *)
   let thread_exit c ~tid ~self =
-    let r = c.bk.(tid) in
+    let r = c.bk.cascades.(tid) in
     r.retire_started <- false;
-    let rec drain_queue () =
-      match Queue.take_opt r.recursive with
-      | Some q ->
-          retire_inline c ~tid:self q;
-          drain_queue ()
-      | None -> ()
-    in
-    drain_queue ();
-    adopt_handovers c ~tid ~self;
-    ignore (retire_buffer c ~tid ~self)
+    while not (Queue.is_empty r.recursive) do
+      retire_inline c ~tid:self (Queue.take r.recursive)
+    done;
+    Handover.adopt c.bk.plane c ~row:tid ~tid:self ~run:retire_inline
 
   (* Only the row's atomic state is touched: the victim may be alive and
      about to wake, and its buffer is bounded by [bg_batch]. *)
-  let neutralize_clear = adopt_handovers
+  let neutralize_clear c ~tid ~self =
+    Handover.adopt_row c.bk.plane c ~row:tid ~tid:self ~run:retire_inline
 
-  (* A retire here can cascade through [dec] back into [retire] and
-     re-buffer under an active channel, hence the fixpoint. *)
-  let flush c ~tid =
-    let nreg = Registry.registered () in
-    for it = 0 to nreg - 1 do
-      adopt_handovers c ~tid:it ~self:tid
-    done;
-    let rec drain_bufs () =
-      let progress = ref false in
-      for it = 0 to nreg - 1 do
-        if retire_buffer c ~tid:it ~self:tid then progress := true
-      done;
-      if !progress then drain_bufs ()
-    in
-    drain_bufs ()
-
+  let flush c ~tid = Handover.flush c.bk.plane c ~tid ~run:retire_inline
   let retune _ = ()
 end
 
@@ -454,7 +362,7 @@ module Hp_backend = struct
 
   let name = "orc-hp"
 
-  let create ~max_hps ~sink ~bg ~scans ~scan_slots =
+  let create ~max_hps ~sink ~bg ~handovers:_ ~scans ~scan_slots =
     let hps = Option.value max_hps ~default:8 in
     {
       batch = Reclaim.Batch.create ~hps ~sink ~bg ~scans ~scan_slots;
@@ -470,7 +378,7 @@ module Hp_backend = struct
     let found = ref false and it = ref 0 in
     while (not !found) && !it < nreg do
       if Registry.in_use !it then begin
-        let i = find_in_row c.tl.(!it).hp_uid wm pu 0 in
+        let i = Handover.find_in_row c.tl.(!it).hp_uid wm pu 0 in
         visited := !visited + if i < 0 then wm else i + 1;
         found := i >= 0
       end;
@@ -726,9 +634,11 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     in
     let tl = Array.init Registry.max_threads mk_row in
     let bg = Atomic.make None in
+    let n_handovers = Shard.create () in
     let n_scans = Shard.create () and n_scan_slots = Shard.create () in
     let bk =
-      B.create ~max_hps ~sink ~bg ~scans:n_scans ~scan_slots:n_scan_slots
+      B.create ~max_hps ~sink ~bg ~handovers:n_handovers ~scans:n_scans
+        ~scan_slots:n_scan_slots
     in
     let rec t =
       {
@@ -740,7 +650,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         watermark = Atomic.make 1;
         pending = Shard.create ();
         n_retires = Shard.create ();
-        n_handovers = Shard.create ();
+        n_handovers;
         n_cascades = Shard.create ();
         n_scans;
         n_scan_slots;

@@ -23,6 +23,7 @@
     {!clear_handover} disables the drain-on-clear. *)
 
 open Atomicx
+module Handover = Reclaim.Handover
 
 let publish_with_exchange = ref false
 let clear_handover = ref true
@@ -36,14 +37,10 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     (* hazards, [tid][idx]: the protected node's uid, one word per slot
        (-1 = empty), as in Reclaim.Hp *)
     hp : int Atomic.t array array;
-    handovers : node option Atomic.t array array; (* [tid][idx] *)
-    (* PTP has no retired lists, so background mode buffers retires
-       here (owner-private, bounded by the bg batch knob) and ships each
-       batch as one channel job — one send per batch instead of one
-       handover walk per retire.  The batch size is read per retire
-       from the knob record, so the controller can retune it live. *)
-    bg_buf : node list ref array;
-    bg_count : int ref array;
+    (* the handover slot paired with each hazard, and the background
+       buffer PTP keeps in place of retired lists: one send per batch
+       instead of one handover walk per retire *)
+    plane : node Handover.t;
   }
 
   let name = "ptp"
@@ -109,72 +106,47 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
   let handover_or_delete t ~tid n ~start =
     let began = Obs.Sink.scan_begin t.sh.sink in
     let visited = ref 0 in
-    let cur = ref (Some n) in
+    let cur = ref n in
     (try
        for it = start to Registry.registered () - 1 do
          if Registry.in_use it then begin
            let idx = ref 0 in
            while !idx < t.sh.hps do
-             match !cur with
-             | None -> raise_notrace Exit
-             | Some p -> (
-                 incr visited;
-                 if Atomic.get t.hp.(it).(!idx) = uid p then begin
-                   let prev =
-                     Atomic.exchange t.handovers.(it).(!idx) (Some p)
-                   in
-                   Obs.Sink.on_handover t.sh.sink ~tid ~uid:(uid p);
-                   cur := prev;
-                   match prev with
-                   | None -> raise_notrace Exit
-                   | Some q ->
-                       (* Check it is not the new pointer (line 31): if the
-                          slot protects the evictee, stay on this slot. *)
-                       if Atomic.get t.hp.(it).(!idx) <> uid q then incr idx
-                 end
-                 else incr idx)
+             incr visited;
+             let u = uid !cur in
+             if Atomic.get t.hp.(it).(!idx) = u then begin
+               cur := Handover.hand t.plane ~tid ~row:it ~idx:!idx ~uid:u !cur;
+               if Handover.is_empty !cur then raise_notrace Exit;
+               (* Check it is not the new pointer (line 31): if the slot
+                  protects the evictee, stay on this slot. *)
+               if Atomic.get t.hp.(it).(!idx) <> uid !cur then incr idx
+             end
+             else incr idx
            done
          end
        done
      with Exit -> ());
     Reclaim.Scheme_intf.Counters.scanned t.sh.counters ~tid ~slots:!visited;
     Obs.Sink.scan_end t.sh.sink ~tid ~slots:!visited ~began;
-    match !cur with
-    | Some p -> Reclaim.Shell.free t.sh ~tid (N.hdr p)
-    | None -> ()
+    if not (Handover.is_empty !cur) then
+      Reclaim.Shell.free t.sh ~tid (N.hdr !cur)
 
-  let retire_all t ~tid batch =
-    List.iter (fun p -> handover_or_delete t ~tid p ~start:0) batch
-
+  (* A retire, an adopted slot and a buffered retire walk every row. *)
+  let walk_all t ~tid n = handover_or_delete t ~tid n ~start:0
   let set_background t ch = Atomic.set t.sh.bg ch
 
   let retire t ~tid n =
     Reclaim.Shell.retire t.sh ~tid (N.hdr n);
     match Atomic.get t.sh.bg with
-    | None -> handover_or_delete t ~tid n ~start:0
-    | Some ch ->
-        t.bg_buf.(tid) := n :: !(t.bg_buf.(tid));
-        incr t.bg_count.(tid);
-        if !(t.bg_count.(tid)) >= Reclaim.Tuning.bg_batch t.sh.tuning then begin
-          let batch = !(t.bg_buf.(tid)) and count = !(t.bg_count.(tid)) in
-          t.bg_buf.(tid) := [];
-          t.bg_count.(tid) := 0;
-          let job ~tid:rtid = retire_all t ~tid:rtid batch in
-          if not (Reclaim.Channel.send ch ~tid ~count job) then
-            (* refused (closed/full): inline fallback, single-owner safe
-               — the batch left the buffer before the send *)
-            retire_all t ~tid batch
-        end
+    | None -> walk_all t ~tid n
+    | Some ch -> Handover.push t.plane t ~tid t.sh.tuning ch n ~run:walk_all
 
   let clear t ~tid ~idx =
     Atomic.set t.hp.(tid).(idx) (-1);
-    if !clear_handover then
-      match Atomic.get t.handovers.(tid).(idx) with
-      | None -> ()
-      | Some _ -> (
-          match Atomic.exchange t.handovers.(tid).(idx) None with
-          | Some p -> handover_or_delete t ~tid p ~start:tid
-          | None -> ())
+    if !clear_handover then begin
+      let p = Handover.take t.plane ~row:tid ~idx in
+      if not (Handover.is_empty p) then handover_or_delete t ~tid p ~start:tid
+    end
 
   let end_op t ~tid =
     for idx = 0 to t.sh.hps - 1 do
@@ -182,45 +154,23 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     done;
     Reclaim.Shell.end_op t.sh ~tid
 
-  (* Re-run, under [self], every object parked on [tid]'s handovers
-     (sole ownership via exchange). *)
-  let adopt_handovers t ~tid ~self =
-    for idx = 0 to t.sh.hps - 1 do
-      match Atomic.exchange t.handovers.(tid).(idx) None with
-      | Some p -> handover_or_delete t ~tid:self p ~start:0
-      | None -> ()
-    done
-
-  (* Re-run, under [self], the background buffer [tid] still owns:
-     single-owner (the owner itself, a reclaimer over a provably dead
-     one, or a quiesced flush), so the plain swap is safe. *)
-  let retire_buffer t ~tid ~self =
-    match !(t.bg_buf.(tid)) with
-    | [] -> ()
-    | batch ->
-        t.bg_buf.(tid) := [];
-        t.bg_count.(tid) := 0;
-        retire_all t ~tid:self batch
-
   let lower t ~tid =
     for idx = 0 to t.sh.hps - 1 do
       Atomic.set t.hp.(tid).(idx) (-1)
     done
 
   (* Quarantine cleaner.  PTP has no retired lists, so thread death
-     leaves exactly two things behind: published hazards (which would
-     trap objects in other threads' scans forever) and parked
-     handovers (which have no owner left to drain them on [clear]).
-     Lower the hazards *first* — once [hp.(tid)] is all-empty, no
-     concurrent handover scan can park anything new on this row — then
-     re-run each evicted object through the normal handover path on
-     the operating thread (the departing thread itself on the exit
+     leaves three things behind: published hazards (which would trap
+     objects in other threads' scans forever), parked handovers (which
+     have no owner left to drain them on [clear]) and the background
+     buffer.  Lower the hazards *first* — once [hp.(tid)] is all-empty,
+     no concurrent handover scan can park anything new on this row —
+     then re-run each evicted object through the normal handover path
+     on the operating thread (the departing thread itself on the exit
      path, the reclaiming survivor under [force_release]). *)
   let orphan t ~tid =
     lower t ~tid;
-    let self = Registry.tid () in
-    adopt_handovers t ~tid ~self;
-    retire_buffer t ~tid ~self
+    Handover.adopt t.plane t ~row:tid ~tid:(Registry.tid ()) ~run:walk_all
 
   (* Neutralize hook: lower the victim's hazards and re-run its parked
      handovers through the scan — both atomic planes; the owner-private
@@ -228,7 +178,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
      cannot break the O(Ht) bound). *)
   let neutralize_clear t ~tid =
     lower t ~tid;
-    adopt_handovers t ~tid ~self:(Registry.tid ())
+    Handover.adopt_row t.plane t ~row:tid ~tid:(Registry.tid ()) ~run:walk_all
 
   (* Handover drains re-park or free immediately; nothing pools. *)
   let orphaned _ = 0
@@ -239,9 +189,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
       {
         sh;
         hp = Padded.atomic_matrix Registry.max_threads sh.hps (-1);
-        handovers = Padded.atomic_matrix Registry.max_threads sh.hps None;
-        bg_buf = Array.init Registry.max_threads (fun _ -> ref []);
-        bg_count = Array.init Registry.max_threads (fun _ -> ref 0);
+        plane = Reclaim.Shell.handover sh;
       }
     in
     Reclaim.Shell.register sh ~name
@@ -255,13 +203,10 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
   let stats t = Reclaim.Shell.stats t.sh
   let pp_stats fmt t = Reclaim.Shell.pp_stats fmt t.sh
 
-  (* Drain every handover slot; anything still protected simply parks
-     again, anything unprotected is freed.  Unlike the other schemes PTP
-     has no retired lists, so this is all a drain can mean. *)
+  (* Drain every handover slot and background buffer; anything still
+     protected simply parks again, anything unprotected is freed.
+     Unlike the other schemes PTP has no retired lists, so this is all
+     a drain can mean. *)
   let flush t =
-    let self = Registry.tid () in
-    for tid = 0 to Registry.registered () - 1 do
-      retire_buffer t ~tid ~self;
-      adopt_handovers t ~tid ~self
-    done
+    Handover.flush t.plane t ~tid:(Registry.tid ()) ~run:walk_all
 end

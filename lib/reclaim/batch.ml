@@ -11,7 +11,7 @@ type 'a t = {
   threshold : int Atomic.t;
   orphans : 'a Memdom.Orphan.t;
   sink : Obs.Sink.t;
-  bg : Channel.t option Atomic.t;
+  bg : Channel.route;
   scans : Shard.t;
   scan_slots : Shard.t;
 }

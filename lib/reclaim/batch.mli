@@ -15,7 +15,7 @@ type 'a t
 val create :
   hps:int ->
   sink:Obs.Sink.t ->
-  bg:Channel.t option Atomic.t ->
+  bg:Channel.route ->
   scans:Atomicx.Shard.t ->
   scan_slots:Atomicx.Shard.t ->
   'a t

@@ -38,6 +38,8 @@ type t = {
   keep : (string * (unit -> int)) list;  (* weak metric probes, kept here *)
 }
 
+type route = t option Atomic.t
+
 let default_bound = 1024
 
 let create ?(bound = default_bound) ?(registry = Obs.Metrics.default) () =

@@ -18,6 +18,10 @@
 
 type t
 
+type route = t option Atomic.t
+(** A scheme's background route: [None] reclaims inline, [Some ch]
+    ships retire batches to [ch]. *)
+
 type job = { count : int; run : tid:int -> unit }
 (** [count] retired objects travel with the closure; [run ~tid] must
     splice them into tid-local state of the thread executing it and

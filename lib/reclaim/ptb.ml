@@ -1,12 +1,14 @@
 (** Pass-the-buck (Herlihy, Luchangco & Moir [14]) — manual baseline.
 
     Guards are hazard slots; what differs from HP is [liberate]: a retired
-    value found trapped by a guard is *handed off* to that guard through a
-    versioned handoff slot (the paper's DWCAS — here a CAS on an immutable
-    [(value, version)] box, which is atomic over both fields for free).
-    The previous occupant of the handoff re-enters the liberation
-    worklist.  Clearing a guard drains its handoff back into the owner's
-    retired list.
+    value found trapped by a guard is *handed off* to that guard through
+    its slot of the {!Handover} plane, and the previous occupant
+    re-enters the liberation worklist.  Clearing a guard drains its
+    handoff back into the owner's retired list.  The paper's DWCAS
+    pairs each handoff with a version so that a value handed off once
+    is drained once; every write to a slot here is one
+    [Atomic.exchange], which already gives each value to exactly one
+    drainer, so the slot is a plain word and the version is gone.
 
     Each liberating thread still gathers a list proportional to the
     number of trapped values, so the bound stays O(Ht²) (Table 1) — the
@@ -17,14 +19,13 @@ open Atomicx
 
 module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   type node = N.t
-  type handoff = { v : node option; ver : int }
 
   type t = {
     sh : Shell.t;
     (* guards, [tid][idx]: the guarded node's uid, one word per slot
        (-1 = lowered), as in hp.ml *)
     post : int Atomic.t array array;
-    handoff : handoff Atomic.t array array;
+    handoff : node Handover.t; (* [tid][idx], paired with [post] *)
     scratch : Scan_set.t array; (* [tid]; per-liberate guard snapshots *)
     batch : node Batch.t;
   }
@@ -100,13 +101,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     let visited = ref 0 in
     build_snapshot t ~tid ~visited;
     let hps = t.sh.hps in
-    let find_trap p =
-      match Scan_set.find t.scratch.(tid) (uid p) with
-      | -1 -> None
-      | packed ->
-          Scheme_intf.Counters.snapshot_hit t.sh.counters ~tid;
-          Some (packed / hps, packed mod hps)
-    in
     let work = Queue.create () in
     List.iter (fun p -> Queue.add p work) (Batch.take t.batch ~tid);
     let budget = ref (Queue.length work + (Registry.max_threads * hps) + 8) in
@@ -115,37 +109,25 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
       if !budget <= 0 then Batch.add t.batch ~tid p
       else begin
         decr budget;
-        match find_trap p with
-        | None -> Shell.free t.sh ~tid (N.hdr p)
-        | Some (it, idx) ->
-            let slot = t.handoff.(it).(idx) in
-            let rec hand () =
-              let h = Atomic.get slot in
-              if Atomic.compare_and_set slot h { v = Some p; ver = h.ver + 1 }
-              then match h.v with Some q -> Queue.add q work | None -> ()
-              else hand ()
+        let u = uid p in
+        match Scan_set.find t.scratch.(tid) u with
+        | -1 -> Shell.free t.sh ~tid (N.hdr p)
+        | packed ->
+            Scheme_intf.Counters.snapshot_hit t.sh.counters ~tid;
+            let q =
+              Handover.hand t.handoff ~tid ~row:(packed / hps)
+                ~idx:(packed mod hps) ~uid:u p
             in
-            hand ()
+            if not (Handover.is_empty q) then Queue.add q work
       end
     done;
     Scheme_intf.Counters.scanned t.sh.counters ~tid ~slots:!visited;
     Obs.Sink.scan_end t.sh.sink ~tid ~slots:!visited ~began
 
-  (* Empty handoff slot [idx] of [tid].  The versioned exchange hands
-     the value to exactly one drainer, even against the owner's own
-     concurrent [clear]. *)
-  let take_handoff t ~tid ~idx =
-    let slot = t.handoff.(tid).(idx) in
-    let h = Atomic.get slot in
-    match h.v with
-    | None -> None
-    | Some _ -> (Atomic.exchange slot { v = None; ver = h.ver + 1 }).v
-
   let clear t ~tid ~idx =
     Atomic.set t.post.(tid).(idx) (-1);
-    match take_handoff t ~tid ~idx with
-    | Some q -> Batch.add t.batch ~tid q
-    | None -> ()
+    let q = Handover.take t.handoff ~row:tid ~idx in
+    if not (Handover.is_empty q) then Batch.add t.batch ~tid q
 
   let end_op t ~tid =
     for idx = 0 to t.sh.hps - 1 do
@@ -160,14 +142,8 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     if Batch.push t.batch ~tid t.sh.tuning n then
       Batch.reclaim t.batch t ~tid ~scan:liberate
 
-  let take_handoffs t ~tid =
-    let trapped = ref [] in
-    for idx = 0 to t.sh.hps - 1 do
-      match take_handoff t ~tid ~idx with
-      | Some q -> trapped := q :: !trapped
-      | None -> ()
-    done;
-    !trapped
+  let add t ~tid q = Batch.add t.batch ~tid q
+  let publish t ~tid q = Batch.publish t.batch ~tid [ q ]
 
   let lower t ~tid =
     for idx = 0 to t.sh.hps - 1 do
@@ -180,7 +156,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      everything for adoption by the next liberator. *)
   let orphan t ~tid =
     lower t ~tid;
-    List.iter (Batch.add t.batch ~tid) (take_handoffs t ~tid);
+    Handover.adopt_row t.handoff t ~row:tid ~tid ~run:add;
     Batch.orphan t.batch ~tid t.sh.tuning
 
   let orphaned t = Batch.orphaned t.batch
@@ -192,18 +168,15 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let neutralize_clear t ~tid =
     lower t ~tid;
     Batch.refresh t.batch t.sh.tuning;
-    Batch.publish t.batch ~tid (take_handoffs t ~tid)
+    Handover.adopt_row t.handoff t ~row:tid ~tid ~run:publish
 
   let create ?max_hps ?sink alloc =
     let sh = Shell.create ?max_hps ?sink alloc in
-    let mk_handoffs _ =
-      Array.init sh.hps (fun _ -> Atomic.make { v = None; ver = 0 })
-    in
     let t =
       {
         sh;
         post = Padded.atomic_matrix Registry.max_threads sh.hps (-1);
-        handoff = Array.init Registry.max_threads mk_handoffs;
+        handoff = Shell.handover sh;
         scratch = Array.init Registry.max_threads (fun _ -> Scan_set.create ());
         batch = Shell.batch sh;
       }
@@ -229,7 +202,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let flush t =
     for _ = 1 to 2 do
       for tid = 0 to Registry.registered () - 1 do
-        List.iter (Batch.add t.batch ~tid) (take_handoffs t ~tid);
+        Handover.adopt_row t.handoff t ~row:tid ~tid ~run:add;
         liberate t ~tid
       done
     done

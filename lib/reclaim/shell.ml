@@ -2,9 +2,10 @@
     schemes (HP, PTB, HE, IBR, EBR) and PTP alike.
 
     A scheme's record embeds one shell beside its own protection plane
-    and, for a batching scheme, a {!Batch} engine built by {!batch}.
-    Only the protection plane and the scan's verdict are the
-    scheme's own. *)
+    and, for a batching scheme, a {!Batch} engine built by {!batch}; a
+    pass-the-pointer scheme (PTP, PTB) adds a {!Handover} plane built
+    by {!handover}.  Only the protection plane and the scan's verdict
+    are the scheme's own. *)
 
 open Atomicx
 
@@ -14,7 +15,7 @@ type t = {
   hps : int;
   counters : Scheme_intf.Counters.t;
   wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-  bg : Channel.t option Atomic.t; (* background drain route *)
+  bg : Channel.route; (* background drain route *)
   mutable tuning : Tuning.t;
   (* strong references keeping the weakly-registered quarantine
      cleaner, neutralize hook and metrics probes alive exactly as long
@@ -90,6 +91,10 @@ let batch sh =
   Batch.create ~hps:sh.hps ~sink:sh.sink ~bg:sh.bg
     ~scans:sh.counters.Scheme_intf.Counters.scans
     ~scan_slots:sh.counters.Scheme_intf.Counters.scan_slots
+
+(** A handover plane with one slot per hazard, over this shell's sink. *)
+let handover sh =
+  Handover.create ~slots:sh.hps ~sink:sh.sink ~handovers:(Shard.create ())
 
 (** The scheme announces its own protection (an epoch, a reservation)
     after this. *)

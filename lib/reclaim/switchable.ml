@@ -82,7 +82,7 @@ module Make (N : Scheme_intf.NODE) = struct
     (* the background channel, held here rather than handed straight to
        the EBR instance: channel routing is itself mode-gated (see
        [set_background]) *)
-    bg : Channel.t option Atomic.t;
+    bg : Channel.route;
     mutable tuning : Tuning.t;
     (* strong reference keeping the weakly-registered metrics probes
        alive exactly as long as this scheme *)

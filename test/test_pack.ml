@@ -162,6 +162,81 @@ let orc_dec_zero_alloc (module O : Orc_core.Orc.S with type node = pnode) name (
   check_int (name ^ ": no leak") 0 (Memdom.Alloc.live alloc)
 
 (* ------------------------------------------------------------------ *)
+(* Zero-allocation: the handover plane *)
+
+let handover_rounds = 2 (* the warmup, then the measured run *)
+
+(* Algorithm 2's handover and its drain: a node retired while another
+   thread's slot protects it is exchanged into that slot's empty
+   handover, and clearing the slot takes it back out and frees it.  An
+   empty handover slot is an immediate, so neither exchange boxes. *)
+let ptp_handover_zero_alloc () =
+  Registry.reserve 2;
+  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null "pack-ptp-handover" in
+  let s = Ptp.create ~max_hps:2 ~sink:Obs.Sink.null alloc in
+  let arena = Memdom.Handle.arena ~hdr:(fun n -> n.p_hdr) () in
+  let per = 50 in
+  let nodes =
+    Array.init (handover_rounds * per) (fun _ ->
+        {
+          p_hdr = Memdom.Alloc.hdr alloc ();
+          p_next = Link.make_in arena Link.Null;
+        })
+  in
+  let pins = Array.map Option.some nodes in
+  let round = ref 0 in
+  check_zero "ptp handover and its drain" (fun () ->
+      let base = !round * per in
+      incr round;
+      for i = base to base + per - 1 do
+        Ptp.protect_raw s ~tid:1 ~idx:0 pins.(i);
+        Ptp.retire s ~tid:0 nodes.(i);
+        Ptp.clear s ~tid:1 ~idx:0
+      done);
+  (* a retire that found no protection would free on the spot, and the
+     clear would then find nothing to walk: one scan, not two *)
+  check_int "each retire handed over, each clear walked it"
+    (2 * handover_rounds * per)
+    (Ptp.stats s).Reclaim.Scheme_intf.scans;
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* A pinned unlink: a handle protects a node while its last hard link is
+   dropped, so the dropping thread claims the zero-count node and
+   tryHandover parks it on the handle's slot. *)
+let orc_handover_zero_alloc () =
+  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null "pack-orc-handover" in
+  let o = Orc.create ~sink:Obs.Sink.null alloc in
+  let per = 16 in
+  Orc.with_guard o (fun g ->
+      let np = Orc.ptr g in
+      let links =
+        Array.init (handover_rounds * per) (fun _ ->
+            let l = Orc.new_link_v g Link.v_null in
+            let n =
+              Orc.alloc_node_into g np (fun hdr ->
+                  { p_hdr = hdr; p_next = Orc.new_link_v g Link.v_null })
+            in
+            Orc.store_v g l (Orc.v_ptr o n);
+            l)
+      in
+      let pins = Array.init (handover_rounds * per) (fun _ -> Orc.ptr g) in
+      let h0 = (Orc.stats o).Orc.handovers in
+      let round = ref 0 in
+      check_zero "orc pinned unlink handover" (fun () ->
+          let base = !round * per in
+          incr round;
+          for i = base to base + per - 1 do
+            Orc.load g links.(i) pins.(i);
+            Orc.store_v g links.(i) Link.v_null
+          done);
+      check_int "every unlink handed over" (handover_rounds * per)
+        ((Orc.stats o).Orc.handovers - h0);
+      check_int "parked, not freed" (handover_rounds * per)
+        (Memdom.Alloc.live alloc));
+  Orc.flush o;
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* ------------------------------------------------------------------ *)
 (* Zero-allocation: header lifecycle transitions *)
 
 let test_zero_alloc_hdr () =
@@ -351,6 +426,10 @@ let suite =
         Alcotest.test_case
           "orc-hp: dropping a held hard link allocates nothing" `Quick
           (orc_dec_zero_alloc (module Orc_hp) "orc-hp");
+        Alcotest.test_case "ptp: a handover and its drain allocate nothing"
+          `Quick ptp_handover_zero_alloc;
+        Alcotest.test_case "orc: a pinned unlink's handover allocates nothing"
+          `Quick orc_handover_zero_alloc;
       ] );
     ( "pack_bits",
       [

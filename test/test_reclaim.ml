@@ -391,6 +391,46 @@ let test_ptp_linear_bound_under_stress () =
   Ptp.flush s;
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* The handover plane's exactly-one-drainer property, which PTB's
+   versioned handoff box used to claim: one domain hands fresh nodes
+   into a single slot while another takes from it, and every node
+   handed in comes out exactly once — as an evictee, a take or the
+   final drain. *)
+let test_handover_drains_each_node_once () =
+  let h =
+    Reclaim.Handover.create ~slots:1 ~sink:Obs.Sink.null
+      ~handovers:(Shard.create ())
+  in
+  let n = 10_000 in
+  let nodes = Array.init n (fun i -> ref i) in
+  let handed = Atomic.make false in
+  let keep acc x =
+    if not (Reclaim.Handover.is_empty x) then acc := !x :: !acc
+  in
+  let out =
+    run_domains 2 (fun ~i ~tid ->
+        let acc = ref [] in
+        if i = 0 then begin
+          Array.iter
+            (fun x ->
+              keep acc (Reclaim.Handover.hand h ~tid ~row:0 ~idx:0 ~uid:!x x))
+            nodes;
+          Atomic.set handed true
+        end
+        else
+          while not (Atomic.get handed) do
+            keep acc (Reclaim.Handover.take h ~row:0 ~idx:0)
+          done;
+        !acc)
+  in
+  let final = ref [] in
+  keep final (Reclaim.Handover.take h ~row:0 ~idx:0);
+  let seen = Array.make n 0 in
+  List.iter (List.iter (fun i -> seen.(i) <- seen.(i) + 1)) (!final :: out);
+  check_bool "every node out exactly once" true (Array.for_all (( = ) 1) seen);
+  check_bool "the plane is empty" true
+    (Reclaim.Handover.is_empty (Reclaim.Handover.take h ~row:0 ~idx:0))
+
 let suite =
   [
     ("scheme:hp", Gen_hp.cases @ Bat_hp.cases);
@@ -414,5 +454,10 @@ let suite =
           test_ptp_handover_parks_then_clear_frees;
         Alcotest.test_case "linear bound under stress" `Slow
           test_ptp_linear_bound_under_stress;
+      ] );
+    ( "handover",
+      [
+        Alcotest.test_case "each node handed in comes out once" `Quick
+          test_handover_drains_each_node_once;
       ] );
   ]
