@@ -53,28 +53,27 @@ let bit_index b =
   if !b lsr 1 <> 0 then incr n;
   !n
 
+(* Lowest free index >= [from] at or above word [w]; -1 when none.  A
+   top-level loop, so an acquire builds no closure. *)
+let rec acquire_from t ~from w =
+  if w >= Array.length t.words then -1
+  else
+    let base = w * bits_per_word in
+    (* treat bits below [from] as occupied in the first visited word *)
+    let low_mask = if from <= base then 0 else (1 lsl (from - base)) - 1 in
+    let occupied = t.words.(w) lor low_mask in
+    if occupied = full then acquire_from t ~from (w + 1)
+    else begin
+      (* lowest clear bit: [occupied + 1] carries through the trailing
+         ones, [lnot occupied] keeps exactly the first zero *)
+      let bit = lnot occupied land (occupied + 1) in
+      t.words.(w) <- t.words.(w) lor bit;
+      base + bit_index bit
+    end
+
 let acquire t ~from =
   let from = if from < 0 then 0 else from in
-  let nwords = Array.length t.words in
-  let rec go w =
-    if w >= nwords then None
-    else
-      let base = w * bits_per_word in
-      (* treat bits below [from] as occupied in the first visited word *)
-      let low_mask =
-        if from <= base then 0 else (1 lsl (from - base)) - 1
-      in
-      let occupied = t.words.(w) lor low_mask in
-      if occupied = full then go (w + 1)
-      else begin
-        (* lowest clear bit: [occupied + 1] carries through the trailing
-           ones, [lnot occupied] keeps exactly the first zero *)
-        let bit = lnot occupied land (occupied + 1) in
-        t.words.(w) <- t.words.(w) lor bit;
-        Some (base + bit_index bit)
-      end
-  in
-  if from >= t.capacity then None else go (from / bits_per_word)
+  if from >= t.capacity then -1 else acquire_from t ~from (from / bits_per_word)
 
 let release t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitmask.release";

@@ -24,10 +24,10 @@ val reset : t -> unit
     registry quarantine pass so a recycled tid starts from an empty
     hazard-index mask. *)
 
-val acquire : t -> from:int -> int option
+val acquire : t -> from:int -> int
 (** [acquire t ~from]: mark and return the lowest free index [>= from],
-    or [None] if every index in [\[from, capacity)] is taken.  Negative
-    [from] is treated as 0. *)
+    or [-1] if every index in [\[from, capacity)] is taken.  Negative
+    [from] is treated as 0.  Allocates nothing. *)
 
 val release : t -> int -> unit
 (** Mark an index free again.  Raises [Invalid_argument] out of range. *)

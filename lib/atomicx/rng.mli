@@ -2,7 +2,10 @@
 
     Each worker domain owns an independent stream seeded from a master
     seed and its thread id, so workload generation is deterministic and
-    race-free without sharing any state between domains. *)
+    race-free without sharing any state between domains.
+
+    [int], [float] and [bool] allocate nothing: the state is unboxed
+    and each draw inlines into its caller. *)
 
 type t
 

@@ -93,6 +93,9 @@ type ('n, 'b) core = {
   (* the handle table the structure's link words index *)
   arena : 'n Link.arena;
   tl : row array;
+  (* per tid: its guards and orc_ptr handles (Algorithm 7), allocated
+     by that tid on its first guard *)
+  frames : (('n, 'b) core, 'n) Frame.t option array;
   watermark : int Atomic.t; (* 1 + highest hazard index ever used *)
   pending : Shard.t; (* BRETIRED-marked objects not yet freed *)
   (* observability counters (monotonic, per-thread sharded) *)
@@ -472,17 +475,8 @@ end
 module Make_gen (B : BACKEND) (N : NODE) = struct
   type node = N.t
   type t = (node, node B.t) core
-
-  (* [gen] snapshots the registry slot generation at guard entry: a
-     mismatch at guard exit means a neutralization expired this guard's
-     protections mid-flight (see [Reclaim.Neutralize]), and the exit
-     path must not act on them. *)
-  type guard = { t : t; tid : int; gen : int; mutable ptrs : ptr list }
-
-  (* An orc_ptr holds the link view it read (no box per load) and the
-     node that view names, decoded once while protecting it ([no_node]
-     without a target), plus its hazard index. *)
-  and ptr = { mutable v : node Link.view; mutable n : node; mutable idx : int }
+  type guard = (t, node) Frame.guard
+  type ptr = node Frame.handle
 
   type stats = {
     retires : int;
@@ -510,9 +504,9 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
   let unreclaimed t = Shard.get t.pending
   let hazard_watermark t = Atomic.get t.watermark
 
-  let hazard_row g =
-    let tl = g.t.tl.(g.tid) in
-    Array.init (Atomic.get g.t.watermark) (fun idx ->
+  let hazard_row (g : guard) =
+    let tl = g.core.tl.(g.tid) in
+    Array.init (Atomic.get g.core.watermark) (fun idx ->
         (Atomic.get tl.hp_uid.(idx), tl.used_haz.(idx)))
 
   let stats t =
@@ -597,6 +591,8 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     Array.fill tl.used_haz 0 (Array.length tl.used_haz) 0;
     Bitmask.reset tl.free_idx;
     ignore (Bitmask.acquire tl.free_idx ~from:0);
+    (* the next owner allocates its own guard and handle storage *)
+    t.frames.(tid) <- None;
     B.thread_exit t ~tid ~self:(Registry.tid ())
 
   (* Neutralize hook (registered with [Registry.on_neutralize] by
@@ -647,6 +643,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         sink;
         arena = Memdom.Handle.arena ~hdr:N.hdr ();
         tl;
+        frames = Array.make Registry.max_threads None;
         watermark = Atomic.make 1;
         pending = Shard.create ();
         n_retires = Shard.create ();
@@ -691,20 +688,18 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* {2 Hazard-index management (Algorithm 6 lines 119–132)} *)
 
+  let rec bump_watermark wm idx =
+    let cur = Atomic.get wm in
+    if cur <= idx && not (Atomic.compare_and_set wm cur (idx + 1)) then
+      bump_watermark wm idx
+
   let get_new_idx t ~tid ~start =
     let tl = t.tl.(tid) in
-    match Bitmask.acquire tl.free_idx ~from:(max 1 start) with
-    | None -> raise Out_of_hazard_indexes
-    | Some idx ->
-        tl.used_haz.(idx) <- 1;
-        let rec bump () =
-          let cur = Atomic.get t.watermark in
-          if cur <= idx then
-            if Atomic.compare_and_set t.watermark cur (idx + 1) then ()
-            else bump ()
-        in
-        bump ();
-        idx
+    let idx = Bitmask.acquire tl.free_idx ~from:(max 1 start) in
+    if idx < 0 then raise Out_of_hazard_indexes;
+    tl.used_haz.(idx) <- 1;
+    bump_watermark t.watermark idx;
+    idx
 
   let using_idx t ~tid idx =
     if idx <> 0 then t.tl.(tid).used_haz.(idx) <- t.tl.(tid).used_haz.(idx) + 1
@@ -731,8 +726,8 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      made after that would claim a fresh, not-yet-linked node.  Claimed
      while published, the object is handed over to this very slot
      (PTP) or kept by the scan (HP) until the slot comes down. *)
-  let clear t ~tid p ~reuse =
-    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
+  let clear t ~tid (p : ptr) ~reuse =
+    if Link.v_has_target p.v then maybe_retire t ~tid (Link.v_node p.arena p.v);
     if (not reuse) && p.idx <> 0 then release_idx t ~tid p.idx
 
   (* {2 Guards and orc_ptr handles (Algorithm 7)} *)
@@ -740,19 +735,22 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
   module Ptr = struct
     type t = ptr
 
-    let view p = p.v
-    let is_marked p = Link.v_is_marked p.v
-    let is_poison p = Link.v_is_poison p.v
-    let is_null p = Link.v_is_null p.v
-    let node p = if Link.v_has_target p.v then Some p.n else None
+    let view (p : t) = p.v
+    let is_marked (p : t) = Link.v_is_marked p.v
+    let is_poison (p : t) = Link.v_is_poison p.v
+    let is_null (p : t) = Link.v_is_null p.v
 
-    let node_exn p =
-      if Link.v_has_target p.v then p.n
+    (* the target is protected, so its arena slot still names it *)
+    let node (p : t) =
+      if Link.v_has_target p.v then Some (Link.v_node p.arena p.v) else None
+
+    let node_exn (p : t) =
+      if Link.v_has_target p.v then Link.v_node p.arena p.v
       else invalid_arg "Orc.Ptr.node_exn: null"
 
-    let same_node a b =
+    let same_node (a : t) (b : t) =
       match Link.v_has_target a.v, Link.v_has_target b.v with
-      | true, true -> a.n == b.n
+      | true, true -> Link.v_node a.arena a.v == Link.v_node b.arena b.v
       | false, false -> true
       | true, false | false, true -> false
 
@@ -760,28 +758,24 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
        after a successful CAS to keep validating against the value
        actually installed in memory.  Protection is unchanged, so the
        targets must match. *)
-    let retag_v p v' =
+    let retag_v (p : t) v' =
       if Link.v_same (Link.v_clean v') (Link.v_clean p.v) then p.v <- v'
       else invalid_arg "Orc.Ptr.retag_v: different target"
   end
 
-  let ptr g =
-    let p =
-      {
-        v = Link.v_null;
-        n = no_node;
-        idx = get_new_idx g.t ~tid:g.tid ~start:1;
-      }
-    in
-    g.ptrs <- p :: g.ptrs;
+  (* A handle of the innermost open guard: the frame's next record,
+     null, with a fresh hazard index. *)
+  let ptr (g : guard) =
+    let p = Frame.handle g in
+    p.idx <- get_new_idx g.core ~tid:g.tid ~start:1;
     p
 
   (* Give [p] sole ownership of a hazard slot so it may be overwritten. *)
-  let ensure_exclusive g p =
-    let tl = g.t.tl.(g.tid) in
+  let ensure_exclusive (g : guard) (p : ptr) =
+    let tl = g.core.tl.(g.tid) in
     if p.idx = 0 || tl.used_haz.(p.idx) > 1 then begin
       if p.idx <> 0 then tl.used_haz.(p.idx) <- tl.used_haz.(p.idx) - 1;
-      p.idx <- get_new_idx g.t ~tid:g.tid ~start:1
+      p.idx <- get_new_idx g.core ~tid:g.tid ~start:1
     end
 
   (* orc_atomic<T*>::load() (Algorithm 4 lines 76–79) fused with the
@@ -793,15 +787,11 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      The protect loop lives at functor level with its free variables as
      arguments: an inner [let rec] would allocate its closure on every
      load, spoiling the allocation-free word path. *)
-  let rec load_loop t ~tid slot link p v =
+  let rec load_loop t ~tid slot link (p : ptr) v =
     if not (Link.v_has_target v) then begin
       Atomic.set slot (-1);
       let v' = Link.view link in
-      if Link.view_eq v' v then begin
-        p.v <- v;
-        p.n <- no_node
-      end
-      else load_loop t ~tid slot link p v'
+      if Link.view_eq v' v then p.v <- v else load_loop t ~tid slot link p v'
     end
     else begin
       let n = Link.v_target_exn link v in
@@ -812,11 +802,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         Shard.incr t.n_elided ~tid;
         Obs.Sink.on_elide t.sink ~tid;
         let v' = Link.view link in
-        if Link.view_eq v' v then begin
-          p.v <- v;
-          p.n <- n
-        end
-        else load_loop t ~tid slot link p v'
+        if Link.view_eq v' v then p.v <- v else load_loop t ~tid slot link p v'
       end
       else begin
         (* the validation re-derefs the view and re-reads the uid: an
@@ -825,52 +811,45 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         Atomic.set slot u;
         let v' = Link.view link in
         if Link.view_eq v' v && Link.v_target_exn link v == n && uid n = u
-        then begin
-          p.v <- v;
-          p.n <- n
-        end
+        then p.v <- v
         else load_loop t ~tid slot link p v'
       end
     end
 
-  let load g link p =
+  let load (g : guard) link (p : ptr) =
     Reclaim.Neutralize.check ~tid:g.tid;
     ensure_exclusive g p;
-    let t = g.t and tid = g.tid in
+    let t = g.core and tid = g.tid in
     (* the outgoing target's zero-count check runs before its hazard
        slot is overwritten, for the reason given at [clear] *)
-    if Link.v_has_target p.v then maybe_retire t ~tid p.n;
+    if Link.v_has_target p.v then maybe_retire t ~tid (Link.v_node p.arena p.v);
     load_loop t ~tid t.tl.(tid).hp_uid.(p.idx) link p (Link.view link)
 
-  (* One traversal hop: prev takes curr's (view, node, index) triple,
-     curr takes next's, next takes prev's old triple.  Nothing is published and no
+  (* One traversal hop: prev takes curr's (view, index) pair, curr
+     takes next's, next takes prev's old pair.  Nothing is published and no
      share count moves — every slot keeps publishing what it did, only
      the handles naming the slots are permuted — so the direction rule
      of [assign] never comes into play.  prev's old target stays
      published in the slot [next] now names until the next [load] into
      [next] overwrites it (running that target's zero-count check). *)
-  let advance _ prev curr next =
+  let advance _ (prev : ptr) (curr : ptr) (next : ptr) =
     if prev == curr || curr == next || prev == next then
       invalid_arg "Orc.advance: handles must be distinct";
-    let v = prev.v and n = prev.n and idx = prev.idx in
+    let v = prev.v and idx = prev.idx in
     prev.v <- curr.v;
-    prev.n <- curr.n;
     prev.idx <- curr.idx;
     curr.v <- next.v;
-    curr.n <- next.n;
     curr.idx <- next.idx;
     next.v <- v;
-    next.n <- n;
     next.idx <- idx
 
   (* The slot half of [drop]: [p] becomes a null handle that keeps its
      index share; when it is the slot's only sharer, the slot is
      unpublished and released to the backend. *)
-  let unprotect g p =
-    let t = g.t and tid = g.tid in
+  let unprotect (g : guard) (p : ptr) =
+    let t = g.core and tid = g.tid in
     let tl = t.tl.(tid) in
     p.v <- Link.v_null;
-    p.n <- no_node;
     if p.idx <> 0 && tl.used_haz.(p.idx) = 1 then begin
       Atomic.set tl.hp_uid.(p.idx) (-1);
       B.slot_released t ~tid p.idx
@@ -878,67 +857,67 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* End [p]'s protection now rather than at guard exit: the zero-count
      check while still published (see [clear]), then [unprotect]. *)
-  let drop g p =
+  let drop (g : guard) (p : ptr) =
     Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
+    if Link.v_has_target p.v then
+      maybe_retire g.core ~tid:g.tid (Link.v_node p.arena p.v);
     unprotect g p
 
   (* orc_ptr assignment (Algorithm 7 lines 182–194): copies between
      hazard slots may only travel in the scan direction (upward), so a
      copy to a lower slot re-publishes at a fresh higher index, while a
      copy to a higher slot shares the source's index. *)
-  let assign g dst src =
+  let assign (g : guard) (dst : ptr) (src : ptr) =
     Reclaim.Neutralize.check ~tid:g.tid;
     if dst != src then begin
-      let tl = g.t.tl.(g.tid) in
+      let tl = g.core.tl.(g.tid) in
       let reuse = src.idx < dst.idx && tl.used_haz.(dst.idx) = 1 in
-      clear g.t ~tid:g.tid dst ~reuse;
+      clear g.core ~tid:g.tid dst ~reuse;
       if src.idx < dst.idx then begin
-        if not reuse then dst.idx <- get_new_idx g.t ~tid:g.tid ~start:(src.idx + 1);
+        if not reuse then dst.idx <- get_new_idx g.core ~tid:g.tid ~start:(src.idx + 1);
         (* re-publish src's protection at dst's slot; src's own slot
            protects the target across this window *)
         Atomic.set tl.hp_uid.(dst.idx)
-          (if Link.v_has_target src.v then uid src.n else -1)
+          (if Link.v_has_target src.v then uid (Link.v_node src.arena src.v)
+           else -1)
       end
       else begin
-        using_idx g.t ~tid:g.tid src.idx;
+        using_idx g.core ~tid:g.tid src.idx;
         dst.idx <- src.idx
       end;
-      dst.v <- src.v;
-      dst.n <- src.n
+      dst.v <- src.v
     end
 
   (* make_orc<T> (Algorithm 3 lines 31–36): allocate, then protect the
      not-yet-shared node in a fresh slot. *)
-  let run_mk g mk hdr =
+  let run_mk (g : guard) mk hdr =
     match mk hdr with
     | n -> n
     | exception e ->
         (* constructor failed: the header must not leak *)
-        Memdom.Alloc.free g.t.alloc hdr;
+        Memdom.Alloc.free g.core.alloc hdr;
         raise e
 
-  let alloc_node g mk =
-    let hdr = Memdom.Alloc.hdr g.t.alloc () in
+  let alloc_node (g : guard) mk =
+    let hdr = Memdom.Alloc.hdr g.core.alloc () in
     let n = run_mk g mk hdr in
     let p = ptr g in
-    Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
-    p.v <- v_ptr g.t n;
-    p.n <- n;
+    Atomic.set g.core.tl.(g.tid).hp_uid.(p.idx) (uid n);
+    p.v <- v_ptr g.core n;
     p
 
   (* make_orc into an existing handle, for loops that allocate many nodes
      under one guard without exhausting hazard indexes. *)
-  let alloc_node_into g p mk =
+  let alloc_node_into (g : guard) (p : ptr) mk =
     Reclaim.Neutralize.check ~tid:g.tid;
-    let hdr = Memdom.Alloc.hdr g.t.alloc () in
+    let hdr = Memdom.Alloc.hdr g.core.alloc () in
     let n = run_mk g mk hdr in
     ensure_exclusive g p;
     (* the outgoing target's check precedes the overwrite (see [clear]) *)
-    if Link.v_has_target p.v then maybe_retire g.t ~tid:g.tid p.n;
-    Atomic.set g.t.tl.(g.tid).hp_uid.(p.idx) (uid n);
-    p.v <- v_ptr g.t n;
-    p.n <- n;
+    if Link.v_has_target p.v then
+      maybe_retire g.core ~tid:g.tid (Link.v_node p.arena p.v);
+    Atomic.set g.core.tl.(g.tid).hp_uid.(p.idx) (uid n);
+    p.v <- v_ptr g.core n;
     n
 
   (* {2 orc_atomic mutators (Algorithm 4)} *)
@@ -949,17 +928,17 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      All the mutators below start with a neutralization check: they act
      on the strength of the caller's protections, which a neutralized
      guard no longer holds (see [Reclaim.Neutralize]). *)
-  let store_v g link v =
+  let store_v (g : guard) link v =
     Reclaim.Neutralize.check ~tid:g.tid;
-    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_target_exn link v);
+    if Link.v_has_target v then inc g.core ~tid:g.tid (Link.v_target_exn link v);
     let old = Link.exchange_v link v in
     (* the exchanged-out hard link is ours now; it keeps the old target
        alive until this dec *)
-    if Link.v_has_target old then dec g.t ~tid:g.tid (Link.v_target_exn link old)
+    if Link.v_has_target old then dec g.core ~tid:g.tid (Link.v_target_exn link old)
 
   (* compare_exchange (lines 69–74): counts move only on success, and a
      pure mark/unmark transition on the same target leaves them alone. *)
-  let cas_v g link ~expected ~desired =
+  let cas_v (g : guard) link ~expected ~desired =
     Reclaim.Neutralize.check ~tid:g.tid;
     if Link.cas_v link expected desired then begin
       let he = Link.v_has_target expected and hd = Link.v_has_target desired in
@@ -967,8 +946,8 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
       let td = if hd then Link.v_target_exn link desired else no_node in
       (if he && hd && te == td then ()
        else begin
-         if hd then inc g.t ~tid:g.tid td;
-         if he then dec g.t ~tid:g.tid te
+         if hd then inc g.core ~tid:g.tid td;
+         if he then dec g.core ~tid:g.tid te
        end);
       true
     end
@@ -983,11 +962,11 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      no protection of ours, and the backend can free the node at once
      instead of holding it for our own slot until the handle is
      released. *)
-  let unlink_v g link victim ~desired =
+  let unlink_v (g : guard) link (victim : ptr) ~desired =
     Reclaim.Neutralize.check ~tid:g.tid;
     let expected = victim.v in
     if Link.cas_v link expected desired then begin
-      let t = g.t and tid = g.tid in
+      let t = g.core and tid = g.tid in
       let he = Link.v_has_target expected and hd = Link.v_has_target desired in
       let te = if he then Link.v_target_exn link expected else no_node in
       let td = if hd then Link.v_target_exn link desired else no_node in
@@ -1001,44 +980,64 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* Build a link during single-threaded construction of a node or root
      whose initial target is private or otherwise protected. *)
-  let new_link_v g v =
-    if Link.v_has_target v then inc g.t ~tid:g.tid (Link.v_node g.t.arena v);
-    Link.make_of_view g.t.arena v
+  let new_link_v (g : guard) v =
+    if Link.v_has_target v then inc g.core ~tid:g.tid (Link.v_node g.core.arena v);
+    Link.make_of_view g.core.arena v
 
-  let with_guard t f =
-    let tid = Registry.tid () in
-    (* handshake: a pending neutralization from a previous guard is
-       acknowledged silently here — nothing is protected yet — and again
-       in [finally], which must not raise (it runs on exception paths,
-       [Neutralized] included) *)
+  (* Guard exit, on the normal and the exceptional path alike: release
+     the guard's handles newest-first, exactly where the C++ [orc_ptr]
+     destructors would run.  A pending neutralization is acknowledged
+     silently here: this path must not raise.  The guard's [gen] is the
+     registry slot generation at entry: a mismatch means a
+     neutralization expired its protections mid-flight (see
+     [Reclaim.Neutralize]), and this path must not act on them. *)
+  let exit_guard (g : guard) =
+    let t = g.core and tid = g.tid and fr = g.frame in
     Reclaim.Neutralize.ack ~tid;
-    let g = { t; tid; gen = Registry.generation tid; ptrs = [] } in
+    if Registry.generation tid = g.gen then
+      for i = fr.top - 1 downto g.base do
+        clear t ~tid fr.handles.(i) ~reuse:false
+      done
+    else
+      (* A neutralization expired this guard: the hazards are already
+         down and the backend has reacted.  Skipping the per-handle
+         [maybe_retire] is mandatory, not an optimization — the
+         unprotected targets may already be freed and their headers
+         re-issued, so a stale zero-count claim here would retire a
+         {e live} object.  Any zero-count node this guard referenced is
+         (or will be) claimed by the thread whose dec zeroed it, or was
+         parked on this row and adopted.  Only the owner-local index
+         bookkeeping is released, each freed slot still running the
+         release hook for stragglers parked by scanners that read the
+         hazards before they came down. *)
+      for i = fr.top - 1 downto g.base do
+        let p = fr.handles.(i) in
+        if p.idx <> 0 then release_idx t ~tid p.idx
+      done;
+    Frame.close g;
+    Atomic.set t.tl.(tid).hp_uid.(0) (-1);
+    B.slot_released t ~tid 0;
+    Obs.Sink.guard_end t.sink ~tid;
+    Obs.Watchdog.leave t.wd ~tid
+
+  (* The guard bracket.  [f] is applied to its arguments by
+     [Frame.run], so a caller whose [f] is a closed function builds no
+     closure per operation.  A pending neutralization from a previous
+     guard is acknowledged silently on entry: nothing is protected
+     yet. *)
+  let with_guard2 t f a b =
+    let tid = Registry.tid () in
+    Reclaim.Neutralize.ack ~tid;
+    let g =
+      Frame.enter t.frames ~core:t ~arena:t.arena ~handles:8 ~tid
+        ~gen:(Registry.generation tid)
+    in
     Obs.Watchdog.enter t.wd ~tid;
     Obs.Sink.guard_begin t.sink ~tid;
-    let finally () =
-      Reclaim.Neutralize.ack ~tid;
-      if Registry.generation tid = g.gen then
-        List.iter (fun p -> clear t ~tid p ~reuse:false) g.ptrs
-      else
-        (* A neutralization expired this guard: the hazards are
-           already down and the backend has reacted.  Skipping the
-           per-handle [maybe_retire] is mandatory, not an optimization
-           — the unprotected targets may already be freed and their
-           headers re-issued, so a stale zero-count claim here would
-           retire a {e live} object.  Any zero-count node this guard
-           referenced is (or will be) claimed by the thread whose dec
-           zeroed it, or was parked on this row and adopted.  Only the
-           owner-local index bookkeeping is released, each freed slot
-           still running the release hook for stragglers parked by
-           scanners that read the hazards before they came down. *)
-        List.iter (fun p -> if p.idx <> 0 then release_idx t ~tid p.idx) g.ptrs;
-      g.ptrs <- [];
-      Atomic.set t.tl.(tid).hp_uid.(0) (-1);
-      B.slot_released t ~tid 0;
-      Obs.Sink.guard_end t.sink ~tid;
-      Obs.Watchdog.leave t.wd ~tid
-    in
-    Fun.protect ~finally (fun () -> f g)
+    Frame.run g exit_guard f a b
+
+  let apply g f () = f g
+  let with_guard t f = with_guard2 t apply f ()
 
   (* Quiesced drain for tests and shutdown: unpublish every hazard, then
      let the backend reclaim everything it holds.  Objects still pending

@@ -59,7 +59,19 @@ module type S = sig
       A guard whose protections were expired mid-flight releases only
       its owner-local bookkeeping on exit; retirement of its targets
       has already passed to other threads.  Unarmed, the checks cost
-      one shared atomic load each. *)
+      one shared atomic load each.
+
+      Guards and handles live in per-tid storage ({!Frame}) that the
+      tid allocates on its first guard, so entering and leaving a guard
+      and creating handles allocate nothing.  Guards nest: an inner
+      guard on the same tid leaves the outer guard's handles alone and
+      releases only its own, newest first.  A handle belongs to the
+      guard that created it and is reused once that guard exits. *)
+
+  val with_guard2 : t -> (guard -> 'a -> 'b -> 'r) -> 'a -> 'b -> 'r
+  (** [with_guard2 t f a b] is [with_guard t (fun g -> f g a b)]
+      without the closure: with a closed [f], an operation allocates
+      no guard at all. *)
 
   (** Local references ([orc_ptr], Algorithm 7). *)
   module Ptr : sig
@@ -72,7 +84,7 @@ module type S = sig
         comparing it allocates nothing. *)
 
     val node : t -> node option
-    (** The protected target, decoded once when the handle was loaded. *)
+    (** The protected target, decoded from {!view}. *)
 
     val node_exn : t -> node
     val is_marked : t -> bool
@@ -88,7 +100,8 @@ module type S = sig
   end
 
   val ptr : guard -> Ptr.t
-  (** A fresh null handle owning a hazard index. *)
+  (** A fresh null handle owning a hazard index.  [guard] must be the
+      innermost open guard of its tid ([Invalid_argument] otherwise). *)
 
   val load : guard -> node Atomicx.Link.t -> Ptr.t -> unit
   (** [load g link p]: protect [link]'s current state in [p] (publish

@@ -97,7 +97,13 @@ module type CORE = sig
 
   val with_guard : t -> (guard -> 'a) -> 'a
   (** One operation; every handle's protection ends on exit, normal or
-      exceptional. *)
+      exceptional.  Guards nest: an inner guard on the same tid ends
+      only the protections of its own handles. *)
+
+  val with_guard2 : t -> (guard -> 'a -> 'b -> 'r) -> 'a -> 'b -> 'r
+  (** [with_guard2 t f a b] is [with_guard t (fun g -> f g a b)] without
+      building the closure: the form an allocation-free operation
+      uses. *)
 
   val ptr : guard -> Ptr.t
   val load : guard -> node Atomicx.Link.t -> Ptr.t -> unit

@@ -4,9 +4,14 @@
 
     A handle is a (view, hazard index) pair; its node is decoded from
     the view on demand, so every handle write is an immediate store
-    with no write barrier.  A guard hands out the indexes 0, 1, 2, ...
+    with no write barrier.  Guards and handles live in per-tid frames
+    that each tid allocates on its first guard, so an operation
+    allocates neither.  A tid's handles take the indexes 0, 1, 2, ...
     in [ptr] order, one per handle, so a structure that holds four
-    handles needs a scheme created with [max_hps >= 4].  [load] is the
+    handles needs a scheme created with [max_hps >= 4].  Guards nest:
+    an inner guard's handles take the indexes after the outer guard's,
+    only the outermost guard runs [begin_op]/[end_op], and an inner
+    guard's exit clears only its own indexes.  [load] is the
     scheme's [get_protected_v] into the handle's own index, [assign] is
     [copy_protection], and [advance] permutes the three pairs as
     [Orc.advance] permutes its triples: every slot keeps publishing
@@ -21,65 +26,96 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
   module S = R (N)
 
   type node = N.t
-  type t = { s : S.t; alloc : Memdom.Alloc.t; arena : node Link.arena }
-  type guard = { c : t; tid : int; mutable next_idx : int }
 
-  type ptr = {
-    mutable v : node Link.view;
-    mutable idx : int;
-    a : node Link.arena;
+  type t = {
+    s : S.t;
+    alloc : Memdom.Alloc.t;
+    arena : node Link.arena;
+    (* per tid: its guards and handles, allocated by that tid on its
+       first guard *)
+    frames : (t, node) Orc_core.Frame.t option array;
+    (* strong reference keeping the weakly-registered quarantine
+       cleaner alive exactly as long as this core *)
+    mutable lifecycle : int -> unit;
   }
+
+  type guard = (t, node) Orc_core.Frame.guard
+  type ptr = node Orc_core.Frame.handle
 
   let name = S.name
 
   let create ?max_hps ?sink alloc =
-    {
-      s = S.create ?max_hps ?sink alloc;
-      alloc;
-      arena = Memdom.Handle.arena ~hdr:N.hdr ();
-    }
+    let t =
+      {
+        s = S.create ?max_hps ?sink alloc;
+        alloc;
+        arena = Memdom.Handle.arena ~hdr:N.hdr ();
+        frames = Array.make Registry.max_threads None;
+        lifecycle = ignore;
+      }
+    in
+    (* a departing tid's frame goes: the next owner allocates its own *)
+    t.lifecycle <- (fun tid -> t.frames.(tid) <- None);
+    Registry.on_quarantine t.lifecycle;
+    t
 
   module Ptr = struct
     type t = ptr
 
-    let view p = p.v
-    let is_marked p = Link.v_is_marked p.v
+    let view (p : t) = p.v
+    let is_marked (p : t) = Link.v_is_marked p.v
 
     (* the target is protected, so its arena slot still names it *)
-    let node_exn p =
-      if Link.v_has_target p.v then Link.v_node p.a p.v
+    let node_exn (p : t) =
+      if Link.v_has_target p.v then Link.v_node p.arena p.v
       else invalid_arg "Manual_core.Ptr.node_exn: null"
 
-    let retag_v p v' =
+    let retag_v (p : t) v' =
       if Link.v_same (Link.v_clean v') (Link.v_clean p.v) then p.v <- v'
       else invalid_arg "Manual_core.Ptr.retag_v: different target"
   end
 
-  (* [end_op] clears every protection, on the exception path too *)
-  let with_guard t f =
+  (* The outermost guard's [end_op] clears every protection; an inner
+     guard clears its own indexes, newest first. *)
+  let exit_guard (g : guard) =
+    let t = g.core and tid = g.tid in
+    if g.level = 0 then S.end_op t.s ~tid
+    else
+      for idx = g.frame.top - 1 downto g.base do
+        S.clear t.s ~tid ~idx
+      done;
+    Orc_core.Frame.close g
+
+  (* Only the outermost guard runs [begin_op]: a nested one would, under
+     EBR, re-announce an epoch beneath the outer guard's protections. *)
+  let with_guard2 t f a b =
     let tid = Registry.tid () in
-    S.begin_op t.s ~tid;
-    match f { c = t; tid; next_idx = 0 } with
-    | r ->
-        S.end_op t.s ~tid;
-        r
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        S.end_op t.s ~tid;
-        Printexc.raise_with_backtrace e bt
+    let g =
+      Orc_core.Frame.enter t.frames ~core:t ~arena:t.arena
+        ~handles:(S.max_hps t.s) ~tid ~gen:0
+    in
+    if g.level = 0 then S.begin_op t.s ~tid;
+    Orc_core.Frame.run g exit_guard f a b
 
-  let ptr g =
-    let idx = g.next_idx in
-    if idx >= S.max_hps g.c.s then
+  let apply g f () = f g
+  let with_guard t f = with_guard2 t apply f ()
+
+  (* A handle of the innermost open guard, at the next hazard index. *)
+  let ptr (g : guard) =
+    let idx = g.frame.top in
+    if idx >= S.max_hps g.core.s then
       invalid_arg "Manual_core.ptr: more handles than hazard indexes";
-    g.next_idx <- idx + 1;
-    { v = Link.v_null; idx; a = g.c.arena }
+    let p = Orc_core.Frame.handle g in
+    (* [advance] may have permuted the indexes among the handles *)
+    p.idx <- idx;
+    p
 
-  let load g link p = p.v <- S.get_protected_v g.c.s ~tid:g.tid ~idx:p.idx link
+  let load (g : guard) link (p : ptr) =
+    p.v <- S.get_protected_v g.core.s ~tid:g.tid ~idx:p.idx link
 
-  let assign g dst src =
+  let assign (g : guard) (dst : ptr) (src : ptr) =
     if dst != src then begin
-      S.copy_protection g.c.s ~tid:g.tid ~src:src.idx ~dst:dst.idx;
+      S.copy_protection g.core.s ~tid:g.tid ~src:src.idx ~dst:dst.idx;
       dst.v <- src.v
     end
 
@@ -87,7 +123,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
      [Orc.advance]): afterwards [next] names prev's old target, still
      protected in the slot it came with, until the next [load] into
      [next]. *)
-  let advance _ prev curr next =
+  let advance _ (prev : ptr) (curr : ptr) (next : ptr) =
     if prev == curr || curr == next || prev == next then
       invalid_arg "Manual_core.advance: handles must be distinct";
     let v = prev.v and idx = prev.idx in
@@ -100,28 +136,28 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
 
   let v_ptr t n = Link.v_ptr_in t.arena n
 
-  let alloc_node_into g p mk =
-    let hdr = Memdom.Alloc.hdr g.c.alloc () in
+  let alloc_node_into (g : guard) (p : ptr) mk =
+    let hdr = Memdom.Alloc.hdr g.core.alloc () in
     let n =
       match mk hdr with
       | n -> n
       | exception e ->
-          Memdom.Alloc.free g.c.alloc hdr;
+          Memdom.Alloc.free g.core.alloc hdr;
           raise e
     in
     (* returned protected, as under orc: an [Impl] may still use the
        node after publishing it, when another thread can retire it *)
-    S.protect_raw g.c.s ~tid:g.tid ~idx:p.idx (Some n);
-    p.v <- v_ptr g.c n;
+    S.protect_raw g.core.s ~tid:g.tid ~idx:p.idx (Some n);
+    p.v <- v_ptr g.core n;
     n
 
-  let new_link_v g v = Link.make_of_view g.c.arena v
+  let new_link_v (g : guard) v = Link.make_of_view g.core.arena v
   let store_v _ link v = Link.set_v link v
   let cas_v _ link ~expected ~desired = Link.cas_v link expected desired
-  let retire g p = S.retire g.c.s ~tid:g.tid (Ptr.node_exn p)
-  let discard g n = Memdom.Alloc.free g.c.alloc (N.hdr n)
+  let retire (g : guard) p = S.retire g.core.s ~tid:g.tid (Ptr.node_exn p)
+  let discard (g : guard) n = Memdom.Alloc.free g.core.alloc (N.hdr n)
 
-  let unlink_v g link victim ~desired =
+  let unlink_v (g : guard) link (victim : ptr) ~desired =
     Link.cas_v link victim.v desired
     && begin
          retire g victim;
@@ -139,20 +175,20 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
      this call retires it, so no region node can hold the survivor's
      slot.  The edges are poisoned before any node is retired, so a
      traversal inside the region fails its next protection step. *)
-  let retire_region g root ~keep =
+  let retire_region (g : guard) root ~keep =
     let survivor = Link.v_clean keep and nodes = ref [] in
     let rec collect x =
       N.iter_links x (fun l ->
           let v = Link.view l in
           if Link.v_has_target v && not (Link.v_same (Link.v_clean v) survivor)
-          then collect (Link.v_node g.c.arena v));
+          then collect (Link.v_node g.core.arena v));
       nodes := x :: !nodes
     in
     collect (Ptr.node_exn root);
     List.iter
       (fun n -> N.iter_links n (fun l -> Link.set_v l Link.v_poison))
       !nodes;
-    List.iter (fun n -> S.retire g.c.s ~tid:g.tid n) !nodes
+    List.iter (fun n -> S.retire g.core.s ~tid:g.tid n) !nodes
 
   (* Collect every node reachable from the roots (once each, by uid)
      before freeing any, so no link is decoded after its target's slot

@@ -47,106 +47,106 @@ module Window (O : Intf.CORE with type node = node) = struct
      and the returned link is the predecessor link whose current
      content is [Ptr.view curr] — ready to be used as a CAS
      expectation.  [prev] protects the node that owns that link (or is
-     irrelevant when it is the anchor). *)
+     irrelevant when it is the anchor).  Every step is a top-level
+     function taking its state as arguments, so a find builds no
+     closure and returns no tuple. *)
   let rec find restarts g anchor ord ~prev ~curr ~next =
-    let restart () =
-      Atomic.incr restarts;
-      find restarts g anchor ord ~prev ~curr ~next
-    in
-    let rec loop prev_link =
-      let c = O.Ptr.node_exn curr in
-      O.load g (next_of c) next;
-      if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
-        restart ()
-      else if O.Ptr.is_marked next then begin
-        (* curr is logically deleted: unlink it physically; the window
-           keeps validating against the word the CAS installs *)
-        let unmarked =
-          Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
-        in
-        if O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
-        then begin
-          O.retire g curr;
-          O.assign g curr next;
-          O.Ptr.retag_v curr unmarked;
-          loop prev_link
-        end
-        else restart ()
-      end
-      else if ord_of c >= ord then (ord_of c = ord, prev_link)
-      else begin
-        O.advance g prev curr next;
-        loop (next_of c)
-      end
-    in
     O.load g anchor curr;
-    loop anchor
+    find_from restarts g anchor ord ~prev ~curr ~next anchor
+
+  and find_from restarts g anchor ord ~prev ~curr ~next prev_link =
+    let c = O.Ptr.node_exn curr in
+    O.load g (next_of c) next;
+    if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
+      restart restarts g anchor ord ~prev ~curr ~next
+    else if O.Ptr.is_marked next then begin
+      (* curr is logically deleted: unlink it physically; the window
+         keeps validating against the word the CAS installs *)
+      let unmarked =
+        Link.v_after (O.Ptr.view curr) (Link.v_clean (O.Ptr.view next))
+      in
+      if O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:unmarked
+      then begin
+        O.retire g curr;
+        O.assign g curr next;
+        O.Ptr.retag_v curr unmarked;
+        find_from restarts g anchor ord ~prev ~curr ~next prev_link
+      end
+      else restart restarts g anchor ord ~prev ~curr ~next
+    end
+    else if ord_of c >= ord then prev_link
+    else begin
+      O.advance g prev curr next;
+      find_from restarts g anchor ord ~prev ~curr ~next (next_of c)
+    end
+
+  and restart restarts g anchor ord ~prev ~curr ~next =
+    Atomic.incr restarts;
+    find restarts g anchor ord ~prev ~curr ~next
+
+  let found curr ord = ord_of (O.Ptr.node_exn curr) = ord
+
+  (* Point the private node [n] at curr, then CAS it in. *)
+  let link_in core g ~curr prev_link n =
+    O.store_v g n.next (O.Ptr.view curr);
+    O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:(O.v_ptr core n)
+
+  (* Retry an insert whose CAS lost, with the node already allocated. *)
+  let rec insert_node restarts core g anchor ord ~prev ~curr ~next n =
+    Atomic.incr restarts;
+    let prev_link = find restarts g anchor ord ~prev ~curr ~next in
+    if found curr ord then begin
+      O.discard g n;
+      false
+    end
+    else
+      link_in core g ~curr prev_link n
+      || insert_node restarts core g anchor ord ~prev ~curr ~next n
 
   let insert restarts core g anchor ord ~prev ~curr ~next ~into =
-    let rec loop fresh =
-      let found, prev_link = find restarts g anchor ord ~prev ~curr ~next in
-      if found then begin
-        Option.iter (O.discard g) fresh;
-        false
-      end
-      else begin
-        let n =
-          match fresh with
-          | Some n -> n
-          | None ->
-              O.alloc_node_into g into (fun hdr ->
-                  { ord; next = O.new_link_v g Link.v_null; hdr })
-        in
-        (* point the private node at curr, then CAS *)
-        O.store_v g n.next (O.Ptr.view curr);
-        if
-          O.cas_v g prev_link ~expected:(O.Ptr.view curr)
-            ~desired:(O.v_ptr core n)
-        then true
-        else begin
-          Atomic.incr restarts;
-          loop (Some n)
-        end
-      end
+    let prev_link = find restarts g anchor ord ~prev ~curr ~next in
+    (not (found curr ord))
+    &&
+    let n =
+      O.alloc_node_into g into (fun hdr ->
+          { ord; next = O.new_link_v g Link.v_null; hdr })
     in
-    loop None
+    link_in core g ~curr prev_link n
+    || insert_node restarts core g anchor ord ~prev ~curr ~next n
 
-  let delete restarts g anchor ord ~prev ~curr ~next =
-    let rec loop () =
-      let found, prev_link = find restarts g anchor ord ~prev ~curr ~next in
-      if not found then false
+  let rec delete restarts g anchor ord ~prev ~curr ~next =
+    let prev_link = find restarts g anchor ord ~prev ~curr ~next in
+    if not (found curr ord) then false
+    else begin
+      let c = O.Ptr.node_exn curr in
+      O.load g (next_of c) next;
+      if O.Ptr.is_marked next then begin
+        Atomic.incr restarts;
+        delete restarts g anchor ord ~prev ~curr ~next
+      end
       else begin
-        let c = O.Ptr.node_exn curr in
-        O.load g (next_of c) next;
-        if O.Ptr.is_marked next then begin
-          Atomic.incr restarts;
-          loop ()
+        (* a found node precedes the tail — next must have a target *)
+        ignore (O.Ptr.node_exn next);
+        if
+          O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
+            ~desired:(Link.v_mark (O.Ptr.view next))
+        then begin
+          (* attempt the physical unlink, which retires [curr] (orc:
+             ends its protection, so the victim is freed here unless
+             another thread protects it); otherwise a find cleans up *)
+          if
+            not
+              (O.unlink_v g prev_link curr
+                 ~desired:(Link.v_clean (O.Ptr.view next)))
+          then ignore (find restarts g anchor ord ~prev ~curr ~next);
+          true
         end
         else begin
-          (* a found node precedes the tail — next must have a target *)
-          ignore (O.Ptr.node_exn next);
-          if
-            O.cas_v g (next_of c) ~expected:(O.Ptr.view next)
-              ~desired:(Link.v_mark (O.Ptr.view next))
-          then begin
-            (* attempt the physical unlink, which retires [curr] (orc:
-               ends its protection, so the victim is freed here unless
-               another thread protects it); otherwise a find cleans up *)
-            if
-              not
-                (O.unlink_v g prev_link curr
-                   ~desired:(Link.v_clean (O.Ptr.view next)))
-            then ignore (find restarts g anchor ord ~prev ~curr ~next);
-            true
-          end
-          else begin
-            Atomic.incr restarts;
-            loop ()
-          end
+          Atomic.incr restarts;
+          delete restarts g anchor ord ~prev ~curr ~next
         end
       end
-    in
-    loop ()
+    end
 end
 
 module type S = sig
@@ -192,24 +192,33 @@ module Impl (O : Intf.CORE with type node = node) = struct
     if key = min_int || key = max_int then
       invalid_arg "Michael_list: key must be strictly inside (min_int, max_int)"
 
-  let contains t key =
-    check_key key;
-    O.with_guard t.orc (fun g ->
-        let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-        fst (W.find t.restarts g (anchor t) key ~prev ~curr ~next))
+  (* Each operation's body is a closed function of its guard, so
+     [O.with_guard2] runs it without building a closure. *)
+  let contains_in g t key =
+    let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
+    ignore (W.find t.restarts g (anchor t) key ~prev ~curr ~next);
+    W.found curr key
 
-  let add t key =
-    check_key key;
-    O.with_guard t.orc @@ fun g ->
+  let add_in g t key =
     let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
     W.insert t.restarts t.orc g (anchor t) key ~prev ~curr ~next
       ~into:(O.ptr g)
 
-  let remove t key =
-    check_key key;
-    O.with_guard t.orc @@ fun g ->
+  let remove_in g t key =
     let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
     W.delete t.restarts g (anchor t) key ~prev ~curr ~next
+
+  let contains t key =
+    check_key key;
+    O.with_guard2 t.orc contains_in t key
+
+  let add t key =
+    check_key key;
+    O.with_guard2 t.orc add_in t key
+
+  let remove t key =
+    check_key key;
+    O.with_guard2 t.orc remove_in t key
 
   (* Quiesced helpers: the keys of nodes that are reachable and not
      logically deleted. *)

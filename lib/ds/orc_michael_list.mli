@@ -30,12 +30,15 @@ module Window (O : Intf.CORE with type node = node) : sig
     prev:O.Ptr.t ->
     curr:O.Ptr.t ->
     next:O.Ptr.t ->
-    bool * node Atomicx.Link.t
+    node Atomicx.Link.t
   (** [find restarts g anchor ord] validates each hop, unlinks (and
       retires) the marked nodes it meets and stops at the first node
-      with [ord_of >= ord], held in [curr].  Returns whether that node
-      carries [ord], and the predecessor link, whose content is
-      [Ptr.view curr]. *)
+      with [ord_of >= ord], held in [curr].  Returns the predecessor
+      link, whose content is [Ptr.view curr]; {!found} tells whether
+      [curr] carries [ord].  Allocates nothing. *)
+
+  val found : O.Ptr.t -> int -> bool
+  (** [found curr ord]: after a {!find}, does [curr] carry [ord]? *)
 
   val insert :
     int Atomic.t ->

@@ -87,7 +87,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     Obs.Metrics.probe reg ~labels ~counter:true "orcgc_map_grows_total" grows;
     [ buckets; lf100; grows ]
 
-  let mk_null g () = O.new_link_v g Link.v_null
+  let mk_null g = O.new_link_v g Link.v_null
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode ("split_map/" ^ O.name) in
@@ -96,7 +96,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
         let tp = O.ptr g in
         let tail =
           O.alloc_node_into g tp (fun hdr ->
-              { ord = max_int; next = mk_null g (); hdr })
+              { ord = max_int; next = mk_null g; hdr })
         in
         let hp = O.ptr g in
         let head =
@@ -109,7 +109,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
               })
         in
         let dir = So.dir_create () in
-        let e0 = So.dir_entry dir ~mk_null:(mk_null g) 0 in
+        let e0 = So.dir_entry dir ~mk_null g 0 in
         let t =
           {
             dir;
@@ -140,7 +140,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
      initializing a 20-deep ancestor chain costs no extra hazard
      indexes. *)
   let rec get_entry t g b ~prev ~curr ~next ~dnode =
-    let e = So.dir_entry t.dir ~mk_null:(mk_null g) b in
+    let e = So.dir_entry t.dir ~mk_null g b in
     if Link.v_is_null (Link.view e) then
       init_bucket t g b e ~prev ~curr ~next ~dnode;
     e
@@ -182,30 +182,35 @@ module Impl (O : Intf.CORE with type node = node) = struct
       (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
       ~prev ~curr ~next ~dnode
 
+  (* Each operation's body is a closed function of its guard, so
+     [O.with_guard2] runs it without building a closure. *)
+  let contains_in g t key =
+    let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
+    let h = So.hash key in
+    let e = entry t g h ~prev ~curr ~next ~dnode in
+    let ord = So.regular h in
+    ignore (W.find t.restarts g e ord ~prev ~curr ~next);
+    W.found curr ord
+
+  let add_in g t key =
+    let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
+    let h = So.hash key in
+    let e = entry t g h ~prev ~curr ~next ~dnode in
+    W.insert t.restarts t.orc g e (So.regular h) ~prev ~curr ~next ~into:dnode
+
+  let remove_in g t key =
+    let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
+    let h = So.hash key in
+    let e = entry t g h ~prev ~curr ~next ~dnode in
+    W.delete t.restarts g e (So.regular h) ~prev ~curr ~next
+
   let contains t key =
     check_key key;
-    O.with_guard t.orc (fun g ->
-        let prev = O.ptr g
-        and curr = O.ptr g
-        and next = O.ptr g
-        and dnode = O.ptr g in
-        let h = So.hash key in
-        let e = entry t g h ~prev ~curr ~next ~dnode in
-        fst (W.find t.restarts g e (So.regular h) ~prev ~curr ~next))
+    O.with_guard2 t.orc contains_in t key
 
   let add t key =
     check_key key;
-    let r =
-      O.with_guard t.orc @@ fun g ->
-      let prev = O.ptr g
-      and curr = O.ptr g
-      and next = O.ptr g
-      and dnode = O.ptr g in
-      let h = So.hash key in
-      let e = entry t g h ~prev ~curr ~next ~dnode in
-      W.insert t.restarts t.orc g e (So.regular h) ~prev ~curr ~next
-        ~into:dnode
-    in
+    let r = O.with_guard2 t.orc add_in t key in
     if r then begin
       Atomic.incr t.count;
       maybe_grow t
@@ -214,16 +219,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   let remove t key =
     check_key key;
-    let r =
-      O.with_guard t.orc @@ fun g ->
-      let prev = O.ptr g
-      and curr = O.ptr g
-      and next = O.ptr g
-      and dnode = O.ptr g in
-      let h = So.hash key in
-      let e = entry t g h ~prev ~curr ~next ~dnode in
-      W.delete t.restarts g e (So.regular h) ~prev ~curr ~next
-    in
+    let r = O.with_guard2 t.orc remove_in t key in
     if r then Atomic.decr t.count;
     r
 
@@ -268,7 +264,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     walk (head_of t) (-1);
     O.with_guard t.orc (fun g ->
         for b = 0 to Atomic.get t.buckets_a - 1 do
-          let e = So.dir_entry t.dir ~mk_null:(mk_null g) b in
+          let e = So.dir_entry t.dir ~mk_null g b in
           match Link.target (Link.get e) with
           | None -> () (* lazily uninitialized is fine *)
           | Some d ->

@@ -40,11 +40,15 @@ let rev8 =
       done;
       !r)
 
+(* a top-level helper: a local [t j] closing over [h] would allocate
+   its closure on every reversal *)
+let rev_byte h j = rev8.((h lsr (8 * j)) land 0xff)
+
 let rev60 h =
-  let t j = rev8.((h lsr (8 * j)) land 0xff) in
-  (t 0 lsl 52) lor (t 1 lsl 44) lor (t 2 lsl 36) lor (t 3 lsl 28)
-  lor (t 4 lsl 20) lor (t 5 lsl 12) lor (t 6 lsl 4)
-  lor (t 7 lsr 4)
+  (rev_byte h 0 lsl 52) lor (rev_byte h 1 lsl 44) lor (rev_byte h 2 lsl 36)
+  lor (rev_byte h 3 lsl 28) lor (rev_byte h 4 lsl 20)
+  lor (rev_byte h 5 lsl 12) lor (rev_byte h 6 lsl 4)
+  lor (rev_byte h 7 lsr 4)
 
 (* So-keys: bit 0 is the regular bit (1 = real key, 0 = bucket dummy),
    bits 1..60 the reversed hash.  A dummy's so-key is a prefix-zero
@@ -76,7 +80,7 @@ type 'a dir = { segs : 'a Atomicx.Link.t array option Atomic.t array }
 
 let dir_create () = { segs = Array.init n_segs (fun _ -> Atomic.make None) }
 
-let dir_entry dir ~mk_null b =
+let dir_entry dir ~mk_null x b =
   let s = b lsr seg_bits in
   let seg =
     match Atomic.get dir.segs.(s) with
@@ -84,7 +88,7 @@ let dir_entry dir ~mk_null b =
     | None ->
         (* losing a materialization race drops an array of null links —
            nothing holds a count, the GC takes it *)
-        let fresh = Array.init seg_size (fun _ -> mk_null ()) in
+        let fresh = Array.init seg_size (fun _ -> mk_null x) in
         if Atomic.compare_and_set dir.segs.(s) None (Some fresh) then fresh
         else Option.get (Atomic.get dir.segs.(s))
   in

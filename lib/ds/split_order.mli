@@ -72,11 +72,12 @@ type 'a dir
 val dir_create : unit -> 'a dir
 
 val dir_entry :
-  'a dir -> mk_null:(unit -> 'a Atomicx.Link.t) -> int -> 'a Atomicx.Link.t
-(** [dir_entry d ~mk_null b] is bucket [b]'s entry link, materializing
-    its segment on first touch ([mk_null] builds the segment's fresh
-    null links; a raced materialization drops the loser's all-null
-    segment, which holds no counts). *)
+  'a dir -> mk_null:('x -> 'a Atomicx.Link.t) -> 'x -> int -> 'a Atomicx.Link.t
+(** [dir_entry d ~mk_null x b] is bucket [b]'s entry link, materializing
+    its segment on first touch ([mk_null x] builds each of the segment's
+    fresh null links; a raced materialization drops the loser's all-null
+    segment, which holds no counts).  With a closed [mk_null], a lookup
+    of a materialized segment allocates nothing. *)
 
 val dir_iter : 'a dir -> ('a Atomicx.Link.t -> unit) -> unit
 (** Visit every entry link of every materialized segment (quiesced

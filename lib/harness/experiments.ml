@@ -439,15 +439,19 @@ let ablation_publish p =
 
 let ablation_clear_handover p =
   let threads = List.fold_left max 1 p.threads in
+  (* Sampled while the workers still hold their tids: once they exit,
+     each tid's quarantine cleaner adopts every parked handover whatever
+     [clear_handover] says, so a read after the run always finds 0. *)
   let residual value =
     Orc_core.Ptp.clear_handover := value;
-    let _, (_, unreclaimed) =
-      run_set_mix
-        (make_set "ptp" (module Ml_ptp))
-        ~mix:Workload.write_heavy ~threads ~duration:p.duration
-        ~keys:p.list_keys
-    in
-    unreclaimed
+    let last = ref 0 in
+    ignore
+      (run_set_mix
+         ~sampler:(fun s -> last := s.s_unreclaimed ())
+         (make_set "ptp" (module Ml_ptp))
+         ~mix:Workload.write_heavy ~threads ~duration:p.duration
+         ~keys:p.list_keys);
+    !last
   in
   let with_drain = residual true in
   let without_drain = residual false in

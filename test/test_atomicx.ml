@@ -178,9 +178,9 @@ let test_bitmask_sequential_acquire () =
   let b = Bitmask.create 10 in
   check_int "capacity" 10 (Bitmask.capacity b);
   for i = 0 to 9 do
-    check_bool "lowest free" true (Bitmask.acquire b ~from:0 = Some i)
+    check_bool "lowest free" true (Bitmask.acquire b ~from:0 = i)
   done;
-  check_bool "exhausted" true (Bitmask.acquire b ~from:0 = None);
+  check_bool "exhausted" true (Bitmask.acquire b ~from:0 = -1);
   check_int "all taken" 10 (Bitmask.count b)
 
 let test_bitmask_release_reuses_lowest () =
@@ -191,30 +191,30 @@ let test_bitmask_release_reuses_lowest () =
   Bitmask.release b 5;
   Bitmask.release b 2;
   check_bool "freed 2 not taken" false (Bitmask.mem b 2);
-  check_bool "lowest freed wins" true (Bitmask.acquire b ~from:0 = Some 2);
-  check_bool "then the next" true (Bitmask.acquire b ~from:0 = Some 5);
-  check_bool "full again" true (Bitmask.acquire b ~from:0 = None)
+  check_bool "lowest freed wins" true (Bitmask.acquire b ~from:0 = 2);
+  check_bool "then the next" true (Bitmask.acquire b ~from:0 = 5);
+  check_bool "full again" true (Bitmask.acquire b ~from:0 = -1)
 
 let test_bitmask_from_floor () =
   let b = Bitmask.create 8 in
-  check_bool "respects from" true (Bitmask.acquire b ~from:3 = Some 3);
+  check_bool "respects from" true (Bitmask.acquire b ~from:3 = 3);
   check_bool "0 still free below the floor" false (Bitmask.mem b 0);
-  check_bool "skips taken 3" true (Bitmask.acquire b ~from:3 = Some 4);
-  check_bool "negative from is 0" true (Bitmask.acquire b ~from:(-5) = Some 0);
-  check_bool "from at capacity" true (Bitmask.acquire b ~from:8 = None)
+  check_bool "skips taken 3" true (Bitmask.acquire b ~from:3 = 4);
+  check_bool "negative from is 0" true (Bitmask.acquire b ~from:(-5) = 0);
+  check_bool "from at capacity" true (Bitmask.acquire b ~from:8 = -1)
 
 let test_bitmask_cross_word () =
   (* 100 > 62 bits: exercises the multi-word carry path *)
   let b = Bitmask.create 100 in
   for i = 0 to 99 do
-    check_bool "dense fill" true (Bitmask.acquire b ~from:0 = Some i)
+    check_bool "dense fill" true (Bitmask.acquire b ~from:0 = i)
   done;
-  check_bool "exhausted" true (Bitmask.acquire b ~from:0 = None);
+  check_bool "exhausted" true (Bitmask.acquire b ~from:0 = -1);
   Bitmask.release b 63;
   Bitmask.release b 99;
-  check_bool "free slot in word 1" true (Bitmask.acquire b ~from:0 = Some 63);
-  check_bool "last slot" true (Bitmask.acquire b ~from:70 = Some 99);
-  check_bool "exhausted again" true (Bitmask.acquire b ~from:0 = None)
+  check_bool "free slot in word 1" true (Bitmask.acquire b ~from:0 = 63);
+  check_bool "last slot" true (Bitmask.acquire b ~from:70 = 99);
+  check_bool "exhausted again" true (Bitmask.acquire b ~from:0 = -1)
 
 let test_bitmask_invalid () =
   Alcotest.check_raises "capacity<1" (Invalid_argument "Bitmask.create")
@@ -242,16 +242,14 @@ let prop_bitmask_matches_set_model =
             let from = k mod cap in
             let expect =
               let rec go i =
-                if i >= cap then None
+                if i >= cap then -1
                 else if IntSet.mem i !taken then go (i + 1)
-                else Some i
+                else i
               in
               go from
             in
             let got = Bitmask.acquire b ~from in
-            (match got with
-            | Some i -> taken := IntSet.add i !taken
-            | None -> ());
+            if got >= 0 then taken := IntSet.add got !taken;
             got = expect
           end
           else begin

@@ -218,6 +218,136 @@ let test_advance_keeps_rotated_out () =
   C.release_roots c [ root ];
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* {2 Nested guards and the exception path}
+
+   [Spy] is hazard pointers that also record, per hazard index, the uid
+   the caller's row publishes (-1 = empty), so a test reads exactly
+   which slots the adapter's guards published and cleared. *)
+
+let published = Array.make 8 (-1)
+
+module Spy (N : Reclaim.Scheme_intf.NODE) = struct
+  include Reclaim.Hp.Make (N)
+
+  let uid_of v link =
+    if Link.v_has_target v then (N.hdr (Link.v_target_exn link v)).Memdom.Hdr.uid
+    else -1
+
+  let get_protected_v t ~tid ~idx link =
+    let v = get_protected_v t ~tid ~idx link in
+    published.(idx) <- uid_of v link;
+    v
+
+  let protect_raw t ~tid ~idx n =
+    protect_raw t ~tid ~idx n;
+    published.(idx) <-
+      (match n with Some n -> (N.hdr n).Memdom.Hdr.uid | None -> -1)
+
+  let copy_protection t ~tid ~src ~dst =
+    copy_protection t ~tid ~src ~dst;
+    published.(dst) <- published.(src)
+
+  let clear t ~tid ~idx =
+    clear t ~tid ~idx;
+    published.(idx) <- -1
+
+  let end_op t ~tid =
+    end_op t ~tid;
+    Array.fill published 0 (Array.length published) (-1)
+end
+
+module Cs =
+  Ds.Manual_core.Make
+    (Spy)
+    (struct
+      type t = node
+
+      let hdr n = n.hdr
+      let iter_links n f = f n.next
+    end)
+
+let spy_chain () =
+  let alloc = Memdom.Alloc.create "manual-core-spy" in
+  let c = Cs.create ~max_hps:4 alloc in
+  let root =
+    Cs.with_guard c (fun g ->
+        let p = Cs.ptr g in
+        let v2 =
+          Cs.alloc_node_into g p (fun hdr ->
+              { v = 2; next = Cs.new_link_v g Link.v_null; hdr })
+          |> Cs.v_ptr c
+        in
+        Cs.alloc_node_into g p (fun hdr ->
+            { v = 1; next = Cs.new_link_v g v2; hdr })
+        |> Cs.v_ptr c |> Cs.new_link_v g)
+  in
+  (alloc, c, root)
+
+let uid n = n.hdr.Memdom.Hdr.uid
+let empty_row = Array.make 8 (-1)
+
+(* An inner guard's handles take the hazard indexes after the outer
+   guard's; its exit clears only those, so the outer handle keeps its
+   view and its slot. *)
+let test_nested_guards () =
+  let alloc, c, root = spy_chain () in
+  let one = target root in
+  Cs.with_guard c (fun g ->
+      let p = Cs.ptr g in
+      Cs.load g root p;
+      let v1 = Cs.Ptr.view p in
+      Cs.with_guard c (fun gi ->
+          let q = Cs.ptr gi in
+          Cs.load gi one.next q;
+          check_int "outer slot 0 kept" (uid one) published.(0);
+          check_int "inner handle at slot 1" (uid (Cs.Ptr.node_exn q))
+            published.(1);
+          Alcotest.check_raises "outer guard cannot make a handle now"
+            (Invalid_argument
+               "Frame.handle: the guard is not the innermost open guard")
+            (fun () -> ignore (Cs.ptr g)));
+      check_bool "outer view intact" true (Link.view_eq v1 (Cs.Ptr.view p));
+      check_int "outer slot 0 still published" (uid one) published.(0);
+      check_int "inner slot 1 cleared" (-1) published.(1);
+      (* the outer guard's next handle takes the inner's index *)
+      let q = Cs.ptr g in
+      Cs.load g one.next q;
+      check_int "outer handle at slot 1" 2 (Cs.Ptr.node_exn q).v);
+  check_bool "every slot empty after the outer guard" true
+    (published = empty_row);
+  Cs.release_roots c [ root ];
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* An exception leaving a guard clears every slot that guard used and
+   re-raises the exception itself. *)
+let test_guard_exception_releases () =
+  let alloc, c, root = spy_chain () in
+  let one = target root in
+  let boom = Failure "boom" in
+  (match
+     Cs.with_guard c (fun g ->
+         let p = Cs.ptr g in
+         Cs.load g root p;
+         (match
+            Cs.with_guard c (fun gi ->
+                let q = Cs.ptr gi and r = Cs.ptr gi in
+                Cs.load gi one.next q;
+                Cs.assign gi r q;
+                raise Exit)
+          with
+         | () -> Alcotest.fail "inner guard returned"
+         | exception Exit -> ());
+         check_int "outer slot kept" (uid one) published.(0);
+         check_int "inner slot 1 cleared" (-1) published.(1);
+         check_int "inner slot 2 cleared" (-1) published.(2);
+         raise boom)
+   with
+  | () -> Alcotest.fail "guard returned"
+  | exception e -> check_bool "the original exception" true (e == boom));
+  check_bool "every slot empty" true (published = empty_row);
+  Cs.release_roots c [ root ];
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
 let suite =
   [
     ("manual:retire-once", retire_cases);
@@ -227,5 +357,9 @@ let suite =
           test_release_roots_frees_once;
         Alcotest.test_case "advance keeps a rotated-out node" `Quick
           test_advance_keeps_rotated_out;
+        Alcotest.test_case "nested guards keep the outer handles" `Quick
+          test_nested_guards;
+        Alcotest.test_case "an exception clears the guard's slots" `Quick
+          test_guard_exception_releases;
       ] );
   ]

@@ -551,6 +551,96 @@ let test_cross_thread_handover () =
   check_int "reclaimed after reader exit" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
+(* {2 Guard and handle storage} *)
+
+(* The slots a guard's row publishes up to the watermark, padded with
+   empty, unshared slots to [n]. *)
+let row_padded g n =
+  let row = O.hazard_row g in
+  Array.init n (fun i -> if i < Array.length row then row.(i) else (-1, 0))
+
+let uid_of n = n.hdr.Memdom.Hdr.uid
+
+(* An inner guard on the same tid takes its handles and hazard indexes
+   after the outer guard's, leaves the outer handle's view and slot
+   alone, and on exit releases only its own. *)
+let test_nested_guards () =
+  let alloc, o = fresh () in
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
+  O.with_guard o (fun g ->
+      let p = O.ptr g in
+      O.load g root p;
+      let n1 = O.Ptr.node_exn p and v1 = O.Ptr.view p in
+      let outer = row_padded g Orc_core.Orc.max_haz in
+      O.with_guard o (fun gi ->
+          let q = O.ptr gi and r = O.ptr gi in
+          O.load gi n1.next q;
+          O.assign gi r q;
+          let inner = row_padded gi Orc_core.Orc.max_haz in
+          check_bool "outer slot still publishes its node" true
+            (Array.exists (fun (u, k) -> u = uid_of n1 && k = 1) inner);
+          check_bool "inner handle published its own node" true
+            (Array.exists
+               (fun (u, _) -> u = uid_of (O.Ptr.node_exn q))
+               inner);
+          Alcotest.check_raises "outer guard cannot make a handle now"
+            (Invalid_argument
+               "Frame.handle: the guard is not the innermost open guard")
+            (fun () -> ignore (O.ptr g)));
+      check_bool "outer view intact" true (Link.view_eq v1 (O.Ptr.view p));
+      check_bool "inner exit released only its own slots" true
+        (outer = row_padded g Orc_core.Orc.max_haz);
+      (* the outer guard's next handle reuses the inner's storage *)
+      let q = O.ptr g in
+      O.load g n1.next q;
+      check_int "outer handle reads on" 2 (read_value (O.Ptr.node_exn q)));
+  O.with_guard o (fun g ->
+      Array.iter
+        (fun (u, k) ->
+          check_int "unpublished" (-1) u;
+          check_int "unshared" 0 k)
+        (O.hazard_row g);
+      O.store_v g root Link.v_null);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* An exception leaving a guard brings every slot that guard used back
+   to empty and re-raises the exception itself: an inner guard's
+   exception leaves the outer guard's slot alone, and the outer one's
+   empties the row. *)
+let test_guard_exception_releases () =
+  let alloc, o = fresh () in
+  let root = Link.make_in (O.arena o) Link.Null in
+  O.with_guard o (fun g -> build_chain o g root 2);
+  let boom = Failure "boom" in
+  (match
+     O.with_guard o (fun g ->
+         let p = O.ptr g in
+         O.load g root p;
+         let outer = row_padded g Orc_core.Orc.max_haz in
+         (match
+            O.with_guard o (fun gi ->
+                let q = O.ptr gi in
+                O.load gi (O.Ptr.node_exn p).next q;
+                raise Exit)
+          with
+         | () -> Alcotest.fail "inner guard returned"
+         | exception Exit -> ());
+         check_bool "inner slots empty, outer slot kept" true
+           (outer = row_padded g Orc_core.Orc.max_haz);
+         raise boom)
+   with
+  | () -> Alcotest.fail "guard returned"
+  | exception e -> check_bool "the original exception" true (e == boom));
+  O.with_guard o (fun g ->
+      Array.iter
+        (fun (u, k) ->
+          check_int "unpublished" (-1) u;
+          check_int "unshared" 0 k)
+        (O.hazard_row g);
+      O.store_v g root Link.v_null);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
 let suite =
   [
     ( "orc",
@@ -590,5 +680,9 @@ let suite =
           test_concurrent_stress;
         Alcotest.test_case "cross-thread handover" `Quick
           test_cross_thread_handover;
+        Alcotest.test_case "nested guards keep the outer handles" `Quick
+          test_nested_guards;
+        Alcotest.test_case "an exception empties the guard's slots" `Quick
+          test_guard_exception_releases;
       ] );
   ]

@@ -1,6 +1,7 @@
 (* Word-packing tests: exact zero-allocation guarantees of the packed
-   header + tagged link hot paths (protected reads, and the orc
-   hard-link drop whose [dec] publishes a scratch uid), the bit-layout
+   header + tagged link hot paths (protected reads, the orc hard-link
+   drop whose [dec] publishes a scratch uid, handovers, and whole warm
+   split-map operations, guard included), the bit-layout
    boundaries of the packed words ([Hdr.state], the [_orc] word), the
    literal header transitions including their exceptions, and Michael
    lists on word links against the sequential set model.
@@ -237,6 +238,44 @@ let orc_handover_zero_alloc () =
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
 (* ------------------------------------------------------------------ *)
+(* Zero-allocation: whole split-map operations, guard included *)
+
+module Map_orc = Ds.Orc_split_map.Make ()
+module Map_orc_hp = Ds.Orc_split_map.Make_hp ()
+module Map_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
+
+(* A warm map (every bucket on the path initialized, the tid's guard
+   and handle storage allocated by the warmup) runs each operation
+   that retires and allocates no node with exactly zero minor words:
+   the guard, its four handles, the bucket lookup, the window walk and
+   the key's hash. *)
+let map_ops_zero_alloc (module M : Ds.Orc_split_map.MAP) () =
+  let m = M.create ~mode:Memdom.Alloc.Pool () in
+  let keys = 512 in
+  for k = 1 to keys do
+    ignore (M.add m (2 * k))
+  done;
+  let hits = ref 0 in
+  let each name op =
+    check_zero
+      (M.scheme_name ^ " " ^ name)
+      (fun () ->
+        for k = 1 to keys do
+          if op m k then incr hits
+        done)
+  in
+  each "contains (hit)" (fun m k -> M.contains m (2 * k));
+  each "contains (miss)" (fun m k -> M.contains m ((2 * k) + 1));
+  each "add of a present key" (fun m k -> M.add m (2 * k));
+  each "remove of an absent key" (fun m k -> M.remove m ((2 * k) + 1));
+  (* the warmup and the measured run of the one op that answers true *)
+  check_int "every contains hit, nothing else did" (2 * keys) !hits;
+  check_int "size unchanged" keys (M.size m);
+  M.destroy m;
+  M.flush m;
+  check_int "no leak" 0 (Memdom.Alloc.live (M.alloc m))
+
+(* ------------------------------------------------------------------ *)
 (* Zero-allocation: header lifecycle transitions *)
 
 let test_zero_alloc_hdr () =
@@ -430,6 +469,15 @@ let suite =
           `Quick ptp_handover_zero_alloc;
         Alcotest.test_case "orc: a pinned unlink's handover allocates nothing"
           `Quick orc_handover_zero_alloc;
+        Alcotest.test_case "orc: warm split-map operations allocate nothing"
+          `Quick
+          (map_ops_zero_alloc (module Map_orc));
+        Alcotest.test_case
+          "orc-hp: warm split-map operations allocate nothing" `Quick
+          (map_ops_zero_alloc (module Map_orc_hp));
+        Alcotest.test_case "hp: warm split-map operations allocate nothing"
+          `Quick
+          (map_ops_zero_alloc (module Map_hp));
       ] );
     ( "pack_bits",
       [
