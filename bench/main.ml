@@ -889,6 +889,10 @@ let best_of n f =
   done;
   !best
 
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+
 let run_metrics () =
   Format.printf "@.== Live metrics plane: sampler, watchdog, gauges ==@.";
   Atomicx.Registry.reserve 8;
@@ -897,7 +901,7 @@ let run_metrics () =
      sampler-overhead budget is stated against *)
   let keys = 256 in
   let ops = if smoke then 8_000 else 20_000 in
-  let reps = 12 in
+  let rounds = 41 and reps = 2 in
   let l = L_hp.create () in
   for k = 1 to keys do
     ignore (L_hp.add l k)
@@ -923,33 +927,74 @@ let run_metrics () =
     done;
     float_of_int (Obs.Sink.now_ns () - t0) /. float_of_int bracket_ops
   in
-  (* Plane-off measurements first: once a sampler starts, the watchdog
-     clock is live for the rest of the process.  The off-side runs keep
-     an inert sleeper domain alive so both sides of the A/B pay the
-     runtime's second-domain tax — measured at ~40 ns/op on fenced-store
-     loops on this 1-CPU container even when the extra domain only
-     sleeps — and the comparison isolates the metrics plane itself. *)
-  let bracket_idle_ns = best_of reps bracket_ns_per_op in
-  let stop_ctl = Atomic.make false in
-  let ctl =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_ctl) do
-          Unix.sleepf 0.005
-        done)
-  in
-  let off_ns = best_of reps time_ns_per_op in
-  let bracket_off_ns = best_of reps bracket_ns_per_op in
-  Atomic.set stop_ctl true;
-  Domain.join ctl;
+  let bracket_idle_ns = best_of (2 * reps) bracket_ns_per_op in
   let sink = Obs.Sink.make () in
-  let sampler =
+  let start_sampler () =
     Obs.Sampler.start ~interval:0.005 ~registry:Obs.Metrics.default ~sink ()
   in
-  let on_ns = best_of reps time_ns_per_op in
-  let bracket_on_ns = best_of reps bracket_ns_per_op in
-  let overhead_pct =
-    Float.max 0. (100. *. (on_ns -. off_ns) /. Float.max 1e-9 off_ns)
+  (* One side of a round: plane on (sampler running, watchdog
+     stamping; the clock is paused afterwards so the next off side is
+     really off) or off with an inert sleeper domain, so both sides pay
+     the runtime's second-domain tax — ~40 ns/op on fenced-store loops
+     even when the extra domain only sleeps — and the pair isolates the
+     metrics plane itself.  Best of [reps] list and bracket loops. *)
+  let side on =
+    let finish =
+      if on then begin
+        let sampler = start_sampler () in
+        fun () ->
+          Obs.Sampler.stop sampler;
+          Obs.Watchdog.pause ()
+      end
+      else begin
+        let stop = Atomic.make false in
+        let sleeper =
+          Domain.spawn (fun () ->
+              while not (Atomic.get stop) do
+                Unix.sleepf 0.005
+              done)
+        in
+        fun () ->
+          Atomic.set stop true;
+          Domain.join sleeper
+      end
+    in
+    let list_ns = best_of reps time_ns_per_op in
+    let bracket_ns = best_of reps bracket_ns_per_op in
+    finish ();
+    (list_ns, bracket_ns)
   in
+  (* Alternating rounds: the side that runs first flips every round, so
+     drift on the host lands on both sides alike, and the overhead is
+     the median of the rounds' on/off ratios, each ratio taken between
+     two measurements adjacent in time. *)
+  let off = Array.make rounds (0., 0.) and on = Array.make rounds (0., 0.) in
+  for i = 0 to rounds - 1 do
+    if i land 1 = 0 then begin
+      off.(i) <- side false;
+      on.(i) <- side true
+    end
+    else begin
+      on.(i) <- side true;
+      off.(i) <- side false
+    end
+  done;
+  let median_q f a =
+    let a = Array.map f a in
+    Array.sort compare a;
+    (percentile a 0.5, percentile a 0.25, percentile a 0.75)
+  in
+  let off_ns, off_q1, off_q3 = median_q fst off in
+  let on_ns, on_q1, on_q3 = median_q fst on in
+  let bracket_off_ns, _, _ = median_q snd off in
+  let bracket_on_ns, _, _ = median_q snd on in
+  let ratio, ratio_q1, ratio_q3 =
+    median_q
+      (fun (o, n) -> fst n /. Float.max 1e-9 (fst o))
+      (Array.map2 (fun o n -> (o, n)) off on)
+  in
+  let overhead_pct = Float.max 0. (100. *. (ratio -. 1.)) in
+  let sampler = start_sampler () in
   (* hot-path allocation audit (the acceptance gate).  The guard loop
      here is the bare begin/end bracket — the part the watchdog added
      stores to; the protect path's allocation behaviour is the pack
@@ -983,9 +1028,11 @@ let run_metrics () =
   (* stall injection (runs its own sampler over a fresh registry) *)
   let stall = Chaos.run_stall () in
   Format.printf
-    "  list contains: off %.1f ns/op, on %.1f ns/op (sampler overhead \
-     %.2f%%)@."
-    off_ns on_ns overhead_pct;
+    "  list contains, %d alternating rounds: off median %.1f ns/op [q1 \
+     %.1f, q3 %.1f], on median %.1f ns/op [q1 %.1f, q3 %.1f]; on/off \
+     per round median %.4f [q1 %.4f, q3 %.4f] (sampler overhead %.2f%%)@."
+    rounds off_ns off_q1 off_q3 on_ns on_q1 on_q3 ratio ratio_q1 ratio_q3
+    overhead_pct;
   Format.printf
     "  guard bracket: idle %.1f, sleeper %.1f, stamping %.1f ns/op@."
     bracket_idle_ns bracket_off_ns bracket_on_ns;
@@ -1137,10 +1184,6 @@ type background_row = {
   bk_neutralize : Chaos.bg_report;
   bk_kill : Chaos.bg_report;
 }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let retire_latencies s alloc ~ops =
   let lat = Array.make ops 0. in

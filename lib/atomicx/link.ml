@@ -1,4 +1,4 @@
-(* Atomic links: one [int Atomic.t] per link, the C++ original's
+(* Atomic links: one word per link, the C++ original's
    [std::atomic<T*>] with the mark bits in the low bits.  A word names
    its target by arena slot and carries a per-link write stamp above the
    slot field:
@@ -31,10 +31,19 @@ type 'a state =
 
    Nodes are registered into fixed-size chunks (never moved, so a
    concurrent registration store can't be lost to a growth copy) and
-   addressed by slot index.  Freed slots go through a version-counted
-   Treiber free-list of ints; a slot keeps its last occupant until
+   addressed by slot index.  A slot keeps its last occupant until
    reuse, which is exactly the type-stable-memory semantics the paper's
-   schemes assume. *)
+   schemes assume.
+
+   Released slots go first to the releasing tid's own cache: an
+   owner-only LIFO of at most [arena_cache_cap] slots, so a release
+   followed by a registration on the same tid touches no shared word.
+   The version-counted Treiber free-list of ints behind it is touched only
+   in batches: a full cache spills its older half onto it in one CAS,
+   an empty cache refills up to half its capacity from it in one CAS,
+   and the quarantine cleaner hands a dead tid's cached slots back to
+   it.  Only when both are empty does a registration bump
+   [next_fresh]. *)
 
 let chunk_bits = 10
 let chunk_size = 1 lsl chunk_bits
@@ -48,6 +57,8 @@ let max_slots = n_chunks * chunk_size
    still only materialises the slots it touches). *)
 let slot1_bits = 24
 let slot1_mask = (1 lsl slot1_bits) - 1
+let arena_cache_cap = 64
+let cache_batch = arena_cache_cap / 2
 
 type chunk = { nodes : Obj.t array; free_next : int array }
 
@@ -56,11 +67,19 @@ type 'a arena = {
   free_head : int Atomic.t;
   next_fresh : int Atomic.t;
   slot_of : Obj.t -> int;
-  on_register : Obj.t -> int -> release:(int -> unit) -> unit;
-  mutable release_fn : int -> unit;
-  n_registered : int Atomic.t;
-  n_released : int Atomic.t;
+  on_register : Obj.t -> int -> release:(tid:int -> int -> unit) -> unit;
+  mutable release_fn : tid:int -> int -> unit;
+  (* per tid, owner-only: [|n; s1; ..; sn; ..|], the top at index n;
+     [no_cache] until the tid's first release or registration *)
+  caches : int array array;
+  n_registered : Shard.t;
+  n_released : Shard.t;
+  (* strong reference: the registry holds quarantine cleaners weakly,
+     so the registration lives exactly as long as the arena *)
+  mutable cleaner : int -> unit;
 }
+
+let no_cache : int array = [||]
 
 let rec chunk_for a b =
   match Atomic.get a.chunks.(b) with
@@ -94,39 +113,88 @@ let get_free_next a s =
   | Some c -> c.free_next.(s land (chunk_size - 1))
   | None -> -1
 
-(* Pop a recycled slot.  The version in the upper bits makes the CAS
-   fail if any pop/push completed since [h] was read, so the stale
-   [free_next] read cannot be installed (no ABA). *)
-let rec pop_free a =
+let next_head h s = (((h lsr slot1_bits) + 1) lsl slot1_bits) lor (s + 1)
+
+let rec push_chain a first last =
+  let h = Atomic.get a.free_head in
+  set_free_next a last ((h land slot1_mask) - 1);
+  if not (Atomic.compare_and_set a.free_head h (next_head h first)) then
+    push_chain a first last
+
+(* Push [c.(i) .. c.(i + k - 1)] onto the shared free-list in one CAS:
+   chain them through [free_next] first, then swing the head. *)
+let push_shared a c i k =
+  for j = i to i + k - 2 do
+    set_free_next a c.(j) c.(j + 1)
+  done;
+  push_chain a c.(i) c.(i + k - 1)
+
+(* Copy the chain from [s] into [c.(n)..], up to [c.(cache_batch)];
+   the index of the last slot copied. *)
+let rec walk a c n s =
+  c.(n) <- s;
+  let nxt = get_free_next a s in
+  if n = cache_batch || nxt < 0 then n else walk a c (n + 1) nxt
+
+(* Pop up to [cache_batch] slots into the empty cache [c] in one CAS.
+   The version in the head makes the CAS fail if any push or pop
+   completed since [h] was read, so a chain walked from a stale head is
+   never installed (no ABA); the walk itself is bounded by the batch
+   size whatever it reads.  Returns the number taken. *)
+let rec refill a c =
   let h = Atomic.get a.free_head in
   let s1 = h land slot1_mask in
-  if s1 = 0 then -1
+  if s1 = 0 then 0
   else
-    let s = s1 - 1 in
-    let nxt = get_free_next a s in
-    let h' = (((h lsr slot1_bits) + 1) lsl slot1_bits) lor (nxt + 1) in
-    if Atomic.compare_and_set a.free_head h h' then s else pop_free a
+    let n = walk a c 1 (s1 - 1) in
+    let rest = get_free_next a c.(n) in
+    if Atomic.compare_and_set a.free_head h (next_head h rest) then begin
+      c.(0) <- n;
+      n
+    end
+    else refill a c
 
-let rec push_free a s =
-  let h = Atomic.get a.free_head in
-  set_free_next a s ((h land slot1_mask) - 1);
-  let h' = (((h lsr slot1_bits) + 1) lsl slot1_bits) lor (s + 1) in
-  if not (Atomic.compare_and_set a.free_head h h') then push_free a s
-
-let release_slot a s =
-  if s >= 0 && s < max_slots then begin
-    Atomic.incr a.n_released;
-    push_free a s
+let cache_of a tid =
+  let c = Array.unsafe_get a.caches tid in
+  if c != no_cache then c
+  else begin
+    let c = Array.make (arena_cache_cap + 1) 0 in
+    a.caches.(tid) <- c;
+    c
   end
 
-let alloc_slot a =
-  match pop_free a with
-  | s when s >= 0 -> s
-  | _ ->
-      let s = Atomic.fetch_and_add a.next_fresh 1 in
-      if s >= max_slots then failwith "Link.arena: slot table exhausted";
-      ignore (chunk_for a (s lsr chunk_bits));
-      s
+(* A full cache spills its older half, keeping the most recently
+   released slots (whose table entries are the warm ones) on top. *)
+let release_slot a ~tid s =
+  if s >= 0 && s < max_slots then begin
+    Shard.incr a.n_released ~tid;
+    let c = cache_of a tid in
+    let n = c.(0) in
+    let n =
+      if n < arena_cache_cap then n
+      else begin
+        push_shared a c 1 cache_batch;
+        Array.blit c (cache_batch + 1) c 1 (arena_cache_cap - cache_batch);
+        arena_cache_cap - cache_batch
+      end
+    in
+    c.(n + 1) <- s;
+    c.(0) <- n + 1
+  end
+
+let alloc_slot a ~tid =
+  let c = cache_of a tid in
+  let n = c.(0) in
+  let n = if n > 0 then n else refill a c in
+  if n > 0 then begin
+    c.(0) <- n - 1;
+    c.(n)
+  end
+  else
+    let s = Atomic.fetch_and_add a.next_fresh 1 in
+    if s >= max_slots then failwith "Link.arena: slot table exhausted";
+    ignore (chunk_for a (s lsr chunk_bits));
+    s
 
 (* Registration must be performed by the thread that owns the node
    privately (in practice: its allocator, before first publication), so
@@ -134,11 +202,12 @@ let alloc_slot a =
    store is published to other threads by the atomic link-word store
    that follows it. *)
 let register a n =
-  let s = alloc_slot a in
+  let tid = Registry.tid () in
+  let s = alloc_slot a ~tid in
   (match Atomic.get a.chunks.(s lsr chunk_bits) with
   | Some c -> c.nodes.(s land (chunk_size - 1)) <- Obj.repr n
   | None -> assert false);
-  Atomic.incr a.n_registered;
+  Shard.incr a.n_registered ~tid;
   a.on_register (Obj.repr n) s ~release:a.release_fn;
   s
 
@@ -147,7 +216,8 @@ let ensure_registered a n =
   if s >= 0 then s else register a n
 
 let arena (type n) ~(slot_of : n -> int)
-    ~(on_register : n -> int -> release:(int -> unit) -> unit) () =
+    ~(on_register : n -> int -> release:(tid:int -> int -> unit) -> unit) ()
+    =
   let a =
     {
       chunks = Array.init n_chunks (fun _ -> Atomic.make None);
@@ -155,18 +225,45 @@ let arena (type n) ~(slot_of : n -> int)
       next_fresh = Atomic.make 0;
       slot_of = (fun o -> slot_of (Obj.obj o));
       on_register = (fun o s ~release -> on_register (Obj.obj o) s ~release);
-      release_fn = ignore;
-      n_registered = Atomic.make 0;
-      n_released = Atomic.make 0;
+      release_fn = (fun ~tid:_ _ -> ());
+      caches = Array.make Registry.max_threads no_cache;
+      n_registered = Shard.create ();
+      n_released = Shard.create ();
+      cleaner = ignore;
     }
   in
-  a.release_fn <- (fun s -> release_slot a s);
+  a.release_fn <- (fun ~tid s -> release_slot a ~tid s);
+  (* Quarantine cleaner: the dead tid's cached slots go back to the
+     shared list.  The tid is Quarantined while this runs, so its cache
+     has no concurrent owner. *)
+  a.cleaner <-
+    (fun dead ->
+      let c = a.caches.(dead) in
+      if c != no_cache && c.(0) > 0 then begin
+        push_shared a c 1 c.(0);
+        c.(0) <- 0
+      end);
+  Registry.on_quarantine a.cleaner;
   (Obj.magic a : n arena)
 
-let arena_registered a = Atomic.get a.n_registered
-let arena_released a = Atomic.get a.n_released
-let arena_live a = arena_registered a - arena_released a
+let arena_registered a = Shard.get a.n_registered
+let arena_released a = Shard.get a.n_released
+
+(* Registered first: both shards only grow, so the difference read
+   this way never exceeds the slots that were live at the first read. *)
+let arena_live a =
+  let r = arena_registered a in
+  r - arena_released a
+
 let arena_capacity a = Atomic.get a.next_fresh
+
+let arena_cached a ~tid =
+  let c = a.caches.(tid) in
+  if c == no_cache then 0 else c.(0)
+
+let arena_shared_free a =
+  let rec go n s = if s < 0 then n else go (n + 1) (get_free_next a s) in
+  go 0 ((Atomic.get a.free_head land slot1_mask) - 1)
 
 (* {2 Word encoding} *)
 
@@ -255,20 +352,27 @@ let v_ptr_in a (n : 'a) : 'a view = word_of a n 0
 let v_of_state_in a (st : 'a state) : 'a view = encode a st
 let v_state_in a (v : 'a view) : 'a state = decode a v
 
-(* {2 Links} *)
+(* {2 Links}
 
-type 'a t = { word : int Atomic.t; arena : 'a arena }
+   A link is one heap block.  Field 0, [word], is the link word; the
+   atomic primitives act on field 0 of the block they are given, so
+   [w l] views the link itself as the [int Atomic.t] it holds.
+   Invariant: [word] is read and written only through [w], except by
+   the record literals in [make_in]/[make_of_view], which initialise it
+   before the link is published. *)
 
-let make_in a st = { word = Atomic.make (encode a st); arena = a }
-let make_of_view a (v : 'a view) =
-  { word = Atomic.make (v land payload_mask); arena = a }
-let view l : 'a view = Atomic.get l.word
+type 'a t = { mutable word : int; arena : 'a arena }
+
+let w (l : 'a t) : int Atomic.t = Obj.magic l
+let make_in a st = { word = encode a st; arena = a }
+let make_of_view a (v : 'a view) = { word = v land payload_mask; arena = a }
+let view l : 'a view = Atomic.get (w l)
 let v_target_exn l v = v_node l.arena v
 let v_state l v = decode l.arena v
 
 let rec exchange_v l (v : 'a view) : 'a view =
-  let cur = Atomic.get l.word in
-  if Atomic.compare_and_set l.word cur (v_after cur v) then cur
+  let cur = Atomic.get (w l) in
+  if Atomic.compare_and_set (w l) cur (v_after cur v) then cur
   else exchange_v l v
 
 let set_v l v = ignore (exchange_v l v)
@@ -278,14 +382,14 @@ let set_v l v = ignore (exchange_v l v)
    current word is re-read until the CAS lands or the payload differs. *)
 let rec cas_v l (expected : 'a view) (desired : 'a view) =
   if v_has_target expected then
-    Atomic.compare_and_set l.word expected (v_after expected desired)
+    Atomic.compare_and_set (w l) expected (v_after expected desired)
   else
-    let cur = Atomic.get l.word in
+    let cur = Atomic.get (w l) in
     cur land payload_mask = expected land payload_mask
-    && (Atomic.compare_and_set l.word cur (v_after cur desired)
+    && (Atomic.compare_and_set (w l) cur (v_after cur desired)
        || cas_v l expected desired)
 
-let get l = decode l.arena (Atomic.get l.word)
+let get l = decode l.arena (Atomic.get (w l))
 let set l st = set_v l (encode l.arena st)
 
 let target = function

@@ -2,7 +2,8 @@
 
     In the C++ original a link is a raw [std::atomic<Node*>] whose low
     bits carry deletion marks and whose CAS compares machine words.
-    Here a link is one [int Atomic.t]: the target's slot in a
+    Here a link is one heap block whose first field is the link word,
+    accessed with the atomic primitives: the target's slot in a
     per-structure {!arena} shifted left 3, the mark/flag/tag bits in
     the low bits ([Null] = 0, [Poison] = 1), and a {e write stamp} in
     the high bits.  Reads allocate nothing and CAS is a genuine word
@@ -33,7 +34,8 @@ type 'a state =
   | Poison
 
 type 'a t
-(** A link: one atomic word plus the arena its targets live in. *)
+(** A link: one block holding the atomic word and the arena its
+    targets live in. *)
 
 type 'a view = private int
 (** What a link holds: the raw word, stamp included.  Reading,
@@ -43,25 +45,35 @@ type 'a view = private int
 
     A word names its target by index into a per-structure arena: a
     lock-free chunked table whose chunks never move (so a registration
-    store cannot be lost to growth) with a version-counted free-list of
-    recycled slots.  A slot keeps its last occupant until reuse —
-    type-stable memory, the same assumption the paper's reclamation
-    schemes already make.  Registration happens on the thread that
-    still owns the node privately; release is wired through
-    {!Memdom.Hdr.t} by the allocator when the node is freed.  A node
-    belongs to one arena. *)
+    store cannot be lost to growth).  A slot keeps its last occupant
+    until reuse — type-stable memory, the same assumption the paper's
+    reclamation schemes already make.  Registration happens on the
+    thread that still owns the node privately; release is wired
+    through {!Memdom.Hdr.t} by the allocator when the node is freed.  A
+    node belongs to one arena.
+
+    {b Slot reuse is thread-local.}  A released slot goes to the
+    releasing tid's own LIFO cache of at most {!arena_cache_cap} slots,
+    and a registration takes from the registering tid's cache first,
+    so a release followed by a registration on one tid touches no
+    shared word.  A version-counted free list backs the caches and is
+    touched only in batches: a full cache spills its older half onto
+    it, an empty cache refills up to half its capacity from it, and a
+    quarantine cleaner ({!Registry.on_quarantine}, held by the arena)
+    hands a departing tid's cached slots back to it. *)
 
 type 'a arena
 
 val arena :
   slot_of:('a -> int) ->
-  on_register:('a -> int -> release:(int -> unit) -> unit) ->
+  on_register:('a -> int -> release:(tid:int -> int -> unit) -> unit) ->
   unit ->
   'a arena
 (** [arena ~slot_of ~on_register ()] builds a handle table.  [slot_of]
     reads the node's stored slot (-1 when unregistered); [on_register]
     stores a freshly assigned slot and the [release] callback into the
-    node (typically its header), to be invoked once when the node is
+    node (typically its header), to be invoked once, as
+    [release ~tid slot] by the freeing thread [tid], when the node is
     freed. *)
 
 val arena_registered : 'a arena -> int
@@ -70,6 +82,16 @@ val arena_live : 'a arena -> int
 val arena_capacity : 'a arena -> int
 (** Diagnostics: total registrations, released slots, their
     difference, and the bump-allocated slot high-water. *)
+
+val arena_cache_cap : int
+(** Capacity of a tid's slot cache. *)
+
+val arena_cached : 'a arena -> tid:int -> int
+(** Slots in [tid]'s cache (whitebox tests). *)
+
+val arena_shared_free : 'a arena -> int
+(** Length of the shared free list (whitebox tests; walk it only
+    while no thread registers or releases). *)
 
 (** {2 Construction} *)
 

@@ -1,17 +1,17 @@
-(* A cache line is 64-128 bytes; a spacer of 16 words keeps two
-   consecutively allocated atomics from sharing one even with headers. *)
-let spacer_words = 16
+(* A cache line is 64-128 bytes; a 16-word cell (17 with its header)
+   keeps two cells off one line wherever the heap places them. *)
+let cell_words = 16
 
-let atomic_array n v =
-  Array.init n (fun _ ->
-      let a = Atomic.make v in
-      (* allocate a spacer so the next element lands further away; kept
-         unreachable, reclaimed by the GC eventually — the point is only
-         the allocation distance at creation time *)
-      ignore (Sys.opaque_identity (Array.make spacer_words 0));
-      a)
+(* Each cell is one 16-word block whose field 0 is the atomic's value:
+   the atomic primitives act on field 0 of the block they are given,
+   so the block is the [Atomic.t].  Invariant: fields 1.. are never
+   read or written. *)
+let padded_atomic (v : 'a) : 'a Atomic.t =
+  let b = Array.make cell_words (Obj.repr 0) in
+  Array.unsafe_set b 0 (Obj.repr v);
+  Obj.magic b
+
+let atomic_array n v = Array.init n (fun _ -> padded_atomic v)
 
 let atomic_matrix rows cols v =
-  Array.init rows (fun _ ->
-      ignore (Sys.opaque_identity (Array.make spacer_words 0));
-      atomic_array cols v)
+  Array.init rows (fun _ -> Array.init cols (fun _ -> Atomic.make v))

@@ -1,17 +1,20 @@
-(** Best-effort false-sharing mitigation for arrays of atomics.
+(** False-sharing control for arrays of atomics.
 
-    OCaml gives no layout control, but each [Atomic.t] is its own heap
-    block, so interleaving spacer allocations between consecutive
-    elements usually lands hot atomics on distinct cache lines.  The
-    paper's schemes keep per-thread hazard and handover slots in exactly
-    such arrays; spacing them out removes a systematic bias when
-    comparing schemes.  Purely an allocation-pattern hint: semantics are
-    identical to [Array.init n (fun _ -> Atomic.make v)]. *)
+    OCaml gives no layout control, and a spacer allocated between two
+    atomics does not keep them apart: it dies, and the first minor
+    collection promotes the survivors next to each other, so plain
+    [Atomic.t] cells end up 16 bytes apart.  {!atomic_array} instead
+    makes each cell one 16-word block read and written as an atomic
+    through its first field, so no two cells share a cache line after
+    promotion either.  Semantics are those of
+    [Array.init n (fun _ -> Atomic.make v)]. *)
 
 val atomic_array : int -> 'a -> 'a Atomic.t array
-(** [atomic_array n v]: [n] atomics initialized to [v], allocated with
-    cache-line-sized spacing between them. *)
+(** [atomic_array n v]: [n] atomics initialized to [v], each in its own
+    cache-line-sized block — for per-thread cells written by different
+    threads ({!Shard}'s counters). *)
 
 val atomic_matrix : int -> int -> 'a -> 'a Atomic.t array array
-(** [atomic_matrix rows cols v]: row-spaced matrix, rows padded apart —
-    the [hp.(tid).(idx)] shape used by the schemes. *)
+(** [atomic_matrix rows cols v]: the [hp.(tid).(idx)] shape used by the
+    schemes, with plain atomics: rows and cells stay packed, which is
+    what a scanner walking every row wants. *)

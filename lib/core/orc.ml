@@ -126,7 +126,7 @@ type ('n, 'b) core = {
 }
 
 let uid c n = (c.hdr n).Memdom.Hdr.uid
-let orc_word c n = (c.hdr n).Memdom.Hdr.orc
+let orc_word c n = Memdom.Hdr.orc (c.hdr n)
 
 let note_retired c ~tid n =
   let h = c.hdr n in
@@ -489,7 +489,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   let name = B.name
   let alloc_ctx t = t.alloc
-  let orc_word n = (N.hdr n).Memdom.Hdr.orc
+  let orc_word n = Memdom.Hdr.orc (N.hdr n)
   let uid n = (N.hdr n).Memdom.Hdr.uid
 
   (* Placeholder carried where a view has no target; only ever written
@@ -623,7 +623,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
       (* slot 0 is the permanently-reserved scratch hazard *)
       ignore (Bitmask.acquire free_idx ~from:0);
       {
-        hp_uid = Padded.atomic_array max_haz (-1);
+        hp_uid = Array.init max_haz (fun _ -> Atomic.make (-1));
         used_haz = Array.make max_haz 0;
         free_idx;
       }

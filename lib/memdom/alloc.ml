@@ -101,25 +101,26 @@ let hdr t ?label () =
   let tid = Atomicx.Registry.tid () in
   match t.pool with
   | None -> fresh t ~tid ?label ()
-  | Some p -> (
-      match Pool.acquire p ~tid with
-      | None -> fresh t ~tid ?label ()
-      | Some h ->
-          (* recycled hit: restamp the same header — one CAS plus field
-             stores, no minor-heap allocation.  The first life's label
-             is kept (per-call [?label] is a diagnostic nicety; the
-             pool trades it for the alloc-free hit path). *)
-          let uid = next_uid t ~tid in
-          Hdr.recycle h ~uid ~birth_era:(Atomic.get t.era_clock);
-          Obs.Sink.on_recycle t.sink ~tid ~uid ~gen:(Hdr.generation h);
-          h)
+  | Some p ->
+      let h = Pool.acquire p ~tid in
+      if h == Pool.miss then fresh t ~tid ?label ()
+      else begin
+        (* recycled hit: restamp the same header — one CAS plus field
+           stores, no minor-heap allocation.  The first life's label is
+           kept (per-call [?label] is a diagnostic nicety; the pool
+           trades it for the alloc-free hit path). *)
+        let uid = next_uid t ~tid in
+        Hdr.recycle h ~uid ~birth_era:(Atomic.get t.era_clock);
+        Obs.Sink.on_recycle t.sink ~tid ~uid ~gen:(Hdr.generation h);
+        h
+      end
 
 let free t h =
   Hdr.mark_freed h;
   (* Freed ⇒ no scheme protects the object, so its link arena
      slot (if it ever got one) can be recycled for a future node. *)
-  Hdr.release_slot h;
   let tid = Atomicx.Registry.tid () in
+  Hdr.release_slot h ~tid;
   Atomicx.Shard.incr t.n_freed ~tid;
   Obs.Sink.on_free t.sink ~tid ~uid:h.Hdr.uid ~retired_ns:h.Hdr.retired_ns;
   match t.pool with None -> () | Some p -> Pool.release p ~tid h

@@ -25,17 +25,27 @@ type lifecycle = Live | Retired | Freed
    load, and retire-side stamping allocates nothing.  [retired_ns]
    stays a plain field (single-writer diagnostic timestamp). *)
 
+(* Field 0 is the [_orc] word: the atomic primitives act on field 0 of
+   the block they are given, so [orc t] views the header itself as
+   that [int Atomic.t] and the count shares the header's block (and
+   the cache line [uid] sits on).  Invariant: [_orc] is read and
+   written only through [orc], except by the record literal in [make],
+   which initialises it before the header is handed out.  Only one
+   word per block can use this view, so [state] and [eras] stay
+   separate atomics. *)
 type t = {
+  mutable _orc : int;
   mutable uid : int;
   label : string;
   strict : bool;
   state : int Atomic.t;
-  orc : int Atomic.t;
   eras : int Atomic.t;
   mutable retired_ns : int;
   mutable slot : int;
-  mutable slot_release : int -> unit;
+  mutable slot_release : tid:int -> int -> unit;
 }
+
+let orc (t : t) : int Atomic.t = Obj.magic t
 
 let orc_initial = 1 lsl 22
 
@@ -52,15 +62,15 @@ let death_none = era_mask
 
 let pack_eras ~birth ~death = (birth land era_mask) lor (death lsl era_bits)
 
-let no_release (_ : int) = ()
+let no_release ~tid:_ (_ : int) = ()
 
 let make ~uid ~label ~strict ~birth_era =
   {
+    _orc = orc_initial;
     uid;
     label;
     strict;
     state = Atomic.make live_bits;
-    orc = Atomic.make orc_initial;
     eras = Atomic.make (pack_eras ~birth:birth_era ~death:death_none);
     retired_ns = 0;
     slot = -1;
@@ -159,19 +169,19 @@ let rec recycle t ~uid ~birth_era =
     t.uid <- uid;
     Atomic.set t.eras (pack_eras ~birth:birth_era ~death:death_none);
     t.retired_ns <- 0;
-    Atomic.set t.orc orc_initial
+    Atomic.set (orc t) orc_initial
   end
 
 (* Hand the header's arena slot back to its table, exactly once.  Called
    by [Alloc.free] after the Freed transition: at that point no scheme
    protects the object, so the slot may be recycled for a future node.
    (The slot keeps its last occupant until then — type-stable memory.) *)
-let release_slot t =
+let release_slot t ~tid =
   if t.slot >= 0 then begin
     let s = t.slot and release = t.slot_release in
     t.slot <- -1;
     t.slot_release <- no_release;
-    release s
+    release ~tid s
   end
 
 let pp fmt t =

@@ -20,9 +20,10 @@
     - [state]: lifecycle in the low 2 bits, generation above.  The
       Live↔Retired transitions are single [Atomic.fetch_and_add]s — no
       read-before-CAS, no loop, no allocation.
-    - [orc]: the OrcGC [_orc] word (22-bit count, BRETIRED, sequence,
-      Algorithm 3) — always one word, manipulated by the orc schemes
-      with mask arithmetic.
+    - [_orc]: the OrcGC [_orc] word (22-bit count, BRETIRED, sequence,
+      Algorithm 3) — the header's own first field, read and written as
+      an atomic through {!orc} by the orc schemes with mask
+      arithmetic.
     - [eras]: birth and death hazard-era stamps packed 31+31 into one
       atomic word, so a reader gets a torn-free pair from one load and
       retire-side stamping never allocates.  Read through
@@ -38,6 +39,9 @@ exception Double_retire of string
 type lifecycle = Live | Retired | Freed
 
 type t = {
+  mutable _orc : int;
+      (** field 0, the OrcGC word: 22-bit count, BRETIRED, sequence.
+          Read and written only through {!orc}. *)
   mutable uid : int;
       (** unique allocation id, for diagnostics.  Mutable only so
           {!recycle} can restamp a pooled header; uids never repeat —
@@ -45,7 +49,6 @@ type t = {
   label : string;  (** type/owner label, for diagnostics *)
   strict : bool;  (** raise on access-after-free? *)
   state : int Atomic.t;  (** lifecycle in low bits, generation above *)
-  orc : int Atomic.t;  (** OrcGC word: 22-bit count, BRETIRED, sequence *)
   eras : int Atomic.t;
       (** hazard eras, packed: birth in bits 0–30, death in bits 31–61
           (all-ones death = not retired).  Use the accessors. *)
@@ -58,10 +61,15 @@ type t = {
   mutable slot : int;
       (** link arena slot, -1 when unregistered.  Written by the
           registering thread while it still privately owns the node. *)
-  mutable slot_release : int -> unit;
-      (** how to hand [slot] back to its arena; installed at
-          registration, reset by {!release_slot}. *)
+  mutable slot_release : tid:int -> int -> unit;
+      (** how to hand [slot] back to its arena (as [release ~tid slot]
+          from the freeing tid); installed at registration, reset by
+          {!release_slot}. *)
 }
+
+val orc : t -> int Atomic.t
+(** The header's [_orc] word as an atomic: a view of the header's own
+    block (its field 0), not a separate cell. *)
 
 val lifecycle : t -> lifecycle
 val generation : t -> int
@@ -114,9 +122,10 @@ val recycle : t -> uid:int -> birth_era:int -> unit
     still live (or racing another recycler for the same header) is a
     pool bug, reported with the same exception a double [free] gets. *)
 
-val release_slot : t -> unit
-(** Hand the arena slot (if any) back to its table, exactly once.
-    Called by [Alloc.free] after the Freed transition; idempotent. *)
+val release_slot : t -> tid:int -> unit
+(** Hand the arena slot (if any) back to its table, exactly once, from
+    the freeing thread [tid].  Called by [Alloc.free] after the Freed
+    transition; idempotent. *)
 
 val orc_initial : int
 (** Initial value of the [_orc] word ([ORC_ZERO], Algorithm 3 line 8). *)

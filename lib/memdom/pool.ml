@@ -29,16 +29,12 @@ type t = {
 
 let drain_batch = 64
 
-(* Slots hold the owner's hottest mutable word; space them out the same
-   way [Padded] spaces atomics so two owners' free-lists don't share a
-   cache line. *)
-let spacer_words = 16
-
+(* Slots are plain records, so after promotion two owners' slots may
+   share a cache line: a spacer allocated between them would die and be
+   packed away (see [Padded]). *)
 let mk_slots () =
   Array.init Registry.max_threads (fun _ ->
-      let s = { local = []; local_size = 0; transfer = Atomic.make [] } in
-      ignore (Sys.opaque_identity (Array.make spacer_words 0));
-      s)
+      { local = []; local_size = 0; transfer = Atomic.make [] })
 
 (* The allocating owner, recovered from the uid encoding
    [local_ticket * max_threads + tid] that [Alloc] stamps. *)
@@ -101,40 +97,40 @@ let release t ~tid h =
     push_transfer t.slots.(o).transfer h
   end
 
-let acquire t ~tid =
+let miss = Hdr.make ~uid:(-1) ~label:"pool.miss" ~strict:false ~birth_era:0
+
+let rec acquire t ~tid =
   let s = t.slots.(tid) in
-  let pop () =
-    match s.local with
-    | [] -> None
-    | h :: rest ->
-        s.local <- rest;
-        s.local_size <- s.local_size - 1;
-        Shard.incr t.hits ~tid;
-        Some h
+  match s.local with
+  | h :: rest ->
+      s.local <- rest;
+      s.local_size <- s.local_size - 1;
+      Shard.incr t.hits ~tid;
+      h
+  | [] -> acquire_slow t s ~tid
+
+(* The dry list's amortized slow path: drain remote frees, then
+   orphans, then pop again. *)
+and acquire_slow t s ~tid =
+  let refill batch n =
+    if n > 0 then begin
+      s.local <- List.rev_append batch s.local;
+      s.local_size <- s.local_size + n;
+      Shard.incr t.refills ~tid;
+      Obs.Sink.on_refill t.sink ~tid ~count:n
+    end
   in
-  match pop () with
-  | Some _ as r -> r
-  | None -> (
-      (* dry: amortized slow path — drain remote frees, then orphans *)
-      let refill batch n =
-        if n > 0 then begin
-          s.local <- List.rev_append batch s.local;
-          s.local_size <- s.local_size + n;
-          Shard.incr t.refills ~tid;
-          Obs.Sink.on_refill t.sink ~tid ~count:n
-        end
-      in
-      let batch, n = take_batch s.transfer in
-      refill batch n;
-      if n = 0 then begin
-        let adopted = Orphan.adopt t.orphans t.sink ~tid in
-        refill adopted (List.length adopted)
-      end;
-      match pop () with
-      | Some _ as r -> r
-      | None ->
-          Shard.incr t.misses ~tid;
-          None)
+  let batch, n = take_batch s.transfer in
+  refill batch n;
+  if n = 0 then begin
+    let adopted = Orphan.adopt t.orphans t.sink ~tid in
+    refill adopted (List.length adopted)
+  end;
+  match s.local with
+  | [] ->
+      Shard.incr t.misses ~tid;
+      miss
+  | _ :: _ -> acquire t ~tid
 
 let create sink =
   let slots = mk_slots () in

@@ -13,8 +13,8 @@
     transfer):
 
     - a {b local LIFO free-list}, owner-only: push on same-thread free,
-      pop on allocation — no atomics, no shared cache line on the hit
-      path (slots are allocation-padded apart);
+      pop on allocation — no atomics and no shared word on the hit
+      path;
     - a {b lock-free Treiber transfer stack} for remote frees (freeing
       tid ≠ allocating tid): the freeing thread CAS-pushes onto the
       {e owner}'s stack, and the owner drains it into its local list in
@@ -48,12 +48,16 @@ val create : Obs.Sink.t -> t
 val drain_batch : int
 (** Maximum headers moved local-ward per transfer-stack drain (K). *)
 
-val acquire : t -> tid:int -> Hdr.t option
+val miss : Hdr.t
+(** The header {!acquire} returns on a miss; never handed out, so
+    [h == miss] is the miss test. *)
+
+val acquire : t -> tid:int -> Hdr.t
 (** Pop a recycled header for [tid]: local list first; on a dry list,
     drain up to {!drain_batch} remote frees, then try adopting orphaned
-    free-lists.  [Some h] counts a hit ([h] is still [Freed] — the
-    caller restamps it with {!Hdr.recycle}); [None] counts a miss and
-    the caller builds a fresh header. *)
+    free-lists.  A recycled header counts a hit (it is still [Freed] —
+    the caller restamps it with {!Hdr.recycle}); {!miss} counts a miss
+    and the caller builds a fresh header.  A hit allocates nothing. *)
 
 val release : t -> tid:int -> Hdr.t -> unit
 (** Return a [Freed] header to the pool: local push when [tid] owns it,

@@ -6,8 +6,16 @@ open Atomicx
    (same shape as the null {!Sink}). *)
 let clock = Atomic.make 0
 
+(* The last tick before a [pause]: the next [advance] resumes after
+   it, so ticks stay increasing across a pause. *)
+let paused_at = Atomic.make 0
+
 let tick () = Atomic.get clock
-let advance () = 1 + Atomic.fetch_and_add clock 1
+
+let rec advance () =
+  let t = Atomic.get clock in
+  let n = (if t = 0 then Atomic.get paused_at else t) + 1 in
+  if Atomic.compare_and_set clock t n then n else advance ()
 
 (* Per-tid rows live in one plain int array, one cache line per tid:
    stamp at [+0] (tick at outermost enter, 0 = idle), generation at
@@ -125,3 +133,10 @@ let check ?(max_age = 3) () =
     Hashtbl.fold (fun tid age acc -> (tid, age) :: acc) worst []
     |> List.sort compare
   end
+
+let pause () =
+  let t = Atomic.get clock in
+  if t > 0 then Atomic.set paused_at t;
+  Atomic.set clock 0;
+  List.iter (fun t -> Array.fill t.rows 0 (Array.length t.rows) 0)
+    (live_tables ())

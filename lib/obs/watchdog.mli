@@ -37,8 +37,17 @@ val tick : unit -> int
 (** The global logical tick; 0 until a sampler first {!advance}s. *)
 
 val advance : unit -> int
-(** Bump the global tick and return its new value.  Called once per
+(** Bump the global tick (resuming after a {!pause}) and return its new
+    value.  Called once per
     sampler interval; tests may drive it manually. *)
+
+val pause : unit -> unit
+(** Return the tick to 0 and clear every row: guard paths go back to
+    their idle one-read mode, as before any sampler started.  The next
+    {!advance} resumes after the last tick, so sampled series stay
+    increasing.  Call only with no sampler running and no guard open
+    (a bench alternating plane-off and plane-on rounds in one
+    process). *)
 
 val enter : t -> tid:int -> unit
 (** Guard acquisition: on the outermost nesting level, stamp the current

@@ -400,6 +400,162 @@ let test_link_cas_parallel_single_winner () =
   in
   check_int "single winner" 1 (List.fold_left ( + ) 0 winners)
 
+(* {2 The arena's per-tid slot cache}
+
+   Nodes that keep the release callback their registration installed,
+   so a test can free a slot the way [Alloc.free] does. *)
+type cnode = {
+  mutable c_slot : int;
+  mutable c_release : tid:int -> int -> unit;
+}
+
+let cache_arena () =
+  Link.arena
+    ~slot_of:(fun n -> n.c_slot)
+    ~on_register:(fun n s ~release ->
+      n.c_slot <- s;
+      n.c_release <- release)
+    ()
+
+let cnode () = { c_slot = -1; c_release = (fun ~tid:_ _ -> ()) }
+
+(* register [n] (through a pointer view, as a structure does) *)
+let reg ar n =
+  ignore (Link.v_ptr_in ar n);
+  n.c_slot
+
+let free ~tid n = n.c_release ~tid n.c_slot
+
+let test_link_one_block () =
+  let ar = cache_arena () in
+  let l = Link.make_in ar (Link.Ptr (cnode ())) in
+  check_int "word and arena in one block" 2 (Obj.size (Obj.repr l));
+  Link.set l Link.Poison;
+  check_bool "writes go to that block" true (Link.is_poison (Link.get l))
+
+let test_arena_release_register_same_tid () =
+  let tid = Registry.tid () in
+  let ar = cache_arena () in
+  let a = cnode () in
+  let s = reg ar a in
+  free ~tid a;
+  check_int "cached on the releasing tid" 1 (Link.arena_cached ar ~tid);
+  let b = cnode () in
+  check_int "slot reused" s (reg ar b);
+  check_int "cache drained" 0 (Link.arena_cached ar ~tid);
+  check_int "shared list untouched" 0 (Link.arena_shared_free ar);
+  check_int "no fresh slot" 1 (Link.arena_capacity ar);
+  check_int "live" 1 (Link.arena_live ar)
+
+let test_arena_cross_tid_release () =
+  let ar = cache_arena () in
+  let allocated =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Registry.with_tid (fun _ ->
+               let n = cnode () in
+               ignore (reg ar n);
+               n)))
+  in
+  let s = allocated.c_slot in
+  let freer, reissued, cached, shared =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Registry.with_tid (fun tid ->
+               free ~tid allocated;
+               let cached = Link.arena_cached ar ~tid in
+               let m = cnode () in
+               (tid, reg ar m, cached, Link.arena_shared_free ar))))
+  in
+  check_int "freed into the freeing tid's cache" 1 cached;
+  check_int "re-issued on the freeing tid" s reissued;
+  check_int "shared list untouched" 0 shared;
+  check_int "freer's cache handed back at exit" 0
+    (Link.arena_cached ar ~tid:freer)
+
+(* Fill the cache to its cap, spill, drain it and refill: the shared
+   list moves by half a cache exactly at the spill and the refill, and
+   never otherwise. *)
+let test_arena_spill_refill () =
+  let tid = Registry.tid () in
+  let cap = Link.arena_cache_cap and half = Link.arena_cache_cap / 2 in
+  let ar = cache_arena () in
+  let nodes = Array.init (cap + 1) (fun _ -> cnode ()) in
+  Array.iter (fun n -> ignore (reg ar n)) nodes;
+  check_int "fresh slots" (cap + 1) (Link.arena_capacity ar);
+  for i = 0 to cap - 1 do
+    free ~tid nodes.(i);
+    check_int "shared list untouched below the cap" 0
+      (Link.arena_shared_free ar)
+  done;
+  check_int "cache full" cap (Link.arena_cached ar ~tid);
+  free ~tid nodes.(cap);
+  check_int "spill moved the older half" half (Link.arena_shared_free ar);
+  check_int "cache keeps the newer half and the release" (cap - half + 1)
+    (Link.arena_cached ar ~tid);
+  check_int "the newest release is on top" nodes.(cap).c_slot
+    (reg ar (cnode ()));
+  let drained = Array.init (cap - half) (fun _ -> reg ar (cnode ())) in
+  check_int "cache empty" 0 (Link.arena_cached ar ~tid);
+  check_int "shared list untouched while the cache serves" half
+    (Link.arena_shared_free ar);
+  let refilled = reg ar (cnode ()) in
+  check_int "refill took half a cache" 0 (Link.arena_shared_free ar);
+  check_int "refill keeps the rest" (half - 1) (Link.arena_cached ar ~tid);
+  let rest = Array.init (half - 1) (fun _ -> reg ar (cnode ())) in
+  check_int "no fresh slot while any was free" (cap + 1)
+    (Link.arena_capacity ar);
+  let slots =
+    List.sort compare
+      ((nodes.(cap).c_slot :: refilled :: Array.to_list drained)
+      @ Array.to_list rest)
+  in
+  check_bool "every slot re-issued once"
+    true
+    (slots = List.init (cap + 1) Fun.id);
+  ignore (reg ar (cnode ()));
+  check_int "then a fresh slot" (cap + 2) (Link.arena_capacity ar)
+
+(* 100 short-lived domains each insert and remove keys of one orc list:
+   every exit hands the tid's cached slots back, so the arena stays no
+   larger than one domain's working set plus a cache, and once the list
+   is destroyed and flushed no slot is live. *)
+module Churn_list = struct
+  module O = Orc_core.Orc.Make (Ds.Orc_michael_list.N)
+  module L = Ds.Orc_michael_list.Impl (O)
+end
+
+let test_arena_domain_churn () =
+  let open Churn_list in
+  let l = L.create () in
+  let ar = O.arena (L.core l) in
+  let sentinels = Link.arena_live ar in
+  let per_domain = 20 in
+  let max_cached = ref 0 in
+  for d = 0 to 99 do
+    let tid =
+      Domain.join
+        (Domain.spawn (fun () ->
+             Registry.with_tid (fun tid ->
+                 for k = 1 to per_domain do
+                   ignore (L.add l ((d * per_domain) + k))
+                 done;
+                 for k = 1 to per_domain do
+                   ignore (L.remove l ((d * per_domain) + k))
+                 done;
+                 tid)))
+    in
+    max_cached := max !max_cached (Link.arena_cached ar ~tid)
+  done;
+  L.flush l;
+  check_int "no cache survives its domain" 0 !max_cached;
+  check_int "only the sentinels live" sentinels (Link.arena_live ar);
+  check_bool "capacity bounded" true
+    (Link.arena_capacity ar <= sentinels + per_domain + Link.arena_cache_cap);
+  L.destroy l;
+  L.flush l;
+  check_int "nothing live after destroy" 0 (Link.arena_live ar)
+
 let suite =
   [
     ( "atomicx",
@@ -449,5 +605,14 @@ let suite =
         Alcotest.test_case "link exchange" `Quick test_link_exchange;
         Alcotest.test_case "link CAS single winner" `Quick
           test_link_cas_parallel_single_winner;
+        Alcotest.test_case "link is one block" `Quick test_link_one_block;
+        Alcotest.test_case "arena reuses a slot on one tid" `Quick
+          test_arena_release_register_same_tid;
+        Alcotest.test_case "arena re-issues on the freeing tid" `Quick
+          test_arena_cross_tid_release;
+        Alcotest.test_case "arena cache spills and refills" `Quick
+          test_arena_spill_refill;
+        Alcotest.test_case "arena slots survive domain churn" `Quick
+          test_arena_domain_churn;
       ] );
   ]

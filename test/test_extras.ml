@@ -45,6 +45,28 @@ let test_padded_semantics () =
   Atomic.set m.(0).(0) "y";
   check_bool "no aliasing" true (Atomic.get m.(1).(0) = "x")
 
+(* Half the address of a block (its pointer read as a tagged int):
+   stable only for a major-heap block, which OCaml 5.1 never moves. *)
+let half_addr (x : 'a) : int = Obj.magic (Obj.repr x)
+
+(* After promotion and a full major cycle no two cells of an
+   [atomic_array] share a 128-byte line (plain atomics end up 16 bytes
+   apart). *)
+let test_padded_spacing () =
+  let arr = Padded.atomic_array 32 0 in
+  Gc.full_major ();
+  let addrs = Array.map half_addr arr in
+  Array.sort compare addrs;
+  let gap = ref max_int in
+  for i = 1 to Array.length addrs - 1 do
+    gap := min !gap (2 * (addrs.(i) - addrs.(i - 1)))
+  done;
+  check_bool (Printf.sprintf "closest cells %d bytes apart >= 128" !gap) true
+    (!gap >= 128);
+  Array.iteri (fun i a -> Atomic.set a i) arr;
+  ignore (Atomic.fetch_and_add arr.(3) 10);
+  check_int "cells still atomics" 13 (Atomic.get arr.(3))
+
 (* ------------------------------------------------------------------ *)
 (* Turn queue protocol corners *)
 
@@ -235,6 +257,8 @@ let suite =
         Alcotest.test_case "stats pp" `Quick test_stats_pp;
         Alcotest.test_case "padded arrays behave like arrays" `Quick
           test_padded_semantics;
+        Alcotest.test_case "padded cells a cache line apart" `Quick
+          test_padded_spacing;
         Alcotest.test_case "turn: empty polling clean" `Quick
           test_turn_empty_polling_is_clean;
         Alcotest.test_case "turn: interleaved empty/non-empty" `Slow

@@ -156,6 +156,28 @@ let test_watchdog_quarantine_clears () =
     (List.mem_assoc !stalled_tid (Obs.Watchdog.check ~max_age:3 ()));
   ignore (Sys.opaque_identity wd)
 
+(* A pause returns the tick to 0 and clears every row, so guards stop
+   stamping and a guard stamped before it is not blamed after; the
+   next advance resumes past the last tick. *)
+let test_watchdog_pause () =
+  let wd = Obs.Watchdog.create () in
+  Registry.with_tid @@ fun tid ->
+  let before = Obs.Watchdog.advance () in
+  Obs.Watchdog.enter wd ~tid;
+  Obs.Watchdog.pause ();
+  check_int "tick back to 0" 0 (Obs.Watchdog.tick ());
+  check_bool "nothing flagged while paused" true (Obs.Watchdog.check () = []);
+  Obs.Watchdog.leave wd ~tid;
+  Obs.Watchdog.enter wd ~tid;
+  let resumed = Obs.Watchdog.advance () in
+  check_int "resumes after the last tick" (before + 1) resumed;
+  for _ = 1 to 4 do
+    ignore (Obs.Watchdog.advance ())
+  done;
+  check_bool "neither guard stamped across the pause" false
+    (List.mem_assoc tid (Obs.Watchdog.check ~max_age:3 ()));
+  Obs.Watchdog.leave wd ~tid
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -203,6 +225,7 @@ let suite =
         Alcotest.test_case "watchdog lifecycle" `Quick test_watchdog_lifecycle;
         Alcotest.test_case "watchdog quarantine clears" `Quick
           test_watchdog_quarantine_clears;
+        Alcotest.test_case "watchdog pause" `Quick test_watchdog_pause;
         Alcotest.test_case "sampler end to end" `Quick
           test_sampler_end_to_end;
         Alcotest.test_case "stall injection battery" `Quick

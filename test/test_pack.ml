@@ -295,6 +295,25 @@ let test_zero_alloc_hdr () =
         incr uid
       done)
 
+(* A pool hit restamps a recycled header in place: with the pool
+   stocked for the warmup and the measured run, [Alloc.hdr] allocates
+   nothing. *)
+let test_zero_alloc_pool_hit () =
+  let a =
+    Memdom.Alloc.create ~mode:Memdom.Alloc.Pool ~sink:Obs.Sink.null
+      "pack-pool"
+  in
+  let n = 100 in
+  let stock = List.init (2 * n) (fun _ -> Memdom.Alloc.hdr a ()) in
+  List.iter (Memdom.Alloc.free a) stock;
+  let hits = Memdom.Alloc.pool_hits a and misses = Memdom.Alloc.pool_misses a in
+  check_zero "Alloc.hdr pool hit" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Memdom.Alloc.hdr a ()))
+      done);
+  check_int "every call hit" (hits + (2 * n)) (Memdom.Alloc.pool_hits a);
+  check_int "no miss" misses (Memdom.Alloc.pool_misses a)
+
 (* ------------------------------------------------------------------ *)
 (* Bit-layout boundaries of the [_orc] word (mirrors lib/core/orc.ml:
    bits 0-21 count biased at bit 22, bit 23 BRETIRED, sequence above) *)
@@ -332,6 +351,19 @@ let test_orc_word_bits () =
   let after = zero + seq_unit + 1 in
   check_int "retire delta: seq" 6 (oseq after);
   check_int "retire delta: count" (orc_zero + 1) (ocnt after)
+
+(* The [_orc] word is the header's own field 0, not a separate cell:
+   the count and the uid share one block. *)
+let test_orc_word_in_header () =
+  let h = Memdom.Hdr.make ~uid:7 ~label:"pack" ~strict:true ~birth_era:0 in
+  check_bool "Hdr.orc views the header itself" true
+    (Obj.repr (Memdom.Hdr.orc h) == Obj.repr h);
+  check_int "initialised" Memdom.Hdr.orc_initial
+    (Atomic.get (Memdom.Hdr.orc h));
+  ignore (Atomic.fetch_and_add (Memdom.Hdr.orc h) 5);
+  check_int "uid untouched by count updates" 7 h.Memdom.Hdr.uid;
+  check_int "count updated" (Memdom.Hdr.orc_initial + 5)
+    (Atomic.get (Memdom.Hdr.orc h))
 
 (* ------------------------------------------------------------------ *)
 (* Header transitions: the literal (lifecycle, generation) after every
@@ -459,6 +491,8 @@ let suite =
           (orc_zero_alloc (module Orc_hp) "orc-hp");
         Alcotest.test_case "hdr: packed lifecycle transitions allocate nothing"
           `Quick test_zero_alloc_hdr;
+        Alcotest.test_case "alloc: a pool hit allocates nothing" `Quick
+          test_zero_alloc_pool_hit;
         Alcotest.test_case "orc: dropping a held hard link allocates nothing"
           `Quick
           (orc_dec_zero_alloc (module Orc) "orc");
@@ -483,6 +517,8 @@ let suite =
       [
         Alcotest.test_case "orc word: count/seq/BRETIRED boundaries" `Quick
           test_orc_word_bits;
+        Alcotest.test_case "orc word: the header's own field" `Quick
+          test_orc_word_in_header;
         Alcotest.test_case "hdr: literal transitions and exceptions" `Quick
           test_header_transitions;
       ] );
