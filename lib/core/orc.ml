@@ -521,15 +521,20 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* {2 Counts (Algorithm 4) and the destructor} *)
 
-  (* The destructor: drop the node's outgoing hard links (each drop may
-     cascade through [dec]), then return the memory. *)
+  (* The destructor: return the memory, then drop the node's outgoing
+     hard links (each drop may cascade through [dec]).  Freeing first
+     ends [p]'s retire→free window before the cascade runs.  It is safe
+     because [p] is unreachable and unprotected here: the drops touch
+     only the record's own link blocks, which nobody else can reach,
+     and read neither [p]'s header nor its arena slot, so a re-issue of
+     either after the free cannot reach them. *)
   let rec delete t ~tid p =
+    Memdom.Alloc.free t.alloc (N.hdr p);
+    Shard.add t.pending ~tid (-1);
     N.iter_links p (fun l ->
         let old = Link.exchange_v l Link.v_null in
         (* the dropped hard link keeps the child alive until [dec] *)
-        if Link.v_has_target old then dec t ~tid (Link.v_target_exn l old));
-    Memdom.Alloc.free t.alloc (N.hdr p);
-    Shard.add t.pending ~tid (-1)
+        if Link.v_has_target old then dec t ~tid (Link.v_target_exn l old))
 
   (* incrementOrc (Algorithm 4 lines 38–43).  Caller must hold a
      protected reference to [p]. *)

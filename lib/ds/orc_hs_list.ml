@@ -19,28 +19,31 @@ module Impl (O : Intf.CORE with type node = node) = struct
   include Orc_michael_list.Impl (O)
 
   (* Wait-free lookup: one forward pass, straight through marked nodes,
-     no restart, no helping.  The hop reads the node's fields itself:
-     dune's default profile compiles modules opaque, so a call to
-     [Orc_michael_list.ord_of] would be an indirect call per hop. *)
+     no restart, no helping.  The walk is top-level and the body runs
+     under [O.with_guard2], so a lookup allocates nothing.  At the
+     key's node the mark is read from the word of its [next] link,
+     whose target is not protected (the rule {!Window} follows): only
+     the mark is needed, and a hop protects the successor it moves
+     to. *)
+  let rec walk g curr next key =
+    let c = O.Ptr.node_exn curr in
+    if ord_of c > key then false
+    else if c.ord = key then
+      not (Atomicx.Link.v_is_marked (Atomicx.Link.view c.next))
+    else begin
+      O.load g c.next next;
+      O.assign g curr next;
+      walk g curr next key
+    end
+
+  let contains_in g t key =
+    let curr = O.ptr g and next = O.ptr g in
+    O.load g (anchor t) curr;
+    walk g curr next key
+
   let contains t key =
     check_key key;
-    O.with_guard (core t) (fun g ->
-        let curr = O.ptr g and next = O.ptr g in
-        O.load g (anchor t) curr;
-        let rec walk () =
-          let c = O.Ptr.node_exn curr in
-          Memdom.Hdr.check_access c.hdr;
-          if c.ord > key then false
-          else begin
-            O.load g c.next next;
-            if c.ord = key then not (O.Ptr.is_marked next)
-            else begin
-              O.assign g curr next;
-              walk ()
-            end
-          end
-        in
-        walk ())
+    O.with_guard2 (core t) contains_in t key
 end
 
 module Make () = Impl (Orc_core.Orc.Make (N))

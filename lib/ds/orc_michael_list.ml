@@ -13,7 +13,7 @@
     The list's find/insert/delete is {!Window}, the one copy of
     Michael's window in this library: the Herlihy–Shavit list
     ({!Orc_hs_list}) runs it for [add]/[remove], and the split-ordered
-    map ({!Orc_split_map}) anchors it at a bucket entry.
+    map ({!Orc_split_map}) anchors it at a bucket dummy's [next].
 
     Handles hold raw link words ([O.Ptr.view]), window validation
     compares words ([Link.view_eq] — sound because the word's target is
@@ -49,17 +49,46 @@ module Window (O : Intf.CORE with type node = node) = struct
      expectation.  [prev] protects the node that owns that link (or is
      irrelevant when it is the anchor).  Every step is a top-level
      function taking its state as arguments, so a find builds no
-     closure and returns no tuple. *)
+     closure and returns no tuple.
+
+     [next] is protected only to step to it or to unlink [curr]: a
+     find that stops at an unmarked [curr] reads [curr.next]'s word
+     for the mark and publishes nothing for its target, so [next]
+     holds no meaningful view on return.  The protection, when taken,
+     is sound by the link-word stamp: [nv] is read, then [curr] is
+     validated as still linked, then [next] is loaded.  A load that
+     finds [curr.next] still [view_eq] to [nv] saw no write to it in
+     between.  When [nv] is unmarked, [curr] was therefore never
+     marked in that span, hence still linked (a node is marked before
+     it is unlinked), so [next] was reachable when its hazard went up.
+     When [nv] is marked, the unlink CAS that follows succeeds only if
+     [prev_link] still holds [curr]'s stamped word, i.e. [curr] stayed
+     linked through the load; a lost CAS restarts without reading
+     [next]. *)
   let rec find restarts g anchor ord ~prev ~curr ~next =
     O.load g anchor curr;
     find_from restarts g anchor ord ~prev ~curr ~next anchor
 
   and find_from restarts g anchor ord ~prev ~curr ~next prev_link =
     let c = O.Ptr.node_exn curr in
-    O.load g (next_of c) next;
+    (* [next_of] checks [c] is not freed, which covers [c.ord] below *)
+    let nv = Link.view (next_of c) in
     if not (Link.view_eq (Link.view prev_link) (O.Ptr.view curr)) then
       restart restarts g anchor ord ~prev ~curr ~next
-    else if O.Ptr.is_marked next then begin
+    else if (not (Link.v_is_marked nv)) && c.ord >= ord then prev_link
+    else begin
+      O.load g c.next next;
+      if not (Link.view_eq (O.Ptr.view next) nv) then
+        (* curr.next moved since [nv]: look again from the same curr
+           (not a restart — the window is still validated) *)
+        find_from restarts g anchor ord ~prev ~curr ~next prev_link
+      else step restarts g anchor ord ~prev ~curr ~next prev_link c
+    end
+
+  (* [next] holds [c.next]'s target, loaded against [nv]: unlink a
+     marked [c] or advance past an unmarked one. *)
+  and step restarts g anchor ord ~prev ~curr ~next prev_link c =
+    if O.Ptr.is_marked next then begin
       (* curr is logically deleted: unlink it physically; the window
          keeps validating against the word the CAS installs *)
       let unmarked =
@@ -74,8 +103,8 @@ module Window (O : Intf.CORE with type node = node) = struct
       end
       else restart restarts g anchor ord ~prev ~curr ~next
     end
-    else if ord_of c >= ord then prev_link
     else begin
+      (* unmarked, so c.ord < ord: find_from returned otherwise *)
       O.advance g prev curr next;
       find_from restarts g anchor ord ~prev ~curr ~next (next_of c)
     end

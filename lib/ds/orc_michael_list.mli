@@ -16,8 +16,8 @@ val ord_of : node -> int
 (** [n.ord], after checking [n] is not freed. *)
 
 (** Michael's window over a list sorted by [ord], anchored at a link
-    whose target is never retired while the structure lives (a
-    sentinel's or a dummy's [next], a bucket entry).  Each operation
+    whose owner is never retired while the structure lives (a
+    sentinel's or a bucket dummy's [next]).  Each operation
     takes the guard's [prev]/[curr]/[next] handles and counts its
     restarts in the given counter: a find restart, a lost insert CAS,
     a marked successor in [delete] and a lost mark CAS. *)
@@ -35,7 +35,9 @@ module Window (O : Intf.CORE with type node = node) : sig
       retires) the marked nodes it meets and stops at the first node
       with [ord_of >= ord], held in [curr].  Returns the predecessor
       link, whose content is [Ptr.view curr]; {!found} tells whether
-      [curr] carries [ord].  Allocates nothing. *)
+      [curr] carries [ord].  The stop node's successor is read for its
+      mark but not protected, so [next] holds nothing usable on
+      return.  Allocates nothing. *)
 
   val found : O.Ptr.t -> int -> bool
   (** [found curr ord]: after a {!find}, does [curr] carry [ord]? *)

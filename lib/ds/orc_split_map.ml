@@ -3,25 +3,30 @@
 
     The whole map is one Michael list sorted by so-key
     ({!Split_order}): every bucket is a dummy node spliced into that
-    list, the bucket directory is a never-moving segment table of entry
-    links, and growing the table is a single atomic doubling of the
+    list, the bucket directory is a never-moving segment table of bucket
+    anchors, and growing the table is a single atomic doubling of the
     bucket count — no node moves, nothing is rehashed, and (crucially
     for the reclamation story) a resize retires {e nothing} and, under
     OrcGC, flips no hard-link count: growing under churn adds zero
     reclamation traffic beyond the inserts and deletes themselves.
     Buckets are initialized lazily and recursively: bucket [b]'s dummy
-    is inserted by a list insert anchored at [parent b]'s dummy.
+    is inserted by a list insert anchored at [parent b]'s anchor.
 
     Find, insert and delete are {!Orc_michael_list.Window}, anchored
-    at a bucket entry, over the list's node with the so-key as its
+    at a bucket dummy's [next], over the list's node with the so-key as its
     order ([ord]).  So-keys are unique (the hash is a bijection), so
     so-key equality is key equality, and a node stores no key: the
-    quiesced [to_list] decodes it from the so-key.  Dummies are
-    never marked and never retired (only regular so-keys are ever
-    removed), so an entry link, once set, points at a live node until
-    [destroy].  Under OrcGC a dummy is kept alive by its entry (count
-    from the directory) plus its list predecessor, and dies when
-    [destroy] nulls the entries and the one list cascades.
+    quiesced [to_list] decodes it from the so-key.  Dummies are never
+    marked and never retired (only regular so-keys are ever removed),
+    exactly like the Michael list's head sentinel, so the directory
+    holds each initialized bucket's {e anchor} — its dummy's [next]
+    link — as a plain reference, and a lookup starts from that link
+    the way the Michael list starts from [head.next]: it touches
+    neither the dummy nor any directory link, and publishes no hazard
+    for the dummy.  The directory holds no counts: a dummy is pinned
+    by its list predecessor (it is never unlinked, so some live node
+    always links it), bucket 0's by [head_root], and all of them die
+    when [destroy] drops the two roots and the one list cascades.
 
     {!Make} runs on the paper's pass-the-pointer backend (scheme
     "orc"), {!Make_hp} on the hazard-pointer-backend ablation
@@ -55,8 +60,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
   module W = Window (O)
 
   type t = {
-    dir : node So.dir;
-    entry0 : node Link.t; (* bucket 0's entry, materialized at create *)
+    dir : node Link.t So.dir;
+        (* bucket b's cell: the next link of b's dummy, or unset *)
+    head_root : node Link.t; (* keeps bucket 0's dummy, the list head *)
     tail : node; (* sentinel, ord = max_int, never retired *)
     tail_root : node Link.t;
     buckets_a : int Atomic.t; (* current bucket count (power of two) *)
@@ -72,6 +78,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   let scheme_name = O.name
   let core t = t.orc
+  let directory t = t.dir
 
   let register_metrics t =
     let labels = [ ("map", "split"); ("scheme", O.name) ] in
@@ -87,33 +94,29 @@ module Impl (O : Intf.CORE with type node = node) = struct
     Obs.Metrics.probe reg ~labels ~counter:true "orcgc_map_grows_total" grows;
     [ buckets; lf100; grows ]
 
-  let mk_null g = O.new_link_v g Link.v_null
-
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode ("split_map/" ^ O.name) in
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let tp = O.ptr g in
         let tail =
-          O.alloc_node_into g tp (fun hdr ->
-              { ord = max_int; next = mk_null g; hdr })
+          O.alloc_node_into g (O.ptr g) (fun hdr ->
+              { ord = max_int; next = O.new_link_v g Link.v_null; hdr })
         in
-        let hp = O.ptr g in
         let head =
           (* bucket 0's dummy: so-key 0, first node of the one list *)
-          O.alloc_node_into g hp (fun hdr ->
+          O.alloc_node_into g (O.ptr g) (fun hdr ->
               {
                 ord = So.dummy 0;
                 next = O.new_link_v g (O.v_ptr orc tail);
                 hdr;
               })
         in
-        let dir = So.dir_create () in
-        let e0 = So.dir_entry dir ~mk_null g 0 in
+        let dir = So.dir_create ~unset:(O.new_link_v g Link.v_null) in
+        So.dir_set dir 0 head.next;
         let t =
           {
             dir;
-            entry0 = e0;
+            head_root = O.new_link_v g (O.v_ptr orc head);
             tail;
             tail_root = O.new_link_v g (O.v_ptr orc tail);
             buckets_a = Atomic.make initial_buckets;
@@ -125,7 +128,6 @@ module Impl (O : Intf.CORE with type node = node) = struct
             probes = [];
           }
         in
-        O.store_v g e0 (O.v_ptr orc head);
         t.probes <- register_metrics t;
         t)
 
@@ -134,31 +136,33 @@ module Impl (O : Intf.CORE with type node = node) = struct
   let grows t = Atomic.get t.grows
 
   (* Lazy recursive bucket initialization: the dummy goes in by the
-     window's insert-if-absent anchored at the parent's dummy, then one
-     CAS publishes it in the entry (idempotent — the dummy for an
-     so-key is unique).  The [dnode] handle is reused across levels, so
-     initializing a 20-deep ancestor chain costs no extra hazard
-     indexes. *)
-  let rec get_entry t g b ~prev ~curr ~next ~dnode =
-    let e = So.dir_entry t.dir ~mk_null g b in
-    if Link.v_is_null (Link.view e) then
-      init_bucket t g b e ~prev ~curr ~next ~dnode;
-    e
+     window's insert-if-absent anchored at the parent's anchor, then a
+     plain store publishes its [next] link in the directory
+     (idempotent — the dummy for an so-key is unique, and so is its
+     link).  A domain that dies between the insert and the store
+     leaves the cell unset; the next toucher finds the dummy by the
+     same insert-if-absent and stores it.  The [dnode] handle is reused
+     across levels, so initializing a 20-deep ancestor chain costs no
+     extra hazard indexes. *)
+  let rec anchor_of t g b ~prev ~curr ~next ~dnode =
+    let a = So.dir_get t.dir b in
+    if a != So.dir_unset t.dir then a
+    else init_bucket t g b ~prev ~curr ~next ~dnode
 
-  and init_bucket t g b e ~prev ~curr ~next ~dnode =
-    let parent_e = get_entry t g (So.parent b) ~prev ~curr ~next ~dnode in
+  and init_bucket t g b ~prev ~curr ~next ~dnode =
+    let parent_a = anchor_of t g (So.parent b) ~prev ~curr ~next ~dnode in
     let d =
       O.Ptr.node_exn
         (if
-           W.insert t.restarts t.orc g parent_e (So.dummy b) ~prev ~curr
+           W.insert t.restarts t.orc g parent_a (So.dummy b) ~prev ~curr
              ~next ~into:dnode
          then dnode
          else curr)
     in
-    (* d is protected (curr or dnode); publish it in the entry *)
-    let ev = Link.view e in
-    if Link.v_is_null ev then
-      ignore (O.cas_v g e ~expected:ev ~desired:(O.v_ptr t.orc d))
+    (* d is protected (curr or dnode) while its link is read *)
+    let a = d.next in
+    So.dir_set t.dir b a;
+    a
 
   let check_key key =
     if key < 0 || key > So.max_key then
@@ -176,9 +180,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
         && Atomic.compare_and_set t.buckets_a size (2 * size)
       then Atomic.incr t.grows
 
-  (* The initialized entry of hash [h]'s bucket at the current size. *)
-  let entry t g h ~prev ~curr ~next ~dnode =
-    get_entry t g
+  (* The anchor of hash [h]'s bucket at the current size. *)
+  let anchor t g h ~prev ~curr ~next ~dnode =
+    anchor_of t g
       (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
       ~prev ~curr ~next ~dnode
 
@@ -187,22 +191,22 @@ module Impl (O : Intf.CORE with type node = node) = struct
   let contains_in g t key =
     let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
     let h = So.hash key in
-    let e = entry t g h ~prev ~curr ~next ~dnode in
+    let a = anchor t g h ~prev ~curr ~next ~dnode in
     let ord = So.regular h in
-    ignore (W.find t.restarts g e ord ~prev ~curr ~next);
+    ignore (W.find t.restarts g a ord ~prev ~curr ~next);
     W.found curr ord
 
   let add_in g t key =
     let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
     let h = So.hash key in
-    let e = entry t g h ~prev ~curr ~next ~dnode in
-    W.insert t.restarts t.orc g e (So.regular h) ~prev ~curr ~next ~into:dnode
+    let a = anchor t g h ~prev ~curr ~next ~dnode in
+    W.insert t.restarts t.orc g a (So.regular h) ~prev ~curr ~next ~into:dnode
 
   let remove_in g t key =
     let prev = O.ptr g and curr = O.ptr g and next = O.ptr g and dnode = O.ptr g in
     let h = So.hash key in
-    let e = entry t g h ~prev ~curr ~next ~dnode in
-    W.delete t.restarts g e (So.regular h) ~prev ~curr ~next
+    let a = anchor t g h ~prev ~curr ~next ~dnode in
+    W.delete t.restarts g a (So.regular h) ~prev ~curr ~next
 
   let contains t key =
     check_key key;
@@ -224,7 +228,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     r
 
   let head_of t =
-    match Link.target (Link.get t.entry0) with
+    match Link.target (Link.get t.head_root) with
     | Some h -> h
     | None -> invalid_arg "Split_map: destroyed"
 
@@ -247,36 +251,38 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   let size t = List.length (to_list t)
 
-  (* Quiesced structural check: so-keys strictly increase along the
-     list (so the split ordering held through every grow), the walk
-     reaches the tail, and every initialized entry targets an unmarked
-     dummy carrying exactly its bucket's so-key. *)
+  (* Quiesced structural check, one walk of the list: so-keys strictly
+     increase (so the split ordering held through every grow), the
+     walk reaches the tail, every dummy is unmarked, and every set
+     directory cell is physically the [next] link of the dummy carrying
+     its bucket's so-key.  The walk matches each dummy's link against
+     its bucket's cell; since dummy so-keys are unique, the cells set
+     below the current size must all have been matched. *)
   let invariant t =
-    let ok = ref true in
+    let size = Atomic.get t.buckets_a in
+    let ok = ref true and matched = ref 0 in
     let rec walk n prev_so =
       if n != t.tail then begin
-        if ord_of n <= prev_so then ok := false;
+        let so = ord_of n in
+        if so <= prev_so then ok := false;
+        if So.is_dummy so then begin
+          if Link.is_marked (Link.get n.next) then ok := false;
+          let b = So.rev60 (so lsr 1) in
+          if b < size && So.dir_get t.dir b == n.next then incr matched
+        end;
         match Link.target (Link.get n.next) with
         | None -> ok := false (* only the tail terminates the list *)
-        | Some nx -> walk nx (ord_of n)
+        | Some nx -> walk nx so
       end
     in
     walk (head_of t) (-1);
-    O.with_guard t.orc (fun g ->
-        for b = 0 to Atomic.get t.buckets_a - 1 do
-          let e = So.dir_entry t.dir ~mk_null g b in
-          match Link.target (Link.get e) with
-          | None -> () (* lazily uninitialized is fine *)
-          | Some d ->
-              if ord_of d <> So.dummy b || Link.is_marked (Link.get d.next) then
-                ok := false
-        done);
-    !ok
+    let set = ref 0 in
+    for b = 0 to size - 1 do
+      if So.dir_get t.dir b != So.dir_unset t.dir then incr set
+    done;
+    !ok && !set = !matched
 
-  let destroy t =
-    let roots = ref [ t.tail_root ] in
-    So.dir_iter t.dir (fun e -> roots := e :: !roots);
-    O.release_roots t.orc !roots
+  let destroy t = O.release_roots t.orc [ t.head_root; t.tail_root ]
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

@@ -20,8 +20,9 @@ module type MAP = sig
 
   val invariant : t -> bool
   (** Quiesced structural check: so-keys strictly increase along the
-      list, the walk reaches the tail, and every initialized bucket
-      entry targets an unmarked dummy with the bucket's so-key. *)
+      list, the walk reaches the tail, every dummy is unmarked, and
+      every set directory cell is physically the [next] link of the
+      dummy carrying its bucket's so-key. *)
 
   val tuning : t -> Reclaim.Tuning.t
   (** The core's knob record; its {!Reclaim.Tuning.load_factor} drives
@@ -36,6 +37,10 @@ module Impl (O : Intf.CORE with type node = Orc_michael_list.node) : sig
   include MAP
 
   val core : t -> O.t
+
+  val directory : t -> Orc_michael_list.node Atomicx.Link.t Split_order.dir
+  (** The bucket directory (whitebox tests): bucket [b]'s cell is the
+      [next] link of [b]'s dummy, or the directory's unset value. *)
 end
 
 module Make () : MAP

@@ -8,7 +8,10 @@
      alone decides equality during traversal);
    - directory segments are never moved once published, mirroring the
      [Atomicx.Link] slot table: growth is one [Atomic.compare_and_set]
-     on the bucket count and lazy segment/bucket initialization. *)
+     on the bucket count and lazy segment/bucket initialization;
+   - a directory cell is written with a plain store, at most one value
+     per cell besides [unset]: callers store only the value that is
+     unique to the bucket, so racing writers store the same thing. *)
 
 let hash_bits = 60
 let hash_mask = (1 lsl hash_bits) - 1
@@ -68,36 +71,36 @@ let parent b =
   let rec msb acc v = if v <= 1 then acc else msb (acc + 1) (v lsr 1) in
   b land lnot (1 lsl msb 0 b)
 
-(* Bucket directory: a fixed array of lazily materialized segments.
-   Published segments never move, so an entry read never races a
-   growth copy — the doubling is just [size := 2 * size]. *)
+(* Bucket directory: a fixed array of lazily materialized segments of
+   plain cells.  Published segments never move, so a cell read never
+   races a growth copy — the doubling is just [size := 2 * size].  A
+   segment starts filled with the map's [unset] value; an empty array
+   marks a segment not yet materialized, so a read is two loads and no
+   option block. *)
 let seg_bits = 10
 let seg_size = 1 lsl seg_bits
 let n_segs = 1 lsl seg_bits
 let max_buckets = n_segs * seg_size
 
-type 'a dir = { segs : 'a Atomicx.Link.t array option Atomic.t array }
+type 'a dir = { segs : 'a array Atomic.t array; unset : 'a }
 
-let dir_create () = { segs = Array.init n_segs (fun _ -> Atomic.make None) }
+let dir_create ~unset =
+  { segs = Array.init n_segs (fun _ -> Atomic.make [||]); unset }
 
-let dir_entry dir ~mk_null x b =
-  let s = b lsr seg_bits in
+let dir_unset d = d.unset
+
+let dir_get d b =
+  let seg = Atomic.get d.segs.(b lsr seg_bits) in
+  if Array.length seg = 0 then d.unset else seg.(b land (seg_size - 1))
+
+let dir_set d b v =
+  let cell = d.segs.(b lsr seg_bits) in
   let seg =
-    match Atomic.get dir.segs.(s) with
-    | Some seg -> seg
-    | None ->
-        (* losing a materialization race drops an array of null links —
-           nothing holds a count, the GC takes it *)
-        let fresh = Array.init seg_size (fun _ -> mk_null x) in
-        if Atomic.compare_and_set dir.segs.(s) None (Some fresh) then fresh
-        else Option.get (Atomic.get dir.segs.(s))
+    let seg = Atomic.get cell in
+    if Array.length seg > 0 then seg
+    else
+      (* losing a materialization race drops an all-[unset] array *)
+      let fresh = Array.make seg_size d.unset in
+      if Atomic.compare_and_set cell seg fresh then fresh else Atomic.get cell
   in
-  seg.(b land (seg_size - 1))
-
-let dir_iter dir f =
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | None -> ()
-      | Some seg -> Array.iter f seg)
-    dir.segs
+  seg.(b land (seg_size - 1)) <- v

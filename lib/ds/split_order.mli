@@ -55,10 +55,12 @@ val parent : int -> int
 
 (** {2 Bucket directory}
 
-    A fixed table of lazily materialized segments of bucket-entry
-    links, mirroring the {!Atomicx.Link} slot table: published
-    segments never move, so doubling the bucket count is one atomic
-    store and costs no copying, no rehash and no retires. *)
+    A fixed table of lazily materialized segments of plain cells,
+    mirroring the {!Atomicx.Link} slot table: published segments never
+    move, so doubling the bucket count is one atomic store and costs no
+    copying, no rehash and no retires.  The split maps keep in bucket
+    [b]'s cell the [next] link of [b]'s dummy, the anchor a lookup
+    starts from. *)
 
 val seg_bits : int
 val seg_size : int
@@ -69,16 +71,19 @@ val max_buckets : int
 
 type 'a dir
 
-val dir_create : unit -> 'a dir
+val dir_create : unset:'a -> 'a dir
+(** An empty directory: every cell reads [unset] (compared physically
+    by callers) until {!dir_set}. *)
 
-val dir_entry :
-  'a dir -> mk_null:('x -> 'a Atomicx.Link.t) -> 'x -> int -> 'a Atomicx.Link.t
-(** [dir_entry d ~mk_null x b] is bucket [b]'s entry link, materializing
-    its segment on first touch ([mk_null x] builds each of the segment's
-    fresh null links; a raced materialization drops the loser's all-null
-    segment, which holds no counts).  With a closed [mk_null], a lookup
-    of a materialized segment allocates nothing. *)
+val dir_unset : 'a dir -> 'a
 
-val dir_iter : 'a dir -> ('a Atomicx.Link.t -> unit) -> unit
-(** Visit every entry link of every materialized segment (quiesced
-    helpers: destroy, invariant checks). *)
+val dir_get : 'a dir -> int -> 'a
+(** [dir_get d b] is bucket [b]'s cell, [unset] when never set.  Reads
+    two words and allocates nothing. *)
+
+val dir_set : 'a dir -> int -> 'a -> unit
+(** [dir_set d b v] stores [v] in bucket [b]'s cell with a plain store,
+    materializing its segment on first touch (a raced materialization
+    drops the loser's all-[unset] segment).  Storing is idempotent only
+    when every writer of a cell stores the same value — the caller's
+    contract, met by the dummy's link, which is unique per bucket. *)

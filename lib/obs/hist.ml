@@ -1,9 +1,39 @@
 open Atomicx
 
-(* 63 buckets cover the full non-negative int range: bucket b holds
-   values whose highest set bit is b, i.e. [2^b, 2^(b+1)); bucket 0
-   holds 0 and 1. *)
-let buckets = 63
+(* Log-linear buckets, [sub] = 8 per octave: values below [sub] get a
+   bucket each (bucket v holds v), and an octave [2^e, 2^(e+1)) with
+   e >= [sub_bits] splits into [sub] equal buckets of width
+   2^(e - sub_bits).  The index of v >= [sub] is
+   (e - sub_bits + 1) * sub + (the [sub_bits] bits below the top one),
+   which continues the exact range without a gap (bucket 8 holds 8, 15
+   holds 15, 16 holds 16-17).  A bucket spans at most 1/8 of its lower
+   edge, so a floor estimate is within 12.5% below the true value.
+   The top octave of a non-negative int is e = 61. *)
+let sub_bits = 3
+let sub = 1 lsl sub_bits
+let buckets = (61 - sub_bits + 2) * sub
+
+(* index of the highest set bit of v > 0 *)
+let msb v =
+  let e = ref 0 and v = ref v in
+  while !v > 1 do
+    v := !v lsr 1;
+    incr e
+  done;
+  !e
+
+let bucket_of v =
+  if v < sub then if v < 0 then 0 else v
+  else
+    let e = msb v in
+    ((e - sub_bits + 1) * sub) + ((v lsr (e - sub_bits)) land (sub - 1))
+
+(* Lower edge of a bucket — what quantile estimates report. *)
+let bucket_floor b =
+  if b < sub then b
+  else
+    let e = (b / sub) + sub_bits - 1 in
+    (sub + (b land (sub - 1))) lsl (e - sub_bits)
 
 type shard = {
   counts : int array;
@@ -15,23 +45,6 @@ type shard = {
 type t = { shards : shard option Atomic.t array (* [tid], lazy *) }
 
 let create () = { shards = Padded.atomic_array Registry.max_threads None }
-
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let b = ref 0 in
-    let v = ref v in
-    while !v > 1 do
-      v := !v lsr 1;
-      incr b
-    done;
-    !b
-  end
-
-(* Lower edge of a bucket — what quantile estimates report.  With
-   power-of-two buckets any estimate is within 2x of the true value,
-   which is the right resolution for latency orders of magnitude. *)
-let bucket_floor b = if b = 0 then 0 else 1 lsl b
 
 let shard_of t ~tid =
   match Atomic.get t.shards.(tid) with
@@ -84,7 +97,7 @@ let merged t =
 
 (* Quantile estimate over the merged buckets.  A rank landing in any
    bucket below the highest occupied one reports that bucket's floor
-   (within 2x below the true value, the histogram's native resolution).
+   (within 12.5% below the true value, the histogram's resolution).
    A rank landing in the {e top occupied} bucket interpolates linearly
    between the bucket floor and the exact recorded maximum instead:
    without this, a distribution saturating its top bucket pins every

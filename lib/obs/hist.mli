@@ -1,12 +1,13 @@
-(** Power-of-two-bucket latency histograms, sharded per thread.
+(** Log-linear latency histograms, sharded per thread.
 
     Recording touches only the calling thread's lazily-created shard
     (single writer, like {!Ring} and [Atomicx.Shard]), so the hot paths
     the benchmarks measure stay uncontended; {!report} merges the
-    registered shards on read.  Bucket [b] holds values in
-    [2^b, 2^(b+1)), so any quantile estimate is within 2x of the true
-    value — the right resolution for retire→free latencies, guard
-    durations and scan costs that span orders of magnitude. *)
+    registered shards on read.  Values below 8 get a bucket each, and
+    every octave [[2^e, 2^(e+1))] above splits into 8 equal buckets, so
+    a bucket's lower edge is within 12.5% below any value it holds —
+    fine enough to show a retire→free latency move by a fraction of an
+    octave, over a range that spans orders of magnitude. *)
 
 type t
 
@@ -17,7 +18,9 @@ val record : t -> tid:int -> int -> unit
     caller's shard.  [tid] must be the caller's registry id. *)
 
 val bucket_of : int -> int
-(** Bucket index of a value (index of its highest set bit). *)
+(** Bucket index of a non-negative value: the value itself below 8;
+    above, 8 per octave, by the three bits under the highest set
+    bit. *)
 
 val bucket_floor : int -> int
 (** Smallest value landing in bucket [b]. *)
@@ -25,7 +28,8 @@ val bucket_floor : int -> int
 type report = {
   count : int;
   mean : float;
-  p50 : int;  (** bucket-floor estimate: within 2x below the true p50 *)
+  p50 : int;
+      (** bucket-floor estimate: within 12.5% below the true p50 *)
   p99 : int;
   p999 : int;
       (** p99.9, for SLO reporting.  Like every quantile here it is a

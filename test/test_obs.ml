@@ -115,11 +115,29 @@ let test_null_sink_zero_cost () =
 
 let test_hist_buckets () =
   check_int "bucket_of 0" 0 (Obs.Hist.bucket_of 0);
-  check_int "bucket_of 1" 0 (Obs.Hist.bucket_of 1);
-  check_int "bucket_of 2" 1 (Obs.Hist.bucket_of 2);
-  check_int "bucket_of 1000" 9 (Obs.Hist.bucket_of 1000);
+  check_int "bucket_of 1" 1 (Obs.Hist.bucket_of 1);
+  check_int "bucket_of 2" 2 (Obs.Hist.bucket_of 2);
+  check_int "bucket_of 15" 15 (Obs.Hist.bucket_of 15);
+  check_int "bucket_of 16" 16 (Obs.Hist.bucket_of 16);
+  check_int "bucket_of 17" 16 (Obs.Hist.bucket_of 17);
+  (* 1000 = 0b1111101000: octave 2^9, sub-bucket 7 of width 64 *)
+  check_int "bucket_of 1000" 63 (Obs.Hist.bucket_of 1000);
   check_int "bucket_floor 0" 0 (Obs.Hist.bucket_floor 0);
-  check_int "bucket_floor 9" 512 (Obs.Hist.bucket_floor 9)
+  check_int "bucket_floor 63" 960 (Obs.Hist.bucket_floor 63);
+  check_int "bucket_of max_int" 479 (Obs.Hist.bucket_of max_int)
+
+(* Every value lies in [floor b, floor (b + 1)) of its bucket b, and
+   the floor is within 1/8 below it: the sub-octave resolution. *)
+let prop_hist_edges =
+  qtest "hist: floor <= v < next floor, within 12.5%"
+    QCheck2.Gen.(
+      oneof [ int_range 0 4096; int_range 0 (1 lsl 40); int_range 0 max_int ])
+    (fun v ->
+      let b = Obs.Hist.bucket_of v in
+      let lo = Obs.Hist.bucket_floor b in
+      lo <= v
+      && (b = Obs.Hist.bucket_of max_int || v < Obs.Hist.bucket_floor (b + 1))
+      && v - lo <= lo / 8)
 
 let test_hist_quantiles () =
   let h = Obs.Hist.create () in
@@ -130,8 +148,8 @@ let test_hist_quantiles () =
   Obs.Hist.record h ~tid 1_000_000;
   let r = Obs.Hist.report h in
   check_int "count" 101 r.Obs.Hist.count;
-  check_int "p50 is the common bucket's floor" 512 r.Obs.Hist.p50;
-  check_int "p99 still inside the common bucket" 512 r.Obs.Hist.p99;
+  check_int "p50 is the common bucket's floor" 960 r.Obs.Hist.p50;
+  check_int "p99 still inside the common bucket" 960 r.Obs.Hist.p99;
   check_int "max is exact" 1_000_000 r.Obs.Hist.max;
   check_bool "mean between the modes" true
     (r.Obs.Hist.mean > 1_000. && r.Obs.Hist.mean < 1_000_000.)
@@ -422,6 +440,7 @@ let suite =
         Alcotest.test_case "null sink costs nothing" `Quick
           test_null_sink_zero_cost;
         Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
+        prop_hist_edges;
         Alcotest.test_case "hist quantiles" `Quick test_hist_quantiles;
         Alcotest.test_case "hist merges shards" `Quick test_hist_merges_shards;
         Alcotest.test_case "hist empty report" `Quick test_hist_empty_report;

@@ -120,6 +120,99 @@ let test_long_chain_cascade () =
   check_int "entire chain reclaimed" 0 (Memdom.Alloc.live alloc);
   check_int "nothing pending" 0 (O.unreclaimed o)
 
+(* The destructor frees a node before it drops the node's outgoing
+   links, so in a chain drop each node's Free precedes its child's
+   Retire: the retire→free window does not include the cascade. *)
+let test_chain_drop_frees_before_child_retire () =
+  let sink = Obs.Sink.make ~capacity:(1 lsl 10) () in
+  let alloc = Memdom.Alloc.create ~sink "orc-free-first" in
+  let o = O.create alloc in
+  let root = Link.make_in (O.arena o) Link.Null in
+  let nodes =
+    O.with_guard o (fun g ->
+        let p = O.ptr g and q = O.ptr g in
+        List.map
+          (fun i ->
+            O.load g root q;
+            let node = O.alloc_node_into g p (mk o i) in
+            O.store_v g node.next (O.Ptr.view q);
+            O.store_v g root (O.v_ptr o node);
+            node)
+          [ 3; 2; 1 ])
+  in
+  O.with_guard o (fun g -> O.store_v g root Link.v_null);
+  check_int "chain reclaimed" 0 (Memdom.Alloc.live alloc);
+  let events = List.concat_map Array.to_list (Obs.Sink.events sink) in
+  let index kind (n : onode) =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s event" (Obs.Event.name kind)
+      | (e : Obs.Event.t) :: rest ->
+          if e.kind = kind && e.uid = n.hdr.Memdom.Hdr.uid then i
+          else go (i + 1) rest
+    in
+    go 0 events
+  in
+  (* [nodes] is built tail first: 3, 2, 1 with root -> 1 -> 2 -> 3 *)
+  match nodes with
+  | [ n3; n2; n1 ] ->
+      check_bool "1 freed before 2 retired" true
+        (index Obs.Event.Free n1 < index Obs.Event.Retire n2);
+      check_bool "2 freed before 3 retired" true
+        (index Obs.Event.Free n2 < index Obs.Event.Retire n3);
+      check_bool "3 retired before freed" true
+        (index Obs.Event.Retire n3 < index Obs.Event.Free n3)
+  | _ -> assert false
+
+(* Window's find protects a node's successor only to step to it or to
+   unlink the node: a find that stops at a node reads its [next] word
+   for the mark and publishes nothing for the successor. *)
+module Ml = Ds.Orc_michael_list
+module Lo = Orc_core.Orc.Make (Ml.N)
+module Lw = Ml.Window (Lo)
+module Ll = Ml.Impl (Lo)
+
+let test_find_protects_successor_only_to_move () =
+  let l = Ll.create () in
+  List.iter (fun k -> ignore (Ll.add l k)) [ 1; 2; 3 ];
+  let after (n : Ml.node) = Option.get (Link.target (Link.get n.Ml.next)) in
+  let n1 = Option.get (Link.target (Link.get (Ll.anchor l))) in
+  let n2 = after n1 in
+  let n3 = after n2 in
+  let tail = after n3 in
+  let restarts = Atomic.make 0 in
+  (* stop node, and which of [probes] the hazard row publishes *)
+  let find key probes =
+    Lo.with_guard (Ll.core l) (fun g ->
+        let prev = Lo.ptr g and curr = Lo.ptr g and next = Lo.ptr g in
+        ignore (Lw.find restarts g (Ll.anchor l) key ~prev ~curr ~next);
+        let row = Lo.hazard_row g in
+        let published (n : Ml.node) =
+          Array.exists (fun (u, _) -> u = n.Ml.hdr.Memdom.Hdr.uid) row
+        in
+        (Lo.Ptr.node_exn curr, List.map published probes))
+  in
+  let stop, pub = find 2 [ n2; n3 ] in
+  check_bool "stops at 2" true (stop == n2);
+  check_bool "stop node published, its successor not" true
+    (pub = [ true; false ]);
+  let stop, pub = find 3 [ n2; n3; tail ] in
+  check_bool "steps to 3" true (stop == n3);
+  check_bool "stepped-to node published, the stop's successor not" true
+    (pub = [ true; true; false ]);
+  (* mark 2 without unlinking it: the find for 2 must protect 3 to
+     unlink 2, and then stops at 3 *)
+  Lo.with_guard (Ll.core l) (fun g ->
+      let v = Link.view n2.Ml.next in
+      check_bool "marked 2" true
+        (Lo.cas_v g n2.Ml.next ~expected:v ~desired:(Link.v_mark v)));
+  let stop, pub = find 2 [ n3 ] in
+  check_bool "unlinked 2 and stopped at 3" true (stop == n3);
+  check_bool "the unlinked node's successor published" true (pub = [ true ]);
+  check_bool "2 gone" true (Ll.to_list l = [ 1; 3 ]);
+  check_int "no restarts" 0 (Atomic.get restarts);
+  Ll.destroy l;
+  check_int "no leak" 0 (Memdom.Alloc.live (Ll.alloc l))
+
 (* The count-transition cases, over either backend.  [B.eager]: the
    backend frees a claimed node where its last protection ends (PTP);
    otherwise (HP) the node waits for a scan, which [settle] forces
@@ -654,6 +747,10 @@ let suite =
           test_reinsertion_survives;
         Alcotest.test_case "long chain cascade, constant stack" `Slow
           test_long_chain_cascade;
+        Alcotest.test_case "chain drop frees before the child retires"
+          `Quick test_chain_drop_frees_before_child_retire;
+        Alcotest.test_case "find protects a successor only to move" `Quick
+          test_find_protects_successor_only_to_move;
         Alcotest.test_case "cas count transitions" `Quick C.test_cas_counts;
         Alcotest.test_case "failed cas moves nothing" `Quick
           C.test_cas_failure_no_count_change;

@@ -275,6 +275,33 @@ let map_ops_zero_alloc (module M : Ds.Orc_split_map.MAP) () =
   M.flush m;
   check_int "no leak" 0 (Memdom.Alloc.live (M.alloc m))
 
+(* The Herlihy–Shavit list's wait-free [contains], guard included: a
+   top-level walk under [with_guard2], reading the key node's mark from
+   its [next] word. *)
+module Hs_orc = Ds.Orc_hs_list.Make ()
+
+let hs_contains_zero_alloc () =
+  let l = Hs_orc.create ~mode:Memdom.Alloc.Pool () in
+  let keys = 256 in
+  for k = 1 to keys do
+    ignore (Hs_orc.add l (2 * k))
+  done;
+  let hits = ref 0 in
+  let each name key =
+    check_zero ("hs-orc contains " ^ name) (fun () ->
+        for k = 1 to keys do
+          if Hs_orc.contains l (key k) then incr hits
+        done)
+  in
+  each "(hit)" (fun k -> 2 * k);
+  each "(miss)" (fun k -> (2 * k) + 1);
+  check_int "every hit, nothing else" (2 * keys) !hits;
+  check_bool "removed" true (Hs_orc.remove l 2);
+  check_bool "a removed key reads absent" false (Hs_orc.contains l 2);
+  Hs_orc.destroy l;
+  Hs_orc.flush l;
+  check_int "no leak" 0 (Memdom.Alloc.live (Hs_orc.alloc l))
+
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation: header lifecycle transitions *)
 
@@ -512,6 +539,8 @@ let suite =
         Alcotest.test_case "hp: warm split-map operations allocate nothing"
           `Quick
           (map_ops_zero_alloc (module Map_hp));
+        Alcotest.test_case "orc: hs-list contains allocates nothing" `Quick
+          hs_contains_zero_alloc;
       ] );
     ( "pack_bits",
       [

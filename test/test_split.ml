@@ -125,6 +125,57 @@ let test_grow_under_churn_orc () =
 let test_grow_under_churn_hp () =
   grow_under_churn (module Sm_hp) "splitmap-hp"
 
+(* {2 the directory holds each bucket's anchor} *)
+
+let test_dir_cells () =
+  let d = So.dir_create ~unset:(-1) in
+  let probes = [ 0; 1; So.seg_size - 1; So.seg_size; So.max_buckets - 1 ] in
+  List.iter (fun b -> check_int "fresh cell unset" (-1) (So.dir_get d b)) probes;
+  List.iter (fun b -> So.dir_set d b b) probes;
+  List.iter (fun b -> check_int "cell set" b (So.dir_get d b)) probes;
+  check_int "neighbour in a materialized segment unset" (-1)
+    (So.dir_get d (So.seg_size + 1));
+  check_int "cell in an untouched segment unset" (-1)
+    (So.dir_get d (2 * So.seg_size))
+
+module Sm_orc_wb =
+  Ds.Orc_split_map.Impl (Orc_core.Orc.Make (Ds.Orc_michael_list.N))
+
+(* After a grow storm every set cell is physically its dummy's [next]
+   link — which [invariant] checks, and which a cell pointing at
+   another bucket's anchor breaks — and the roots alone reclaim the
+   whole map. *)
+let test_cells_are_anchors () =
+  let s = Sm_orc_wb.create () in
+  run_domains_exn 2 (fun ~i ~tid:_ ->
+      let rng = Atomicx.Rng.create ((i + 1) * 104_729) in
+      for _ = 1 to 4_000 do
+        let k = 1 + Atomicx.Rng.int rng 3_000 in
+        if Atomicx.Rng.int rng 4 = 0 then ignore (Sm_orc_wb.remove s k)
+        else ignore (Sm_orc_wb.add s k)
+      done);
+  check_bool "grew" true (Sm_orc_wb.grows s >= 3);
+  check_bool "invariant after the storm" true (Sm_orc_wb.invariant s);
+  let d = Sm_orc_wb.directory s in
+  let set =
+    List.filter
+      (fun b -> So.dir_get d b != So.dir_unset d)
+      (List.init (Sm_orc_wb.buckets s) Fun.id)
+  in
+  (match List.rev set with
+  | b :: b' :: _ ->
+      let saved = So.dir_get d b in
+      So.dir_set d b (So.dir_get d b');
+      check_bool "a cell holding another bucket's anchor is caught" false
+        (Sm_orc_wb.invariant s);
+      So.dir_set d b saved;
+      check_bool "restored" true (Sm_orc_wb.invariant s)
+  | _ -> Alcotest.fail "fewer than two buckets initialized");
+  Sm_orc_wb.destroy s;
+  Sm_orc_wb.flush s;
+  check_int "no leak" 0 (Memdom.Alloc.live (Sm_orc_wb.alloc s));
+  check_int "nothing unreclaimed" 0 (Sm_orc_wb.unreclaimed s)
+
 (* {2 load-factor knob drives the grow policy} *)
 
 let test_load_factor_knob () =
@@ -173,6 +224,10 @@ let suite =
           test_grow_under_churn_hp;
         Alcotest.test_case "load-factor knob defers growth" `Quick
           test_load_factor_knob;
+        Alcotest.test_case "directory cells: unset until set" `Quick
+          test_dir_cells;
+        Alcotest.test_case "every set cell is its dummy's next" `Quick
+          test_cells_are_anchors;
       ] );
     ( "split:key-range",
       (let outside = [ -1; So.max_key + 1 ] in
