@@ -27,7 +27,7 @@
      --metrics      sampler overhead, allocation audit, stall battery
      --background   retire tail latency inline vs background reclaimer,
                     neutralization and reclaimer-kill batteries
-     --adaptive     adaptive controller vs static EBR and static HP
+     --stall        EBR + neutralizing reclaimer vs static EBR and HP
 
    Each section checks its claims (guards) on its own typed rows; after
    the JSON is written, each violated guard prints `FAIL <section>:
@@ -60,22 +60,11 @@ type guard = string * bool
 let guard ok fmt = Printf.ksprintf (fun claim -> (claim, ok)) fmt
 
 let params =
-  if smoke then
-    {
-      Harness.Experiments.threads = [ 1; 2 ];
-      duration = 0.05;
-      list_keys = 200;
-      big_keys = 1_000;
-      csv = None;
-    }
-  else
-    {
-      Harness.Experiments.threads = [ 1; 2; 4 ];
-      duration = 0.15;
-      list_keys = 1_000;
-      big_keys = 20_000;
-      csv = None;
-    }
+  let threads, duration, list_keys, big_keys =
+    if smoke then ([ 1; 2 ], 0.05, 200, 1_000)
+    else ([ 1; 2; 4 ], 0.15, 1_000, 20_000)
+  in
+  { Harness.Experiments.threads; duration; list_keys; big_keys; csv = None }
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per structure family, measuring the
@@ -160,22 +149,31 @@ let run_micro () =
 let hist_report get sink =
   Option.map (fun h -> Obs.Hist.report h) (get sink)
 
+(* The report of a histogram that holds samples. *)
+let sampled get sink =
+  match get sink with
+  | Some h when Obs.Hist.count h > 0 -> Some (Obs.Hist.report h)
+  | _ -> None
+
+let hist_field name = function
+  | Some rep -> [ (name, Obs.Hist.report_to_json rep) ]
+  | None -> []
+
 (* Instant lifecycle events per name.  Recycle replaces Alloc on the pool
    hit path, so recycle / (alloc + recycle) is the pool hit rate. *)
 let print_trace_tally doc =
   let counts = Hashtbl.create 16 in
+  let count name = Option.value ~default:0 (Hashtbl.find_opt counts name) in
   (match Obs.Json.member "traceEvents" doc with
   | Some (Obs.Json.List evs) ->
       List.iter
         (fun ev ->
           match (Obs.Json.member "ph" ev, Obs.Json.member "name" ev) with
           | Some (Obs.Json.Str "i"), Some (Obs.Json.Str name) ->
-              Hashtbl.replace counts name
-                (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
+              Hashtbl.replace counts name (1 + count name)
           | _ -> ())
         evs
   | _ -> ());
-  let count name = Option.value ~default:0 (Hashtbl.find_opt counts name) in
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) counts []
   |> List.sort compare
   |> List.iter (fun (name, n) -> Format.printf "    %-10s %8d@." name n);
@@ -239,9 +237,7 @@ let tracing_json (traced, null_mops, active_mops, overhead_pct, _) =
   let open Harness in
   let scheme_json r =
     let hist name get =
-      match hist_report get r.Experiments.t_sink with
-      | Some rep -> [ (name, Obs.Hist.report_to_json rep) ]
-      | None -> []
+      hist_field name (hist_report get r.Experiments.t_sink)
     in
     Json.Obj
       ([
@@ -281,16 +277,8 @@ let run_churn () =
     (fun (name, battery) ->
       let sink = Obs.Sink.make () in
       let r = battery { Chaos.default with sink } in
-      let rf =
-        match Obs.Sink.retire_free_hist sink with
-        | Some h when Obs.Hist.count h > 0 -> Some (Obs.Hist.report h)
-        | _ -> None
-      in
-      let ad =
-        match Obs.Sink.adopt_hist sink with
-        | Some h when Obs.Hist.count h > 0 -> Some (Obs.Hist.report h)
-        | _ -> None
-      in
+      let rf = sampled Obs.Sink.retire_free_hist sink in
+      let ad = sampled Obs.Sink.adopt_hist sink in
       let p get = function
         | Some (rep : Obs.Hist.report) -> Printf.sprintf "%dns" (get rep)
         | None -> "-"
@@ -317,13 +305,8 @@ let churn_json results =
                 ("peak_unreclaimed", Json.Int r.Chaos.peak_unreclaimed);
                 ("ok", Json.Bool (Chaos.ok r));
               ]
-             @ (match rf with
-               | Some rep -> [ ("retire_free_ns", Obs.Hist.report_to_json rep) ]
-               | None -> [])
-             @
-             match ad with
-             | Some rep -> [ ("adopt_ns", Obs.Hist.report_to_json rep) ]
-             | None -> []) ))
+             @ hist_field "retire_free_ns" rf
+             @ hist_field "adopt_ns" ad) ))
        results)
 
 let churn_guards results =
@@ -498,11 +481,9 @@ let scan_run (module M : Reclaim.Scheme_intf.S with type node = snode) name
   M.end_op s ~tid:1;
   M.flush s;
   let rf_p50, rf_p99 =
-    match Obs.Sink.retire_free_hist sink with
-    | Some h when Obs.Hist.count h > 0 ->
-        let rep = Obs.Hist.report h in
-        (rep.Obs.Hist.p50, rep.Obs.Hist.p99)
-    | _ -> (-1, -1)
+    match sampled Obs.Sink.retire_free_hist sink with
+    | Some rep -> (rep.Obs.Hist.p50, rep.Obs.Hist.p99)
+    | None -> (-1, -1)
   in
   {
     sc_scheme = name;
@@ -549,6 +530,9 @@ let run_scan () =
       r)
     schemes
 
+(* -1 marks a value not measured *)
+let opt_int x = if x < 0 then Harness.Json.Null else Harness.Json.Int x
+
 let scan_json rows =
   let open Harness in
   Json.List
@@ -568,10 +552,8 @@ let scan_json rows =
              ("elided", Json.Int r.sc_elided);
              ("retire_ns", Json.Float r.sc_retire_ns);
              ("read_ns", Json.Float r.sc_read_ns);
-             ( "retire_free_p50_ns",
-               if r.sc_rf_p50 < 0 then Json.Null else Json.Int r.sc_rf_p50 );
-             ( "retire_free_p99_ns",
-               if r.sc_rf_p99 < 0 then Json.Null else Json.Int r.sc_rf_p99 );
+             ("retire_free_p50_ns", opt_int r.sc_rf_p50);
+             ("retire_free_p99_ns", opt_int r.sc_rf_p99);
            ])
        rows)
 
@@ -841,9 +823,7 @@ let pack_json rows =
              ("read_ns", Json.Float r.pk_read_ns);
              ("read_words_per_op", Json.Float r.pk_read_words);
              ("retire_ns", Json.Float r.pk_retire_ns);
-             ( "cas_retries",
-               if r.pk_cas_retries < 0 then Json.Null
-               else Json.Int r.pk_cas_retries );
+             ("cas_retries", opt_int r.pk_cas_retries);
            ])
        rows)
 
@@ -1166,12 +1146,8 @@ let metrics_guards (r : metrics_row) =
    The neutralization and reclaimer-kill batteries ride along, so the
    section's guards check the fault-tolerance claims too. *)
 
-type bg_lat = {
-  bl_p50_ns : float;
-  bl_p99_ns : float;
-  bl_p999_ns : float;
-  bl_max_ns : float;
-}
+(* Retire latency percentiles, ns: the JSON field name of each. *)
+type bg_lat = (string * float) list
 
 type background_row = {
   bk_ops : int;
@@ -1194,38 +1170,36 @@ let retire_latencies s alloc ~ops =
     lat.(k) <- float_of_int (Obs.Sink.now_ns () - t0)
   done;
   Array.sort compare lat;
-  {
-    bl_p50_ns = percentile lat 0.5;
-    bl_p99_ns = percentile lat 0.99;
-    bl_p999_ns = percentile lat 0.999;
-    bl_max_ns = lat.(ops - 1);
-  }
+  List.map
+    (fun (name, p) -> (name, percentile lat p))
+    [ ("p50_ns", 0.5); ("p99_ns", 0.99); ("p999_ns", 0.999); ("max_ns", 1.) ]
 
 let run_background () =
   Format.printf
     "@.== Background pipeline: retire tail latency, reclaimer batteries ==@.";
   Atomicx.Registry.reserve 8;
   let ops = if smoke then 20_000 else 60_000 in
-  (* inline side *)
-  let alloc_i = Memdom.Alloc.create ~sink:Obs.Sink.null "bg-bench-inline" in
-  let s_i = Scan_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc_i in
-  let inline = retire_latencies s_i alloc_i ~ops in
-  Scan_hp.flush s_i;
-  (* background side: fresh scheme, channel + reclaimer domain *)
-  let alloc_b = Memdom.Alloc.create ~sink:Obs.Sink.null "bg-bench-bg" in
-  let s_b = Scan_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc_b in
+  (* one side on a fresh scheme: inline, or routed through [ch] to a
+     reclaimer domain; returns the latencies and what it leaked *)
+  let side name ch =
+    let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null name in
+    let s = Scan_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
+    let reclaimer = Option.map (Reclaim.Reclaimer.start ~interval:0.001) ch in
+    Scan_hp.set_background s ch;
+    let lat = retire_latencies s alloc ~ops in
+    Option.iter Reclaim.Reclaimer.stop reclaimer;
+    Scan_hp.set_background s None;
+    Scan_hp.flush s;
+    (lat, Memdom.Alloc.live alloc)
+  in
+  let inline, leaked_i = side "bg-bench-inline" None in
   let ch = Reclaim.Channel.create () in
-  let reclaimer = Reclaim.Reclaimer.start ~interval:0.001 ch in
-  Scan_hp.set_background s_b (Some ch);
-  let bg = retire_latencies s_b alloc_b ~ops in
-  Reclaim.Reclaimer.stop reclaimer;
-  Scan_hp.set_background s_b None;
-  Scan_hp.flush s_b;
-  let leaked = Memdom.Alloc.live alloc_i + Memdom.Alloc.live alloc_b in
+  let bg, leaked_b = side "bg-bench-bg" (Some ch) in
+  let leaked = leaked_i + leaked_b in
   let pp_lat label l =
-    Format.printf "  %-12s p50 %7.0f ns   p99 %8.0f ns   p99.9 %9.0f ns   \
-                   max %9.0f ns@."
-      label l.bl_p50_ns l.bl_p99_ns l.bl_p999_ns l.bl_max_ns
+    Format.printf "  %-12s%s@." label
+      (String.concat ""
+         (List.map (fun (name, ns) -> Printf.sprintf "  %s %9.0f" name ns) l))
   in
   pp_lat "inline" inline;
   pp_lat "background" bg;
@@ -1263,6 +1237,8 @@ let bg_report_json (r : Chaos.bg_report) =
       ("sent", Json.Int r.Chaos.bg_sent);
       ("fallbacks", Json.Int r.Chaos.bg_fallbacks);
       ("recovered", Json.Int r.Chaos.bg_recovered);
+      ("kills", Json.Int r.Chaos.bg_kills);
+      ("force_released", Json.Int r.Chaos.bg_forced);
       ("unreclaimed_after", Json.Int r.Chaos.bg_unreclaimed_after);
       ("leaked", Json.Int r.Chaos.bg_leaked);
       ("ok", Json.Bool (Chaos.bg_ok r));
@@ -1270,15 +1246,7 @@ let bg_report_json (r : Chaos.bg_report) =
 
 let background_json (r : background_row) =
   let open Harness in
-  let lat l =
-    Json.Obj
-      [
-        ("p50_ns", Json.Float l.bl_p50_ns);
-        ("p99_ns", Json.Float l.bl_p99_ns);
-        ("p999_ns", Json.Float l.bl_p999_ns);
-        ("max_ns", Json.Float l.bl_max_ns);
-      ]
-  in
+  let lat l = Json.Obj (List.map (fun (name, ns) -> (name, Json.Float ns)) l) in
   Json.Obj
     [
       ("ops", Json.Int r.bk_ops);
@@ -1331,61 +1299,67 @@ let background_guards (r : background_row) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive controller A/B: the same phase-shifting workload — steady
-   churn, then a stall-injected phase (a victim parks inside a guard
-   pinning a slot), then a retire-heavy burst — run over a static EBR
-   deployment (no neutralization: the paper's blocking baseline), a
-   static HP deployment (the robust baseline) and the adaptive stack
-   (Switchable + Controller + armed neutralizing reclaimer).  The
-   adaptive row must match EBR's calm throughput, keep the stall-phase
-   unreclaimed high-water mark in HP territory instead of EBR's
-   unbounded pile-up, and relax back once the stall clears
-   ([adaptive_guards]). *)
+(* Stall remedy A/B: the same phase-shifting workload — steady churn,
+   then a stall-injected phase (a victim parks inside a guard pinning
+   a slot), then a retire-heavy burst — run over static EBR (no
+   neutralization: the paper's blocking baseline), static HP (the
+   robust baseline) and EBR beside the neutralizing reclaimer (Brown's
+   DEBRA+ remedy, no mode switch).  Each round rotates the running
+   order.  On the median of the per-round ratios, the neutralizing row
+   keeps 0.85x static EBR's calm throughput, holds its stall pile-up
+   under 0.5x EBR's and drains it in the burst (under 0.5x its stall
+   hwm); its parked victim raises [Neutralized], and no contestant
+   leaks or leaves anything unreclaimed ([stall_guards]). *)
 
-module Ad_ebr = Reclaim.Ebr.Make (SN)
-module Ad_sw = Reclaim.Switchable.Make (SN)
+module St_ebr = Reclaim.Ebr.Make (SN)
 
-type ad_phase = { ap_mops : float; ap_hwm : int }
-
-type ad_row = {
-  ar_name : string;
-  ar_calm : ad_phase;
-  ar_stall : ad_phase;
-  ar_burst : ad_phase;
-  ar_escalations : int;
-  ar_relaxations : int;
-  ar_mode_after : int; (* -1 for the static contestants *)
-  ar_decisions : int;
-  ar_victim_raised : bool;
-  ar_leaked : int;
-  ar_unreclaimed_after : int;
+type st_row = {
+  sr_name : string;
+  sr_phases : (float * float) array; (* Mops, hwm: calm, stall, burst *)
+  sr_victim_raised : bool;
+  sr_leaked : int;
+  sr_unreclaimed_after : int;
 }
 
-(* Closure bundle so one phase driver covers all three contestants
-   without functor plumbing. *)
-type ad_api = {
-  aa_begin : tid:int -> unit;
-  aa_end : tid:int -> unit;
-  aa_protect : tid:int -> snode option -> unit;
-  aa_get : tid:int -> snode Atomicx.Link.t -> unit;
-  aa_retire : tid:int -> snode -> unit;
-  aa_unreclaimed : unit -> int;
-  aa_flush : unit -> unit;
-  aa_tick : unit -> unit; (* controller tick; no-op for statics *)
-  aa_teardown : unit -> unit;
-  aa_escalations : unit -> int;
-  aa_relaxations : unit -> int;
-  aa_mode : unit -> int;
-  aa_decisions : unit -> int;
-}
+(* A contestant: its scheme, and what stops its reclaimer. *)
+type st_scheme =
+  | Scheme :
+      (module Reclaim.Scheme_intf.S with type node = snode and type t = 's)
+      * 's
+      * (unit -> unit)
+      -> st_scheme
 
-let ad_phase_dur = if smoke then 0.1 else 0.2
+let st_static (module S : Reclaim.Scheme_intf.S with type node = snode) alloc
+    =
+  Scheme ((module S), S.create ~max_hps:4 ~sink:Obs.Sink.null alloc, ignore)
+
+(* Static EBR, reclaiming inline, beside a reclaimer armed to expire
+   any guard the watchdog validates as stalled for 6 ticks (its
+   channel carries nothing). *)
+let st_neutralize alloc =
+  let s = St_ebr.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
+  let reclaimer =
+    Reclaim.Reclaimer.start ~neutralize_age:6 (Reclaim.Channel.create ())
+  in
+  Scheme ((module St_ebr), s, fun () -> Reclaim.Reclaimer.stop reclaimer)
+
+let st_contestants =
+  [
+    ("ebr-static", st_static (module St_ebr));
+    ("hp-static", st_static (module Scan_hp));
+    ("ebr+neutralize", st_neutralize);
+  ]
+
+let st_phase_dur = if smoke then 0.1 else 0.2
+let st_rounds = 9
 
 (* One churn phase on the calling thread: swap fresh nodes into the
    table, retire the evictees ([extra] additional retires per op models
-   the burst phase), tick the controller and sample the unreclaimed
-   high-water mark every 64 ops. *)
-let ad_churn api arena table alloc ~tid ~extra =
+   the burst phase) and sample the unreclaimed high-water mark every
+   256 ops. *)
+let st_churn (type s)
+    (module S : Reclaim.Scheme_intf.S with type node = snode and type t = s)
+    (s : s) arena table alloc ~tid ~extra =
   let rng = ref 0x9E3779B9 in
   let next_slot () =
     rng := (!rng * 1103515245) + 12345;
@@ -1393,37 +1367,33 @@ let ad_churn api arena table alloc ~tid ~extra =
   in
   let ops = ref 0 and hwm = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let t_end = t0 +. ad_phase_dur in
-  while Unix.gettimeofday () < t_end do
+  while Unix.gettimeofday () < t0 +. st_phase_dur do
     incr ops;
-    api.aa_begin ~tid;
+    S.begin_op s ~tid;
     (* paper-style read-mostly mix: two protected reads, one update *)
-    api.aa_get ~tid table.(next_slot ());
-    api.aa_get ~tid table.(next_slot ());
+    ignore (S.get_protected_v s ~tid ~idx:0 table.(next_slot ()));
+    ignore (S.get_protected_v s ~tid ~idx:0 table.(next_slot ()));
     let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
-    api.aa_protect ~tid (Some n);
+    S.protect_raw s ~tid ~idx:0 (Some n);
     let nv = Atomicx.Link.v_ptr_in arena n in
     let old = Atomicx.Link.exchange_v table.(next_slot ()) nv in
-    api.aa_end ~tid;
+    S.end_op s ~tid;
     if Atomicx.Link.v_has_target old then
-      api.aa_retire ~tid (Atomicx.Link.v_node arena old);
+      S.retire s ~tid (Atomicx.Link.v_node arena old);
     for _ = 1 to extra do
-      api.aa_retire ~tid { s_hdr = Memdom.Alloc.hdr alloc () }
+      S.retire s ~tid { s_hdr = Memdom.Alloc.hdr alloc () }
     done;
-    if !ops land 255 = 0 then begin
-      hwm := max !hwm (api.aa_unreclaimed ());
-      if !ops land 511 = 0 then api.aa_tick ()
-    end
+    if !ops land 255 = 0 then hwm := max !hwm (S.unreclaimed s)
   done;
   let dt = Unix.gettimeofday () -. t0 in
-  ({ ap_mops = float_of_int !ops /. dt /. 1e6; ap_hwm = !hwm }, !ops)
+  (float_of_int !ops /. dt /. 1e6, float_of_int !hwm)
 
-let ad_contest ~name (mk_api : Memdom.Alloc.t -> ad_api) =
+let st_contest (name, mk) =
   (* level the field: earlier contestants leave a large major heap
      behind, and GC pause inheritance would bias the later rows *)
   Gc.compact ();
-  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("adaptive-" ^ name) in
-  let api = mk_api alloc in
+  let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null ("stall-" ^ name) in
+  let (Scheme ((module S), s, teardown)) = mk alloc in
   let tid = Atomicx.Registry.tid () in
   let arena = Memdom.Handle.arena ~hdr:(fun n -> n.s_hdr) () in
   let table =
@@ -1431,287 +1401,175 @@ let ad_contest ~name (mk_api : Memdom.Alloc.t -> ad_api) =
         Atomicx.Link.make_in arena
           (Atomicx.Link.Ptr { s_hdr = Memdom.Alloc.hdr alloc () }))
   in
-  (* untimed warmup: domain spawns (reclaimer, controller state) and
-     first-touch of the pool all land outside the measured windows *)
+  (* untimed warmup: the reclaimer's spawn and first-touch of the pool
+     land outside the measured windows *)
   let warm_end = Unix.gettimeofday () +. 0.02 in
   while Unix.gettimeofday () < warm_end do
-    api.aa_begin ~tid;
-    api.aa_protect ~tid None;
-    api.aa_end ~tid
+    S.begin_op s ~tid;
+    S.end_op s ~tid
   done;
-  (* phase 1: steady churn *)
-  let calm, _ = ad_churn api arena table alloc ~tid ~extra:0 in
-  (* phase 2: stall-injected churn *)
-  let started = Atomic.make false in
-  let release = Atomic.make false in
-  let victim_raised = Atomic.make false in
+  let churn = st_churn (module S) s arena table alloc ~tid in
+  let calm = churn ~extra:0 in
+  let started = Atomic.make false and release = Atomic.make false in
   let victim =
     Domain.spawn (fun () ->
         Atomicx.Registry.with_tid (fun vtid ->
-            api.aa_begin ~tid:vtid;
-            (try api.aa_get ~tid:vtid table.(0)
-             with Reclaim.Neutralize.Neutralized _ -> ());
+            let get i =
+              match S.get_protected_v s ~tid:vtid ~idx:0 table.(i) with
+              | _ -> false
+              | exception Reclaim.Neutralize.Neutralized _ -> true
+            in
+            S.begin_op s ~tid:vtid;
+            ignore (get 0);
             Atomic.set started true;
             while not (Atomic.get release) do
               Unix.sleepf 0.0005
             done;
-            (* adaptive only: the wake-after-neutralize handshake *)
-            (try api.aa_get ~tid:vtid table.(1)
-             with Reclaim.Neutralize.Neutralized _ ->
-               Atomic.set victim_raised true);
-            api.aa_end ~tid:vtid))
+            (* the wake-after-neutralize handshake *)
+            let raised = get 1 in
+            S.end_op s ~tid:vtid;
+            raised))
   in
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  let stall, _ = ad_churn api arena table alloc ~tid ~extra:0 in
+  let stall = churn ~extra:0 in
   Atomic.set release true;
-  Domain.join victim;
-  (* phase 3: retire-heavy burst with the stall gone — the adaptive
-     stack must relax back toward the fast policy in here *)
-  let burst, _ = ad_churn api arena table alloc ~tid ~extra:3 in
-  (* quiesce *)
+  let victim_raised = Domain.join victim in
+  let burst = churn ~extra:3 in
   Array.iter
     (fun slot ->
       let old = Atomicx.Link.exchange_v slot Atomicx.Link.v_null in
       if Atomicx.Link.v_has_target old then
-        api.aa_retire ~tid (Atomicx.Link.v_node arena old))
+        S.retire s ~tid (Atomicx.Link.v_node arena old))
     table;
-  api.aa_teardown ();
-  api.aa_flush ();
+  teardown ();
+  S.flush s;
   {
-    ar_name = name;
-    ar_calm = calm;
-    ar_stall = stall;
-    ar_burst = burst;
-    ar_escalations = api.aa_escalations ();
-    ar_relaxations = api.aa_relaxations ();
-    ar_mode_after = api.aa_mode ();
-    ar_decisions = api.aa_decisions ();
-    ar_victim_raised = Atomic.get victim_raised;
-    ar_leaked = Memdom.Alloc.live alloc;
-    ar_unreclaimed_after = api.aa_unreclaimed ();
+    sr_name = name;
+    sr_phases = [| calm; stall; burst |];
+    sr_victim_raised = victim_raised;
+    sr_leaked = Memdom.Alloc.live alloc;
+    sr_unreclaimed_after = S.unreclaimed s;
   }
 
-let ad_static_none = fun () -> 0
-let ad_static_mode = fun () -> -1
+(* min, median and max of per-round values *)
+let st_spread a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  (a.(0), percentile a 0.5, a.(Array.length a - 1))
 
-let ad_ebr_api alloc =
-  let s = Ad_ebr.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-  {
-    aa_begin = (fun ~tid -> Ad_ebr.begin_op s ~tid);
-    aa_end = (fun ~tid -> Ad_ebr.end_op s ~tid);
-    aa_protect = (fun ~tid n -> Ad_ebr.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Ad_ebr.get_protected_v s ~tid ~idx:0 l));
-    aa_retire = (fun ~tid n -> Ad_ebr.retire s ~tid n);
-    aa_unreclaimed = (fun () -> Ad_ebr.unreclaimed s);
-    aa_flush = (fun () -> Ad_ebr.flush s);
-    aa_tick = ignore;
-    aa_teardown = ignore;
-    aa_escalations = ad_static_none;
-    aa_relaxations = ad_static_none;
-    aa_mode = ad_static_mode;
-    aa_decisions = ad_static_none;
-  }
+let st_median a = match st_spread a with _, m, _ -> m
 
-let ad_hp_api alloc =
-  let s = Scan_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-  {
-    aa_begin = (fun ~tid -> Scan_hp.begin_op s ~tid);
-    aa_end = (fun ~tid -> Scan_hp.end_op s ~tid);
-    aa_protect = (fun ~tid n -> Scan_hp.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Scan_hp.get_protected_v s ~tid ~idx:0 l));
-    aa_retire = (fun ~tid n -> Scan_hp.retire s ~tid n);
-    aa_unreclaimed = (fun () -> Scan_hp.unreclaimed s);
-    aa_flush = (fun () -> Scan_hp.flush s);
-    aa_tick = ignore;
-    aa_teardown = ignore;
-    aa_escalations = ad_static_none;
-    aa_relaxations = ad_static_none;
-    aa_mode = ad_static_mode;
-    aa_decisions = ad_static_none;
-  }
+let st_mops i x = fst x.sr_phases.(i)
+let st_hwm i x = snd x.sr_phases.(i)
 
-let ad_adaptive_api alloc =
-  let s = Ad_sw.create ~max_hps:4 alloc in
-  let channel = Reclaim.Channel.create ~bound:512 () in
-  Ad_sw.set_background s (Some channel);
-  (* neutralize_age well above stall_age_hi: neutralization erases the
-     victim's watchdog row (generation bump), so the controller's
-     [2, 6) observation window must be wide enough that a scheduler
-     preemption of this (ticking) thread cannot swallow it whole *)
-  let reclaimer = Reclaim.Reclaimer.start ~neutralize_age:6 channel in
-  let ctrl =
-    Reclaim.Controller.create
-      ~cfg:
-        {
-          Reclaim.Controller.unreclaimed_hi = 100_000;
-          unreclaimed_lo = 2048;
-          stall_age_hi = 2;
-          calm_ticks = 3;
-        }
-      ~reclaimer ~channel
-      [
-        Reclaim.Controller.target ~label:"bench"
-          ~mode:(fun () -> Ad_sw.mode s)
-          ~escalate:(fun () -> Ad_sw.escalate s)
-          ~try_complete:(fun () -> Ad_sw.try_complete s)
-          ~relax:(fun () -> Ad_sw.relax s)
-          ~tuning:(Ad_sw.tuning s)
-          ~unreclaimed:(fun () -> Ad_sw.unreclaimed s)
-          ~stall_age:(fun () -> Ad_sw.stall_age_max s)
-          ();
-      ]
-  in
-  {
-    aa_begin = (fun ~tid -> Ad_sw.begin_op s ~tid);
-    aa_end = (fun ~tid -> Ad_sw.end_op s ~tid);
-    aa_protect = (fun ~tid n -> Ad_sw.protect_raw s ~tid ~idx:0 n);
-    aa_get = (fun ~tid l -> ignore (Ad_sw.get_protected_v s ~tid ~idx:0 l));
-    aa_retire = (fun ~tid n -> Ad_sw.retire s ~tid n);
-    aa_unreclaimed = (fun () -> Ad_sw.unreclaimed s);
-    aa_flush = (fun () -> Ad_sw.flush s);
-    aa_tick = (fun () -> Reclaim.Controller.tick ctrl);
-    aa_teardown =
-      (fun () ->
-        Reclaim.Reclaimer.stop reclaimer;
-        Ad_sw.set_background s None;
-        Reclaim.Channel.keep_alive channel);
-    aa_escalations = (fun () -> Ad_sw.escalations s);
-    aa_relaxations = (fun () -> Ad_sw.relaxations s);
-    aa_mode = (fun () -> Ad_sw.mode s);
-    aa_decisions = (fun () -> Reclaim.Controller.decisions ctrl);
-  }
+(* The per-contestant table: each column's median over the rounds. *)
+let st_columns =
+  List.concat_map
+    (fun (i, ph) -> [ (ph ^ "_mops", st_mops i); (ph ^ "_hwm", st_hwm i) ])
+    [ (0, "calm"); (1, "stall"); (2, "burst") ]
 
-let ad_rounds = 5
+(* [ratios]: per round, ebr+neutralize's calm Mops and stall hwm over
+   static EBR's, and its burst hwm over its own stall hwm. *)
+type st_result = {
+  medians : (string * float list) list;
+  ratios : (string * float array) list;
+  rows : st_row list;
+}
 
-(* Per-phase maxima across rounds: throughput noise on a shared box is
-   one-sided (preemption only slows a phase down), so the max converges
-   on the machine's true rate; counters and leak totals sum. *)
-let ad_merge a b =
-  let phase p q =
-    { ap_mops = Float.max p.ap_mops q.ap_mops; ap_hwm = max p.ap_hwm q.ap_hwm }
-  in
-  {
-    ar_name = a.ar_name;
-    ar_calm = phase a.ar_calm b.ar_calm;
-    ar_stall = phase a.ar_stall b.ar_stall;
-    ar_burst = phase a.ar_burst b.ar_burst;
-    ar_escalations = a.ar_escalations + b.ar_escalations;
-    ar_relaxations = a.ar_relaxations + b.ar_relaxations;
-    ar_mode_after = b.ar_mode_after;
-    ar_decisions = a.ar_decisions + b.ar_decisions;
-    ar_victim_raised = a.ar_victim_raised || b.ar_victim_raised;
-    ar_leaked = a.ar_leaked + b.ar_leaked;
-    ar_unreclaimed_after = a.ar_unreclaimed_after + b.ar_unreclaimed_after;
-  }
-
-let run_adaptive_bench () =
+let run_stall_bench () =
   Format.printf
-    "@.== Adaptive controller A/B: steady -> stall -> burst (%.2fs/phase, \
-     %d rounds) ==@."
-    ad_phase_dur ad_rounds;
+    "@.== Stall remedy A/B: steady -> stall -> burst (%.2fs/phase, %d \
+     rounds, order rotated) ==@."
+    st_phase_dur st_rounds;
   Atomicx.Registry.reserve 8;
   (* start the global watchdog clock before any contestant runs: the
-     adaptive rounds start it anyway (reclaimer self-clock), so an
+     neutralizing rounds start it anyway (reclaimer self-clock), so an
      early static round must not get a stamp-free ride the later ones
      don't *)
   ignore (Obs.Watchdog.advance ());
-  let round () =
+  let n = List.length st_contestants in
+  let order r = List.init n (fun i -> List.nth st_contestants ((i + r) mod n)) in
+  let rounds = Array.init st_rounds (fun r -> List.map st_contest (order r)) in
+  let per name =
+    Array.map (fun rows -> List.find (fun x -> x.sr_name = name) rows) rounds
+  in
+  let median name (_, f) = st_median (Array.map f (per name)) in
+  let medians =
+    List.map (fun (n, _) -> (n, List.map (median n) st_columns)) st_contestants
+  in
+  let neut = per "ebr+neutralize" and ebr = per "ebr-static" in
+  let ratio f = Array.map2 (fun x e -> f x /. Float.max 1e-9 (f e)) neut ebr in
+  let ratios =
     [
-      ad_contest ~name:"ebr-static" ad_ebr_api;
-      ad_contest ~name:"hp-static" ad_hp_api;
-      ad_contest ~name:"adaptive" ad_adaptive_api;
+      ("calm_mops", ratio (st_mops 0));
+      ("stall_hwm", ratio (st_hwm 1));
+      ( "burst_over_stall_hwm",
+        Array.map
+          (fun x -> if st_hwm 1 x = 0. then 0. else st_hwm 2 x /. st_hwm 1 x)
+          neut );
     ]
   in
-  let rows =
-    List.fold_left
-      (fun acc _ -> List.map2 ad_merge acc (round ()))
-      (round ())
-      (List.init (ad_rounds - 1) Fun.id)
-  in
-  Format.printf "  %-12s %10s %10s %10s %12s %12s %6s %6s@." "contestant"
-    "calm-Mops" "stall-Mops" "burst-Mops" "stall-hwm" "burst-hwm" "esc"
-    "relax";
+  let header = List.map (fun (c, _) -> Printf.sprintf " %11s" c) st_columns in
+  Format.printf "  %-20s%s  (medians)@." "contestant" (String.concat "" header);
   List.iter
-    (fun r ->
-      Format.printf "  %-12s %10.3f %10.3f %10.3f %12d %12d %6d %6d@."
-        r.ar_name r.ar_calm.ap_mops r.ar_stall.ap_mops r.ar_burst.ap_mops
-        r.ar_stall.ap_hwm r.ar_burst.ap_hwm r.ar_escalations r.ar_relaxations)
-    rows;
-  (match List.find_opt (fun r -> r.ar_name = "adaptive") rows with
-  | Some r ->
-      Format.printf
-        "  adaptive: final mode %d, %d controller decisions, victim raised \
-         %b, leaked %d@."
-        r.ar_mode_after r.ar_decisions r.ar_victim_raised r.ar_leaked
-  | None -> ());
-  rows
+    (fun (name, cols) ->
+      Format.printf "  %-20s%s@." name
+        (String.concat "" (List.map (Printf.sprintf " %11.3f") cols)))
+    medians;
+  List.iter
+    (fun (name, a) ->
+      let lo, med, hi = st_spread a in
+      Format.printf "  ebr+neutralize %-20s min %.3f  median %.3f  max %.3f@."
+        name lo med hi)
+    ratios;
+  { medians; ratios; rows = List.concat (Array.to_list rounds) }
 
-let adaptive_json rows =
+let stall_json r =
   let open Harness in
-  let phase p =
+  let spread a =
+    let lo, med, hi = st_spread a in
+    let rounds = Array.map (fun x -> Json.Float x) a in
     Json.Obj
-      [ ("mops", Json.Float p.ap_mops); ("unreclaimed_hwm", Json.Int p.ap_hwm) ]
+      [
+        ("min", Json.Float lo);
+        ("median", Json.Float med);
+        ("max", Json.Float hi);
+        ("rounds", Json.List (Array.to_list rounds));
+      ]
+  in
+  let columns (name, cols) =
+    let col (c, _) v = (c, Json.Float v) in
+    (name, Json.Obj (List.map2 col st_columns cols))
   in
   Json.Obj
-    (List.map
-       (fun r ->
-         ( r.ar_name,
-           Json.Obj
-             [
-               ("calm", phase r.ar_calm);
-               ("stall", phase r.ar_stall);
-               ("burst", phase r.ar_burst);
-               ("escalations", Json.Int r.ar_escalations);
-               ("relaxations", Json.Int r.ar_relaxations);
-               ("mode_after", Json.Int r.ar_mode_after);
-               ("decisions", Json.Int r.ar_decisions);
-               ("victim_raised", Json.Bool r.ar_victim_raised);
-               ("leaked", Json.Int r.ar_leaked);
-               ("unreclaimed_after", Json.Int r.ar_unreclaimed_after);
-             ] ))
-       rows
-    @ [ ("rounds", Json.Int ad_rounds) ])
+    [
+      ("rounds", Json.Int st_rounds);
+      ("medians", Json.Obj (List.map columns r.medians));
+      ("ratios", Json.Obj (List.map (fun (n, a) -> (n, spread a)) r.ratios));
+    ]
 
-(* Over the merged rounds: the adaptive stack keeps 0.85x static EBR's
-   calm throughput (the target is 0.9x; the floor leaves margin for
-   scheduler noise on small shared boxes, see EXPERIMENTS.md), holds its
-   stall-phase pile-up under 0.5x EBR's, drains it in the burst (under
-   0.5x its stall hwm), runs the ladder both ways back to Fast, raises
-   [Neutralized] in the parked victim, and no contestant leaks. *)
-let adaptive_guards rows =
-  let row name = List.find (fun r -> r.ar_name = name) rows in
-  let ebr = row "ebr-static" and a = row "adaptive" in
-  let ratio = a.ar_calm.ap_mops /. Float.max 1e-9 ebr.ar_calm.ap_mops in
+(* The calm floor leaves margin for scheduler noise on small shared
+   boxes (see EXPERIMENTS.md). *)
+let stall_guards r =
+  let med name = st_median (List.assoc name r.ratios) in
+  let calm = med "calm_mops" and stall = med "stall_hwm" in
+  let burst = med "burst_over_stall_hwm" in
+  let mine = List.filter (fun x -> x.sr_name = "ebr+neutralize") r.rows in
+  let raised = List.length (List.filter (fun x -> x.sr_victim_raised) mine) in
+  let sum f = List.fold_left (fun a x -> a + f x) 0 r.rows in
+  let leaked = sum (fun x -> x.sr_leaked)
+  and unreclaimed = sum (fun x -> x.sr_unreclaimed_after) in
   [
-    guard (ratio >= 0.85) "calm %.3f Mops = %.2fx static EBR >= 0.85x"
-      a.ar_calm.ap_mops ratio;
-    guard
-      (float_of_int a.ar_stall.ap_hwm
-      <= 0.5 *. float_of_int ebr.ar_stall.ap_hwm)
-      "stall hwm %d <= 0.5x EBR's %d" a.ar_stall.ap_hwm ebr.ar_stall.ap_hwm;
-    guard
-      (a.ar_stall.ap_hwm = 0
-      || float_of_int a.ar_burst.ap_hwm
-         <= 0.5 *. float_of_int a.ar_stall.ap_hwm)
-      "burst hwm %d <= 0.5x stall hwm %d" a.ar_burst.ap_hwm a.ar_stall.ap_hwm;
-    guard (a.ar_escalations >= 1) "escalations %d >= 1" a.ar_escalations;
-    guard (a.ar_relaxations >= 1) "relaxations %d >= 1" a.ar_relaxations;
-    guard (a.ar_mode_after = 0) "final mode %d = Fast (0)" a.ar_mode_after;
-    guard a.ar_victim_raised "stalled victim raised Neutralized";
-    guard (a.ar_decisions > 0) "controller decisions %d > 0" a.ar_decisions;
+    guard (calm >= 0.85) "calm median %.2fx static EBR >= 0.85x" calm;
+    guard (stall <= 0.5) "stall hwm median %.2fx EBR's <= 0.5x" stall;
+    guard (burst <= 0.5) "burst hwm median %.2fx its stall hwm <= 0.5x" burst;
+    guard (raised >= 1) "victim raised Neutralized in %d/%d rounds >= 1"
+      raised (List.length mine);
+    guard (leaked = 0) "leaked %d = 0" leaked;
+    guard (unreclaimed = 0) "unreclaimed after flush %d = 0" unreclaimed;
   ]
-  @ List.concat_map
-      (fun r ->
-        [
-          guard (r.ar_leaked = 0) "%s: leaked %d = 0" r.ar_name r.ar_leaked;
-          guard
-            (r.ar_unreclaimed_after = 0)
-            "%s: unreclaimed after flush %d = 0" r.ar_name
-            r.ar_unreclaimed_after;
-        ])
-      rows
 
 let params_json () =
   let open Harness in
@@ -1780,8 +1638,7 @@ let standalone =
     section "metrics" ~key:"metrics" run_metrics metrics_json metrics_guards;
     section "background" ~key:"background" run_background background_json
       background_guards;
-    section "adaptive" ~key:"adaptive" run_adaptive_bench adaptive_json
-      adaptive_guards;
+    section "stall" ~key:"stall" run_stall_bench stall_json stall_guards;
   ]
 
 let usage () =

@@ -276,8 +276,9 @@ let run_churn seconds seed =
 (* Background-pipeline soak (--background): repeat the reclaimer
    batteries — stalled-guard neutralization and kill-the-reclaimer —
    until the time budget runs out.  Every repetition must neutralize
-   the parked guard, degrade gracefully past the dead reclaimer, and
-   account for every retired object. *)
+   the parked guard, force-release the domains killed mid-stall,
+   degrade gracefully past the dead reclaimer, and account for every
+   retired object. *)
 let run_background seconds =
   Printf.printf "soak --background: %.0fs budget\n%!" seconds;
   let t0 = Unix.gettimeofday () in
@@ -298,8 +299,8 @@ let run_background seconds =
   Printf.printf "ran %d neutralize + kill rounds\n%!" !round;
   if !bad = 0 then begin
     Printf.printf
-      "background soak passed: every stall neutralized, every kill degraded \
-       inline, no leaks\n";
+      "background soak passed: every stall neutralized, every mid-stall \
+       kill force-released, every reclaimer kill degraded inline, no leaks\n";
     0
   end
   else begin
@@ -307,41 +308,9 @@ let run_background seconds =
     1
   end
 
-(* Adaptive-controller soak (--adaptive): repeat the mode-switch
-   battery — calm, stall-driven escalation with mid-switch domain
-   kills, relaxation — until the time budget runs out.  Every
-   repetition must cycle the ladder both ways and account for every
-   retired object. *)
-let run_adaptive_soak seconds =
-  Printf.printf "soak --adaptive: %.0fs budget\n%!" seconds;
-  let t0 = Unix.gettimeofday () in
-  let bad = ref 0 in
-  let round = ref 0 in
-  while Unix.gettimeofday () -. t0 < seconds && (!bad = 0 || !round = 0) do
-    incr round;
-    let r = Chaos.run_adaptive ~interval:0.001 () in
-    if not (Chaos.adaptive_ok r) then begin
-      incr bad;
-      Format.eprintf "round %d adaptive: ladder contract violated@.%a@."
-        !round Chaos.pp_adaptive_report r
-    end
-  done;
-  Printf.printf "ran %d adaptive ladder rounds\n%!" !round;
-  if !bad = 0 then begin
-    Printf.printf
-      "adaptive soak passed: every stall escalated, every calm relaxed, \
-       every mid-switch kill force-released, no leaks\n";
-    0
-  end
-  else begin
-    Printf.eprintf "adaptive soak FAILED: %d battery violations\n" !bad;
-    1
-  end
-
-let run seconds workers seed churn background adaptive kv pool =
+let run seconds workers seed churn background kv pool =
   if churn then run_churn seconds seed
   else if background then run_background seconds
-  else if adaptive then run_adaptive_soak seconds
   else if kv then run_kv_soak seconds workers seed
   else
   let mode = if pool then Some Memdom.Alloc.Pool else None in
@@ -421,18 +390,9 @@ let background_arg =
     & info [ "background" ]
         ~doc:
           "Background-pipeline mode: repeat the reclaimer batteries \
-           (stalled-guard neutralization, kill-the-reclaimer) for the time \
-           budget instead of running long-lived workers.")
-
-let adaptive_arg =
-  Arg.(
-    value & flag
-    & info [ "adaptive" ]
-        ~doc:
-          "Adaptive-controller mode: repeat the mode-switch battery \
-           (stall-driven escalation with mid-switch kills, calm-driven \
-           relaxation) for the time budget instead of running long-lived \
-           workers.")
+           (stalled-guard neutralization with mid-stall domain kills, \
+           kill-the-reclaimer) for the time budget instead of running \
+           long-lived workers.")
 
 let kv_arg =
   Arg.(
@@ -457,6 +417,6 @@ let cmd =
     (Cmd.info "soak" ~doc:"randomized cross-structure soak test")
     Term.(
       const run $ seconds_arg $ workers_arg $ seed_arg $ churn_arg
-      $ background_arg $ adaptive_arg $ kv_arg $ pool_arg)
+      $ background_arg $ kv_arg $ pool_arg)
 
 let () = exit (Cmd.eval' cmd)

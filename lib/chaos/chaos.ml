@@ -550,6 +550,8 @@ type bg_report = {
   bg_sent : int;
   bg_fallbacks : int;
   bg_recovered : int;
+  bg_kills : int; (* domains killed abruptly mid-stall *)
+  bg_forced : int; (* of those, slots reclaimed by force_release *)
   bg_unreclaimed_after : int;
   bg_leaked : int;
   bg_errors : string list;
@@ -558,6 +560,7 @@ type bg_report = {
 let bg_ok r =
   r.bg_errors = [] && r.bg_neutralized && r.bg_victim_raised
   && r.bg_pinned_freed
+  && r.bg_forced = r.bg_kills
   && r.bg_unreclaimed_after = 0
   && r.bg_leaked = 0
 
@@ -566,9 +569,11 @@ let pp_bg_report fmt r =
     "@[<v 2>%s: victim tid %d, neutralized %b, victim raised %b, pinned \
      freed %b@,\
      channel: %d batches sent, %d fallbacks, %d objects recovered@,\
+     %d mid-stall kills (%d force-released)@,\
      after quiesce: leaked %d, unreclaimed %d%a@]"
     r.bg_name r.bg_victim r.bg_neutralized r.bg_victim_raised r.bg_pinned_freed
-    r.bg_sent r.bg_fallbacks r.bg_recovered r.bg_leaked r.bg_unreclaimed_after
+    r.bg_sent r.bg_fallbacks r.bg_recovered r.bg_kills r.bg_forced r.bg_leaked
+    r.bg_unreclaimed_after
     (fun fmt -> function
       | [] -> ()
       | es ->
@@ -582,9 +587,12 @@ let pp_bg_report fmt r =
    reclaimer (armed with [neutralize_age]) must validate the stall,
    expire the guard, and thereby let a later scan free the pinned node
    — returning the unreclaimed population to the running bound with
-   the victim still asleep.  When the victim wakes, its very next
-   protection acquisition must raise [Neutralized] instead of handing
-   out a validated protection built on the expired slots. *)
+   the victim still asleep.  While the stall ages, two more domains
+   die abruptly inside a guard (slots Active, hazards up) and are
+   force-released: the orphan machinery must absorb deaths while a
+   stalled guard is being neutralized.  When the victim wakes, its very
+   next protection acquisition must raise [Neutralized] instead of
+   handing out a validated protection built on the expired slots. *)
 let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
     () =
   let errors_lock = Mutex.create () in
@@ -695,6 +703,38 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                   done)
             with e -> err e))
   in
+  (* with the stall ageing, domains die abruptly inside a guard and are
+     force-released; a doomed domain neutralized before it settles
+     re-enters, like the victim's park *)
+  let doomed =
+    List.init 2 (fun ki ->
+        Domain.spawn (fun () ->
+            try
+              let rng = Rng.create (0xDEAD + ki) in
+              let tid = Registry.tid () in
+              let rec enter () =
+                try
+                  Stall_hp.begin_op s ~tid;
+                  ignore
+                    (Stall_hp.get_protected_v s ~tid ~idx:0
+                       table.(Rng.int rng 4))
+                with Reclaim.Neutralize.Neutralized _ -> enter ()
+              in
+              enter ();
+              Registry.abandon ()
+            with e ->
+              err e;
+              -1))
+  in
+  let killed = ref 0 and forced = ref 0 in
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | -1 -> ()
+      | tid ->
+          incr killed;
+          if Registry.force_release tid then incr forced)
+    doomed;
   (* await the neutralization event naming the victim *)
   let victim_neutralized () =
     List.concat_map Array.to_list (Obs.Sink.events sink)
@@ -749,6 +789,8 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
     bg_sent = Reclaim.Channel.sent channel;
     bg_fallbacks = Reclaim.Channel.fallbacks channel;
     bg_recovered = 0;
+    bg_kills = !killed;
+    bg_forced = !forced;
     bg_unreclaimed_after = Stall_hp.unreclaimed s;
     bg_leaked = Memdom.Alloc.live alloc;
     bg_errors = List.rev !errors;
@@ -830,294 +872,11 @@ let run_reclaimer_kill ?(interval = 0.001) ?(churners = 3) ?(ops = 800)
     bg_sent = Reclaim.Channel.sent channel;
     bg_fallbacks = Reclaim.Channel.fallbacks channel;
     bg_recovered = recovered;
+    bg_kills = 0;
+    bg_forced = 0;
     bg_unreclaimed_after = Stall_hp.unreclaimed s;
     bg_leaked = Memdom.Alloc.live alloc;
     bg_errors = List.rev !errors;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive controller (mode-switch battery)                           *)
-(* ------------------------------------------------------------------ *)
-
-module Sw = Reclaim.Switchable.Make (CN)
-
-type adaptive_report = {
-  ad_victim : int;
-  ad_escalations : int;
-  ad_relaxations : int;
-  ad_mode_after : int;
-  ad_kills : int; (* domains killed mid-switch (abandoned abruptly) *)
-  ad_forced : int; (* of those, slots reclaimed by force_release *)
-  ad_hwm : int; (* peak unreclaimed sampled at controller ticks *)
-  ad_decisions : int;
-  ad_unreclaimed_after : int;
-  ad_leaked : int;
-  ad_errors : string list;
-}
-
-let adaptive_ok r =
-  r.ad_errors = [] && r.ad_escalations > 0 && r.ad_relaxations > 0
-  && r.ad_mode_after = Reclaim.Switchable.fast
-  && r.ad_forced = r.ad_kills
-  && r.ad_unreclaimed_after = 0 && r.ad_leaked = 0
-
-let pp_adaptive_report fmt r =
-  Format.fprintf fmt
-    "@[<v 2>adaptive: victim tid %d, %d escalations, %d relaxations, final \
-     mode %d@,\
-     %d mid-switch kills (%d force-released), %d controller decisions, \
-     unreclaimed hwm %d@,\
-     after quiesce: leaked %d, unreclaimed %d%a@]"
-    r.ad_victim r.ad_escalations r.ad_relaxations r.ad_mode_after r.ad_kills
-    r.ad_forced r.ad_decisions r.ad_hwm r.ad_leaked r.ad_unreclaimed_after
-    (fun fmt -> function
-      | [] -> ()
-      | es ->
-          Format.fprintf fmt "@,errors:@,%a"
-            (Format.pp_print_list Format.pp_print_string)
-            es)
-    r.ad_errors
-
-(* Three phases over one Switchable-backed table, the controller ticked
-   from this thread (deterministic on any core count):
-
-   calm — churners run, mode must stay Fast;
-   stall — a victim parks inside a guard holding an epoch protection.
-   Retires pile up behind its announcement, the stall ages, the
-   controller escalates, the armed reclaimer neutralizes the victim,
-   and the grace period completes into Robust.  While the switch is in
-   flight, extra domains die abruptly (slots Active, hazards up) and
-   are force-released — the orphan machinery must absorb deaths at the
-   most hostile moment;
-   recovery — the victim wakes (raising [Neutralized]) and sustained
-   calm must relax the mode back to Fast.
-
-   Quiesce then asserts the usual zero-leak contract. *)
-let run_adaptive ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
-    ?(kills = 2) () =
-  let errors_lock = Mutex.create () in
-  let errors = ref [] in
-  let err e =
-    Mutex.lock errors_lock;
-    errors := Printexc.to_string e :: !errors;
-    Mutex.unlock errors_lock
-  in
-  let alloc = Memdom.Alloc.create "adaptive-chaos" in
-  let s = Sw.create ~max_hps:4 alloc in
-  let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let arena = cnode_arena () in
-  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
-  let sink = Obs.Sink.make () in
-  let registry = Obs.Metrics.create () in
-  let channel = Reclaim.Channel.create ~bound:256 ~registry () in
-  Sw.set_background s (Some channel);
-  let reclaimer =
-    Reclaim.Reclaimer.start ~interval ~neutralize_age ~sink ~registry channel
-  in
-  let ctrl =
-    Reclaim.Controller.create
-      ~cfg:
-        {
-          Reclaim.Controller.unreclaimed_hi = 1_000_000;
-          (* escalation is driven purely by the stall in this battery *)
-          unreclaimed_lo = 4096;
-          (* strictly below [neutralize_age]: neutralization bumps the
-             victim's registry generation, which erases its watchdog row
-             from [stall_age_max] — the controller must react while the
-             stall is still visible, with the neutralizer as the later
-             backstop that unblocks the grace period *)
-          stall_age_hi = max 1 (neutralize_age - 1);
-          calm_ticks = 3;
-        }
-      ~reclaimer ~channel ~sink ~registry
-      [
-        Reclaim.Controller.target ~label:"adaptive-chaos"
-          ~mode:(fun () -> Sw.mode s)
-          ~escalate:(fun () -> Sw.escalate s)
-          ~try_complete:(fun () -> Sw.try_complete s)
-          ~relax:(fun () -> Sw.relax s)
-          ~tuning:(Sw.tuning s)
-          ~unreclaimed:(fun () -> Sw.unreclaimed s)
-          ~stall_age:(fun () -> Sw.stall_age_max s)
-          ();
-      ]
-  in
-  let hwm = ref 0 in
-  let tick () =
-    Reclaim.Controller.tick ctrl;
-    hwm := max !hwm (Sw.unreclaimed s)
-  in
-  (* wait for the reclaimer's self-clock so stall ages can grow *)
-  let t0 = Obs.Watchdog.tick () in
-  let clock_deadline = Unix.gettimeofday () +. 5. in
-  while
-    Obs.Watchdog.tick () <= t0 && Unix.gettimeofday () < clock_deadline
-  do
-    Unix.sleepf (interval /. 2.)
-  done;
-  let stop_churn = Atomic.make false in
-  let churn =
-    List.init churners (fun ci ->
-        Domain.spawn (fun () ->
-            try
-              Registry.with_tid (fun tid ->
-                  let rng = Rng.create (0xADA7 + ci) in
-                  let k = ref 0 in
-                  (* see the neutralize battery: [retire] is a raise
-                     point, and a neutralized churner must retry it
-                     rather than leak the unlinked node *)
-                  let rec retire_out o =
-                    try Sw.retire s ~tid o
-                    with Reclaim.Neutralize.Neutralized _ -> retire_out o
-                  in
-                  while not (Atomic.get stop_churn) do
-                    incr k;
-                    Sw.begin_op s ~tid;
-                    let n = mk !k in
-                    Sw.protect_raw s ~tid ~idx:0 (Some n);
-                    let old =
-                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
-                    in
-                    Sw.end_op s ~tid;
-                    (match old with
-                    | Some o -> retire_out o
-                    | None -> ());
-                    if !k land 0x3F = 0 then Domain.cpu_relax ()
-                  done)
-            with e -> err e))
-  in
-  (* phase: calm — the steady state must be Fast.  Not an instant
-     assertion: on a preemptible box a churner descheduled past
-     [stall_age_hi] watchdog ticks mid-guard is indistinguishable from
-     a stall, and escalating on it is the controller working as
-     specified.  What must hold is that sustained calm relaxes back —
-     so tick past the phase until the mode settles, and fail only if
-     it never does. *)
-  let calm_until = Unix.gettimeofday () +. (10. *. interval) in
-  while Unix.gettimeofday () < calm_until do
-    tick ();
-    Unix.sleepf (interval /. 2.)
-  done;
-  let settle_deadline = Unix.gettimeofday () +. 5. in
-  while
-    Sw.mode s <> Reclaim.Switchable.fast
-    && Unix.gettimeofday () < settle_deadline
-  do
-    tick ();
-    Unix.sleepf (interval /. 2.)
-  done;
-  if Sw.mode s <> Reclaim.Switchable.fast then
-    err (Failure "calm phase never settled at Fast");
-  (* phase: stall — park the victim, await the full escalation *)
-  let victim_tid = Atomic.make (-1) in
-  let release = Atomic.make false in
-  let victim_raised = Atomic.make false in
-  let victim =
-    Domain.spawn (fun () ->
-        try
-          Registry.with_tid (fun tid ->
-              (* retry the park if neutralized before it settles — see
-                 the neutralize battery's victim *)
-              let rec park () =
-                try
-                  Sw.begin_op s ~tid;
-                  ignore (Sw.get_protected_v s ~tid ~idx:0 table.(0));
-                  Atomic.set victim_tid tid;
-                  while not (Atomic.get release) do
-                    Unix.sleepf (interval /. 2.)
-                  done
-                with Reclaim.Neutralize.Neutralized _ -> park ()
-              in
-              park ();
-              (match Sw.get_protected_v s ~tid ~idx:1 table.(1) with
-              | _ -> ()
-              | exception Reclaim.Neutralize.Neutralized _ ->
-                  Atomic.set victim_raised true);
-              Sw.end_op s ~tid)
-        with e -> err e)
-  in
-  while Atomic.get victim_tid < 0 do
-    Domain.cpu_relax ()
-  done;
-  let vtid = Atomic.get victim_tid in
-  let deadline = Unix.gettimeofday () +. 10. in
-  let killed = ref 0 and forced = ref 0 in
-  let kills_fired = ref false in
-  while
-    Sw.mode s <> Reclaim.Switchable.robust
-    && Unix.gettimeofday () < deadline
-  do
-    tick ();
-    (* the moment the switch is in flight, throw domain deaths at it *)
-    if (not !kills_fired) && Sw.mode s >= Reclaim.Switchable.escalating
-    then begin
-      kills_fired := true;
-      let doomed =
-        List.init kills (fun ki ->
-            Domain.spawn (fun () ->
-                try
-                  let rng = Rng.create (0xDEAD + ki) in
-                  let tid = Registry.tid () in
-                  Sw.begin_op s ~tid;
-                  ignore
-                    (Sw.get_protected_v s ~tid ~idx:0 table.(Rng.int rng 4));
-                  (* abrupt death: hazards up, slot left Active *)
-                  Registry.abandon ()
-                with e ->
-                  err e;
-                  -1))
-      in
-      List.iter
-        (fun d ->
-          match Domain.join d with
-          | -1 -> ()
-          | tid ->
-              incr killed;
-              if Registry.force_release tid then incr forced)
-        doomed
-    end;
-    Unix.sleepf (interval /. 2.)
-  done;
-  if Sw.mode s <> Reclaim.Switchable.robust then
-    err (Failure "never reached Robust under stall");
-  (* phase: recovery — wake the victim, sustain calm, await relax *)
-  Atomic.set release true;
-  Domain.join victim;
-  let relax_deadline = Unix.gettimeofday () +. 10. in
-  while
-    (Sw.mode s <> Reclaim.Switchable.fast || Sw.relaxations s = 0)
-    && Unix.gettimeofday () < relax_deadline
-  do
-    tick ();
-    Unix.sleepf (interval /. 2.)
-  done;
-  if Sw.mode s <> Reclaim.Switchable.fast then
-    err (Failure "never relaxed back to Fast after calm");
-  Atomic.set stop_churn true;
-  List.iter Domain.join churn;
-  Reclaim.Reclaimer.stop reclaimer;
-  Sw.set_background s None;
-  let tid = Registry.tid () in
-  Array.iter
-    (fun slot ->
-      match evict arena slot Link.v_null with
-      | Some n -> Sw.retire s ~tid n
-      | None -> ())
-    table;
-  Sw.flush s;
-  Reclaim.Channel.keep_alive channel;
-  {
-    ad_victim = vtid;
-    ad_escalations = Sw.escalations s;
-    ad_relaxations = Sw.relaxations s;
-    ad_mode_after = Sw.mode s;
-    ad_kills = !killed;
-    ad_forced = !forced;
-    ad_hwm = !hwm;
-    ad_decisions = Reclaim.Controller.decisions ctrl;
-    ad_unreclaimed_after = Sw.unreclaimed s;
-    ad_leaked = Memdom.Alloc.live alloc;
-    ad_errors = List.rev !errors;
   }
 
 (* ------------------------------------------------------------------ *)

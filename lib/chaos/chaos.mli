@@ -119,8 +119,10 @@ val run_stall :
     inside a guard pinning a retired node while churners retire through
     the background {!Reclaim.Channel}, and asserts the armed
     {!Reclaim.Reclaimer} expires the guard (the pinned node frees with
-    the victim still asleep) and that the waking victim's next
-    protection acquisition raises [Neutralized].  The kill battery
+    the victim still asleep), that two domains killed abruptly inside
+    a guard while the stall ages are force-released without a leak,
+    and that the waking victim's next protection acquisition raises
+    [Neutralized].  The kill battery
     crashes the reclaimer mid-run and asserts mutators degrade to
     inline reclamation with zero leaks, and that {!Reclaim.Reclaimer.recover}
     reconciles the dead reclaimer's backlog. *)
@@ -141,14 +143,18 @@ type bg_report = {
   bg_sent : int;  (** batches that travelled the channel *)
   bg_fallbacks : int;  (** refused sends reclaimed inline *)
   bg_recovered : int;  (** objects adopted by [recover] (kill battery) *)
+  bg_kills : int;
+      (** domains killed abruptly inside a guard while the victim's
+          stall aged (neutralize battery; 0 for the kill battery) *)
+  bg_forced : int;  (** of those, slots reclaimed by force-release *)
   bg_unreclaimed_after : int;  (** after quiesce — must be 0 *)
   bg_leaked : int;  (** [Alloc.live] after quiesce — must be 0 *)
   bg_errors : string list;
 }
 
 val bg_ok : bg_report -> bool
-(** No errors, every asserted event observed, nothing leaked or left
-    unreclaimed. *)
+(** No errors, every asserted event observed, every killed slot
+    force-released, nothing leaked or left unreclaimed. *)
 
 val pp_bg_report : Format.formatter -> bg_report -> unit
 
@@ -170,55 +176,6 @@ val run_reclaimer_kill :
     bound — small, so the post-kill backlog demonstrably trips the
     inline fallback before the churners finish their [ops]
     (default 800 each). *)
-
-(** {2 Adaptive controller}
-
-    The mode-switch battery: a {!Reclaim.Switchable}-backed table runs
-    through three phases — calm (the mode must stay Fast), stall (a
-    parked victim ages until the {!Reclaim.Controller} escalates, the
-    armed reclaimer neutralizes the victim, and the grace period
-    completes into Robust, with extra domains dying abruptly exactly
-    while the switch is in flight) and recovery (the woken victim's
-    protection raises [Neutralized], sustained calm relaxes the mode
-    back to Fast).  Quiesce asserts the zero-leak contract across the
-    whole ride. *)
-
-type adaptive_report = {
-  ad_victim : int;  (** the parked domain's registry slot *)
-  ad_escalations : int;  (** completed Escalating→Robust promotions *)
-  ad_relaxations : int;  (** completed relaxations *)
-  ad_mode_after : int;  (** must be back at {!Reclaim.Switchable.fast} *)
-  ad_kills : int;  (** domains killed abruptly mid-switch *)
-  ad_forced : int;  (** of those, slots reclaimed by force-release *)
-  ad_hwm : int;  (** peak unreclaimed sampled at controller ticks *)
-  ad_decisions : int;  (** controller decisions taken *)
-  ad_unreclaimed_after : int;  (** after quiesce — must be 0 *)
-  ad_leaked : int;  (** [Alloc.live] after quiesce — must be 0 *)
-  ad_errors : string list;
-}
-
-val adaptive_ok : adaptive_report -> bool
-(** No errors, ≥1 escalation and ≥1 relaxation, mode back to Fast,
-    every mid-switch kill force-released, nothing leaked or left
-    unreclaimed. *)
-
-val pp_adaptive_report : Format.formatter -> adaptive_report -> unit
-
-val run_adaptive :
-  ?interval:float ->
-  ?neutralize_age:int ->
-  ?churners:int ->
-  ?kills:int ->
-  unit ->
-  adaptive_report
-(** Run the battery.  [interval] is the reclaimer pass period (default
-    2 ms), [neutralize_age] the validated stall age (in watchdog ticks)
-    past which the victim's guard is expired (default 3) — the
-    controller's escalation threshold is set one tick below it, since
-    neutralization bumps the victim's generation and erases its
-    watchdog row: the controller must see the stall before the
-    neutralizer does.  [churners] is the evicting writer domains
-    (default 2), [kills] the domains killed mid-switch (default 2). *)
 
 (** {2 Split-ordered map growth}
 

@@ -109,8 +109,6 @@ type ('n, 'b) core = {
   (* background drain: when set, the backend ships claimed nodes to the
      reclaimer; None (the default) reclaims inline *)
   bg : Reclaim.Channel.route;
-  (* knob record, read live so the controller can retune it *)
-  mutable tuning : Reclaim.Tuning.t;
   bk : 'b;
   (* the destructor, for the backend's reclamation paths: it is
      defined by the automatic layer, which itself calls the backend *)
@@ -209,9 +207,6 @@ module type BACKEND = sig
 
   val flush : ('n, 'n t) core -> tid:int -> unit
   (** Rest of the quiesced drain, once every hazard is down. *)
-
-  val retune : ('n, 'n t) core -> unit
-  (** The knob record was swapped. *)
 end
 
 module Ptp_backend = struct
@@ -324,7 +319,7 @@ module Ptp_backend = struct
     match Atomic.get c.bg with
     | None -> retire_inline c ~tid p
     | Some ch ->
-        Handover.push c.bk.plane c ~tid c.tuning ch p ~run:retire_inline
+        Handover.push c.bk.plane c ~tid ch p ~run:retire_inline
 
   (* A released slot adopts whatever a scanner parked on its handover:
      the parked node carries BRETIRED, so we own it now. *)
@@ -352,7 +347,6 @@ module Ptp_backend = struct
     Handover.adopt_row c.bk.plane c ~row:tid ~tid:self ~run:retire_inline
 
   let flush c ~tid = Handover.flush c.bk.plane c ~tid ~run:retire_inline
-  let retune _ = ()
 end
 
 module Hp_backend = struct
@@ -421,7 +415,7 @@ module Hp_backend = struct
      just pushes more entries. *)
   let retire c ~tid p =
     c.bk.quiet.(tid) <- 0;
-    if Reclaim.Batch.push c.bk.batch ~tid c.tuning p then reclaim c ~tid
+    if Reclaim.Batch.push c.bk.batch ~tid p then reclaim c ~tid
 
   (* Slot 0, the scratch slot, is released only at guard exit.  A
      parked list that has not grown for R guards is reclaimed anyway: a
@@ -444,13 +438,13 @@ module Hp_backend = struct
      than re-retiring matters on the exit path: re-retiring would just
      re-park onto the very list being vacated.) *)
   let thread_exit c ~tid ~self:_ =
-    Reclaim.Batch.orphan c.bk.batch ~tid c.tuning
+    Reclaim.Batch.orphan c.bk.batch ~tid
 
   (* The victim's retired list is owner-private and bounded by the
      threshold, so it stays; the Active population just changed shape,
      so R is re-derived. *)
   let neutralize_clear c ~tid:_ ~self:_ =
-    Reclaim.Batch.refresh c.bk.batch c.tuning
+    Reclaim.Batch.refresh c.bk.batch
 
   (* Scan every thread's retired list from the caller's row to a fixed
      point: freeing a chain link retires its successor, so [pending]
@@ -466,8 +460,6 @@ module Hp_backend = struct
       if Memdom.Alloc.freed c.alloc > freed_before then drain ()
     in
     drain ()
-
-  let retune c = Reclaim.Batch.refresh c.bk.batch c.tuning
 end
 
 (* {1 The automatic layer} *)
@@ -613,11 +605,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     B.neutralize_clear t ~tid ~self:(Registry.tid ())
 
   let set_background t ch = Atomic.set t.bg ch
-  let tuning t = t.tuning
-
-  let set_tuning t tn =
-    t.tuning <- tn;
-    B.retune t
 
   let create ?max_hps ?sink alloc =
     let sink =
@@ -659,7 +646,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         n_elided = Shard.create ();
         wd = Obs.Watchdog.create ();
         bg;
-        tuning = Reclaim.Tuning.create ();
         bk;
         delete = (fun ~tid p -> delete t ~tid p);
         lifecycle = ignore;

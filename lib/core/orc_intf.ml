@@ -253,15 +253,6 @@ module type S = sig
       one batch.  {!flush} drains the thread-local buffers but not the
       channel — stop or recover the reclaimer first. *)
 
-  val tuning : t -> Reclaim.Tuning.t
-  (** The structure's live knob record (fresh per {!create}). *)
-
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
-  (** Swap in a (possibly shared) knob record.  Under PTP the
-      background batch size is read per buffered retire, so a retune
-      takes effect on the next batch boundary; under HP the cached scan
-      threshold is re-derived at once. *)
-
   val flush : t -> unit
   (** Quiesced drain for tests and shutdown: unpublish every hazard,
       then reclaim everything the backend holds — under PTP every

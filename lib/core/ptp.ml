@@ -139,7 +139,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     Reclaim.Shell.retire t.sh ~tid (N.hdr n);
     match Atomic.get t.sh.bg with
     | None -> walk_all t ~tid n
-    | Some ch -> Handover.push t.plane t ~tid t.sh.tuning ch n ~run:walk_all
+    | Some ch -> Handover.push t.plane t ~tid ch n ~run:walk_all
 
   let clear t ~tid ~idx =
     Atomic.set t.hp.(tid).(idx) (-1);
@@ -174,7 +174,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
 
   (* Neutralize hook: lower the victim's hazards and re-run its parked
      handovers through the scan — both atomic planes; the owner-private
-     background buffer stays put (bounded by the bg batch knob, it
+     background buffer stays put (bounded by [Tuning.bg_batch], it
      cannot break the O(Ht) bound). *)
   let neutralize_clear t ~tid =
     lower t ~tid;
@@ -198,8 +198,6 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     t
 
   let unreclaimed t = Reclaim.Shell.unreclaimed t.sh
-  let tuning t = t.sh.tuning
-  let set_tuning t tn = t.sh.tuning <- tn
   let stats t = Reclaim.Shell.stats t.sh
   let pp_stats fmt t = Reclaim.Shell.pp_stats fmt t.sh
 

@@ -158,6 +158,4 @@ module type CORE = sig
   val v_ptr : t -> node -> node Atomicx.Link.view
   val unreclaimed : t -> int
   val flush : t -> unit
-  val tuning : t -> Reclaim.Tuning.t
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
 end

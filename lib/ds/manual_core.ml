@@ -221,7 +221,5 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
 
   let unreclaimed t = S.unreclaimed t.s
   let flush t = S.flush t.s
-  let tuning t = S.tuning t.s
-  let set_tuning t tn = S.set_tuning t.s tn
   let stats t = S.stats t.s
 end

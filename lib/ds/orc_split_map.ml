@@ -33,9 +33,8 @@
     ("orc-hp"), and {!Split_map.Make} on any manual scheme through
     {!Manual_core}: one source, three reclamation families.
 
-    The grow policy reads {!Reclaim.Tuning.load_factor} from the
-    core's knob record, so the adaptive controller can defer doublings
-    under memory pressure.  Keys must lie in
+    The directory doubles once the map averages
+    {!Reclaim.Tuning.load_factor} keys per bucket.  Keys must lie in
     [[0, Split_order.max_key]]. *)
 
 open Atomicx
@@ -52,8 +51,6 @@ module type MAP = sig
   val buckets : t -> int
   val grows : t -> int
   val invariant : t -> bool
-  val tuning : t -> Reclaim.Tuning.t
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
 end
 
 module Impl (O : Intf.CORE with type node = node) = struct
@@ -173,12 +170,11 @@ module Impl (O : Intf.CORE with type node = node) = struct
      operation. *)
   let maybe_grow t =
     let size = Atomic.get t.buckets_a in
-    if size < So.max_buckets then
-      let lf = Reclaim.Tuning.load_factor (O.tuning t.orc) in
-      if
-        Atomic.get t.count > lf * size
-        && Atomic.compare_and_set t.buckets_a size (2 * size)
-      then Atomic.incr t.grows
+    if
+      size < So.max_buckets
+      && Atomic.get t.count > Reclaim.Tuning.load_factor * size
+      && Atomic.compare_and_set t.buckets_a size (2 * size)
+    then Atomic.incr t.grows
 
   (* The anchor of hash [h]'s bucket at the current size. *)
   let anchor t g h ~prev ~curr ~next ~dnode =
@@ -287,8 +283,6 @@ module Impl (O : Intf.CORE with type node = node) = struct
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc
   let alloc t = t.alloc
-  let tuning t = O.tuning t.orc
-  let set_tuning t tn = O.set_tuning t.orc tn
 end
 
 module Make () = Impl (Orc_core.Orc.Make (N))

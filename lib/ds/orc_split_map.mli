@@ -23,12 +23,6 @@ module type MAP = sig
       list, the walk reaches the tail, every dummy is unmarked, and
       every set directory cell is physically the [next] link of the
       dummy carrying its bucket's so-key. *)
-
-  val tuning : t -> Reclaim.Tuning.t
-  (** The core's knob record; its {!Reclaim.Tuning.load_factor} drives
-      the grow policy. *)
-
-  val set_tuning : t -> Reclaim.Tuning.t -> unit
 end
 
 (** The map over any reclamation core; [core] exposes the instance

@@ -15,7 +15,6 @@ type kind =
   | Elide
   | Stall
   | Neutralize
-  | Ctrl
 
 let to_int = function
   | Alloc -> 0
@@ -34,7 +33,6 @@ let to_int = function
   | Elide -> 13
   | Stall -> 14
   | Neutralize -> 15
-  | Ctrl -> 16
 
 let of_int = function
   | 0 -> Alloc
@@ -53,7 +51,6 @@ let of_int = function
   | 13 -> Elide
   | 14 -> Stall
   | 15 -> Neutralize
-  | 16 -> Ctrl
   | n -> invalid_arg (Printf.sprintf "Obs.Event.of_int: %d" n)
 
 let name = function
@@ -73,7 +70,6 @@ let name = function
   | Elide -> "elide"
   | Stall -> "stall"
   | Neutralize -> "neutralize"
-  | Ctrl -> "ctrl"
 
 type t = {
   seq : int;  (** per-thread emission index, contiguous within a ring *)

@@ -41,13 +41,9 @@ type kind =
       (** a validated stalled guard was expired by a registry generation
           bump: [uid] = the neutralized slot, [arg] = its age in
           watchdog ticks at neutralization *)
-  | Ctrl
-      (** the adaptive controller took a decision: [uid] = decision code
-          ({!Sink.on_ctrl}'s [decision]), [arg] = the new knob value or
-          mode the decision installed *)
 
 val to_int : kind -> int
-(** Dense encoding in [0, 16] — what the rings store. *)
+(** Dense encoding in [0, 15] — what the rings store. *)
 
 val of_int : int -> kind
 (** Inverse of {!to_int}; raises [Invalid_argument] out of range. *)

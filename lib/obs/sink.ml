@@ -149,13 +149,6 @@ let on_neutralize t ~tid ~stalled ~age =
       Ring.emit a.ring ~tid ~ts:(a.clock ()) ~kind:Event.Neutralize
         ~uid:stalled ~arg:age
 
-let on_ctrl t ~tid ~decision ~value =
-  match t with
-  | Null -> ()
-  | Active a ->
-      Ring.emit a.ring ~tid ~ts:(a.clock ()) ~kind:Event.Ctrl ~uid:decision
-        ~arg:value
-
 let scan_begin t = match t with Null -> 0 | Active a -> a.clock ()
 
 let scan_end t ~tid ~slots ~began =

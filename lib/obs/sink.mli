@@ -106,12 +106,6 @@ val on_neutralize : t -> tid:int -> stalled:int -> age:int -> unit
     published protections no longer pin memory.  [tid] is the
     neutralizing (reclaimer or sampler) thread. *)
 
-val on_ctrl : t -> tid:int -> decision:int -> value:int -> unit
-(** Records a Ctrl event: the adaptive controller took decision
-    [decision] (a {!Reclaim.Controller} decision code — tighten, widen,
-    escalate, relax, ...) installing [value] (the new knob value or
-    scheme mode).  [tid] is the controller's thread. *)
-
 val scan_begin : t -> int
 (** Timestamp token to pass to {!scan_end} (0 under {!null}). *)
 

@@ -7,7 +7,7 @@ type 'a row = { mutable items : 'a list; mutable count : int }
 type 'a t = {
   hps : int;
   rows : 'a row array; (* [tid]; owner-private *)
-  (* cached scaled R (Tuning.threshold) *)
+  (* cached R (Tuning.threshold) *)
   threshold : int Atomic.t;
   orphans : 'a Memdom.Orphan.t;
   sink : Obs.Sink.t;
@@ -29,9 +29,8 @@ let create ~hps ~sink ~bg ~scans ~scan_slots =
     scan_slots;
   }
 
-(* The paper's R = 2·H·t amortization ratio (scaled by the tuning
-   record's bounded multiplier), tracking the live thread population
-   instead of a baked-in 8-thread default.  [t] is the {e Active} slot
+(* The paper's R = 2·H·t amortization ratio, tracking the live thread
+   population instead of a baked-in 8-thread default.  [t] is the {e Active} slot
    count, not the monotone [Registry.registered] high-water: the
    high-water never decreases, so a long-lived process that once ran
    many threads would batch forever.  Counting Active slots is
@@ -39,8 +38,7 @@ let create ~hps ~sink ~bg ~scans ~scan_slots =
    cached value is crossed — amortized O(1) per retire — plus on
    quarantine and neutralization, so the threshold shrinks promptly
    after domain death instead of waiting for the next crossing. *)
-let refresh b tuning =
-  Atomic.set b.threshold (Tuning.threshold tuning ~hps:b.hps)
+let refresh b = Atomic.set b.threshold (Tuning.threshold ~hps:b.hps)
 
 let threshold b = Atomic.get b.threshold
 
@@ -49,12 +47,12 @@ let add b ~tid x =
   r.items <- x :: r.items;
   r.count <- r.count + 1
 
-let push b ~tid tuning x =
+let push b ~tid x =
   add b ~tid x;
   let n = b.rows.(tid).count in
   n >= Atomic.get b.threshold
   && begin
-       refresh b tuning;
+       refresh b;
        n >= Atomic.get b.threshold
      end
 
@@ -82,8 +80,8 @@ let publish b ~tid items = Memdom.Orphan.publish b.orphans b.sink ~tid items
 (* On the exit path this runs on the departing thread itself; on the
    force path the owner is provably dead, so the row is single-owner
    either way. *)
-let orphan b ~tid tuning =
-  refresh b tuning;
+let orphan b ~tid =
+  refresh b;
   publish b ~tid (take b ~tid)
 
 let orphaned b = Memdom.Orphan.pending b.orphans

@@ -23,9 +23,9 @@ val create :
     [bg] is the owner's background route; [scans] and [scan_slots] are
     the owner's counters, bumped by every {!scan}. *)
 
-val push : 'a t -> tid:int -> Tuning.t -> 'a -> bool
+val push : 'a t -> tid:int -> 'a -> bool
 (** Add a retiree; [true] when [tid]'s list has reached R, re-derived
-    from the knob record before the crossing is reported.  The caller
+    from the live thread count before the crossing is reported.  The caller
     then calls {!reclaim}. *)
 
 val add : 'a t -> tid:int -> 'a -> unit
@@ -38,9 +38,9 @@ val take : 'a t -> tid:int -> 'a list
 val pending : 'a t -> tid:int -> int
 val threshold : 'a t -> int
 
-val refresh : 'a t -> Tuning.t -> unit
-(** Re-derive the cached R: on quarantine, neutralization and
-    [set_tuning]. *)
+val refresh : 'a t -> unit
+(** Re-derive the cached R ({!Tuning.threshold}): on quarantine and
+    neutralization. *)
 
 val reclaim : 'a t -> 's -> tid:int -> scan:('s -> tid:int -> unit) -> unit
 (** The background split point.  With no channel, [scan s ~tid] runs
@@ -67,7 +67,7 @@ val scan :
     over an empty list.  Pass top-level functions and the scan builds
     no closure. *)
 
-val orphan : 'a t -> tid:int -> Tuning.t -> unit
+val orphan : 'a t -> tid:int -> unit
 (** Quarantine: refresh R and publish [tid]'s list to the orphan pool,
     for the next scan by any thread to adopt. *)
 

@@ -16,7 +16,7 @@
    never queue unboundedly ahead of a slow consumer.
 
    [drain] is deliberately not consumer-private: after a reclaimer dies
-   the recovery path (controller, chaos harness, [flush]) drains the
+   the recovery path (chaos harness, [flush]) drains the
    backlog from any registered thread.  Concurrent drains are safe —
    the exchange hands each job to exactly one drainer. *)
 
@@ -27,9 +27,7 @@ type job = { count : int; run : tid:int -> unit }
 type t = {
   jobs : job list Atomic.t;
   depth : int Atomic.t;  (* objects currently queued, advisory bound *)
-  bound : int Atomic.t;  (* controller-tunable; shrink-under-load just
-                            makes sends refuse until the drain catches
-                            up — depth above the new bound is legal *)
+  bound : int;
   closed : bool Atomic.t;
   sent : Shard.t;
   fallbacks : Shard.t;
@@ -64,7 +62,7 @@ let create ?(bound = default_bound) ?(registry = Obs.Metrics.default) () =
   {
     jobs = Atomic.make [];
     depth;
-    bound = Atomic.make bound;
+    bound;
     closed = Atomic.make false;
     sent;
     fallbacks;
@@ -86,7 +84,7 @@ let push t j =
   end
 
 let send t ~tid ~count run =
-  if Atomic.get t.closed || Atomic.get t.depth + count > Atomic.get t.bound
+  if Atomic.get t.closed || Atomic.get t.depth + count > t.bound
   then begin
     Shard.incr t.fallbacks ~tid;
     false
@@ -124,11 +122,7 @@ let close t = Atomic.set t.closed true
 let reopen t = Atomic.set t.closed false
 let closed t = Atomic.get t.closed
 let depth t = Atomic.get t.depth
-let bound t = Atomic.get t.bound
-
-let set_bound t b =
-  if b < 1 then invalid_arg "Channel.set_bound: bound < 1";
-  Atomic.set t.bound b
+let bound t = t.bound
 let sent t = Shard.get t.sent
 let fallbacks t = Shard.get t.fallbacks
 let drained t = Shard.get t.drained_objs

@@ -66,13 +66,6 @@ val depth : t -> int
 
 val bound : t -> int
 
-val set_bound : t -> int -> unit
-(** Retune the depth bound (the {!Controller}'s backpressure knob).
-    Raising it admits more queued work immediately; shrinking it below
-    the current depth refuses every send until the drain catches up —
-    objects already queued are never dropped.  Raises [Invalid_argument]
-    below 1. *)
-
 val sent : t -> int
 val fallbacks : t -> int
 val drained : t -> int

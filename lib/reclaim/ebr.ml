@@ -90,7 +90,7 @@ module Make (N : Scheme_intf.NODE) = struct
      reclaimer's tid keeps the epoch-distance test exact. *)
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid t.sh.tuning (n, Atomic.get t.global_epoch)
+    if Batch.push t.batch ~tid (n, Atomic.get t.global_epoch)
     then Batch.reclaim t.batch t ~tid ~scan
 
   (* Quarantine cleaner: a departing thread must go quiescent (a stale
@@ -99,7 +99,7 @@ module Make (N : Scheme_intf.NODE) = struct
      the orphan pool, where survivors fold it into their next scan. *)
   let orphan t ~tid =
     Atomic.set t.announce.(tid) quiescent;
-    Batch.orphan t.batch ~tid t.sh.tuning
+    Batch.orphan t.batch ~tid
 
   let orphaned t = Batch.orphaned t.batch
 
@@ -109,7 +109,7 @@ module Make (N : Scheme_intf.NODE) = struct
      retired list is owner-private plain state and stays put. *)
   let neutralize_clear t ~tid =
     Atomic.set t.announce.(tid) quiescent;
-    Batch.refresh t.batch t.sh.tuning
+    Batch.refresh t.batch
 
   let create ?max_hps ?sink alloc =
     let sh = Shell.create ?max_hps ?sink alloc in
@@ -130,18 +130,6 @@ module Make (N : Scheme_intf.NODE) = struct
   let unreclaimed t = Shell.unreclaimed t.sh
   let stats t = Shell.stats t.sh
   let pp_stats fmt t = Shell.pp_stats fmt t.sh
-  let tuning t = t.sh.tuning
-
-  let set_tuning t tn =
-    t.sh.tuning <- tn;
-    Batch.refresh t.batch tn
-
-  let pending t ~tid = Batch.pending t.batch ~tid
-  let stall_age_max t = Shell.stall_age_max t.sh
-  let global_epoch t = Atomic.get t.global_epoch
-  let min_announced_now t = min_announced t ~visited:(ref 0)
-  let try_advance_epoch t = try_advance t ~visited:(ref 0)
-
   let flush t =
     for _ = 1 to 3 do
       for tid = 0 to Registry.registered () - 1 do

@@ -8,35 +8,4 @@
     memory (Table 1).  Included as the performance ceiling the lock-free
     schemes are measured against. *)
 
-module Make (N : Scheme_intf.NODE) : sig
-  include Scheme_intf.S with type node = N.t
-
-  (** {2 Extended surface for the {!Switchable} wrapper}
-
-      Beyond {!Scheme_intf.S}: the adaptive scheme wrapper embeds an
-      ebr instance as its fast policy and drives a grace period over
-      the epoch machinery when escalating to the robust policy. *)
-
-  val global_epoch : t -> int
-
-  val min_announced_now : t -> int
-  (** Minimum epoch announced by any in-use thread; [max_int] when
-      every thread is quiescent.  O(registered). *)
-
-  val try_advance_epoch : t -> unit
-  (** One epoch-advance attempt (helping): bumps the global epoch when
-      every active announcement has caught up.  Grace-period loops call
-      this so the epoch keeps moving without waiting for a retire. *)
-
-  val pending : t -> tid:int -> int
-  (** Length of [tid]'s local retired list (owner-read only). *)
-
-  val stall_age_max : t -> int
-  (** Oldest in-flight guard age in watchdog ticks (0 when none) — the
-      stall signal the adaptive controller escalates on. *)
-
-  val scan : t -> tid:int -> unit
-  (** One epoch-distance reclaim pass over [tid]'s retired list.
-      Epoch-safe from any thread for [tid]-owned state — only [tid] (or
-      a thread that provably owns the slot) may call it. *)
-end
+module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t

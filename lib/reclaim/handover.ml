@@ -44,11 +44,11 @@ let adopt_row h s ~row ~tid ~run =
     if not (is_empty x) then run s ~tid x
   done
 
-let push h s ~tid tuning ch x ~run =
+let push h s ~tid ch x ~run =
   let b = h.buffers.(tid) in
   b.items <- x :: b.items;
   b.count <- b.count + 1;
-  if b.count >= Tuning.bg_batch tuning then begin
+  if b.count >= Tuning.bg_batch then begin
     let batch = b.items and n = b.count in
     b.items <- [];
     b.count <- 0;

@@ -47,7 +47,6 @@ val push :
   'a t ->
   's ->
   tid:int ->
-  Tuning.t ->
   Channel.t ->
   'a ->
   run:('s, 'a) run ->

@@ -123,7 +123,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      carries everything the reclaimer-side scan needs. *)
   let retire t ~tid n =
     Shell.retire_era t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid t.sh.tuning n then
+    if Batch.push t.batch ~tid n then
       Batch.reclaim t.batch t ~tid ~scan
 
   (* Quarantine cleaner: drop the departing tid's published eras (an
@@ -131,7 +131,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      publish its retired list for adoption. *)
   let orphan t ~tid =
     lower t ~tid;
-    Batch.orphan t.batch ~tid t.sh.tuning
+    Batch.orphan t.batch ~tid
 
   let orphaned t = Batch.orphaned t.batch
 
@@ -140,7 +140,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      O(#L*H*t^2) worth of memory a stalled HE reader holds hostage. *)
   let neutralize_clear t ~tid =
     lower t ~tid;
-    Batch.refresh t.batch t.sh.tuning
+    Batch.refresh t.batch
 
   let create ?max_hps ?sink alloc =
     let sh = Shell.create ?max_hps ?sink alloc in
@@ -160,12 +160,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let unreclaimed t = Shell.unreclaimed t.sh
   let stats t = Shell.stats t.sh
   let pp_stats fmt t = Shell.pp_stats fmt t.sh
-  let tuning t = t.sh.tuning
-
-  let set_tuning t tn =
-    t.sh.tuning <- tn;
-    Batch.refresh t.batch tn
-
   let flush t =
     for tid = 0 to Registry.registered () - 1 do
       scan t ~tid

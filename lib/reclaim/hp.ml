@@ -140,7 +140,7 @@ module Make (N : Scheme_intf.NODE) = struct
 
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid t.sh.tuning n then
+    if Batch.push t.batch ~tid n then
       Batch.reclaim t.batch t ~tid ~scan
 
   (* Quarantine cleaner: force-clear the departing tid's hazards and
@@ -148,7 +148,7 @@ module Make (N : Scheme_intf.NODE) = struct
      scan. *)
   let orphan t ~tid =
     lower t ~tid;
-    Batch.orphan t.batch ~tid t.sh.tuning
+    Batch.orphan t.batch ~tid
 
   let orphaned t = Batch.orphaned t.batch
 
@@ -158,7 +158,7 @@ module Make (N : Scheme_intf.NODE) = struct
      (bounded by R, so it cannot break the O(Ht) bound). *)
   let neutralize_clear t ~tid =
     lower t ~tid;
-    Batch.refresh t.batch t.sh.tuning
+    Batch.refresh t.batch
 
   let create ?max_hps ?sink alloc =
     let sh = Shell.create ?max_hps ?sink alloc in
@@ -178,15 +178,6 @@ module Make (N : Scheme_intf.NODE) = struct
   let unreclaimed t = Shell.unreclaimed t.sh
   let stats t = Shell.stats t.sh
   let pp_stats fmt t = Shell.pp_stats fmt t.sh
-  let tuning t = t.sh.tuning
-
-  let set_tuning t tn =
-    t.sh.tuning <- tn;
-    Batch.refresh t.batch tn
-
-  let pending t ~tid = Batch.pending t.batch ~tid
-  let stall_age_max t = Shell.stall_age_max t.sh
-
   let flush t =
     for tid = 0 to Registry.registered () - 1 do
       scan t ~tid

@@ -9,24 +9,4 @@
     retired list proportional to [H*t], hence O(Ht²) unreclaimed overall
     — the quadratic bound the paper's PTP improves on (Table 1). *)
 
-module Make (N : Scheme_intf.NODE) : sig
-  include Scheme_intf.S with type node = N.t
-
-  (** {2 Extended surface for the {!Switchable} wrapper}
-
-      Beyond {!Scheme_intf.S}: the adaptive scheme wrapper embeds an hp
-      instance as its robust policy and needs to drain a thread's own
-      retired list to fixpoint after relaxing back to the fast policy. *)
-
-  val pending : t -> tid:int -> int
-  (** Length of [tid]'s local retired list (owner-read only). *)
-
-  val stall_age_max : t -> int
-  (** Oldest in-flight guard age in watchdog ticks (0 when none). *)
-
-  val scan : t -> tid:int -> unit
-  (** One hazard scan of [tid]'s retired list.  Safe concurrently with
-      other threads' operations — it reads the shared hazard rows and
-      touches only [tid]-local plain state — but only [tid] (or a
-      thread that provably owns the slot) may call it. *)
-end
+module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t

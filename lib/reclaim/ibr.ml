@@ -111,7 +111,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      reclaimer carries everything the reclaimer-side scan needs. *)
   let retire t ~tid n =
     Shell.retire_era t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid t.sh.tuning n then
+    if Batch.push t.batch ~tid n then
       Batch.reclaim t.batch t ~tid ~scan
 
   (* Quarantine cleaner: retract the departing tid's reservation
@@ -120,7 +120,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      publish its retired list for adoption. *)
   let orphan t ~tid =
     retract t ~tid;
-    Batch.orphan t.batch ~tid t.sh.tuning
+    Batch.orphan t.batch ~tid
 
   let orphaned t = Batch.orphaned t.batch
 
@@ -129,7 +129,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      the watchdog flagged. *)
   let neutralize_clear t ~tid =
     retract t ~tid;
-    Batch.refresh t.batch t.sh.tuning
+    Batch.refresh t.batch
 
   let create ?max_hps ?sink alloc =
     let sh = Shell.create ?max_hps ?sink alloc in
@@ -152,12 +152,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let unreclaimed t = Shell.unreclaimed t.sh
   let stats t = Shell.stats t.sh
   let pp_stats fmt t = Shell.pp_stats fmt t.sh
-  let tuning t = t.sh.tuning
-
-  let set_tuning t tn =
-    t.sh.tuning <- tn;
-    Batch.refresh t.batch tn
-
   let flush t =
     for tid = 0 to Registry.registered () - 1 do
       scan t ~tid

@@ -20,9 +20,6 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     counters : Scheme_intf.Counters.t;
     orphans : node Memdom.Orphan.t;
     mutable lifecycle : int -> unit;
-    (* the controls have no thresholds; the record is carried so the
-       knob surface is uniform across every Scheme_intf.S *)
-    mutable tuning : Tuning.t;
   }
 
   let name = "leak"
@@ -53,7 +50,6 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
         counters = Scheme_intf.Counters.create ();
         orphans = Memdom.Orphan.create ();
         lifecycle = ignore;
-        tuning = Tuning.create ();
       }
     in
     t.lifecycle <- (fun tid -> orphan t ~tid);
@@ -77,8 +73,6 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
 
   (* Nothing to drain in the background: retire never scans. *)
   let set_background _ _ = ()
-  let tuning t = t.tuning
-  let set_tuning t tn = t.tuning <- tn
 
   let unreclaimed t = Scheme_intf.Counters.unreclaimed t.counters
   let stats t = Scheme_intf.Counters.stats t.counters
@@ -108,7 +102,6 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
     sink : Obs.Sink.t;
     hps : int;
     counters : Scheme_intf.Counters.t;
-    mutable tuning : Tuning.t;
   }
 
   let name = "unsafe"
@@ -123,7 +116,6 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
       sink;
       hps = max_hps;
       counters = Scheme_intf.Counters.create ();
-      tuning = Tuning.create ();
     }
 
   let begin_op t ~tid = Obs.Sink.guard_begin t.sink ~tid
@@ -144,8 +136,6 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
 
   (* Frees at retire; there is no batch to route anywhere. *)
   let set_background _ _ = ()
-  let tuning t = t.tuning
-  let set_tuning t tn = t.tuning <- tn
 
   (* Nothing is ever pending, so thread death leaves nothing behind. *)
   let orphan _ ~tid:_ = ()

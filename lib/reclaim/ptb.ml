@@ -139,7 +139,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
 
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid t.sh.tuning n then
+    if Batch.push t.batch ~tid n then
       Batch.reclaim t.batch t ~tid ~scan:liberate
 
   let add t ~tid q = Batch.add t.batch ~tid q
@@ -157,7 +157,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let orphan t ~tid =
     lower t ~tid;
     Handover.adopt_row t.handoff t ~row:tid ~tid ~run:add;
-    Batch.orphan t.batch ~tid t.sh.tuning
+    Batch.orphan t.batch ~tid
 
   let orphaned t = Batch.orphaned t.batch
 
@@ -167,7 +167,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
      while it may be alive). *)
   let neutralize_clear t ~tid =
     lower t ~tid;
-    Batch.refresh t.batch t.sh.tuning;
+    Batch.refresh t.batch;
     Handover.adopt_row t.handoff t ~row:tid ~tid ~run:publish
 
   let create ?max_hps ?sink alloc =
@@ -189,12 +189,6 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let unreclaimed t = Shell.unreclaimed t.sh
   let stats t = Shell.stats t.sh
   let pp_stats fmt t = Shell.pp_stats fmt t.sh
-  let tuning t = t.sh.tuning
-
-  let set_tuning t tn =
-    t.sh.tuning <- tn;
-    Batch.refresh t.batch tn
-
   (* Handoff slots are drained too: a value handed to a guard lowered
      after the liberator's snapshot waits there for its owner's next
      [clear], which an idle owner never runs.  Liberating it re-checks

@@ -30,7 +30,6 @@ type t = {
   kill_flag : bool Atomic.t;
   dead : bool Atomic.t;
   passes : int Atomic.t;
-  interval_us : int Atomic.t;  (* pass period; controller-tunable *)
   neutralize_age : int option;
   domain : unit Domain.t;
   keep : (string * (unit -> int)) list;
@@ -38,13 +37,13 @@ type t = {
 
 exception Killed
 
-let run ~interval_us ~neutralize_age ~sink ~stop_flag ~kill_flag ~passes
+let run ~interval ~neutralize_age ~sink ~stop_flag ~kill_flag ~passes
     channel =
   Registry.with_tid @@ fun tid ->
   let last_tick = ref (Obs.Watchdog.tick ()) in
   (try
      while not (Atomic.get stop_flag) do
-       Unix.sleepf (float_of_int (Atomic.get interval_us) /. 1e6);
+       Unix.sleepf interval;
        if Atomic.get kill_flag then raise Killed;
        ignore (Channel.drain channel ~tid);
        (match neutralize_age with
@@ -67,13 +66,12 @@ let run ~interval_us ~neutralize_age ~sink ~stop_flag ~kill_flag ~passes
      ignore (Channel.drain channel ~tid)
    with Killed -> ())
 
-let start ?(interval = Tuning.default_drain_interval) ?neutralize_age
+let start ?(interval = 0.002) ?neutralize_age
     ?(sink = Obs.Sink.null) ?(registry = Obs.Metrics.default) channel =
   let stop_flag = Atomic.make false in
   let kill_flag = Atomic.make false in
   let dead = Atomic.make false in
   let passes = Atomic.make 0 in
-  let interval_us = Atomic.make (max 1 (int_of_float (interval *. 1e6))) in
   let keep =
     match neutralize_age with
     | Some _ ->
@@ -86,7 +84,7 @@ let start ?(interval = Tuning.default_drain_interval) ?neutralize_age
         Fun.protect
           ~finally:(fun () -> Atomic.set dead true)
           (fun () ->
-            run ~interval_us ~neutralize_age ~sink ~stop_flag ~kill_flag
+            run ~interval ~neutralize_age ~sink ~stop_flag ~kill_flag
               ~passes channel))
   in
   {
@@ -95,7 +93,6 @@ let start ?(interval = Tuning.default_drain_interval) ?neutralize_age
     kill_flag;
     dead;
     passes;
-    interval_us;
     neutralize_age;
     domain;
     keep;
@@ -132,7 +129,3 @@ let recover t ~tid =
 let alive t = not (Atomic.get t.dead)
 let passes t = Atomic.get t.passes
 let channel t = t.channel
-let interval t = float_of_int (Atomic.get t.interval_us) /. 1e6
-
-let set_interval t s =
-  Atomic.set t.interval_us (max 1 (int_of_float (s *. 1e6)))

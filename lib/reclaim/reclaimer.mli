@@ -17,8 +17,8 @@ val start :
   ?registry:Obs.Metrics.t ->
   Channel.t ->
   t
-(** Spawn the reclaimer over [channel].  [interval] (default
-    {!Tuning.default_drain_interval}) is the pass period.  [neutralize_age], when given, arms
+(** Spawn the reclaimer over [channel].  [interval] (default 2 ms) is
+    the pass period.  [neutralize_age], when given, arms
     {!Neutralize} and expires any guard the watchdog validates as
     stalled for that many ticks; omitted, the reclaimer only drains.
     Registers the neutralization probes in [registry] and keeps them
@@ -49,10 +49,3 @@ val passes : t -> int
 (** Completed reclaimer passes (heartbeat). *)
 
 val channel : t -> Channel.t
-
-val interval : t -> float
-(** Current pass period in seconds. *)
-
-val set_interval : t -> float -> unit
-(** Retune the pass period (the {!Controller}'s drain-cadence knob).
-    Takes effect on the next pass; clamped to at least 1 µs. *)

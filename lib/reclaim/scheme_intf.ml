@@ -178,18 +178,11 @@ module type S = sig
   val retire : t -> tid:int -> node -> unit
   (** Hand an unreachable node to the scheme; it will be freed once no
       thread protects it.  Precondition (same as HP/PTB/HE, §3.1): the
-      node is no longer reachable from any global reference. *)
-
-  val tuning : t -> Tuning.t
-  (** The knob record this instance derives its thresholds from.  Each
-      [create] makes a fresh record at the documented defaults, so
-      tuning one structure never perturbs another; the adaptive
-      controller adjusts a structure through this handle. *)
-
-  val set_tuning : t -> Tuning.t -> unit
-  (** Swap in a shared knob record (e.g. one record steering several
-      structures as a group).  Takes effect from the next threshold
-      refresh — crossing, quarantine or neutralization. *)
+      node is no longer reachable from any global reference.  A
+      batching scheme scans once the caller's list reaches
+      R = {!Tuning.threshold} (the paper's 2·H·t over the live thread
+      count); the thresholds are constants, and a stalled reader is
+      handled by neutralization, not by retuning them. *)
 
   val set_background : t -> Channel.t option -> unit
   (** Background drain mode.  With [Some ch], a retire that crosses the

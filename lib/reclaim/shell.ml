@@ -16,7 +16,6 @@ type t = {
   counters : Scheme_intf.Counters.t;
   wd : Obs.Watchdog.t; (* guard-stall stamp table *)
   bg : Channel.route; (* background drain route *)
-  mutable tuning : Tuning.t;
   (* strong references keeping the weakly-registered quarantine
      cleaner, neutralize hook and metrics probes alive exactly as long
      as the scheme *)
@@ -35,7 +34,6 @@ let create ?(max_hps = 8) ?sink alloc =
     counters = Scheme_intf.Counters.create ();
     wd = Obs.Watchdog.create ();
     bg = Atomic.make None;
-    tuning = Tuning.create ();
     lifecycle = ignore;
     neutralizer = ignore;
     metrics = [];

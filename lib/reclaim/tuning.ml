@@ -1,56 +1,8 @@
-(* See the mli for the model.  One word per knob, so controller writes
-   and mutator reads need no locking; clamping lives here so no caller
-   can push a scheme outside the bounded multiplier the safety argument
-   in DESIGN.md §15 assumes. *)
+(* See the mli for the model. *)
 
 open Atomicx
 
-let default_r_scale_pct = 100
-let min_r_scale_pct = 25
-let max_r_scale_pct = 400
-let default_r_floor = 2
-let default_bg_batch = 32
-let min_bg_batch = 8
-let max_bg_batch = 256
-let default_drain_interval = 0.002
-let default_load_factor = 4
-let min_load_factor = 1
-let max_load_factor = 64
-
-type t = {
-  scale_pct : int Atomic.t;
-  bg_batch : int Atomic.t;
-  load_factor : int Atomic.t;
-  r_floor : int;
-}
-
-let clamp lo hi v = max lo (min hi v)
-
-let create ?(r_scale_pct = default_r_scale_pct) ?(r_floor = default_r_floor)
-    ?(bg_batch = default_bg_batch) ?(load_factor = default_load_factor) () =
-  {
-    scale_pct =
-      Atomic.make (clamp min_r_scale_pct max_r_scale_pct r_scale_pct);
-    bg_batch = Atomic.make (clamp min_bg_batch max_bg_batch bg_batch);
-    load_factor =
-      Atomic.make (clamp min_load_factor max_load_factor load_factor);
-    r_floor = max 1 r_floor;
-  }
-
-let scale_pct t = Atomic.get t.scale_pct
-
-let set_scale_pct t v =
-  Atomic.set t.scale_pct (clamp min_r_scale_pct max_r_scale_pct v)
-
-let bg_batch t = Atomic.get t.bg_batch
-let set_bg_batch t v = Atomic.set t.bg_batch (clamp min_bg_batch max_bg_batch v)
-let load_factor t = Atomic.get t.load_factor
-
-let set_load_factor t v =
-  Atomic.set t.load_factor (clamp min_load_factor max_load_factor v)
-
-let r_floor t = t.r_floor
-
-let threshold t ~hps =
-  let base = 2 * hps * max 1 (Registry.active ()) in
-  max t.r_floor (base * Atomic.get t.scale_pct / 100)
+let r_floor = 2
+let bg_batch = 32
+let load_factor = 4
+let threshold ~hps = max r_floor (2 * hps * max 1 (Registry.active ()))

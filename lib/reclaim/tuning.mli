@@ -1,98 +1,26 @@
-(** The single knob surface for reclamation aggressiveness.
+(** The reclamation constants every scheme derives its thresholds
+    from: the hp/ptb/he/ibr/ebr retire-batch threshold R, the orc
+    family's background submit-buffer size and the split maps' load
+    factor.  They are constants: a stalled reader is handled by
+    neutralization ({!Reclaimer.start}'s [neutralize_age]), not by
+    retuning these per deployment. *)
 
-    Every threshold that used to be a scattered per-scheme constant —
-    the hp/ptb/he/ibr R caches, ebr's flat scan threshold, the orc
-    family's background submit-buffer size — is derived from one of
-    these records, so the adaptive {!Controller} has exactly one place
-    to turn and a static deployment has exactly one place to read the
-    defaults from.
+val r_floor : int
+(** 2 — R never drops below this, whatever the live thread count says
+    (a zero threshold would scan on every retire).  Kept at the edge so
+    the threshold is exactly the paper's 2·H·t. *)
 
-    Knobs are atomics: the controller domain writes them while mutator
-    retire paths read them, and a torn update is impossible (each knob
-    is one word).  Reads on the retire hot path are amortized — schemes
-    cache the derived threshold and refresh it only on crossing,
-    quarantine or neutralization, exactly as they cached the 2·H·t
-    product before. *)
-
-type t
-
-(** {2 Documented defaults} *)
-
-val default_r_scale_pct : int
-(** 100 — the paper-faithful R = 2·H·t, unscaled. *)
-
-val min_r_scale_pct : int
-(** 25 — the tightest the controller may clamp R (¼ of the paper
-    floor: smaller batches, more scans, lower unreclaimed bound). *)
-
-val max_r_scale_pct : int
-(** 400 — the loosest the controller may stretch R (4× the paper
-    floor: bigger batches, fewer scans, higher unreclaimed bound). *)
-
-val default_r_floor : int
-(** 2 — R never drops below this, whatever the scale and live thread
-    count say (a zero threshold would scan on every retire).  Kept at
-    the edge so the unscaled threshold is exactly the paper's 2·H·t. *)
-
-val default_bg_batch : int
+val bg_batch : int
 (** 32 — the orc-family background submit-buffer size (objects
     buffered thread-locally before a channel send). *)
 
-val min_bg_batch : int
-(** 8 *)
-
-val max_bg_batch : int
-(** 256 *)
-
-val default_drain_interval : float
-(** 0.002 s — the background reclaimer's pass period
-    ({!Reclaimer.start}'s default). *)
-
-val default_load_factor : int
+val load_factor : int
 (** 4 — target keys-per-bucket before a resizable map doubles its
-    bucket directory (split-ordered maps read this per grow check). *)
+    bucket directory. *)
 
-val min_load_factor : int
-(** 1 — the most aggressive growth the controller may request. *)
-
-val max_load_factor : int
-(** 64 — the laziest: under memory pressure the controller can raise
-    the knob to defer directory doublings and bound bucket-array
-    growth, trading longer chains for a smaller footprint. *)
-
-(** {2 Records} *)
-
-val create :
-  ?r_scale_pct:int ->
-  ?r_floor:int ->
-  ?bg_batch:int ->
-  ?load_factor:int ->
-  unit ->
-  t
-(** A fresh knob record, defaults as documented above.  Out-of-range
-    arguments are clamped, never rejected. *)
-
-val scale_pct : t -> int
-
-val set_scale_pct : t -> int -> unit
-(** Clamped to [[min_r_scale_pct, max_r_scale_pct]]. *)
-
-val bg_batch : t -> int
-
-val set_bg_batch : t -> int -> unit
-(** Clamped to [[min_bg_batch, max_bg_batch]]. *)
-
-val load_factor : t -> int
-
-val set_load_factor : t -> int -> unit
-(** Clamped to [[min_load_factor, max_load_factor]].  Read on the map's
-    grow-check path (one atomic load, amortized over adds). *)
-
-val r_floor : t -> int
-
-val threshold : t -> hps:int -> int
-(** The scaled retire-batch threshold
-    [max r_floor (2·hps·max 1 (Registry.active ()) · scale_pct / 100)]
-    — the paper's R = 2·H·t with the controller's bounded multiplier
-    applied.  O(registered): call on crossing / quarantine /
-    neutralization and cache, not per retire. *)
+val threshold : hps:int -> int
+(** The retire-batch threshold
+    [max r_floor (2·hps·max 1 (Registry.active ()))] — the paper's
+    R = 2·H·t over the live thread count.  O(registered): call on
+    crossing / quarantine / neutralization and cache, not per
+    retire. *)

@@ -63,6 +63,44 @@ let test_channel_concurrent_senders () =
     (Reclaim.Channel.drain ch ~tid);
   check_int "depth zero after drain" 0 (Reclaim.Channel.depth ch)
 
+let test_channel_capacity_one () =
+  Registry.reserve 1;
+  let tid = Registry.tid () in
+  let ch = Reclaim.Channel.create ~bound:1 () in
+  let noop ~tid:_ = () in
+  check_bool "first object fits" true
+    (Reclaim.Channel.send ch ~tid ~count:1 noop);
+  check_bool "second refused at capacity 1" false
+    (Reclaim.Channel.send ch ~tid ~count:1 noop);
+  check_int "depth exact" 1 (Reclaim.Channel.depth ch);
+  check_int "drain recovers the single object" 1
+    (Reclaim.Channel.drain ch ~tid);
+  check_bool "slot free again" true
+    (Reclaim.Channel.send ch ~tid ~count:1 noop);
+  check_int "final drain" 1 (Reclaim.Channel.drain ch ~tid)
+
+let test_channel_depth_after_kill_recover () =
+  Registry.reserve 1;
+  let tid = Registry.tid () in
+  let ch = Reclaim.Channel.create ~bound:1024 () in
+  let reclaimer = Reclaim.Reclaimer.start ~interval:0.5 ch in
+  (* the reclaimer sleeps its first long interval: land a backlog, kill
+     it, and the depth gauge must still equal exactly what recover
+     replays *)
+  let landed = ref 0 in
+  for k = 1 to 5 do
+    if Reclaim.Channel.send ch ~tid ~count:k (fun ~tid:_ -> ()) then
+      landed := !landed + k
+  done;
+  Reclaim.Reclaimer.kill reclaimer;
+  check_bool "reclaimer dead" false (Reclaim.Reclaimer.alive reclaimer);
+  let backlog = Reclaim.Channel.depth ch in
+  let recovered = Reclaim.Reclaimer.recover reclaimer ~tid in
+  check_int "recover replays the full depth" backlog recovered;
+  check_int "depth zero after recover" 0 (Reclaim.Channel.depth ch);
+  check_int "drained accounts every landed object" !landed
+    (Reclaim.Channel.drained ch)
+
 (* ------------------------------------------------------------------ *)
 (* Neutralization primitive *)
 
@@ -306,6 +344,73 @@ let test_neutralize_orphan_interplay () =
       check_int "orphans adopted" 0 (Hp.orphaned s);
       check_int "no leak, no double free" 0 (Memdom.Alloc.live alloc))
 
+(* EBR's stall remedy with no clock and no reclaimer: a reader parked
+   inside [begin_op] holds the global epoch back, so every retiree
+   past R stays pending.  Firing the neutralization by hand forces the
+   victim's announcement quiescent; the next retire-driven scans free
+   the backlog while the victim still sleeps, and the victim's next
+   protected read raises instead of reading unprotected. *)
+module Ebr = Reclaim.Ebr.Make (BN)
+
+let test_ebr_neutralized_reader () =
+  let alloc = Memdom.Alloc.create "bg-ebr-neutralize" in
+  let s = Ebr.create ~max_hps:4 alloc in
+  let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
+  let hot = Link.make_in bn_arena (Link.Ptr (mk 0)) in
+  let by = Registry.tid () in
+  let retire_round () =
+    let batch = List.init (Reclaim.Tuning.threshold ~hps:4) mk in
+    List.iter (Ebr.retire s ~tid:by) batch;
+    batch
+  in
+  let all_freed = List.for_all (fun n -> Memdom.Hdr.is_freed n.hdr) in
+  Reclaim.Neutralize.arm ();
+  Fun.protect ~finally:Reclaim.Neutralize.disarm (fun () ->
+      let victim_tid = Atomic.make (-1) and release = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            Registry.with_tid (fun tid ->
+                Ebr.begin_op s ~tid;
+                Atomic.set victim_tid tid;
+                while not (Atomic.get release) do
+                  Unix.sleepf 0.001
+                done;
+                let raised =
+                  match Ebr.get_protected_v s ~tid ~idx:0 hot with
+                  | _ -> false
+                  | exception Reclaim.Neutralize.Neutralized _ -> true
+                in
+                Ebr.end_op s ~tid;
+                raised))
+      in
+      while Atomic.get victim_tid < 0 do
+        Domain.cpu_relax ()
+      done;
+      let vtid = Atomic.get victim_tid in
+      (* several crossings of R, each a scan, and none frees anything *)
+      let pinned = List.concat (List.init 4 (fun _ -> retire_round ())) in
+      check_bool "the parked reader pins every retiree" true
+        (List.for_all (fun n -> not (Memdom.Hdr.is_freed n.hdr)) pinned);
+      check_bool "fire" true (Reclaim.Neutralize.fire ~by ~tid:vtid ~age:1 ());
+      (* each round crosses R once more: one scan, one epoch advance *)
+      let rec rounds k = if k > 0 && not (all_freed pinned) then begin
+          ignore (retire_round ());
+          rounds (k - 1)
+        end
+      in
+      rounds 8;
+      let freed_while_asleep = all_freed pinned in
+      Atomic.set release true;
+      let raised = Domain.join d in
+      check_bool "retirees freed with the victim still parked" true
+        freed_while_asleep;
+      check_bool "the waking victim's protected read raised" true raised;
+      (match Link.target (swap bn_arena hot Link.Null) with
+      | Some n -> Ebr.retire s ~tid:by n
+      | None -> ());
+      Ebr.flush s;
+      check_int "no leak" 0 (Memdom.Alloc.live alloc))
+
 (* Automatic scheme: orc guards under a background reclaimer.  The
    channel carries BRETIRED batches; stop + flush accounts for every
    node including cascades through the structure's links. *)
@@ -367,6 +472,10 @@ let test_neutralize_battery () =
   check_bool "waking victim raised Neutralized" true r.Chaos.bg_victim_raised;
   check_bool "pinned node freed with victim still parked" true
     r.Chaos.bg_pinned_freed;
+  check_int "two domains killed mid-stall" 2 r.Chaos.bg_kills;
+  check_int "every killed slot force-released" r.Chaos.bg_kills
+    r.Chaos.bg_forced;
+  check_int "nothing leaked" 0 r.Chaos.bg_leaked;
   check_bool "pipeline carried batches" true (r.Chaos.bg_sent > 0)
 
 let test_reclaimer_kill_battery () =
@@ -388,6 +497,10 @@ let suite =
           test_channel_bound_and_close;
         Alcotest.test_case "channel: concurrent senders" `Quick
           test_channel_concurrent_senders;
+        Alcotest.test_case "channel: capacity one" `Quick
+          test_channel_capacity_one;
+        Alcotest.test_case "channel: depth accuracy across kill/recover"
+          `Quick test_channel_depth_after_kill_recover;
         Alcotest.test_case "neutralize: generation bump + quarantine clears"
           `Quick test_neutralize_generation_bump;
         Alcotest.test_case "neutralize: refuses non-Active slots" `Quick
@@ -399,6 +512,9 @@ let suite =
         Drain_hp.drain;
         Alcotest.test_case "hp: neutralize vs orphan adoption" `Quick
           test_neutralize_orphan_interplay;
+        Alcotest.test_case
+          "ebr: a neutralized parked reader stops pinning the epoch" `Quick
+          test_ebr_neutralized_reader;
         Alcotest.test_case "orc: background drain leaks nothing" `Quick
           Orc_ptp_drain.run;
         Alcotest.test_case "orc-hp: background drain leaks nothing" `Quick

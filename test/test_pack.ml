@@ -32,7 +32,6 @@ module Ebr = Reclaim.Ebr.Make (PN)
 module Ptb = Reclaim.Ptb.Make (PN)
 module Ptp = Orc_core.Ptp.Make (PN)
 module Leak = Reclaim.None_scheme.Leak (PN)
-module Sw = Reclaim.Switchable.Make (PN)
 
 module ON = struct
   type t = pnode
@@ -509,7 +508,6 @@ let suite =
         walk_case (module Ptb);
         walk_case (module Ptp);
         walk_case (module Leak);
-        walk_case (module Sw);
         Alcotest.test_case "orc: packed guarded traversal allocates nothing"
           `Quick
           (orc_zero_alloc (module Orc) "orc");

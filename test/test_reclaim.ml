@@ -222,32 +222,26 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
 end
 
 (* The batching schemes' threshold contract: with nothing protected,
-   the scan runs at exactly the R-th retire, R read from the instance's
-   own knob record, and a swapped-in record moves R. *)
+   the scan runs at exactly the R-th retire, R = 2·H·t over the live
+   thread count. *)
 module Batching (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
   let hps = 4
 
   let scans_at_r s alloc ~tid =
-    let r = Reclaim.Tuning.threshold (S.tuning s) ~hps in
+    let r = Reclaim.Tuning.threshold ~hps in
     let scans0 = (S.stats s).scans in
     for i = 1 to r - 1 do
       S.retire s ~tid { hdr = Memdom.Alloc.hdr alloc (); value = i }
     done;
     check_int "no scan below R" scans0 (S.stats s).scans;
     S.retire s ~tid { hdr = Memdom.Alloc.hdr alloc (); value = r };
-    check_int "one scan at the R-th retire" (scans0 + 1) (S.stats s).scans;
-    r
+    check_int "one scan at the R-th retire" (scans0 + 1) (S.stats s).scans
 
   let test_threshold () =
     let alloc = Memdom.Alloc.create (S.name ^ "-threshold") in
     let s = S.create ~max_hps:hps alloc in
     let tid = Registry.tid () in
-    let r = scans_at_r s alloc ~tid in
-    S.set_tuning s (Reclaim.Tuning.create ~r_scale_pct:400 ());
-    S.flush s;
-    check_int "drained before the rescaled round" 0 (S.unreclaimed s);
-    let r' = scans_at_r s alloc ~tid in
-    check_int "rescaled R" (4 * r) r';
+    scans_at_r s alloc ~tid;
     S.flush s;
     check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
@@ -431,11 +425,45 @@ let test_handover_drains_each_node_once () =
   check_bool "the plane is empty" true
     (Reclaim.Handover.is_empty (Reclaim.Handover.take h ~row:0 ~idx:0))
 
+(* The cached R derives from Registry.active (); a quarantine pass
+   (domain death) must refresh it, not just a crossing.  Park a wide
+   active population, prime the cache, let the helpers die, and check
+   the very next crossing test uses the narrowed width. *)
+let test_threshold_refreshes_on_quarantine () =
+  let alloc = Memdom.Alloc.create "tuning-quarantine" in
+  let s = Ebr.create ~max_hps:4 alloc in
+  let mk v = { hdr = Memdom.Alloc.hdr alloc (); value = v } in
+  Registry.reserve 1;
+  let tid = Registry.tid () in
+  run_domains_exn 8 (fun ~i:_ ~tid:wtid ->
+      Ebr.begin_op s ~tid:wtid;
+      Ebr.end_op s ~tid:wtid;
+      (* one retire each primes the cached threshold at this width *)
+      Ebr.retire s ~tid:wtid (mk 0));
+  (* helpers have released: the quarantine hooks must have re-derived
+     the threshold at the narrow width, so a burst sized for the narrow
+     R scans (adopting the helpers' orphans) instead of pooling up to
+     the stale wide R *)
+  let narrow = Reclaim.Tuning.threshold ~hps:4 in
+  for k = 1 to narrow + 1 do
+    Ebr.retire s ~tid (mk k)
+  done;
+  check_bool "scan fired at the narrowed threshold" true
+    (Ebr.unreclaimed s < narrow + 1);
+  Ebr.flush s;
+  Ebr.flush s;
+  check_int "leak-free" 0 (Memdom.Alloc.live alloc)
+
 let suite =
   [
     ("scheme:hp", Gen_hp.cases @ Bat_hp.cases);
     ("scheme:ptb", Gen_ptb.cases @ Bat_ptb.cases);
-    ("scheme:ebr", Gen_ebr.cases @ Bat_ebr.cases);
+    ( "scheme:ebr",
+      Gen_ebr.cases @ Bat_ebr.cases
+      @ [
+          Alcotest.test_case "tuning: threshold refreshes on quarantine"
+            `Quick test_threshold_refreshes_on_quarantine;
+        ] );
     ("scheme:he", Gen_he.cases @ Bat_he.cases);
     ("scheme:ibr", Gen_ibr.cases @ Bat_ibr.cases);
     ("scheme:ptp", Gen_ptp.cases);

@@ -69,7 +69,7 @@ let test_scan_set_ranges () =
   check_bool "below all" false (Scan_set.mem_range s ~lo:0 ~hi:9);
   check_bool "above all" false (Scan_set.mem_range s ~lo:31 ~hi:1000)
 
-let test_scan_set_intervals () =
+let test_scan_set_overlaps () =
   let s = Scan_set.create () in
   (* unsorted, with a long interval shadowing a later lower bound —
      the running-max seal must still see it *)
@@ -280,7 +280,7 @@ let suite =
         Alcotest.test_case "ranges: point-in-interval queries" `Quick
           test_scan_set_ranges;
         Alcotest.test_case "intervals: overlap with running max" `Quick
-          test_scan_set_intervals;
+          test_scan_set_overlaps;
       ] );
     ( "scan_snapshot",
       [

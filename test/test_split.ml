@@ -176,28 +176,6 @@ let test_cells_are_anchors () =
   check_int "no leak" 0 (Memdom.Alloc.live (Sm_orc_wb.alloc s));
   check_int "nothing unreclaimed" 0 (Sm_orc_wb.unreclaimed s)
 
-(* {2 load-factor knob drives the grow policy} *)
-
-let test_load_factor_knob () =
-  (* a high load factor defers growth; the default grows eagerly *)
-  let lazy_map = Sm_hp.create () in
-  Reclaim.Tuning.set_load_factor (Sm_hp.tuning lazy_map) 64;
-  for k = 1 to 500 do
-    ignore (Sm_hp.add lazy_map k)
-  done;
-  let eager = Sm_hp.create () in
-  for k = 1 to 500 do
-    ignore (Sm_hp.add eager k)
-  done;
-  check_bool "higher load factor => fewer buckets" true
-    (Sm_hp.buckets lazy_map < Sm_hp.buckets eager);
-  List.iter
-    (fun s ->
-      Sm_hp.destroy s;
-      Sm_hp.flush s;
-      check_int "no leak" 0 (Memdom.Alloc.live (Sm_hp.alloc s)))
-    [ lazy_map; eager ]
-
 let suite =
   [
     ( "split:encoding",
@@ -222,8 +200,6 @@ let suite =
           test_grow_under_churn_orc;
         Alcotest.test_case "grow under churn (hp, 4 domains)" `Slow
           test_grow_under_churn_hp;
-        Alcotest.test_case "load-factor knob defers growth" `Quick
-          test_load_factor_knob;
         Alcotest.test_case "directory cells: unset until set" `Quick
           test_dir_cells;
         Alcotest.test_case "every set cell is its dummy's next" `Quick

@@ -6,20 +6,13 @@
      BENCH_orc.json (as written by `bench/main.exe --metrics --json`).
      Without [--once] it keeps polling the file and redraws whenever it
      changes, so a bench loop in another terminal gets a live view.
-     When the file also carries an ["adaptive"] section (from
-     `--adaptive --json`) its per-phase A/B summary prints below.
 
    - [--demo]: entirely in-process — starts a sampler domain over
-     [Obs.Metrics.default], runs a guard + retire churn workload on a
-     switchable scheme driven by a live adaptive controller, and
-     renders the registry until [--seconds] elapse.  This is the
+     [Obs.Metrics.default], runs a guard + retire churn workload on
+     EBR beside a staller, with a reclaimer armed to neutralize it,
+     and renders the registry until [--seconds] elapse.  This is the
      end-to-end smoke of the whole plane: watchdog clock live,
      per-scheme probes, allocator gauges, ring-buffered series.
-
-   Any [orcgc_ctrl_*] series are pulled out of the main table into a
-   dedicated controller pane with the ladder state decoded
-   (Fast/Escalating/Robust) — in the demo the staller forces real
-   escalations, so the pane moves.
 
      dune exec tools/orc_top.exe -- [--once] [--interval=S] [FILE]
      dune exec tools/orc_top.exe -- --demo [--seconds=N] [--interval=S]
@@ -94,56 +87,12 @@ let print_row r =
   Printf.printf "%-30s %-24s %-7s %10d %10d  %s\n" r.r_name r.r_labels
     r.r_kind r.r_last r.r_hwm (sparkline r.r_points)
 
-let mode_name = function
-  | 0 -> "Fast"
-  | 1 -> "Escalating"
-  | 2 -> "Robust"
-  | _ -> "?"
-
-let is_ctrl r = String.starts_with ~prefix:"orcgc_ctrl_" r.r_name
-
-(* The controller pane: its series pulled out of the main table, plus a
-   one-line decoded summary (mode names instead of raw ints) so the
-   ladder state is readable at a glance. *)
-let render_ctrl_pane rows =
-  match List.filter is_ctrl rows with
-  | [] -> ()
-  | ctrl ->
-      let find name =
-        List.find_opt (fun r -> r.r_name = name) ctrl
-      in
-      Printf.printf "\n-- controller %s\n"
-        (String.make 47 '-');
-      (match (find "orcgc_ctrl_mode", find "orcgc_ctrl_scale_pct") with
-      | Some m, Some sc ->
-          Printf.printf
-            "   mode %-10s  threshold scale %d%%  (hwm mode %s)\n"
-            (mode_name m.r_last) sc.r_last (mode_name m.r_hwm)
-      | Some m, None ->
-          Printf.printf "   mode %-10s (hwm mode %s)\n" (mode_name m.r_last)
-            (mode_name m.r_hwm)
-      | None, _ -> ());
-      (match
-         ( find "orcgc_ctrl_escalations_total",
-           find "orcgc_ctrl_relaxations_total",
-           find "orcgc_ctrl_decisions_total" )
-       with
-      | Some e, Some r, d ->
-          Printf.printf "   %d escalations, %d relaxations%s\n" e.r_last
-            r.r_last
-            (match d with
-            | Some d -> Printf.sprintf ", %d decisions" d.r_last
-            | None -> "")
-      | _ -> ());
-      List.iter print_row ctrl
-
 let render ~clear ~title rows =
   if clear then print_string "\027[2J\027[H";
   Printf.printf "orc_top — %s\n" title;
   Printf.printf "%-30s %-24s %-7s %10s %10s  %s\n" "series" "labels" "kind"
     "last" "hwm" "recent";
-  List.iter print_row (List.filter (fun r -> not (is_ctrl r)) rows);
-  render_ctrl_pane rows;
+  List.iter print_row rows;
   flush stdout
 
 let labels_string kvs =
@@ -198,45 +147,8 @@ let rows_of_file path =
       })
     series
 
-(* When the file also carries an --adaptive A/B section, summarize it
-   under the series table: per-contestant phase throughputs plus the
-   ladder counters for the adaptive row. *)
-let render_adaptive_section path =
-  let doc = load path in
-  match Obs.Json.member "adaptive" doc with
-  | None | Some (Obs.Json.Null) -> ()
-  | Some sec ->
-      Printf.printf "\n-- adaptive A/B (steady | stall | burst, Mops) %s\n"
-        (String.make 15 '-');
-      List.iter
-        (fun name ->
-          match Obs.Json.member name sec with
-          | None -> ()
-          | Some row ->
-              let ph p f =
-                match Obs.Json.member p row with
-                | Some q -> field q f
-                | None -> nan
-              in
-              Printf.printf
-                "   %-12s %7.3f | %7.3f | %7.3f   hwm %.0f | %.0f | %.0f%s\n"
-                name (ph "calm" "mops") (ph "stall" "mops")
-                (ph "burst" "mops")
-                (ph "calm" "unreclaimed_hwm")
-                (ph "stall" "unreclaimed_hwm")
-                (ph "burst" "unreclaimed_hwm")
-                (if field row "escalations" > 0. then
-                   Printf.sprintf "   (%.0f esc, %.0f relax)"
-                     (field row "escalations")
-                     (field row "relaxations")
-                 else ""))
-        [ "ebr-static"; "hp-static"; "adaptive" ]
-
 let file_mode path ~once ~interval =
-  let show () =
-    render ~clear:(not once) ~title:path (rows_of_file path);
-    render_adaptive_section path
-  in
+  let show () = render ~clear:(not once) ~title:path (rows_of_file path) in
   show ();
   if not once then begin
     let mtime () = try (Unix.stat path).Unix.st_mtime with _ -> 0. in
@@ -262,7 +174,7 @@ module DN = struct
   let hdr n = n.d_hdr
 end
 
-module Sw = Reclaim.Switchable.Make (DN)
+module Ebr = Reclaim.Ebr.Make (DN)
 
 let rows_of_registry reg =
   List.map
@@ -279,7 +191,7 @@ let rows_of_registry reg =
 
 let demo_mode ~seconds ~interval =
   let alloc = Memdom.Alloc.create "orc-top-demo" in
-  let s = Sw.create ~max_hps:4 alloc in
+  let s = Ebr.create ~max_hps:4 alloc in
   (* background pipeline: retires travel the transfer channel to a
      reclaimer armed to neutralize, so the channel-depth gauge
      (orcgc_bg_depth), the bg counters and the neutralization totals
@@ -288,62 +200,32 @@ let demo_mode ~seconds ~interval =
   let reclaimer =
     Reclaim.Reclaimer.start ~interval:(interval /. 4.) ~neutralize_age:4 ch
   in
-  Sw.set_background s (Some ch);
-  (* the adaptive controller drives the Switchable ladder live: the
-     staller pushes the stall age past [stall_age_hi] (kept strictly
-     below the reclaimer's [neutralize_age] — neutralization bumps the
-     victim's registry generation, which erases its watchdog row, so
-     the controller must react first), the escalation shows in the
-     controller pane, and sustained calm relaxes it back *)
-  let ctrl =
-    Reclaim.Controller.create
-      ~cfg:
-        {
-          Reclaim.Controller.default_config with
-          unreclaimed_lo = 512;
-          stall_age_hi = 2;
-          calm_ticks = 3;
-        }
-      ~reclaimer ~channel:ch
-      [
-        Reclaim.Controller.target ~label:"demo"
-          ~mode:(fun () -> Sw.mode s)
-          ~escalate:(fun () -> Sw.escalate s)
-          ~try_complete:(fun () -> Sw.try_complete s)
-          ~relax:(fun () -> Sw.relax s)
-          ~tuning:(Sw.tuning s)
-          ~unreclaimed:(fun () -> Sw.unreclaimed s)
-          ~stall_age:(fun () -> Sw.stall_age_max s)
-          ();
-      ]
-  in
-  Reclaim.Controller.start ~interval:(interval /. 4.) ctrl;
+  Ebr.set_background s (Some ch);
   let stop = Atomic.make false in
   let churner () =
     Atomicx.Registry.with_tid @@ fun tid ->
     while not (Atomic.get stop) do
       (try
-         Sw.begin_op s ~tid;
+         Ebr.begin_op s ~tid;
          for _ = 1 to 64 do
-           Sw.retire s ~tid { d_hdr = Memdom.Alloc.hdr alloc () }
+           Ebr.retire s ~tid { d_hdr = Memdom.Alloc.hdr alloc () }
          done;
-         Sw.end_op s ~tid
+         Ebr.end_op s ~tid
        with Reclaim.Neutralize.Neutralized _ -> ());
       Unix.sleepf 0.002
     done
   in
   (* a deliberate staller: parks inside a guard long enough for the
      stall-age gauge (orcgc_stall_age_max) to climb and the reclaimer
-     to expire the guard, then recovers through the handshake and goes
-     again *)
+     to expire the guard — which unpins the epoch its announcement held
+     back — then goes again *)
   let staller () =
     Atomicx.Registry.with_tid @@ fun tid ->
     while not (Atomic.get stop) do
-      (try
-         Sw.begin_op s ~tid;
-         Unix.sleepf (interval *. 2.);
-         Sw.end_op s ~tid
-       with Reclaim.Neutralize.Neutralized _ -> ());
+      Ebr.begin_op s ~tid;
+      Unix.sleepf (interval *. 2.);
+      (* EBR's brackets acknowledge a neutralization silently *)
+      Ebr.end_op s ~tid;
       Unix.sleepf (interval /. 2.)
     done
   in
@@ -355,20 +237,17 @@ let demo_mode ~seconds ~interval =
     Unix.sleepf interval;
     render ~clear:true
       ~title:
-        (Printf.sprintf "demo (switchable churn + controller + staller), %d sampler \
-                         ticks"
+        (Printf.sprintf "demo (ebr churn + staller + neutralizer), %d sampler ticks"
            (Obs.Sampler.ticks sampler))
       (rows_of_registry Obs.Metrics.default)
   done;
   Atomic.set stop true;
   Domain.join d;
   Domain.join st;
-  Reclaim.Controller.stop ctrl;
   Reclaim.Reclaimer.stop reclaimer;
-  Sw.set_background s None;
+  Ebr.set_background s None;
   Obs.Sampler.stop sampler;
-  ignore (Sw.relax s);
-  Sw.flush s;
+  Ebr.flush s;
   render ~clear:false ~title:"demo final"
     (rows_of_registry Obs.Metrics.default)
 
