@@ -25,9 +25,8 @@
      --scan         snapshot scans and publication elision, per scheme
      --pack         packed headers + word links: words/read, retire ns
      --metrics      sampler overhead, allocation audit, stall battery
-     --background   retire tail latency inline vs background reclaimer,
-                    neutralization and reclaimer-kill batteries
-     --stall        EBR + neutralizing reclaimer vs static EBR and HP
+     --stall        EBR + neutralizing reclaimer vs static EBR and HP,
+                    and the neutralization battery
 
    Each section checks its claims (guards) on its own typed rows; after
    the JSON is written, each violated guard prints `FAIL <section>:
@@ -869,9 +868,17 @@ let best_of n f =
   done;
   !best
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+(* The spread of per-round values: min, quartiles, median and max,
+   each the sorted value at that rank (the median of an odd count is
+   its middle value). *)
+type spread = { lo : float; q1 : float; med : float; q3 : float; hi : float }
+
+let spread a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  let at p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
+  { lo = at 0.; q1 = at 0.25; med = at 0.5; q3 = at 0.75; hi = at 1. }
 
 let run_metrics () =
   Format.printf "@.== Live metrics plane: sampler, watchdog, gauges ==@.";
@@ -959,21 +966,15 @@ let run_metrics () =
       off.(i) <- side false
     end
   done;
-  let median_q f a =
-    let a = Array.map f a in
-    Array.sort compare a;
-    (percentile a 0.5, percentile a 0.25, percentile a 0.75)
+  let off_list = spread (Array.map fst off) in
+  let on_list = spread (Array.map fst on) in
+  let off_ns = off_list.med and on_ns = on_list.med in
+  let bracket_off_ns = (spread (Array.map snd off)).med in
+  let bracket_on_ns = (spread (Array.map snd on)).med in
+  let ratio =
+    spread (Array.map2 (fun o n -> fst n /. Float.max 1e-9 (fst o)) off on)
   in
-  let off_ns, off_q1, off_q3 = median_q fst off in
-  let on_ns, on_q1, on_q3 = median_q fst on in
-  let bracket_off_ns, _, _ = median_q snd off in
-  let bracket_on_ns, _, _ = median_q snd on in
-  let ratio, ratio_q1, ratio_q3 =
-    median_q
-      (fun (o, n) -> fst n /. Float.max 1e-9 (fst o))
-      (Array.map2 (fun o n -> (o, n)) off on)
-  in
-  let overhead_pct = Float.max 0. (100. *. (ratio -. 1.)) in
+  let overhead_pct = Float.max 0. (100. *. (ratio.med -. 1.)) in
   let sampler = start_sampler () in
   (* hot-path allocation audit (the acceptance gate).  The guard loop
      here is the bare begin/end bracket — the part the watchdog added
@@ -1011,8 +1012,8 @@ let run_metrics () =
     "  list contains, %d alternating rounds: off median %.1f ns/op [q1 \
      %.1f, q3 %.1f], on median %.1f ns/op [q1 %.1f, q3 %.1f]; on/off \
      per round median %.4f [q1 %.4f, q3 %.4f] (sampler overhead %.2f%%)@."
-    rounds off_ns off_q1 off_q3 on_ns on_q1 on_q3 ratio ratio_q1 ratio_q3
-    overhead_pct;
+    rounds off_ns off_list.q1 off_list.q3 on_ns on_list.q1 on_list.q3 ratio.med
+    ratio.q1 ratio.q3 overhead_pct;
   Format.printf
     "  guard bracket: idle %.1f, sleeper %.1f, stamping %.1f ns/op@."
     bracket_idle_ns bracket_off_ns bracket_on_ns;
@@ -1138,167 +1139,6 @@ let metrics_guards (r : metrics_row) =
   @ List.map consistent r.mt_series
 
 (* ------------------------------------------------------------------ *)
-(* Background pipeline: mutator retire-path tail latency, inline vs
-   routed through the transfer channel.  Same workload on both sides —
-   a single mutator retires fresh unprotected nodes through hp, so
-   every threshold crossing costs a full scan inline but only a channel
-   send in background mode; the p99.9 is where that difference lives.
-   The neutralization and reclaimer-kill batteries ride along, so the
-   section's guards check the fault-tolerance claims too. *)
-
-(* Retire latency percentiles, ns: the JSON field name of each. *)
-type bg_lat = (string * float) list
-
-type background_row = {
-  bk_ops : int;
-  bk_inline : bg_lat;
-  bk_background : bg_lat;
-  bk_sent : int;  (* objects that travelled the channel *)
-  bk_fallbacks : int;  (* refused sends reclaimed inline *)
-  bk_drained : int;  (* objects the reclaimer drained *)
-  bk_leaked : int;  (* both allocators after teardown — must be 0 *)
-  bk_neutralize : Chaos.bg_report;
-  bk_kill : Chaos.bg_report;
-}
-
-let retire_latencies s alloc ~ops =
-  let lat = Array.make ops 0. in
-  for k = 0 to ops - 1 do
-    let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
-    let t0 = Obs.Sink.now_ns () in
-    Scan_hp.retire s ~tid:0 n;
-    lat.(k) <- float_of_int (Obs.Sink.now_ns () - t0)
-  done;
-  Array.sort compare lat;
-  List.map
-    (fun (name, p) -> (name, percentile lat p))
-    [ ("p50_ns", 0.5); ("p99_ns", 0.99); ("p999_ns", 0.999); ("max_ns", 1.) ]
-
-let run_background () =
-  Format.printf
-    "@.== Background pipeline: retire tail latency, reclaimer batteries ==@.";
-  Atomicx.Registry.reserve 8;
-  let ops = if smoke then 20_000 else 60_000 in
-  (* one side on a fresh scheme: inline, or routed through [ch] to a
-     reclaimer domain; returns the latencies and what it leaked *)
-  let side name ch =
-    let alloc = Memdom.Alloc.create ~sink:Obs.Sink.null name in
-    let s = Scan_hp.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-    let reclaimer = Option.map (Reclaim.Reclaimer.start ~interval:0.001) ch in
-    Scan_hp.set_background s ch;
-    let lat = retire_latencies s alloc ~ops in
-    Option.iter Reclaim.Reclaimer.stop reclaimer;
-    Scan_hp.set_background s None;
-    Scan_hp.flush s;
-    (lat, Memdom.Alloc.live alloc)
-  in
-  let inline, leaked_i = side "bg-bench-inline" None in
-  let ch = Reclaim.Channel.create () in
-  let bg, leaked_b = side "bg-bench-bg" (Some ch) in
-  let leaked = leaked_i + leaked_b in
-  let pp_lat label l =
-    Format.printf "  %-12s%s@." label
-      (String.concat ""
-         (List.map (fun (name, ns) -> Printf.sprintf "  %s %9.0f" name ns) l))
-  in
-  pp_lat "inline" inline;
-  pp_lat "background" bg;
-  Format.printf
-    "  channel: %d objects sent, %d fallbacks, %d drained; leaked %d@."
-    (Reclaim.Channel.sent ch)
-    (Reclaim.Channel.fallbacks ch)
-    (Reclaim.Channel.drained ch)
-    leaked;
-  let neutralize = Chaos.run_neutralize () in
-  Format.printf "  neutralize battery: %a@." Chaos.pp_bg_report neutralize;
-  let kill = Chaos.run_reclaimer_kill () in
-  Format.printf "  kill battery: %a@." Chaos.pp_bg_report kill;
-  {
-    bk_ops = ops;
-    bk_inline = inline;
-    bk_background = bg;
-    bk_sent = Reclaim.Channel.sent ch;
-    bk_fallbacks = Reclaim.Channel.fallbacks ch;
-    bk_drained = Reclaim.Channel.drained ch;
-    bk_leaked = leaked;
-    bk_neutralize = neutralize;
-    bk_kill = kill;
-  }
-
-let bg_report_json (r : Chaos.bg_report) =
-  let open Harness in
-  Json.Obj
-    [
-      ("name", Json.Str r.Chaos.bg_name);
-      ("victim_tid", Json.Int r.Chaos.bg_victim);
-      ("neutralized", Json.Bool r.Chaos.bg_neutralized);
-      ("victim_raised", Json.Bool r.Chaos.bg_victim_raised);
-      ("pinned_freed", Json.Bool r.Chaos.bg_pinned_freed);
-      ("sent", Json.Int r.Chaos.bg_sent);
-      ("fallbacks", Json.Int r.Chaos.bg_fallbacks);
-      ("recovered", Json.Int r.Chaos.bg_recovered);
-      ("kills", Json.Int r.Chaos.bg_kills);
-      ("force_released", Json.Int r.Chaos.bg_forced);
-      ("unreclaimed_after", Json.Int r.Chaos.bg_unreclaimed_after);
-      ("leaked", Json.Int r.Chaos.bg_leaked);
-      ("ok", Json.Bool (Chaos.bg_ok r));
-    ]
-
-let background_json (r : background_row) =
-  let open Harness in
-  let lat l = Json.Obj (List.map (fun (name, ns) -> (name, Json.Float ns)) l) in
-  Json.Obj
-    [
-      ("ops", Json.Int r.bk_ops);
-      ( "retire_latency",
-        Json.Obj
-          [ ("inline", lat r.bk_inline); ("background", lat r.bk_background) ]
-      );
-      ( "channel",
-        Json.Obj
-          [
-            ("sent", Json.Int r.bk_sent);
-            ("fallbacks", Json.Int r.bk_fallbacks);
-            ("drained", Json.Int r.bk_drained);
-          ] );
-      ("leaked", Json.Int r.bk_leaked);
-      ("neutralize_battery", bg_report_json r.bk_neutralize);
-      ("kill_battery", bg_report_json r.bk_kill);
-    ]
-
-(* The neutralization battery fires (the victim is neutralized and the
-   pinned node freed while it is still parked) and the waking victim
-   observes the expiry; the kill battery degrades to inline reclamation
-   or recovers the backlog; nothing leaks; the A/B used the channel. *)
-let background_guards (r : background_row) =
-  let battery label (b : Chaos.bg_report) =
-    [
-      guard (Chaos.bg_ok b) "%s battery ok (errors [%s])" label
-        (String.concat "; " b.bg_errors);
-      guard (b.bg_leaked = 0) "%s battery leaked %d = 0" label b.bg_leaked;
-      guard
-        (b.bg_unreclaimed_after = 0)
-        "%s battery unreclaimed after %d = 0" label b.bg_unreclaimed_after;
-    ]
-  in
-  let n = r.bk_neutralize and k = r.bk_kill in
-  battery "neutralize" n
-  @ [
-      guard n.bg_neutralized "neutralize: stalled guard neutralized";
-      guard n.bg_victim_raised "neutralize: waking victim observed the expiry";
-      guard n.bg_pinned_freed "neutralize: pinned node freed while victim parked";
-    ]
-  @ battery "kill" k
-  @ [
-      guard
-        (k.bg_fallbacks + k.bg_recovered >= 1)
-        "kill: fallbacks %d + recovered %d >= 1" k.bg_fallbacks k.bg_recovered;
-      guard (r.bk_leaked = 0) "latency A/B leaked %d = 0" r.bk_leaked;
-      guard (r.bk_sent >= 1) "latency A/B sent %d >= 1 through the channel"
-        r.bk_sent;
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Stall remedy A/B: the same phase-shifting workload — steady churn,
    then a stall-injected phase (a victim parks inside a guard pinning
    a slot), then a retire-heavy burst — run over static EBR (no
@@ -1309,7 +1149,10 @@ let background_guards (r : background_row) =
    keeps 0.85x static EBR's calm throughput, holds its stall pile-up
    under 0.5x EBR's and drains it in the burst (under 0.5x its stall
    hwm); its parked victim raises [Neutralized], and no contestant
-   leaks or leaves anything unreclaimed ([stall_guards]). *)
+   leaks or leaves anything unreclaimed ([stall_guards]).  The chaos
+   neutralization battery rides along after the rounds: its victim is
+   neutralized, raises on waking and stops pinning memory while still
+   parked, and the two domains killed mid-stall are force-released. *)
 
 module St_ebr = Reclaim.Ebr.Make (SN)
 
@@ -1334,13 +1177,10 @@ let st_static (module S : Reclaim.Scheme_intf.S with type node = snode) alloc
   Scheme ((module S), S.create ~max_hps:4 ~sink:Obs.Sink.null alloc, ignore)
 
 (* Static EBR, reclaiming inline, beside a reclaimer armed to expire
-   any guard the watchdog validates as stalled for 6 ticks (its
-   channel carries nothing). *)
+   any guard the watchdog validates as stalled for 6 ticks. *)
 let st_neutralize alloc =
   let s = St_ebr.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-  let reclaimer =
-    Reclaim.Reclaimer.start ~neutralize_age:6 (Reclaim.Channel.create ())
-  in
+  let reclaimer = Reclaim.Reclaimer.start ~neutralize_age:6 () in
   Scheme ((module St_ebr), s, fun () -> Reclaim.Reclaimer.stop reclaimer)
 
 let st_contestants =
@@ -1453,14 +1293,6 @@ let st_contest (name, mk) =
     sr_unreclaimed_after = S.unreclaimed s;
   }
 
-(* min, median and max of per-round values *)
-let st_spread a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  (a.(0), percentile a 0.5, a.(Array.length a - 1))
-
-let st_median a = match st_spread a with _, m, _ -> m
-
 let st_mops i x = fst x.sr_phases.(i)
 let st_hwm i x = snd x.sr_phases.(i)
 
@@ -1476,6 +1308,7 @@ type st_result = {
   medians : (string * float list) list;
   ratios : (string * float array) list;
   rows : st_row list;
+  neutralize : Chaos.bg_report;
 }
 
 let run_stall_bench () =
@@ -1495,7 +1328,7 @@ let run_stall_bench () =
   let per name =
     Array.map (fun rows -> List.find (fun x -> x.sr_name = name) rows) rounds
   in
-  let median name (_, f) = st_median (Array.map f (per name)) in
+  let median name (_, f) = (spread (Array.map f (per name))).med in
   let medians =
     List.map (fun (n, _) -> (n, List.map (median n) st_columns)) st_contestants
   in
@@ -1520,22 +1353,56 @@ let run_stall_bench () =
     medians;
   List.iter
     (fun (name, a) ->
-      let lo, med, hi = st_spread a in
+      let s = spread a in
       Format.printf "  ebr+neutralize %-20s min %.3f  median %.3f  max %.3f@."
-        name lo med hi)
+        name s.lo s.med s.hi)
     ratios;
-  { medians; ratios; rows = List.concat (Array.to_list rounds) }
+  let neutralize = Chaos.run_neutralize () in
+  Format.printf "  neutralize battery: %a@." Chaos.pp_bg_report neutralize;
+  { medians; ratios; rows = List.concat (Array.to_list rounds); neutralize }
+
+let bg_report_json (r : Chaos.bg_report) =
+  let open Harness in
+  Json.Obj
+    [
+      ("name", Json.Str r.Chaos.bg_name);
+      ("victim_tid", Json.Int r.Chaos.bg_victim);
+      ("neutralized", Json.Bool r.Chaos.bg_neutralized);
+      ("victim_raised", Json.Bool r.Chaos.bg_victim_raised);
+      ("pinned_freed", Json.Bool r.Chaos.bg_pinned_freed);
+      ("kills", Json.Int r.Chaos.bg_kills);
+      ("force_released", Json.Int r.Chaos.bg_forced);
+      ("unreclaimed_after", Json.Int r.Chaos.bg_unreclaimed_after);
+      ("leaked", Json.Int r.Chaos.bg_leaked);
+      ("ok", Json.Bool (Chaos.bg_ok r));
+    ]
+
+(* The neutralization battery fires (the victim is neutralized and the
+   pinned node freed while it is still parked), the waking victim
+   observes the expiry, and nothing leaks. *)
+let neutralize_guards (n : Chaos.bg_report) =
+  [
+    guard (Chaos.bg_ok n) "neutralize battery ok (errors [%s])"
+      (String.concat "; " n.bg_errors);
+    guard (n.bg_leaked = 0) "neutralize battery leaked %d = 0" n.bg_leaked;
+    guard
+      (n.bg_unreclaimed_after = 0)
+      "neutralize battery unreclaimed after %d = 0" n.bg_unreclaimed_after;
+    guard n.bg_neutralized "neutralize: stalled guard neutralized";
+    guard n.bg_victim_raised "neutralize: waking victim observed the expiry";
+    guard n.bg_pinned_freed "neutralize: pinned node freed while victim parked";
+  ]
 
 let stall_json r =
   let open Harness in
-  let spread a =
-    let lo, med, hi = st_spread a in
+  let spread_json a =
+    let s = spread a in
     let rounds = Array.map (fun x -> Json.Float x) a in
     Json.Obj
       [
-        ("min", Json.Float lo);
-        ("median", Json.Float med);
-        ("max", Json.Float hi);
+        ("min", Json.Float s.lo);
+        ("median", Json.Float s.med);
+        ("max", Json.Float s.hi);
         ("rounds", Json.List (Array.to_list rounds));
       ]
   in
@@ -1547,13 +1414,15 @@ let stall_json r =
     [
       ("rounds", Json.Int st_rounds);
       ("medians", Json.Obj (List.map columns r.medians));
-      ("ratios", Json.Obj (List.map (fun (n, a) -> (n, spread a)) r.ratios));
+      ( "ratios",
+        Json.Obj (List.map (fun (n, a) -> (n, spread_json a)) r.ratios) );
+      ("neutralize_battery", bg_report_json r.neutralize);
     ]
 
 (* The calm floor leaves margin for scheduler noise on small shared
    boxes (see EXPERIMENTS.md). *)
 let stall_guards r =
-  let med name = st_median (List.assoc name r.ratios) in
+  let med name = (spread (List.assoc name r.ratios)).med in
   let calm = med "calm_mops" and stall = med "stall_hwm" in
   let burst = med "burst_over_stall_hwm" in
   let mine = List.filter (fun x -> x.sr_name = "ebr+neutralize") r.rows in
@@ -1570,6 +1439,7 @@ let stall_guards r =
     guard (leaked = 0) "leaked %d = 0" leaked;
     guard (unreclaimed = 0) "unreclaimed after flush %d = 0" unreclaimed;
   ]
+  @ neutralize_guards r.neutralize
 
 let params_json () =
   let open Harness in
@@ -1636,8 +1506,6 @@ let standalone =
     scan;
     section "pack" ~key:"pack" run_pack pack_json pack_guards;
     section "metrics" ~key:"metrics" run_metrics metrics_json metrics_guards;
-    section "background" ~key:"background" run_background background_json
-      background_guards;
     section "stall" ~key:"stall" run_stall_bench stall_json stall_guards;
   ]
 

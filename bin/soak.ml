@@ -273,44 +273,39 @@ let run_churn seconds seed =
     1
   end
 
-(* Background-pipeline soak (--background): repeat the reclaimer
-   batteries — stalled-guard neutralization and kill-the-reclaimer —
-   until the time budget runs out.  Every repetition must neutralize
-   the parked guard, force-release the domains killed mid-stall,
-   degrade gracefully past the dead reclaimer, and account for every
-   retired object. *)
-let run_background seconds =
-  Printf.printf "soak --background: %.0fs budget\n%!" seconds;
+(* Neutralization soak (--neutralize): repeat the stalled-guard
+   neutralization battery until the time budget runs out.  Every
+   repetition must neutralize the parked guard, force-release the
+   domains killed mid-stall, and account for every retired object. *)
+let run_neutralize seconds =
+  Printf.printf "soak --neutralize: %.0fs budget\n%!" seconds;
   let t0 = Unix.gettimeofday () in
   let bad = ref 0 in
   let round = ref 0 in
   while Unix.gettimeofday () -. t0 < seconds && (!bad = 0 || !round = 0) do
     incr round;
-    let check r =
-      if not (Chaos.bg_ok r) then begin
-        incr bad;
-        Format.eprintf "round %d %s: pipeline contract violated@.%a@." !round
-          r.Chaos.bg_name Chaos.pp_bg_report r
-      end
-    in
-    check (Chaos.run_neutralize ());
-    check (Chaos.run_reclaimer_kill ())
+    let r = Chaos.run_neutralize () in
+    if not (Chaos.bg_ok r) then begin
+      incr bad;
+      Format.eprintf "round %d %s: neutralization contract violated@.%a@."
+        !round r.Chaos.bg_name Chaos.pp_bg_report r
+    end
   done;
-  Printf.printf "ran %d neutralize + kill rounds\n%!" !round;
+  Printf.printf "ran %d neutralize rounds\n%!" !round;
   if !bad = 0 then begin
     Printf.printf
-      "background soak passed: every stall neutralized, every mid-stall \
-       kill force-released, every reclaimer kill degraded inline, no leaks\n";
+      "neutralize soak passed: every stall neutralized, every mid-stall \
+       kill force-released, no leaks\n";
     0
   end
   else begin
-    Printf.eprintf "background soak FAILED: %d battery violations\n" !bad;
+    Printf.eprintf "neutralize soak FAILED: %d battery violations\n" !bad;
     1
   end
 
-let run seconds workers seed churn background kv pool =
+let run seconds workers seed churn neutralize kv pool =
   if churn then run_churn seconds seed
-  else if background then run_background seconds
+  else if neutralize then run_neutralize seconds
   else if kv then run_kv_soak seconds workers seed
   else
   let mode = if pool then Some Memdom.Alloc.Pool else None in
@@ -384,15 +379,14 @@ let churn_arg =
           "Domain-churn chaos mode: waves of short-lived domains dying at \
            randomized points, instead of long-lived workers.")
 
-let background_arg =
+let neutralize_arg =
   Arg.(
     value & flag
-    & info [ "background" ]
+    & info [ "neutralize" ]
         ~doc:
-          "Background-pipeline mode: repeat the reclaimer batteries \
-           (stalled-guard neutralization with mid-stall domain kills, \
-           kill-the-reclaimer) for the time budget instead of running \
-           long-lived workers.")
+          "Neutralization mode: repeat the stalled-guard neutralization \
+           battery (with mid-stall domain kills) for the time budget \
+           instead of running long-lived workers.")
 
 let kv_arg =
   Arg.(
@@ -417,6 +411,6 @@ let cmd =
     (Cmd.info "soak" ~doc:"randomized cross-structure soak test")
     Term.(
       const run $ seconds_arg $ workers_arg $ seed_arg $ churn_arg
-      $ background_arg $ kv_arg $ pool_arg)
+      $ neutralize_arg $ kv_arg $ pool_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -538,18 +538,15 @@ let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Background pipeline (reclaimer batteries)                           *)
+(* Stalled-guard neutralization                                        *)
 (* ------------------------------------------------------------------ *)
 
 type bg_report = {
   bg_name : string;
-  bg_victim : int;  (* parked domain's slot; -1 when the battery parks none *)
+  bg_victim : int; (* the parked domain's slot *)
   bg_neutralized : bool;
   bg_victim_raised : bool;
   bg_pinned_freed : bool;
-  bg_sent : int;
-  bg_fallbacks : int;
-  bg_recovered : int;
   bg_kills : int; (* domains killed abruptly mid-stall *)
   bg_forced : int; (* of those, slots reclaimed by force_release *)
   bg_unreclaimed_after : int;
@@ -568,11 +565,10 @@ let pp_bg_report fmt r =
   Format.fprintf fmt
     "@[<v 2>%s: victim tid %d, neutralized %b, victim raised %b, pinned \
      freed %b@,\
-     channel: %d batches sent, %d fallbacks, %d objects recovered@,\
      %d mid-stall kills (%d force-released)@,\
      after quiesce: leaked %d, unreclaimed %d%a@]"
     r.bg_name r.bg_victim r.bg_neutralized r.bg_victim_raised r.bg_pinned_freed
-    r.bg_sent r.bg_fallbacks r.bg_recovered r.bg_kills r.bg_forced r.bg_leaked
+    r.bg_kills r.bg_forced r.bg_leaked
     r.bg_unreclaimed_after
     (fun fmt -> function
       | [] -> ()
@@ -583,9 +579,9 @@ let pp_bg_report fmt r =
     r.bg_errors
 
 (* Park one domain inside a guard with a protection pinning a retired
-   node while churners retire through the background channel.  The
-   reclaimer (armed with [neutralize_age]) must validate the stall,
-   expire the guard, and thereby let a later scan free the pinned node
+   node while churners retire and scan inline.  The reclaimer (armed
+   with [neutralize_age]) must validate the stall, expire the guard,
+   and thereby let a churner's later scan free the pinned node
    — returning the unreclaimed population to the running bound with
    the victim still asleep.  While the stall ages, two more domains
    die abruptly inside a guard (slots Active, hazards up) and are
@@ -613,10 +609,8 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   in
   let sink = Obs.Sink.make () in
   let registry = Obs.Metrics.create () in
-  let channel = Reclaim.Channel.create ~bound:128 ~registry () in
-  Stall_hp.set_background s (Some channel);
   let reclaimer =
-    Reclaim.Reclaimer.start ~interval ~neutralize_age ~sink ~registry channel
+    Reclaim.Reclaimer.start ~interval ~sink ~registry ~neutralize_age ()
   in
   (* the watchdog only stamps once the tick is live; the reclaimer
      self-clocks it, so wait for its first advance before the victim
@@ -667,8 +661,8 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
     Domain.cpu_relax ()
   done;
   let vtid = Atomic.get victim_tid in
-  (* churners run until told to stop: the reclaimer needs fresh batches
-     arriving to re-scan, and the bound claim is about steady state *)
+  (* churners run until told to stop: their scans need fresh retirees
+     crossing the threshold, and the bound claim is about steady state *)
   let stop_churn = Atomic.make false in
   let churn =
     List.init churners (fun ci ->
@@ -769,7 +763,6 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
   Atomic.set release true;
   Domain.join victim;
   Reclaim.Reclaimer.stop reclaimer;
-  Stall_hp.set_background s None;
   (* quiesce and check every object was recovered *)
   let tid = Registry.tid () in
   Array.iter
@@ -779,101 +772,14 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
       | None -> ())
     table;
   Stall_hp.flush s;
-  Reclaim.Channel.keep_alive channel;
   {
     bg_name = "neutralize-hp";
     bg_victim = vtid;
     bg_neutralized = neutralized;
     bg_victim_raised = Atomic.get victim_raised;
     bg_pinned_freed = pinned_freed;
-    bg_sent = Reclaim.Channel.sent channel;
-    bg_fallbacks = Reclaim.Channel.fallbacks channel;
-    bg_recovered = 0;
     bg_kills = !killed;
     bg_forced = !forced;
-    bg_unreclaimed_after = Stall_hp.unreclaimed s;
-    bg_leaked = Memdom.Alloc.live alloc;
-    bg_errors = List.rev !errors;
-  }
-
-(* Kill the reclaimer mid-run: sends keep landing in the open channel
-   until the depth bound bites, then every retire falls back inline —
-   the mutators never block and never leak.  [recover] then adopts the
-   dead reclaimer's backlog, and the quiesced flush must account for
-   every object.  The n/a victim fields are reported [true]/[-1] so
-   [bg_ok] applies unchanged. *)
-let run_reclaimer_kill ?(interval = 0.001) ?(churners = 3) ?(ops = 800)
-    ?(bound = 96) () =
-  let errors_lock = Mutex.create () in
-  let errors = ref [] in
-  let err e =
-    Mutex.lock errors_lock;
-    errors := Printexc.to_string e :: !errors;
-    Mutex.unlock errors_lock
-  in
-  let alloc = Memdom.Alloc.create "reclaimer-kill-chaos" in
-  let s = Stall_hp.create ~max_hps:4 alloc in
-  let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let arena = cnode_arena () in
-  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
-  let channel = Reclaim.Channel.create ~bound () in
-  Stall_hp.set_background s (Some channel);
-  let reclaimer = Reclaim.Reclaimer.start ~interval channel in
-  let churn =
-    List.init churners (fun ci ->
-        Domain.spawn (fun () ->
-            try
-              Registry.with_tid (fun tid ->
-                  let rng = Rng.create (0xDEAD + ci) in
-                  for k = 1 to ops do
-                    Stall_hp.begin_op s ~tid;
-                    let n = mk k in
-                    Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
-                    let old =
-                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
-                    in
-                    Stall_hp.end_op s ~tid;
-                    match old with
-                    | Some o -> Stall_hp.retire s ~tid o
-                    | None -> ()
-                  done)
-            with e -> err e))
-  in
-  (* kill once the pipeline has demonstrably carried traffic (bounded
-     wait — under extreme scheduling the churners may finish first, in
-     which case the kill degenerates to a stop-without-drain, which the
-     recovery path must still reconcile) *)
-  let kill_deadline = Unix.gettimeofday () +. 5. in
-  while
-    Reclaim.Channel.sent channel = 0
-    && Unix.gettimeofday () < kill_deadline
-  do
-    Unix.sleepf interval
-  done;
-  Reclaim.Reclaimer.kill reclaimer;
-  List.iter Domain.join churn;
-  let tid = Registry.tid () in
-  let recovered = Reclaim.Reclaimer.recover reclaimer ~tid in
-  Stall_hp.set_background s None;
-  Array.iter
-    (fun slot ->
-      match evict arena slot Link.v_null with
-      | Some n -> Stall_hp.retire s ~tid n
-      | None -> ())
-    table;
-  Stall_hp.flush s;
-  Reclaim.Channel.keep_alive channel;
-  {
-    bg_name = "reclaimer-kill-hp";
-    bg_victim = -1;
-    bg_neutralized = true;
-    bg_victim_raised = true;
-    bg_pinned_freed = true;
-    bg_sent = Reclaim.Channel.sent channel;
-    bg_fallbacks = Reclaim.Channel.fallbacks channel;
-    bg_recovered = recovered;
-    bg_kills = 0;
-    bg_forced = 0;
     bg_unreclaimed_after = Stall_hp.unreclaimed s;
     bg_leaked = Memdom.Alloc.live alloc;
     bg_errors = List.rev !errors;

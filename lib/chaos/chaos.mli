@@ -113,39 +113,29 @@ val run_stall :
     the number of evicting writer domains (default 2), [ops] their
     operation count (default 400). *)
 
-(** {2 Background pipeline}
+(** {2 Stalled-guard neutralization}
 
-    Reclaimer batteries: the neutralization battery parks a domain
-    inside a guard pinning a retired node while churners retire through
-    the background {!Reclaim.Channel}, and asserts the armed
-    {!Reclaim.Reclaimer} expires the guard (the pinned node frees with
-    the victim still asleep), that two domains killed abruptly inside
-    a guard while the stall ages are force-released without a leak,
-    and that the waking victim's next protection acquisition raises
-    [Neutralized].  The kill battery
-    crashes the reclaimer mid-run and asserts mutators degrade to
-    inline reclamation with zero leaks, and that {!Reclaim.Reclaimer.recover}
-    reconciles the dead reclaimer's backlog. *)
+    The neutralization battery parks a domain inside a guard pinning a
+    retired node while churners retire and scan inline, and asserts
+    the armed {!Reclaim.Reclaimer} expires the guard (the pinned node
+    frees with the victim still asleep), that two domains killed
+    abruptly inside a guard while the stall ages are force-released
+    without a leak, and that the waking victim's next protection
+    acquisition raises [Neutralized]. *)
 
 type bg_report = {
   bg_name : string;
-  bg_victim : int;
-      (** the parked domain's registry slot; [-1] when the battery
-          parks no victim (kill battery) *)
-  bg_neutralized : bool;
-      (** a [Neutralize] event named the victim ([true] when n/a) *)
+  bg_victim : int;  (** the parked domain's registry slot *)
+  bg_neutralized : bool;  (** a [Neutralize] event named the victim *)
   bg_victim_raised : bool;
       (** the waking victim's protection acquisition raised
-          [Neutralized] ([true] when n/a) *)
+          [Neutralized] *)
   bg_pinned_freed : bool;
       (** the node the stalled guard pinned was freed after the
-          neutralization, victim still parked ([true] when n/a) *)
-  bg_sent : int;  (** batches that travelled the channel *)
-  bg_fallbacks : int;  (** refused sends reclaimed inline *)
-  bg_recovered : int;  (** objects adopted by [recover] (kill battery) *)
+          neutralization, victim still parked *)
   bg_kills : int;
       (** domains killed abruptly inside a guard while the victim's
-          stall aged (neutralize battery; 0 for the kill battery) *)
+          stall aged *)
   bg_forced : int;  (** of those, slots reclaimed by force-release *)
   bg_unreclaimed_after : int;  (** after quiesce — must be 0 *)
   bg_leaked : int;  (** [Alloc.live] after quiesce — must be 0 *)
@@ -164,18 +154,6 @@ val run_neutralize :
     period (default 2 ms), [neutralize_age] the validated stall age in
     watchdog ticks past which the guard is expired (default 3),
     [churners] the number of evicting writer domains (default 2). *)
-
-val run_reclaimer_kill :
-  ?interval:float ->
-  ?churners:int ->
-  ?ops:int ->
-  ?bound:int ->
-  unit ->
-  bg_report
-(** Run the kill battery.  [bound] (default 96) is the channel depth
-    bound — small, so the post-kill backlog demonstrably trips the
-    inline fallback before the churners finish their [ops]
-    (default 800 each). *)
 
 (** {2 Split-ordered map growth}
 

@@ -106,9 +106,6 @@ type ('n, 'b) core = {
   n_scan_slots : Shard.t; (* hazard slots visited by those scans *)
   n_elided : Shard.t; (* hazard publishes skipped in [load] *)
   wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-  (* background drain: when set, the backend ships claimed nodes to the
-     reclaimer; None (the default) reclaims inline *)
-  bg : Reclaim.Channel.route;
   bk : 'b;
   (* the destructor, for the backend's reclamation paths: it is
      defined by the automatic layer, which itself calls the backend *)
@@ -182,14 +179,12 @@ module type BACKEND = sig
   val create :
     max_hps:int option ->
     sink:Obs.Sink.t ->
-    bg:Reclaim.Channel.route ->
     handovers:Shard.t ->
     scans:Shard.t ->
     scan_slots:Shard.t ->
     'n t
-  (** [max_hps] is the [?max_hps] given to [create]; the sink, the
-      background route and the handover and scan counters are the
-      instance's own. *)
+  (** [max_hps] is the [?max_hps] given to [create]; the sink and the
+      handover and scan counters are the instance's own. *)
 
   val retire : ('n, 'n t) core -> tid:int -> 'n -> unit
   (** The caller owns the node's BRETIRED bit and passes it on. *)
@@ -214,14 +209,14 @@ module Ptp_backend = struct
   type 'n cascade = { mutable retire_started : bool; recursive : 'n Queue.t }
 
   type 'n t = {
-    (* one handover slot per hazard index, and the background buffer *)
+    (* one handover slot per hazard index *)
     plane : 'n Handover.t;
     cascades : 'n cascade array;
   }
 
   let name = "orc"
 
-  let create ~max_hps:_ ~sink ~bg:_ ~handovers ~scans:_ ~scan_slots:_ =
+  let create ~max_hps:_ ~sink ~handovers ~scans:_ ~scan_slots:_ =
     {
       plane = Handover.create ~slots:max_haz ~sink ~handovers;
       cascades =
@@ -294,8 +289,10 @@ module Ptp_backend = struct
   (* retire (Algorithm 5 lines 92–118).  Precondition: the caller owns
      [p]'s BRETIRED bit.  Reentrant calls (from the destructor's [dec])
      queue onto the recursive list and are drained here, keeping the
-     stack depth constant no matter how long the unreachable chain is. *)
-  let retire_inline c ~tid p =
+     stack depth constant no matter how long the unreachable chain is.
+     Every non-lifecycle retirement funnels through here, on the
+     retiring thread. *)
+  let retire c ~tid p =
     let r = c.bk.cascades.(tid) in
     if r.retire_started then begin
       Shard.incr c.n_cascades ~tid;
@@ -309,18 +306,6 @@ module Ptp_backend = struct
       r.retire_started <- false
     end
 
-  (* Background split point: every non-lifecycle retirement funnels
-     through here.  With a channel set, the node joins the plane's
-     background buffer.  BRETIRED ownership travels with a shipped
-     batch, and [retire_inline] revalidates the count under the
-     reclaimer's tid exactly as it would inline, so resurrection and
-     handover behave identically. *)
-  let retire c ~tid p =
-    match Atomic.get c.bg with
-    | None -> retire_inline c ~tid p
-    | Some ch ->
-        Handover.push c.bk.plane c ~tid ch p ~run:retire_inline
-
   (* A released slot adopts whatever a scanner parked on its handover:
      the parked node carries BRETIRED, so we own it now. *)
   let slot_released c ~tid idx =
@@ -328,25 +313,24 @@ module Ptp_backend = struct
     if not (Handover.is_empty q) then retire c ~tid q
 
   (* Everything the dead row still owned is adopted: queued recursive
-     retires (possible only under abrupt death mid-retire), parked
-     handovers and the background buffer all carry BRETIRED.  They are
-     retired inline — quarantine must make progress even with the
-     reclaimer gone, and the next owner of this tid starts empty.  With
-     [tid]'s hazards down no scan can park anything new there. *)
+     retires (possible only under abrupt death mid-retire) and parked
+     handovers both carry BRETIRED.  They are retired on the operating
+     thread, so the next owner of this tid starts empty.  With [tid]'s
+     hazards down no scan can park anything new there. *)
   let thread_exit c ~tid ~self =
     let r = c.bk.cascades.(tid) in
     r.retire_started <- false;
     while not (Queue.is_empty r.recursive) do
-      retire_inline c ~tid:self (Queue.take r.recursive)
+      retire c ~tid:self (Queue.take r.recursive)
     done;
-    Handover.adopt c.bk.plane c ~row:tid ~tid:self ~run:retire_inline
+    Handover.adopt_row c.bk.plane c ~row:tid ~tid:self ~run:retire
 
   (* Only the row's atomic state is touched: the victim may be alive and
-     about to wake, and its buffer is bounded by [bg_batch]. *)
+     about to wake. *)
   let neutralize_clear c ~tid ~self =
-    Handover.adopt_row c.bk.plane c ~row:tid ~tid:self ~run:retire_inline
+    Handover.adopt_row c.bk.plane c ~row:tid ~tid:self ~run:retire
 
-  let flush c ~tid = Handover.flush c.bk.plane c ~tid ~run:retire_inline
+  let flush c ~tid = Handover.flush c.bk.plane c ~tid ~run:retire
 end
 
 module Hp_backend = struct
@@ -359,10 +343,10 @@ module Hp_backend = struct
 
   let name = "orc-hp"
 
-  let create ~max_hps ~sink ~bg ~handovers:_ ~scans ~scan_slots =
+  let create ~max_hps ~sink ~handovers:_ ~scans ~scan_slots =
     let hps = Option.value max_hps ~default:8 in
     {
-      batch = Reclaim.Batch.create ~hps ~sink ~bg ~scans ~scan_slots;
+      batch = Reclaim.Batch.create ~hps ~sink ~scans ~scan_slots;
       quiet = Array.make Registry.max_threads 0;
     }
 
@@ -408,14 +392,12 @@ module Hp_backend = struct
     c.bk.quiet.(tid) <- 0;
     Reclaim.Batch.scan c.bk.batch c ~tid ~snapshot:no_snapshot ~keep:verdict
 
-  let reclaim c ~tid = Reclaim.Batch.reclaim c.bk.batch c ~tid ~scan
-
   (* Retiring = parking on the thread-local list; reclamation happens in
      [scan].  Cascades need no recursion guard: a destructor's [dec]
      just pushes more entries. *)
   let retire c ~tid p =
     c.bk.quiet.(tid) <- 0;
-    if Reclaim.Batch.push c.bk.batch ~tid p then reclaim c ~tid
+    if Reclaim.Batch.push c.bk.batch ~tid p then scan c ~tid
 
   (* Slot 0, the scratch slot, is released only at guard exit.  A
      parked list that has not grown for R guards is reclaimed anyway: a
@@ -429,7 +411,7 @@ module Hp_backend = struct
       if
         Reclaim.Batch.pending c.bk.batch ~tid > 0
         && q >= Reclaim.Batch.threshold c.bk.batch
-      then reclaim c ~tid
+      then scan c ~tid
     end
 
   (* Publish the retired list to the orphan pool — survivors fold it
@@ -604,8 +586,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     unpublish_row t ~tid;
     B.neutralize_clear t ~tid ~self:(Registry.tid ())
 
-  let set_background t ch = Atomic.set t.bg ch
-
   let create ?max_hps ?sink alloc =
     let sink =
       match sink with Some s -> s | None -> Memdom.Alloc.sink alloc
@@ -621,11 +601,10 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
       }
     in
     let tl = Array.init Registry.max_threads mk_row in
-    let bg = Atomic.make None in
     let n_handovers = Shard.create () in
     let n_scans = Shard.create () and n_scan_slots = Shard.create () in
     let bk =
-      B.create ~max_hps ~sink ~bg ~handovers:n_handovers ~scans:n_scans
+      B.create ~max_hps ~sink ~handovers:n_handovers ~scans:n_scans
         ~scan_slots:n_scan_slots
     in
     let rec t =
@@ -645,7 +624,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         n_scan_slots;
         n_elided = Shard.create ();
         wd = Obs.Watchdog.create ();
-        bg;
         bk;
         delete = (fun ~tid p -> delete t ~tid p);
         lifecycle = ignore;

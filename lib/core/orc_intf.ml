@@ -37,8 +37,8 @@ module type S = sig
   (** Quarantine cleaner for a departing [tid]: unpublish its hazards,
       reset its hazard-index bookkeeping (so a recycled tid starts from
       an empty mask) and dispose of everything its row still owned.
-      Under PTP the queued recursive retires, parked handovers and
-      background buffer go through the operating thread's retire path;
+      Under PTP the queued recursive retires and parked handovers go
+      through the operating thread's retire path;
       under HP the retired list is published to the orphan pool that
       the survivors' scans adopt.  Registered automatically by {!create};
       callable directly only when [tid]'s owner has exited or is
@@ -237,27 +237,11 @@ module type S = sig
       per-thread width of hazard scans (the H of the O(Ht) bound as
       actually instantiated). *)
 
-  val set_background : t -> Reclaim.Channel.t option -> unit
-  (** Background drain mode.  With [Some ch], under PTP a mutator that
-      claims a zero-count object buffers it thread-locally and ships
-      the batch to the reclaimer as a {!Reclaim.Channel.job} — BRETIRED
-      ownership travels with the closure, and retire revalidates the
-      count under the reclaimer's tid exactly as it would inline; under
-      HP a threshold crossing ships the swapped-out retired list, which
-      the reclaimer splices into its own list and scans.  A refused
-      send (channel closed or full — reclaimer dead or behind) reclaims
-      the batch inline, so backpressure and reclaimer death degrade to
-      the [None] behaviour.  [None] (the default) reclaims inline.
-      Setup/teardown-only knob: flip it while the structure is
-      quiescent, or accept that racing retires may use either path for
-      one batch.  {!flush} drains the thread-local buffers but not the
-      channel — stop or recover the reclaimer first. *)
-
   val flush : t -> unit
   (** Quiesced drain for tests and shutdown: unpublish every hazard,
       then reclaim everything the backend holds — under PTP every
-      parked handover and background buffer, under HP every retired
-      list, scanned to a fixed point.
+      parked handover, under HP every retired list, scanned to a fixed
+      point.
       Destroys all live protections — only call with no concurrent
       operations. *)
 

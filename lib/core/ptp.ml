@@ -37,9 +37,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     (* hazards, [tid][idx]: the protected node's uid, one word per slot
        (-1 = empty), as in Reclaim.Hp *)
     hp : int Atomic.t array array;
-    (* the handover slot paired with each hazard, and the background
-       buffer PTP keeps in place of retired lists: one send per batch
-       instead of one handover walk per retire *)
+    (* the handover slot paired with each hazard *)
     plane : node Handover.t;
   }
 
@@ -131,15 +129,12 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     if not (Handover.is_empty !cur) then
       Reclaim.Shell.free t.sh ~tid (N.hdr !cur)
 
-  (* A retire, an adopted slot and a buffered retire walk every row. *)
+  (* A retire and an adopted slot walk every row. *)
   let walk_all t ~tid n = handover_or_delete t ~tid n ~start:0
-  let set_background t ch = Atomic.set t.sh.bg ch
 
   let retire t ~tid n =
     Reclaim.Shell.retire t.sh ~tid (N.hdr n);
-    match Atomic.get t.sh.bg with
-    | None -> walk_all t ~tid n
-    | Some ch -> Handover.push t.plane t ~tid ch n ~run:walk_all
+    walk_all t ~tid n
 
   let clear t ~tid ~idx =
     Atomic.set t.hp.(tid).(idx) (-1);
@@ -160,25 +155,21 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     done
 
   (* Quarantine cleaner.  PTP has no retired lists, so thread death
-     leaves three things behind: published hazards (which would trap
-     objects in other threads' scans forever), parked handovers (which
-     have no owner left to drain them on [clear]) and the background
-     buffer.  Lower the hazards *first* — once [hp.(tid)] is all-empty,
-     no concurrent handover scan can park anything new on this row —
-     then re-run each evicted object through the normal handover path
-     on the operating thread (the departing thread itself on the exit
-     path, the reclaiming survivor under [force_release]). *)
+     leaves two things behind: published hazards (which would trap
+     objects in other threads' scans forever) and parked handovers
+     (which have no owner left to drain them on [clear]).  Lower the
+     hazards *first* — once [hp.(tid)] is all-empty, no concurrent
+     handover scan can park anything new on this row — then re-run
+     each evicted object through the normal handover path on the
+     operating thread (the departing thread itself on the exit path,
+     the reclaiming survivor under [force_release]). *)
   let orphan t ~tid =
     lower t ~tid;
-    Handover.adopt t.plane t ~row:tid ~tid:(Registry.tid ()) ~run:walk_all
-
-  (* Neutralize hook: lower the victim's hazards and re-run its parked
-     handovers through the scan — both atomic planes; the owner-private
-     background buffer stays put (bounded by [Tuning.bg_batch], it
-     cannot break the O(Ht) bound). *)
-  let neutralize_clear t ~tid =
-    lower t ~tid;
     Handover.adopt_row t.plane t ~row:tid ~tid:(Registry.tid ()) ~run:walk_all
+
+  (* Neutralize hook: the same two steps, both on atomic planes, so
+     they are safe while the victim is alive and about to wake. *)
+  let neutralize_clear = orphan
 
   (* Handover drains re-park or free immediately; nothing pools. *)
   let orphaned _ = 0
@@ -201,10 +192,9 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
   let stats t = Reclaim.Shell.stats t.sh
   let pp_stats fmt t = Reclaim.Shell.pp_stats fmt t.sh
 
-  (* Drain every handover slot and background buffer; anything still
-     protected simply parks again, anything unprotected is freed.
-     Unlike the other schemes PTP has no retired lists, so this is all
-     a drain can mean. *)
+  (* Drain every handover slot; anything still protected simply parks
+     again, anything unprotected is freed.  Unlike the other schemes
+     PTP has no retired lists, so this is all a drain can mean. *)
   let flush t =
     Handover.flush t.plane t ~tid:(Registry.tid ()) ~run:walk_all
 end

@@ -31,7 +31,7 @@ let registry_probes reg =
   List.iter (fun (name, f) -> Metrics.probe reg name f) probes;
   probes
 
-let pass reg sink stall_counter ~max_age ~stalls_seen ~on_stall ~tid =
+let pass reg sink stall_counter ~max_age ~stalls_seen ~tid =
   let tick = Watchdog.advance () in
   Metrics.sample reg ~tick;
   let stalls = Watchdog.check ~max_age () in
@@ -39,14 +39,11 @@ let pass reg sink stall_counter ~max_age ~stalls_seen ~on_stall ~tid =
     (fun (stalled, age) ->
       Shard.incr stall_counter ~tid;
       Atomic.incr stalls_seen;
-      Sink.on_stall sink ~tid ~stalled ~age;
-      match on_stall with
-      | None -> ()
-      | Some f -> ( try f ~tid:stalled ~age with _ -> ()))
+      Sink.on_stall sink ~tid ~stalled ~age)
     stalls
 
 let start ?(interval = 0.01) ?(registry = Metrics.default) ?(sink = Sink.null)
-    ?(stall_age = 3) ?on_stall () =
+    ?(stall_age = 3) () =
   let stop_flag = Atomic.make false in
   let ticks_done = Atomic.make 0 in
   let stalls_seen = Atomic.make 0 in
@@ -59,7 +56,7 @@ let start ?(interval = 0.01) ?(registry = Metrics.default) ?(sink = Sink.null)
             while not (Atomic.get stop_flag) do
               Unix.sleepf interval;
               pass registry sink stall_counter ~max_age:stall_age ~stalls_seen
-                ~on_stall ~tid;
+                ~tid;
               Atomic.incr ticks_done
             done;
             ignore (Sys.opaque_identity keep)))

@@ -21,17 +21,13 @@ val start :
   ?registry:Metrics.t ->
   ?sink:Sink.t ->
   ?stall_age:int ->
-  ?on_stall:(tid:int -> age:int -> unit) ->
   unit ->
   t
 (** Spawn the sampler domain.  [interval] defaults to 0.01 s,
     [registry] to {!Metrics.default}, [sink] to {!Sink.null},
-    [stall_age] (ticks before a guard counts as stalled) to 3.
-    [on_stall] is called from the sampler domain once per validated
-    stall, after the counter bump and sink event — the reaction hook
-    the background reclamation pipeline uses to trigger
-    neutralization (exceptions from it are swallowed: a buggy
-    reaction must not kill the metrics heartbeat). *)
+    [stall_age] (ticks before a guard counts as stalled) to 3.  The
+    sampler only reports stalls; a neutralizing [Reclaim.Reclaimer]
+    reacts to them. *)
 
 val stop : t -> unit
 (** Signal and join the domain; returns once the final pass finished.

@@ -11,12 +11,11 @@ type 'a t = {
   threshold : int Atomic.t;
   orphans : 'a Memdom.Orphan.t;
   sink : Obs.Sink.t;
-  bg : Channel.route;
   scans : Shard.t;
   scan_slots : Shard.t;
 }
 
-let create ~hps ~sink ~bg ~scans ~scan_slots =
+let create ~hps ~sink ~scans ~scan_slots =
   {
     hps;
     rows =
@@ -24,7 +23,6 @@ let create ~hps ~sink ~bg ~scans ~scan_slots =
     threshold = Atomic.make (max 2 (2 * hps));
     orphans = Memdom.Orphan.create ();
     sink;
-    bg;
     scans;
     scan_slots;
   }
@@ -85,24 +83,6 @@ let orphan b ~tid =
   publish b ~tid (take b ~tid)
 
 let orphaned b = Memdom.Orphan.pending b.orphans
-
-let reclaim b s ~tid ~scan =
-  match Atomic.get b.bg with
-  | None -> scan s ~tid
-  | Some ch ->
-      let r = b.rows.(tid) in
-      let batch = r.items and n = r.count in
-      r.items <- [];
-      r.count <- 0;
-      let job ~tid:rtid =
-        splice b ~tid:rtid batch n;
-        scan s ~tid:rtid
-      in
-      if not (Channel.send ch ~tid ~count:n job) then begin
-        r.items <- batch;
-        r.count <- n;
-        scan s ~tid
-      end
 
 (* Judge [batch] against one snapshot, consing survivors onto [kept];
    returns the new survivor count.  Top-level recursions with every

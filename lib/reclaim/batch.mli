@@ -2,31 +2,29 @@
     EBR and PTB, and OrcGC's hazard-pointer backend.
 
     Per registry slot it owns the retired list and its length; per
-    instance, the cached R threshold, the orphan pool and the route to
-    a background reclaimer.  A scheme brings only its verdict: {!scan}
-    takes the scheme's snapshot and membership test as arguments.
+    instance, the cached R threshold and the orphan pool.  A scheme
+    brings only its verdict: {!scan} takes the scheme's snapshot and
+    membership test as arguments.
 
     Row [tid] is owner-private plain state: only [tid], or a thread
-    that provably owns the slot (quarantine, a background job running
-    under its own tid), touches it. *)
+    that provably owns the slot (quarantine), touches it. *)
 
 type 'a t
 
 val create :
   hps:int ->
   sink:Obs.Sink.t ->
-  bg:Channel.route ->
   scans:Atomicx.Shard.t ->
   scan_slots:Atomicx.Shard.t ->
   'a t
 (** An engine over [hps] hazards per thread (the H of R = 2·H·t).
-    [bg] is the owner's background route; [scans] and [scan_slots] are
-    the owner's counters, bumped by every {!scan}. *)
+    [scans] and [scan_slots] are the owner's counters, bumped by every
+    {!scan}. *)
 
 val push : 'a t -> tid:int -> 'a -> bool
 (** Add a retiree; [true] when [tid]'s list has reached R, re-derived
     from the live thread count before the crossing is reported.  The caller
-    then calls {!reclaim}. *)
+    then scans, on the retiring thread. *)
 
 val add : 'a t -> tid:int -> 'a -> unit
 (** Add an entry without the threshold test, keeping the count exact
@@ -41,13 +39,6 @@ val threshold : 'a t -> int
 val refresh : 'a t -> unit
 (** Re-derive the cached R ({!Tuning.threshold}): on quarantine and
     neutralization. *)
-
-val reclaim : 'a t -> 's -> tid:int -> scan:('s -> tid:int -> unit) -> unit
-(** The background split point.  With no channel, [scan s ~tid] runs
-    inline.  With one, [tid]'s list is swapped out and sent as one
-    {!Channel.job} that splices it into the running thread's list and
-    scans there; a refused send (channel closed or full) restores the
-    list and scans inline. *)
 
 val scan :
   'a t ->

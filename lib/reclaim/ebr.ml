@@ -84,14 +84,10 @@ module Make (N : Scheme_intf.NODE) = struct
   let scan t ~tid =
     Batch.scan t.batch t ~tid ~snapshot:safe_epoch ~keep:within_grace
 
-  let set_background t ch = Atomic.set t.sh.bg ch
-
-  (* Entries carry their retire epochs, so a batch replayed under the
-     reclaimer's tid keeps the epoch-distance test exact. *)
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid (n, Atomic.get t.global_epoch)
-    then Batch.reclaim t.batch t ~tid ~scan
+    if Batch.push t.batch ~tid (n, Atomic.get t.global_epoch) then
+      scan t ~tid
 
   (* Quarantine cleaner: a departing thread must go quiescent (a stale
      announcement would stall the global epoch — §2's blocked-reclamation

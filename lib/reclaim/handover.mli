@@ -3,10 +3,9 @@
     (Algorithm 5's [tryHandover]).  The counterpart of {!Batch}.
 
     Per registry slot it owns a row of handover slots, one paired with
-    each hazard slot of the scheme, and a background buffer.  A scheme
-    brings its hazard walk, its background route and what to do with a
-    node it takes out of the plane: every drain takes a [run] function
-    and calls it once per node.
+    each hazard slot of the scheme.  A scheme brings its hazard walk
+    and what to do with a node it takes out of the plane: every drain
+    takes a [run] function and calls it once per node.
 
     Nodes must be heap blocks (records): an empty slot holds an
     immediate sentinel, so storing into or emptying a slot allocates
@@ -43,30 +42,10 @@ val take : 'a t -> row:int -> idx:int -> 'a
 val adopt_row : 'a t -> 's -> row:int -> tid:int -> run:('s, 'a) run -> unit
 (** {!take} every slot of [row], calling [run s ~tid] on each node. *)
 
-val push :
-  'a t ->
-  's ->
-  tid:int ->
-  Channel.t ->
-  'a ->
-  run:('s, 'a) run ->
-  unit
-(** A retire in background mode: [x] joins [tid]'s buffer; once the
-    buffer holds [Tuning.bg_batch] nodes it is swapped out and sent to
-    the channel as one {!Channel.job} that calls [run] on each node
-    under the running thread's tid.  A refused send (channel closed or
-    full) runs the batch inline.  With no channel the scheme runs its
-    own walk directly, so an inline retire never enters the engine. *)
-
-val adopt : 'a t -> 's -> row:int -> tid:int -> run:('s, 'a) run -> unit
-(** {!adopt_row}, then detach [row]'s background buffer and call
-    [run s ~tid] on each of its nodes.  Single-owner: [row] itself or a
-    thread over a provably dead row. *)
-
 val flush : 'a t -> 's -> tid:int -> run:('s, 'a) run -> unit
-(** The quiesced drain, under [tid]: adopt every registered row and
-    buffer, repeated while a buffer held anything ([run] may retire
-    again, and under an active channel that re-buffers). *)
+(** The quiesced drain, under [tid]: {!adopt_row} every registered
+    row, once.  A node [run] hands back to the plane is still
+    protected, so another pass would only park it again. *)
 
 val find_in_row : int Atomic.t array -> int -> int -> int -> int
 (** [find_in_row hp wm uid idx]: the first slot of hazard row [hp] at

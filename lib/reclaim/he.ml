@@ -117,14 +117,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let scan t ~tid =
     Batch.scan t.batch t ~tid ~snapshot:build_snapshot ~keep:protected
 
-  let set_background t ch = Atomic.set t.sh.bg ch
-
-  (* Death eras are header stamps, so a batch shipped to the reclaimer
-     carries everything the reclaimer-side scan needs. *)
   let retire t ~tid n =
     Shell.retire_era t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid n then
-      Batch.reclaim t.batch t ~tid ~scan
+    if Batch.push t.batch ~tid n then scan t ~tid
 
   (* Quarantine cleaner: drop the departing tid's published eras (an
      era left behind would pin every object alive at it, forever) and

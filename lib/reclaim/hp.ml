@@ -136,12 +136,9 @@ module Make (N : Scheme_intf.NODE) = struct
   let scan t ~tid =
     Batch.scan t.batch t ~tid ~snapshot:build_snapshot ~keep:protected
 
-  let set_background t ch = Atomic.set t.sh.bg ch
-
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid n then
-      Batch.reclaim t.batch t ~tid ~scan
+    if Batch.push t.batch ~tid n then scan t ~tid
 
   (* Quarantine cleaner: force-clear the departing tid's hazards and
      publish its pending retired list for adoption at survivors' next

@@ -71,9 +71,6 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Scheme_intf.Counters.retired t.counters ~tid;
     t.retired.(tid) := n :: !(t.retired.(tid))
 
-  (* Nothing to drain in the background: retire never scans. *)
-  let set_background _ _ = ()
-
   let unreclaimed t = Scheme_intf.Counters.unreclaimed t.counters
   let stats t = Scheme_intf.Counters.stats t.counters
   let pp_stats fmt t = Scheme_intf.pp_stats_record fmt (stats t)
@@ -133,9 +130,6 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
     Scheme_intf.Counters.retired t.counters ~tid;
     Scheme_intf.Counters.freed t.counters ~tid;
     Memdom.Alloc.free t.alloc (N.hdr n)
-
-  (* Frees at retire; there is no batch to route anywhere. *)
-  let set_background _ _ = ()
 
   (* Nothing is ever pending, so thread death leaves nothing behind. *)
   let orphan _ ~tid:_ = ()

@@ -135,12 +135,9 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     done;
     Shell.end_op t.sh ~tid
 
-  let set_background t ch = Atomic.set t.sh.bg ch
-
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid n then
-      Batch.reclaim t.batch t ~tid ~scan:liberate
+    if Batch.push t.batch ~tid n then liberate t ~tid
 
   let add t ~tid q = Batch.add t.batch ~tid q
   let publish t ~tid q = Batch.publish t.batch ~tid [ q ]

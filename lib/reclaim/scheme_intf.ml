@@ -184,19 +184,6 @@ module type S = sig
       count); the thresholds are constants, and a stalled reader is
       handled by neutralization, not by retuning them. *)
 
-  val set_background : t -> Channel.t option -> unit
-  (** Background drain mode.  With [Some ch], a retire that crosses the
-      scan threshold packages the swapped-out batch as a {!Channel.job}
-      and sends it to the reclaimer instead of scanning inline; if the
-      send is refused (channel closed or full — reclaimer dead or
-      behind) the batch is restored and scanned inline, so backpressure
-      and reclaimer death degrade to exactly the [None] behavior.
-      [None] (the default) reclaims inline.  Setup/teardown-only knob:
-      flip it while the scheme is quiescent or accept that racing
-      retires may use either path for one batch.  [flush] only covers
-      per-thread state — stop or recover the reclaimer first so queued
-      jobs are replayed. *)
-
   val orphan : t -> tid:int -> unit
   (** Lifecycle cleaner for a departing thread: force-clear every
       protection slot [tid] published, drain anything parked on it, and

@@ -15,7 +15,6 @@ type t = {
   hps : int;
   counters : Scheme_intf.Counters.t;
   wd : Obs.Watchdog.t; (* guard-stall stamp table *)
-  bg : Channel.route; (* background drain route *)
   (* strong references keeping the weakly-registered quarantine
      cleaner, neutralize hook and metrics probes alive exactly as long
      as the scheme *)
@@ -33,7 +32,6 @@ let create ?(max_hps = 8) ?sink alloc =
     hps = max_hps;
     counters = Scheme_intf.Counters.create ();
     wd = Obs.Watchdog.create ();
-    bg = Atomic.make None;
     lifecycle = ignore;
     neutralizer = ignore;
     metrics = [];
@@ -83,10 +81,10 @@ let register sh ~name ~orphan ~neutralize =
   in
   sh.metrics <- probes ~name ~counters ~gauges
 
-(** A retired-list engine over this shell's hazard count, sink,
-    background route and scan counters. *)
+(** A retired-list engine over this shell's hazard count, sink and
+    scan counters. *)
 let batch sh =
-  Batch.create ~hps:sh.hps ~sink:sh.sink ~bg:sh.bg
+  Batch.create ~hps:sh.hps ~sink:sh.sink
     ~scans:sh.counters.Scheme_intf.Counters.scans
     ~scan_slots:sh.counters.Scheme_intf.Counters.scan_slots
 

@@ -3,6 +3,5 @@
 open Atomicx
 
 let r_floor = 2
-let bg_batch = 32
 let load_factor = 4
 let threshold ~hps = max r_floor (2 * hps * max 1 (Registry.active ()))

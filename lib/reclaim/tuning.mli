@@ -1,18 +1,13 @@
 (** The reclamation constants every scheme derives its thresholds
-    from: the hp/ptb/he/ibr/ebr retire-batch threshold R, the orc
-    family's background submit-buffer size and the split maps' load
-    factor.  They are constants: a stalled reader is handled by
-    neutralization ({!Reclaimer.start}'s [neutralize_age]), not by
+    from: the hp/ptb/he/ibr/ebr retire-batch threshold R and the
+    split maps' load factor.  They are constants: a stalled reader is
+    handled by neutralization ({!Reclaimer.start}'s [neutralize_age]), not by
     retuning these per deployment. *)
 
 val r_floor : int
 (** 2 — R never drops below this, whatever the live thread count says
     (a zero threshold would scan on every retire).  Kept at the edge so
     the threshold is exactly the paper's 2·H·t. *)
-
-val bg_batch : int
-(** 32 — the orc-family background submit-buffer size (objects
-    buffered thread-locally before a channel send). *)
 
 val load_factor : int
 (** 4 — target keys-per-bucket before a resizable map doubles its

@@ -17,7 +17,9 @@
      dune exec tools/orc_top.exe -- [--once] [--interval=S] [FILE]
      dune exec tools/orc_top.exe -- --demo [--seconds=N] [--interval=S]
 
-   FILE defaults to BENCH_orc.json. *)
+   FILE defaults to BENCH_orc.json.  Any other argument — an unknown
+   flag, a value given as a separate word, a second FILE, a FILE or
+   --once in demo mode — prints the usage and exits 2. *)
 
 let fail fmt =
   Printf.ksprintf
@@ -44,16 +46,49 @@ let str_field row name =
   | Some (Obs.Json.Str s) -> Some s
   | _ -> None
 
-let arg_flag name = Array.exists (( = ) name) Sys.argv
+let usage () =
+  prerr_string
+    "usage: orc_top [--once] [--interval=S] [FILE]\n\
+    \       orc_top --demo [--seconds=N] [--interval=S]\n";
+  exit 2
 
-let arg_value prefix default parse =
-  Array.fold_left
-    (fun acc a ->
-      if String.starts_with ~prefix a then
-        parse (String.sub a (String.length prefix)
-                 (String.length a - String.length prefix))
-      else acc)
-    default Sys.argv
+(* [Some v] when [a] is [prefix] followed by a number; a [prefix] with
+   anything else after it is a usage error. *)
+let number prefix a =
+  if not (String.starts_with ~prefix a) then None
+  else
+    let n = String.length prefix in
+    match float_of_string_opt (String.sub a n (String.length a - n)) with
+    | Some v -> Some v
+    | None -> usage ()
+
+type args = {
+  demo : bool;
+  once : bool;
+  interval : float;
+  seconds : float option;
+  files : string list;
+}
+
+let parse_args argv =
+  let add acc a =
+    match (a, number "--interval=" a, number "--seconds=" a) with
+    | "--demo", _, _ -> { acc with demo = true }
+    | "--once", _, _ -> { acc with once = true }
+    | _, Some v, _ -> { acc with interval = v }
+    | _, _, Some v -> { acc with seconds = Some v }
+    | _ when String.starts_with ~prefix:"-" a -> usage ()
+    | _ -> { acc with files = a :: acc.files }
+  in
+  let args =
+    Array.fold_left add
+      { demo = false; once = false; interval = 1.0; seconds = None; files = [] }
+      (Array.sub argv 1 (Array.length argv - 1))
+  in
+  match args with
+  | { demo = true; once = false; files = []; _ } -> args
+  | { demo = false; seconds = None; files = [] | [ _ ]; _ } -> args
+  | _ -> usage ()
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -192,15 +227,12 @@ let rows_of_registry reg =
 let demo_mode ~seconds ~interval =
   let alloc = Memdom.Alloc.create "orc-top-demo" in
   let s = Ebr.create ~max_hps:4 alloc in
-  (* background pipeline: retires travel the transfer channel to a
-     reclaimer armed to neutralize, so the channel-depth gauge
-     (orcgc_bg_depth), the bg counters and the neutralization totals
-     all move during the demo alongside the per-scheme series *)
-  let ch = Reclaim.Channel.create () in
+  (* a reclaimer armed to neutralize the staller below, so the
+     neutralization totals move during the demo alongside the
+     per-scheme series *)
   let reclaimer =
-    Reclaim.Reclaimer.start ~interval:(interval /. 4.) ~neutralize_age:4 ch
+    Reclaim.Reclaimer.start ~interval:(interval /. 4.) ~neutralize_age:4 ()
   in
-  Ebr.set_background s (Some ch);
   let stop = Atomic.make false in
   let churner () =
     Atomicx.Registry.with_tid @@ fun tid ->
@@ -245,24 +277,15 @@ let demo_mode ~seconds ~interval =
   Domain.join d;
   Domain.join st;
   Reclaim.Reclaimer.stop reclaimer;
-  Ebr.set_background s None;
   Obs.Sampler.stop sampler;
   Ebr.flush s;
   render ~clear:false ~title:"demo final"
     (rows_of_registry Obs.Metrics.default)
 
 let () =
-  let interval = arg_value "--interval=" 1.0 float_of_string in
-  if arg_flag "--demo" then
-    demo_mode ~seconds:(arg_value "--seconds=" 5.0 float_of_string) ~interval
+  let a = parse_args Sys.argv in
+  if a.demo then
+    demo_mode ~seconds:(Option.value a.seconds ~default:5.0) ~interval:a.interval
   else
-    let path =
-      Array.fold_left
-        (fun acc a ->
-          if a <> Sys.executable_name && not (String.starts_with ~prefix:"--" a)
-          then a
-          else acc)
-        "BENCH_orc.json"
-        (Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
-    in
-    file_mode path ~once:(arg_flag "--once") ~interval
+    let path = match a.files with [ f ] -> f | _ -> "BENCH_orc.json" in
+    file_mode path ~once:a.once ~interval:a.interval
