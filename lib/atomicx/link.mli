@@ -76,12 +76,10 @@ val arena :
     [release ~tid slot] by the freeing thread [tid], when the node is
     freed. *)
 
-val arena_registered : 'a arena -> int
-val arena_released : 'a arena -> int
 val arena_live : 'a arena -> int
 val arena_capacity : 'a arena -> int
-(** Diagnostics: total registrations, released slots, their
-    difference, and the bump-allocated slot high-water. *)
+(** Diagnostics: registrations minus released slots, and the
+    bump-allocated slot high-water. *)
 
 val arena_cache_cap : int
 (** Capacity of a tid's slot cache. *)

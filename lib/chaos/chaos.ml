@@ -355,7 +355,6 @@ let batteries =
   ]
 
 let run name cfg = (List.assoc name batteries) cfg
-let run_all cfg = List.map (fun (_, f) -> f cfg) batteries
 
 (* ------------------------------------------------------------------ *)
 (* Stall injection (watchdog battery)                                  *)

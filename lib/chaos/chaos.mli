@@ -13,8 +13,7 @@
     [Use_after_free] / [Double_free] / [Too_many_threads], every retired
     object reclaimed once the run quiesces, and the registry's slot
     recycling + orphan adoption keeping memory bounded across arbitrary
-    churn.  One battery per scheme; {!run_all} runs every battery and is
-    what the [chaos] test alias and [soak --churn] drive. *)
+    churn.  One battery per scheme. *)
 
 type cfg = {
   waves : int;  (** join point between spawn bursts *)
@@ -32,9 +31,7 @@ type cfg = {
 
 val default : cfg
 (** 20 waves x 8 domains x 120 ops, kill roughly every 40 ops.  One
-    battery spawns 160 domains; the full {!run_all} (11 batteries)
-    spawns [11 * 160 = 1760], well over ten times
-    [Registry.max_threads]. *)
+    battery spawns 160 domains. *)
 
 (** What one battery observed. *)
 type report = {
@@ -73,8 +70,6 @@ val batteries : (string * (cfg -> report)) list
 
 val run : string -> cfg -> report
 (** Run the named battery.  Raises [Not_found] on an unknown name. *)
-
-val run_all : cfg -> report list
 
 (** {2 Stall injection}
 

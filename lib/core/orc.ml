@@ -706,7 +706,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
     let view (p : t) = p.v
     let is_marked (p : t) = Link.v_is_marked p.v
-    let is_poison (p : t) = Link.v_is_poison p.v
     let is_null (p : t) = Link.v_is_null p.v
 
     (* the target is protected, so its arena slot still names it *)
@@ -716,12 +715,6 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     let node_exn (p : t) =
       if Link.v_has_target p.v then Link.v_node p.arena p.v
       else invalid_arg "Orc.Ptr.node_exn: null"
-
-    let same_node (a : t) (b : t) =
-      match Link.v_has_target a.v, Link.v_has_target b.v with
-      | true, true -> Link.v_node a.arena a.v == Link.v_node b.arena b.v
-      | false, false -> true
-      | true, false | false, true -> false
 
     (* Replace the held view by another for the *same* target — used
        after a successful CAS to keep validating against the value

@@ -60,9 +60,6 @@ val orc_zero : int
 val ocnt : int -> int
 (** Count-plus-BRETIRED portion of an [_orc] word (sequence stripped). *)
 
-val retired_zero : int
-(** [ocnt] value of an object with zero links owned by a retirer. *)
-
 val max_haz : int
 (** Capacity of each thread's hazard-pointer array. *)
 

@@ -88,9 +88,7 @@ module type S = sig
 
     val node_exn : t -> node
     val is_marked : t -> bool
-    val is_poison : t -> bool
     val is_null : t -> bool
-    val same_node : t -> t -> bool
 
     val retag_v : t -> node Atomicx.Link.view -> unit
     (** Replace the held view by another for the {e same} target — used

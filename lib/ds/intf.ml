@@ -64,8 +64,7 @@ module type SET = sig
   val alloc : t -> Memdom.Alloc.t
 end
 
-(** The reclamation interface every algorithm with a manual version —
-    the three sets, the two queues and the NM tree — is written
+(** The reclamation interface every lib/ds algorithm is written
     against: the paper's §4.1.1 methodology as a signature.  An OrcGC
     structure and its manual-reclamation version differ only in the
     calls below, so each algorithm is written once as a functor over
@@ -73,11 +72,19 @@ end
 
     Three families satisfy it: [Orc_core.Orc.Make] (scheme "orc"),
     [Orc_core.Orc.Make_hp] ("orc-hp") and {!Manual_core.Make} over any
-    manual scheme.  Handles ([Ptr.t]) are guard-scoped local references,
-    each owning one hazard index; [load] protects a link's target in the
-    handle, [advance] steps a prev/curr/next window by permuting the
-    three handles (no publish), and the mutators take the word views
-    the handles hold. *)
+    manual scheme.  The Michael list, the split-ordered map, the MS
+    queue, the LCRQ and the NM tree run over all three.  The HS,
+    Harris and TBKP lists, the KP and turn queues and the HS and CRF
+    skip lists need an automatic core (orc or orc-hp): they walk
+    through marked nodes or hold a node from several places at once,
+    so no manual retire point exists (the paper's obstacles 1–3; each
+    says which in its interface).
+
+    Handles ([Ptr.t]) are guard-scoped local references, each owning
+    one hazard index; [load] protects a link's target in the handle,
+    [advance] steps a prev/curr/next window by permuting the three
+    handles (no publish), and the mutators take the word views the
+    handles hold. *)
 module type CORE = sig
   type node
   type t

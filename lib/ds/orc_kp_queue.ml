@@ -14,39 +14,45 @@
 
 open Atomicx
 
-module Make (V : sig
+module Node (V : sig
   type t
 end) =
 struct
-  type item = V.t
-
-  type node = {
+  type t = {
     item : V.t option; (* queue node payload; [None] in descriptors *)
     enq_tid : int;
     deq_tid : int Atomic.t; (* queue node: claimed dequeuer, -1 = none *)
-    next : node Link.t; (* queue linkage / descriptor's node reference *)
+    next : t Link.t; (* queue linkage / descriptor's node reference *)
     phase : int; (* descriptor fields *)
     pending : bool;
     is_enq : bool;
     hdr : Memdom.Hdr.t;
   }
 
-  module O = Orc_core.Orc.Make (struct
-    type t = node
+  let hdr n = n.hdr
+  let iter_links n f = f n.next
+end
 
-    let hdr n = n.hdr
-    let iter_links n f = f n.next
-  end)
+module Impl
+    (V : sig
+      type t
+    end)
+    (O : Intf.CORE with type node = Node(V).t) =
+struct
+  module Nd = Node (V)
+  open Nd
+
+  type item = V.t
 
   type t = {
-    head : node Link.t;
-    tail : node Link.t;
-    state : node Link.t array; (* per-thread operation descriptors *)
+    head : Nd.t Link.t;
+    tail : Nd.t Link.t;
+    state : Nd.t Link.t array; (* per-thread operation descriptors *)
     orc : O.t;
     alloc : Memdom.Alloc.t;
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
 
   let item_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -56,12 +62,12 @@ struct
     Memdom.Hdr.check_access n.hdr;
     n.next
 
-  let mk_node arena v etid hdr =
+  let mk_node g item etid hdr =
     {
-      item = Some v;
+      item;
       enq_tid = etid;
       deq_tid = Atomic.make (-1);
-      next = Link.make_in arena Link.Null;
+      next = O.new_link_v g Link.v_null;
       phase = -1;
       pending = false;
       is_enq = false;
@@ -81,22 +87,10 @@ struct
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_kp_queue" in
+    let alloc = Memdom.Alloc.create ~mode ("kp_queue/" ^ O.name) in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let sp =
-          O.alloc_node g (fun hdr ->
-              {
-                item = None;
-                enq_tid = -1;
-                deq_tid = Atomic.make (-1);
-                next = Link.make_in (O.arena orc) Link.Null;
-                phase = -1;
-                pending = false;
-                is_enq = false;
-                hdr;
-              })
-        in
+        let s = O.alloc_node_into g (O.ptr g) (mk_node g None (-1)) in
         let dp = O.ptr g in
         let state =
           Array.init Registry.max_threads (fun _ ->
@@ -108,8 +102,8 @@ struct
               O.new_link_v g (O.v_ptr orc d))
         in
         {
-          head = O.new_link_v g (O.Ptr.view sp);
-          tail = O.new_link_v g (O.Ptr.view sp);
+          head = O.new_link_v g (O.v_ptr orc s);
+          tail = O.new_link_v g (O.v_ptr orc s);
           state;
           orc;
           alloc;
@@ -135,51 +129,52 @@ struct
       dp = O.ptr g;
     }
 
+  (* Does the handle hold a node, and does it hold [n]? *)
+  let held p = Link.v_has_target (O.Ptr.view p)
+  let holds p n = held p && O.Ptr.node_exn p == n
+
+  (* Every [state] slot holds a descriptor while the queue lives. *)
   let max_phase t g cu =
     let m = ref (-1) in
     for i = 0 to Registry.high_water () - 1 do
       O.load g t.state.(i) cu.sp;
-      match O.Ptr.node cu.sp with
-      | Some d -> if d.phase > !m then m := d.phase
-      | None -> ()
+      m := max !m (O.Ptr.node_exn cu.sp).phase
     done;
     !m
 
   let is_still_pending t g cu i ph =
     O.load g t.state.(i) cu.sp;
-    match O.Ptr.node cu.sp with
-    | Some d -> d.pending && d.phase <= ph
-    | None -> false
+    let d = O.Ptr.node_exn cu.sp in
+    d.pending && d.phase <= ph
 
   let help_finish_enq t g cu =
     O.load g t.tail cu.ltail;
     let last = O.Ptr.node_exn cu.ltail in
     O.load g (next_of last) cu.lnext;
-    match O.Ptr.node cu.lnext with
-    | None -> ()
-    | Some nx ->
-        let etid = nx.enq_tid in
-        if etid >= 0 then begin
-          O.load g t.state.(etid) cu.sp;
-          let d = O.Ptr.node_exn cu.sp in
-          if Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail) then begin
-            O.load g (next_of d) cu.dn;
-            match O.Ptr.node cu.dn with
-            | Some dnode when dnode == nx ->
-                let nd =
-                  O.alloc_node_into g cu.dp
-                    (mk_desc ~phase:d.phase ~pending:false ~is_enq:true
-                       ~node:(O.Ptr.view cu.lnext) g)
-                in
-                ignore
-                  (O.cas_v g t.state.(etid) ~expected:(O.Ptr.view cu.sp)
-                     ~desired:(O.v_ptr t.orc nd));
-                ignore
-                  (O.cas_v g t.tail ~expected:(O.Ptr.view cu.ltail)
-                     ~desired:(O.v_ptr t.orc nx))
-            | Some _ | None -> ()
+    if held cu.lnext then begin
+      let nx = O.Ptr.node_exn cu.lnext in
+      let etid = nx.enq_tid in
+      if etid >= 0 then begin
+        O.load g t.state.(etid) cu.sp;
+        let d = O.Ptr.node_exn cu.sp in
+        if Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail) then begin
+          O.load g (next_of d) cu.dn;
+          if holds cu.dn nx then begin
+            let nd =
+              O.alloc_node_into g cu.dp
+                (mk_desc ~phase:d.phase ~pending:false ~is_enq:true
+                   ~node:(O.Ptr.view cu.lnext) g)
+            in
+            ignore
+              (O.cas_v g t.state.(etid) ~expected:(O.Ptr.view cu.sp)
+                 ~desired:(O.v_ptr t.orc nd));
+            ignore
+              (O.cas_v g t.tail ~expected:(O.Ptr.view cu.ltail)
+                 ~desired:(O.Ptr.view cu.lnext))
           end
         end
+      end
+    end
 
   let help_enq t g cu i ph =
     let rec loop () =
@@ -188,19 +183,17 @@ struct
         let last = O.Ptr.node_exn cu.ltail in
         O.load g (next_of last) cu.lnext;
         if Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail) then
-          if O.Ptr.is_null cu.lnext then begin
+          if not (held cu.lnext) then begin
             if is_still_pending t g cu i ph then begin
               (* cu.sp now holds thread i's descriptor *)
               let d = O.Ptr.node_exn cu.sp in
               O.load g (next_of d) cu.dn;
-              match O.Ptr.node cu.dn with
-              | Some n ->
-                  if
-                    O.cas_v g (next_of last) ~expected:(O.Ptr.view cu.lnext)
-                      ~desired:(O.v_ptr t.orc n)
-                  then help_finish_enq t g cu
-                  else loop ()
-              | None -> loop ()
+              if
+                held cu.dn
+                && O.cas_v g (next_of last) ~expected:(O.Ptr.view cu.lnext)
+                     ~desired:(O.Ptr.view cu.dn)
+              then help_finish_enq t g cu
+              else loop ()
             end
           end
           else begin
@@ -222,7 +215,7 @@ struct
       let d = O.Ptr.node_exn cu.sp in
       if
         Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead)
-        && not (O.Ptr.is_null cu.lnext)
+        && held cu.lnext
       then begin
         O.load g (next_of d) cu.dn;
         let nd =
@@ -247,8 +240,8 @@ struct
         O.load g t.tail cu.ltail;
         O.load g (next_of first) cu.lnext;
         if Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead) then
-          if O.Ptr.same_node cu.lhead cu.ltail then
-            if O.Ptr.is_null cu.lnext then begin
+          if Link.v_same (O.Ptr.view cu.lhead) (O.Ptr.view cu.ltail) then
+            if not (held cu.lnext) then begin
               (* empty: complete i's op with no node *)
               O.load g t.state.(i) cu.sp;
               let d = O.Ptr.node_exn cu.sp in
@@ -280,13 +273,8 @@ struct
               O.load g (next_of d) cu.dn;
               if Link.view_eq (Link.view t.head) (O.Ptr.view cu.lhead)
               then begin
-                let recorded =
-                  match O.Ptr.node cu.dn with
-                  | Some x -> x == first
-                  | None -> false
-                in
                 let proceed =
-                  recorded
+                  holds cu.dn first
                   ||
                   let nd =
                     O.alloc_node_into g cu.dp
@@ -313,10 +301,9 @@ struct
   let help t g cu ph =
     for i = 0 to Registry.high_water () - 1 do
       O.load g t.state.(i) cu.sp;
-      match O.Ptr.node cu.sp with
-      | Some d when d.pending && d.phase <= ph ->
-          if d.is_enq then help_enq t g cu i ph else help_deq t g cu i ph
-      | Some _ | None -> ()
+      let d = O.Ptr.node_exn cu.sp in
+      if d.pending && d.phase <= ph then
+        if d.is_enq then help_enq t g cu i ph else help_deq t g cu i ph
     done
 
   let enqueue q v =
@@ -325,7 +312,7 @@ struct
     let cu = cursor g in
     let ph = max_phase q g cu + 1 in
     let np = O.ptr g in
-    ignore (O.alloc_node_into g np (mk_node (O.arena q.orc) v tid));
+    ignore (O.alloc_node_into g np (mk_node g (Some v) tid));
     ignore
       (O.alloc_node_into g cu.dp
          (mk_desc ~phase:ph ~pending:true ~is_enq:true
@@ -348,19 +335,21 @@ struct
     O.load g q.state.(tid) cu.sp;
     let d = O.Ptr.node_exn cu.sp in
     O.load g (next_of d) cu.dn;
-    match O.Ptr.node cu.dn with
-    | None -> None (* empty queue *)
-    | Some first ->
-        O.load g (next_of first) cu.lnext;
-        item_of (O.Ptr.node_exn cu.lnext)
+    if not (held cu.dn) then None (* empty queue *)
+    else begin
+      O.load g (next_of (O.Ptr.node_exn cu.dn)) cu.lnext;
+      item_of (O.Ptr.node_exn cu.lnext)
+    end
 
   let destroy q =
-    O.with_guard q.orc @@ fun g ->
-    O.store_v g q.head Link.v_null;
-    O.store_v g q.tail Link.v_null;
-    Array.iter (fun s -> O.store_v g s Link.v_null) q.state
+    O.release_roots q.orc (q.head :: q.tail :: Array.to_list q.state)
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc
   let alloc q = q.alloc
 end
+
+module Make (V : sig
+  type t
+end) =
+  Impl (V) (Orc_core.Orc.Make (Node (V)))

@@ -15,6 +15,9 @@ module N : Orc_core.Orc.NODE with type t = node
 val ord_of : node -> int
 (** [n.ord], after checking [n] is not freed. *)
 
+val next_of : node -> node Atomicx.Link.t
+(** [n.next], after checking [n] is not freed. *)
+
 (** Michael's window over a list sorted by [ord], anchored at a link
     whose owner is never retired while the structure lives (a
     sentinel's or a bucket dummy's [next]).  Each operation

@@ -24,31 +24,31 @@
 
 open Atomicx
 
-module Make () = struct
-  type node = {
-    key : int;
-    next : node Link.t; (* list linkage (Mark = logically deleted) *)
-    ins_claim : int Atomic.t; (* -1 free, -2 linking/linked, -3 neutralized *)
-    del_claim : int Atomic.t; (* deleting op's tid; -1 = unclaimed *)
-    (* descriptor fields *)
-    phase : int;
-    pending : bool;
-    is_insert : bool;
-    success : bool;
-    dnode : node Link.t; (* descriptor's node: insert's node / remove's victim *)
-    hdr : Memdom.Hdr.t;
-  }
+type node = {
+  key : int;
+  next : node Link.t; (* list linkage (Mark = logically deleted) *)
+  ins_claim : int Atomic.t; (* -1 free, -2 linking/linked, -3 neutralized *)
+  del_claim : int Atomic.t; (* deleting op's tid; -1 = unclaimed *)
+  (* descriptor fields *)
+  phase : int;
+  pending : bool;
+  is_insert : bool;
+  success : bool;
+  dnode : node Link.t; (* descriptor's node: insert's node / remove's victim *)
+  hdr : Memdom.Hdr.t;
+}
 
-  module O = Orc_core.Orc.Make (struct
-    type t = node
+module N = struct
+  type t = node
 
-    let hdr n = n.hdr
+  let hdr n = n.hdr
 
-    let iter_links n f =
-      f n.next;
-      f n.dnode
-  end)
+  let iter_links n f =
+    f n.next;
+    f n.dnode
+end
 
+module Impl (O : Intf.CORE with type node = node) = struct
   type t = {
     head : node;
     tail : node;
@@ -59,7 +59,7 @@ module Make () = struct
     alloc : Memdom.Alloc.t;
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
 
   let key_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -73,10 +73,10 @@ module Make () = struct
     Memdom.Hdr.check_access n.hdr;
     n.dnode
 
-  let mk_node g key hdr =
+  let mk_node g key next hdr =
     {
       key;
-      next = O.new_link_v g Link.v_null;
+      next = O.new_link_v g next;
       ins_claim = Atomic.make (-1);
       del_claim = Atomic.make (-1);
       phase = -1;
@@ -87,9 +87,9 @@ module Make () = struct
       hdr;
     }
 
-  let mk_desc ~phase ~pending ~is_insert ~success ~node g hdr =
+  let mk_desc ?(key = 0) ~phase ~pending ~is_insert ~success ~node g hdr =
     {
-      key = 0;
+      key;
       next = O.new_link_v g Link.v_null;
       ins_claim = Atomic.make (-1);
       del_claim = Atomic.make (-1);
@@ -102,16 +102,15 @@ module Make () = struct
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_tbkp_list" in
+    let alloc = Memdom.Alloc.create ~mode ("tbkp_list/" ^ O.name) in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let tp = O.alloc_node g (mk_node g max_int) in
-        let hp =
-          O.alloc_node g (fun hdr ->
-              {
-                (mk_node g min_int hdr) with
-                next = O.new_link_v g (O.Ptr.view tp);
-              })
+        let tail =
+          O.alloc_node_into g (O.ptr g) (mk_node g max_int Link.v_null)
+        in
+        let head =
+          O.alloc_node_into g (O.ptr g)
+            (mk_node g min_int (O.v_ptr orc tail))
         in
         let dp = O.ptr g in
         let state =
@@ -124,10 +123,10 @@ module Make () = struct
               O.new_link_v g (O.v_ptr orc d))
         in
         {
-          head = O.Ptr.node_exn hp;
-          tail = O.Ptr.node_exn tp;
-          head_root = O.new_link_v g (O.Ptr.view hp);
-          tail_root = O.new_link_v g (O.Ptr.view tp);
+          head;
+          tail;
+          head_root = O.new_link_v g (O.v_ptr orc head);
+          tail_root = O.new_link_v g (O.v_ptr orc tail);
           state;
           orc;
           alloc;
@@ -158,63 +157,66 @@ module Make () = struct
      first node with key >= [key] and the returned link is the
      predecessor link holding [Ptr.view cu.curr]. *)
   let rec find t g key cu =
-    let prev_link = ref t.head.next in
-    O.load g !prev_link cu.curr;
-    let restart () = find t g key cu in
-    let rec loop () =
-      let c = O.Ptr.node_exn cu.curr in
-      O.load g (next_of c) cu.next;
-      if not (Link.view_eq (Link.view !prev_link) (O.Ptr.view cu.curr)) then
-        restart ()
-      else if O.Ptr.is_marked cu.next then begin
-        let unmarked =
-          Link.v_after (O.Ptr.view cu.curr) (Link.v_clean (O.Ptr.view cu.next))
-        in
-        if O.cas_v g !prev_link ~expected:(O.Ptr.view cu.curr) ~desired:unmarked
-        then begin
-          O.assign g cu.curr cu.next;
-          O.Ptr.retag_v cu.curr unmarked;
-          loop ()
-        end
-        else restart ()
-      end
-      else if key_of c >= key then (key_of c = key, !prev_link)
-      else begin
-        O.advance g cu.prev cu.curr cu.next;
-        prev_link := next_of c;
-        loop ()
-      end
-    in
-    loop ()
+    O.load g t.head.next cu.curr;
+    find_from t g key cu t.head.next
 
+  and find_from t g key cu prev_link =
+    let c = O.Ptr.node_exn cu.curr in
+    O.load g (next_of c) cu.next;
+    if not (Link.view_eq (Link.view prev_link) (O.Ptr.view cu.curr)) then
+      find t g key cu
+    else if O.Ptr.is_marked cu.next then begin
+      let unmarked =
+        Link.v_after (O.Ptr.view cu.curr) (Link.v_clean (O.Ptr.view cu.next))
+      in
+      if O.cas_v g prev_link ~expected:(O.Ptr.view cu.curr) ~desired:unmarked
+      then begin
+        O.assign g cu.curr cu.next;
+        O.Ptr.retag_v cu.curr unmarked;
+        find_from t g key cu prev_link
+      end
+      else find t g key cu
+    end
+    else if key_of c >= key then prev_link
+    else begin
+      O.advance g cu.prev cu.curr cu.next;
+      find_from t g key cu (next_of c)
+    end
+
+  (* After a [find]: does cu.curr carry [key]? *)
+  let found cu key = key_of (O.Ptr.node_exn cu.curr) = key
+
+  (* Every [state] slot holds a descriptor while the list lives. *)
   let max_phase t g cu =
     let m = ref (-1) in
     for i = 0 to Registry.high_water () - 1 do
       O.load g t.state.(i) cu.sp;
-      match O.Ptr.node cu.sp with
-      | Some d -> if d.phase > !m then m := d.phase
-      | None -> ()
+      m := max !m (O.Ptr.node_exn cu.sp).phase
     done;
     !m
 
-  (* Replace thread [i]'s descriptor with a completed one. *)
-  let complete t g cu i ~success =
-    let d = O.Ptr.node_exn cu.sp in
-    O.load g (dnode_of d) cu.dn;
+  (* Replace thread [i]'s descriptor [d], held in cu.sp, by a copy in
+     the given state. *)
+  let replace t g cu i d ~pending ~success ~node =
     let nd =
       O.alloc_node_into g cu.dp
-        (mk_desc ~phase:d.phase ~pending:false ~is_insert:d.is_insert ~success
-           ~node:(O.Ptr.view cu.dn) g)
+        (mk_desc ~key:d.key ~phase:d.phase ~pending ~is_insert:d.is_insert
+           ~success ~node g)
     in
     ignore
       (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
          ~desired:(O.v_ptr t.orc nd))
 
+  (* ... by a completed one. *)
+  let complete t g cu i ~success =
+    let d = O.Ptr.node_exn cu.sp in
+    O.load g (dnode_of d) cu.dn;
+    replace t g cu i d ~pending:false ~success ~node:(O.Ptr.view cu.dn)
+
   let still_pending t g cu i ph =
     O.load g t.state.(i) cu.sp;
-    match O.Ptr.node cu.sp with
-    | Some d -> d.pending && d.phase <= ph
-    | None -> false
+    let d = O.Ptr.node_exn cu.sp in
+    d.pending && d.phase <= ph
 
   (* Insert helping.  The physical link and the logical completion live
      in different words, so a stale helper could link the node after
@@ -229,61 +231,55 @@ module Make () = struct
      descriptor-wrapped links. *)
   let help_insert t g cu i ph =
     let rec attempt () =
+      (* cu.sp holds i's descriptor, which always names its node *)
       if still_pending t g cu i ph then begin
-        (* cu.sp holds i's descriptor *)
         let d = O.Ptr.node_exn cu.sp in
         O.load g (dnode_of d) cu.dn;
-        match O.Ptr.node cu.dn with
-        | None -> () (* malformed; cannot happen for inserts *)
-        | Some node ->
-            let found, prev_link = find t g node.key cu in
-            let was_linked_then_removed () =
-              Link.v_is_marked (Link.view (next_of node))
+        let node = O.Ptr.node_exn cu.dn in
+        let prev_link = find t g node.key cu in
+        let was_linked_then_removed () =
+          Link.v_is_marked (Link.view (next_of node))
+        in
+        let complete_false () =
+          if
+            Atomic.compare_and_set node.ins_claim (-1) (-3)
+            || Atomic.get node.ins_claim = -3
+          then complete t g cu i ~success:false
+          else attempt () (* a link attempt is in flight: re-examine *)
+        in
+        if found cu node.key then begin
+          if O.Ptr.node_exn cu.curr == node then complete t g cu i ~success:true
+          else if was_linked_then_removed () then
+            complete t g cu i ~success:true
+          else complete_false ()
+        end
+        else if was_linked_then_removed () then complete t g cu i ~success:true
+        else if Atomic.get node.ins_claim = -3 then
+          complete t g cu i ~success:false
+        else if not (Atomic.compare_and_set node.ins_claim (-1) (-2)) then
+          attempt () (* claim held or neutralized: re-examine *)
+        else begin
+          (* we hold the claim: point the node at the window's
+             successor, then link *)
+          O.load g (next_of node) cu.own;
+          if O.Ptr.is_marked cu.own then complete t g cu i ~success:true
+          else begin
+            let own = O.Ptr.view cu.own and curr = O.Ptr.view cu.curr in
+            let ok =
+              Link.v_has_target curr
+              && (Link.v_same own curr
+                 || O.cas_v g (next_of node) ~expected:own ~desired:curr)
             in
-            let complete_false () =
-              if
-                Atomic.compare_and_set node.ins_claim (-1) (-3)
-                || Atomic.get node.ins_claim = -3
-              then complete t g cu i ~success:false
-              else attempt () (* a link attempt is in flight: re-examine *)
-            in
-            if found then begin
-              match O.Ptr.node cu.curr with
-              | Some c when c == node -> complete t g cu i ~success:true
-              | Some _ | None ->
-                  if was_linked_then_removed () then
-                    complete t g cu i ~success:true
-                  else complete_false ()
-            end
-            else if was_linked_then_removed () then
-              complete t g cu i ~success:true
-            else if Atomic.get node.ins_claim = -3 then
-              complete t g cu i ~success:false
-            else if not (Atomic.compare_and_set node.ins_claim (-1) (-2)) then
-              attempt () (* claim held or neutralized: re-examine *)
+            if
+              ok
+              && O.cas_v g prev_link ~expected:curr ~desired:(O.Ptr.view cu.dn)
+            then complete t g cu i ~success:true (* claim kept: linked *)
             else begin
-              (* we hold the claim: point the node at the window's
-                 successor, then link *)
-              O.load g (next_of node) cu.own;
-              if O.Ptr.is_marked cu.own then complete t g cu i ~success:true
-              else begin
-                let ok =
-                  (not (O.Ptr.is_null cu.curr))
-                  && (O.Ptr.same_node cu.own cu.curr
-                     || O.cas_v g (next_of node) ~expected:(O.Ptr.view cu.own)
-                          ~desired:(O.Ptr.view cu.curr))
-                in
-                if
-                  ok
-                  && O.cas_v g prev_link ~expected:(O.Ptr.view cu.curr)
-                       ~desired:(O.Ptr.view cu.dn)
-                then complete t g cu i ~success:true (* claim kept: linked *)
-                else begin
-                  ignore (Atomic.compare_and_set node.ins_claim (-2) (-1));
-                  attempt ()
-                end
-              end
+              ignore (Atomic.compare_and_set node.ins_claim (-2) (-1));
+              attempt ()
             end
+          end
+        end
       end
     in
     attempt ()
@@ -293,62 +289,49 @@ module Make () = struct
       if still_pending t g cu i ph then begin
         let d = O.Ptr.node_exn cu.sp in
         O.load g (dnode_of d) cu.dn;
-        match O.Ptr.node cu.dn with
-        | None ->
-            (* No victim recorded yet: search for one.  Recording goes
-               through the state CAS so that it serializes against any
-               concurrent failure completion — a mutable field inside
-               the descriptor would let a stale "not found" view win
-               after a victim was already claimed. *)
-            let found, _ = find t g d.key cu in
-            if not found then complete t g cu i ~success:false
-            else begin
-              let nd =
-                O.alloc_node_into g cu.dp (fun hdr ->
-                    { (mk_desc ~phase:d.phase ~pending:true ~is_insert:false
-                         ~success:false ~node:(O.Ptr.view cu.curr) g hdr)
-                      with key = d.key })
-              in
-              ignore
-                (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
-                   ~desired:(O.v_ptr t.orc nd));
-              attempt ()
-            end
-        | Some victim ->
-            (* decide ownership of this victim *)
-            ignore (Atomic.compare_and_set victim.del_claim (-1) i);
-            if Atomic.get victim.del_claim = i then begin
-              (* we own the deletion: mark, unlink, report success *)
-              let rec mark () =
-                O.load g (next_of victim) cu.own;
-                if not (O.Ptr.is_marked cu.own) then begin
-                  let ov = O.Ptr.view cu.own in
-                  (* a null own link would be the tail sentinel: impossible *)
-                  if
-                    Link.v_has_target ov
-                    && not
-                         (O.cas_v g (next_of victim) ~expected:ov
-                            ~desired:(Link.v_mark ov))
-                  then mark ()
-                end
-              in
-              mark ();
-              ignore (find t g victim.key cu) (* physical unlink *);
-              complete t g cu i ~success:true
-            end
-            else begin
-              (* lost the claim: forget this victim and retry *)
-              let nd =
-                O.alloc_node_into g cu.dp (fun hdr ->
-                    { (mk_desc ~phase:d.phase ~pending:true ~is_insert:false
-                         ~success:false ~node:Link.v_null g hdr)
-                      with key = d.key })
-              in
-              ignore
-                (O.cas_v g t.state.(i) ~expected:(O.Ptr.view cu.sp)
-                   ~desired:(O.v_ptr t.orc nd));
-              attempt ()
-            end
+        if not (Link.v_has_target (O.Ptr.view cu.dn)) then begin
+          (* No victim recorded yet: search for one.  Recording goes
+             through the state CAS so that it serializes against any
+             concurrent failure completion — a mutable field inside
+             the descriptor would let a stale "not found" view win
+             after a victim was already claimed. *)
+          ignore (find t g d.key cu);
+          if not (found cu d.key) then complete t g cu i ~success:false
+          else begin
+            replace t g cu i d ~pending:true ~success:false
+              ~node:(O.Ptr.view cu.curr);
+            attempt ()
+          end
+        end
+        else begin
+          let victim = O.Ptr.node_exn cu.dn in
+          (* decide ownership of this victim *)
+          ignore (Atomic.compare_and_set victim.del_claim (-1) i);
+          if Atomic.get victim.del_claim = i then begin
+            (* we own the deletion: mark, unlink, report success *)
+            let rec mark () =
+              O.load g (next_of victim) cu.own;
+              if not (O.Ptr.is_marked cu.own) then begin
+                let ov = O.Ptr.view cu.own in
+                (* a null own link would be the tail sentinel: impossible *)
+                if
+                  Link.v_has_target ov
+                  && not
+                       (O.cas_v g (next_of victim) ~expected:ov
+                          ~desired:(Link.v_mark ov))
+                then mark ()
+              end
+            in
+            mark ();
+            ignore (find t g victim.key cu) (* physical unlink *);
+            complete t g cu i ~success:true
+          end
+          else begin
+            (* lost the claim: forget this victim and retry *)
+            replace t g cu i d ~pending:true ~success:false ~node:Link.v_null;
+            attempt ()
+          end
+        end
       end
     in
     attempt ()
@@ -356,11 +339,10 @@ module Make () = struct
   let help t g cu ph =
     for i = 0 to Registry.high_water () - 1 do
       O.load g t.state.(i) cu.sp;
-      match O.Ptr.node cu.sp with
-      | Some d when d.pending && d.phase <= ph ->
-          if d.is_insert then help_insert t g cu i ph
-          else help_remove t g cu i ph
-      | Some _ | None -> ()
+      let d = O.Ptr.node_exn cu.sp in
+      if d.pending && d.phase <= ph then
+        if d.is_insert then help_insert t g cu i ph
+        else help_remove t g cu i ph
     done
 
   let check_key key =
@@ -390,7 +372,7 @@ module Make () = struct
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
     let np = O.ptr g in
-    ignore (O.alloc_node_into g np (mk_node g key));
+    ignore (O.alloc_node_into g np (mk_node g key Link.v_null));
     ignore
       (O.alloc_node_into g cu.dp
          (mk_desc ~phase:ph ~pending:true ~is_insert:true ~success:false
@@ -406,10 +388,9 @@ module Make () = struct
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
     ignore
-      (O.alloc_node_into g cu.dp (fun hdr ->
-           { (mk_desc ~phase:ph ~pending:true ~is_insert:false ~success:false
-                ~node:Link.v_null g hdr)
-             with key }));
+      (O.alloc_node_into g cu.dp
+         (mk_desc ~key ~phase:ph ~pending:true ~is_insert:false ~success:false
+            ~node:Link.v_null g));
     O.store_v g t.state.(tid) (O.Ptr.view cu.dp);
     help t g cu ph;
     outcome t g cu tid ph
@@ -450,12 +431,11 @@ module Make () = struct
   let size t = List.length (to_list t)
 
   let destroy t =
-    O.with_guard t.orc @@ fun g ->
-    O.store_v g t.head_root Link.v_null;
-    O.store_v g t.tail_root Link.v_null;
-    Array.iter (fun s -> O.store_v g s Link.v_null) t.state
+    O.release_roots t.orc (t.head_root :: t.tail_root :: Array.to_list t.state)
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc
   let alloc t = t.alloc
 end
+
+module Make () = Impl (Orc_core.Orc.Make (N))

@@ -30,43 +30,49 @@
 
 open Atomicx
 
-module Make (V : sig
+module Node (V : sig
   type t
 end) =
 struct
-  type item = V.t
-
-  type node = {
+  type t = {
     item : V.t option;
     enq_tid : int;
     mutable req_tid : int; (* set by the owner before the token is shared *)
-    claim : node Link.t; (* token of the request this node is delivered to *)
-    next : node Link.t;
+    claim : t Link.t; (* token of the request this node is delivered to *)
+    next : t Link.t;
     hdr : Memdom.Hdr.t;
   }
 
-  module O = Orc_core.Orc.Make (struct
-    type t = node
+  let hdr n = n.hdr
 
-    let hdr n = n.hdr
+  let iter_links n f =
+    f n.next;
+    f n.claim
+end
 
-    let iter_links n f =
-      f n.next;
-      f n.claim
-  end)
+module Impl
+    (V : sig
+      type t
+    end)
+    (O : Intf.CORE with type node = Node(V).t) =
+struct
+  module Nd = Node (V)
+  open Nd
+
+  type item = V.t
 
   type t = {
-    head : node Link.t;
-    tail : node Link.t;
-    enqueuers : node Link.t array; (* pending enqueue requests *)
-    deqself : node Link.t array; (* request tokens *)
-    deqhelp : node Link.t array; (* grants *)
+    head : Nd.t Link.t;
+    tail : Nd.t Link.t;
+    enqueuers : Nd.t Link.t array; (* pending enqueue requests *)
+    deqself : Nd.t Link.t array; (* request tokens *)
+    deqhelp : Nd.t Link.t array; (* grants *)
     deq_turn : int Atomic.t; (* fairness anchor for dequeue service *)
     orc : O.t;
     alloc : Memdom.Alloc.t;
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
 
   let item_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -80,43 +86,48 @@ struct
     Memdom.Hdr.check_access n.hdr;
     n.claim
 
-  let mk_node ?item ?(enq_tid = -1) arena hdr =
+  let mk_node ?item ?(enq_tid = -1) g hdr =
     {
       item;
       enq_tid;
       req_tid = -1;
-      claim = Link.make_in arena Link.Null;
-      next = Link.make_in arena Link.Null;
+      claim = O.new_link_v g Link.v_null;
+      next = O.new_link_v g Link.v_null;
       hdr;
     }
 
   let create ?(mode = Memdom.Alloc.System) () =
-    let alloc = Memdom.Alloc.create ~mode "orc_turn_queue" in
+    let alloc = Memdom.Alloc.create ~mode ("turn_queue/" ^ O.name) in
     let orc = O.create alloc in
-    let ar = O.arena orc in
     O.with_guard orc (fun g ->
-        let sentinel = O.alloc_node g (mk_node ar) in
-        let dummy_self = O.alloc_node g (mk_node ar) in
+        let fresh () =
+          O.v_ptr orc (O.alloc_node_into g (O.ptr g) (mk_node g))
+        in
+        let sentinel = fresh () and dummy_self = fresh () in
         let dp = O.ptr g in
         {
-          head = O.new_link_v g (O.Ptr.view sentinel);
-          tail = O.new_link_v g (O.Ptr.view sentinel);
+          head = O.new_link_v g sentinel;
+          tail = O.new_link_v g sentinel;
           enqueuers =
             Array.init Registry.max_threads (fun _ ->
-                Link.make_in ar Link.Null);
+                O.new_link_v g Link.v_null);
           deqself =
             Array.init Registry.max_threads (fun _ ->
-                O.new_link_v g (O.Ptr.view dummy_self));
+                O.new_link_v g dummy_self);
           deqhelp =
             Array.init Registry.max_threads (fun i ->
                 (* per-thread dummies: tokens must be unique per owner *)
-                let d = O.alloc_node_into g dp (mk_node ar) in
+                let d = O.alloc_node_into g dp (mk_node g) in
                 d.req_tid <- i;
-                O.new_link_v g (O.Ptr.view dp));
+                O.new_link_v g (O.v_ptr orc d));
           deq_turn = Atomic.make 0;
           orc;
           alloc;
         })
+
+  (* Does the handle hold a node, and does it hold [n]? *)
+  let held p = Link.v_has_target (O.Ptr.view p)
+  let holds p n = held p && O.Ptr.node_exn p == n
 
   (* One enqueue help round: complete the tail's request, link the next
      request in turn order, advance the tail. *)
@@ -127,12 +138,10 @@ struct
     let et = lt.enq_tid in
     if et >= 0 then begin
       O.load g q.enqueuers.(et) req;
-      match O.Ptr.node req with
-      | Some r when r == lt ->
-          ignore
-            (O.cas_v g q.enqueuers.(et) ~expected:(O.Ptr.view req)
-               ~desired:Link.v_null)
-      | Some _ | None -> ()
+      if holds req lt then
+        ignore
+          (O.cas_v g q.enqueuers.(et) ~expected:(O.Ptr.view req)
+             ~desired:Link.v_null)
     end;
     (* serve the next pending request, round-robin after [et] *)
     let hw = Registry.high_water () in
@@ -140,7 +149,7 @@ struct
        for j = 1 to hw do
          let i = (et + j + hw) mod hw in
          O.load g q.enqueuers.(i) req;
-         if not (O.Ptr.is_null req) then begin
+         if held req then begin
            ignore
              (O.cas_v g (next_of lt) ~expected:Link.v_null
                 ~desired:(O.Ptr.view req));
@@ -150,7 +159,7 @@ struct
      with Exit -> ());
     (* advance the tail over whatever is linked *)
     O.load g (next_of lt) lnext;
-    if not (O.Ptr.is_null lnext) then
+    if held lnext then
       ignore
         (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
            ~desired:(O.Ptr.view lnext))
@@ -159,8 +168,7 @@ struct
     O.with_guard q.orc @@ fun g ->
     let tid = Registry.tid () in
     let np = O.ptr g in
-    ignore
-      (O.alloc_node_into g np (mk_node ~item:v ~enq_tid:tid (O.arena q.orc)));
+    ignore (O.alloc_node_into g np (mk_node ~item:v ~enq_tid:tid g));
     let my = O.Ptr.view np in
     O.store_v g q.enqueuers.(tid) my;
     let ltail = O.ptr g and lnext = O.ptr g and req = O.ptr g in
@@ -182,7 +190,8 @@ struct
          let i = (anchor + j) mod hw in
          O.load g q.deqself.(i) tok;
          O.load g q.deqhelp.(i) grant;
-         if O.Ptr.same_node tok grant && not (O.Ptr.is_null tok) then begin
+         if held tok && Link.v_same (O.Ptr.view tok) (O.Ptr.view grant)
+         then begin
            chosen := i;
            raise_notrace Exit
          end
@@ -198,18 +207,21 @@ struct
     O.load g q.tail ltail;
     let h = O.Ptr.node_exn lhead in
     O.load g (next_of h) lnext;
-    if O.Ptr.same_node lhead ltail && O.Ptr.is_null lnext then begin
+    let empty_or_lagging =
+      Link.v_same (O.Ptr.view lhead) (O.Ptr.view ltail)
+    in
+    if empty_or_lagging && not (held lnext) then begin
       (* empty: serve one open request with a fresh empty marker *)
       let anchor, r = pick_open q g ~tok ~grant in
       if r >= 0 then begin
-        ignore (O.alloc_node_into g ep (mk_node (O.arena q.orc)));
+        ignore (O.alloc_node_into g ep (mk_node g));
         if
           O.cas_v g q.deqhelp.(r) ~expected:(O.Ptr.view grant)
             ~desired:(O.Ptr.view ep)
         then bump_turn q anchor r
       end
     end
-    else if O.Ptr.same_node lhead ltail then
+    else if empty_or_lagging then
       (* an enqueue is in flight: help the tail forward *)
       ignore
         (O.cas_v g q.tail ~expected:(O.Ptr.view ltail)
@@ -225,13 +237,13 @@ struct
          to have landed after the head moved. *)
       O.load g (claim_of nx) claimp;
       if
-        O.Ptr.is_null claimp
+        (not (held claimp))
         && Link.view_eq (Link.view q.head) (O.Ptr.view lhead)
       then begin
         let anchor, r = pick_open q g ~tok ~grant in
         if r >= 0 then begin
           ignore anchor;
-          if not (O.Ptr.is_null tok) then
+          if held tok then
             ignore
               (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
                  ~desired:(O.Ptr.view tok))
@@ -239,7 +251,7 @@ struct
         O.load g (claim_of nx) claimp
       end;
       if
-        (not (O.Ptr.is_null claimp))
+        held claimp
         && not (Link.view_eq (Link.view q.head) (O.Ptr.view lhead))
       then begin
         (* the transition completed under us: any claim left on [nx] is
@@ -248,51 +260,49 @@ struct
           (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
              ~desired:Link.v_null)
       end
-      else
-        match O.Ptr.node claimp with
-      | None -> () (* no open requests: leave the item queued *)
-      | Some tstar ->
-          let w = tstar.req_tid in
-          if w < 0 then ()
-          else begin
-            O.load g q.deqhelp.(w) grant;
-            (* re-validate the transition only after reading the grant:
-               any serve-elsewhere forces a head move first, so a stale
-               view cannot reach the release branch wrongly *)
-            if Link.view_eq (Link.view q.head) (O.Ptr.view lhead) then begin
-              match O.Ptr.node grant with
-              | Some gn when gn == tstar ->
-                  (* (2) deliver the node to the claimed request *)
-                  if
-                    O.cas_v g q.deqhelp.(w) ~expected:(O.Ptr.view grant)
-                      ~desired:(O.Ptr.view lnext)
-                  then bump_turn q (Atomic.get q.deq_turn) w;
-                  (* (3) advance once delivery is visible; the advance
-                     winner also clears the claim link, which would
-                     otherwise chain every delivered node to its
-                     recipient's previous token forever *)
-                  O.load g q.deqhelp.(w) grant;
-                  (match O.Ptr.node grant with
-                  | Some gn' when gn' == nx ->
-                      if
-                        O.cas_v g q.head ~expected:(O.Ptr.view lhead)
-                          ~desired:(O.Ptr.view lnext)
-                      then O.store_v g (claim_of nx) Link.v_null
-                  | Some _ | None -> ())
-              | Some gn when gn == nx ->
-                  (* already delivered: advance *)
-                  if
-                    O.cas_v g q.head ~expected:(O.Ptr.view lhead)
-                      ~desired:(O.Ptr.view lnext)
-                  then O.store_v g (claim_of nx) Link.v_null
-              | Some _ | None ->
-                  (* the claimed token was served by the empty path:
-                     release the claim so the item can be re-served *)
-                  ignore
-                    (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
-                       ~desired:Link.v_null)
+      else if held claimp then begin
+        let tstar = O.Ptr.node_exn claimp in
+        let w = tstar.req_tid in
+        if w >= 0 then begin
+          O.load g q.deqhelp.(w) grant;
+          (* re-validate the transition only after reading the grant:
+             any serve-elsewhere forces a head move first, so a stale
+             view cannot reach the release branch wrongly *)
+          if Link.view_eq (Link.view q.head) (O.Ptr.view lhead) then begin
+            if holds grant tstar then begin
+              (* (2) deliver the node to the claimed request *)
+              if
+                O.cas_v g q.deqhelp.(w) ~expected:(O.Ptr.view grant)
+                  ~desired:(O.Ptr.view lnext)
+              then bump_turn q (Atomic.get q.deq_turn) w;
+              (* (3) advance once delivery is visible; the advance
+                 winner also clears the claim link, which would
+                 otherwise chain every delivered node to its
+                 recipient's previous token forever *)
+              O.load g q.deqhelp.(w) grant;
+              if
+                holds grant nx
+                && O.cas_v g q.head ~expected:(O.Ptr.view lhead)
+                     ~desired:(O.Ptr.view lnext)
+              then O.store_v g (claim_of nx) Link.v_null
             end
+            else if holds grant nx then begin
+              (* already delivered: advance *)
+              if
+                O.cas_v g q.head ~expected:(O.Ptr.view lhead)
+                  ~desired:(O.Ptr.view lnext)
+              then O.store_v g (claim_of nx) Link.v_null
+            end
+            else
+              (* the claimed token was served by the empty path:
+                 release the claim so the item can be re-served *)
+              ignore
+                (O.cas_v g (claim_of nx) ~expected:(O.Ptr.view claimp)
+                   ~desired:Link.v_null)
           end
+        end
+      end
+    (* else no open requests: leave the item queued *)
     end
 
   let dequeue q =
@@ -301,10 +311,7 @@ struct
     let tok = O.ptr g and grant = O.ptr g in
     (* open my request: republish the previous grant as the token *)
     O.load g q.deqhelp.(tid) grant;
-    let token =
-      match O.Ptr.node grant with Some n -> n | None -> assert false
-    in
-    token.req_tid <- tid;
+    (O.Ptr.node_exn grant).req_tid <- tid;
     let token_v = O.Ptr.view grant in
     O.store_v g q.deqself.(tid) token_v;
     let lhead = O.ptr g and ltail = O.ptr g and lnext = O.ptr g in
@@ -322,14 +329,16 @@ struct
     item_of (O.Ptr.node_exn grant)
 
   let destroy q =
-    O.with_guard q.orc @@ fun g ->
-    O.store_v g q.head Link.v_null;
-    O.store_v g q.tail Link.v_null;
-    Array.iter (fun l -> O.store_v g l Link.v_null) q.enqueuers;
-    Array.iter (fun l -> O.store_v g l Link.v_null) q.deqself;
-    Array.iter (fun l -> O.store_v g l Link.v_null) q.deqhelp
+    O.release_roots q.orc
+      (q.head :: q.tail
+      :: List.concat_map Array.to_list [ q.enqueuers; q.deqself; q.deqhelp ])
 
   let unreclaimed q = O.unreclaimed q.orc
   let flush q = O.flush q.orc
   let alloc q = q.alloc
 end
+
+module Make (V : sig
+  type t
+end) =
+  Impl (V) (Orc_core.Orc.Make (Node (V)))

@@ -1,5 +1,5 @@
-(** Lock-free skip list base (Herlihy & Shavit [15], after Fraser), with
-    OrcGC — instantiated twice:
+(** Lock-free skip list base (Herlihy & Shavit [15], after Fraser), over
+    an automatic core — instantiated twice:
 
     - [poison = false]: **HS-skip**.  [contains] descends from the top
       level without ever restarting, walking straight *through* marked
@@ -38,26 +38,39 @@ open Atomicx
 
 exception Restart
 
-module Make (Cfg : sig
-  val poison : bool
-  val max_level : int (* highest level index; levels are 0..max_level *)
-end)
-() =
+type node = {
+  key : int;
+  height : int; (* number of levels this node participates in *)
+  next : node Link.t array; (* length = height *)
+  hdr : Memdom.Hdr.t;
+  settled : int Atomic.t; (* CRF isolation hand-off, see [settle] *)
+}
+
+module N = struct
+  type t = node
+
+  let hdr n = n.hdr
+  let iter_links n f = Array.iter f n.next
+end
+
+(** What the §5 pinned-reader probe needs of a skip list: its core and
+    the level-0 anchor (the head sentinel's bottom [next]). *)
+module type S = sig
+  include Intf.SET
+  module O : Intf.CORE with type node = node
+
+  val core : t -> O.t
+  val anchor : t -> node Link.t
+end
+
+module Impl
+    (Cfg : sig
+      val poison : bool
+      val max_level : int (* highest level index; levels are 0..max_level *)
+    end)
+    (O : Intf.CORE with type node = node) =
 struct
-  type node = {
-    key : int;
-    height : int; (* number of levels this node participates in *)
-    next : node Link.t array; (* length = height *)
-    hdr : Memdom.Hdr.t;
-    settled : int Atomic.t; (* CRF isolation hand-off, see [settle] *)
-  }
-
-  module O = Orc_core.Orc.Make (struct
-    type t = node
-
-    let hdr n = n.hdr
-    let iter_links n f = Array.iter f n.next
-  end)
+  module O = O
 
   type t = {
     head : node;
@@ -69,8 +82,11 @@ struct
     alloc : Memdom.Alloc.t;
   }
 
-  let scheme_name = "orc"
+  let scheme_name = O.name
   let levels = Cfg.max_level + 1
+
+  let core t = t.orc
+  let anchor t = t.head.next.(0)
 
   let key_of n =
     Memdom.Hdr.check_access n.hdr;
@@ -83,40 +99,27 @@ struct
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc =
       Memdom.Alloc.create ~mode
-        (if Cfg.poison then "crf_skiplist" else "hs_skiplist")
+        ((if Cfg.poison then "crf_skiplist/" else "hs_skiplist/") ^ O.name)
     in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let tp =
-          O.alloc_node g (fun hdr ->
+        let sentinel key next =
+          O.alloc_node_into g (O.ptr g) (fun hdr ->
               {
-                key = max_int;
+                key;
                 height = levels;
-                next =
-                  Array.init levels (fun _ ->
-                      Link.make_in (O.arena orc) Link.Null);
+                next = Array.init levels (fun _ -> O.new_link_v g next);
                 hdr;
                 settled = Atomic.make 0;
               })
         in
-        let tail = O.Ptr.node_exn tp in
-        let hp =
-          O.alloc_node g (fun hdr ->
-              {
-                key = min_int;
-                height = levels;
-                next =
-                  Array.init levels (fun _ -> O.new_link_v g (O.Ptr.view tp));
-                hdr;
-                settled = Atomic.make 0;
-              })
-        in
-        let head = O.Ptr.node_exn hp in
+        let tail = sentinel max_int Link.v_null in
+        let head = sentinel min_int (O.v_ptr orc tail) in
         {
           head;
           tail;
-          head_root = O.new_link_v g (O.Ptr.view hp);
-          tail_root = O.new_link_v g (O.Ptr.view tp);
+          head_root = O.new_link_v g (O.v_ptr orc head);
+          tail_root = O.new_link_v g (O.v_ptr orc tail);
           rngs = Array.init Registry.max_threads (fun i -> Rng.create (i + 1));
           orc;
           alloc;
@@ -127,6 +130,8 @@ struct
     let rng = t.rngs.(Registry.tid ()) in
     let rec grow h = if h < levels && Rng.bool rng then grow (h + 1) else h in
     grow 1
+
+  let poisoned p = Link.v_is_poison (O.Ptr.view p)
 
   (* Guard-scoped working set for one operation. *)
   type cursor = {
@@ -156,12 +161,12 @@ struct
       O.load g t.head_root cu.pred;
       for level = Cfg.max_level downto 0 do
         O.load g (next_link (O.Ptr.node_exn cu.pred) level) cu.curr;
-        if O.Ptr.is_poison cu.curr || O.Ptr.is_marked cu.curr then
+        if poisoned cu.curr || O.Ptr.is_marked cu.curr then
           raise_notrace Restart;
         let rec step () =
           let c = O.Ptr.node_exn cu.curr in
           O.load g (next_link c level) cu.succ;
-          if O.Ptr.is_poison cu.succ then raise_notrace Restart;
+          if poisoned cu.succ then raise_notrace Restart;
           if O.Ptr.is_marked cu.succ then begin
             (* c is logically deleted: snip it from this level *)
             let desired =
@@ -308,7 +313,7 @@ struct
       for level = victim.height - 1 downto 1 do
         let rec mark () =
           O.load g victim.next.(level) tmp;
-          if not (O.Ptr.is_marked tmp || O.Ptr.is_poison tmp) then
+          if not (O.Ptr.is_marked tmp || poisoned tmp) then
             if
               not
                 (O.cas_v g victim.next.(level) ~expected:(O.Ptr.view tmp)
@@ -320,7 +325,7 @@ struct
       (* bottom level: the linearization point *)
       let rec bottom () =
         O.load g victim.next.(0) tmp;
-        if O.Ptr.is_marked tmp || O.Ptr.is_poison tmp then false
+        if O.Ptr.is_marked tmp || poisoned tmp then false
           (* another remover won *)
         else if
           O.cas_v g victim.next.(0) ~expected:(O.Ptr.view tmp)
@@ -349,11 +354,11 @@ struct
         O.load g t.head_root pred;
         for level = Cfg.max_level downto 0 do
           O.load g (next_link (O.Ptr.node_exn pred) level) curr;
-          if O.Ptr.is_poison curr then raise_notrace Restart;
+          if poisoned curr then raise_notrace Restart;
           let rec step () =
             let c = O.Ptr.node_exn curr in
             O.load g (next_link c level) succ;
-            if O.Ptr.is_poison succ then raise_notrace Restart;
+            if poisoned succ then raise_notrace Restart;
             if O.Ptr.is_marked succ then begin
               (* skip the deleted node, traversing its frozen pointer *)
               O.assign g curr succ;
@@ -394,10 +399,7 @@ struct
 
   let size t = List.length (to_list t)
 
-  let destroy t =
-    O.with_guard t.orc (fun g ->
-        O.store_v g t.head_root Link.v_null;
-        O.store_v g t.tail_root Link.v_null)
+  let destroy t = O.release_roots t.orc [ t.head_root; t.tail_root ]
 
   let unreclaimed t = O.unreclaimed t.orc
   let flush t = O.flush t.orc

@@ -62,7 +62,6 @@ val parent : int -> int
     [b]'s cell the [next] link of [b]'s dummy, the anchor a lookup
     starts from. *)
 
-val seg_bits : int
 val seg_size : int
 
 val max_buckets : int

@@ -343,36 +343,15 @@ type mem_row = {
    chain at the first hop.  We reproduce it deterministically: pin the
    first node, remove all [n] keys, and measure live objects while the
    pin is held and after it is released. *)
-let pinned_chain_hs n =
-  let module S = Skip_hs in
+let pinned_chain (module S : Ds.Skiplist_base.S) n =
   let t = S.create () in
   for k = 1 to n do
     ignore (S.add t k)
   done;
   let during = ref 0 in
-  S.O.with_guard t.S.orc (fun g ->
+  S.O.with_guard (S.core t) (fun g ->
       let pin = S.O.ptr g in
-      S.O.load g t.S.head.S.next.(0) pin;
-      for k = 1 to n do
-        ignore (S.remove t k)
-      done;
-      during := Memdom.Alloc.live (S.alloc t));
-  S.flush t;
-  let after = Memdom.Alloc.live (S.alloc t) in
-  S.destroy t;
-  S.flush t;
-  (!during, after)
-
-let pinned_chain_crf n =
-  let module S = Skip_crf in
-  let t = S.create () in
-  for k = 1 to n do
-    ignore (S.add t k)
-  done;
-  let during = ref 0 in
-  S.O.with_guard t.S.orc (fun g ->
-      let pin = S.O.ptr g in
-      S.O.load g t.S.head.S.next.(0) pin;
+      S.O.load g (S.anchor t) pin;
       for k = 1 to n do
         ignore (S.remove t k)
       done;
@@ -398,7 +377,7 @@ let mem_footprint p =
         run_set_mix ~sampler mk ~mix:Workload.write_heavy ~threads
           ~duration:p.duration ~keys:p.big_keys
       in
-      let pinned_live, pinned_after = pinned chain_n in
+      let pinned_live, pinned_after = pinned_chain pinned chain_n in
       (* reachable ~ half the key range on a balanced 50/50 mix *)
       {
         m_structure = name;
@@ -409,8 +388,9 @@ let mem_footprint p =
         m_pinned_after = pinned_after;
       })
     [
-      (make_set "hs-skip" (module Skip_hs), pinned_chain_hs);
-      (make_set "crf-skip" (module Skip_crf), pinned_chain_crf);
+      ( make_set "hs-skip" (module Skip_hs),
+        (module Skip_hs : Ds.Skiplist_base.S) );
+      (make_set "crf-skip" (module Skip_crf), (module Skip_crf));
     ]
 
 (* ------------------------------------------------------------------ *)

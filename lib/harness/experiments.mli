@@ -60,6 +60,12 @@ type mem_row = {
   m_pinned_after : int;  (** live objects once the pin is released *)
 }
 
+val pinned_chain : (module Ds.Skiplist_base.S) -> int -> int * int
+(** [pinned_chain (module S) n]: fill a fresh [S] with keys [1..n], pin
+    the first node from the level-0 anchor, remove every key, and
+    return the live objects while the pin is held and after it is
+    released (the {!mem_row} pinned columns). *)
+
 val mem_footprint : params -> mem_row list
 (** §5 memory-footprint claim (HS-skip ~19 GB vs CRF-skip <1 GB on the
     authors' testbed): identical churn on both skip lists, sampling live

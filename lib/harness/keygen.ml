@@ -85,7 +85,6 @@ type mix = { label : string; read_pct : int }
 
 let mix_a = { label = "A"; read_pct = 50 }
 let mix_b = { label = "B"; read_pct = 95 }
-let mix_c = { label = "C"; read_pct = 100 }
 
 let next_op t mix =
   if mix.read_pct >= 100 || Rng.int t.rng 100 < mix.read_pct then Read

@@ -46,8 +46,5 @@ val mix_a : mix
 val mix_b : mix
 (** YCSB-B: 95% read / 5% update. *)
 
-val mix_c : mix
-(** YCSB-C: read-only. *)
-
 val next_op : t -> mix -> op
 (** Draw the next operation kind from the worker's own stream. *)

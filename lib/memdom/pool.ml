@@ -9,7 +9,6 @@ open Atomicx
    stack: any thread CAS-pushes, only the owner pops. *)
 type slot = {
   mutable local : Hdr.t list;
-  mutable local_size : int;
   transfer : Hdr.t list Atomic.t;
 }
 
@@ -34,7 +33,7 @@ let drain_batch = 64
    packed away (see [Padded]). *)
 let mk_slots () =
   Array.init Registry.max_threads (fun _ ->
-      { local = []; local_size = 0; transfer = Atomic.make [] })
+      { local = []; transfer = Atomic.make [] })
 
 (* The allocating owner, recovered from the uid encoding
    [local_ticket * max_threads + tid] that [Alloc] stamps. *)
@@ -89,8 +88,7 @@ let release t ~tid h =
   let o = owner_of h in
   if o = tid then begin
     let s = t.slots.(tid) in
-    s.local <- h :: s.local;
-    s.local_size <- s.local_size + 1
+    s.local <- h :: s.local
   end
   else begin
     Shard.incr t.remote ~tid;
@@ -104,7 +102,6 @@ let rec acquire t ~tid =
   match s.local with
   | h :: rest ->
       s.local <- rest;
-      s.local_size <- s.local_size - 1;
       Shard.incr t.hits ~tid;
       h
   | [] -> acquire_slow t s ~tid
@@ -115,7 +112,6 @@ and acquire_slow t s ~tid =
   let refill batch n =
     if n > 0 then begin
       s.local <- List.rev_append batch s.local;
-      s.local_size <- s.local_size + n;
       Shard.incr t.refills ~tid;
       Obs.Sink.on_refill t.sink ~tid ~count:n
     end
@@ -145,7 +141,6 @@ let create sink =
     let s = slots.(dead) in
     let local = s.local in
     s.local <- [];
-    s.local_size <- 0;
     let remote = Atomic.exchange s.transfer [] in
     Orphan.publish orphans sink ~tid:dead (List.rev_append local remote)
   in
@@ -166,6 +161,3 @@ let misses t = Shard.get t.misses
 let remote_frees t = Shard.get t.remote
 let refills t = Shard.get t.refills
 let orphaned t = Orphan.pending t.orphans
-let local_size t ~tid = t.slots.(tid).local_size
-
-let transfer_size t ~tid = List.length (Atomic.get t.slots.(tid).transfer)

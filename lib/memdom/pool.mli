@@ -18,7 +18,7 @@
     - a {b lock-free Treiber transfer stack} for remote frees (freeing
       tid ≠ allocating tid): the freeing thread CAS-pushes onto the
       {e owner}'s stack, and the owner drains it into its local list in
-      batches of at most {!drain_batch} only when the local list runs
+      batches of at most 64 only when the local list runs
       dry — remote frees are amortized, never on the hit path.
 
     The allocating owner of a header is recovered from its uid
@@ -45,16 +45,13 @@ val create : Obs.Sink.t -> t
     cleaner; the registration lives exactly as long as [t] (the
     registry holds cleaners weakly and [t] keeps the closure). *)
 
-val drain_batch : int
-(** Maximum headers moved local-ward per transfer-stack drain (K). *)
-
 val miss : Hdr.t
 (** The header {!acquire} returns on a miss; never handed out, so
     [h == miss] is the miss test. *)
 
 val acquire : t -> tid:int -> Hdr.t
 (** Pop a recycled header for [tid]: local list first; on a dry list,
-    drain up to {!drain_batch} remote frees, then try adopting orphaned
+    drain up to 64 remote frees, then try adopting orphaned
     free-lists.  A recycled header counts a hit (it is still [Freed] —
     the caller restamps it with {!Hdr.recycle}); {!miss} counts a miss
     and the caller builds a fresh header.  A hit allocates nothing. *)
@@ -72,9 +69,3 @@ val refills : t -> int
 
 val orphaned : t -> int
 (** Headers published by dead tids, not yet adopted (diagnostics). *)
-
-val local_size : t -> tid:int -> int
-(** Length of a slot's local free-list (whitebox tests). *)
-
-val transfer_size : t -> tid:int -> int
-(** Length of a slot's transfer stack (whitebox tests). *)

@@ -115,8 +115,6 @@ let set g v =
   Atomic.set g.g_v v;
   bump_hwm g.g_hwm v
 
-let gauge_get g = Atomic.get g.g_v
-
 let probe_alive e =
   match e.e_source with
   | Probe w -> Weak.check w 0

@@ -48,8 +48,6 @@ val set : gauge -> int -> unit
 (** Store the gauge's current value and fold it into its set-time
     high-water mark.  Allocation-free. *)
 
-val gauge_get : gauge -> int
-
 val probe :
   t ->
   ?labels:(string * string) list ->

@@ -4,18 +4,14 @@
     handled by neutralization ({!Reclaimer.start}'s [neutralize_age]), not by
     retuning these per deployment. *)
 
-val r_floor : int
-(** 2 — R never drops below this, whatever the live thread count says
-    (a zero threshold would scan on every retire).  Kept at the edge so
-    the threshold is exactly the paper's 2·H·t. *)
-
 val load_factor : int
 (** 4 — target keys-per-bucket before a resizable map doubles its
     bucket directory. *)
 
 val threshold : hps:int -> int
 (** The retire-batch threshold
-    [max r_floor (2·hps·max 1 (Registry.active ()))] — the paper's
-    R = 2·H·t over the live thread count.  O(registered): call on
+    [max 2 (2·hps·max 1 (Registry.active ()))] — the paper's
+    R = 2·H·t over the live thread count, floored at 2 (a zero
+    threshold would scan on every retire).  O(registered): call on
     crossing / quarantine / neutralization and cache, not per
     retire. *)

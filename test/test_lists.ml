@@ -24,6 +24,12 @@ module Hs_orc_hp =
 
 module Tbkp_orc = Ds.Orc_tbkp_list.Make ()
 
+module Harris_orc_hp =
+  Ds.Orc_harris_list.Impl (Orc_core.Orc.Make_hp (Ds.Orc_michael_list.N))
+
+module Tbkp_orc_hp =
+  Ds.Orc_tbkp_list.Impl (Orc_core.Orc.Make_hp (Ds.Orc_tbkp_list.N))
+
 module B_m_hp = Battery (struct let name = "michael-hp" end) (M_hp)
 module B_m_ptb = Battery (struct let name = "michael-ptb" end) (M_ptb)
 module B_m_ebr = Battery (struct let name = "michael-ebr" end) (M_ebr)
@@ -35,6 +41,9 @@ module B_harris = Battery (struct let name = "harris-orc" end) (Harris_orc)
 module B_hs = Battery (struct let name = "hs-orc" end) (Hs_orc)
 module B_tbkp = Battery (struct let name = "tbkp-orc" end) (Tbkp_orc)
 module B_hs_hp = Battery (struct let name = "hs-orc-hp" end) (Hs_orc_hp)
+module B_harris_hp =
+  Battery (struct let name = "harris-orc-hp" end) (Harris_orc_hp)
+module B_tbkp_hp = Battery (struct let name = "tbkp-orc-hp" end) (Tbkp_orc_hp)
 
 (* HS-specific: lookups through logically deleted nodes must still be
    answered (and raise nothing) while a writer removes the key. *)
@@ -72,6 +81,8 @@ let suite =
     ("list:hs-orc", B_hs.cases);
     ("list:tbkp-orc", B_tbkp.cases);
     ("hs:orc-hp", B_hs_hp.cases);
+    ("list:harris-orc-hp", B_harris_hp.cases);
+    ("list:tbkp-orc-hp", B_tbkp_hp.cases);
     ( "list:hs-specific",
       [
         Alcotest.test_case "wait-free lookup during removal" `Slow

@@ -274,32 +274,38 @@ let map_ops_zero_alloc (module M : Ds.Orc_split_map.MAP) () =
   M.flush m;
   check_int "no leak" 0 (Memdom.Alloc.live (M.alloc m))
 
-(* The Herlihy–Shavit list's wait-free [contains], guard included: a
-   top-level walk under [with_guard2], reading the key node's mark from
-   its [next] word. *)
+(* A list's warm [contains], guard included: the Herlihy–Shavit
+   list's wait-free walk, which reads the key node's mark from its
+   [next] word, and Harris's search, which would excise a marked chain
+   on the way (none here).  Both are top-level recursions run under
+   [with_guard2]. *)
 module Hs_orc = Ds.Orc_hs_list.Make ()
+module Harris_orc = Ds.Orc_harris_list.Make ()
 
-let hs_contains_zero_alloc () =
-  let l = Hs_orc.create ~mode:Memdom.Alloc.Pool () in
+module Harris_orc_hp =
+  Ds.Orc_harris_list.Impl (Orc_core.Orc.Make_hp (Ds.Orc_michael_list.N))
+
+let contains_zero_alloc (module L : Ds.Intf.SET) label () =
+  let l = L.create ~mode:Memdom.Alloc.Pool () in
   let keys = 256 in
   for k = 1 to keys do
-    ignore (Hs_orc.add l (2 * k))
+    ignore (L.add l (2 * k))
   done;
   let hits = ref 0 in
   let each name key =
-    check_zero ("hs-orc contains " ^ name) (fun () ->
+    check_zero (label ^ " contains " ^ name) (fun () ->
         for k = 1 to keys do
-          if Hs_orc.contains l (key k) then incr hits
+          if L.contains l (key k) then incr hits
         done)
   in
   each "(hit)" (fun k -> 2 * k);
   each "(miss)" (fun k -> (2 * k) + 1);
   check_int "every hit, nothing else" (2 * keys) !hits;
-  check_bool "removed" true (Hs_orc.remove l 2);
-  check_bool "a removed key reads absent" false (Hs_orc.contains l 2);
-  Hs_orc.destroy l;
-  Hs_orc.flush l;
-  check_int "no leak" 0 (Memdom.Alloc.live (Hs_orc.alloc l))
+  check_bool "removed" true (L.remove l 2);
+  check_bool "a removed key reads absent" false (L.contains l 2);
+  L.destroy l;
+  L.flush l;
+  check_int "no leak" 0 (Memdom.Alloc.live (L.alloc l))
 
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation: header lifecycle transitions *)
@@ -538,7 +544,14 @@ let suite =
           `Quick
           (map_ops_zero_alloc (module Map_hp));
         Alcotest.test_case "orc: hs-list contains allocates nothing" `Quick
-          hs_contains_zero_alloc;
+          (contains_zero_alloc (module Hs_orc) "hs-orc");
+        Alcotest.test_case
+          "orc: warm Harris contains (hit and miss) allocates nothing" `Quick
+          (contains_zero_alloc (module Harris_orc) "harris-orc");
+        Alcotest.test_case
+          "orc-hp: warm Harris contains (hit and miss) allocates nothing"
+          `Quick
+          (contains_zero_alloc (module Harris_orc_hp) "harris-orc-hp");
       ] );
     ( "pack_bits",
       [

@@ -36,6 +36,16 @@ module Q_lcrq_orc_hp =
 
 module Q_turn = Ds.Orc_turn_queue.Make (Int_item)
 
+module Q_kp_orc_hp =
+  Ds.Orc_kp_queue.Impl
+    (Int_item)
+    (Orc_core.Orc.Make_hp (Ds.Orc_kp_queue.Node (Int_item)))
+
+module Q_turn_orc_hp =
+  Ds.Orc_turn_queue.Impl
+    (Int_item)
+    (Orc_core.Orc.Make_hp (Ds.Orc_turn_queue.Node (Int_item)))
+
 module Battery (Q : Ds.Intf.QUEUE with type item = int) = struct
   let test_fifo_sequential () =
     let q = Q.create () in
@@ -282,6 +292,18 @@ module B_turn = Battery (struct
   let scheme_name = "turn-orc"
 end)
 
+module B_kp_orc_hp = Battery (struct
+  include Q_kp_orc_hp
+
+  let scheme_name = "kp-orc-hp"
+end)
+
+module B_turn_orc_hp = Battery (struct
+  include Q_turn_orc_hp
+
+  let scheme_name = "turn-orc-hp"
+end)
+
 (* OrcGC-specific: the queue reclaims as it goes — after a large run the
    number of unreclaimed nodes must stay small, not grow with the run. *)
 let test_orc_queue_reclaims_inline () =
@@ -315,6 +337,8 @@ let suite =
     ("queue:ms-orc-hp", B_orc_hp.cases);
     ("queue:lcrq-ebr", B_lcrq_ebr.cases);
     ("queue:lcrq-orc-hp", B_lcrq_orc_hp.cases);
+    ("queue:kp-orc-hp", B_kp_orc_hp.cases);
+    ("queue:turn-orc-hp", B_turn_orc_hp.cases);
     ( "queue:orc-specific",
       [
         Alcotest.test_case "orc queue reclaims inline" `Quick

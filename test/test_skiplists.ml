@@ -6,11 +6,16 @@
 open Util
 open Set_battery
 
+module Skip = Ds.Skiplist_base
 module Hs = Ds.Orc_hs_skiplist.Make ()
 module Crf = Ds.Orc_crf_skiplist.Make ()
 
+module Hs_hp = Ds.Orc_hs_skiplist.Impl (Orc_core.Orc.Make_hp (Skip.N))
+module Crf_hp = Ds.Orc_crf_skiplist.Impl (Orc_core.Orc.Make_hp (Skip.N))
 module B_hs = Battery (struct let name = "hs-skip" end) (Hs)
 module B_crf = Battery (struct let name = "crf-skip" end) (Crf)
+module B_hs_hp = Battery (struct let name = "hs-skip-orc-hp" end) (Hs_hp)
+module B_crf_hp = Battery (struct let name = "crf-skip-orc-hp" end) (Crf_hp)
 
 (* Sequential sanity over a large key range (multi-level towers). *)
 let test_tall_towers () =
@@ -85,18 +90,18 @@ let test_crf_no_linked_poison () =
         round deadline_s;
     List.iter Domain.join doms;
     Option.iter raise (Atomic.get failure);
-    for level = 0 to Array.length s.Crf.head.Crf.next - 1 do
-      let rec walk (n : Crf.node) =
+    for level = 0 to Array.length s.Crf.head.Skip.next - 1 do
+      let rec walk (n : Skip.node) =
         if n != s.Crf.tail then
-          match Atomicx.Link.get n.Crf.next.(level) with
+          match Atomicx.Link.get n.Skip.next.(level) with
           | Atomicx.Link.Ptr m | Atomicx.Link.Mark m ->
-              if m != s.Crf.tail && m.Crf.key <= n.Crf.key then
+              if m != s.Crf.tail && m.Skip.key <= n.Skip.key then
                 Alcotest.failf "round %d level %d: key %d follows %d" round
-                  level m.Crf.key n.Crf.key;
+                  level m.Skip.key n.Skip.key;
               walk m
           | Atomicx.Link.Poison ->
               Alcotest.failf "round %d level %d: poisoned node %d still linked"
-                round level n.Crf.key
+                round level n.Skip.key
           | _ -> Alcotest.failf "round %d level %d: broken chain" round level
       in
       walk s.Crf.head
@@ -129,10 +134,23 @@ let test_hs_lookup_during_removal () =
   Hs.flush s;
   check_int "no leak" 0 (Memdom.Alloc.live (Hs.alloc s))
 
+(* The §5 footprint shape on the hazard-pointer backend too: one pinned
+   reader keeps HS's whole removed chain, CRF's poison cuts it. *)
+let test_pinned_footprint_orc_hp () =
+  let n = 2_000 in
+  let hs, _ = Harness.Experiments.pinned_chain (module Hs_hp) n in
+  let crf, _ = Harness.Experiments.pinned_chain (module Crf_hp) n in
+  check_bool
+    (Printf.sprintf "hs pinned-live %d > 10x crf's %d" hs crf)
+    true
+    (hs > 10 * crf)
+
 let suite =
   [
     ("skiplist:hs", B_hs.cases);
     ("skiplist:crf", B_crf.cases);
+    ("skip:hs-orc-hp", B_hs_hp.cases);
+    ("skip:crf-orc-hp", B_crf_hp.cases);
     ( "skiplist:specific",
       [
         Alcotest.test_case "tall towers sequential" `Slow test_tall_towers;
@@ -142,5 +160,7 @@ let suite =
           test_crf_no_linked_poison;
         Alcotest.test_case "hs lookup during removal" `Slow
           test_hs_lookup_during_removal;
+        Alcotest.test_case "orc-hp: hs pins the removed chain, crf not" `Slow
+          test_pinned_footprint_orc_hp;
       ] );
   ]
