@@ -782,7 +782,7 @@ let pack_list_retries (module L : PACK_SET) =
   L.flush l;
   r
 
-let run_pack () =
+let pack_schemes () =
   Format.printf "@.== Word packing: packed headers + word links ==@.";
   Format.printf "  %-8s %12s %14s %12s %12s@." "scheme" "read-ns" "words/read"
     "retire-ns" "cas-retries";
@@ -811,30 +811,113 @@ let run_pack () =
     rows;
   rows
 
-let pack_json rows =
+(* Node footprint: the exact minor words one add/remove pair allocates
+   on a warm orc split map — the node, its header on a pool miss, and
+   the per-add closure.  A warm map initializes no bucket and grows no
+   directory, and a removed node is freed inside its remove, so every
+   pair allocates the same words.  The bounds are the counts with the
+   node as its own link and the era stamps a header word; [fp_before]
+   is the count when the node still carried a separate link block and
+   the header a separate era cell. *)
+type footprint_row = {
+  fp_mode : string;
+  fp_words : float; (* minor words per add/remove pair *)
+  fp_bound : float;
+  fp_before : float;
+}
+
+module Fp_map = Ds.Orc_split_map.Make ()
+
+let footprint_run mode ~bound ~before =
+  let m = Fp_map.create ~mode () in
+  let keys = 512 in
+  for k = 1 to keys do
+    ignore (Fp_map.add m (2 * k))
+  done;
+  let pairs () =
+    for k = 1 to keys do
+      ignore (Fp_map.add m ((2 * k) + 1));
+      ignore (Fp_map.remove m ((2 * k) + 1))
+    done
+  in
+  pairs ();
+  let words, _ = measure_words_ns pairs in
+  Fp_map.destroy m;
+  Fp_map.flush m;
+  {
+    fp_mode =
+      (match mode with Memdom.Alloc.System -> "system" | Pool -> "pool");
+    fp_words = words /. float_of_int keys;
+    fp_bound = bound;
+    fp_before = before;
+  }
+
+type pack_result = { rows : pack_row list; footprint : footprint_row list }
+
+let run_pack () =
+  let rows = pack_schemes () in
+  let footprint =
+    [
+      footprint_run Memdom.Alloc.System ~bound:29. ~before:33.;
+      footprint_run Memdom.Alloc.Pool ~bound:20. ~before:22.;
+    ]
+  in
+  Format.printf "  split-map add/remove pair (orc): minor words@.";
+  Format.printf "  %-8s %10s %8s %8s@." "alloc" "words" "bound" "before";
+  List.iter
+    (fun r ->
+      Format.printf "  %-8s %10.2f %8.0f %8.0f@." r.fp_mode r.fp_words
+        r.fp_bound r.fp_before)
+    footprint;
+  { rows; footprint }
+
+let pack_json { rows; footprint } =
   let open Harness in
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("scheme", Json.Str r.pk_scheme);
-             ("read_ns", Json.Float r.pk_read_ns);
-             ("read_words_per_op", Json.Float r.pk_read_words);
-             ("retire_ns", Json.Float r.pk_retire_ns);
-             ("cas_retries", opt_int r.pk_cas_retries);
-           ])
-       rows)
+  [
+    ( "pack",
+      Json.List
+        (List.map
+           (fun r ->
+             Json.Obj
+               [
+                 ("scheme", Json.Str r.pk_scheme);
+                 ("read_ns", Json.Float r.pk_read_ns);
+                 ("read_words_per_op", Json.Float r.pk_read_words);
+                 ("retire_ns", Json.Float r.pk_retire_ns);
+                 ("cas_retries", opt_int r.pk_cas_retries);
+               ])
+           rows) );
+    ( "pack_footprint",
+      Json.List
+        (List.map
+           (fun r ->
+             Json.Obj
+               [
+                 ("alloc", Json.Str r.fp_mode);
+                 ("words_per_pair", Json.Float r.fp_words);
+                 ("bound", Json.Float r.fp_bound);
+                 ("before", Json.Float r.fp_before);
+               ])
+           footprint) );
+  ]
 
 (* The protected-read path allocates nothing: the ceiling is a rounding
-   allowance for fixed costs amortized over the measured hops. *)
-let pack_guards rows =
+   allowance for fixed costs amortized over the measured hops.  A node
+   or header that grows breaks the footprint bounds. *)
+let pack_guards { rows; footprint } =
   guard (rows <> []) "%d schemes measured > 0" (List.length rows)
   :: List.map
-    (fun r ->
-      guard (r.pk_read_words <= 0.05) "%s: %.3f words/read <= 0.05"
-        r.pk_scheme r.pk_read_words)
-    rows
+       (fun r ->
+         guard (r.pk_read_words <= 0.05) "%s: %.3f words/read <= 0.05"
+           r.pk_scheme r.pk_read_words)
+       rows
+  @ List.map
+      (fun r ->
+        guard (r.fp_words <= r.fp_bound)
+          "split map (%s): %.2f minor words per add/remove pair <= %.0f \
+           (%.0f before the node embedded its link)"
+          r.fp_mode r.fp_words r.fp_bound r.fp_before)
+      footprint
 
 (* ------------------------------------------------------------------ *)
 (* Live metrics plane: sampler-overhead A/B on a guard-per-op list
@@ -1504,7 +1587,8 @@ let standalone =
     churn;
     alloc;
     scan;
-    section "pack" ~key:"pack" run_pack pack_json pack_guards;
+    Section
+      { name = "pack"; run = run_pack; json = pack_json; guards = pack_guards };
     section "metrics" ~key:"metrics" run_metrics metrics_json metrics_guards;
     section "stall" ~key:"stall" run_stall_bench stall_json stall_guards;
   ]

@@ -354,16 +354,20 @@ let v_state_in a (v : 'a view) : 'a state = decode a v
 
 (* {2 Links}
 
-   A link is one heap block.  Field 0, [word], is the link word; the
-   atomic primitives act on field 0 of the block they are given, so
-   [w l] views the link itself as the [int Atomic.t] it holds.
+   A link is a heap block whose field 0, [word], is the link word and
+   whose field 1 is the arena; the atomic primitives act on field 0 of
+   the block they are given, so [w l] views the link itself as the
+   [int Atomic.t] it holds.  Only fields 0 and 1 are ever read through
+   a ['a t], so a longer record with the same two leading fields (a
+   node that embeds its link) is a link too: [embedded] is that view.
    Invariant: [word] is read and written only through [w], except by
-   the record literals in [make_in]/[make_of_view], which initialise it
-   before the link is published. *)
+   the record literals that initialise it before the link is
+   published. *)
 
 type 'a t = { mutable word : int; arena : 'a arena }
 
 let w (l : 'a t) : int Atomic.t = Obj.magic l
+let embedded (r : 'r) : 'a t = Obj.magic r
 let make_in a st = { word = encode a st; arena = a }
 let make_of_view a (v : 'a view) = { word = v land payload_mask; arena = a }
 let view l : 'a view = Atomic.get (w l)

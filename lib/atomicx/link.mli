@@ -34,8 +34,17 @@ type 'a state =
   | Poison
 
 type 'a t
-(** A link: one block holding the atomic word and the arena its
-    targets live in. *)
+(** A link: a block whose field 0 is the atomic word and whose field 1
+    is the arena its targets live in.
+
+    {b Layout rule.}  The atomic primitives act on field 0 of the block
+    they are given, so any block laid out as
+    [{ mutable word : int; arena : 'a arena; ... }] is a link: field 0
+    the link word, field 1 the arena, further fields its owner's.
+    {!Memdom.Hdr.orc} views a header's field 0 as its [_orc] word by the
+    same rule.  A link built by {!make_in} or {!make_of_view} is a block
+    of exactly these two fields; a node record that begins with them is
+    its own link ({!embedded}) and needs no link block. *)
 
 type 'a view = private int
 (** What a link holds: the raw word, stamp included.  Reading,
@@ -99,6 +108,16 @@ val make_in : 'a arena -> 'a state -> 'a t
 
 val make_of_view : 'a arena -> 'a view -> 'a t
 (** Like {!make_in} but seeded from a view's target and bits. *)
+
+val embedded : 'r -> 'a t
+(** [embedded r] views the record [r] as the link it begins with, by
+    the layout rule of {!t}: [r]'s field 0 must be [mutable word : int]
+    and its field 1 [arena : 'a arena].  Nothing checks this, nor ['a]:
+    pin both types at the call site (a typed wrapper per node type).
+    The record literal initialises [word] to 0, [Null] at stamp 0, and
+    the first target goes in through a store, as into any link built
+    by {!make_in} [a Null]; after that [word] is read and written only
+    through this view.  Allocates nothing. *)
 
 (** {2 States: construction, quiescent teardown, tests}
 

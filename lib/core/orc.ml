@@ -499,8 +499,9 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
      hard links (each drop may cascade through [dec]).  Freeing first
      ends [p]'s retire→free window before the cascade runs.  It is safe
      because [p] is unreachable and unprotected here: the drops touch
-     only the record's own link blocks, which nobody else can reach,
-     and read neither [p]'s header nor its arena slot, so a re-issue of
+     only the record's own links (its link blocks, or the record
+     itself when it embeds its link), which nobody else can reach, and
+     read neither [p]'s header nor its arena slot, so a re-issue of
      either after the free cannot reach them. *)
   let rec delete t ~tid p =
     Memdom.Alloc.free t.alloc (N.hdr p);

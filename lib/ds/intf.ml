@@ -163,6 +163,14 @@ module type CORE = sig
       then flush, so nothing is left retired. *)
 
   val v_ptr : t -> node -> node Atomicx.Link.view
+
+  val arena : t -> node Atomicx.Link.arena
+  (** The instance's handle table, which every link of the structure
+      indexes.  A node that embeds its own link
+      ({!Atomicx.Link.embedded}) stores it in its literal; the embedded
+      word starts [Null] and takes its first target through
+      [store_v]. *)
+
   val unreclaimed : t -> int
   val flush : t -> unit
 end

@@ -135,6 +135,7 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
     next.idx <- idx
 
   let v_ptr t n = Link.v_ptr_in t.arena n
+  let arena t = t.arena
 
   let alloc_node_into (g : guard) (p : ptr) mk =
     let hdr = Memdom.Alloc.hdr g.core.alloc () in

@@ -78,7 +78,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   (* Point the private node [n] at right, then CAS it in. *)
   let link_in core g ~right left_link n =
-    O.store_v g n.next (O.Ptr.view right);
+    O.store_v g (next_link n) (O.Ptr.view right);
     O.cas_v g left_link ~expected:(O.Ptr.view right) ~desired:(O.v_ptr core n)
 
   (* Retry an insert whose CAS lost, with the node already allocated. *)
@@ -125,7 +125,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     &&
     let n =
       O.alloc_node_into g (O.ptr g) (fun hdr ->
-          { ord = key; next = O.new_link_v g Link.v_null; hdr })
+          { word = 0; arena = O.arena (core t); ord = key; hdr })
     in
     link_in (core t) g ~right left_link n
     || insert_node (core t) g anchor key ~left ~right ~tnext n

@@ -29,9 +29,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let c = O.Ptr.node_exn curr in
     if ord_of c > key then false
     else if c.ord = key then
-      not (Atomicx.Link.v_is_marked (Atomicx.Link.view c.next))
+      not (Atomicx.Link.v_is_marked (Atomicx.Link.view (next_link c)))
     else begin
-      O.load g c.next next;
+      O.load g (next_link c) next;
       O.assign g curr next;
       walk g curr next key
     end

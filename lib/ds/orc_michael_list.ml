@@ -24,18 +24,29 @@
 
 open Atomicx
 
-type node = { ord : int; next : node Link.t; hdr : Memdom.Hdr.t }
+(* The node is its own [next] link ({!Link.embedded}): fields 0 and 1
+   are the link word and the arena, so a list hop reads no link
+   block.  [word] is 0 ([Null]) in every literal and is otherwise
+   touched only through [next_link]. *)
+type node = {
+  mutable word : int;
+  arena : node Link.arena;
+  ord : int;
+  hdr : Memdom.Hdr.t;
+}
+
+let next_link (n : node) : node Link.t = Link.embedded n
 
 module N = struct
   type t = node
 
   let hdr n = n.hdr
-  let iter_links n f = f n.next
+  let iter_links n f = f (next_link n)
 end
 
 let next_of n =
   Memdom.Hdr.check_access n.hdr;
-  n.next
+  next_link n
 
 let ord_of n =
   Memdom.Hdr.check_access n.hdr;
@@ -77,7 +88,7 @@ module Window (O : Intf.CORE with type node = node) = struct
       restart restarts g anchor ord ~prev ~curr ~next
     else if (not (Link.v_is_marked nv)) && c.ord >= ord then prev_link
     else begin
-      O.load g c.next next;
+      O.load g (next_link c) next;
       if not (Link.view_eq (O.Ptr.view next) nv) then
         (* curr.next moved since [nv]: look again from the same curr
            (not a restart — the window is still validated) *)
@@ -117,7 +128,7 @@ module Window (O : Intf.CORE with type node = node) = struct
 
   (* Point the private node [n] at curr, then CAS it in. *)
   let link_in core g ~curr prev_link n =
-    O.store_v g n.next (O.Ptr.view curr);
+    O.store_v g (next_link n) (O.Ptr.view curr);
     O.cas_v g prev_link ~expected:(O.Ptr.view curr) ~desired:(O.v_ptr core n)
 
   (* Retry an insert whose CAS lost, with the node already allocated. *)
@@ -138,7 +149,7 @@ module Window (O : Intf.CORE with type node = node) = struct
     &&
     let n =
       O.alloc_node_into g into (fun hdr ->
-          { ord; next = O.new_link_v g Link.v_null; hdr })
+          { word = 0; arena = O.arena core; ord; hdr })
     in
     link_in core g ~curr prev_link n
     || insert_node restarts core g anchor ord ~prev ~curr ~next n
@@ -199,18 +210,19 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   let scheme_name = O.name
   let core t = t.orc
-  let anchor t = t.head.next
+  let anchor t = next_link t.head
 
   let create ?(mode = Memdom.Alloc.System) () =
     let alloc = Memdom.Alloc.create ~mode ("michael_list/" ^ O.name) in
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let sentinel ord next =
+        let sentinel ord =
           O.alloc_node_into g (O.ptr g) (fun hdr ->
-              { ord; next = O.new_link_v g next; hdr })
+              { word = 0; arena = O.arena orc; ord; hdr })
         in
-        let tail = sentinel max_int Link.v_null in
-        let head = sentinel min_int (O.v_ptr orc tail) in
+        let tail = sentinel max_int in
+        let head = sentinel min_int in
+        O.store_v g (next_link head) (O.v_ptr orc tail);
         let head_root = O.new_link_v g (O.v_ptr orc head) in
         let tail_root = O.new_link_v g (O.v_ptr orc tail) in
         { head; tail; head_root; tail_root; orc; alloc; restarts = Atomic.make 0 })
@@ -253,12 +265,12 @@ module Impl (O : Intf.CORE with type node = node) = struct
      logically deleted. *)
   let to_list t =
     let rec walk acc n =
-      match Link.target (Link.get n.next) with
+      match Link.target (Link.get (next_link n)) with
       | None -> List.rev acc
       | Some nx ->
           if nx == t.tail then List.rev acc
           else
-            let deleted = Link.is_marked (Link.get nx.next) in
+            let deleted = Link.is_marked (Link.get (next_link nx)) in
             walk (if deleted then acc else ord_of nx :: acc) nx
     in
     walk [] t.head

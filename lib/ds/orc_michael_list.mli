@@ -7,16 +7,29 @@
 
 (** The node of every list-based set, sorted by [ord]: the key in the
     two lists, the so-key in the split-ordered map (which decodes the
-    key from it, {!Split_order.key_of_regular}). *)
-type node = { ord : int; next : node Atomicx.Link.t; hdr : Memdom.Hdr.t }
+    key from it, {!Split_order.key_of_regular}).  The node is its own
+    [next] link ({!Atomicx.Link.embedded}): [word] and [arena] are the
+    link's two fields, so a node and its link are one block.  A literal
+    sets [word = 0] ([Null]) and [arena] to the core's
+    ([Intf.CORE.arena]); the first target goes in through a store, and
+    [word] is otherwise read and written only through {!next_link}. *)
+type node = {
+  mutable word : int;
+  arena : node Atomicx.Link.arena;
+  ord : int;
+  hdr : Memdom.Hdr.t;
+}
 
 module N : Orc_core.Orc.NODE with type t = node
+
+val next_link : node -> node Atomicx.Link.t
+(** The node viewed as its [next] link; no check. *)
 
 val ord_of : node -> int
 (** [n.ord], after checking [n] is not freed. *)
 
 val next_of : node -> node Atomicx.Link.t
-(** [n.next], after checking [n] is not freed. *)
+(** {!next_link}, after checking [n] is not freed. *)
 
 (** Michael's window over a list sorted by [ord], anchored at a link
     whose owner is never retired while the structure lives (a

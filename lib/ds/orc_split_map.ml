@@ -19,14 +19,15 @@
     quiesced [to_list] decodes it from the so-key.  Dummies are never
     marked and never retired (only regular so-keys are ever removed),
     exactly like the Michael list's head sentinel, so the directory
-    holds each initialized bucket's {e anchor} — its dummy's [next]
-    link — as a plain reference, and a lookup starts from that link
-    the way the Michael list starts from [head.next]: it touches
-    neither the dummy nor any directory link, and publishes no hazard
-    for the dummy.  The directory holds no counts: a dummy is pinned
-    by its list predecessor (it is never unlinked, so some live node
-    always links it), bucket 0's by [head_root], and all of them die
-    when [destroy] drops the two roots and the one list cascades.
+    holds each initialized bucket's {e anchor} — its dummy node, which
+    is its own [next] link ({!Orc_michael_list.next_link}) — as a plain
+    reference, and a lookup starts from that link the way the Michael
+    list starts from the head's: it reads the dummy's link word and
+    nothing else of it, and publishes no hazard for the dummy.  The
+    directory holds no counts: a dummy is pinned by its list
+    predecessor (it is never unlinked, so some live node always links
+    it), bucket 0's by [head_root], and all of them die when [destroy]
+    drops the two roots and the one list cascades.
 
     {!Make} runs on the paper's pass-the-pointer backend (scheme
     "orc"), {!Make_hp} on the hazard-pointer-backend ablation
@@ -57,8 +58,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
   module W = Window (O)
 
   type t = {
-    dir : node Link.t So.dir;
-        (* bucket b's cell: the next link of b's dummy, or unset *)
+    dir : node So.dir;
+        (* bucket b's cell: b's dummy (its own next link), or unset,
+           which reads as the tail *)
     head_root : node Link.t; (* keeps bucket 0's dummy, the list head *)
     tail : node; (* sentinel, ord = max_int, never retired *)
     tail_root : node Link.t;
@@ -95,21 +97,17 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let alloc = Memdom.Alloc.create ~mode ("split_map/" ^ O.name) in
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let tail =
+        let node ord =
           O.alloc_node_into g (O.ptr g) (fun hdr ->
-              { ord = max_int; next = O.new_link_v g Link.v_null; hdr })
+              { word = 0; arena = O.arena orc; ord; hdr })
         in
-        let head =
-          (* bucket 0's dummy: so-key 0, first node of the one list *)
-          O.alloc_node_into g (O.ptr g) (fun hdr ->
-              {
-                ord = So.dummy 0;
-                next = O.new_link_v g (O.v_ptr orc tail);
-                hdr;
-              })
-        in
-        let dir = So.dir_create ~unset:(O.new_link_v g Link.v_null) in
-        So.dir_set dir 0 head.next;
+        let tail = node max_int in
+        (* bucket 0's dummy: so-key 0, first node of the one list *)
+        let head = node (So.dummy 0) in
+        O.store_v g (next_link head) (O.v_ptr orc tail);
+        (* the tail is no bucket's dummy, so it can stand for unset *)
+        let dir = So.dir_create ~unset:tail in
+        So.dir_set dir 0 head;
         let t =
           {
             dir;
@@ -134,32 +132,29 @@ module Impl (O : Intf.CORE with type node = node) = struct
 
   (* Lazy recursive bucket initialization: the dummy goes in by the
      window's insert-if-absent anchored at the parent's anchor, then a
-     plain store publishes its [next] link in the directory
-     (idempotent — the dummy for an so-key is unique, and so is its
-     link).  A domain that dies between the insert and the store
-     leaves the cell unset; the next toucher finds the dummy by the
-     same insert-if-absent and stores it.  The [dnode] handle is reused
-     across levels, so initializing a 20-deep ancestor chain costs no
-     extra hazard indexes. *)
+     plain store publishes it in the directory (idempotent — the dummy
+     for an so-key is unique).  A domain that dies between the insert
+     and the store leaves the cell unset; the next toucher finds the
+     dummy by the same insert-if-absent and stores it.  The [dnode]
+     handle is reused across levels, so initializing a 20-deep ancestor
+     chain costs no extra hazard indexes. *)
   let rec anchor_of t g b ~prev ~curr ~next ~dnode =
     let a = So.dir_get t.dir b in
     if a != So.dir_unset t.dir then a
     else init_bucket t g b ~prev ~curr ~next ~dnode
 
   and init_bucket t g b ~prev ~curr ~next ~dnode =
-    let parent_a = anchor_of t g (So.parent b) ~prev ~curr ~next ~dnode in
+    let parent = anchor_of t g (So.parent b) ~prev ~curr ~next ~dnode in
     let d =
       O.Ptr.node_exn
         (if
-           W.insert t.restarts t.orc g parent_a (So.dummy b) ~prev ~curr
-             ~next ~into:dnode
+           W.insert t.restarts t.orc g (next_link parent) (So.dummy b) ~prev
+             ~curr ~next ~into:dnode
          then dnode
          else curr)
     in
-    (* d is protected (curr or dnode) while its link is read *)
-    let a = d.next in
-    So.dir_set t.dir b a;
-    a
+    So.dir_set t.dir b d;
+    d
 
   let check_key key =
     if key < 0 || key > So.max_key then
@@ -176,11 +171,12 @@ module Impl (O : Intf.CORE with type node = node) = struct
       && Atomic.compare_and_set t.buckets_a size (2 * size)
     then Atomic.incr t.grows
 
-  (* The anchor of hash [h]'s bucket at the current size. *)
+  (* The anchor link of hash [h]'s bucket at the current size. *)
   let anchor t g h ~prev ~curr ~next ~dnode =
-    anchor_of t g
-      (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
-      ~prev ~curr ~next ~dnode
+    next_link
+      (anchor_of t g
+         (So.bucket_of ~hash:h ~size:(Atomic.get t.buckets_a))
+         ~prev ~curr ~next ~dnode)
 
   (* Each operation's body is a closed function of its guard, so
      [O.with_guard2] runs it without building a closure. *)
@@ -231,12 +227,12 @@ module Impl (O : Intf.CORE with type node = node) = struct
   (* Quiesced helpers: walk the one list from bucket 0's dummy. *)
   let to_list t =
     let rec walk acc n =
-      match Link.target (Link.get n.next) with
+      match Link.target (Link.get (next_link n)) with
       | None -> List.rev acc
       | Some nx ->
           if nx == t.tail then List.rev acc
           else
-            let deleted = Link.is_marked (Link.get nx.next) in
+            let deleted = Link.is_marked (Link.get (next_link nx)) in
             let acc =
               if deleted || So.is_dummy nx.ord then acc
               else So.key_of_regular nx.ord :: acc
@@ -250,10 +246,10 @@ module Impl (O : Intf.CORE with type node = node) = struct
   (* Quiesced structural check, one walk of the list: so-keys strictly
      increase (so the split ordering held through every grow), the
      walk reaches the tail, every dummy is unmarked, and every set
-     directory cell is physically the [next] link of the dummy carrying
-     its bucket's so-key.  The walk matches each dummy's link against
-     its bucket's cell; since dummy so-keys are unique, the cells set
-     below the current size must all have been matched. *)
+     directory cell is physically the dummy carrying its bucket's
+     so-key.  The walk matches each dummy against its bucket's cell;
+     since dummy so-keys are unique, the cells set below the current
+     size must all have been matched. *)
   let invariant t =
     let size = Atomic.get t.buckets_a in
     let ok = ref true and matched = ref 0 in
@@ -262,11 +258,11 @@ module Impl (O : Intf.CORE with type node = node) = struct
         let so = ord_of n in
         if so <= prev_so then ok := false;
         if So.is_dummy so then begin
-          if Link.is_marked (Link.get n.next) then ok := false;
+          if Link.is_marked (Link.get (next_link n)) then ok := false;
           let b = So.rev60 (so lsr 1) in
-          if b < size && So.dir_get t.dir b == n.next then incr matched
+          if b < size && So.dir_get t.dir b == n then incr matched
         end;
-        match Link.target (Link.get n.next) with
+        match Link.target (Link.get (next_link n)) with
         | None -> ok := false (* only the tail terminates the list *)
         | Some nx -> walk nx so
       end

@@ -21,8 +21,8 @@ module type MAP = sig
   val invariant : t -> bool
   (** Quiesced structural check: so-keys strictly increase along the
       list, the walk reaches the tail, every dummy is unmarked, and
-      every set directory cell is physically the [next] link of the
-      dummy carrying its bucket's so-key. *)
+      every set directory cell is physically the dummy carrying its
+      bucket's so-key. *)
 end
 
 (** The map over any reclamation core; [core] exposes the instance
@@ -32,9 +32,10 @@ module Impl (O : Intf.CORE with type node = Orc_michael_list.node) : sig
 
   val core : t -> O.t
 
-  val directory : t -> Orc_michael_list.node Atomicx.Link.t Split_order.dir
-  (** The bucket directory (whitebox tests): bucket [b]'s cell is the
-      [next] link of [b]'s dummy, or the directory's unset value. *)
+  val directory : t -> Orc_michael_list.node Split_order.dir
+  (** The bucket directory (whitebox tests): bucket [b]'s cell is [b]'s
+      dummy, which is its own [next] link, or the directory's unset
+      value. *)
 end
 
 module Make () : MAP

@@ -396,25 +396,29 @@ module Impl (O : Intf.CORE with type node = node) = struct
     outcome t g cu tid ph
 
   (* Wait-free lookup, straight through marked nodes (as in the
-     original, whose contains never helps or restarts). *)
+     original, whose contains never helps or restarts).  The walk is
+     top-level and the body runs under [O.with_guard2], so a lookup
+     allocates nothing. *)
+  let rec lookup g key ~curr ~next =
+    let c = O.Ptr.node_exn curr in
+    if key_of c > key then false
+    else begin
+      O.load g (next_of c) next;
+      if key_of c = key then not (O.Ptr.is_marked next)
+      else begin
+        O.assign g curr next;
+        lookup g key ~curr ~next
+      end
+    end
+
+  let contains_in g t key =
+    let curr = O.ptr g and next = O.ptr g in
+    O.load g t.head_root curr;
+    lookup g key ~curr ~next
+
   let contains t key =
     check_key key;
-    O.with_guard t.orc (fun g ->
-        let curr = O.ptr g and next = O.ptr g in
-        O.load g t.head_root curr;
-        let rec walk () =
-          let c = O.Ptr.node_exn curr in
-          if key_of c > key then false
-          else begin
-            O.load g (next_of c) next;
-            if key_of c = key then not (O.Ptr.is_marked next)
-            else begin
-              O.assign g curr next;
-              walk ()
-            end
-          end
-        in
-        walk ())
+    O.with_guard2 t.orc contains_in t key
 
   let to_list t =
     let rec walk acc n =

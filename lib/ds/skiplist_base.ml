@@ -36,8 +36,6 @@
 
 open Atomicx
 
-exception Restart
-
 type node = {
   key : int;
   height : int; (* number of levels this node participates in *)
@@ -155,48 +153,49 @@ struct
      snipping marked nodes from the path as encountered.  Restarts on a
      failed snip, a marked first edge (its pred is being removed, and
      the remover marks top-down, so the restart snips that pred at the
-     levels above) or (CRF) a poisoned edge. *)
+     levels above) or (CRF) a poisoned edge.  Every step is a top-level
+     function taking its state as arguments, so a find builds no
+     closure; a restart is a call to [find]. *)
   let rec find t g key cu =
-    match
-      O.load g t.head_root cu.pred;
-      for level = Cfg.max_level downto 0 do
-        O.load g (next_link (O.Ptr.node_exn cu.pred) level) cu.curr;
-        if poisoned cu.curr || O.Ptr.is_marked cu.curr then
-          raise_notrace Restart;
-        let rec step () =
-          let c = O.Ptr.node_exn cu.curr in
-          O.load g (next_link c level) cu.succ;
-          if poisoned cu.succ then raise_notrace Restart;
-          if O.Ptr.is_marked cu.succ then begin
-            (* c is logically deleted: snip it from this level *)
-            let desired =
-              Link.v_after (O.Ptr.view cu.curr)
-                (Link.v_clean (O.Ptr.view cu.succ))
-            in
-            if
-              O.cas_v g
-                (next_link (O.Ptr.node_exn cu.pred) level)
-                ~expected:(O.Ptr.view cu.curr) ~desired
-            then begin
-              O.assign g cu.curr cu.succ;
-              O.Ptr.retag_v cu.curr desired;
-              step ()
-            end
-            else raise_notrace Restart
-          end
-          else if key_of c < key then begin
-            O.assign g cu.pred cu.curr;
-            O.assign g cu.curr cu.succ;
-            step ()
-          end
-        in
-        step ();
-        O.assign g cu.preds.(level) cu.pred;
-        O.assign g cu.succs.(level) cu.curr
-      done
-    with
-    | () -> key_of (O.Ptr.node_exn cu.succs.(0)) = key
-    | exception Restart -> find t g key cu
+    O.load g t.head_root cu.pred;
+    find_level t g key cu Cfg.max_level
+
+  and find_level t g key cu level =
+    O.load g (next_link (O.Ptr.node_exn cu.pred) level) cu.curr;
+    if poisoned cu.curr || O.Ptr.is_marked cu.curr then find t g key cu
+    else find_step t g key cu level
+
+  and find_step t g key cu level =
+    let c = O.Ptr.node_exn cu.curr in
+    O.load g (next_link c level) cu.succ;
+    if poisoned cu.succ then find t g key cu
+    else if O.Ptr.is_marked cu.succ then begin
+      (* c is logically deleted: snip it from this level *)
+      let desired =
+        Link.v_after (O.Ptr.view cu.curr) (Link.v_clean (O.Ptr.view cu.succ))
+      in
+      if
+        O.cas_v g
+          (next_link (O.Ptr.node_exn cu.pred) level)
+          ~expected:(O.Ptr.view cu.curr) ~desired
+      then begin
+        O.assign g cu.curr cu.succ;
+        O.Ptr.retag_v cu.curr desired;
+        find_step t g key cu level
+      end
+      else find t g key cu
+    end
+    else if key_of c < key then begin
+      O.assign g cu.pred cu.curr;
+      O.assign g cu.curr cu.succ;
+      find_step t g key cu level
+    end
+    else begin
+      O.assign g cu.preds.(level) cu.pred;
+      O.assign g cu.succs.(level) cu.curr;
+      if level > 0 then find_level t g key cu (level - 1)
+      else key_of (O.Ptr.node_exn cu.succs.(0)) = key
+    end
 
   let check_key key =
     if key = min_int || key = max_int then
@@ -344,44 +343,46 @@ struct
     end
 
   (* HS contains: top-down descent, never restarts, walks through marked
-     nodes.  CRF contains: same but restarts from scratch on poison. *)
+     nodes.  CRF contains: same but restarts from scratch on poison.
+     The descent is top-level recursion like [find], and the body runs
+     under [O.with_guard2], so a lookup allocates nothing. *)
+  let rec search g t key ~pred ~curr ~succ =
+    O.load g t.head_root pred;
+    search_level g t key ~pred ~curr ~succ Cfg.max_level
+
+  and search_level g t key ~pred ~curr ~succ level =
+    O.load g (next_link (O.Ptr.node_exn pred) level) curr;
+    if poisoned curr then search g t key ~pred ~curr ~succ
+    else search_step g t key ~pred ~curr ~succ level
+
+  and search_step g t key ~pred ~curr ~succ level =
+    let c = O.Ptr.node_exn curr in
+    O.load g (next_link c level) succ;
+    if poisoned succ then search g t key ~pred ~curr ~succ
+    else if O.Ptr.is_marked succ then begin
+      (* skip the deleted node, traversing its frozen pointer *)
+      O.assign g curr succ;
+      search_step g t key ~pred ~curr ~succ level
+    end
+    else if key_of c < key then begin
+      O.assign g pred curr;
+      O.assign g curr succ;
+      search_step g t key ~pred ~curr ~succ level
+    end
+    else if level > 0 then search_level g t key ~pred ~curr ~succ (level - 1)
+    else
+      key_of c = key
+      &&
+      let v = Link.view (next_link c 0) in
+      not (Link.v_is_marked v || Link.v_is_poison v)
+
+  let contains_in g t key =
+    let pred = O.ptr g and curr = O.ptr g and succ = O.ptr g in
+    search g t key ~pred ~curr ~succ
+
   let contains t key =
     check_key key;
-    O.with_guard t.orc @@ fun g ->
-    let pred = O.ptr g and curr = O.ptr g and succ = O.ptr g in
-    let rec search () =
-      match
-        O.load g t.head_root pred;
-        for level = Cfg.max_level downto 0 do
-          O.load g (next_link (O.Ptr.node_exn pred) level) curr;
-          if poisoned curr then raise_notrace Restart;
-          let rec step () =
-            let c = O.Ptr.node_exn curr in
-            O.load g (next_link c level) succ;
-            if poisoned succ then raise_notrace Restart;
-            if O.Ptr.is_marked succ then begin
-              (* skip the deleted node, traversing its frozen pointer *)
-              O.assign g curr succ;
-              step ()
-            end
-            else if key_of c < key then begin
-              O.assign g pred curr;
-              O.assign g curr succ;
-              step ()
-            end
-          in
-          step ()
-        done
-      with
-      | () ->
-          let c = O.Ptr.node_exn curr in
-          key_of c = key
-          && not
-               (let v = Link.view (next_link c 0) in
-                Link.v_is_marked v || Link.v_is_poison v)
-      | exception Restart -> search ()
-    in
-    search ()
+    O.with_guard2 t.orc contains_in t key
 
   (* Sequential helpers (quiesced): walk the bottom level. *)
   let to_list t =

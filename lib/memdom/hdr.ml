@@ -19,11 +19,24 @@ type lifecycle = Live | Retired | Freed
    raising, so the word is only ever transiently wrong during a
    transition that is itself a reported bug.
 
-   The hazard-era birth/death stamps are packed into
-   one atomic word ([eras], 31 bits each, death all-ones = not yet
-   retired): readers get a torn-free (birth, death) pair from a single
-   load, and retire-side stamping allocates nothing.  [retired_ns]
-   stays a plain field (single-writer diagnostic timestamp). *)
+   The hazard-era birth/death stamps are packed into one plain word
+   ([eras], 31 bits each, death all-ones = not yet retired).  Each
+   stamp has one writer at a time, and every reader is ordered after
+   that writer by an atomic it already performs: the birth stamp is
+   written by the allocating thread before the node is published by
+   an atomic link store, the death stamp by the retiring thread (the
+   single owner of the retire transition), and the only readers are
+   that thread's own HE/IBR scans or an adopter that took the retired
+   list through the orphan pool's atomic exchange.  A one-word load is
+   never torn, so the pair still comes from one load; [retired_ns] is
+   a plain field for the same reason.
+
+   [access] is the one word [check_access] reads: [tolerant] for a
+   Pool header, [strict_live] for a System header, and [strict_freed]
+   once [mark_freed] has won the Freed transition.  It is a copy of a
+   fact [state] decides, kept in the header block itself so the
+   per-hop check reads no second block; [state] stays the authority
+   for every transition. *)
 
 (* Field 0 is the [_orc] word: the atomic primitives act on field 0 of
    the block they are given, so [orc t] views the header itself as
@@ -31,15 +44,15 @@ type lifecycle = Live | Retired | Freed
    the cache line [uid] sits on).  Invariant: [_orc] is read and
    written only through [orc], except by the record literal in [make],
    which initialises it before the header is handed out.  Only one
-   word per block can use this view, so [state] and [eras] stay
-   separate atomics. *)
+   word per block can use this view, so [state] stays a separate
+   atomic. *)
 type t = {
   mutable _orc : int;
   mutable uid : int;
   label : string;
-  strict : bool;
+  mutable access : int;
   state : int Atomic.t;
-  eras : int Atomic.t;
+  mutable eras : int;
   mutable retired_ns : int;
   mutable slot : int;
   mutable slot_release : tid:int -> int -> unit;
@@ -49,6 +62,9 @@ let orc (t : t) : int Atomic.t = Obj.magic t
 
 let orc_initial = 1 lsl 22
 
+let tolerant = 0
+let strict_live = 1
+let strict_freed = 2
 let live_bits = 0
 let retired_bits = 1
 let freed_bits = 2
@@ -69,9 +85,9 @@ let make ~uid ~label ~strict ~birth_era =
     _orc = orc_initial;
     uid;
     label;
-    strict;
+    access = (if strict then strict_live else tolerant);
     state = Atomic.make live_bits;
-    eras = Atomic.make (pack_eras ~birth:birth_era ~death:death_none);
+    eras = pack_eras ~birth:birth_era ~death:death_none;
     retired_ns = 0;
     slot = -1;
     slot_release = no_release;
@@ -86,10 +102,10 @@ let decode bits =
 let lifecycle t = decode (Atomic.get t.state)
 let generation t = Atomic.get t.state lsr 2
 
-let birth_era t = Atomic.get t.eras land era_mask
+let birth_era t = t.eras land era_mask
 
 let death_era t =
-  let d = (Atomic.get t.eras lsr era_bits) land era_mask in
+  let d = (t.eras lsr era_bits) land era_mask in
   if d = death_none then max_int else d
 
 (* Written only by the retiring thread (single owner of the retire
@@ -97,14 +113,12 @@ let death_era t =
    birth half rides along untouched. *)
 let set_death_era t e =
   let d = if e < 0 || e >= death_none then death_none else e in
-  let w = Atomic.get t.eras in
-  Atomic.set t.eras ((w land era_mask) lor (d lsl era_bits))
+  t.eras <- (t.eras land era_mask) lor (d lsl era_bits)
 
 let describe t = Printf.sprintf "%s#%d" t.label t.uid
 
 let check_access t =
-  if t.strict && Atomic.get t.state land state_mask = freed_bits then
-    raise (Use_after_free (describe t))
+  if t.access = strict_freed then raise (Use_after_free (describe t))
 
 let is_freed t = Atomic.get t.state land state_mask = freed_bits
 
@@ -147,8 +161,11 @@ let rec mark_freed t =
   let cur = Atomic.get t.state in
   match cur land state_mask with
   | 0 | 1 (* Live | Retired *) ->
-      if not (Atomic.compare_and_set t.state cur (next_state cur freed_bits))
-      then mark_freed t
+      if Atomic.compare_and_set t.state cur (next_state cur freed_bits)
+      then begin
+        if t.access = strict_live then t.access <- strict_freed
+      end
+      else mark_freed t
   | _ (* Freed *) -> raise (Double_free (describe t))
 
 (* Recycling (type-stable pool allocator): the Freed -> Live CAS is the
@@ -167,7 +184,8 @@ let rec recycle t ~uid ~birth_era =
   then recycle t ~uid ~birth_era
   else begin
     t.uid <- uid;
-    Atomic.set t.eras (pack_eras ~birth:birth_era ~death:death_none);
+    if t.access = strict_freed then t.access <- strict_live;
+    t.eras <- pack_eras ~birth:birth_era ~death:death_none;
     t.retired_ns <- 0;
     Atomic.set (orc t) orc_initial
   end

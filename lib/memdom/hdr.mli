@@ -12,7 +12,9 @@
     [Freed] object raises {!Use_after_free} — the analogue of the
     segfault.  In non-strict mode (type-stable custom allocator) the
     access is tolerated, and the [generation] counter lets tests detect
-    ABA-style reuse.
+    ABA-style reuse.  The check reads one word of the header block,
+    [access], which {!mark_freed} sets once it has won the Freed
+    transition; [state] stays the authority for every transition.
 
     The header also hosts the per-object words the various schemes need,
     all of them word-packed (DESIGN.md, "Word-packed representation"):
@@ -25,8 +27,9 @@
       an atomic through {!orc} by the orc schemes with mask
       arithmetic.
     - [eras]: birth and death hazard-era stamps packed 31+31 into one
-      atomic word, so a reader gets a torn-free pair from one load and
-      retire-side stamping never allocates.  Read through
+      plain word of the header block, so a reader gets the pair from
+      one load (a one-word load is never torn) and retire-side
+      stamping never allocates.  Read through
       {!birth_era}/{!death_era}, written through {!set_death_era}.
     - [slot]/[slot_release]: the object's link arena slot (see
       {!Atomicx.Link.arena}), released exactly once by the allocator
@@ -47,11 +50,24 @@ type t = {
           {!recycle} can restamp a pooled header; uids never repeat —
           every hand-out (fresh or recycled) draws a new one. *)
   label : string;  (** type/owner label, for diagnostics *)
-  strict : bool;  (** raise on access-after-free? *)
+  mutable access : int;
+      (** what {!check_access} reads, the freed word: 0 tolerant (a
+          Pool header, never changes), 1 strict and not freed, 2 strict
+          and freed.  {!mark_freed} turns 1 into 2 right after it wins
+          the Freed CAS on [state], {!recycle} turns 2 back into 1.  A
+          copy of a fact [state] decides, kept in the header block so
+          the per-hop check reads no second block; never written
+          elsewhere. *)
   state : int Atomic.t;  (** lifecycle in low bits, generation above *)
-  eras : int Atomic.t;
+  mutable eras : int;
       (** hazard eras, packed: birth in bits 0–30, death in bits 31–61
-          (all-ones death = not retired).  Use the accessors. *)
+          (all-ones death = not retired).  Use the accessors.  A plain
+          word is enough: the birth stamp is written before the object
+          is published, the death stamp by the retiring thread (the
+          retire transition's single owner), and the readers — that
+          thread's HE/IBR scans, or an adopter that took its retired
+          list through the orphan pool's atomic — are ordered after
+          the writer by an atomic they already perform. *)
   mutable retired_ns : int;
       (** tracing: timestamp of the last retire ([Obs.Sink.on_retire]),
           0 when never retired or traced with a null sink.  Written by
@@ -85,9 +101,12 @@ val set_death_era : t -> int -> unit
 val check_access : t -> unit
 (** Validate that dereferencing this object is safe.  Raises
     {!Use_after_free} when the object is [Freed] and the header is
-    strict.  Every field accessor of every data structure in this library
-    calls it, so scheme bugs surface as exceptions in stress tests rather
-    than silent corruption. *)
+    strict.  Reads only the header's [access] word, one plain load of
+    the header block; a free on another domain is seen once the free
+    happens-before the check (a join, or the atomic that handed the
+    object over).  Every field accessor of every data structure in this
+    library calls it, so scheme bugs surface as exceptions in stress
+    tests rather than silent corruption. *)
 
 val mark_retired : t -> unit
 (** [Live -> Retired].  Raises {!Double_retire} if already retired and
@@ -100,7 +119,8 @@ val unretire : t -> unit
     fetch-and-add. *)
 
 val mark_freed : t -> unit
-(** [_ -> Freed].  Raises {!Double_free} on a second call. *)
+(** [_ -> Freed].  Raises {!Double_free} on a second call.  The winner
+    of the Freed CAS then marks a strict header's [access] word freed. *)
 
 val is_freed : t -> bool
 val pp : Format.formatter -> t -> unit
@@ -114,7 +134,8 @@ val recycle : t -> uid:int -> birth_era:int -> unit
 (** [Freed -> Live], the type-stable pool allocator's reuse path: resets
     the header to a freshly allocated state — new [uid], new
     [birth_era], death era/[retired_ns] cleared, the [_orc] word back
-    to {!orc_initial} — while {b bumping the generation}, which is
+    to {!orc_initial}, a strict header's [access] back to not freed —
+    while {b bumping the generation}, which is
     carried across lives so it is strictly monotone over the header's
     whole pooled lifetime (the ABA/use-after-free batteries key on
     this).  The [label] of the first life is kept.  Raises

@@ -433,6 +433,57 @@ let test_link_one_block () =
   Link.set l Link.Poison;
   check_bool "writes go to that block" true (Link.is_poison (Link.get l))
 
+(* A record with the link prefix (field 0 the word, field 1 the arena)
+   is its own link through [Link.embedded]; its later fields are its
+   own.  A stamped word grows on every write: the stamp sits above the
+   payload. *)
+type enode = {
+  mutable e_word : int;
+  e_arena : enode Link.arena;
+  e_id : int;
+  mutable e_slot : int;
+}
+
+let enode ar id = { e_word = 0; e_arena = ar; e_id = id; e_slot = -1 }
+let elink (n : enode) : enode Link.t = Link.embedded n
+
+let test_link_embedded () =
+  let ar =
+    Link.arena
+      ~slot_of:(fun n -> n.e_slot)
+      ~on_register:(fun n s ~release:_ -> n.e_slot <- s)
+      ()
+  in
+  let owner = enode ar 0 and a = enode ar 1 and b = enode ar 2 in
+  let l = elink owner in
+  let word () = (Link.view l :> int) in
+  check_bool "a fresh record reads null" true (Link.v_is_null (Link.view l));
+  check_int "view reads field 0" owner.e_word (word ());
+  Link.set_v l (Link.v_ptr_in ar a);
+  let w1 = owner.e_word in
+  check_int "set_v writes field 0" w1 (word ());
+  check_bool "stamp advanced" true (w1 > 0);
+  check_bool "get decodes through field 1's arena" true
+    (match Link.target (Link.get l) with Some x -> x == a | None -> false);
+  let stale = Link.view l in
+  check_bool "cas_v from a loaded view" true
+    (Link.cas_v l stale (Link.v_ptr_in ar b));
+  let w2 = owner.e_word in
+  check_bool "cas_v wrote field 0 under a later stamp" true
+    (w2 = word () && w2 > w1);
+  check_bool "target b" true (Link.v_target_exn l (Link.view l) == b);
+  let old = Link.exchange_v l (Link.v_mark (Link.view l)) in
+  check_int "exchange_v returns field 0's word" w2 (old :> int);
+  let w3 = owner.e_word in
+  check_bool "exchange_v wrote field 0 under a later stamp" true
+    (w3 > w2 && Link.v_is_marked (Link.view l));
+  check_bool "a stale view fails its CAS" false
+    (Link.cas_v l stale (Link.v_ptr_in ar a));
+  check_int "and leaves field 0 alone" w3 owner.e_word;
+  check_int "the owner's own fields untouched" 0 owner.e_id;
+  check_bool "registration went to the owner's slot field" true
+    (a.e_slot >= 0 && b.e_slot >= 0 && owner.e_slot = -1)
+
 let test_arena_release_register_same_tid () =
   let tid = Registry.tid () in
   let ar = cache_arena () in
@@ -606,6 +657,8 @@ let suite =
         Alcotest.test_case "link CAS single winner" `Quick
           test_link_cas_parallel_single_winner;
         Alcotest.test_case "link is one block" `Quick test_link_one_block;
+        Alcotest.test_case "a record with the link prefix is a link" `Quick
+          test_link_embedded;
         Alcotest.test_case "arena reuses a slot on one tid" `Quick
           test_arena_release_register_same_tid;
         Alcotest.test_case "arena re-issues on the freeing tid" `Quick

@@ -277,6 +277,50 @@ let test_pool_stats_and_pp () =
   check_bool "system pp omits pool section" true
     (not (contains_substr sys_printed "pool"))
 
+(* [check_access] reads the header's freed word, which [mark_freed]
+   sets once it has won the Freed transition: a free on another domain
+   is seen once joined, a Pool header never raises, and [state] still
+   decides a second free. *)
+let test_freed_word () =
+  let a = Memdom.Alloc.create "x" in
+  let h = Memdom.Alloc.hdr a () in
+  Memdom.Hdr.check_access h;
+  Domain.join (Domain.spawn (fun () -> Memdom.Alloc.free a h));
+  let name = Printf.sprintf "x#%d" h.Memdom.Hdr.uid in
+  Alcotest.check_raises "freed on another domain"
+    (Memdom.Hdr.Use_after_free name) (fun () -> Memdom.Hdr.check_access h);
+  Alcotest.check_raises "double free" (Memdom.Hdr.Double_free name) (fun () ->
+      Memdom.Alloc.free a h);
+  let p = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "y" in
+  let hp = Memdom.Alloc.hdr p () in
+  Domain.join (Domain.spawn (fun () -> Memdom.Alloc.free p hp));
+  Memdom.Hdr.check_access hp;
+  check_bool "pool header freed" true (Memdom.Hdr.is_freed hp);
+  (* recycling a strict header clears its freed word *)
+  let s = Memdom.Hdr.make ~uid:1 ~label:"s" ~strict:true ~birth_era:0 in
+  Memdom.Hdr.mark_freed s;
+  Memdom.Hdr.recycle s ~uid:2 ~birth_era:0;
+  Memdom.Hdr.check_access s
+
+(* The era stamps share one plain word: each half round-trips alone,
+   and a recycle restamps the birth and clears the death. *)
+let test_era_word () =
+  let module H = Memdom.Hdr in
+  let h = H.make ~uid:1 ~label:"e" ~strict:false ~birth_era:5 in
+  check_int "birth" 5 (H.birth_era h);
+  check_int "not retired" max_int (H.death_era h);
+  H.mark_retired h;
+  H.set_death_era h 9;
+  check_int "death" 9 (H.death_era h);
+  check_int "birth untouched" 5 (H.birth_era h);
+  H.set_death_era h (-1);
+  check_int "out-of-range death reads as none" max_int (H.death_era h);
+  H.set_death_era h 12;
+  H.mark_freed h;
+  H.recycle h ~uid:2 ~birth_era:20;
+  check_int "recycled birth" 20 (H.birth_era h);
+  check_int "recycle resets the death stamp" max_int (H.death_era h)
+
 let suite =
   [
     ( "memdom",
@@ -310,5 +354,9 @@ let suite =
           test_pool_orphan_adoption;
         Alcotest.test_case "pool counters, stats and pp" `Quick
           test_pool_stats_and_pp;
+        Alcotest.test_case "check_access reads the freed word" `Quick
+          test_freed_word;
+        Alcotest.test_case "era stamps share one plain word" `Quick
+          test_era_word;
       ] );
   ]

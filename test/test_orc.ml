@@ -174,7 +174,9 @@ module Ll = Ml.Impl (Lo)
 let test_find_protects_successor_only_to_move () =
   let l = Ll.create () in
   List.iter (fun k -> ignore (Ll.add l k)) [ 1; 2; 3 ];
-  let after (n : Ml.node) = Option.get (Link.target (Link.get n.Ml.next)) in
+  let after (n : Ml.node) =
+    Option.get (Link.target (Link.get (Ml.next_link n)))
+  in
   let n1 = Option.get (Link.target (Link.get (Ll.anchor l))) in
   let n2 = after n1 in
   let n3 = after n2 in
@@ -202,9 +204,9 @@ let test_find_protects_successor_only_to_move () =
   (* mark 2 without unlinking it: the find for 2 must protect 3 to
      unlink 2, and then stops at 3 *)
   Lo.with_guard (Ll.core l) (fun g ->
-      let v = Link.view n2.Ml.next in
+      let v = Link.view (Ml.next_link n2) in
       check_bool "marked 2" true
-        (Lo.cas_v g n2.Ml.next ~expected:v ~desired:(Link.v_mark v)));
+        (Lo.cas_v g (Ml.next_link n2) ~expected:v ~desired:(Link.v_mark v)));
   let stop, pub = find 2 [ n3 ] in
   check_bool "unlinked 2 and stopped at 3" true (stop == n3);
   check_bool "the unlinked node's successor published" true (pub = [ true ]);

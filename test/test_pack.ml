@@ -307,6 +307,23 @@ let contains_zero_alloc (module L : Ds.Intf.SET) label () =
   L.flush l;
   check_int "no leak" 0 (Memdom.Alloc.live (L.alloc l))
 
+(* The skip lists' top-down descent and TBKP's wait-free walk, under
+   orc and orc-hp: top-level recursions run under [with_guard2], like
+   the lists above. *)
+module Skip_hp_n = Orc_core.Orc.Make_hp (Ds.Skiplist_base.N)
+module Crf_orc = Ds.Orc_crf_skiplist.Make ()
+module Hs_skip_orc = Ds.Orc_hs_skiplist.Make ()
+module Crf_orc_hp = Ds.Orc_crf_skiplist.Impl (Skip_hp_n)
+module Hs_skip_orc_hp = Ds.Orc_hs_skiplist.Impl (Skip_hp_n)
+module Tbkp_orc = Ds.Orc_tbkp_list.Make ()
+
+module Tbkp_orc_hp =
+  Ds.Orc_tbkp_list.Impl (Orc_core.Orc.Make_hp (Ds.Orc_tbkp_list.N))
+
+let skip_contains_zero_alloc crf hs label () =
+  contains_zero_alloc crf ("crf-skip-" ^ label) ();
+  contains_zero_alloc hs ("hs-skip-" ^ label) ()
+
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation: header lifecycle transitions *)
 
@@ -552,6 +569,22 @@ let suite =
           "orc-hp: warm Harris contains (hit and miss) allocates nothing"
           `Quick
           (contains_zero_alloc (module Harris_orc_hp) "harris-orc-hp");
+        Alcotest.test_case
+          "orc: warm CRF/HS skip contains (hit and miss) allocates nothing"
+          `Quick
+          (skip_contains_zero_alloc (module Crf_orc) (module Hs_skip_orc)
+             "orc");
+        Alcotest.test_case
+          "orc-hp: warm CRF/HS skip contains (hit and miss) allocates nothing"
+          `Quick
+          (skip_contains_zero_alloc (module Crf_orc_hp) (module Hs_skip_orc_hp)
+             "orc-hp");
+        Alcotest.test_case
+          "orc: warm TBKP contains (hit and miss) allocates nothing" `Quick
+          (contains_zero_alloc (module Tbkp_orc) "tbkp-orc");
+        Alcotest.test_case
+          "orc-hp: warm TBKP contains (hit and miss) allocates nothing" `Quick
+          (contains_zero_alloc (module Tbkp_orc_hp) "tbkp-orc-hp");
       ] );
     ( "pack_bits",
       [
