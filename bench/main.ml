@@ -24,9 +24,9 @@
      --alloc        System vs Pool allocator at equal op count
      --scan         snapshot scans and publication elision, per scheme
      --pack         packed headers + word links: words/read, retire ns
-     --metrics      sampler overhead, allocation audit, stall battery
+     --metrics      sampler overhead, allocation audit
      --stall        EBR + neutralizing reclaimer vs static EBR and HP,
-                    and the neutralization battery
+                    and the stall battery
 
    Each section checks its claims (guards) on its own typed rows; after
    the JSON is written, each violated guard prints `FAIL <section>:
@@ -330,10 +330,9 @@ let churn_guards results =
    resolve the difference. *)
 
 let run_alloc () =
-  let ops = 200_000 in
   Format.printf
-    "@.== Allocator: System vs type-stable Pool (%d ops, 1 domain) ==@." ops;
-  let rows = Harness.Experiments.alloc_modes ~ops params in
+    "@.== Allocator: System vs type-stable Pool (200000 ops, 1 domain) ==@.";
+  let rows = Harness.Experiments.alloc_modes () in
   Format.printf "  %-10s %-8s %8s %9s %12s %14s %10s@." "workload" "mode"
     "Mops/s" "hit-rate" "remote-free" "minor-words" "minor-gcs";
   List.iter
@@ -923,20 +922,21 @@ let pack_guards { rows; footprint } =
 (* Live metrics plane: sampler-overhead A/B on a guard-per-op list
    traversal, the raw watchdog-stamp cost on a bare guard bracket, a
    hot-path allocation audit (gauge set, counter bump, guard bracket —
-   all must stay at exactly zero minor words), the chaos stall battery,
-   and a snapshot of the sampled series. *)
+   all must stay at exactly zero minor words) and a snapshot of the
+   sampled series.  The stall battery runs in the stall section. *)
 
 type metrics_row = {
   mt_off_ns : float; (* list contains ns/op, plane off (inert sleeper) *)
-  mt_on_ns : float; (* same loop, sampler running + watchdog stamping *)
+  mt_on_ns : float; (* same loop, background domain + watchdog stamping *)
   mt_overhead_pct : float;
+  mt_ratio_q1 : float; (* per-round on/off ratio quartiles *)
+  mt_ratio_q3 : float;
   mt_bracket_idle_ns : float; (* bare begin/end bracket, plane off, 1 domain *)
   mt_bracket_off_ns : float; (* same bracket, inert sleeper, clock at zero *)
-  mt_bracket_on_ns : float; (* same bracket, sampler on, clock live *)
+  mt_bracket_on_ns : float; (* same bracket, plane on, clock live *)
   mt_gauge_words : float; (* minor words per op, must be 0 *)
   mt_counter_words : float;
   mt_guard_words : float;
-  mt_stall : Chaos.stall_report;
   mt_series : Obs.Metrics.series list;
   mt_prom_lines : int;
 }
@@ -999,10 +999,10 @@ let run_metrics () =
   in
   let bracket_idle_ns = best_of (2 * reps) bracket_ns_per_op in
   let sink = Obs.Sink.make () in
-  let start_sampler () =
-    Obs.Sampler.start ~interval:0.005 ~registry:Obs.Metrics.default ~sink ()
+  let start_plane () =
+    Reclaim.Reclaimer.start ~interval:0.005 ~sink ~neutralize:false ()
   in
-  (* One side of a round: plane on (sampler running, watchdog
+  (* One side of a round: plane on (background domain, watchdog
      stamping; the clock is paused afterwards so the next off side is
      really off) or off with an inert sleeper domain, so both sides pay
      the runtime's second-domain tax — ~40 ns/op on fenced-store loops
@@ -1011,9 +1011,9 @@ let run_metrics () =
   let side on =
     let finish =
       if on then begin
-        let sampler = start_sampler () in
+        let plane = start_plane () in
         fun () ->
-          Obs.Sampler.stop sampler;
+          Reclaim.Reclaimer.stop plane;
           Obs.Watchdog.pause ()
       end
       else begin
@@ -1058,7 +1058,7 @@ let run_metrics () =
     spread (Array.map2 (fun o n -> fst n /. Float.max 1e-9 (fst o)) off on)
   in
   let overhead_pct = Float.max 0. (100. *. (ratio.med -. 1.)) in
-  let sampler = start_sampler () in
+  let plane = start_plane () in
   (* hot-path allocation audit (the acceptance gate).  The guard loop
      here is the bare begin/end bracket — the part the watchdog added
      stores to; the protect path's allocation behaviour is the pack
@@ -1088,9 +1088,7 @@ let run_metrics () =
         done)
   in
   let per w = w /. float_of_int audit_ops in
-  Obs.Sampler.stop sampler;
-  (* stall injection (runs its own sampler over a fresh registry) *)
-  let stall = Chaos.run_stall () in
+  Reclaim.Reclaimer.stop plane;
   Format.printf
     "  list contains, %d alternating rounds: off median %.1f ns/op [q1 \
      %.1f, q3 %.1f], on median %.1f ns/op [q1 %.1f, q3 %.1f]; on/off \
@@ -1102,7 +1100,6 @@ let run_metrics () =
     bracket_idle_ns bracket_off_ns bracket_on_ns;
   Format.printf "  hot-path words/op: gauge %.4f, counter %.4f, guard %.4f@."
     (per gauge_words) (per counter_words) (per guard_words);
-  Format.printf "  stall battery: %a@." Chaos.pp_stall_report stall;
   let series = Obs.Metrics.series Obs.Metrics.default in
   let prom = Obs.Metrics.to_prometheus Obs.Metrics.default in
   let prom_lines =
@@ -1116,13 +1113,14 @@ let run_metrics () =
     mt_off_ns = off_ns;
     mt_on_ns = on_ns;
     mt_overhead_pct = overhead_pct;
+    mt_ratio_q1 = ratio.q1;
+    mt_ratio_q3 = ratio.q3;
     mt_bracket_idle_ns = bracket_idle_ns;
     mt_bracket_off_ns = bracket_off_ns;
     mt_bracket_on_ns = bracket_on_ns;
     mt_gauge_words = per gauge_words;
     mt_counter_words = per counter_words;
     mt_guard_words = per guard_words;
-    mt_stall = stall;
     mt_series = series;
     mt_prom_lines = prom_lines;
   }
@@ -1137,6 +1135,8 @@ let metrics_json (r : metrics_row) =
             ("off_ns_per_op", Json.Float r.mt_off_ns);
             ("on_ns_per_op", Json.Float r.mt_on_ns);
             ("overhead_pct", Json.Float r.mt_overhead_pct);
+            ("ratio_q1", Json.Float r.mt_ratio_q1);
+            ("ratio_q3", Json.Float r.mt_ratio_q3);
           ] );
       ( "guard_bracket",
         Json.Obj
@@ -1152,18 +1152,6 @@ let metrics_json (r : metrics_row) =
             ("counter_incr", Json.Float r.mt_counter_words);
             ("guard_bracket", Json.Float r.mt_guard_words);
           ] );
-      ( "stall",
-        Json.Obj
-          [
-            ("victim_tid", Json.Int r.mt_stall.Chaos.st_victim);
-            ("ticks", Json.Int r.mt_stall.Chaos.st_ticks);
-            ("stall_reports", Json.Int r.mt_stall.Chaos.st_stalls);
-            ("age_max", Json.Int r.mt_stall.Chaos.st_age_max);
-            ("detected", Json.Bool r.mt_stall.Chaos.st_detected);
-            ("cleared", Json.Bool r.mt_stall.Chaos.st_cleared);
-            ("leaked", Json.Int r.mt_stall.Chaos.st_leaked);
-            ("ok", Json.Bool (Chaos.stall_ok r.mt_stall));
-          ] );
       ("series", Json.List (List.map Obs.Metrics.series_to_json r.mt_series));
       ("prometheus_lines", Json.Int r.mt_prom_lines);
     ]
@@ -1171,11 +1159,9 @@ let metrics_json (r : metrics_row) =
 (* Sampler overhead within 3% of the sampler-off baseline (both sides
    run with a second domain alive, so the number isolates the plane, not
    the runtime's multi-domain tax); allocation-free hot paths (the
-   ceiling is a rounding allowance on Gc.minor_words); the stall battery
-   flags and clears the parked guard and leaks nothing; every series is
+   ceiling is a rounding allowance on Gc.minor_words); every series is
    internally consistent; the registry and scheme wiring is present. *)
 let metrics_guards (r : metrics_row) =
-  let st = r.mt_stall in
   let consistent (x : Obs.Metrics.series) =
     let n = Array.length x.points in
     let rec increasing i =
@@ -1191,14 +1177,6 @@ let metrics_guards (r : metrics_row) =
     guard (r.mt_overhead_pct <= 3.0)
       "sampler overhead %.2f%% <= 3.0%% (off %.0f ns, on %.0f ns)"
       r.mt_overhead_pct r.mt_off_ns r.mt_on_ns;
-    guard st.Chaos.st_detected "watchdog flagged the stalled guard (tid %d)"
-      st.Chaos.st_victim;
-    guard st.Chaos.st_cleared "stalled slot cleared after guard release";
-    guard (Chaos.stall_ok st) "stall battery ok (errors [%s])"
-      (String.concat "; " st.Chaos.st_errors);
-    guard (st.Chaos.st_leaked = 0) "stall battery leaked %d = 0"
-      st.Chaos.st_leaked;
-    guard (st.Chaos.st_stalls >= 1) "stall reports %d >= 1" st.Chaos.st_stalls;
     guard (r.mt_series <> []) "%d series sampled > 0" (List.length r.mt_series);
     guard
       (List.exists
@@ -1233,9 +1211,10 @@ let metrics_guards (r : metrics_row) =
    under 0.5x EBR's and drains it in the burst (under 0.5x its stall
    hwm); its parked victim raises [Neutralized], and no contestant
    leaks or leaves anything unreclaimed ([stall_guards]).  The chaos
-   neutralization battery rides along after the rounds: its victim is
-   neutralized, raises on waking and stops pinning memory while still
-   parked, and the two domains killed mid-stall are force-released. *)
+   stall battery rides along after the rounds: its victim's stall is
+   reported and then neutralized, it stops being flagged and stops
+   pinning memory while still parked, it raises on waking, and the two
+   domains killed mid-stall are force-released. *)
 
 module St_ebr = Reclaim.Ebr.Make (SN)
 
@@ -1263,8 +1242,8 @@ let st_static (module S : Reclaim.Scheme_intf.S with type node = snode) alloc
    any guard the watchdog validates as stalled for 6 ticks. *)
 let st_neutralize alloc =
   let s = St_ebr.create ~max_hps:4 ~sink:Obs.Sink.null alloc in
-  let reclaimer = Reclaim.Reclaimer.start ~neutralize_age:6 () in
-  Scheme ((module St_ebr), s, fun () -> Reclaim.Reclaimer.stop reclaimer)
+  let domain = Reclaim.Reclaimer.start ~stall_age:6 ~neutralize:true () in
+  Scheme ((module St_ebr), s, fun () -> Reclaim.Reclaimer.stop domain)
 
 let st_contestants =
   [
@@ -1391,7 +1370,7 @@ type st_result = {
   medians : (string * float list) list;
   ratios : (string * float array) list;
   rows : st_row list;
-  neutralize : Chaos.bg_report;
+  battery : Chaos.stall_report;
 }
 
 let run_stall_bench () =
@@ -1440,40 +1419,52 @@ let run_stall_bench () =
       Format.printf "  ebr+neutralize %-20s min %.3f  median %.3f  max %.3f@."
         name s.lo s.med s.hi)
     ratios;
-  let neutralize = Chaos.run_neutralize () in
-  Format.printf "  neutralize battery: %a@." Chaos.pp_bg_report neutralize;
-  { medians; ratios; rows = List.concat (Array.to_list rounds); neutralize }
+  let battery = Chaos.run_stall () in
+  Format.printf "  stall battery: %a@." Chaos.pp_stall_report battery;
+  { medians; ratios; rows = List.concat (Array.to_list rounds); battery }
 
-let bg_report_json (r : Chaos.bg_report) =
+let battery_json (r : Chaos.stall_report) =
   let open Harness in
   Json.Obj
     [
-      ("name", Json.Str r.Chaos.bg_name);
-      ("victim_tid", Json.Int r.Chaos.bg_victim);
-      ("neutralized", Json.Bool r.Chaos.bg_neutralized);
-      ("victim_raised", Json.Bool r.Chaos.bg_victim_raised);
-      ("pinned_freed", Json.Bool r.Chaos.bg_pinned_freed);
-      ("kills", Json.Int r.Chaos.bg_kills);
-      ("force_released", Json.Int r.Chaos.bg_forced);
-      ("unreclaimed_after", Json.Int r.Chaos.bg_unreclaimed_after);
-      ("leaked", Json.Int r.Chaos.bg_leaked);
-      ("ok", Json.Bool (Chaos.bg_ok r));
+      ("victim_tid", Json.Int r.st_victim);
+      ("ticks", Json.Int r.st_ticks);
+      ("stall_reports", Json.Int r.st_stalls);
+      ("age_max", Json.Int r.st_age_max);
+      ("detected", Json.Bool r.st_detected);
+      ("neutralized", Json.Bool r.st_neutralized);
+      ("cleared", Json.Bool r.st_cleared);
+      ("pinned_freed", Json.Bool r.st_pinned_freed);
+      ("victim_raised", Json.Bool r.st_victim_raised);
+      ("kills", Json.Int r.st_kills);
+      ("force_released", Json.Int r.st_forced);
+      ("unreclaimed_after", Json.Int r.st_unreclaimed_after);
+      ("leaked", Json.Int r.st_leaked);
+      ("ok", Json.Bool (Chaos.stall_ok r));
     ]
 
-(* The neutralization battery fires (the victim is neutralized and the
-   pinned node freed while it is still parked), the waking victim
-   observes the expiry, and nothing leaks. *)
-let neutralize_guards (n : Chaos.bg_report) =
+(* The stall battery: the stall is reported and then neutralized, the
+   victim stops being flagged and the pinned node frees while it is
+   parked, the waking victim observes the expiry, both domains killed
+   mid-stall are force-released, and nothing leaks. *)
+let battery_guards (b : Chaos.stall_report) =
   [
-    guard (Chaos.bg_ok n) "neutralize battery ok (errors [%s])"
-      (String.concat "; " n.bg_errors);
-    guard (n.bg_leaked = 0) "neutralize battery leaked %d = 0" n.bg_leaked;
+    guard (Chaos.stall_ok b) "stall battery ok (errors [%s])"
+      (String.concat "; " b.st_errors);
+    guard (b.st_leaked = 0) "stall battery leaked %d = 0" b.st_leaked;
     guard
-      (n.bg_unreclaimed_after = 0)
-      "neutralize battery unreclaimed after %d = 0" n.bg_unreclaimed_after;
-    guard n.bg_neutralized "neutralize: stalled guard neutralized";
-    guard n.bg_victim_raised "neutralize: waking victim observed the expiry";
-    guard n.bg_pinned_freed "neutralize: pinned node freed while victim parked";
+      (b.st_unreclaimed_after = 0)
+      "stall battery unreclaimed after %d = 0" b.st_unreclaimed_after;
+    guard (b.st_stalls >= 1) "stall reports %d >= 1" b.st_stalls;
+    guard b.st_detected "watchdog flagged the stalled guard (tid %d, age %d)"
+      b.st_victim b.st_age_max;
+    guard b.st_neutralized "stalled guard neutralized after its Stall report";
+    guard b.st_cleared "neutralized victim no longer flagged while parked";
+    guard b.st_pinned_freed "pinned node freed while victim parked";
+    guard b.st_victim_raised "waking victim observed the expiry";
+    guard
+      (b.st_forced = b.st_kills && b.st_kills = 2)
+      "mid-stall kills force-released %d/%d of 2" b.st_forced b.st_kills;
   ]
 
 let stall_json r =
@@ -1499,7 +1490,7 @@ let stall_json r =
       ("medians", Json.Obj (List.map columns r.medians));
       ( "ratios",
         Json.Obj (List.map (fun (n, a) -> (n, spread_json a)) r.ratios) );
-      ("neutralize_battery", bg_report_json r.neutralize);
+      ("battery", battery_json r.battery);
     ]
 
 (* The calm floor leaves margin for scheduler noise on small shared
@@ -1522,7 +1513,7 @@ let stall_guards r =
     guard (leaked = 0) "leaked %d = 0" leaked;
     guard (unreclaimed = 0) "unreclaimed after flush %d = 0" unreclaimed;
   ]
-  @ neutralize_guards r.neutralize
+  @ battery_guards r.battery
 
 let params_json () =
   let open Harness in

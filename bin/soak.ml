@@ -273,10 +273,10 @@ let run_churn seconds seed =
     1
   end
 
-(* Neutralization soak (--neutralize): repeat the stalled-guard
-   neutralization battery until the time budget runs out.  Every
-   repetition must neutralize the parked guard, force-release the
-   domains killed mid-stall, and account for every retired object. *)
+(* Stall soak (--neutralize): repeat the stall battery until the time
+   budget runs out.  Every repetition must report the parked guard's
+   stall, neutralize it, force-release the domains killed mid-stall,
+   and account for every retired object. *)
 let run_neutralize seconds =
   Printf.printf "soak --neutralize: %.0fs budget\n%!" seconds;
   let t0 = Unix.gettimeofday () in
@@ -284,22 +284,22 @@ let run_neutralize seconds =
   let round = ref 0 in
   while Unix.gettimeofday () -. t0 < seconds && (!bad = 0 || !round = 0) do
     incr round;
-    let r = Chaos.run_neutralize () in
-    if not (Chaos.bg_ok r) then begin
+    let r = Chaos.run_stall () in
+    if not (Chaos.stall_ok r) then begin
       incr bad;
-      Format.eprintf "round %d %s: neutralization contract violated@.%a@."
-        !round r.Chaos.bg_name Chaos.pp_bg_report r
+      Format.eprintf "round %d: stall contract violated@.%a@." !round
+        Chaos.pp_stall_report r
     end
   done;
-  Printf.printf "ran %d neutralize rounds\n%!" !round;
+  Printf.printf "ran %d stall rounds\n%!" !round;
   if !bad = 0 then begin
     Printf.printf
-      "neutralize soak passed: every stall neutralized, every mid-stall \
-       kill force-released, no leaks\n";
+      "stall soak passed: every stall reported and neutralized, every \
+       mid-stall kill force-released, no leaks\n";
     0
   end
   else begin
-    Printf.eprintf "neutralize soak FAILED: %d battery violations\n" !bad;
+    Printf.eprintf "stall soak FAILED: %d battery violations\n" !bad;
     1
   end
 
@@ -384,8 +384,8 @@ let neutralize_arg =
     value & flag
     & info [ "neutralize" ]
         ~doc:
-          "Neutralization mode: repeat the stalled-guard neutralization \
-           battery (with mid-stall domain kills) for the time budget \
+          "Stall mode: repeat the stalled-guard battery (stall detection, \
+           neutralization, mid-stall domain kills) for the time budget \
            instead of running long-lived workers.")
 
 let kv_arg =

@@ -109,8 +109,9 @@ let () =
   Printf.printf "  %-10s %7d ops, %d directory doublings -> %d buckets\n"
     "split-orc" total (Smap.grows sm) (Smap.buckets sm);
   (* the gauges the map registered at create, as any scraper sees them;
-     probes only land in the exported series at a sampler pass, so take
-     one by hand — a live deployment's Obs.Sampler does this on a timer *)
+     probes only land in the exported series at a sampling pass, so take
+     one by hand — a live deployment's background domain
+     (Reclaim.Reclaimer) does this on a timer *)
   Obs.Metrics.sample Obs.Metrics.default ~tick:1;
   print_endline "  live orcgc_map_* gauges (prometheus exposition):";
   String.split_on_char '\n' (Obs.Metrics.to_prometheus Obs.Metrics.default)

@@ -48,6 +48,13 @@ let ok r =
   && r.orphaned_after = 0
   && r.force_released = r.abandoned
 
+let pp_errors fmt = function
+  | [] -> ()
+  | es ->
+      Format.fprintf fmt "@,errors:@,%a"
+        (Format.pp_print_list Format.pp_print_string)
+        es
+
 let pp_report fmt r =
   Format.fprintf fmt
     "@[<v 2>%s: %d domains, %d killed (%d abandoned, %d force-released)@,\
@@ -59,12 +66,7 @@ let pp_report fmt r =
       if r.pool_hits + r.pool_misses > 0 then
         Format.fprintf fmt "@,pool: hits %d, misses %d, remote frees %d"
           r.pool_hits r.pool_misses r.remote_frees)
-    (fun fmt -> function
-      | [] -> ()
-      | es ->
-          Format.fprintf fmt "@,errors:@,%a"
-            (Format.pp_print_list Format.pp_print_string)
-            es)
+    pp_errors
     r.errors
 
 (* Deaths are modelled as this exception escaping the worker; the spawn
@@ -357,247 +359,80 @@ let batteries =
 let run name cfg = (List.assoc name batteries) cfg
 
 (* ------------------------------------------------------------------ *)
-(* Stall injection (watchdog battery)                                  *)
+(* Stalled guard: detection and neutralization                         *)
 (* ------------------------------------------------------------------ *)
 
 type stall_report = {
-  st_name : string;
-  st_victim : int;  (* the parked domain's registry slot *)
-  st_ticks : int;  (* sampler passes completed *)
-  st_stalls : int;  (* validated stall reports emitted *)
-  st_age_max : int;  (* oldest age (ticks) the victim was flagged at *)
+  st_victim : int;
+  st_ticks : int;
+  st_stalls : int;
+  st_age_max : int;
   st_detected : bool;
+  st_neutralized : bool;
   st_cleared : bool;
+  st_pinned_freed : bool;
+  st_victim_raised : bool;
+  st_kills : int;
+  st_forced : int;
+  st_unreclaimed_after : int;
   st_leaked : int;
   st_errors : string list;
 }
 
 let stall_ok r =
-  r.st_errors = [] && r.st_detected && r.st_cleared && r.st_leaked = 0
+  r.st_errors = [] && r.st_detected && r.st_neutralized && r.st_cleared
+  && r.st_pinned_freed && r.st_victim_raised
+  && r.st_forced = r.st_kills
+  && r.st_unreclaimed_after = 0
+  && r.st_leaked = 0
 
 let pp_stall_report fmt r =
   Format.fprintf fmt
-    "@[<v 2>%s: victim tid %d, %d ticks, %d stall reports (age max %d)@,\
-     detected %b, cleared after release %b, leaked %d%a@]"
-    r.st_name r.st_victim r.st_ticks r.st_stalls r.st_age_max r.st_detected
-    r.st_cleared r.st_leaked
-    (fun fmt -> function
-      | [] -> ()
-      | es ->
-          Format.fprintf fmt "@,errors:@,%a"
-            (Format.pp_print_list Format.pp_print_string)
-            es)
+    "@[<v 2>stall-hp: victim tid %d, %d ticks, %d stall reports (age max \
+     %d)@,\
+     detected %b, neutralized %b, cleared while parked %b, pinned freed \
+     %b, victim raised %b@,\
+     %d mid-stall kills (%d force-released)@,\
+     after quiesce: leaked %d, unreclaimed %d%a@]"
+    r.st_victim r.st_ticks r.st_stalls r.st_age_max r.st_detected
+    r.st_neutralized r.st_cleared r.st_pinned_freed r.st_victim_raised
+    r.st_kills r.st_forced r.st_leaked r.st_unreclaimed_after pp_errors
     r.st_errors
 
 module Stall_hp = Reclaim.Hp.Make (CN)
 
-(* Park one domain inside a guard with a protection published on the
-   hot slot while churners keep evicting and retiring — the stalled
-   guard pins real memory, exactly the failure the watchdog exists to
-   surface — then assert the sampler flags the victim's slot and stops
-   flagging it once the guard is released and the slot quarantined. *)
-let run_stall ?(interval = 0.002) ?(stall_age = 3) ?(churners = 2)
-    ?(ops = 400) () =
-  let errors_lock = Mutex.create () in
-  let errors = ref [] in
-  let err e =
-    Mutex.lock errors_lock;
-    errors := Printexc.to_string e :: !errors;
-    Mutex.unlock errors_lock
+let stall_age = 3
+
+(* Poll [pred] every millisecond until it holds or [deadline] seconds
+   pass; a timeout is reported to [fail], never a hang. *)
+let await ~fail ~deadline what pred =
+  let until = Unix.gettimeofday () +. deadline in
+  let rec go () =
+    pred () || (Unix.gettimeofday () < until && (Unix.sleepf 0.001; go ()))
   in
+  go () || (fail (Printf.sprintf "%s: not within %gs" what deadline); false)
+
+(* Park one domain inside a guard with a protection pinning a table
+   node while churners evict, retire and scan inline around it.  The
+   background domain, started neutralizing, must report the stall
+   (a [Stall] event naming the victim at [stall_age] ticks or more)
+   and expire the guard in the same pass (a [Neutralize] event after
+   it); the watchdog must then stop flagging the victim and a
+   churner's scan must free the pinned node, both with the victim
+   still parked.  While the stall ages, two more domains die abruptly
+   inside a guard (slots Active, hazards up) and are force-released.
+   The waking victim's next protection acquisition must raise
+   [Neutralized] instead of handing out a protection built on the
+   expired slots, and nothing may leak or stay unreclaimed. *)
+let run_stall () =
+  let errors = Atomic.make [] in
+  let rec fail msg =
+    let l = Atomic.get errors in
+    if not (Atomic.compare_and_set errors l (msg :: l)) then fail msg
+  in
+  let err e = fail (Printexc.to_string e) in
+  let await = await ~fail in
   let alloc = Memdom.Alloc.create "stall-chaos" in
-  let s = Stall_hp.create ~max_hps:4 alloc in
-  let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
-  let arena = cnode_arena () in
-  let table = Array.init 4 (fun i -> Link.make_in arena (Link.Ptr (mk i))) in
-  let sink = Obs.Sink.make () in
-  (* fresh registry: this battery's series never mix with the ambient
-     default; the watchdog itself is process-global, which is the point
-     — detection needs no per-battery wiring *)
-  let registry = Obs.Metrics.create () in
-  let sampler = Obs.Sampler.start ~interval ~registry ~sink ~stall_age () in
-  (* the watchdog only stamps once the tick is live; make sure at least
-     one sampler pass ran before the victim enters its guard *)
-  let t0 = Obs.Watchdog.tick () in
-  while Obs.Watchdog.tick () <= t0 do
-    Unix.sleepf (interval /. 2.)
-  done;
-  let victim_tid = Atomic.make (-1) in
-  let release = Atomic.make false in
-  let victim =
-    Domain.spawn (fun () ->
-        try
-          Registry.with_tid (fun tid ->
-              (* entering the park can itself be neutralized: on a
-                 loaded box the domain may be descheduled past
-                 [neutralize_age] ticks right after [begin_op], and the
-                 first protected read raises.  That is the handshake
-                 working, not the scenario under test — retry from the
-                 top under fresh state until the park settles *)
-              let rec park () =
-                try
-                  Stall_hp.begin_op s ~tid;
-                  ignore (Stall_hp.get_protected_v s ~tid ~idx:0 table.(0));
-                  Atomic.set victim_tid tid;
-                  while not (Atomic.get release) do
-                    Unix.sleepf (interval /. 2.)
-                  done
-                with Reclaim.Neutralize.Neutralized _ -> park ()
-              in
-              park ();
-              Stall_hp.end_op s ~tid)
-        with e -> err e)
-  in
-  while Atomic.get victim_tid < 0 do
-    Domain.cpu_relax ()
-  done;
-  let vtid = Atomic.get victim_tid in
-  let churn =
-    List.init churners (fun ci ->
-        Domain.spawn (fun () ->
-            try
-              Registry.with_tid (fun tid ->
-                  let rng = Rng.create (0xBEEF + ci) in
-                  for k = 1 to ops do
-                    Stall_hp.begin_op s ~tid;
-                    let n = mk k in
-                    Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
-                    let old =
-                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
-                    in
-                    Stall_hp.end_op s ~tid;
-                    match old with
-                    | Some o -> Stall_hp.retire s ~tid o
-                    | None -> ()
-                  done)
-            with e -> err e))
-  in
-  (* wait (bounded) for the sampler to flag the victim *)
-  let victim_stalls () =
-    List.concat_map Array.to_list (Obs.Sink.events sink)
-    |> List.filter (fun (e : Obs.Event.t) ->
-           e.kind = Obs.Event.Stall && e.uid = vtid)
-  in
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec await_detect () =
-    if victim_stalls () <> [] then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf interval;
-      await_detect ()
-    end
-  in
-  let detected = await_detect () in
-  List.iter Domain.join churn;
-  Atomic.set release true;
-  Domain.join victim;
-  (* the victim's with_tid release quarantined its slot, which clears
-     the stamp row and bumps the generation: the watchdog must stop
-     reporting it within a couple of ticks *)
-  let clear_deadline = Unix.gettimeofday () +. 5. in
-  let rec await_clear () =
-    let still =
-      List.exists (fun (tid, _) -> tid = vtid) (Obs.Watchdog.check ~max_age:stall_age ())
-    in
-    if not still then true
-    else if Unix.gettimeofday () > clear_deadline then false
-    else begin
-      Unix.sleepf interval;
-      await_clear ()
-    end
-  in
-  let cleared = await_clear () in
-  let ticks = Obs.Sampler.ticks sampler in
-  let stalls = Obs.Sampler.stalls sampler in
-  Obs.Sampler.stop sampler;
-  (* quiesce and check the pinned memory was all recovered *)
-  let tid = Registry.tid () in
-  Array.iter
-    (fun slot ->
-      match evict arena slot Link.v_null with
-      | Some n -> Stall_hp.retire s ~tid n
-      | None -> ())
-    table;
-  Stall_hp.flush s;
-  let age_max =
-    List.fold_left
-      (fun acc (e : Obs.Event.t) -> max acc e.arg)
-      0 (victim_stalls ())
-  in
-  {
-    st_name = "stall-hp";
-    st_victim = vtid;
-    st_ticks = ticks;
-    st_stalls = stalls;
-    st_age_max = age_max;
-    st_detected = detected;
-    st_cleared = cleared;
-    st_leaked = Memdom.Alloc.live alloc;
-    st_errors = List.rev !errors;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Stalled-guard neutralization                                        *)
-(* ------------------------------------------------------------------ *)
-
-type bg_report = {
-  bg_name : string;
-  bg_victim : int; (* the parked domain's slot *)
-  bg_neutralized : bool;
-  bg_victim_raised : bool;
-  bg_pinned_freed : bool;
-  bg_kills : int; (* domains killed abruptly mid-stall *)
-  bg_forced : int; (* of those, slots reclaimed by force_release *)
-  bg_unreclaimed_after : int;
-  bg_leaked : int;
-  bg_errors : string list;
-}
-
-let bg_ok r =
-  r.bg_errors = [] && r.bg_neutralized && r.bg_victim_raised
-  && r.bg_pinned_freed
-  && r.bg_forced = r.bg_kills
-  && r.bg_unreclaimed_after = 0
-  && r.bg_leaked = 0
-
-let pp_bg_report fmt r =
-  Format.fprintf fmt
-    "@[<v 2>%s: victim tid %d, neutralized %b, victim raised %b, pinned \
-     freed %b@,\
-     %d mid-stall kills (%d force-released)@,\
-     after quiesce: leaked %d, unreclaimed %d%a@]"
-    r.bg_name r.bg_victim r.bg_neutralized r.bg_victim_raised r.bg_pinned_freed
-    r.bg_kills r.bg_forced r.bg_leaked
-    r.bg_unreclaimed_after
-    (fun fmt -> function
-      | [] -> ()
-      | es ->
-          Format.fprintf fmt "@,errors:@,%a"
-            (Format.pp_print_list Format.pp_print_string)
-            es)
-    r.bg_errors
-
-(* Park one domain inside a guard with a protection pinning a retired
-   node while churners retire and scan inline.  The reclaimer (armed
-   with [neutralize_age]) must validate the stall, expire the guard,
-   and thereby let a churner's later scan free the pinned node
-   — returning the unreclaimed population to the running bound with
-   the victim still asleep.  While the stall ages, two more domains
-   die abruptly inside a guard (slots Active, hazards up) and are
-   force-released: the orphan machinery must absorb deaths while a
-   stalled guard is being neutralized.  When the victim wakes, its very
-   next protection acquisition must raise [Neutralized] instead of
-   handing out a validated protection built on the expired slots. *)
-let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
-    () =
-  let errors_lock = Mutex.create () in
-  let errors = ref [] in
-  let err e =
-    Mutex.lock errors_lock;
-    errors := Printexc.to_string e :: !errors;
-    Mutex.unlock errors_lock
-  in
-  let alloc = Memdom.Alloc.create "neutralize-chaos" in
   let s = Stall_hp.create ~max_hps:4 alloc in
   let mk v = { hdr = Memdom.Alloc.hdr alloc (); payload = v } in
   let pinned = mk 0 in
@@ -607,20 +442,17 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
         Link.make_in arena (Link.Ptr (if i = 0 then pinned else mk i)))
   in
   let sink = Obs.Sink.make () in
-  let registry = Obs.Metrics.create () in
-  let reclaimer =
-    Reclaim.Reclaimer.start ~interval ~sink ~registry ~neutralize_age ()
+  (* a fresh registry keeps this battery's series out of the default
+     one; the watchdog is process-global, so detection needs no
+     per-battery wiring *)
+  let domain =
+    Reclaim.Reclaimer.start ~registry:(Obs.Metrics.create ()) ~sink
+      ~stall_age ~neutralize:true ()
   in
-  (* the watchdog only stamps once the tick is live; the reclaimer
-     self-clocks it, so wait for its first advance before the victim
-     enters the guard *)
+  (* the watchdog only stamps once the tick is live *)
   let t0 = Obs.Watchdog.tick () in
-  let clock_deadline = Unix.gettimeofday () +. 5. in
-  while
-    Obs.Watchdog.tick () <= t0 && Unix.gettimeofday () < clock_deadline
-  do
-    Unix.sleepf (interval /. 2.)
-  done;
+  ignore
+    (await ~deadline:5. "first tick" (fun () -> Obs.Watchdog.tick () > t0));
   let victim_tid = Atomic.make (-1) in
   let release = Atomic.make false in
   let victim_raised = Atomic.make false in
@@ -630,7 +462,7 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
           Registry.with_tid (fun tid ->
               (* entering the park can itself be neutralized: on a
                  loaded box the domain may be descheduled past
-                 [neutralize_age] ticks right after [begin_op], and the
+                 [stall_age] ticks right after [begin_op], and the
                  first protected read raises.  That is the handshake
                  working, not the scenario under test — retry from the
                  top under fresh state until the park settles *)
@@ -640,15 +472,15 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
                   ignore (Stall_hp.get_protected_v s ~tid ~idx:0 table.(0));
                   Atomic.set victim_tid tid;
                   while not (Atomic.get release) do
-                    Unix.sleepf (interval /. 2.)
+                    Unix.sleepf 0.001
                   done
                 with Reclaim.Neutralize.Neutralized _ -> park ()
               in
               park ();
-              (* wake-after-neutralize handshake: the guard was expired
-                 while we slept, so the wake-up protection acquisition
-                 must refuse — handing out a validated protection here
-                 would be a use-after-free in waiting *)
+              (* the guard was expired while we slept, so the wake-up
+                 protection acquisition must refuse — handing out a
+                 validated protection here would be a use-after-free
+                 in waiting *)
               (match Stall_hp.get_protected_v s ~tid ~idx:1 table.(1) with
               | _ -> ()
               | exception Reclaim.Neutralize.Neutralized _ ->
@@ -656,132 +488,151 @@ let run_neutralize ?(interval = 0.002) ?(neutralize_age = 3) ?(churners = 2)
               Stall_hp.end_op s ~tid)
         with e -> err e)
   in
-  while Atomic.get victim_tid < 0 do
-    Domain.cpu_relax ()
-  done;
+  (* a victim that raises before it parks ends the wait at once *)
+  ignore
+    (await ~deadline:5. "victim parked" (fun () ->
+         Atomic.get victim_tid >= 0 || Atomic.get errors <> []));
   let vtid = Atomic.get victim_tid in
-  (* churners run until told to stop: their scans need fresh retirees
-     crossing the threshold, and the bound claim is about steady state *)
-  let stop_churn = Atomic.make false in
-  let churn =
-    List.init churners (fun ci ->
-        Domain.spawn (fun () ->
-            try
-              Registry.with_tid (fun tid ->
-                  let rng = Rng.create (0xFACE + ci) in
-                  let k = ref 0 in
-                  (* a churner descheduled past [neutralize_age] ticks
-                     mid-guard gets neutralized too; [retire] is the
-                     raise point on this loop, and abandoning the
-                     unlinked node there would read as a leak at
-                     quiesce.  The raise consumed the pending flag, so
-                     the immediate retry runs under fresh state *)
-                  let rec retire_out o =
-                    try Stall_hp.retire s ~tid o
-                    with Reclaim.Neutralize.Neutralized _ -> retire_out o
-                  in
-                  while not (Atomic.get stop_churn) do
-                    incr k;
-                    Stall_hp.begin_op s ~tid;
-                    let n = mk !k in
-                    Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
-                    let old =
-                      evict arena table.(Rng.int rng 4) (Link.v_ptr_in arena n)
-                    in
-                    Stall_hp.end_op s ~tid;
-                    (match old with
-                    | Some o -> retire_out o
-                    | None -> ());
-                    if !k land 0x3F = 0 then Domain.cpu_relax ()
-                  done)
-            with e -> err e))
-  in
-  (* with the stall ageing, domains die abruptly inside a guard and are
-     force-released; a doomed domain neutralized before it settles
-     re-enters, like the victim's park *)
-  let doomed =
-    List.init 2 (fun ki ->
-        Domain.spawn (fun () ->
-            try
-              let rng = Rng.create (0xDEAD + ki) in
-              let tid = Registry.tid () in
-              let rec enter () =
-                try
-                  Stall_hp.begin_op s ~tid;
-                  ignore
-                    (Stall_hp.get_protected_v s ~tid ~idx:0
-                       table.(Rng.int rng 4))
-                with Reclaim.Neutralize.Neutralized _ -> enter ()
-              in
-              enter ();
-              Registry.abandon ()
-            with e ->
-              err e;
-              -1))
-  in
-  let killed = ref 0 and forced = ref 0 in
-  List.iter
-    (fun d ->
-      match Domain.join d with
-      | -1 -> ()
-      | tid ->
-          incr killed;
-          if Registry.force_release tid then incr forced)
-    doomed;
-  (* await the neutralization event naming the victim *)
-  let victim_neutralized () =
+  let victim_events kind =
     List.concat_map Array.to_list (Obs.Sink.events sink)
-    |> List.exists (fun (e : Obs.Event.t) ->
-           e.kind = Obs.Event.Neutralize && e.uid = vtid)
+    |> List.filter (fun (e : Obs.Event.t) -> e.kind = kind && e.uid = vtid)
   in
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec await_neutralize () =
-    if victim_neutralized () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf interval;
-      await_neutralize ()
-    end
+  (* the stall itself, once the victim is parked *)
+  let observe () =
+    (* churners run until told to stop: their scans need fresh retirees
+       crossing the threshold *)
+    let stop_churn = Atomic.make false in
+    let churn =
+      List.init 2 (fun ci ->
+          Domain.spawn (fun () ->
+              try
+                Registry.with_tid (fun tid ->
+                    let rng = Rng.create (0xFACE + ci) in
+                    let k = ref 0 in
+                    (* a churner descheduled past [stall_age] ticks
+                       mid-guard gets neutralized too; [retire] is the
+                       raise point on this loop, and abandoning the
+                       unlinked node there would read as a leak at
+                       quiesce.  The raise consumed the pending flag,
+                       so the immediate retry runs under fresh state *)
+                    let rec retire_out o =
+                      try Stall_hp.retire s ~tid o
+                      with Reclaim.Neutralize.Neutralized _ -> retire_out o
+                    in
+                    while not (Atomic.get stop_churn) do
+                      incr k;
+                      Stall_hp.begin_op s ~tid;
+                      let n = mk !k in
+                      Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
+                      let old =
+                        evict arena table.(Rng.int rng 4)
+                          (Link.v_ptr_in arena n)
+                      in
+                      Stall_hp.end_op s ~tid;
+                      Option.iter retire_out old;
+                      if !k land 0x3F = 0 then Domain.cpu_relax ()
+                    done)
+              with e -> err e))
+    in
+    (* with the stall ageing, domains die abruptly inside a guard and
+       are force-released; a doomed domain neutralized before it
+       settles re-enters, like the victim's park *)
+    let doomed =
+      List.init 2 (fun ki ->
+          Domain.spawn (fun () ->
+              try
+                let rng = Rng.create (0xDEAD + ki) in
+                let tid = Registry.tid () in
+                let rec enter () =
+                  try
+                    Stall_hp.begin_op s ~tid;
+                    ignore
+                      (Stall_hp.get_protected_v s ~tid ~idx:0
+                         table.(Rng.int rng 4))
+                  with Reclaim.Neutralize.Neutralized _ -> enter ()
+                in
+                enter ();
+                Registry.abandon ()
+              with e ->
+                err e;
+                -1))
+    in
+    let killed = List.filter (( <= ) 0) (List.map Domain.join doomed) in
+    let forced = List.filter Registry.force_release killed in
+    let stalled (e : Obs.Event.t) = e.arg >= stall_age in
+    let detected =
+      await ~deadline:10. "Stall event naming the victim" (fun () ->
+          List.exists stalled (victim_events Stall))
+    in
+    (* the same pass that reported the stall fires on it, so the
+       Neutralize event follows a Stall event in the domain's lane *)
+    let after_stall (n : Obs.Event.t) =
+      List.exists
+        (fun (e : Obs.Event.t) -> stalled e && e.tid = n.tid && e.seq < n.seq)
+        (victim_events Stall)
+    in
+    let neutralized =
+      detected
+      && await ~deadline:10. "Neutralize event after the victim's Stall"
+           (fun () -> List.exists after_stall (victim_events Neutralize))
+    in
+    (* with its generation bumped the parked victim's row no longer
+       validates, and its expired protections no longer pin the node:
+       churn frees it, restoring the running O(Ht) bound *)
+    let cleared =
+      neutralized
+      && await ~deadline:5. "watchdog stops flagging the parked victim"
+           (fun () ->
+             not
+               (List.mem_assoc vtid (Obs.Watchdog.check ~max_age:stall_age ())))
+    in
+    let pinned_freed =
+      neutralized
+      && await ~deadline:10. "pinned node freed while the victim parks"
+           (fun () -> Memdom.Hdr.is_freed pinned.hdr)
+    in
+    Atomic.set stop_churn true;
+    List.iter Domain.join churn;
+    ( List.length killed,
+      List.length forced,
+      detected,
+      neutralized,
+      cleared,
+      pinned_freed )
   in
-  let neutralized = await_neutralize () in
-  (* with the victim's protections expired — and the victim still
-     parked in its guard — churn must now be able to free the node the
-     stall pinned, restoring the running O(Ht) bound *)
-  let free_deadline = Unix.gettimeofday () +. 10. in
-  let rec await_freed () =
-    if Memdom.Hdr.is_freed pinned.hdr then true
-    else if Unix.gettimeofday () > free_deadline then false
-    else begin
-      Unix.sleepf interval;
-      await_freed ()
-    end
+  let kills, forced, detected, neutralized, cleared, pinned_freed =
+    if vtid < 0 then (0, 0, false, false, false, false) else observe ()
   in
-  let pinned_freed = neutralized && await_freed () in
-  Atomic.set stop_churn true;
-  List.iter Domain.join churn;
   Atomic.set release true;
   Domain.join victim;
-  Reclaim.Reclaimer.stop reclaimer;
+  let ticks = Reclaim.Reclaimer.ticks domain in
+  let stalls = Reclaim.Reclaimer.stalls domain in
+  (try Reclaim.Reclaimer.stop domain with e -> err e);
   (* quiesce and check every object was recovered *)
   let tid = Registry.tid () in
   Array.iter
     (fun slot ->
-      match evict arena slot Link.v_null with
-      | Some n -> Stall_hp.retire s ~tid n
-      | None -> ())
+      Option.iter (Stall_hp.retire s ~tid) (evict arena slot Link.v_null))
     table;
   Stall_hp.flush s;
   {
-    bg_name = "neutralize-hp";
-    bg_victim = vtid;
-    bg_neutralized = neutralized;
-    bg_victim_raised = Atomic.get victim_raised;
-    bg_pinned_freed = pinned_freed;
-    bg_kills = !killed;
-    bg_forced = !forced;
-    bg_unreclaimed_after = Stall_hp.unreclaimed s;
-    bg_leaked = Memdom.Alloc.live alloc;
-    bg_errors = List.rev !errors;
+    st_victim = vtid;
+    st_ticks = ticks;
+    st_stalls = stalls;
+    st_age_max =
+      List.fold_left
+        (fun acc (e : Obs.Event.t) -> max acc e.arg)
+        0 (victim_events Stall);
+    st_detected = detected;
+    st_neutralized = neutralized;
+    st_cleared = cleared;
+    st_pinned_freed = pinned_freed;
+    st_victim_raised = Atomic.get victim_raised;
+    st_kills = kills;
+    st_forced = forced;
+    st_unreclaimed_after = Stall_hp.unreclaimed s;
+    st_leaked = Memdom.Alloc.live alloc;
+    st_errors = List.rev (Atomic.get errors);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -820,12 +671,7 @@ let pp_split_report fmt r =
     r.sp_name r.sp_domains r.sp_killed r.sp_mid_grow r.sp_abandoned
     r.sp_force_released r.sp_grows r.sp_buckets r.sp_size r.sp_invariant
     r.sp_sorted r.sp_leaked r.sp_unreclaimed_after
-    (fun fmt -> function
-      | [] -> ()
-      | es ->
-          Format.fprintf fmt "@,errors:@,%a"
-            (Format.pp_print_list Format.pp_print_string)
-            es)
+    pp_errors
     r.sp_errors
 
 module Split_orc = Ds.Orc_split_map.Make ()
@@ -892,12 +738,18 @@ let split_battery (type t)
     sp_errors = errors;
   }
 
-let run_split_grow ?(waves = 6) ?(domains_per_wave = 6) ?(ops = 1_500)
-    ?(kill_every = 400) ?(span = 2_000) ?(seed = 0x5011D) () =
+let run_split_grow () =
   let cfg =
-    { default with waves; domains_per_wave; ops; kill_every; seed }
+    {
+      default with
+      waves = 6;
+      domains_per_wave = 6;
+      ops = 1_500;
+      kill_every = 400;
+      seed = 0x5011D;
+    }
   in
   [
-    split_battery (module Split_orc) "split-orc" cfg ~span;
-    split_battery (module Split_hp) "split-hp" cfg ~span;
+    split_battery (module Split_orc) "split-orc" cfg ~span:2_000;
+    split_battery (module Split_hp) "split-hp" cfg ~span:2_000;
   ]

@@ -71,84 +71,55 @@ val batteries : (string * (cfg -> report)) list
 val run : string -> cfg -> report
 (** Run the named battery.  Raises [Not_found] on an unknown name. *)
 
-(** {2 Stall injection}
+(** {2 Stalled guard}
 
-    The watchdog battery: park a domain inside a guard with a live
-    protection while churners evict and retire around it, and assert
-    the metrics plane ({!Obs.Sampler} + {!Obs.Watchdog}) flags the
-    parked slot — and stops flagging it once the guard is released and
-    the slot quarantined. *)
+    The stall battery parks a domain inside a guard pinning a table
+    node while churners retire and scan inline, beside a neutralizing
+    {!Reclaim.Reclaimer}.  It asserts that the domain reports the stall
+    and expires the guard in the same pass, that the watchdog stops
+    flagging the victim and the pinned node frees while the victim is
+    still parked, that two domains killed abruptly inside a guard while
+    the stall ages are force-released, and that the waking victim's
+    next protection acquisition raises [Neutralized].  Every wait has a
+    deadline: a timeout is a failed field and an error, never a hang. *)
 
 type stall_report = {
-  st_name : string;
-  st_victim : int;  (** the parked domain's registry slot *)
-  st_ticks : int;  (** sampler passes completed *)
+  st_victim : int;  (** the parked domain's slot; -1 if it never parked *)
+  st_ticks : int;  (** background passes completed *)
   st_stalls : int;  (** validated stall reports emitted *)
-  st_age_max : int;  (** oldest age (in ticks) the victim was flagged at *)
-  st_detected : bool;  (** a [Stall] event named the victim's slot *)
-  st_cleared : bool;  (** after release, the victim is no longer flagged *)
+  st_age_max : int;  (** oldest age (in ticks) the victim was reported at *)
+  st_detected : bool;
+      (** a [Stall] event named the victim at an age of at least the
+          stall age *)
+  st_neutralized : bool;
+      (** a [Neutralize] event named the victim after that [Stall]
+          event *)
+  st_cleared : bool;
+      (** the watchdog stopped flagging the neutralized victim while it
+          was still parked *)
+  st_pinned_freed : bool;
+      (** the node the stalled guard pinned was freed, victim still
+          parked *)
+  st_victim_raised : bool;
+      (** the waking victim's protection acquisition raised
+          [Neutralized] *)
+  st_kills : int;
+      (** domains killed abruptly inside a guard while the stall aged *)
+  st_forced : int;  (** of those, slots reclaimed by force-release *)
+  st_unreclaimed_after : int;  (** after quiesce — must be 0 *)
   st_leaked : int;  (** [Alloc.live] after quiesce — must be 0 *)
-  st_errors : string list;
+  st_errors : string list;  (** worker exceptions and timed-out waits *)
 }
 
 val stall_ok : stall_report -> bool
-(** No errors, detected, cleared, nothing leaked. *)
-
-val pp_stall_report : Format.formatter -> stall_report -> unit
-
-val run_stall :
-  ?interval:float ->
-  ?stall_age:int ->
-  ?churners:int ->
-  ?ops:int ->
-  unit ->
-  stall_report
-(** Run the battery.  [interval] is the sampler period (default 2 ms),
-    [stall_age] the watchdog threshold in ticks (default 3), [churners]
-    the number of evicting writer domains (default 2), [ops] their
-    operation count (default 400). *)
-
-(** {2 Stalled-guard neutralization}
-
-    The neutralization battery parks a domain inside a guard pinning a
-    retired node while churners retire and scan inline, and asserts
-    the armed {!Reclaim.Reclaimer} expires the guard (the pinned node
-    frees with the victim still asleep), that two domains killed
-    abruptly inside a guard while the stall ages are force-released
-    without a leak, and that the waking victim's next protection
-    acquisition raises [Neutralized]. *)
-
-type bg_report = {
-  bg_name : string;
-  bg_victim : int;  (** the parked domain's registry slot *)
-  bg_neutralized : bool;  (** a [Neutralize] event named the victim *)
-  bg_victim_raised : bool;
-      (** the waking victim's protection acquisition raised
-          [Neutralized] *)
-  bg_pinned_freed : bool;
-      (** the node the stalled guard pinned was freed after the
-          neutralization, victim still parked *)
-  bg_kills : int;
-      (** domains killed abruptly inside a guard while the victim's
-          stall aged *)
-  bg_forced : int;  (** of those, slots reclaimed by force-release *)
-  bg_unreclaimed_after : int;  (** after quiesce — must be 0 *)
-  bg_leaked : int;  (** [Alloc.live] after quiesce — must be 0 *)
-  bg_errors : string list;
-}
-
-val bg_ok : bg_report -> bool
 (** No errors, every asserted event observed, every killed slot
     force-released, nothing leaked or left unreclaimed. *)
 
-val pp_bg_report : Format.formatter -> bg_report -> unit
+val pp_stall_report : Format.formatter -> stall_report -> unit
 
-val run_neutralize :
-  ?interval:float -> ?neutralize_age:int -> ?churners:int -> unit -> bg_report
-(** Run the neutralization battery.  [interval] is the reclaimer pass
-    period (default 2 ms), [neutralize_age] the validated stall age in
-    watchdog ticks past which the guard is expired (default 3),
-    [churners] the number of evicting writer domains (default 2). *)
+val run_stall : unit -> stall_report
+(** Run the battery: a 2 ms background domain, a stall age of 3
+    ticks, two churners. *)
 
 (** {2 Split-ordered map growth}
 
@@ -185,15 +156,7 @@ val split_ok : split_report -> bool
 
 val pp_split_report : Format.formatter -> split_report -> unit
 
-val run_split_grow :
-  ?waves:int ->
-  ?domains_per_wave:int ->
-  ?ops:int ->
-  ?kill_every:int ->
-  ?span:int ->
-  ?seed:int ->
-  unit ->
-  split_report list
-(** Run the battery over the orc and hp split maps (defaults: 6 waves
-    x 6 domains x 1500 ops over a 2000-key span, background kill
-    roughly every 400 ops on top of the mid-grow deaths). *)
+val run_split_grow : unit -> split_report list
+(** Run the battery over the orc and hp split maps: 6 waves x 6
+    domains x 1500 ops over a 2000-key span, a background kill roughly
+    every 400 ops on top of the mid-grow deaths. *)

@@ -607,7 +607,8 @@ let alloc_list_run (module S : Ds.Intf.SET) ~mode ~ops =
   S.flush t;
   r
 
-let alloc_modes ?(ops = 200_000) (_ : params) =
+let alloc_modes () =
+  let ops = 200_000 in
   let workloads =
     [
       ("msq-ptp", fun ~mode -> alloc_queue_run (module Msq_ptp) ~mode ~ops);
@@ -646,7 +647,7 @@ type traced_run = { t_name : string; t_mops : float; t_sink : Obs.Sink.t }
 let traced_scheme_names =
   [ "ms-hp"; "ms-ptb"; "ms-ebr"; "ms-he"; "ms-ptp"; "ms-orc" ]
 
-let traced_queue_runs ?(capacity = 1 lsl 15) p =
+let traced_queue_runs p =
   let threads = List.fold_left max 1 p.threads in
   List.filter_map
     (fun mk ->
@@ -657,7 +658,7 @@ let traced_queue_runs ?(capacity = 1 lsl 15) p =
            allocator + scheme) is constructed: [run_queue_pairs] builds
            the structure inside, on this thread, so rebinding the
            default here is race-free. *)
-        let sink = Obs.Sink.make ~capacity () in
+        let sink = Obs.Sink.make ~capacity:(1 lsl 15) () in
         let mops =
           Obs.Sink.with_default sink (fun () ->
               run_queue_pairs mk ~threads ~duration:p.duration)

@@ -111,9 +111,9 @@ type alloc_row = {
   a_minor_collections : int;  (** minor GCs triggered in the window *)
 }
 
-val alloc_modes : ?ops:int -> params -> alloc_row list
+val alloc_modes : unit -> alloc_row list
 (** System vs type-stable Pool allocator on steady-state queue and list
-    workloads at equal op count ([ops] each, default 200k), single
+    workloads at equal op count (200k each), single
     domain so the [Gc.quick_stat] deltas are well-defined.  The window
     excludes construction and a warm-up, so the pool numbers price
     steady-state recycling; expected shape: pool hit rate ≥ 0.9 and
@@ -125,10 +125,10 @@ type traced_run = {
   t_sink : Obs.Sink.t;  (** holds the event rings and latency histograms *)
 }
 
-val traced_queue_runs : ?capacity:int -> params -> traced_run list
+val traced_queue_runs : params -> traced_run list
 (** Enqueue/dequeue pairs on the MS queue under each scheme with an
     active {!Obs.Sink} installed: the sink collects lifecycle events
-    (per-thread rings of [capacity] entries) and retire→free / guard /
+    (per-thread rings of 2{^15} entries) and retire→free / guard /
     scan latency histograms.  Feed the sinks to {!Obs.Trace.combined}
     for a Chrome-trace file and to [Obs.Sink.retire_free_hist] for the
     per-scheme latency quantiles in BENCH_orc.json. *)

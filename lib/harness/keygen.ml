@@ -29,7 +29,7 @@ let zeta n theta =
   done;
   !s
 
-let create ?(scramble = true) dist ~n ~seed =
+let create dist ~n ~seed =
   if n < 1 then invalid_arg "Keygen.create: n must be positive";
   let rng = Rng.create seed in
   match dist with
@@ -42,7 +42,7 @@ let create ?(scramble = true) dist ~n ~seed =
         (1. -. ((2. /. float_of_int n) ** (1. -. theta)))
         /. (1. -. (zeta 2 theta /. zetan))
       in
-      { rng; n; g = Z { theta; alpha = 1. /. (1. -. theta); zetan; eta }; scramble }
+      { rng; n; g = Z { theta; alpha = 1. /. (1. -. theta); zetan; eta }; scramble = true }
   | Hotspot { hot_set; hot_ops } ->
       if hot_set <= 0. || hot_set >= 1. || hot_ops <= 0. || hot_ops > 1. then
         invalid_arg "Keygen.create: hotspot fractions out of range";

@@ -24,12 +24,12 @@ type dist =
       (** [hot_set] fraction of the keyspace receives [hot_ops]
           fraction of the draws, uniform within each region. *)
 
-val create : ?scramble:bool -> dist -> n:int -> seed:int -> t
-(** Generator over the keyspace [0, n).  [scramble] (default [true],
-    zipfian only) relabels ranks through a stateless SplitMix64 mix so
-    the hot keys scatter across the keyspace instead of clustering at
-    0,1,2,... — YCSB's ScrambledZipfian.  Zeta normalization is
-    precomputed here: O(n) once, nothing per draw. *)
+val create : dist -> n:int -> seed:int -> t
+(** Generator over the keyspace [0, n).  A zipfian generator relabels
+    ranks through a stateless SplitMix64 mix so the hot keys scatter
+    across the keyspace instead of clustering at 0,1,2,... — YCSB's
+    ScrambledZipfian.  Zeta normalization is precomputed here: O(n)
+    once, nothing per draw. *)
 
 val next : t -> int
 (** Draw a key in [0, n). *)

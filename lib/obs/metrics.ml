@@ -21,7 +21,7 @@ type entry = {
   e_counter : bool;  (* exported TYPE: counter vs gauge *)
 }
 
-(* Aggregated series, written only by {!sample} (single sampler thread);
+(* Aggregated series, written only by {!sample} (the background domain);
    concurrent readers get a diagnostics-grade view. *)
 type serie = {
   s_name : string;

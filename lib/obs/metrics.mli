@@ -3,11 +3,11 @@
 
     A registry holds named {e sources} — sharded counters, set-style
     gauges and probe closures — each carrying Prometheus-style labels
-    (e.g. [("scheme", "orc")]).  The background {!Sampler} calls
-    {!sample} periodically; each pass reads every live source,
-    aggregates sources sharing a (name, labels) identity by summing
-    them, and appends the aggregate to a ring-buffered time series with
-    a monotone high-water mark.  {!to_prometheus} and {!to_json} expose
+    (e.g. [("scheme", "orc")]).  The background domain
+    ([Reclaim.Reclaimer]) calls {!sample} periodically; each pass reads
+    every live source, aggregates sources sharing a (name, labels)
+    identity by summing them, and appends the aggregate to a
+    ring-buffered time series with a monotone high-water mark.  {!to_prometheus} and {!to_json} expose
     the current series.
 
     {b Hot-path cost.}  Updating a handle never touches the registry:
@@ -66,9 +66,9 @@ val probe :
 (** {2 Sampling and exposition} *)
 
 val sample : t -> tick:int -> unit
-(** One sampler pass: drop collected probes, read every source, sum by
+(** One sampling pass: drop collected probes, read every source, sum by
     (name, labels), append [(tick, sum)] to each series ring and raise
-    its high-water mark.  Called by the {!Sampler} domain; safe from any
+    its high-water mark.  Called by the background domain; safe from any
     thread but intended to have a single caller. *)
 
 type series = {

@@ -97,14 +97,14 @@ val on_elide : t -> tid:int -> unit
 val on_stall : t -> tid:int -> stalled:int -> age:int -> unit
 (** Records the Stall event: the {!Watchdog} flagged registry slot
     [stalled] as holding a guard for [age] watchdog ticks without
-    progress.  [tid] is the watchdog/sampler thread doing the
-    flagging, not the stalled thread. *)
+    progress.  [tid] is the background domain doing the flagging, not
+    the stalled thread. *)
 
 val on_neutralize : t -> tid:int -> stalled:int -> age:int -> unit
 (** Records the Neutralize event: registry slot [stalled], validated as
     stalled for [age] watchdog ticks, had its generation bumped so its
     published protections no longer pin memory.  [tid] is the
-    neutralizing (reclaimer or sampler) thread. *)
+    neutralizing background domain. *)
 
 val scan_begin : t -> int
 (** Timestamp token to pass to {!scan_end} (0 under {!null}). *)

@@ -1,6 +1,6 @@
 open Atomicx
 
-(* Global logical clock, advanced by the sampler domain.  Zero means the
+(* Global logical clock, advanced by the background domain.  Zero means the
    metrics plane never started: guard hot paths bail after one shared
    atomic read, so the watchdog is compiled-in but free when unused
    (same shape as the null {!Sink}). *)
@@ -25,8 +25,8 @@ let rec advance () =
    Racy cross-domain reads are fine for a watchdog: a genuinely stalled
    guard keeps its stamp in place for many ticks, and {!check} only
    flags rows older than [max_age] ticks, so diagnostic-grade eventual
-   visibility (helped along by the sampler's own atomic clock bump each
-   pass) is all the detection needs. *)
+   visibility (helped along by the background domain's atomic clock bump
+   each pass) is all the detection needs. *)
 let stride = 8
 
 type t = {

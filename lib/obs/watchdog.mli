@@ -6,18 +6,19 @@
     failure mode the paper's Table-1 bounds assume away.  The watchdog
     makes it observable: each scheme owns a table of per-tid stamp rows;
     {!enter}/{!leave} bracket the scheme's guard hot path and stamp the
-    current {e logical tick} (advanced by the {!Sampler}, never a clock
-    syscall) on the outermost entry.  {!check} walks every live table
-    and reports rows whose stamp has aged past a threshold.
+    current {e logical tick} (advanced by the background domain,
+    [Reclaim.Reclaimer], never a clock syscall) on the outermost entry.
+    {!check} walks every live table and reports rows whose stamp has
+    aged past a threshold.
 
     {b Cost when idle.}  The global tick starts at 0 and only the
-    sampler advances it, so until a metrics plane starts, {!enter} and
+    background domain advances it, so until a metrics plane starts, {!enter} and
     {!leave} are one shared atomic read and a branch — no stores, no
     allocation.
 
     {b False positives.}  The watchdog cannot distinguish "parked
     mid-guard" from "legitimately slow": a guard spanning [max_age]
-    sampler intervals is flagged even if healthy.  Validation rules out
+    background passes is flagged even if healthy.  Validation rules out
     the structural liars: a row counts only while its slot is still
     {!Atomicx.Registry.in_use} with the {e same generation} as when it
     stamped, and the quarantine pass clears rows, so recycled slots and
@@ -34,18 +35,18 @@ val create : unit -> t
     contract as [Registry.on_quarantine]). *)
 
 val tick : unit -> int
-(** The global logical tick; 0 until a sampler first {!advance}s. *)
+(** The global logical tick; 0 until the background domain first {!advance}s. *)
 
 val advance : unit -> int
 (** Bump the global tick (resuming after a {!pause}) and return its new
-    value.  Called once per
-    sampler interval; tests may drive it manually. *)
+    value.  Called once per background pass; tests may drive it
+    manually. *)
 
 val pause : unit -> unit
 (** Return the tick to 0 and clear every row: guard paths go back to
-    their idle one-read mode, as before any sampler started.  The next
+    their idle one-read mode, as before any background domain started.  The next
     {!advance} resumes after the last tick, so sampled series stay
-    increasing.  Call only with no sampler running and no guard open
+    increasing.  Call only with no background domain running and no guard open
     (a bench alternating plane-off and plane-on rounds in one
     process). *)
 

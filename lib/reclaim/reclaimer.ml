@@ -1,55 +1,81 @@
-(* The neutralizing reclaimer domain.
-
-   Each pass runs a watchdog check and fires on every validated stall
-   other than its own tid.  Clocking is amortized onto whoever is
-   already ticking: if an [Obs.Sampler] is advancing the watchdog
-   clock, the reclaimer rides its ticks; if the tick did not move since
-   the last pass (no sampler), the reclaimer advances it itself.
-   Neutralization therefore works standalone, and never double-clocks
-   next to a live metrics plane. *)
+(* The process's one background domain.  A neutralizing pass fires on
+   the stalls it has just reported, so each neutralization lines up
+   with the [Stall] event that caused it.  It lives here rather than in
+   [Obs] because [Obs] cannot call [Neutralize]. *)
 
 open Atomicx
 
 type t = {
   stop_flag : bool Atomic.t;
   dead : bool Atomic.t;
+  neutralize : bool;
+  ticks_done : int Atomic.t;
+  stalls_seen : int Atomic.t;
   domain : unit Domain.t;
   keep : (string * (unit -> int)) list;
 }
 
-let run ~interval ~neutralize_age ~sink ~stop_flag =
-  Registry.with_tid @@ fun tid ->
-  let last_tick = ref (Obs.Watchdog.tick ()) in
-  while not (Atomic.get stop_flag) do
-    Unix.sleepf interval;
-    let now = Obs.Watchdog.tick () in
-    if now = !last_tick then last_tick := Obs.Watchdog.advance ()
-    else last_tick := now;
-    List.iter
-      (fun (stalled, stall_age) ->
-        if stalled <> tid then
-          ignore
-            (Neutralize.fire ~sink ~by:tid ~tid:stalled ~age:stall_age ()))
-      (Obs.Watchdog.check ~max_age:neutralize_age ())
-  done
+(* Built-in probes over the thread registry, registered weakly; the
+   handle keeps the closures alive. *)
+let registry_probes registry =
+  let quarantined () =
+    let n = ref 0 in
+    for tid = 0 to Registry.high_water () - 1 do
+      if Registry.slot_state tid = `Quarantined then incr n
+    done;
+    !n
+  in
+  let probes =
+    [
+      ("orcgc_registry_active", Registry.active);
+      ("orcgc_registry_high_water", Registry.high_water);
+      ("orcgc_registry_quarantined", quarantined);
+    ]
+  in
+  List.iter (fun (name, f) -> Obs.Metrics.probe registry name f) probes;
+  probes
 
-let start ?(interval = 0.002) ?(sink = Obs.Sink.null)
-    ?(registry = Obs.Metrics.default) ~neutralize_age () =
-  let stop_flag = Atomic.make false in
-  let dead = Atomic.make false in
-  Neutralize.arm ();
-  let keep = Neutralize.register_metrics ~registry () in
+let start ?(interval = 0.002) ?(registry = Obs.Metrics.default)
+    ?(sink = Obs.Sink.null) ?(stall_age = 3) ~neutralize () =
+  let stop_flag = Atomic.make false and dead = Atomic.make false in
+  let ticks_done = Atomic.make 0 and stalls_seen = Atomic.make 0 in
+  let counter = Obs.Metrics.counter registry "orcgc_stalls_total" in
+  let pass tid =
+    Obs.Metrics.sample registry ~tick:(Obs.Watchdog.advance ());
+    List.iter
+      (fun (stalled, age) ->
+        Shard.incr counter ~tid;
+        Atomic.incr stalls_seen;
+        Obs.Sink.on_stall sink ~tid ~stalled ~age;
+        if neutralize && stalled <> tid then
+          ignore (Neutralize.fire ~sink ~by:tid ~tid:stalled ~age ()))
+      (Obs.Watchdog.check ~max_age:stall_age ());
+    Atomic.incr ticks_done
+  in
+  if neutralize then Neutralize.arm ();
+  let keep =
+    registry_probes registry
+    @ if neutralize then Neutralize.register_metrics ~registry () else []
+  in
   let domain =
     Domain.spawn (fun () ->
         Fun.protect
           ~finally:(fun () -> Atomic.set dead true)
-          (fun () -> run ~interval ~neutralize_age ~sink ~stop_flag))
+          (fun () ->
+            Registry.with_tid @@ fun tid ->
+            while not (Atomic.get stop_flag) do
+              Unix.sleepf interval;
+              pass tid
+            done))
   in
-  { stop_flag; dead; domain; keep }
+  { stop_flag; dead; neutralize; ticks_done; stalls_seen; domain; keep }
 
 let stop t =
-  if not (Atomic.exchange t.stop_flag true) then Neutralize.disarm ();
+  if (not (Atomic.exchange t.stop_flag true)) && t.neutralize then
+    Neutralize.disarm ();
   Domain.join t.domain;
   ignore (Sys.opaque_identity t.keep)
 
 let alive t = not (Atomic.get t.dead)
+let ticks t = Atomic.get t.ticks_done
+let stalls t = Atomic.get t.stalls_seen

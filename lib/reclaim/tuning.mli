@@ -1,8 +1,8 @@
 (** The reclamation constants every scheme derives its thresholds
     from: the hp/ptb/he/ibr/ebr retire-batch threshold R and the
     split maps' load factor.  They are constants: a stalled reader is
-    handled by neutralization ({!Reclaimer.start}'s [neutralize_age]), not by
-    retuning these per deployment. *)
+    handled by neutralization ({!Reclaimer.start}'s [neutralize]), not
+    by retuning these per deployment. *)
 
 val load_factor : int
 (** 4 — target keys-per-bucket before a resizable map doubles its

@@ -1,7 +1,9 @@
-(* Stalled-guard neutralization: the primitive (generation bump +
-   pending-flag handshake, wake-up raising, quarantine interplay), the
-   neutralizing reclaimer's arm/disarm lifecycle, and the chaos
-   battery that parks a victim beside inline-retiring churners. *)
+(* The background domain and stalled-guard neutralization: the
+   primitive (generation bump + pending-flag handshake, wake-up
+   raising, quarantine interplay), the domain's arm/disarm lifecycle
+   and its two modes (report only, report and neutralize), and the
+   chaos stall battery that parks a victim beside inline-retiring
+   churners. *)
 
 open Util
 open Atomicx
@@ -101,11 +103,13 @@ let test_disarmed_is_inert () =
   Reclaim.Neutralize.ack ~tid
 
 (* Neutralization is refcounted: it stays armed while either of two
-   reclaimers runs, and each [stop] disarms once and joins its
-   domain. *)
+   neutralizing domains runs, and each [stop] disarms once and joins
+   its domain. *)
 let test_reclaimer_arms_and_disarms () =
   check_bool "disarmed before" false (Reclaim.Neutralize.enabled ());
-  let start () = Reclaim.Reclaimer.start ~interval:0.001 ~neutralize_age:6 () in
+  let start () =
+    Reclaim.Reclaimer.start ~interval:0.001 ~stall_age:6 ~neutralize:true ()
+  in
   let a = start () in
   let b = start () in
   check_bool "armed while both run" true (Reclaim.Neutralize.enabled ());
@@ -256,20 +260,167 @@ let test_ebr_neutralized_reader () =
       check_int "no leak" 0 (Memdom.Alloc.live alloc))
 
 (* ------------------------------------------------------------------ *)
+(* The background domain's two modes *)
+
+type observed = {
+  gen_moved : bool;  (* the parked slot's generation changed *)
+  armed : bool;  (* [Neutralize.enabled ()] while the domain ran *)
+  ticks : int;  (* at stop *)
+  ticks_later : int;  (* 20 ms after stop *)
+  stalls : int;
+  events : Obs.Event.t list;  (* Stall and Neutralize naming the victim *)
+  series : string list;
+}
+
+(* Start a domain over a fresh registry, park an HP guard past its
+   stall age (3 ticks) and wait for the domain to report it — and,
+   when neutralizing, to expire it — then let a few more passes run,
+   release the guard and stop the domain. *)
+let observe_park ~neutralize =
+  let registry = Obs.Metrics.create () and sink = Obs.Sink.make () in
+  let s = Hp.create ~max_hps:4 (Memdom.Alloc.create "bg-domain") in
+  let d = Reclaim.Reclaimer.start ~registry ~sink ~neutralize () in
+  let await pred =
+    let deadline = Unix.gettimeofday () +. 5. in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  (* the watchdog only stamps once the tick is live *)
+  await (fun () -> Reclaim.Reclaimer.ticks d >= 1);
+  let victim_tid = Atomic.make (-1) and release = Atomic.make false in
+  let victim =
+    Domain.spawn (fun () ->
+        Registry.with_tid (fun tid ->
+            Hp.begin_op s ~tid;
+            Atomic.set victim_tid tid;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done;
+            Hp.end_op s ~tid))
+  in
+  await (fun () -> Atomic.get victim_tid >= 0);
+  let vtid = Atomic.get victim_tid in
+  let gen0 = Registry.generation vtid in
+  let naming kind =
+    List.concat_map Array.to_list (Obs.Sink.events sink)
+    |> List.filter (fun (e : Obs.Event.t) -> e.kind = kind && e.uid = vtid)
+  in
+  let last = if neutralize then Obs.Event.Neutralize else Obs.Event.Stall in
+  await (fun () -> naming last <> []);
+  let seen = Reclaim.Reclaimer.ticks d in
+  await (fun () -> Reclaim.Reclaimer.ticks d >= max 3 (seen + 5));
+  let gen_moved = Registry.generation vtid <> gen0 in
+  let armed = Reclaim.Neutralize.enabled () in
+  Atomic.set release true;
+  Domain.join victim;
+  Reclaim.Reclaimer.stop d;
+  let ticks = Reclaim.Reclaimer.ticks d in
+  Unix.sleepf 0.02;
+  {
+    gen_moved;
+    armed;
+    ticks;
+    ticks_later = Reclaim.Reclaimer.ticks d;
+    stalls = Reclaim.Reclaimer.stalls d;
+    events =
+      List.sort
+        (fun (a : Obs.Event.t) b -> compare a.seq b.seq)
+        (naming Obs.Event.Stall @ naming Obs.Event.Neutralize);
+    series =
+      List.map
+        (fun (x : Obs.Metrics.series) -> x.name)
+        (Obs.Metrics.series registry);
+  }
+
+let is kind (e : Obs.Event.t) = e.kind = kind
+
+let test_domain_reports () =
+  let o = observe_park ~neutralize:false in
+  check_bool "ticked at least 3 times" true (o.ticks >= 3);
+  check_bool "registry gauge sampled" true
+    (List.mem "orcgc_registry_active" o.series);
+  check_bool "stall counter sampled" true
+    (List.mem "orcgc_stalls_total" o.series);
+  check_int "no ticks after stop" o.ticks o.ticks_later;
+  check_bool "the parked guard was reported" true (o.stalls >= 1);
+  check_bool "a Stall event names the victim" true
+    (List.exists (is Obs.Event.Stall) o.events);
+  check_bool "never neutralized" false
+    (List.exists (is Obs.Event.Neutralize) o.events);
+  check_bool "neutralization stays disarmed" false o.armed;
+  check_bool "the slot's generation did not change" false o.gen_moved
+
+let test_domain_neutralizes () =
+  let o = observe_park ~neutralize:true in
+  check_bool "neutralization armed while running" true o.armed;
+  check_int "exactly one Neutralize event names the victim" 1
+    (List.length (List.filter (is Obs.Event.Neutralize) o.events));
+  (match List.find_opt (is Obs.Event.Neutralize) o.events with
+  | Some n ->
+      check_bool "a Stall event came before it" true
+        (List.exists
+           (fun (e : Obs.Event.t) ->
+             is Obs.Event.Stall e && e.tid = n.tid && e.seq < n.seq)
+           o.events)
+  | None -> ());
+  check_bool "the slot's generation was bumped" true o.gen_moved
+
+(* ------------------------------------------------------------------ *)
 (* Batteries *)
 
-let test_neutralize_battery () =
-  let r = Chaos.run_neutralize () in
-  if not (Chaos.bg_ok r) then
-    Alcotest.fail (Format.asprintf "%a" Chaos.pp_bg_report r);
-  check_bool "victim was neutralized" true r.Chaos.bg_neutralized;
-  check_bool "waking victim raised Neutralized" true r.Chaos.bg_victim_raised;
+let test_stall_battery () =
+  let r = Chaos.run_stall () in
+  if not (Chaos.stall_ok r) then
+    Alcotest.fail (Format.asprintf "%a" Chaos.pp_stall_report r);
+  check_bool "the stall was reported" true r.Chaos.st_detected;
+  check_bool "at least one validated stall report" true (r.Chaos.st_stalls >= 1);
+  check_bool "age reached the threshold" true (r.Chaos.st_age_max >= 3);
+  check_bool "neutralized after its Stall event" true r.Chaos.st_neutralized;
+  check_bool "no longer flagged while parked" true r.Chaos.st_cleared;
   check_bool "pinned node freed with victim still parked" true
-    r.Chaos.bg_pinned_freed;
-  check_int "two domains killed mid-stall" 2 r.Chaos.bg_kills;
-  check_int "every killed slot force-released" r.Chaos.bg_kills
-    r.Chaos.bg_forced;
-  check_int "nothing leaked" 0 r.Chaos.bg_leaked
+    r.Chaos.st_pinned_freed;
+  check_bool "waking victim raised Neutralized" true r.Chaos.st_victim_raised;
+  check_int "two domains killed mid-stall" 2 r.Chaos.st_kills;
+  check_int "every killed slot force-released" r.Chaos.st_kills
+    r.Chaos.st_forced;
+  check_int "nothing left unreclaimed" 0 r.Chaos.st_unreclaimed_after;
+  check_int "nothing leaked" 0 r.Chaos.st_leaked
+
+(* A victim that dies before it parks must fail the battery, not hang
+   it.  With every registry slot but one held, the background domain
+   takes the last one and the victim's [with_tid] raises
+   [Too_many_threads]. *)
+let test_stall_battery_victim_fails () =
+  ignore (Registry.tid ());
+  let held =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let rec grab acc =
+             match Registry.tid () with
+             | tid ->
+                 ignore (Registry.abandon ());
+                 grab (tid :: acc)
+             | exception Registry.Too_many_threads _ -> acc
+           in
+           grab []))
+  in
+  let release_all () =
+    List.iter (fun tid -> ignore (Registry.force_release tid)) held
+  in
+  (match held with
+  | tid :: _ -> ignore (Registry.force_release tid)
+  | [] -> Alcotest.fail "no slot to hold");
+  let t0 = Unix.gettimeofday () in
+  let r = Fun.protect ~finally:release_all Chaos.run_stall in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check_bool "the battery fails" false (Chaos.stall_ok r);
+  check_int "the victim never parked" (-1) r.Chaos.st_victim;
+  check_bool "the victim's exception is reported" true
+    (List.exists
+       (String.starts_with ~prefix:"Atomicx.Registry.Too_many_threads")
+       r.Chaos.st_errors);
+  check_bool "returned within the 5 s park deadline" true (elapsed < 5.)
 
 let suite =
   [
@@ -290,7 +441,13 @@ let suite =
         Alcotest.test_case
           "ebr: a neutralized parked reader stops pinning the epoch" `Quick
           test_ebr_neutralized_reader;
+        Alcotest.test_case "domain: reports without neutralizing" `Quick
+          test_domain_reports;
+        Alcotest.test_case "domain: neutralizes what it reports" `Quick
+          test_domain_neutralizes;
         Alcotest.test_case "battery: stalled guard neutralized" `Slow
-          test_neutralize_battery;
+          test_stall_battery;
+        Alcotest.test_case "battery: fails fast if victim dies" `Quick
+          test_stall_battery_victim_fails;
       ] );
   ]

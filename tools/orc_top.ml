@@ -7,12 +7,13 @@
      Without [--once] it keeps polling the file and redraws whenever it
      changes, so a bench loop in another terminal gets a live view.
 
-   - [--demo]: entirely in-process — starts a sampler domain over
+   - [--demo]: entirely in-process — starts the one background
+     domain ([Reclaim.Reclaimer], neutralizing) over
      [Obs.Metrics.default], runs a guard + retire churn workload on
-     EBR beside a staller, with a reclaimer armed to neutralize it,
-     and renders the registry until [--seconds] elapse.  This is the
-     end-to-end smoke of the whole plane: watchdog clock live,
-     per-scheme probes, allocator gauges, ring-buffered series.
+     EBR beside a staller it neutralizes, and renders the registry
+     until [--seconds] elapse.  This is the end-to-end smoke of the
+     whole plane: watchdog clock live, per-scheme probes, allocator
+     gauges, ring-buffered series.
 
      dune exec tools/orc_top.exe -- [--once] [--interval=S] [FILE]
      dune exec tools/orc_top.exe -- --demo [--seconds=N] [--interval=S]
@@ -227,11 +228,12 @@ let rows_of_registry reg =
 let demo_mode ~seconds ~interval =
   let alloc = Memdom.Alloc.create "orc-top-demo" in
   let s = Ebr.create ~max_hps:4 alloc in
-  (* a reclaimer armed to neutralize the staller below, so the
-     neutralization totals move during the demo alongside the
-     per-scheme series *)
-  let reclaimer =
-    Reclaim.Reclaimer.start ~interval:(interval /. 4.) ~neutralize_age:4 ()
+  (* the background domain samples the plane and neutralizes the
+     staller below, so the neutralization totals move during the demo
+     alongside the per-scheme series *)
+  let domain =
+    Reclaim.Reclaimer.start ~interval:(interval /. 4.) ~stall_age:4
+      ~neutralize:true ()
   in
   let stop = Atomic.make false in
   let churner () =
@@ -248,8 +250,8 @@ let demo_mode ~seconds ~interval =
     done
   in
   (* a deliberate staller: parks inside a guard long enough for the
-     stall-age gauge (orcgc_stall_age_max) to climb and the reclaimer
-     to expire the guard — which unpins the epoch its announcement held
+     stall-age gauge (orcgc_stall_age_max) to climb and the background
+     domain to expire the guard — which unpins the epoch its announcement held
      back — then goes again *)
   let staller () =
     Atomicx.Registry.with_tid @@ fun tid ->
@@ -261,7 +263,6 @@ let demo_mode ~seconds ~interval =
       Unix.sleepf (interval /. 2.)
     done
   in
-  let sampler = Obs.Sampler.start ~interval:(interval /. 4.) () in
   let d = Domain.spawn churner in
   let st = Domain.spawn staller in
   let deadline = Unix.gettimeofday () +. seconds in
@@ -269,15 +270,14 @@ let demo_mode ~seconds ~interval =
     Unix.sleepf interval;
     render ~clear:true
       ~title:
-        (Printf.sprintf "demo (ebr churn + staller + neutralizer), %d sampler ticks"
-           (Obs.Sampler.ticks sampler))
+        (Printf.sprintf "demo (ebr churn + staller + neutralizer), %d ticks"
+           (Reclaim.Reclaimer.ticks domain))
       (rows_of_registry Obs.Metrics.default)
   done;
   Atomic.set stop true;
   Domain.join d;
   Domain.join st;
-  Reclaim.Reclaimer.stop reclaimer;
-  Obs.Sampler.stop sampler;
+  Reclaim.Reclaimer.stop domain;
   Ebr.flush s;
   render ~clear:false ~title:"demo final"
     (rows_of_registry Obs.Metrics.default)
