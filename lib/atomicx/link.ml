@@ -33,38 +33,38 @@ type 'a state =
    concurrent registration store can't be lost to a growth copy) and
    addressed by slot index.  A slot keeps its last occupant until
    reuse, which is exactly the type-stable-memory semantics the paper's
-   schemes assume.
+   schemes assume.  A chunk is its [nodes] array itself, one word per
+   slot; an empty array marks a chunk not yet materialized, as
+   [Split_order]'s directory segments do, so a deref reads no option
+   block and no chunk record.
 
    Released slots go first to the releasing tid's own cache: an
    owner-only LIFO of at most [arena_cache_cap] slots, so a release
-   followed by a registration on the same tid touches no shared word.
-   The version-counted Treiber free-list of ints behind it is touched only
-   in batches: a full cache spills its older half onto it in one CAS,
-   an empty cache refills up to half its capacity from it in one CAS,
-   and the quarantine cleaner hands a dead tid's cached slots back to
-   it.  Only when both are empty does a registration bump
-   [next_fresh]. *)
+   followed by a registration on the same tid touches no shared word
+   and allocates nothing.  Behind the caches, the shared free list is a
+   Treiber stack of slot batches, touched only in batches: a full cache
+   spills its older half onto it as one batch array (one array and one
+   cons), an empty cache refills by popping one batch, and the
+   quarantine cleaner pushes a dead tid's cached slots as one batch.
+   Cons cells are never reused while reachable, so a pop's CAS on the
+   head it read is ABA-free with no version counter.  Only when both
+   are empty does a registration bump [next_fresh]. *)
 
 let chunk_bits = 10
 let chunk_size = 1 lsl chunk_bits
 let n_chunks = 8192
-let max_slots = n_chunks * chunk_size
 
-(* free-list head packing: (version lsl slot1_bits) lor (slot + 1);
-   slot+1 = 0 means empty.  24 bits cover max_slots + 1.  Sized for the
-   KV-service scenario: a split-ordered map at 4M regular keys plus its
-   dummy nodes must fit one arena (chunks are lazy, so a small structure
-   still only materialises the slots it touches). *)
-let slot1_bits = 24
-let slot1_mask = (1 lsl slot1_bits) - 1
+(* Sized for the KV-service scenario: a split-ordered map at 4M regular
+   keys plus its dummy nodes must fit one arena (chunks are lazy, so a
+   small structure still only materialises the slots it touches).
+   [Memdom.Hdr] keeps slot + 1 in 24 bits. *)
+let max_slots = n_chunks * chunk_size
 let arena_cache_cap = 64
 let cache_batch = arena_cache_cap / 2
 
-type chunk = { nodes : Obj.t array; free_next : int array }
-
 type 'a arena = {
-  chunks : chunk option Atomic.t array;
-  free_head : int Atomic.t;
+  chunks : Obj.t array Atomic.t array;
+  shared : int array list Atomic.t;
   next_fresh : int Atomic.t;
   slot_of : Obj.t -> int;
   on_register : Obj.t -> int -> release:(tid:int -> int -> unit) -> unit;
@@ -81,78 +81,45 @@ type 'a arena = {
 
 let no_cache : int array = [||]
 
-let rec chunk_for a b =
-  match Atomic.get a.chunks.(b) with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          nodes = Array.make chunk_size (Obj.repr 0);
-          free_next = Array.make chunk_size (-1);
-        }
-      in
-      if Atomic.compare_and_set a.chunks.(b) None (Some c) then c
-      else chunk_for a b
+(* Materialize chunk [b]; losing the race drops an unused array. *)
+let ensure_chunk a b =
+  let cell = a.chunks.(b) in
+  let c = Atomic.get cell in
+  if Array.length c = 0 then
+    ignore
+      (Atomic.compare_and_set cell c (Array.make chunk_size (Obj.repr 0)))
 
-(* Deref is the read hot path: two atomic loads and one plain
-   load, no allocation. *)
+(* Deref is the read hot path: the chunk cell's atomic load and the
+   slot's plain load, no allocation. *)
 let deref a s =
-  match Atomic.get a.chunks.(s lsr chunk_bits) with
-  | Some c ->
-      let n = c.nodes.(s land (chunk_size - 1)) in
-      if n == Obj.repr 0 then
-        invalid_arg "Link.arena: dereference of unregistered slot"
-      else Obj.obj n
-  | None -> invalid_arg "Link.arena: dereference of unallocated chunk"
-
-let set_free_next a s v =
-  (chunk_for a (s lsr chunk_bits)).free_next.(s land (chunk_size - 1)) <- v
-
-let get_free_next a s =
-  match Atomic.get a.chunks.(s lsr chunk_bits) with
-  | Some c -> c.free_next.(s land (chunk_size - 1))
-  | None -> -1
-
-let next_head h s = (((h lsr slot1_bits) + 1) lsl slot1_bits) lor (s + 1)
-
-let rec push_chain a first last =
-  let h = Atomic.get a.free_head in
-  set_free_next a last ((h land slot1_mask) - 1);
-  if not (Atomic.compare_and_set a.free_head h (next_head h first)) then
-    push_chain a first last
-
-(* Push [c.(i) .. c.(i + k - 1)] onto the shared free-list in one CAS:
-   chain them through [free_next] first, then swing the head. *)
-let push_shared a c i k =
-  for j = i to i + k - 2 do
-    set_free_next a c.(j) c.(j + 1)
-  done;
-  push_chain a c.(i) c.(i + k - 1)
-
-(* Copy the chain from [s] into [c.(n)..], up to [c.(cache_batch)];
-   the index of the last slot copied. *)
-let rec walk a c n s =
-  c.(n) <- s;
-  let nxt = get_free_next a s in
-  if n = cache_batch || nxt < 0 then n else walk a c (n + 1) nxt
-
-(* Pop up to [cache_batch] slots into the empty cache [c] in one CAS.
-   The version in the head makes the CAS fail if any push or pop
-   completed since [h] was read, so a chain walked from a stale head is
-   never installed (no ABA); the walk itself is bounded by the batch
-   size whatever it reads.  Returns the number taken. *)
-let rec refill a c =
-  let h = Atomic.get a.free_head in
-  let s1 = h land slot1_mask in
-  if s1 = 0 then 0
+  let c = Atomic.get a.chunks.(s lsr chunk_bits) in
+  if Array.length c = 0 then
+    invalid_arg "Link.arena: dereference of unallocated chunk"
   else
-    let n = walk a c 1 (s1 - 1) in
-    let rest = get_free_next a c.(n) in
-    if Atomic.compare_and_set a.free_head h (next_head h rest) then begin
-      c.(0) <- n;
-      n
-    end
-    else refill a c
+    let n = Array.unsafe_get c (s land (chunk_size - 1)) in
+    if n == Obj.repr 0 then
+      invalid_arg "Link.arena: dereference of unregistered slot"
+    else Obj.obj n
+
+let rec push_batch a b =
+  let cur = Atomic.get a.shared in
+  if not (Atomic.compare_and_set a.shared cur (b :: cur)) then push_batch a b
+
+(* Push [c.(i) .. c.(i + k - 1)] onto the shared list as one batch. *)
+let push_shared a c i k = push_batch a (Array.sub c i k)
+
+(* Pop one batch into the empty cache [c]; the number taken. *)
+let rec refill a c =
+  match Atomic.get a.shared with
+  | [] -> 0
+  | b :: rest as cur ->
+      if Atomic.compare_and_set a.shared cur rest then begin
+        let n = Array.length b in
+        Array.blit b 0 c 1 n;
+        c.(0) <- n;
+        n
+      end
+      else refill a c
 
 let cache_of a tid =
   let c = Array.unsafe_get a.caches tid in
@@ -193,7 +160,7 @@ let alloc_slot a ~tid =
   else
     let s = Atomic.fetch_and_add a.next_fresh 1 in
     if s >= max_slots then failwith "Link.arena: slot table exhausted";
-    ignore (chunk_for a (s lsr chunk_bits));
+    ensure_chunk a (s lsr chunk_bits);
     s
 
 (* Registration must be performed by the thread that owns the node
@@ -204,9 +171,8 @@ let alloc_slot a ~tid =
 let register a n =
   let tid = Registry.tid () in
   let s = alloc_slot a ~tid in
-  (match Atomic.get a.chunks.(s lsr chunk_bits) with
-  | Some c -> c.nodes.(s land (chunk_size - 1)) <- Obj.repr n
-  | None -> assert false);
+  (Atomic.get a.chunks.(s lsr chunk_bits)).(s land (chunk_size - 1)) <-
+    Obj.repr n;
   Shard.incr a.n_registered ~tid;
   a.on_register (Obj.repr n) s ~release:a.release_fn;
   s
@@ -220,8 +186,8 @@ let arena (type n) ~(slot_of : n -> int)
     =
   let a =
     {
-      chunks = Array.init n_chunks (fun _ -> Atomic.make None);
-      free_head = Atomic.make 0;
+      chunks = Array.init n_chunks (fun _ -> Atomic.make [||]);
+      shared = Atomic.make [];
       next_fresh = Atomic.make 0;
       slot_of = (fun o -> slot_of (Obj.obj o));
       on_register = (fun o s ~release -> on_register (Obj.obj o) s ~release);
@@ -262,8 +228,7 @@ let arena_cached a ~tid =
   if c == no_cache then 0 else c.(0)
 
 let arena_shared_free a =
-  let rec go n s = if s < 0 then n else go (n + 1) (get_free_next a s) in
-  go 0 ((Atomic.get a.free_head land slot1_mask) - 1)
+  List.fold_left (fun n b -> n + Array.length b) 0 (Atomic.get a.shared)
 
 (* {2 Word encoding} *)
 

@@ -65,11 +65,14 @@ type 'a view = private int
     releasing tid's own LIFO cache of at most {!arena_cache_cap} slots,
     and a registration takes from the registering tid's cache first,
     so a release followed by a registration on one tid touches no
-    shared word.  A version-counted free list backs the caches and is
-    touched only in batches: a full cache spills its older half onto
-    it, an empty cache refills up to half its capacity from it, and a
-    quarantine cleaner ({!Registry.on_quarantine}, held by the arena)
-    hands a departing tid's cached slots back to it. *)
+    shared word and allocates nothing.  The shared free list behind the
+    caches is a Treiber stack of slot batches, touched only in batches:
+    a full cache spills its older half onto it as one batch (one batch
+    array and one cons cell, the only allocation of slot reuse), an
+    empty cache refills by popping one batch, and a quarantine cleaner
+    ({!Registry.on_quarantine}, held by the arena) pushes a departing
+    tid's cached slots as one batch.  A slot costs one word of its
+    chunk and nothing else: the free list needs no per-slot link. *)
 
 type 'a arena
 
@@ -97,8 +100,8 @@ val arena_cached : 'a arena -> tid:int -> int
 (** Slots in [tid]'s cache (whitebox tests). *)
 
 val arena_shared_free : 'a arena -> int
-(** Length of the shared free list (whitebox tests; walk it only
-    while no thread registers or releases). *)
+(** Slots on the shared free list, summed over its batches (whitebox
+    tests). *)
 
 (** {2 Construction} *)
 

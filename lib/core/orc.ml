@@ -126,8 +126,8 @@ let orc_word c n = Memdom.Hdr.orc (c.hdr n)
 let note_retired c ~tid n =
   let h = c.hdr n in
   Memdom.Hdr.mark_retired h;
-  h.Memdom.Hdr.retired_ns <-
-    Obs.Sink.on_retire c.sink ~tid ~uid:h.Memdom.Hdr.uid;
+  Memdom.Hdr.set_retired_stamp h
+    (Obs.Sink.on_retire c.sink ~tid ~uid:h.Memdom.Hdr.uid);
   Shard.incr c.pending ~tid;
   Shard.incr c.n_retires ~tid
 
@@ -137,7 +137,7 @@ let note_unretired c ~tid n =
   (* unreachable-again objects are no longer "waiting to be freed": a
      later free must not report a latency measured from this aborted
      retire *)
-  h.Memdom.Hdr.retired_ns <- 0;
+  Memdom.Hdr.set_retired_stamp h 0;
   Shard.add c.pending ~tid (-1)
 
 (* clearBitRetired (Algorithm 6 lines 147–158): give up BRETIRED
@@ -665,7 +665,9 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   let get_new_idx t ~tid ~start =
     let tl = t.tl.(tid) in
-    let idx = Bitmask.acquire tl.free_idx ~from:(max 1 start) in
+    (* an int [if]: [Stdlib.max] is the polymorphic compare *)
+    let from = if start > 1 then start else 1 in
+    let idx = Bitmask.acquire tl.free_idx ~from in
     if idx < 0 then raise Out_of_hazard_indexes;
     tl.used_haz.(idx) <- 1;
     bump_watermark t.watermark idx;

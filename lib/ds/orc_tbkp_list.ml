@@ -191,7 +191,8 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let m = ref (-1) in
     for i = 0 to Registry.high_water () - 1 do
       O.load g t.state.(i) cu.sp;
-      m := max !m (O.Ptr.node_exn cu.sp).phase
+      let ph = (O.Ptr.node_exn cu.sp).phase in
+      if ph > !m then m := ph
     done;
     !m
 

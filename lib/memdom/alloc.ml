@@ -17,6 +17,7 @@ type mode = System | Pool
 type t = {
   mode : mode;
   name : string;
+  label : int; (* [name]'s interned id, stamped into every header *)
   sink : Obs.Sink.t;
   n_alloc : Atomicx.Shard.t;
   n_freed : Atomicx.Shard.t;
@@ -33,6 +34,7 @@ let create ?(mode = System) ?sink name =
     {
       mode;
       name;
+      label = Hdr.intern name;
       sink;
       n_alloc = Atomicx.Shard.create ();
       n_freed = Atomicx.Shard.create ();
@@ -90,25 +92,23 @@ let next_uid t ~tid =
   let local = Atomicx.Shard.fetch_incr t.n_alloc ~tid in
   (local * Atomicx.Registry.max_threads) + tid
 
-let fresh t ~tid ?label () =
+let fresh t ~tid =
   let uid = next_uid t ~tid in
-  let label = Option.value label ~default:t.name in
   Obs.Sink.on_alloc t.sink ~tid ~uid;
-  Hdr.make ~uid ~label ~strict:(t.mode = System)
+  Hdr.make ~uid ~label:t.label ~strict:(t.mode = System)
     ~birth_era:(Atomic.get t.era_clock)
 
-let hdr t ?label () =
+let hdr t () =
   let tid = Atomicx.Registry.tid () in
   match t.pool with
-  | None -> fresh t ~tid ?label ()
+  | None -> fresh t ~tid
   | Some p ->
       let h = Pool.acquire p ~tid in
-      if h == Pool.miss then fresh t ~tid ?label ()
+      if h == Pool.miss then fresh t ~tid
       else begin
         (* recycled hit: restamp the same header — one CAS plus field
-           stores, no minor-heap allocation.  The first life's label is
-           kept (per-call [?label] is a diagnostic nicety; the pool
-           trades it for the alloc-free hit path). *)
+           stores, no minor-heap allocation; its label id is already
+           this allocator's. *)
         let uid = next_uid t ~tid in
         Hdr.recycle h ~uid ~birth_era:(Atomic.get t.era_clock);
         Obs.Sink.on_recycle t.sink ~tid ~uid ~gen:(Hdr.generation h);
@@ -118,11 +118,13 @@ let hdr t ?label () =
 let free t h =
   Hdr.mark_freed h;
   (* Freed ⇒ no scheme protects the object, so its link arena
-     slot (if it ever got one) can be recycled for a future node. *)
+     slot (if it ever got one) can be recycled for a future node.  The
+     retire stamp shares the slot's word: read it first. *)
   let tid = Atomicx.Registry.tid () in
+  let retired_ns = Hdr.retired_stamp h in
   Hdr.release_slot h ~tid;
   Atomicx.Shard.incr t.n_freed ~tid;
-  Obs.Sink.on_free t.sink ~tid ~uid:h.Hdr.uid ~retired_ns:h.Hdr.retired_ns;
+  Obs.Sink.on_free t.sink ~tid ~uid:h.Hdr.uid ~retired_ns;
   match t.pool with None -> () | Some p -> Pool.release p ~tid h
 
 let era t = Atomic.get t.era_clock

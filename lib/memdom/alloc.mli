@@ -32,7 +32,7 @@ val create : ?mode:mode -> ?sink:Obs.Sink.t -> string -> t
 (** [create label] makes an allocator named [label] (defaults to
     [System], the stricter checking).  [sink] receives Alloc/Free
     lifecycle events and the retire→free latency samples (measured
-    against [Hdr.retired_ns], which the retiring scheme stamps); it
+    against [Hdr.retired_stamp], which the retiring scheme stamps); it
     defaults to the ambient [!Obs.Sink.default] — the null sink unless a
     bench or test opts in — and is what schemes created over this
     allocator inherit.  Pool mode additionally emits [Recycle]/[Refill]
@@ -44,12 +44,12 @@ val label : t -> string
 val sink : t -> Obs.Sink.t
 (** The sink this allocator reports to (schemes default to it). *)
 
-val hdr : t -> ?label:string -> unit -> Hdr.t
-(** Allocate a header.  [label] defaults to the allocator's own.  The
-    header's [birth_era] snapshots {!era}.  In Pool mode this is the
-    free-list hit path: a recycled header keeps its first life's
-    [label] but gets a fresh uid and a bumped generation
-    ([Hdr.recycle]); only a miss builds a new record. *)
+val hdr : t -> unit -> Hdr.t
+(** Allocate a header labelled with the allocator's name (interned once
+    by {!create}).  The header's [birth_era] snapshots {!era}.  In Pool
+    mode this is the free-list hit path: a recycled header gets a fresh
+    uid and a bumped generation ([Hdr.recycle]); only a miss builds a
+    new record. *)
 
 val free : t -> Hdr.t -> unit
 (** Return an object to the allocator: marks it [Freed] (raising

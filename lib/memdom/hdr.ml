@@ -28,15 +28,28 @@ type lifecycle = Live | Retired | Freed
    single owner of the retire transition), and the only readers are
    that thread's own HE/IBR scans or an adopter that took the retired
    list through the orphan pool's atomic exchange.  A one-word load is
-   never torn, so the pair still comes from one load; [retired_ns] is
-   a plain field for the same reason.
+   never torn, so the pair still comes from one load.
 
-   [access] is the one word [check_access] reads: [tolerant] for a
-   Pool header, [strict_live] for a System header, and [strict_freed]
-   once [mark_freed] has won the Freed transition.  It is a copy of a
-   fact [state] decides, kept in the header block itself so the
-   per-hop check reads no second block; [state] stays the authority
-   for every transition. *)
+   [access] is the one word [check_access] reads.  Its low two bits
+   are the freed state: [tolerant] for a Pool header, [strict_live]
+   for a System header, and [strict_freed] once [mark_freed] has won
+   the Freed transition.  It is a copy of a fact [state] decides, kept
+   in the header block itself so the per-hop check reads no second
+   block; [state] stays the authority for every transition.  The bits
+   above hold the allocator's interned label id, a constant of the
+   header's first life, so the label costs no word of its own.
+
+   [slot_word] packs the link arena slot and the retire stamp: slot + 1
+   in bits 0-23 (0 = unregistered) and the retire timestamp mod
+   2^[Obs.Sink.stamp_bits] in bits 24-61 (0 = none).  The slot half is
+   written by the registering thread while it still owns the node
+   privately and cleared by the freeing thread; the stamp half by the
+   retiring thread (and cleared by an orc unretire, the retire's
+   owner).  Those writers are ordered by the lifecycle itself —
+   registration precedes publication, retire follows unlinking, free
+   follows retire — so each half is a plain read-modify-write of the
+   word, like the death half of [eras].  Seven fields in all: the
+   size-class reason is in the mli. *)
 
 (* Field 0 is the [_orc] word: the atomic primitives act on field 0 of
    the block they are given, so [orc t] views the header itself as
@@ -49,12 +62,10 @@ type lifecycle = Live | Retired | Freed
 type t = {
   mutable _orc : int;
   mutable uid : int;
-  label : string;
   mutable access : int;
   state : int Atomic.t;
   mutable eras : int;
-  mutable retired_ns : int;
-  mutable slot : int;
+  mutable slot_word : int;
   mutable slot_release : tid:int -> int -> unit;
 }
 
@@ -65,6 +76,8 @@ let orc_initial = 1 lsl 22
 let tolerant = 0
 let strict_live = 1
 let strict_freed = 2
+let freed_mask = 3
+let label_shift = 2
 let live_bits = 0
 let retired_bits = 1
 let freed_bits = 2
@@ -78,18 +91,45 @@ let death_none = era_mask
 
 let pack_eras ~birth ~death = (birth land era_mask) lor (death lsl era_bits)
 
+(* slot word: slot + 1 in bits 0..23, the retire stamp above. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+let stamp_mask = (1 lsl Obs.Sink.stamp_bits) - 1
+let () = assert (slot_bits + Obs.Sink.stamp_bits <= 62)
+
+(* Label interning: one id per distinct allocator name, for the life of
+   the process.  Only [Alloc.create] and [describe] (an error or print
+   path) come here, so a mutex is cheap enough. *)
+let labels_lock = Mutex.create ()
+let label_ids : (string, int) Hashtbl.t = Hashtbl.create 16
+let label_names = ref [||]
+
+let intern name =
+  Mutex.protect labels_lock (fun () ->
+      match Hashtbl.find_opt label_ids name with
+      | Some id -> id
+      | None ->
+          let id = Array.length !label_names in
+          label_names := Array.append !label_names [| name |];
+          Hashtbl.add label_ids name id;
+          id)
+
+let label t =
+  let id = t.access lsr label_shift in
+  Mutex.protect labels_lock (fun () ->
+      if id < Array.length !label_names then !label_names.(id) else "?")
+
 let no_release ~tid:_ (_ : int) = ()
 
 let make ~uid ~label ~strict ~birth_era =
   {
     _orc = orc_initial;
     uid;
-    label;
-    access = (if strict then strict_live else tolerant);
+    access =
+      (label lsl label_shift) lor if strict then strict_live else tolerant;
     state = Atomic.make live_bits;
     eras = pack_eras ~birth:birth_era ~death:death_none;
-    retired_ns = 0;
-    slot = -1;
+    slot_word = 0;
     slot_release = no_release;
   }
 
@@ -115,10 +155,23 @@ let set_death_era t e =
   let d = if e < 0 || e >= death_none then death_none else e in
   t.eras <- (t.eras land era_mask) lor (d lsl era_bits)
 
-let describe t = Printf.sprintf "%s#%d" t.label t.uid
+let slot t = (t.slot_word land slot_mask) - 1
+
+let set_slot t s =
+  t.slot_word <- (t.slot_word land lnot slot_mask) lor (s + 1)
+
+let retired_stamp t = t.slot_word lsr slot_bits
+
+let set_retired_stamp t ts =
+  t.slot_word <-
+    (t.slot_word land slot_mask)
+    lor ((ts land stamp_mask) lsl slot_bits)
+
+let describe t = Printf.sprintf "%s#%d" (label t) t.uid
 
 let check_access t =
-  if t.access = strict_freed then raise (Use_after_free (describe t))
+  if t.access land freed_mask = strict_freed then
+    raise (Use_after_free (describe t))
 
 let is_freed t = Atomic.get t.state land state_mask = freed_bits
 
@@ -163,7 +216,8 @@ let rec mark_freed t =
   | 0 | 1 (* Live | Retired *) ->
       if Atomic.compare_and_set t.state cur (next_state cur freed_bits)
       then begin
-        if t.access = strict_live then t.access <- strict_freed
+        if t.access land freed_mask = strict_live then
+          t.access <- t.access + (strict_freed - strict_live)
       end
       else mark_freed t
   | _ (* Freed *) -> raise (Double_free (describe t))
@@ -184,20 +238,23 @@ let rec recycle t ~uid ~birth_era =
   then recycle t ~uid ~birth_era
   else begin
     t.uid <- uid;
-    if t.access = strict_freed then t.access <- strict_live;
+    if t.access land freed_mask = strict_freed then
+      t.access <- t.access - (strict_freed - strict_live);
     t.eras <- pack_eras ~birth:birth_era ~death:death_none;
-    t.retired_ns <- 0;
+    set_retired_stamp t 0;
     Atomic.set (orc t) orc_initial
   end
 
 (* Hand the header's arena slot back to its table, exactly once.  Called
    by [Alloc.free] after the Freed transition: at that point no scheme
    protects the object, so the slot may be recycled for a future node.
-   (The slot keeps its last occupant until then — type-stable memory.) *)
+   (The slot keeps its last occupant until then — type-stable memory.)
+   The retire stamp beside it is kept: the free reads it after. *)
 let release_slot t ~tid =
-  if t.slot >= 0 then begin
-    let s = t.slot and release = t.slot_release in
-    t.slot <- -1;
+  let s = slot t in
+  if s >= 0 then begin
+    let release = t.slot_release in
+    t.slot_word <- t.slot_word land lnot slot_mask;
     t.slot_release <- no_release;
     release ~tid s
   end

@@ -95,7 +95,9 @@ let release t ~tid h =
     push_transfer t.slots.(o).transfer h
   end
 
-let miss = Hdr.make ~uid:(-1) ~label:"pool.miss" ~strict:false ~birth_era:0
+let miss =
+  Hdr.make ~uid:(-1) ~label:(Hdr.intern "pool.miss") ~strict:false
+    ~birth_era:0
 
 let rec acquire t ~tid =
   let s = t.slots.(tid) in

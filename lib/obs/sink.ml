@@ -70,13 +70,21 @@ let on_retire t ~tid ~uid =
       Ring.emit a.ring ~tid ~ts ~kind:Event.Retire ~uid ~arg:0;
       ts
 
+(* The header keeps the retire stamp mod 2^[stamp_bits] (Memdom.Hdr
+   packs it beside the arena slot), so the latency is taken mod
+   2^[stamp_bits] too: exact for any latency under 2^38 ns (~4.6 min),
+   whether [retired_ns] is a full timestamp or the truncated stamp. *)
+let stamp_bits = 38
+let stamp_mask = (1 lsl stamp_bits) - 1
+
 let on_free t ~tid ~uid ~retired_ns =
   match t with
   | Null -> ()
   | Active a ->
       let ts = a.clock () in
       Ring.emit a.ring ~tid ~ts ~kind:Event.Free ~uid ~arg:0;
-      if retired_ns > 0 then Hist.record a.retire_free ~tid (ts - retired_ns)
+      if retired_ns > 0 then
+        Hist.record a.retire_free ~tid ((ts - retired_ns) land stamp_mask)
 
 let on_recycle t ~tid ~uid ~gen =
   match t with

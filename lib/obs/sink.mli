@@ -49,13 +49,19 @@ val on_alloc : t -> tid:int -> uid:int -> unit
 val on_retire : t -> tid:int -> uid:int -> int
 (** Records the Retire event and returns its timestamp (0 under
     {!null}).  The caller stamps it into the object header
-    ([Memdom.Hdr.retired_ns]) so the free side — possibly another
-    thread, much later — can measure retire→free latency without a
-    shared lookup table. *)
+    ([Memdom.Hdr.set_retired_stamp], mod 2^{!stamp_bits}) so the free
+    side — possibly another thread, much later — can measure
+    retire→free latency without a shared lookup table. *)
+
+val stamp_bits : int
+(** Width of the retire stamp a header keeps: 38 bits, so a latency is
+    exact below 2^38 ns (about 4.6 minutes). *)
 
 val on_free : t -> tid:int -> uid:int -> retired_ns:int -> unit
 (** Records the Free event; when [retired_ns > 0] also records
-    [now - retired_ns] into the retire→free histogram. *)
+    [(now - retired_ns) mod 2^stamp_bits] into the retire→free
+    histogram, so a stamp truncated to {!stamp_bits} bits (or a full
+    timestamp) gives the same latency across the stamp's wrap. *)
 
 val on_recycle : t -> tid:int -> uid:int -> gen:int -> unit
 (** Records the Recycle event: the pool allocator handed out a recycled

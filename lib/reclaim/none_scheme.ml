@@ -66,8 +66,8 @@ module Leak (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let retire t ~tid n =
     let h = N.hdr n in
     Memdom.Hdr.mark_retired h;
-    h.Memdom.Hdr.retired_ns <-
-      Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid;
+    Memdom.Hdr.set_retired_stamp h
+      (Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid);
     Scheme_intf.Counters.retired t.counters ~tid;
     t.retired.(tid) := n :: !(t.retired.(tid))
 
@@ -125,8 +125,8 @@ module Unsafe (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = stru
   let retire t ~tid n =
     let h = N.hdr n in
     Memdom.Hdr.mark_retired h;
-    h.Memdom.Hdr.retired_ns <-
-      Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid;
+    Memdom.Hdr.set_retired_stamp h
+      (Obs.Sink.on_retire t.sink ~tid ~uid:h.Memdom.Hdr.uid);
     Scheme_intf.Counters.retired t.counters ~tid;
     Scheme_intf.Counters.freed t.counters ~tid;
     Memdom.Alloc.free t.alloc (N.hdr n)

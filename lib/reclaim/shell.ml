@@ -108,8 +108,8 @@ let end_op sh ~tid =
 let mark_retired sh ~tid h =
   Neutralize.check ~tid;
   Memdom.Hdr.mark_retired h;
-  h.Memdom.Hdr.retired_ns <-
-    Obs.Sink.on_retire sh.sink ~tid ~uid:h.Memdom.Hdr.uid
+  Memdom.Hdr.set_retired_stamp h
+    (Obs.Sink.on_retire sh.sink ~tid ~uid:h.Memdom.Hdr.uid)
 
 (** The retire prologue: the raising neutralization check, then mark
     the header retired, stamp its retire time and count it. *)

@@ -498,6 +498,24 @@ let test_arena_release_register_same_tid () =
   check_int "no fresh slot" 1 (Link.arena_capacity ar);
   check_int "live" 1 (Link.arena_live ar)
 
+(* A balanced release and registration on one tid goes through the
+   tid's cache alone: no shared word, and not one minor word. *)
+let test_arena_pair_zero_alloc () =
+  let tid = Registry.tid () in
+  let ar = cache_arena () in
+  let n = cnode () in
+  let s = reg ar n in
+  check_zero "release + register on one tid" (fun () ->
+      for _ = 1 to 1_000 do
+        let s = n.c_slot in
+        n.c_slot <- -1;
+        n.c_release ~tid s;
+        ignore (reg ar n)
+      done);
+  check_int "the same slot each time" s n.c_slot;
+  check_int "no fresh slot" 1 (Link.arena_capacity ar);
+  check_int "shared list untouched" 0 (Link.arena_shared_free ar)
+
 let test_arena_cross_tid_release () =
   let ar = cache_arena () in
   let allocated =
@@ -667,5 +685,7 @@ let suite =
           test_arena_spill_refill;
         Alcotest.test_case "arena slots survive domain churn" `Quick
           test_arena_domain_churn;
+        Alcotest.test_case "arena release+register allocates nothing" `Quick
+          test_arena_pair_zero_alloc;
       ] );
   ]

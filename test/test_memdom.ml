@@ -140,7 +140,10 @@ let test_stats_fake_clock () =
    the whitebox property behind "a reader can detect any interleaved
    transition by comparing generations". *)
 let test_gen_bumps_once_per_transition () =
-  let h = Memdom.Hdr.make ~uid:1 ~label:"w" ~strict:false ~birth_era:1 in
+  let h =
+    Memdom.Hdr.make ~uid:1 ~label:(Memdom.Hdr.intern "w")
+      ~strict:false ~birth_era:1
+  in
   let step name g f =
     f ();
     check_int name (g + 1) (Memdom.Hdr.generation h);
@@ -297,7 +300,10 @@ let test_freed_word () =
   Memdom.Hdr.check_access hp;
   check_bool "pool header freed" true (Memdom.Hdr.is_freed hp);
   (* recycling a strict header clears its freed word *)
-  let s = Memdom.Hdr.make ~uid:1 ~label:"s" ~strict:true ~birth_era:0 in
+  let s =
+    Memdom.Hdr.make ~uid:1 ~label:(Memdom.Hdr.intern "s")
+      ~strict:true ~birth_era:0
+  in
   Memdom.Hdr.mark_freed s;
   Memdom.Hdr.recycle s ~uid:2 ~birth_era:0;
   Memdom.Hdr.check_access s
@@ -306,7 +312,7 @@ let test_freed_word () =
    and a recycle restamps the birth and clears the death. *)
 let test_era_word () =
   let module H = Memdom.Hdr in
-  let h = H.make ~uid:1 ~label:"e" ~strict:false ~birth_era:5 in
+  let h = H.make ~uid:1 ~label:(H.intern "e") ~strict:false ~birth_era:5 in
   check_int "birth" 5 (H.birth_era h);
   check_int "not retired" max_int (H.death_era h);
   H.mark_retired h;
@@ -320,6 +326,121 @@ let test_era_word () =
   H.recycle h ~uid:2 ~birth_era:20;
   check_int "recycled birth" 20 (H.birth_era h);
   check_int "recycle resets the death stamp" max_int (H.death_era h)
+
+(* Each allocator interns its name once; the id rides in the bits of
+   [access] above the freed state, so [describe] still prints the name
+   of every header, strict or tolerant, and a recycled Pool header
+   keeps its label across lives. *)
+let test_label_ids () =
+  let names = List.init 200 (fun i -> Printf.sprintf "lbl-%d" (i mod 50)) in
+  let allocs =
+    List.mapi
+      (fun i n ->
+        let mode = if i mod 2 = 0 then Memdom.Alloc.System else Pool in
+        (n, Memdom.Alloc.create ~mode n))
+      names
+  in
+  List.iter
+    (fun (n, a) ->
+      let h = Memdom.Alloc.hdr a () in
+      check_bool "label round-trips" true (Memdom.Hdr.label h = n);
+      check_int "same name, same id" (Memdom.Hdr.intern n)
+        (Memdom.Hdr.intern n);
+      Memdom.Hdr.check_access h;
+      Memdom.Alloc.free a h;
+      if Memdom.Alloc.mode a = Memdom.Alloc.System then
+        Alcotest.check_raises "describe prints label#uid"
+          (Memdom.Hdr.Use_after_free
+             (Printf.sprintf "%s#%d" n h.Memdom.Hdr.uid))
+          (fun () -> Memdom.Hdr.check_access h)
+      else Memdom.Hdr.check_access h)
+    allocs;
+  check_bool "distinct names, distinct ids" true
+    (Memdom.Hdr.intern "lbl-1" <> Memdom.Hdr.intern "lbl-2");
+  let p = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "pooled-label" in
+  let h0 = Memdom.Alloc.hdr p () in
+  Memdom.Alloc.free p h0;
+  let h1 = Memdom.Alloc.hdr p () in
+  check_bool "recycled" true (h1 == h0);
+  check_bool "recycled header keeps its label" true
+    (Memdom.Hdr.label h1 = "pooled-label");
+  Memdom.Hdr.mark_retired h1;
+  Alcotest.check_raises "and prints it"
+    (Memdom.Hdr.Double_retire
+       (Printf.sprintf "pooled-label#%d" h1.Memdom.Hdr.uid))
+    (fun () -> Memdom.Hdr.mark_retired h1)
+
+(* A sink whose clock reads [now]; its retire->free histogram. *)
+let clocked_sink now =
+  let s = Obs.Sink.make ~capacity:64 ~clock:(fun () -> !now) () in
+  (s, Option.get (Obs.Sink.retire_free_hist s))
+
+(* The retire stamp shares a word with the arena slot: registering a
+   slot keeps the stamp, stamping keeps the slot, and [Alloc.free]
+   reads the stamp before it releases the slot, so the latency still
+   lands in the histogram. *)
+let test_retire_stamp_and_slot () =
+  let now = ref 1_000 in
+  let sink, hist = clocked_sink now in
+  let a = Memdom.Alloc.create ~sink "stamp" in
+  let ar = Memdom.Handle.arena ~hdr:Fun.id () in
+  let tid = Atomicx.Registry.tid () in
+  let retire h =
+    Memdom.Hdr.mark_retired h;
+    Memdom.Hdr.set_retired_stamp h
+      (Obs.Sink.on_retire sink ~tid ~uid:h.Memdom.Hdr.uid)
+  in
+  (* registered first, then retired *)
+  let h = Memdom.Alloc.hdr a () in
+  ignore (Atomicx.Link.v_ptr_in ar h);
+  let s = Memdom.Hdr.slot h in
+  check_bool "registered" true (s >= 0);
+  retire h;
+  check_int "stamp" 1_000 (Memdom.Hdr.retired_stamp h);
+  check_int "slot kept by the stamp" s (Memdom.Hdr.slot h);
+  now := 1_250;
+  Memdom.Alloc.free a h;
+  check_int "slot released" (-1) (Memdom.Hdr.slot h);
+  check_int "stamp kept by the release" 1_000 (Memdom.Hdr.retired_stamp h);
+  check_int "arena slot handed back" 0 (Atomicx.Link.arena_live ar);
+  let r = Obs.Hist.report hist in
+  check_int "one latency sample" 1 r.count;
+  check_int "latency read before the release" 250 r.max;
+  (* stamped first, then registered (an orc node retired and relinked
+     before its first publication would do this) *)
+  let h = Memdom.Alloc.hdr a () in
+  now := 2_000;
+  retire h;
+  ignore (Atomicx.Link.v_ptr_in ar h);
+  check_int "stamp kept by the registration" 2_000
+    (Memdom.Hdr.retired_stamp h);
+  check_int "re-issued slot" s (Memdom.Hdr.slot h);
+  Memdom.Hdr.set_retired_stamp h 0;
+  check_int "cleared stamp" 0 (Memdom.Hdr.retired_stamp h);
+  check_int "slot kept by the clear" s (Memdom.Hdr.slot h);
+  Memdom.Alloc.free a h;
+  check_int "an unstamped free records no latency" 1
+    (Obs.Hist.report hist).count
+
+(* The stamp keeps the retire time mod 2^stamp_bits; the latency is
+   taken mod 2^stamp_bits too, so a retire just below the wrap and a
+   free just above it still measure the true gap. *)
+let test_retire_stamp_wrap () =
+  let wrap = 1 lsl Obs.Sink.stamp_bits in
+  let now = ref ((3 * wrap) - 5) in
+  let sink, hist = clocked_sink now in
+  let a = Memdom.Alloc.create ~sink "wrap" in
+  let tid = Atomicx.Registry.tid () in
+  let h = Memdom.Alloc.hdr a () in
+  Memdom.Hdr.mark_retired h;
+  Memdom.Hdr.set_retired_stamp h
+    (Obs.Sink.on_retire sink ~tid ~uid:h.Memdom.Hdr.uid);
+  check_int "stamp mod 2^stamp_bits" (wrap - 5) (Memdom.Hdr.retired_stamp h);
+  now := (3 * wrap) + 10;
+  Memdom.Alloc.free a h;
+  let r = Obs.Hist.report hist in
+  check_int "one sample" 1 r.count;
+  check_int "latency across the wrap" 15 r.max
 
 let suite =
   [
@@ -358,5 +479,10 @@ let suite =
           test_freed_word;
         Alcotest.test_case "era stamps share one plain word" `Quick
           test_era_word;
+        Alcotest.test_case "label ids round-trip" `Quick test_label_ids;
+        Alcotest.test_case "retire stamp shares the slot word" `Quick
+          test_retire_stamp_and_slot;
+        Alcotest.test_case "retire latency across the stamp wrap" `Quick
+          test_retire_stamp_wrap;
       ] );
   ]

@@ -328,7 +328,10 @@ let skip_contains_zero_alloc crf hs label () =
 (* Zero-allocation: header lifecycle transitions *)
 
 let test_zero_alloc_hdr () =
-  let h = Memdom.Hdr.make ~uid:1 ~label:"pack" ~strict:true ~birth_era:0 in
+  let h =
+    Memdom.Hdr.make ~uid:1 ~label:(Memdom.Hdr.intern "pack")
+      ~strict:true ~birth_era:0
+  in
   check_zero "mark_retired/unretire" (fun () ->
       for _ = 1 to 100 do
         Memdom.Hdr.mark_retired h;
@@ -404,7 +407,10 @@ let test_orc_word_bits () =
 (* The [_orc] word is the header's own field 0, not a separate cell:
    the count and the uid share one block. *)
 let test_orc_word_in_header () =
-  let h = Memdom.Hdr.make ~uid:7 ~label:"pack" ~strict:true ~birth_era:0 in
+  let h =
+    Memdom.Hdr.make ~uid:7 ~label:(Memdom.Hdr.intern "pack")
+      ~strict:true ~birth_era:0
+  in
   check_bool "Hdr.orc views the header itself" true
     (Obj.repr (Memdom.Hdr.orc h) == Obj.repr h);
   check_int "initialised" Memdom.Hdr.orc_initial
@@ -413,6 +419,22 @@ let test_orc_word_in_header () =
   check_int "uid untouched by count updates" 7 h.Memdom.Hdr.uid;
   check_int "count updated" (Memdom.Hdr.orc_initial + 5)
     (Atomic.get (Memdom.Hdr.orc h))
+
+(* The header block has exactly 7 fields.  OCaml 5 places a major-heap
+   block in a fixed size class (whsize ..., 6, 8, 10, ...; whsize
+   counts the block's header word), so 7 fields fill the 8-word class:
+   8 or 9 fields would take the 10-word class, and dropping to 6 would
+   still round up to 8.  The label id and the retire stamp ride in
+   spare bits of [access] and [slot_word] to stay at 7. *)
+let test_header_layout () =
+  let h =
+    Memdom.Hdr.make ~uid:3 ~label:(Memdom.Hdr.intern "layout")
+      ~strict:false ~birth_era:0
+  in
+  check_int "header fields" 7 (Obj.size (Obj.repr h));
+  let a = Memdom.Alloc.create "layout" in
+  check_int "an allocated header too" 7
+    (Obj.size (Obj.repr (Memdom.Alloc.hdr a ())))
 
 (* ------------------------------------------------------------------ *)
 (* Header transitions: the literal (lifecycle, generation) after every
@@ -427,7 +449,7 @@ let lifecycle_name h =
 
 let test_header_transitions () =
   let module H = Memdom.Hdr in
-  let h = H.make ~uid:1 ~label:"gen" ~strict:true ~birth_era:0 in
+  let h = H.make ~uid:1 ~label:(H.intern "gen") ~strict:true ~birth_era:0 in
   let expect step lc gen =
     Alcotest.(check string) (step ^ ": lifecycle") lc (lifecycle_name h);
     check_int (step ^ ": generation") gen (H.generation h)
@@ -592,6 +614,8 @@ let suite =
           test_orc_word_bits;
         Alcotest.test_case "orc word: the header's own field" `Quick
           test_orc_word_in_header;
+        Alcotest.test_case "hdr: seven fields, the 8-word class" `Quick
+          test_header_layout;
         Alcotest.test_case "hdr: literal transitions and exceptions" `Quick
           test_header_transitions;
       ] );
