@@ -70,51 +70,30 @@ let params =
    single-threaded per-operation cost that dominates the figures'
    1-thread data points. *)
 
-module Q_orc = Ds.Orc_ms_queue.Make (struct
-  type t = int
-end)
-
-module Q_ptp = Ds.Ms_queue.Make
-    (struct
-      type t = int
-    end)
-    (Orc_core.Ptp.Make)
-
-module L_orc = Ds.Orc_michael_list.Make ()
-module L_hp = Ds.Michael_list.Make (Reclaim.Hp.Make)
-module T_orc = Ds.Orc_nm_tree.Make ()
-module S_crf = Ds.Orc_crf_skiplist.Make ()
-
 let micro_tests () =
-  let q_orc = Q_orc.create () in
-  let q_ptp = Q_ptp.create () in
-  let l_orc = L_orc.create () in
-  let l_hp = L_hp.create () in
-  let t_orc = T_orc.create () in
-  let s_crf = S_crf.create () in
-  for k = 1 to 512 do
-    ignore (L_orc.add l_orc k);
-    ignore (L_hp.add l_hp k);
-    ignore (T_orc.add t_orc k);
-    ignore (S_crf.add s_crf k)
-  done;
+  let pair label name =
+    let (module Q) = Ds.Catalog.queue name in
+    let q = Q.create () in
+    Test.make ~name:label
+      (Staged.stage (fun () ->
+           Q.enqueue q 1;
+           ignore (Q.dequeue q)))
+  in
+  let contains label name =
+    let (module S : Ds.Intf.SET) = Ds.Catalog.set name in
+    let s = S.create () in
+    for k = 1 to 512 do
+      ignore (S.add s k)
+    done;
+    Test.make ~name:label (Staged.stage (fun () -> ignore (S.contains s 256)))
+  in
   [
-    Test.make ~name:"msq-orc enq+deq pair"
-      (Staged.stage (fun () ->
-           Q_orc.enqueue q_orc 1;
-           ignore (Q_orc.dequeue q_orc)));
-    Test.make ~name:"msq-ptp enq+deq pair"
-      (Staged.stage (fun () ->
-           Q_ptp.enqueue q_ptp 1;
-           ignore (Q_ptp.dequeue q_ptp)));
-    Test.make ~name:"list-orc contains"
-      (Staged.stage (fun () -> ignore (L_orc.contains l_orc 256)));
-    Test.make ~name:"list-hp contains"
-      (Staged.stage (fun () -> ignore (L_hp.contains l_hp 256)));
-    Test.make ~name:"nmtree-orc contains"
-      (Staged.stage (fun () -> ignore (T_orc.contains t_orc 256)));
-    Test.make ~name:"crf-skip contains"
-      (Staged.stage (fun () -> ignore (S_crf.contains s_crf 256)));
+    pair "msq-orc enq+deq pair" "ms-orc";
+    pair "msq-ptp enq+deq pair" "ms-ptp";
+    contains "list-orc contains" "michael-orc";
+    contains "list-hp contains" "michael-hp";
+    contains "nmtree-orc contains" "nmtree-orc";
+    contains "crf-skip contains" "crf-skip-orc";
   ]
 
 let run_micro () =
@@ -608,12 +587,6 @@ end
 module Pack_orc = Orc_core.Orc.Make (PON)
 module Pack_orc_hp = Orc_core.Orc.Make_hp (PON)
 
-module type PACK_SET = sig
-  include Ds.Intf.SET
-
-  val restarts : t -> int
-end
-
 module Pack_list_hp = Ds.Michael_list.Make (Reclaim.Hp.Make)
 
 type pack_row = {
@@ -754,7 +727,7 @@ let pack_orc_run (module O : Orc_core.Orc.S with type node = pnode) name =
 (* Contended Michael-list restarts: two domains hammer the same small
    key range; restarts count window-validation failures and lost CAS
    races. *)
-let pack_list_retries (module L : PACK_SET) =
+let pack_list_retries (module L : Ds.Orc_michael_list.S) =
   let l = L.create () in
   for k = 1 to 128 do
     ignore (L.add l k)
@@ -827,9 +800,8 @@ type footprint_row = {
   fp_before : float;
 }
 
-module Fp_map = Ds.Orc_split_map.Make ()
-
 let footprint_run mode ~bound ~before =
+  let module Fp_map = (val Ds.Catalog.map "splitmap-orc") in
   let m = Fp_map.create ~mode () in
   let keys = 512 in
   for k = 1 to keys do
@@ -965,6 +937,20 @@ let spread a =
   let at p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
   { lo = at 0.; q1 = at 0.25; med = at 0.5; q3 = at 0.75; hi = at 1. }
 
+(* The rounds engine: [run_rounds n contestants] runs each of the k
+   contestants once per round for [n] rounds, round [r] starting at
+   contestant [r mod k] and going on in order, so drift on the host
+   lands on every contestant alike.  [.(c).(r)] is contestant [c]'s
+   result in round [r]. *)
+let run_rounds n contestants =
+  let k = Array.length contestants in
+  let runs =
+    Array.init n (fun r ->
+        Array.init k (fun i -> contestants.((i + r) mod k) ()))
+  in
+  Array.init k (fun c ->
+      Array.init n (fun r -> runs.(r).((c - (r mod k) + k) mod k)))
+
 let run_metrics () =
   Format.printf "@.== Live metrics plane: sampler, watchdog, gauges ==@.";
   Atomicx.Registry.reserve 8;
@@ -974,6 +960,7 @@ let run_metrics () =
   let keys = 256 in
   let ops = if smoke then 8_000 else 20_000 in
   let rounds = 41 and reps = 2 in
+  let module L_hp = (val Ds.Catalog.set "michael-hp") in
   let l = L_hp.create () in
   for k = 1 to keys do
     ignore (L_hp.add l k)
@@ -1036,21 +1023,13 @@ let run_metrics () =
     finish ();
     (list_ns, bracket_ns)
   in
-  (* Alternating rounds: the side that runs first flips every round, so
-     drift on the host lands on both sides alike, and the overhead is
-     the median of the rounds' on/off ratios, each ratio taken between
-     two measurements adjacent in time. *)
-  let off = Array.make rounds (0., 0.) and on = Array.make rounds (0., 0.) in
-  for i = 0 to rounds - 1 do
-    if i land 1 = 0 then begin
-      off.(i) <- side false;
-      on.(i) <- side true
-    end
-    else begin
-      on.(i) <- side true;
-      off.(i) <- side false
-    end
-  done;
+  (* Alternating rounds: the side that runs first flips every round,
+     and the overhead is the median of the rounds' on/off ratios, each
+     ratio taken between two measurements adjacent in time. *)
+  let sides =
+    run_rounds rounds [| (fun () -> side false); (fun () -> side true) |]
+  in
+  let off = sides.(0) and on = sides.(1) in
   let off_list = spread (Array.map fst off) in
   let on_list = spread (Array.map fst on) in
   let off_ns = off_list.med and on_ns = on_list.med in
@@ -1386,12 +1365,12 @@ let run_stall_bench () =
      early static round must not get a stamp-free ride the later ones
      don't *)
   ignore (Obs.Watchdog.advance ());
-  let n = List.length st_contestants in
-  let order r = List.init n (fun i -> List.nth st_contestants ((i + r) mod n)) in
-  let rounds = Array.init st_rounds (fun r -> List.map st_contest (order r)) in
-  let per name =
-    Array.map (fun rows -> List.find (fun x -> x.sr_name = name) rows) rounds
+  let results =
+    run_rounds st_rounds
+      (Array.of_list (List.map (fun c () -> st_contest c) st_contestants))
   in
+  let by_name = List.mapi (fun i (n, _) -> (n, results.(i))) st_contestants in
+  let per name = List.assoc name by_name in
   let median name (_, f) = (spread (Array.map f (per name))).med in
   let medians =
     List.map (fun (n, _) -> (n, List.map (median n) st_columns)) st_contestants
@@ -1423,7 +1402,8 @@ let run_stall_bench () =
     ratios;
   let battery = Chaos.run_stall () in
   Format.printf "  stall battery: %a@." Chaos.pp_stall_report battery;
-  { medians; ratios; rows = List.concat (Array.to_list rounds); battery }
+  let rows = List.concat_map (fun (_, a) -> Array.to_list a) by_name in
+  { medians; ratios; rows; battery }
 
 let battery_json (r : Chaos.stall_report) =
   let open Harness in

@@ -674,9 +674,6 @@ let pp_split_report fmt r =
     pp_errors
     r.sp_errors
 
-module Split_orc = Ds.Orc_split_map.Make ()
-module Split_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
-
 (* Insert-heavy churn over a split-ordered map so the directory doubles
    repeatedly during the storm; a domain that witnesses a doubling
    usually dies on the spot — sometimes abruptly ([Registry.abandon],
@@ -685,8 +682,8 @@ module Split_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
    bucket initialization (adopt the half-finished grow), the scheme's
    orphan protocol must adopt the dead domains' retire backlogs, and
    the quiesced map must be structurally intact with zero leaks. *)
-let split_battery (type t)
-    (module M : Ds.Orc_split_map.MAP with type t = t) name cfg ~span =
+let split_battery name cfg ~span =
+  let module M = (val Ds.Catalog.map name) in
   let s = M.create () in
   let mid_grow = Atomic.make 0 in
   let worker ~tid:_ ~rng ~out =
@@ -749,7 +746,6 @@ let run_split_grow () =
       seed = 0x5011D;
     }
   in
-  [
-    split_battery (module Split_orc) "split-orc" cfg ~span:2_000;
-    split_battery (module Split_hp) "split-hp" cfg ~span:2_000;
-  ]
+  List.map
+    (fun name -> split_battery name cfg ~span:2_000)
+    [ "splitmap-orc"; "splitmap-hp" ]

@@ -157,6 +157,7 @@ val split_ok : split_report -> bool
 val pp_split_report : Format.formatter -> split_report -> unit
 
 val run_split_grow : unit -> split_report list
-(** Run the battery over the orc and hp split maps: 6 waves x 6
+(** Run the battery over the catalogue's [splitmap-orc] and
+    [splitmap-hp] (each report is named so): 6 waves x 6
     domains x 1500 ops over a 2000-key span, a background kill roughly
     every 400 ops on top of the mid-grow deaths. *)

@@ -1,8 +1,11 @@
 (** Common signatures of the benchable data structures.
 
     Every queue and every ordered set in this library exposes the same
-    surface, so the test batteries and the benchmark harness can iterate
-    over scheme × structure combinations uniformly.  The memory
+    surface, so the scheme × structure combinations can be iterated
+    uniformly.  {!Catalog} is the one matrix of those combinations: it
+    applies each algorithm to each scheme it runs under, once, and the
+    figures, the soak, the split-map chaos battery and the bench take
+    their structures from it by name.  The memory
     accounting entry points ([alloc], [unreclaimed], [flush]) are part of
     the interface on purpose: the paper's claims are as much about
     *unreclaimed objects* as about throughput, and every structure must

@@ -18,169 +18,64 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Instantiations of every structure x scheme used by the evaluation.  *)
+(* The rows each figure plots, as Ds.Catalog names, in row order.      *)
 
-module Int_item = struct
-  type t = int
-end
-
-module Msq_hp = Ds.Ms_queue.Make (Int_item) (Reclaim.Hp.Make)
-module Msq_ptb = Ds.Ms_queue.Make (Int_item) (Reclaim.Ptb.Make)
-module Msq_ebr = Ds.Ms_queue.Make (Int_item) (Reclaim.Ebr.Make)
-module Msq_he = Ds.Ms_queue.Make (Int_item) (Reclaim.He.Make)
-module Msq_ptp = Ds.Ms_queue.Make (Int_item) (Orc_core.Ptp.Make)
-module Msq_leak = Ds.Ms_queue.Make (Int_item) (Reclaim.None_scheme.Leak)
-module Msq_orc = Ds.Orc_ms_queue.Make (Int_item)
-module Lcrq_hp = Ds.Lcrq.Make (Int_item) (Reclaim.Hp.Make)
-module Lcrq_ptp = Ds.Lcrq.Make (Int_item) (Orc_core.Ptp.Make)
-module Lcrq_orc = Ds.Orc_lcrq.Make (Int_item)
-module Kpq_orc = Ds.Orc_kp_queue.Make (Int_item)
-module Turn_orc = Ds.Orc_turn_queue.Make (Int_item)
-module Ml_hp = Ds.Michael_list.Make (Reclaim.Hp.Make)
-module Ml_ptb = Ds.Michael_list.Make (Reclaim.Ptb.Make)
-module Ml_ebr = Ds.Michael_list.Make (Reclaim.Ebr.Make)
-module Ml_he = Ds.Michael_list.Make (Reclaim.He.Make)
-module Ml_ibr = Ds.Michael_list.Make (Reclaim.Ibr.Make)
-module Ml_ptp = Ds.Michael_list.Make (Orc_core.Ptp.Make)
-module Ml_leak = Ds.Michael_list.Make (Reclaim.None_scheme.Leak)
-module Ml_orc = Ds.Orc_michael_list.Make ()
-module Harris_orc = Ds.Orc_harris_list.Make ()
-module Hsl_orc = Ds.Orc_hs_list.Make ()
-module Tbkp_orc = Ds.Orc_tbkp_list.Make ()
-module Nm_hp = Ds.Nm_tree.Make (Reclaim.Hp.Make)
-module Nm_ebr = Ds.Nm_tree.Make (Reclaim.Ebr.Make)
-module Nm_he = Ds.Nm_tree.Make (Reclaim.He.Make)
-module Nm_ptp = Ds.Nm_tree.Make (Orc_core.Ptp.Make)
-module Nm_orc = Ds.Orc_nm_tree.Make ()
-module Skip_hs = Ds.Orc_hs_skiplist.Make ()
-module Skip_crf = Ds.Orc_crf_skiplist.Make ()
-module Sm_hp = Ds.Split_map.Make (Reclaim.Hp.Make)
-module Sm_ebr = Ds.Split_map.Make (Reclaim.Ebr.Make)
-module Sm_ptp = Ds.Split_map.Make (Orc_core.Ptp.Make)
-module Sm_orc = Ds.Orc_split_map.Make ()
-
-(* ------------------------------------------------------------------ *)
-(* First-class adapters so experiments can iterate heterogeneously.    *)
-
-type queue_ops = {
-  q_name : string;
-  q_enq : int -> unit;
-  q_deq : unit -> int option;
-  q_destroy : unit -> unit;
-  q_unreclaimed : unit -> int;
-  q_live : unit -> int;
-}
-
-let make_queue name (module Q : Ds.Intf.QUEUE with type item = int) () =
-  let t = Q.create () in
-  {
-    q_name = name;
-    q_enq = Q.enqueue t;
-    q_deq = (fun () -> Q.dequeue t);
-    q_destroy =
-      (fun () ->
-        Q.destroy t;
-        Q.flush t);
-    q_unreclaimed = (fun () -> Q.unreclaimed t);
-    q_live = (fun () -> Memdom.Alloc.live (Q.alloc t));
-  }
-
-type set_ops = {
-  s_name : string;
-  s_add : int -> bool;
-  s_remove : int -> bool;
-  s_contains : int -> bool;
-  s_destroy : unit -> unit;
-  s_unreclaimed : unit -> int;
-  s_live : unit -> int;
-}
-
-let make_set name (module S : Ds.Intf.SET) () =
-  let t = S.create () in
-  {
-    s_name = name;
-    s_add = S.add t;
-    s_remove = S.remove t;
-    s_contains = S.contains t;
-    s_destroy =
-      (fun () ->
-        S.destroy t;
-        S.flush t);
-    s_unreclaimed = (fun () -> S.unreclaimed t);
-    s_live = (fun () -> Memdom.Alloc.live (S.alloc t));
-  }
-
-let queue_factories =
+let queue_figures =
   [
-    make_queue "ms-hp" (module Msq_hp);
-    make_queue "ms-ptb" (module Msq_ptb);
-    make_queue "ms-ebr" (module Msq_ebr);
-    make_queue "ms-he" (module Msq_he);
-    make_queue "ms-ptp" (module Msq_ptp);
-    make_queue "ms-leak" (module Msq_leak);
-    make_queue "ms-orc" (module Msq_orc);
-    make_queue "lcrq-hp" (module Lcrq_hp);
-    make_queue "lcrq-ptp" (module Lcrq_ptp);
-    make_queue "lcrq-orc" (module Lcrq_orc);
-    make_queue "kp-orc" (module Kpq_orc);
-    make_queue "turn-orc" (module Turn_orc);
+    ( "fig1",
+      [ "ms-hp"; "ms-ptb"; "ms-ebr"; "ms-he"; "ms-ptp"; "ms-leak"; "ms-orc";
+        "lcrq-hp"; "lcrq-ptp"; "lcrq-orc"; "kp-orc"; "turn-orc" ] );
+    ("traced", [ "ms-hp"; "ms-ptb"; "ms-ebr"; "ms-he"; "ms-ptp"; "ms-orc" ]);
   ]
 
-let michael_factories =
+let set_figures =
   [
-    make_set "hp" (module Ml_hp);
-    make_set "ptb" (module Ml_ptb);
-    make_set "ebr" (module Ml_ebr);
-    make_set "he" (module Ml_he);
-    make_set "ibr" (module Ml_ibr);
-    make_set "ptp" (module Ml_ptp);
-    make_set "leak" (module Ml_leak);
-    make_set "orc" (module Ml_orc);
+    ( "fig3",
+      [ "michael-hp"; "michael-ptb"; "michael-ebr"; "michael-he";
+        "michael-ibr"; "michael-ptp"; "michael-leak"; "michael-orc" ] );
+    ("fig5", [ "harris-orc"; "michael-orc"; "hs-orc"; "tbkp-orc" ]);
+    ( "fig7",
+      [ "nmtree-hp"; "nmtree-ebr"; "nmtree-he"; "nmtree-ptp"; "nmtree-orc";
+        "hs-skip-orc"; "crf-skip-orc" ] );
+    ( "hashmap",
+      [ "splitmap-hp"; "splitmap-ebr"; "splitmap-ptp"; "splitmap-orc" ] );
   ]
 
-let orc_list_factories =
-  [
-    make_set "harris-orc" (module Harris_orc);
-    make_set "michael-orc" (module Ml_orc);
-    make_set "hs-orc" (module Hsl_orc);
-    make_set "tbkp-orc" (module Tbkp_orc);
-  ]
-
-let tree_factories =
-  [
-    make_set "nmtree-hp" (module Nm_hp);
-    make_set "nmtree-ebr" (module Nm_ebr);
-    make_set "nmtree-he" (module Nm_he);
-    make_set "nmtree-ptp" (module Nm_ptp);
-    make_set "nmtree-orc" (module Nm_orc);
-    make_set "hs-skip-orc" (module Skip_hs);
-    make_set "crf-skip-orc" (module Skip_crf);
-  ]
+(* A set figure's rows, labelled by name or (Fig 3/4, Table 1) by scheme *)
+let sets ?(by_scheme = false) fig =
+  List.map
+    (fun n ->
+      let s = Ds.Catalog.set n in
+      let module S = (val s) in
+      ((if by_scheme then S.scheme_name else n), s))
+    (List.assoc fig set_figures)
 
 (* ------------------------------------------------------------------ *)
 (* Workload drivers.                                                   *)
 
-let run_queue_pairs mk ~threads ~duration =
-  let q = mk () in
+let run_queue_pairs (module Q : Ds.Intf.QUEUE with type item = int) ~threads
+    ~duration =
+  let q = Q.create () in
   let r =
     Runner.run ~threads ~duration
       ~worker:(fun ~i ~tid:_ ~stop ->
         let rng = Rng.create ((i + 1) * 0x9E3779B9) in
         let count = ref 0 in
         while not (stop ()) do
-          q.q_enq (Rng.int rng 1_000_000);
-          ignore (q.q_deq ());
+          Q.enqueue q (Rng.int rng 1_000_000);
+          ignore (Q.dequeue q);
           count := !count + 2
         done;
         !count)
       ()
   in
-  q.q_destroy ();
+  Q.destroy q;
+  Q.flush q;
   r.Runner.mops
 
 (* Insert every other key in shuffled order: the NM tree is unbalanced,
    so ordered prefill would degenerate it into a list. *)
-let prefill s ~keys =
+let prefill add ~keys =
   let ks = Array.init ((keys + 1) / 2) (fun i -> (2 * i) + 1) in
   let rng = Rng.create 0xC0FFEE in
   for i = Array.length ks - 1 downto 1 do
@@ -189,38 +84,45 @@ let prefill s ~keys =
     ks.(i) <- ks.(j);
     ks.(j) <- tmp
   done;
-  Array.iter (fun k -> ignore (s.s_add k)) ks
+  Array.iter (fun k -> ignore (add k)) ks
 
-let run_set_mix ?sampler mk ~mix ~threads ~duration ~keys =
-  let s = mk () in
-  prefill s ~keys;
+(* [sampler ~live ~unreclaimed] sees the set's live and unreclaimed
+   objects every 50 ms while the workers run. *)
+let run_set_mix ?sampler (module S : Ds.Intf.SET) ~mix ~threads ~duration
+    ~keys =
+  let s = S.create () in
+  prefill (S.add s) ~keys;
+  let live () = Memdom.Alloc.live (S.alloc s) in
   let r =
     Runner.run ~threads ~duration
-      ?sampler:(Option.map (fun f () -> f s) sampler)
+      ?sampler:
+        (Option.map
+           (fun f () -> f ~live:(live ()) ~unreclaimed:(S.unreclaimed s))
+           sampler)
       ~worker:(fun ~i ~tid:_ ~stop ->
         let rng = Rng.create ((i + 1) * 7919) in
         let count = ref 0 in
         while not (stop ()) do
           let k = 1 + Rng.int rng keys in
           (match Workload.pick rng mix with
-          | Workload.Add -> ignore (s.s_add k)
-          | Workload.Remove -> ignore (s.s_remove k)
-          | Workload.Lookup -> ignore (s.s_contains k));
+          | Workload.Add -> ignore (S.add s k)
+          | Workload.Remove -> ignore (S.remove s k)
+          | Workload.Lookup -> ignore (S.contains s k));
           incr count
         done;
         !count)
       ()
   in
-  let final = (s.s_live (), s.s_unreclaimed ()) in
-  s.s_destroy ();
+  let final = (live (), S.unreclaimed s) in
+  S.destroy s;
+  S.flush s;
   (r.Runner.mops, final)
 
-let sweep factories ~threads ~f =
+let sweep rows ~threads ~f =
   List.map
-    (fun mk ->
-      let name = (mk ()).s_name in
-      { Report.label = name; points = List.map (fun t -> (t, f mk t)) threads })
-    factories
+    (fun (label, s) ->
+      { Report.label; points = List.map (fun t -> (t, f s t)) threads })
+    rows
 
 let maybe_csv p ~title series =
   match p.csv with
@@ -231,36 +133,34 @@ let maybe_csv p ~title series =
 (* Figures.                                                            *)
 
 let fig1_queues p =
-  let series =
+  let rows =
     List.map
-      (fun mk ->
-        let name = (mk ()).q_name in
-        {
-          Report.label = name;
-          points =
-            List.map
-              (fun t -> (t, run_queue_pairs mk ~threads:t ~duration:p.duration))
-              p.threads;
-        })
-      queue_factories
+      (fun n -> (n, Ds.Catalog.queue n))
+      (List.assoc "fig1" queue_figures)
+  in
+  let series =
+    sweep rows ~threads:p.threads ~f:(fun q t ->
+        run_queue_pairs q ~threads:t ~duration:p.duration)
   in
   maybe_csv p ~title:"fig1-queues" series;
   series
 
-let per_mix p factories ~keys =
+let per_mix p rows ~keys =
   List.map
     (fun (mix_name, mix) ->
       let series =
-        sweep factories ~threads:p.threads ~f:(fun mk t ->
-            fst (run_set_mix mk ~mix ~threads:t ~duration:p.duration ~keys))
+        sweep rows ~threads:p.threads ~f:(fun s t ->
+            fst (run_set_mix s ~mix ~threads:t ~duration:p.duration ~keys))
       in
       maybe_csv p ~title:mix_name series;
       (mix_name, series))
     Workload.standard_mixes
 
-let fig3_list_schemes p = per_mix p michael_factories ~keys:p.list_keys
-let fig5_orc_lists p = per_mix p orc_list_factories ~keys:p.list_keys
-let fig7_trees p = per_mix p tree_factories ~keys:p.big_keys
+let fig3_list_schemes p =
+  per_mix p (sets ~by_scheme:true "fig3") ~keys:p.list_keys
+
+let fig5_orc_lists p = per_mix p (sets "fig5") ~keys:p.list_keys
+let fig7_trees p = per_mix p (sets "fig7") ~keys:p.big_keys
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: measured memory bounds.                                    *)
@@ -295,18 +195,16 @@ let table1_bounds p =
     | _ -> ("?", -1)
   in
   List.map
-    (fun mk ->
-      let name = (mk ()).s_name in
+    (fun (name, set) ->
       let peak = ref 0 in
       let live = ref (threads + 2) in
-      let sampler s =
-        let u = s.s_unreclaimed () in
+      let sampler ~live:_ ~unreclaimed:u =
         if u > !peak then peak := u;
         let a = Registry.active () in
         if a > !live then live := a
       in
       let _, (_, final_unreclaimed) =
-        run_set_mix ~sampler mk ~mix:Workload.write_heavy ~threads
+        run_set_mix ~sampler set ~mix:Workload.write_heavy ~threads
           ~duration:p.duration ~keys:64
       in
       (* one more sample after the run: the 50 ms sampler can miss a
@@ -322,7 +220,7 @@ let table1_bounds p =
         b_bound = bound;
         b_bound_value = bound_value;
       })
-    michael_factories
+    (sets ~by_scheme:true "fig3")
 
 (* ------------------------------------------------------------------ *)
 (* Memory footprint: HS-skip vs CRF-skip (§5).                         *)
@@ -366,15 +264,12 @@ let mem_footprint p =
   let threads = List.fold_left max 1 p.threads in
   let chain_n = min 5_000 p.big_keys in
   List.map
-    (fun (mk, pinned) ->
-      let name = (mk ()).s_name in
+    (fun (name, pinned) ->
+      let module S = (val pinned : Ds.Skiplist_base.S) in
       let peak = ref 0 in
-      let sampler s =
-        let l = s.s_live () in
-        if l > !peak then peak := l
-      in
+      let sampler ~live ~unreclaimed:_ = if live > !peak then peak := live in
       let _, (final_live, _) =
-        run_set_mix ~sampler mk ~mix:Workload.write_heavy ~threads
+        run_set_mix ~sampler (module S) ~mix:Workload.write_heavy ~threads
           ~duration:p.duration ~keys:p.big_keys
       in
       let pinned_live, pinned_after = pinned_chain pinned chain_n in
@@ -388,9 +283,8 @@ let mem_footprint p =
         m_pinned_after = pinned_after;
       })
     [
-      ( make_set "hs-skip" (module Skip_hs),
-        (module Skip_hs : Ds.Skiplist_base.S) );
-      (make_set "crf-skip" (module Skip_crf), (module Skip_crf));
+      ("hs-skip", (module Ds.Catalog.Hs_skip_orc : Ds.Skiplist_base.S));
+      ("crf-skip", (module Ds.Catalog.Crf_skip_orc));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -405,7 +299,7 @@ let ablation_publish p =
           ( t,
             fst
               (run_set_mix
-                 (make_set "ptp" (module Ml_ptp))
+                 (Ds.Catalog.set "michael-ptp")
                  ~mix:Workload.write_heavy ~threads:t ~duration:p.duration
                  ~keys:p.list_keys) ))
         p.threads
@@ -427,8 +321,8 @@ let ablation_clear_handover p =
     let last = ref 0 in
     ignore
       (run_set_mix
-         ~sampler:(fun s -> last := s.s_unreclaimed ())
-         (make_set "ptp" (module Ml_ptp))
+         ~sampler:(fun ~live:_ ~unreclaimed -> last := unreclaimed)
+         (Ds.Catalog.set "michael-ptp")
          ~mix:Workload.write_heavy ~threads ~duration:p.duration
          ~keys:p.list_keys);
     !last
@@ -443,18 +337,10 @@ let ablation_clear_handover p =
    check that the scheme ranking generalizes beyond pointer-chasing
    shapes. *)
 let ext_hashmap p =
-  let factories =
-    [
-      make_set "splitmap-hp" (module Sm_hp);
-      make_set "splitmap-ebr" (module Sm_ebr);
-      make_set "splitmap-ptp" (module Sm_ptp);
-      make_set "splitmap-orc" (module Sm_orc);
-    ]
-  in
   let series =
-    sweep factories ~threads:p.threads ~f:(fun mk t ->
+    sweep (sets "hashmap") ~threads:p.threads ~f:(fun s t ->
         fst
-          (run_set_mix mk ~mix:Workload.write_heavy ~threads:t
+          (run_set_mix s ~mix:Workload.write_heavy ~threads:t
              ~duration:p.duration ~keys:p.list_keys))
   in
   maybe_csv p ~title:"ext-hashmap" series;
@@ -546,14 +432,15 @@ type alloc_row = {
    per-domain, so this is the configuration where "minor words / minor
    collections at equal op count" is well-defined.  The counter window
    excludes structure construction and a short warm-up, so Pool numbers
-   price steady-state recycling rather than the cold free-list. *)
-let alloc_measure ~warm ~window ~alloc ~ops =
-  warm ();
+   price steady-state recycling rather than the cold free-list.  [pairs n]
+   runs n operation pairs: 1,000 to warm up, then [ops / 2] measured. *)
+let alloc_measure ~alloc ~ops pairs =
+  pairs 1_000;
   let s0 = Memdom.Stats.take alloc in
   Gc.full_major ();
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  window ();
+  pairs (ops / 2);
   let dt = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let s1 = Memdom.Stats.take alloc in
@@ -565,17 +452,12 @@ let alloc_measure ~warm ~window ~alloc ~ops =
 
 let alloc_queue_run (module Q : Ds.Intf.QUEUE with type item = int) ~mode ~ops =
   let t = Q.create ~mode () in
-  let pairs n =
-    for i = 1 to n do
-      Q.enqueue t i;
-      ignore (Q.dequeue t)
-    done
-  in
   let r =
-    alloc_measure
-      ~warm:(fun () -> pairs 1_000)
-      ~window:(fun () -> pairs (ops / 2))
-      ~alloc:(Q.alloc t) ~ops
+    alloc_measure ~alloc:(Q.alloc t) ~ops (fun n ->
+        for i = 1 to n do
+          Q.enqueue t i;
+          ignore (Q.dequeue t)
+        done)
   in
   Q.destroy t;
   Q.flush t;
@@ -590,18 +472,13 @@ let alloc_queue_run (module Q : Ds.Intf.QUEUE with type item = int) ~mode ~ops =
 let alloc_list_run (module S : Ds.Intf.SET) ~mode ~ops =
   let t = S.create ~mode () in
   let keys = 16 in
-  let churn n =
-    for i = 1 to n do
-      let k = 1 + (i mod keys) in
-      ignore (S.add t k);
-      ignore (S.remove t k)
-    done
-  in
   let r =
-    alloc_measure
-      ~warm:(fun () -> churn 1_000)
-      ~window:(fun () -> churn (ops / 2))
-      ~alloc:(S.alloc t) ~ops
+    alloc_measure ~alloc:(S.alloc t) ~ops (fun n ->
+        for i = 1 to n do
+          let k = 1 + (i mod keys) in
+          ignore (S.add t k);
+          ignore (S.remove t k)
+        done)
   in
   S.destroy t;
   S.flush t;
@@ -611,9 +488,9 @@ let alloc_modes () =
   let ops = 200_000 in
   let workloads =
     [
-      ("msq-ptp", fun ~mode -> alloc_queue_run (module Msq_ptp) ~mode ~ops);
-      ("msq-hp", fun ~mode -> alloc_queue_run (module Msq_hp) ~mode ~ops);
-      ("list-hp", fun ~mode -> alloc_list_run (module Ml_hp) ~mode ~ops);
+      ("msq-ptp", alloc_queue_run (Ds.Catalog.queue "ms-ptp") ~ops);
+      ("msq-hp", alloc_queue_run (Ds.Catalog.queue "ms-hp") ~ops);
+      ("list-hp", alloc_list_run (Ds.Catalog.set "michael-hp") ~ops);
     ]
   in
   List.concat_map
@@ -644,35 +521,30 @@ let alloc_modes () =
 
 type traced_run = { t_name : string; t_mops : float; t_sink : Obs.Sink.t }
 
-let traced_scheme_names =
-  [ "ms-hp"; "ms-ptb"; "ms-ebr"; "ms-he"; "ms-ptp"; "ms-orc" ]
-
 let traced_queue_runs p =
   let threads = List.fold_left max 1 p.threads in
-  List.filter_map
-    (fun mk ->
-      let name = (mk ()).q_name in
-      if not (List.mem name traced_scheme_names) then None
-      else
-        (* The sink must be ambient while the queue (and its internal
-           allocator + scheme) is constructed: [run_queue_pairs] builds
-           the structure inside, on this thread, so rebinding the
-           default here is race-free. *)
-        let sink = Obs.Sink.make ~capacity:(1 lsl 15) () in
-        let mops =
-          Obs.Sink.with_default sink (fun () ->
-              run_queue_pairs mk ~threads ~duration:p.duration)
-        in
-        Some { t_name = name; t_mops = mops; t_sink = sink })
-    queue_factories
+  List.map
+    (fun name ->
+      (* The sink must be ambient while the queue (and its internal
+         allocator + scheme) is constructed: [run_queue_pairs] builds
+         the structure inside, on this thread, so rebinding the default
+         here is race-free. *)
+      let sink = Obs.Sink.make ~capacity:(1 lsl 15) () in
+      let mops =
+        Obs.Sink.with_default sink (fun () ->
+            run_queue_pairs (Ds.Catalog.queue name) ~threads
+              ~duration:p.duration)
+      in
+      { t_name = name; t_mops = mops; t_sink = sink })
+    (List.assoc "traced" queue_figures)
 
 (* Null-sink tracing overhead on the ms-orc micro: the hooks compile to
    one branch when the sink is Null, so these two numbers should agree
    to within noise; the active-sink number prices full event capture. *)
 let tracing_overhead p =
   let threads = List.fold_left max 1 p.threads in
-  let mk = make_queue "ms-orc" (module Msq_orc) in
-  let run () = run_queue_pairs mk ~threads ~duration:p.duration in
+  let q = Ds.Catalog.queue "ms-orc" in
+  let run () = run_queue_pairs q ~threads ~duration:p.duration in
   ignore (run ()) (* warm-up *);
   let null_mops = run () in
   let sink = Obs.Sink.make () in

@@ -16,10 +16,17 @@ type params = {
 
 val default : params
 
+val queue_figures : (string * string list) list
+val set_figures : (string * string list) list
+(** Each figure with the {!Ds.Catalog} entries it plots, in row order:
+    queues for ["fig1"] and ["traced"] ({!traced_queue_runs}); sets and
+    maps for ["fig3"] (also Table 1's rows; both label a row by its
+    [scheme_name]), ["fig5"], ["fig7"] and ["hashmap"]. *)
+
 val fig1_queues : params -> Report.series list
-(** Figures 1/2: enqueue/dequeue pairs on every queue × scheme
-    combination.  Raw Mops/s; normalize with {!Report.normalize} for the
-    paper's presentation. *)
+(** Figures 1/2: enqueue/dequeue pairs on each queue × scheme
+    combination of the ["fig1"] rows.  Raw Mops/s; normalize with
+    {!Report.normalize} for the paper's presentation. *)
 
 val fig3_list_schemes : params -> (string * Report.series list) list
 (** Figures 3/4: Michael-Harris list, 10³ keys, one table per workload
