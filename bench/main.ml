@@ -418,7 +418,7 @@ let scan_run (module M : Reclaim.Scheme_intf.S with type node = snode) name
      pinned by [begin_op], for pointer schemes the raw publish *)
   M.begin_op s ~tid:1;
   let pinned = { s_hdr = Memdom.Alloc.hdr alloc () } in
-  M.protect_raw s ~tid:1 ~idx:0 (Some pinned);
+  M.protect_raw s ~tid:1 ~idx:0 pinned;
   M.retire s ~tid:0 pinned;
   let open Reclaim.Scheme_intf in
   let target_scans = (M.stats s).scans + 6 in
@@ -676,7 +676,8 @@ let pack_orc_run (module O : Orc_core.Orc.S with type node = pnode) name =
         let np = O.ptr g in
         for _ = 1 to pack_chain do
           let n =
-            O.alloc_node_into g np (fun hdr ->
+            O.alloc_node_into g np Memdom.Handle.fresh
+              Memdom.Handle.fresh (fun hdr ->
                 { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
           in
           (* prepend: n.next takes the old chain head, root takes n *)
@@ -703,7 +704,8 @@ let pack_orc_run (module O : Orc_core.Orc.S with type node = pnode) name =
         let t0 = Obs.Sink.now_ns () in
         for _ = 1 to pack_retires / 4 do
           let n =
-            O.alloc_node_into g np (fun hdr ->
+            O.alloc_node_into g np Memdom.Handle.fresh
+              Memdom.Handle.fresh (fun hdr ->
                 { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
           in
           O.store_v g sl (O.v_ptr o n);
@@ -784,23 +786,50 @@ let pack_schemes () =
   rows
 
 (* Node footprint: the exact minor words one add/remove pair allocates
-   on a warm orc split map — the node, its header on a pool miss, and
-   the per-add closure.  A warm map initializes no bucket and grows no
-   directory, and a removed node is freed inside its remove, so every
-   pair allocates the same words.  The bounds are the exact counts
-   today: the node is its own link, the era stamps a header word, and
-   the header seven fields (label and retire stamp packed into spare
-   bits).  [fp_before] is the count before the last change that moved
-   it: 29 on System with the nine-field header, 22 on Pool (which
-   recycles headers) with a separate link block. *)
+   on a warm orc split map, and the words the minor collections promote
+   for it.  A warm map initializes no bucket and grows no directory,
+   and a removed node is freed inside its remove, so every pair
+   allocates the same words.  The bounds are the exact counts today.
+   System builds the node (its own link, four fields) and its
+   seven-field header with the header's state atomic for every add;
+   the arena slot keeps the freed record reachable only until the
+   slot is reused, and in this warm loop the tid's slot cache re-uses
+   it at the next add, so only the current occupant can survive a
+   minor collection and System too promotes about 0 words per pair.
+   Pool
+   recycles the header and the node record together (the record comes
+   back with its arena slot and is re-initialised in place), with a
+   closed constructor and array free lists: nothing is allocated, so
+   nothing is promoted.  [fp_before] is the count before the last
+   change that moved it: 27 on System and 20 on Pool, when every add
+   built a capturing constructor closure and Pool built a new node
+   record. *)
 type footprint_row = {
   fp_mode : string;
   fp_words : float; (* minor words per add/remove pair *)
   fp_bound : float;
   fp_before : float;
+  fp_promoted : float; (* words promoted per add/remove pair *)
+  fp_promoted_bound : float option; (* guarded for Pool only *)
 }
 
-let footprint_run mode ~bound ~before =
+(* Words the minor collections promote while [f] runs plus one forced
+   collection after it, the measurement's own survivors calibrated out
+   as in [measure_words_ns]. *)
+let measure_promoted f =
+  let promoted () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.promoted_words
+  in
+  let a = promoted () in
+  let b = promoted () in
+  let overhead = b -. a in
+  let p0 = promoted () in
+  f ();
+  let p1 = promoted () in
+  Float.max 0. (p1 -. p0 -. overhead)
+
+let footprint_run mode ~bound ~before ~promoted_bound =
   let module Fp_map = (val Ds.Catalog.map "splitmap-orc") in
   let m = Fp_map.create ~mode () in
   let keys = 512 in
@@ -815,6 +844,13 @@ let footprint_run mode ~bound ~before =
   in
   pairs ();
   let words, _ = measure_words_ns pairs in
+  let rounds = 16 in
+  let promoted =
+    measure_promoted (fun () ->
+        for _ = 1 to rounds do
+          pairs ()
+        done)
+  in
   Fp_map.destroy m;
   Fp_map.flush m;
   {
@@ -823,6 +859,8 @@ let footprint_run mode ~bound ~before =
     fp_words = words /. float_of_int keys;
     fp_bound = bound;
     fp_before = before;
+    fp_promoted = promoted /. float_of_int (rounds * keys);
+    fp_promoted_bound = promoted_bound;
   }
 
 type pack_result = { rows : pack_row list; footprint : footprint_row list }
@@ -831,16 +869,19 @@ let run_pack () =
   let rows = pack_schemes () in
   let footprint =
     [
-      footprint_run Memdom.Alloc.System ~bound:27. ~before:29.;
-      footprint_run Memdom.Alloc.Pool ~bound:20. ~before:22.;
+      footprint_run Memdom.Alloc.System ~bound:15. ~before:27.
+        ~promoted_bound:None;
+      footprint_run Memdom.Alloc.Pool ~bound:0. ~before:20.
+        ~promoted_bound:(Some 0.);
     ]
   in
-  Format.printf "  split-map add/remove pair (orc): minor words@.";
-  Format.printf "  %-8s %10s %8s %8s@." "alloc" "words" "bound" "before";
+  Format.printf "  split-map add/remove pair (orc): minor and promoted words@.";
+  Format.printf "  %-8s %10s %8s %8s %10s@." "alloc" "words" "bound" "before"
+    "promoted";
   List.iter
     (fun r ->
-      Format.printf "  %-8s %10.2f %8.0f %8.0f@." r.fp_mode r.fp_words
-        r.fp_bound r.fp_before)
+      Format.printf "  %-8s %10.2f %8.0f %8.0f %10.2f@." r.fp_mode r.fp_words
+        r.fp_bound r.fp_before r.fp_promoted)
     footprint;
   { rows; footprint }
 
@@ -870,13 +911,16 @@ let pack_json { rows; footprint } =
                  ("words_per_pair", Json.Float r.fp_words);
                  ("bound", Json.Float r.fp_bound);
                  ("before", Json.Float r.fp_before);
+                 ("promoted_words_per_pair", Json.Float r.fp_promoted);
                ])
            footprint) );
   ]
 
 (* The protected-read path allocates nothing: the ceiling is a rounding
    allowance for fixed costs amortized over the measured hops.  A node
-   or header that grows breaks the footprint bounds. *)
+   or header that grows breaks the footprint bounds, and a Pool pair
+   that leaves anything for the major heap breaks the promotion
+   bound. *)
 let pack_guards { rows; footprint } =
   guard (rows <> []) "%d schemes measured > 0" (List.length rows)
   :: List.map
@@ -890,6 +934,16 @@ let pack_guards { rows; footprint } =
           "split map (%s): %.2f minor words per add/remove pair <= %.0f \
            (%.0f before)"
           r.fp_mode r.fp_words r.fp_bound r.fp_before)
+      footprint
+  @ List.filter_map
+      (fun r ->
+        Option.map
+          (fun b ->
+            guard (r.fp_promoted <= b)
+              "split map (%s): %.2f promoted words per add/remove pair <= \
+               %.0f"
+              r.fp_mode r.fp_promoted b)
+          r.fp_promoted_bound)
       footprint
 
 (* ------------------------------------------------------------------ *)
@@ -1257,7 +1311,7 @@ let st_churn (type s)
     ignore (S.get_protected_v s ~tid ~idx:0 table.(next_slot ()));
     ignore (S.get_protected_v s ~tid ~idx:0 table.(next_slot ()));
     let n = { s_hdr = Memdom.Alloc.hdr alloc () } in
-    S.protect_raw s ~tid ~idx:0 (Some n);
+    S.protect_raw s ~tid ~idx:0 n;
     let nv = Atomicx.Link.v_ptr_in arena n in
     let old = Atomicx.Link.exchange_v table.(next_slot ()) nv in
     S.end_op s ~tid;

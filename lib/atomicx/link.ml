@@ -149,33 +149,50 @@ let release_slot a ~tid s =
     c.(0) <- n + 1
   end
 
-let alloc_slot a ~tid =
+(* A released slot from [tid]'s cache, refilled from the shared list
+   when empty; -1 when both are empty.  The slot still holds its last
+   occupant, and counts as registered from here on. *)
+let reuse_slot a ~tid =
   let c = cache_of a tid in
   let n = c.(0) in
   let n = if n > 0 then n else refill a c in
   if n > 0 then begin
     c.(0) <- n - 1;
+    Shard.incr a.n_registered ~tid;
     c.(n)
   end
+  else -1
+
+let alloc_slot a ~tid =
+  let s = reuse_slot a ~tid in
+  if s >= 0 then s
   else
     let s = Atomic.fetch_and_add a.next_fresh 1 in
     if s >= max_slots then failwith "Link.arena: slot table exhausted";
     ensure_chunk a (s lsr chunk_bits);
+    Shard.incr a.n_registered ~tid;
     s
+
+let occupant a s = deref a s
 
 (* Registration must be performed by the thread that owns the node
    privately (in practice: its allocator, before first publication), so
    it needs no synchronization against itself.  The slot's content
    store is published to other threads by the atomic link-word store
-   that follows it. *)
+   that follows it.  A record re-bound to the slot it already occupies
+   costs no store (and no [caml_modify]). *)
+let bind a s n =
+  let c = Atomic.get a.chunks.(s lsr chunk_bits) in
+  let i = s land (chunk_size - 1) in
+  if Array.unsafe_get c i != Obj.repr n then c.(i) <- Obj.repr n;
+  a.on_register (Obj.repr n) s ~release:a.release_fn
+
 let register a n =
-  let tid = Registry.tid () in
-  let s = alloc_slot a ~tid in
-  (Atomic.get a.chunks.(s lsr chunk_bits)).(s land (chunk_size - 1)) <-
-    Obj.repr n;
-  Shard.incr a.n_registered ~tid;
-  a.on_register (Obj.repr n) s ~release:a.release_fn;
+  let s = alloc_slot a ~tid:(Registry.tid ()) in
+  bind a s n;
   s
+
+let release = release_slot
 
 let ensure_registered a n =
   let s = a.slot_of (Obj.repr n) in

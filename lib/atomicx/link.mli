@@ -88,6 +88,33 @@ val arena :
     [release ~tid slot] by the freeing thread [tid], when the node is
     freed. *)
 
+(** {2 Type-stable reuse}
+
+    A released slot keeps its last occupant, so an allocator can take
+    the slot and the record together and re-initialise the record in
+    place instead of building a new one ([Memdom.Handle.node]). *)
+
+val reuse_slot : 'a arena -> tid:int -> int
+(** A released slot for [tid], from its cache (refilled from the shared
+    list when empty), or -1 when neither holds one.  The slot still
+    names its last occupant ({!occupant}) but counts as live: it must
+    be {!bind}ed or {!release}d again.  A never-used slot is left to
+    the registration path ({!v_ptr_in}, {!make_in}). *)
+
+val occupant : 'a arena -> int -> 'a
+(** The record last registered at a slot. *)
+
+val bind : 'a arena -> int -> 'a -> unit
+(** [bind a s n] registers [n] at the slot [s] that {!reuse_slot}
+    returned — [n] its occupant re-initialised, or a new record — and
+    stamps [n] through [on_register].  The caller owns [n] privately. *)
+
+val release : 'a arena -> tid:int -> int -> unit
+(** Return a slot to [tid]'s cache: what the [release] callback that
+    [on_register] receives does.  A caller that keeps the slot's
+    occupant reachable (a destructor still dropping its links) releases
+    the slot itself, once the occupant may be re-initialised. *)
+
 val arena_live : 'a arena -> int
 val arena_capacity : 'a arena -> int
 (** Diagnostics: registrations minus released slots, and the

@@ -181,7 +181,7 @@ module Battery (S : Reclaim.Scheme_intf.S with type node = cnode) = struct
         if Rng.bool rng then begin
           (* writer: swap in a fresh node, retire the evictee *)
           let n = mk alloc k in
-          S.protect_raw s ~tid ~idx:0 (Some n);
+          S.protect_raw s ~tid ~idx:0 n;
           let old = evict arena slot (Link.v_ptr_in arena n) in
           S.end_op s ~tid;
           match old with
@@ -523,7 +523,7 @@ let run_stall () =
                       incr k;
                       Stall_hp.begin_op s ~tid;
                       let n = mk !k in
-                      Stall_hp.protect_raw s ~tid ~idx:0 (Some n);
+                      Stall_hp.protect_raw s ~tid ~idx:0 n;
                       let old =
                         evict arena table.(Rng.int rng 4)
                           (Link.v_ptr_in arena n)

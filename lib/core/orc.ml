@@ -110,6 +110,9 @@ type ('n, 'b) core = {
   (* the destructor, for the backend's reclamation paths: it is
      defined by the automatic layer, which itself calls the backend *)
   delete : tid:int -> 'n -> unit;
+  (* per tid: the destructor's link dropper, built by that tid on its
+     first delete, so a delete builds no closure *)
+  drops : ('n Link.t -> unit) array;
   (* strong reference keeping the weakly-registered quarantine
      cleaner alive exactly as long as this scheme *)
   mutable lifecycle : int -> unit;
@@ -121,6 +124,7 @@ type ('n, 'b) core = {
 }
 
 let uid c n = (c.hdr n).Memdom.Hdr.uid
+let no_drop _ = ()
 let orc_word c n = Memdom.Hdr.orc (c.hdr n)
 
 let note_retired c ~tid n =
@@ -378,7 +382,7 @@ module Hp_backend = struct
      zeroed on this row, and the engine judges those too, so a chain
      whose links each hold the next (a queue's dequeued nodes) is freed
      in one scan rather than one link per threshold crossing. *)
-  let verdict c ~tid visited p =
+  let verdict c ~tid visited p _ =
     let lorc = Atomic.get (orc_word c p) in
     if ocnt lorc <> retired_zero then clear_bit_retired c ~tid p <> 0
     else if protected_by_any c ~visited p then true
@@ -495,21 +499,39 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* {2 Counts (Algorithm 4) and the destructor} *)
 
-  (* The destructor: return the memory, then drop the node's outgoing
-     hard links (each drop may cascade through [dec]).  Freeing first
-     ends [p]'s retire→free window before the cascade runs.  It is safe
-     because [p] is unreachable and unprotected here: the drops touch
-     only the record's own links (its link blocks, or the record
-     itself when it embeds its link), which nobody else can reach, and
-     read neither [p]'s header nor its arena slot, so a re-issue of
-     either after the free cannot reach them. *)
+  (* The destructor: free the header, drop the node's outgoing hard
+     links (each drop may cascade through [dec]), and only then release
+     the arena slot.  Freeing the header first ends [p]'s retire→free
+     window before the cascade runs.  It is safe because [p] is
+     unreachable and unprotected here, and the drops read neither [p]'s
+     header nor its slot, so a re-issue of the header meanwhile cannot
+     reach them.  The record is another matter: the drops write its
+     links, and in Pool mode a released slot hands its record to the
+     next allocation ([Memdom.Handle.node]), so the slot is detached
+     from the header before the free and released after the drops.
+     Nobody else can reach the record until then. *)
   let rec delete t ~tid p =
-    Memdom.Alloc.free t.alloc (N.hdr p);
+    let h = N.hdr p in
+    let release = h.Memdom.Hdr.slot_release in
+    let s = Memdom.Hdr.detach_slot h in
+    Memdom.Alloc.free t.alloc h;
     Shard.add t.pending ~tid (-1);
-    N.iter_links p (fun l ->
-        let old = Link.exchange_v l Link.v_null in
-        (* the dropped hard link keeps the child alive until [dec] *)
-        if Link.v_has_target old then dec t ~tid (Link.v_target_exn l old))
+    N.iter_links p (dropper t ~tid);
+    if s >= 0 then release ~tid s
+
+  and dropper t ~tid =
+    let d = t.drops.(tid) in
+    if d != no_drop then d
+    else begin
+      let d l = drop_link t ~tid l in
+      t.drops.(tid) <- d;
+      d
+    end
+
+  (* the dropped hard link keeps the child alive until [dec] *)
+  and drop_link t ~tid l =
+    let old = Link.exchange_v l Link.v_null in
+    if Link.v_has_target old then dec t ~tid (Link.v_target_exn l old)
 
   (* incrementOrc (Algorithm 4 lines 38–43).  Caller must hold a
      protected reference to [p]. *)
@@ -627,6 +649,7 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
         wd = Obs.Watchdog.create ();
         bk;
         delete = (fun ~tid p -> delete t ~tid p);
+        drops = Array.make Registry.max_threads no_drop;
         lifecycle = ignore;
         neutralizer = ignore;
         metrics = [];
@@ -854,18 +877,14 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
     end
 
   (* make_orc<T> (Algorithm 3 lines 31–36): allocate, then protect the
-     not-yet-shared node in a fresh slot. *)
-  let run_mk (g : guard) mk hdr =
-    match mk hdr with
-    | n -> n
-    | exception e ->
-        (* constructor failed: the header must not leak *)
-        Memdom.Alloc.free g.core.alloc hdr;
-        raise e
+     not-yet-shared node in a fresh slot.  [Memdom.Handle.node] re-uses
+     a freed record in Pool mode; a closed [mk] and [renew] keep the
+     allocation closure-free. *)
+  let new_node (g : guard) mk renew x =
+    Memdom.Handle.node g.core.alloc g.core.arena ~tid:g.tid mk renew x
 
   let alloc_node (g : guard) mk =
-    let hdr = Memdom.Alloc.hdr g.core.alloc () in
-    let n = run_mk g mk hdr in
+    let n = new_node g Memdom.Handle.fresh Memdom.Handle.fresh mk in
     let p = ptr g in
     Atomic.set g.core.tl.(g.tid).hp_uid.(p.idx) (uid n);
     p.v <- v_ptr g.core n;
@@ -873,10 +892,9 @@ module Make_gen (B : BACKEND) (N : NODE) = struct
 
   (* make_orc into an existing handle, for loops that allocate many nodes
      under one guard without exhausting hazard indexes. *)
-  let alloc_node_into (g : guard) (p : ptr) mk =
+  let alloc_node_into (g : guard) (p : ptr) mk renew x =
     Reclaim.Neutralize.check ~tid:g.tid;
-    let hdr = Memdom.Alloc.hdr g.core.alloc () in
-    let n = run_mk g mk hdr in
+    let n = new_node g mk renew x in
     ensure_exclusive g p;
     (* the outgoing target's check precedes the overwrite (see [clear]) *)
     if Link.v_has_target p.v then

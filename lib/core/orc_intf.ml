@@ -144,9 +144,22 @@ module type S = sig
       header) and return it protected.  If it is never linked anywhere,
       it is reclaimed when the guard ends. *)
 
-  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
-  (** Like {!alloc_node} but reusing an existing handle — for retry
-      loops that would otherwise exhaust hazard indexes. *)
+  val alloc_node_into :
+    guard ->
+    Ptr.t ->
+    (node Atomicx.Link.arena -> Memdom.Hdr.t -> 'a -> node) ->
+    (node -> Memdom.Hdr.t -> 'a -> node) ->
+    'a ->
+    node
+  (** [alloc_node_into g p mk renew x]: like {!alloc_node} but into an
+      existing handle — for retry loops that would otherwise exhaust
+      hazard indexes — and with the node built by
+      [Memdom.Handle.node]: [mk arena hdr x] builds a record, [renew
+      old hdr x] re-initialises a freed one that Pool mode recycles
+      with its arena slot.  Closed [mk] and [renew] build no closure
+      per allocation ([Memdom.Handle.fresh] in both positions for a
+      node type that is never re-initialised).  A record is re-issued
+      only after the destructor has dropped its links. *)
 
   (** {2 orc_atomic mutators (Algorithm 4)}
 

@@ -51,8 +51,7 @@ module Make (N : Reclaim.Scheme_intf.NODE) :
     if !publish_with_exchange then ignore (Atomic.exchange t.hp.(tid).(idx) u)
     else Atomic.set t.hp.(tid).(idx) u
 
-  let protect_raw t ~tid ~idx n =
-    publish t ~tid ~idx (match n with Some n -> uid n | None -> -1)
+  let protect_raw t ~tid ~idx n = publish t ~tid ~idx (uid n)
 
   let copy_protection t ~tid ~src ~dst =
     Reclaim.Neutralize.check ~tid;

@@ -119,7 +119,19 @@ module type CORE = sig
   val load : guard -> node Atomicx.Link.t -> Ptr.t -> unit
   val assign : guard -> Ptr.t -> Ptr.t -> unit
   val advance : guard -> Ptr.t -> Ptr.t -> Ptr.t -> unit
-  val alloc_node_into : guard -> Ptr.t -> (Memdom.Hdr.t -> node) -> node
+  val alloc_node_into :
+    guard ->
+    Ptr.t ->
+    (node Atomicx.Link.arena -> Memdom.Hdr.t -> 'a -> node) ->
+    (node -> Memdom.Hdr.t -> 'a -> node) ->
+    'a ->
+    node
+  (** [alloc_node_into g p mk renew x]: a node by
+      [Memdom.Handle.node] (built by [mk], or in Pool mode a freed
+      record re-initialised by [renew] with its arena slot), returned
+      protected in [p].  Closed [mk] and [renew] build no closure;
+      {!Fresh} serves a node type that is never re-initialised. *)
+
   val new_link_v : guard -> node Atomicx.Link.view -> node Atomicx.Link.t
   val store_v : guard -> node Atomicx.Link.t -> node Atomicx.Link.view -> unit
 
@@ -176,4 +188,11 @@ module type CORE = sig
 
   val unreclaimed : t -> int
   val flush : t -> unit
+end
+
+(** [alloc_node_into] for a node type that is never re-initialised in
+    place: [mk] builds every life's record. *)
+module Fresh (O : CORE) = struct
+  let alloc_into g p mk =
+    O.alloc_node_into g p Memdom.Handle.fresh Memdom.Handle.fresh mk
 end

@@ -137,18 +137,16 @@ module Make (R : Reclaim.Scheme_intf.MAKER) (N : Orc_core.Orc.NODE) = struct
   let v_ptr t n = Link.v_ptr_in t.arena n
   let arena t = t.arena
 
-  let alloc_node_into (g : guard) (p : ptr) mk =
-    let hdr = Memdom.Alloc.hdr g.core.alloc () in
+  (* A record is recycled (Pool mode) once [Alloc.free] has released
+     its slot: a manual scheme frees only what no thread can still
+     reach, and the record's links are rewritten by [renew]. *)
+  let alloc_node_into (g : guard) (p : ptr) mk renew x =
     let n =
-      match mk hdr with
-      | n -> n
-      | exception e ->
-          Memdom.Alloc.free g.core.alloc hdr;
-          raise e
+      Memdom.Handle.node g.core.alloc g.core.arena ~tid:g.tid mk renew x
     in
     (* returned protected, as under orc: an [Impl] may still use the
        node after publishing it, when another thread can retire it *)
-    S.protect_raw g.core.s ~tid:g.tid ~idx:p.idx (Some n);
+    S.protect_raw g.core.s ~tid:g.tid ~idx:p.idx n;
     p.v <- v_ptr g.core n;
     n
 

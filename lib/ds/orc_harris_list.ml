@@ -123,10 +123,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let left_link = search g anchor key ~left ~right ~tnext in
     (not (at_key right key))
     &&
-    let n =
-      O.alloc_node_into g (O.ptr g) (fun hdr ->
-          { word = 0; arena = O.arena (core t); ord = key; hdr })
-    in
+    let n = O.alloc_node_into g (O.ptr g) make_node renew_node key in
     link_in (core t) g ~right left_link n
     || insert_node (core t) g anchor key ~left ~right ~tnext n
 

@@ -42,6 +42,8 @@ struct
   module Nd = Node (V)
   open Nd
 
+  open Intf.Fresh (O)
+
   type item = V.t
 
   type t = {
@@ -90,12 +92,12 @@ struct
     let alloc = Memdom.Alloc.create ~mode ("kp_queue/" ^ O.name) in
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
-        let s = O.alloc_node_into g (O.ptr g) (mk_node g None (-1)) in
+        let s = alloc_into g (O.ptr g) (mk_node g None (-1)) in
         let dp = O.ptr g in
         let state =
           Array.init Registry.max_threads (fun _ ->
               let d =
-                O.alloc_node_into g dp
+                alloc_into g dp
                   (mk_desc ~phase:(-1) ~pending:false ~is_enq:true
                      ~node:Link.v_null g)
               in
@@ -162,7 +164,7 @@ struct
           O.load g (next_of d) cu.dn;
           if holds cu.dn nx then begin
             let nd =
-              O.alloc_node_into g cu.dp
+              alloc_into g cu.dp
                 (mk_desc ~phase:d.phase ~pending:false ~is_enq:true
                    ~node:(O.Ptr.view cu.lnext) g)
             in
@@ -220,7 +222,7 @@ struct
       then begin
         O.load g (next_of d) cu.dn;
         let nd =
-          O.alloc_node_into g cu.dp
+          alloc_into g cu.dp
             (mk_desc ~phase:d.phase ~pending:false ~is_enq:false
                ~node:(O.Ptr.view cu.dn) g)
         in
@@ -251,7 +253,7 @@ struct
                   Link.view_eq (Link.view t.tail) (O.Ptr.view cu.ltail)
                 then begin
                   let nd =
-                    O.alloc_node_into g cu.dp
+                    alloc_into g cu.dp
                       (mk_desc ~phase:d.phase ~pending:false ~is_enq:false
                          ~node:Link.v_null g)
                   in
@@ -278,7 +280,7 @@ struct
                   holds cu.dn first
                   ||
                   let nd =
-                    O.alloc_node_into g cu.dp
+                    alloc_into g cu.dp
                       (mk_desc ~phase:d.phase ~pending:true ~is_enq:false
                          ~node:(O.Ptr.view cu.lhead) g)
                   in
@@ -313,9 +315,9 @@ struct
     let cu = cursor g in
     let ph = max_phase q g cu + 1 in
     let np = O.ptr g in
-    ignore (O.alloc_node_into g np (mk_node g (Some v) tid));
+    ignore (alloc_into g np (mk_node g (Some v) tid));
     ignore
-      (O.alloc_node_into g cu.dp
+      (alloc_into g cu.dp
          (mk_desc ~phase:ph ~pending:true ~is_enq:true
             ~node:(O.Ptr.view np) g));
     O.store_v g q.state.(tid) (O.Ptr.view cu.dp);
@@ -328,7 +330,7 @@ struct
     let cu = cursor g in
     let ph = max_phase q g cu + 1 in
     ignore
-      (O.alloc_node_into g cu.dp
+      (alloc_into g cu.dp
          (mk_desc ~phase:ph ~pending:true ~is_enq:false ~node:Link.v_null g));
     O.store_v g q.state.(tid) (O.Ptr.view cu.dp);
     help q g cu ph;

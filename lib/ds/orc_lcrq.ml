@@ -55,6 +55,8 @@ struct
   module Nd = Node (V)
   open Nd
 
+  open Intf.Fresh (O)
+
   type item = V.t
 
   type t = {
@@ -97,7 +99,7 @@ struct
     let alloc = Memdom.Alloc.create ~mode ("lcrq/" ^ O.name) in
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let crq = O.alloc_node_into g (O.ptr g) (mk_crq g) in
+        let crq = alloc_into g (O.ptr g) (mk_crq g) in
         {
           head = O.new_link_v g (O.v_ptr orc crq);
           tail = O.new_link_v g (O.v_ptr orc crq);
@@ -204,7 +206,7 @@ struct
         match enq_crq crq v with
         | `Ok -> ()
         | `Closed ->
-            let ncrq = O.alloc_node_into g np (mk_crq ~first:v g) in
+            let ncrq = alloc_into g np (mk_crq ~first:v g) in
             let nv = O.v_ptr q.orc ncrq in
             if O.cas_v g (next_of crq) ~expected:nx ~desired:nv then
               ignore (O.cas_v g q.tail ~expected:(O.Ptr.view ltail) ~desired:nv)

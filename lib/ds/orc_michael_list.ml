@@ -26,16 +26,31 @@ open Atomicx
 
 (* The node is its own [next] link ({!Link.embedded}): fields 0 and 1
    are the link word and the arena, so a list hop reads no link
-   block.  [word] is 0 ([Null]) in every literal and is otherwise
-   touched only through [next_link]. *)
+   block.  [word] is 0 ([Null]) in the one literal, [make_node], and is
+   otherwise touched only through [next_link].  [ord] and [hdr] are
+   mutable for [renew_node] alone: in Pool mode a freed record comes
+   back with its arena slot and is re-initialised in place, so a warm
+   add allocates no node. *)
 type node = {
   mutable word : int;
   arena : node Link.arena;
-  ord : int;
-  hdr : Memdom.Hdr.t;
+  mutable ord : int;
+  mutable hdr : Memdom.Hdr.t;
 }
 
 let next_link (n : node) : node Link.t = Link.embedded n
+
+(* The constructor and re-initialiser [O.alloc_node_into] takes: closed,
+   so an add builds no closure.  The link goes back to [Null] through
+   a write, under the next stamp: a view of the previous life's word
+   never [view_eq]s the new life's. *)
+let make_node arena hdr ord = { word = 0; arena; ord; hdr }
+
+let renew_node n hdr ord =
+  n.hdr <- hdr;
+  n.ord <- ord;
+  Link.set_v (next_link n) Link.v_null;
+  n
 
 module N = struct
   type t = node
@@ -147,10 +162,7 @@ module Window (O : Intf.CORE with type node = node) = struct
     let prev_link = find restarts g anchor ord ~prev ~curr ~next in
     (not (found curr ord))
     &&
-    let n =
-      O.alloc_node_into g into (fun hdr ->
-          { word = 0; arena = O.arena core; ord; hdr })
-    in
+    let n = O.alloc_node_into g into make_node renew_node ord in
     link_in core g ~curr prev_link n
     || insert_node restarts core g anchor ord ~prev ~curr ~next n
 
@@ -217,8 +229,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
         let sentinel ord =
-          O.alloc_node_into g (O.ptr g) (fun hdr ->
-              { word = 0; arena = O.arena orc; ord; hdr })
+          O.alloc_node_into g (O.ptr g) make_node renew_node ord
         in
         let tail = sentinel max_int in
         let head = sentinel min_int in

@@ -9,21 +9,31 @@
     two lists, the so-key in the split-ordered map (which decodes the
     key from it, {!Split_order.key_of_regular}).  The node is its own
     [next] link ({!Atomicx.Link.embedded}): [word] and [arena] are the
-    link's two fields, so a node and its link are one block.  A literal
-    sets [word = 0] ([Null]) and [arena] to the core's
-    ([Intf.CORE.arena]); the first target goes in through a store, and
-    [word] is otherwise read and written only through {!next_link}. *)
+    link's two fields, so a node and its link are one block.  Nodes are
+    built by {!make_node} and, in Pool mode, re-initialised in place by
+    {!renew_node} (the pair [Intf.CORE.alloc_node_into] takes); the
+    first target goes in through a store, and [word] is otherwise read
+    and written only through {!next_link}. *)
 type node = {
   mutable word : int;
   arena : node Atomicx.Link.arena;
-  ord : int;
-  hdr : Memdom.Hdr.t;
+  mutable ord : int;
+  mutable hdr : Memdom.Hdr.t;
 }
 
 module N : Orc_core.Orc.NODE with type t = node
 
 val next_link : node -> node Atomicx.Link.t
 (** The node viewed as its [next] link; no check. *)
+
+val make_node : node Atomicx.Link.arena -> Memdom.Hdr.t -> int -> node
+(** [make_node arena hdr ord]: a new node, its link [Null] at stamp 0. *)
+
+val renew_node : node -> Memdom.Hdr.t -> int -> node
+(** [renew_node n hdr ord]: the freed record [n] re-initialised in
+    place as a new node; its link is written back to [Null] under the
+    next stamp, so no view of an earlier life matches it.  Returns
+    [n]. *)
 
 val ord_of : node -> int
 (** [n.ord], after checking [n] is not freed. *)

@@ -35,6 +35,8 @@ struct
   module Nd = Node (V)
   open Nd
 
+  open Intf.Fresh (O)
+
   type item = V.t
 
   type t = {
@@ -61,7 +63,7 @@ struct
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
         let s =
-          O.alloc_node_into g (O.ptr g) (fun hdr ->
+          alloc_into g (O.ptr g) (fun hdr ->
               { item = None; next = O.new_link_v g Link.v_null; hdr })
         in
         let head = O.new_link_v g (O.v_ptr orc s) in
@@ -71,7 +73,7 @@ struct
   let enqueue q v =
     O.with_guard q.orc @@ fun g ->
     let n =
-      O.alloc_node_into g (O.ptr g) (fun hdr ->
+      alloc_into g (O.ptr g) (fun hdr ->
           { item = Some v; next = O.new_link_v g Link.v_null; hdr })
     in
     let nv = O.v_ptr q.orc n in

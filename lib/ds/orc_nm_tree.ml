@@ -54,6 +54,8 @@ module N = struct
 end
 
 module Impl (O : Intf.CORE with type node = node) = struct
+  open Intf.Fresh (O)
+
   type t = {
     r : node; (* sentinel root, immortal *)
     s : node; (* sentinel child, immortal *)
@@ -107,7 +109,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let alloc = Memdom.Alloc.create ~mode ("nm_tree/" ^ O.name) in
     let orc = O.create ~max_hps:8 alloc in
     O.with_guard orc (fun g ->
-        let node mk = O.alloc_node_into g (O.ptr g) mk in
+        let node mk = alloc_into g (O.ptr g) mk in
         let internal key l r hdr =
           {
             key;
@@ -238,10 +240,10 @@ module Impl (O : Intf.CORE with type node = node) = struct
         let cl = child_link (O.Ptr.node_exn w.par) key in
         let e = w.par_edge in
         if is_clean e then begin
-          let leaf = O.alloc_node_into g lp (mk_leaf g key) in
+          let leaf = alloc_into g lp (mk_leaf g key) in
           let lkey = key_of lf in
           let internal =
-            O.alloc_node_into g ip (fun hdr ->
+            alloc_into g ip (fun hdr ->
                 let leaf_l = O.new_link_v g (O.Ptr.view lp) in
                 let old_l = O.new_link_v g e in
                 if key < lkey then

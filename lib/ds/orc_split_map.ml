@@ -97,10 +97,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let alloc = Memdom.Alloc.create ~mode ("split_map/" ^ O.name) in
     let orc = O.create ~max_hps:4 alloc in
     O.with_guard orc (fun g ->
-        let node ord =
-          O.alloc_node_into g (O.ptr g) (fun hdr ->
-              { word = 0; arena = O.arena orc; ord; hdr })
-        in
+        let node ord = O.alloc_node_into g (O.ptr g) make_node renew_node ord in
         let tail = node max_int in
         (* bucket 0's dummy: so-key 0, first node of the one list *)
         let head = node (So.dummy 0) in

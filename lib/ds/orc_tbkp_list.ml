@@ -49,6 +49,8 @@ module N = struct
 end
 
 module Impl (O : Intf.CORE with type node = node) = struct
+  open Intf.Fresh (O)
+
   type t = {
     head : node;
     tail : node;
@@ -106,17 +108,17 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let tail =
-          O.alloc_node_into g (O.ptr g) (mk_node g max_int Link.v_null)
+          alloc_into g (O.ptr g) (mk_node g max_int Link.v_null)
         in
         let head =
-          O.alloc_node_into g (O.ptr g)
+          alloc_into g (O.ptr g)
             (mk_node g min_int (O.v_ptr orc tail))
         in
         let dp = O.ptr g in
         let state =
           Array.init Registry.max_threads (fun _ ->
               let d =
-                O.alloc_node_into g dp
+                alloc_into g dp
                   (mk_desc ~phase:(-1) ~pending:false ~is_insert:true
                      ~success:false ~node:Link.v_null g)
               in
@@ -200,7 +202,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
      the given state. *)
   let replace t g cu i d ~pending ~success ~node =
     let nd =
-      O.alloc_node_into g cu.dp
+      alloc_into g cu.dp
         (mk_desc ~key:d.key ~phase:d.phase ~pending ~is_insert:d.is_insert
            ~success ~node g)
     in
@@ -373,9 +375,9 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
     let np = O.ptr g in
-    ignore (O.alloc_node_into g np (mk_node g key Link.v_null));
+    ignore (alloc_into g np (mk_node g key Link.v_null));
     ignore
-      (O.alloc_node_into g cu.dp
+      (alloc_into g cu.dp
          (mk_desc ~phase:ph ~pending:true ~is_insert:true ~success:false
             ~node:(O.Ptr.view np) g));
     O.store_v g t.state.(tid) (O.Ptr.view cu.dp);
@@ -389,7 +391,7 @@ module Impl (O : Intf.CORE with type node = node) = struct
     let cu = cursor g in
     let ph = max_phase t g cu + 1 in
     ignore
-      (O.alloc_node_into g cu.dp
+      (alloc_into g cu.dp
          (mk_desc ~key ~phase:ph ~pending:true ~is_insert:false ~success:false
             ~node:Link.v_null g));
     O.store_v g t.state.(tid) (O.Ptr.view cu.dp);

@@ -59,6 +59,8 @@ struct
   module Nd = Node (V)
   open Nd
 
+  open Intf.Fresh (O)
+
   type item = V.t
 
   type t = {
@@ -101,7 +103,7 @@ struct
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let fresh () =
-          O.v_ptr orc (O.alloc_node_into g (O.ptr g) (mk_node g))
+          O.v_ptr orc (alloc_into g (O.ptr g) (mk_node g))
         in
         let sentinel = fresh () and dummy_self = fresh () in
         let dp = O.ptr g in
@@ -117,7 +119,7 @@ struct
           deqhelp =
             Array.init Registry.max_threads (fun i ->
                 (* per-thread dummies: tokens must be unique per owner *)
-                let d = O.alloc_node_into g dp (mk_node g) in
+                let d = alloc_into g dp (mk_node g) in
                 d.req_tid <- i;
                 O.new_link_v g (O.v_ptr orc d));
           deq_turn = Atomic.make 0;
@@ -168,7 +170,7 @@ struct
     O.with_guard q.orc @@ fun g ->
     let tid = Registry.tid () in
     let np = O.ptr g in
-    ignore (O.alloc_node_into g np (mk_node ~item:v ~enq_tid:tid g));
+    ignore (alloc_into g np (mk_node ~item:v ~enq_tid:tid g));
     let my = O.Ptr.view np in
     O.store_v g q.enqueuers.(tid) my;
     let ltail = O.ptr g and lnext = O.ptr g and req = O.ptr g in
@@ -214,7 +216,7 @@ struct
       (* empty: serve one open request with a fresh empty marker *)
       let anchor, r = pick_open q g ~tok ~grant in
       if r >= 0 then begin
-        ignore (O.alloc_node_into g ep (mk_node g));
+        ignore (alloc_into g ep (mk_node g));
         if
           O.cas_v g q.deqhelp.(r) ~expected:(O.Ptr.view grant)
             ~desired:(O.Ptr.view ep)

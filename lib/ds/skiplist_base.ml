@@ -68,6 +68,8 @@ module Impl
     end)
     (O : Intf.CORE with type node = node) =
 struct
+  open Intf.Fresh (O)
+
   module O = O
 
   type t = {
@@ -102,7 +104,7 @@ struct
     let orc = O.create alloc in
     O.with_guard orc (fun g ->
         let sentinel key next =
-          O.alloc_node_into g (O.ptr g) (fun hdr ->
+          alloc_into g (O.ptr g) (fun hdr ->
               {
                 key;
                 height = levels;
@@ -241,7 +243,7 @@ struct
               n
           | None ->
               let n =
-                O.alloc_node_into g np (fun hdr ->
+                alloc_into g np (fun hdr ->
                     {
                       key;
                       height;

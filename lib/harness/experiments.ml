@@ -393,7 +393,9 @@ let ablation_backend p =
             O.with_guard o (fun g ->
                 let hp = O.ptr g in
                 let root = roots.(Rng.int rng nslots) in
-                ignore (O.alloc_node_into g hp mk_node);
+                ignore
+                  (O.alloc_node_into g hp Memdom.Handle.fresh
+                     Memdom.Handle.fresh mk_node);
                 O.store_v g root (O.Ptr.view hp);
                 incr count)
           done;

@@ -63,6 +63,7 @@ let create ?(mode = System) ?sink name =
           ("orcgc_pool_misses_total", fun () -> Pool.misses p);
           ("orcgc_pool_remote_frees_total", fun () -> Pool.remote_frees p);
           ("orcgc_pool_refills_total", fun () -> Pool.refills p);
+          ("orcgc_node_reuses_total", fun () -> Pool.reuses p);
         ]
   in
   let gauges =
@@ -149,6 +150,10 @@ let remote_frees t =
   match t.pool with None -> 0 | Some p -> Pool.remote_frees p
 
 let refills t = match t.pool with None -> 0 | Some p -> Pool.refills p
+let node_reuses t = match t.pool with None -> 0 | Some p -> Pool.reuses p
+
+let reused t ~tid =
+  match t.pool with None -> () | Some p -> Pool.reused p ~tid
 
 let hit_rate t =
   let h = pool_hits t and m = pool_misses t in
@@ -161,7 +166,8 @@ let pp_stats fmt t =
   | None -> ()
   | Some p ->
       Format.fprintf fmt
-        " pool: hits=%d misses=%d hit-rate=%.1f%% remote-frees=%d refills=%d"
+        " pool: hits=%d misses=%d hit-rate=%.1f%% remote-frees=%d refills=%d \
+         node-reuses=%d"
         (Pool.hits p) (Pool.misses p)
         (100. *. hit_rate t)
-        (Pool.remote_frees p) (Pool.refills p)
+        (Pool.remote_frees p) (Pool.refills p) (Pool.reuses p)

@@ -9,13 +9,15 @@
       [Hdr.Use_after_free] (the poisoning regime); every {!hdr} builds a
       fresh header.
     - {!mode} [Pool]: a real type-stable pool ({!Pool}).  [free]d
-      headers go back to per-thread LIFO free-lists (remote frees via a
-      lock-free per-slot transfer stack, drained in batches) and are
+      headers go back to per-thread array stacks (remote frees batched
+      to their owner through a lock-free transfer stack) and are
       handed out again by [Hdr.recycle] — same physical header, {b new
       uid}, new birth era, and a {b strictly monotone generation} across
       lives, so post-free reads are tolerated (type-stable memory) while
       ABA-style reuse stays observable to tests.  A dying domain's
       free-list is published to an orphan pool and adopted by survivors.
+      Node records are recycled too: {!Handle.node} re-initialises a
+      freed record in place when it takes the record's arena slot.
 
     It also keeps the counters the evaluation needs: objects allocated,
     freed, and currently live ("live" = allocated and not yet freed,
@@ -55,8 +57,10 @@ val free : t -> Hdr.t -> unit
 (** Return an object to the allocator: marks it [Freed] (raising
     [Hdr.Double_free] on a second free) and updates the counters.  In
     Pool mode the header then re-enters the free-lists: pushed on the
-    caller's own LIFO when the caller allocated it, CAS-pushed onto the
-    allocating slot's transfer stack otherwise (a {e remote free}). *)
+    caller's own stack when the caller allocated it, buffered for the
+    allocating tid otherwise (a {e remote free}, sent in batches).  The
+    header's arena slot, if it still has one, is released here (see
+    {!Hdr.detach_slot} for a destructor that releases it later). *)
 
 val era : t -> int
 (** Current era of this allocator's era clock (used by hazard-eras). *)
@@ -87,6 +91,15 @@ val remote_frees : t -> int
 val refills : t -> int
 (** Batched drains into a local list (transfer-stack drains + orphan
     adoptions that yielded headers). *)
+
+val node_reuses : t -> int
+(** Node records re-initialised in place with their arena slot
+    ([Handle.node]) instead of rebuilt: the record half of Pool mode's
+    type-stable recycling, beside {!pool_hits}' header half. *)
+
+val reused : t -> tid:int -> unit
+(** Count one in-place node reuse (a no-op for a [System] allocator,
+    which never reuses a record). *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)] in [0, 1]; [0.] when the pool was never

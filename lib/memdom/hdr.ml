@@ -250,14 +250,18 @@ let rec recycle t ~uid ~birth_era =
    protects the object, so the slot may be recycled for a future node.
    (The slot keeps its last occupant until then — type-stable memory.)
    The retire stamp beside it is kept: the free reads it after. *)
-let release_slot t ~tid =
+let detach_slot t =
   let s = slot t in
   if s >= 0 then begin
-    let release = t.slot_release in
     t.slot_word <- t.slot_word land lnot slot_mask;
-    t.slot_release <- no_release;
-    release ~tid s
-  end
+    t.slot_release <- no_release
+  end;
+  s
+
+let release_slot t ~tid =
+  let release = t.slot_release in
+  let s = detach_slot t in
+  if s >= 0 then release ~tid s
 
 let pp fmt t =
   let lc =

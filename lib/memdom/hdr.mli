@@ -180,5 +180,13 @@ val release_slot : t -> tid:int -> unit
     the freeing thread [tid].  Called by [Alloc.free] after the Freed
     transition; idempotent.  The retire stamp is kept. *)
 
+val detach_slot : t -> int
+(** Unregister the header from its arena slot without releasing the
+    slot, which the caller then owns: returns the slot (-1 when
+    unregistered) and keeps the retire stamp.  Read [slot_release]
+    first to release it later.  OrcGC's destructor does this so that
+    the node's record, which the slot names, is not re-issued while
+    the destructor still drops its links. *)
+
 val orc_initial : int
 (** Initial value of the [_orc] word ([ORC_ZERO], Algorithm 3 line 8). *)

@@ -21,7 +21,7 @@ module Make (N : Scheme_intf.NODE) = struct
     sh : Shell.t;
     global_epoch : int Atomic.t;
     announce : int Atomic.t array; (* [tid]; [quiescent] when outside an op *)
-    batch : (node * int) Batch.t; (* (node, retire epoch) *)
+    batch : node Batch.t; (* tagged with the retire epoch *)
   }
 
   let name = "ebr"
@@ -74,7 +74,7 @@ module Make (N : Scheme_intf.NODE) = struct
     try_advance t ~visited;
     min (min_announced t ~visited) (Atomic.get t.global_epoch)
 
-  let within_grace t ~tid safe (n, e) =
+  let within_grace t ~tid safe n e =
     if e >= safe - 1 then true
     else begin
       Shell.free t.sh ~tid (N.hdr n);
@@ -86,7 +86,7 @@ module Make (N : Scheme_intf.NODE) = struct
 
   let retire t ~tid n =
     Shell.retire t.sh ~tid (N.hdr n);
-    if Batch.push t.batch ~tid (n, Atomic.get t.global_epoch) then
+    if Batch.push_tagged t.batch ~tid n (Atomic.get t.global_epoch) then
       scan t ~tid
 
   (* Quarantine cleaner: a departing thread must go quiescent (a stale

@@ -62,18 +62,14 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     let slot = t.he.(tid).(idx) in
     gpv_loop t ~tid slot link (Atomic.get slot)
 
-  let protect_raw t ~tid ~idx n =
-    match n with
-    | None -> ()
-    | Some _ ->
-        let era = Memdom.Alloc.era t.sh.alloc in
-        let slot = t.he.(tid).(idx) in
-        (* same elision on the unvalidated path: a slot already
-           publishing the current era protects everything it would
-           after the store *)
-        if Atomic.get slot = era then
-          Scheme_intf.Counters.elided t.sh.counters ~tid
-        else Atomic.set slot era
+  let protect_raw t ~tid ~idx _n =
+    let era = Memdom.Alloc.era t.sh.alloc in
+    let slot = t.he.(tid).(idx) in
+    (* same elision on the unvalidated path: a slot already publishing
+       the current era protects everything it would after the store *)
+    if Atomic.get slot = era then
+      Scheme_intf.Counters.elided t.sh.counters ~tid
+    else Atomic.set slot era
 
   (* copying must carry the original era: a fresh era would not cover a
      node already retired under an older one *)
@@ -100,7 +96,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Sink.on_snapshot t.sh.sink ~tid ~entries:(Scan_set.size s);
     s
 
-  let protected t ~tid s n =
+  let protected t ~tid s n _ =
     let h = N.hdr n in
     if
       Scan_set.mem_range s ~lo:(Memdom.Hdr.birth_era h)

@@ -32,9 +32,7 @@ module Make (N : Scheme_intf.NODE) = struct
 
   (* Publishes the uid [n] carries now: the caller must own [n] or
      otherwise keep its life stable across the call. *)
-  let protect_raw t ~tid ~idx n =
-    Atomic.set t.hp_uid.(tid).(idx)
-      (match n with Some n -> uid n | None -> -1)
+  let protect_raw t ~tid ~idx n = Atomic.set t.hp_uid.(tid).(idx) (uid n)
 
   let copy_protection t ~tid ~src ~dst =
     Neutralize.check ~tid;
@@ -123,7 +121,7 @@ module Make (N : Scheme_intf.NODE) = struct
     s
 
   (* The verdict: a snapshot hit keeps [n], a miss frees it. *)
-  let protected t ~tid s n =
+  let protected t ~tid s n _ =
     if Scan_set.mem s (uid n) then begin
       Scheme_intf.Counters.snapshot_hit t.sh.counters ~tid;
       true

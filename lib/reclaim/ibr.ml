@@ -88,7 +88,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
     Obs.Sink.on_snapshot t.sh.sink ~tid ~entries:(Scan_set.size s);
     s
 
-  let pinned t ~tid s n =
+  let pinned t ~tid s n _ =
     let h = N.hdr n in
     if
       Scan_set.overlaps s ~lo:(Memdom.Hdr.birth_era h)

@@ -35,8 +35,7 @@ module Make (N : Scheme_intf.NODE) : Scheme_intf.S with type node = N.t = struct
   let begin_op t ~tid = Shell.begin_op t.sh ~tid
   let uid n = (N.hdr n).Memdom.Hdr.uid
 
-  let protect_raw t ~tid ~idx n =
-    Atomic.set t.post.(tid).(idx) (match n with Some n -> uid n | None -> -1)
+  let protect_raw t ~tid ~idx n = Atomic.set t.post.(tid).(idx) (uid n)
 
   let copy_protection t ~tid ~src ~dst =
     Neutralize.check ~tid;

@@ -159,10 +159,10 @@ module type S = sig
       uid) is unchanged before trusting the protection (see DESIGN.md,
       "Word-packed representation"). *)
 
-  val protect_raw : t -> tid:int -> idx:int -> node option -> unit
+  val protect_raw : t -> tid:int -> idx:int -> node -> unit
   (** Publish [node] at [idx] without validation — only legal when the
       caller already owns a safe reference (e.g. a node it just
-      allocated and has not yet shared). *)
+      allocated and has not yet shared).  {!clear} unpublishes. *)
 
   val copy_protection : t -> tid:int -> src:int -> dst:int -> unit
   (** Duplicate the protection held at [src] into [dst] (both slots of

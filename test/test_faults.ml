@@ -168,7 +168,8 @@ let test_stalled_orc_guard_pins_o1 () =
         O.with_guard o (fun g ->
             let p = O.ptr g in
             for k = 1 to 1_000 do
-              let n = O.alloc_node_into g p (mk o k) in
+              let n = O.alloc_node_into g p Memdom.Handle.fresh
+                        Memdom.Handle.fresh (mk o k) in
               O.store_v g root (O.v_ptr o n)
             done);
         Atomic.set pinned_during (Memdom.Alloc.live alloc);

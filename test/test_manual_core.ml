@@ -129,7 +129,7 @@ let fresh () =
 let chain c g p vs ~tail =
   List.fold_right
     (fun v nx ->
-      C.alloc_node_into g p (fun hdr ->
+      C.alloc_node_into g p Memdom.Handle.fresh Memdom.Handle.fresh (fun hdr ->
           { v; next = C.new_link_v g nx; hdr })
       |> C.v_ptr c)
     vs tail
@@ -240,8 +240,7 @@ module Spy (N : Reclaim.Scheme_intf.NODE) = struct
 
   let protect_raw t ~tid ~idx n =
     protect_raw t ~tid ~idx n;
-    published.(idx) <-
-      (match n with Some n -> (N.hdr n).Memdom.Hdr.uid | None -> -1)
+    published.(idx) <- (N.hdr n).Memdom.Hdr.uid
 
   let copy_protection t ~tid ~src ~dst =
     copy_protection t ~tid ~src ~dst;
@@ -273,11 +272,13 @@ let spy_chain () =
     Cs.with_guard c (fun g ->
         let p = Cs.ptr g in
         let v2 =
-          Cs.alloc_node_into g p (fun hdr ->
+          Cs.alloc_node_into g p Memdom.Handle.fresh
+            Memdom.Handle.fresh (fun hdr ->
               { v = 2; next = Cs.new_link_v g Link.v_null; hdr })
           |> Cs.v_ptr c
         in
-        Cs.alloc_node_into g p (fun hdr ->
+        Cs.alloc_node_into g p Memdom.Handle.fresh
+          Memdom.Handle.fresh (fun hdr ->
             { v = 1; next = Cs.new_link_v g v2; hdr })
         |> Cs.v_ptr c |> Cs.new_link_v g)
   in
@@ -348,6 +349,148 @@ let test_guard_exception_releases () =
   Cs.release_roots c [ root ];
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* {2 Type-stable node recycling (Pool mode) under hazard pointers}
+
+   The Michael-list node ([Util.Hooked]) over [Manual_core] with HP: a
+   freed record comes back with its arena slot, re-initialised in
+   place, once the scheme's free has released the slot. *)
+
+module Ml = Ds.Orc_michael_list
+
+module Ch = Ds.Manual_core.Make (Reclaim.Hp.Make) (Hooked)
+
+let new_node g p ord = Ch.alloc_node_into g p Ml.make_node Ml.renew_node ord
+
+(* A manual scheme frees without dropping links: the record comes back
+   with its old successor still in its link, and the re-initialiser
+   writes [Null] over it under the next stamp.  No view of an earlier
+   life [view_eq]s a later one, and a CAS expecting one fails. *)
+let test_recycled_link_stamps () =
+  let alloc = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "hp-recycle" in
+  let c = Ch.create ~max_hps:4 alloc in
+  let tail = Ch.with_guard c (fun g -> new_node g (Ch.ptr g) 0) in
+  let first = ref None and views = ref [] in
+  for life = 1 to 20 do
+    Ch.with_guard c (fun g ->
+        let n = new_node g (Ch.ptr g) life in
+        (match !first with
+        | None -> first := Some n
+        | Some f -> check_bool "the same record, re-initialised" true (n == f));
+        check_int "ord re-initialised" life n.Ml.ord;
+        let l = Ml.next_link n in
+        check_bool "link back to Null" true (Link.v_is_null (Link.view l));
+        Ch.store_v g l (Ch.v_ptr c tail);
+        let v = Link.view l in
+        List.iter
+          (fun old ->
+            check_bool "no earlier life's view matches" false
+              (Link.view_eq old v);
+            check_bool "a CAS expecting it fails" false
+              (Link.cas_v l old Link.v_null))
+          !views;
+        views := v :: !views;
+        (* never published: freed at once, its slot with it *)
+        Ch.discard g n)
+  done;
+  check_int "every life after the first re-used the record" 19
+    (Memdom.Alloc.node_reuses alloc);
+  Ch.with_guard c (fun g -> Ch.discard g tail);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* HP's protect after a recycle between its deref and its publish: the
+   hook fires inside the protect loop's uid read, where another domain
+   unlinks and retires the node, has it freed, re-uses its record for a
+   new node under a new uid and links that back in.  The validation
+   fails and the protect retries, ending on the new life and the
+   link's current word. *)
+let test_recycled_between_deref_and_publish () =
+  let alloc = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "hp-recycle-load" in
+  let c = Ch.create ~max_hps:4 alloc in
+  let n = Ch.with_guard c (fun g -> new_node g (Ch.ptr g) 1) in
+  let root = Ch.with_guard c (fun g -> Ch.new_link_v g (Ch.v_ptr c n)) in
+  let old_uid = n.Ml.hdr.Memdom.Hdr.uid and before = Link.view root in
+  let recycle () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Registry.with_tid (fun _ ->
+               Ch.with_guard c (fun g ->
+                   let q = Ch.ptr g in
+                   Ch.load g root q;
+                   check_bool "unlinked" true
+                     (Ch.unlink_v g root q ~desired:Link.v_null));
+               (* the main domain is parked in the hook, publishing
+                  nothing yet: the drain frees the node *)
+               Ch.flush c;
+               Ch.with_guard c (fun g ->
+                   let m = new_node g (Ch.ptr g) 2 in
+                   Ch.store_v g root (Ch.v_ptr c m)))))
+  in
+  Ch.with_guard c (fun g ->
+      let p = Ch.ptr g in
+      hdr_hook := Some recycle;
+      Ch.load g root p;
+      check_bool "the hook fired" true (!hdr_hook = None);
+      let m = Ch.Ptr.node_exn p in
+      check_bool "the record was recycled" true (m == n);
+      check_int "as the new node" 2 m.Ml.ord;
+      check_bool "under a new uid" true (m.Ml.hdr.Memdom.Hdr.uid <> old_uid);
+      check_bool "the link was rewritten" false
+        (Link.view_eq before (Link.view root));
+      check_bool "the handle holds the current word" true
+        (Link.view_eq (Ch.Ptr.view p) (Link.view root)));
+  Ch.release_roots c [ root ];
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* A dying tid's holdings reach the orphan pools, none lost and none
+   freed twice: its HP retired row (below the scan threshold, so
+   nothing of it was freed) and the remote frees still buffered in its
+   pool outbox.  A survivor's drain adopts and frees the retired
+   nodes exactly once (a second free would raise [Double_free]), and
+   its next hand-outs are exactly the dead tid's headers, each once. *)
+let test_dying_tid_orphans () =
+  let alloc = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "hp-orphans" in
+  let c = Ch.create ~max_hps:8 alloc in
+  let k = 5 and r = 3 in
+  let nodes, roots =
+    Ch.with_guard c (fun g ->
+        let nodes = List.init k (fun i -> new_node g (Ch.ptr g) i) in
+        (nodes, List.map (fun n -> Ch.new_link_v g (Ch.v_ptr c n)) nodes))
+  in
+  let loose = List.init r (fun _ -> Memdom.Alloc.hdr alloc ()) in
+  let pending =
+    run_domains 1 (fun ~i:_ ~tid:_ ->
+        Ch.with_guard c (fun g ->
+            let q = Ch.ptr g in
+            List.iter
+              (fun root ->
+                Ch.load g root q;
+                ignore (Ch.unlink_v g root q ~desired:Link.v_null))
+              roots);
+        (* headers the main domain allocated: remote frees, buffered *)
+        List.iter (Memdom.Alloc.free alloc) loose;
+        Ch.unreclaimed c)
+  in
+  check_bool "the dead tid's row held every retiree" true (pending = [ k ]);
+  check_int "nothing freed before the drain" r (Memdom.Alloc.freed alloc);
+  Ch.flush c;
+  check_int "the drain freed every retiree" (k + r) (Memdom.Alloc.freed alloc);
+  check_int "nothing left retired" 0 (Ch.unreclaimed c);
+  check_int "no leak" 0 (Memdom.Alloc.live alloc);
+  let expected = List.map (fun n -> n.Ml.hdr) nodes @ loose in
+  let hits = Memdom.Alloc.pool_hits alloc in
+  let back = List.init (k + r) (fun _ -> Memdom.Alloc.hdr alloc ()) in
+  check_int "every hand-out a hit" (k + r)
+    (Memdom.Alloc.pool_hits alloc - hits);
+  check_bool "exactly the dead tid's headers" true
+    (List.for_all (fun h -> List.memq h back) expected
+    && List.for_all (fun h -> List.memq h expected) back);
+  check_int "none twice" (k + r)
+    (List.length
+       (List.sort_uniq compare (List.map (fun h -> h.Memdom.Hdr.uid) back)));
+  let misses = Memdom.Alloc.pool_misses alloc in
+  ignore (Memdom.Alloc.hdr alloc ());
+  check_int "then the pool is dry" (misses + 1) (Memdom.Alloc.pool_misses alloc)
+
 let suite =
   [
     ("manual:retire-once", retire_cases);
@@ -361,5 +504,14 @@ let suite =
           test_nested_guards;
         Alcotest.test_case "an exception clears the guard's slots" `Quick
           test_guard_exception_releases;
+      ] );
+    ( "manual:recycle",
+      [
+        Alcotest.test_case "recycled record: link stamps stay monotone"
+          `Quick test_recycled_link_stamps;
+        Alcotest.test_case "recycled between deref and publish: protect retries"
+          `Quick test_recycled_between_deref_and_publish;
+        Alcotest.test_case "a dying tid's retirees and remote frees orphaned"
+          `Quick test_dying_tid_orphans;
       ] );
   ]

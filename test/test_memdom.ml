@@ -208,9 +208,10 @@ let test_pool_recycles_same_header () =
   check_bool "hit rate" true (Memdom.Alloc.hit_rate a > 0.97);
   check_int "allocated counts recycled hand-outs" 51 (Memdom.Alloc.allocated a)
 
-(* Remote free: a different domain returns the header, which lands on
-   the allocating slot's transfer stack and comes back to the owner on
-   its next (batched) refill. *)
+(* Remote free: a different domain returns the header, which waits in
+   that domain's outbox for the owner; the domain exits before the
+   outbox fills, so the header reaches the owner through the orphan
+   pool, on the owner's next (batched) refill. *)
 let test_pool_remote_free () =
   let a = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "p" in
   let owner_tid = Atomicx.Registry.tid () in
@@ -227,6 +228,115 @@ let test_pool_remote_free () =
   check_bool "owner recycles the remotely freed header" true (h2 == h);
   check_int "one batched refill" 1 (Memdom.Alloc.refills a);
   check_int "counted as a hit" 1 (Memdom.Alloc.pool_hits a)
+
+(* Remote frees travel to their owner in batches: a live domain that
+   frees a batch's worth (32) of the owner's headers sends them as one
+   array onto the owner's transfer stack, and the owner's next dry
+   acquire takes it whole — one refill, every header back, none twice,
+   nothing through the orphan pool. *)
+let test_pool_remote_batch () =
+  let a = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "p" in
+  let batch = 32 in
+  let hs = List.init batch (fun _ -> Memdom.Alloc.hdr a ()) in
+  let freed = Atomic.make false and finish = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomicx.Registry.with_tid (fun _ ->
+            List.iter (Memdom.Alloc.free a) hs;
+            Atomic.set freed true;
+            while not (Atomic.get finish) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while not (Atomic.get freed) do
+    Domain.cpu_relax ()
+  done;
+  let back = List.init batch (fun _ -> Memdom.Alloc.hdr a ()) in
+  let misses = Memdom.Alloc.pool_misses a in
+  Atomic.set finish true;
+  Domain.join d;
+  check_int "every free was remote" batch (Memdom.Alloc.remote_frees a);
+  check_int "one refill took the batch" 1 (Memdom.Alloc.refills a);
+  check_int "every hand-out a hit" batch (Memdom.Alloc.pool_hits a);
+  check_int "no miss beyond the first builds" batch misses;
+  check_bool "every header came back" true
+    (List.for_all (fun h -> List.memq h back) hs);
+  check_int "none twice" batch (List.length (List.sort_uniq compare
+    (List.map (fun h -> h.Memdom.Hdr.uid) back)))
+
+(* A partial outbox does not wait for a full batch when its tid runs
+   dry: the freeing domain's own miss sends the one header it holds for
+   the owner, and the owner takes it from the transfer stack while that
+   domain is still alive — nothing through the orphan pool. *)
+let test_pool_miss_sends_outbox () =
+  let a = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "p" in
+  let h = Memdom.Alloc.hdr a () in
+  let sent = Atomic.make false and finish = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomicx.Registry.with_tid (fun _ ->
+            Memdom.Alloc.free a h;
+            ignore (Memdom.Alloc.hdr a ());
+            Atomic.set sent true;
+            while not (Atomic.get finish) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while not (Atomic.get sent) do
+    Domain.cpu_relax ()
+  done;
+  let h2 = Memdom.Alloc.hdr a () in
+  Atomic.set finish true;
+  Domain.join d;
+  check_bool "the owner recycles it while the freer lives" true (h2 == h);
+  check_int "one refill" 1 (Memdom.Alloc.refills a)
+
+(* [Handle.node]'s mode split: on Pool a freed node's arena slot comes
+   back with its record, which [renew] re-initialises in place (counted
+   as a node reuse); on System the slot is re-used but [mk] builds a new
+   record every time, so the freed one is never re-issued and touching
+   it still raises. *)
+type cell = { mutable c_hdr : Memdom.Hdr.t; mutable c_val : int }
+
+let test_handle_node_modes () =
+  let lives mode =
+    let a = Memdom.Alloc.create ~mode "cells" in
+    let arena = Memdom.Handle.arena ~hdr:(fun c -> c.c_hdr) () in
+    let mk _ hdr v = { c_hdr = hdr; c_val = v } in
+    let renew c hdr v =
+      c.c_hdr <- hdr;
+      c.c_val <- v;
+      c
+    in
+    let cells =
+      List.init 4 (fun v ->
+          let c = Memdom.Handle.node a arena ~tid:(Atomicx.Registry.tid ()) mk
+              renew v in
+          ignore (Atomicx.Link.v_ptr_in arena c);
+          check_int "initialised" v c.c_val;
+          Memdom.Alloc.free a c.c_hdr;
+          c)
+    in
+    check_int "one slot served every life" 1
+      (Atomicx.Link.arena_capacity arena);
+    (a, cells)
+  in
+  let a, cells = lives Memdom.Alloc.Pool in
+  check_bool "Pool: one record, re-initialised" true
+    (List.for_all (fun c -> c == List.hd cells) cells);
+  check_int "Pool: three reuses" 3 (Memdom.Alloc.node_reuses a);
+  let a, cells = lives Memdom.Alloc.System in
+  check_int "System: no reuse" 0 (Memdom.Alloc.node_reuses a);
+  List.iteri
+    (fun i c ->
+      List.iteri
+        (fun j d -> if i < j then check_bool "a record per life" false (c == d))
+        cells;
+      check_int "the freed record kept its value" i c.c_val;
+      Alcotest.check_raises "a stale access raises"
+        (Memdom.Hdr.Use_after_free (Printf.sprintf "cells#%d" c.c_hdr.uid))
+        (fun () -> Memdom.Hdr.check_access c.c_hdr))
+    cells
 
 (* Domain death: the dying slot's free-list is published to the orphan
    pool by the quarantine cleaner, and a survivor's first dry acquire
@@ -471,6 +581,12 @@ let suite =
           test_pool_recycles_same_header;
         Alcotest.test_case "pool remote free via transfer stack" `Quick
           test_pool_remote_free;
+        Alcotest.test_case "pool remote frees travel in batches" `Quick
+          test_pool_remote_batch;
+        Alcotest.test_case "pool miss sends the partial outbox" `Quick
+          test_pool_miss_sends_outbox;
+        Alcotest.test_case "Handle.node re-uses records on Pool only" `Quick
+          test_handle_node_modes;
         Alcotest.test_case "pool orphan adoption on domain death" `Quick
           test_pool_orphan_adoption;
         Alcotest.test_case "pool counters, stats and pp" `Quick

@@ -111,6 +111,56 @@ let test_exposition () =
   | Obs.Json.List (_ :: _) -> ()
   | _ -> Alcotest.fail "to_json should be a non-empty list"
 
+(* An allocator's recycle rate: a Pool allocator registers
+   [orcgc_node_reuses_total] beside [orcgc_pool_hits_total], and each
+   life after the first re-uses the one record; a System allocator
+   registers neither. *)
+let test_node_reuses_counter () =
+  let module Ml = Ds.Orc_michael_list in
+  let module O = Orc_core.Orc.Make (Ml.N) in
+  let name = "metrics-node-reuse" in
+  let lives mode name =
+    let a = Memdom.Alloc.create ~mode name in
+    let o = O.create a in
+    for life = 1 to 5 do
+      (* never linked: the handle frees the node at guard exit *)
+      O.with_guard o (fun g ->
+          ignore
+            (O.alloc_node_into g (O.ptr g) Ml.make_node Ml.renew_node life))
+    done;
+    a
+  in
+  let a = lives Memdom.Alloc.Pool name in
+  let sys = lives Memdom.Alloc.System (name ^ "-sys") in
+  check_int "four lives re-used the first record" 4
+    (Memdom.Alloc.node_reuses a);
+  check_int "System never re-uses a record" 0 (Memdom.Alloc.node_reuses sys);
+  let reg = Obs.Metrics.default in
+  Obs.Metrics.sample reg ~tick:1;
+  let value metric alloc =
+    List.find_map
+      (fun (s : Obs.Metrics.series) ->
+        if s.Obs.Metrics.name = metric && s.labels = [ ("alloc", alloc) ]
+        then Some s.Obs.Metrics.last
+        else None)
+      (Obs.Metrics.series reg)
+  in
+  check_bool "reuses exported" true
+    (value "orcgc_node_reuses_total" name = Some 4);
+  check_bool "beside the pool hits" true
+    (value "orcgc_pool_hits_total" name = Some 4);
+  check_bool "System: no reuse series" true
+    (value "orcgc_node_reuses_total" (name ^ "-sys") = None);
+  let prom = Obs.Metrics.to_prometheus reg in
+  let line = "orcgc_node_reuses_total{alloc=\"metrics-node-reuse\"} 4" in
+  let n = String.length line in
+  let rec contains i =
+    i + n <= String.length prom
+    && (String.sub prom i n = line || contains (i + 1))
+  in
+  check_bool "Prometheus line" true (contains 0);
+  ignore (Sys.opaque_identity (a, sys))
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog *)
 
@@ -204,6 +254,8 @@ let suite =
         Alcotest.test_case "ring retention" `Quick test_ring_retention;
         Alcotest.test_case "prometheus/json exposition" `Quick
           test_exposition;
+        Alcotest.test_case "node reuses beside pool hits" `Quick
+          test_node_reuses_counter;
         Alcotest.test_case "watchdog lifecycle" `Quick test_watchdog_lifecycle;
         Alcotest.test_case "watchdog quarantine clears" `Quick
           test_watchdog_quarantine_clears;

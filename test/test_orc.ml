@@ -111,7 +111,8 @@ let test_long_chain_cascade () =
       for i = 1 to n do
         (* push-front: node.next := old head; root := node *)
         O.load g root q;
-        let node = O.alloc_node_into g p (mk o i) in
+        let node = O.alloc_node_into g p Memdom.Handle.fresh
+                     Memdom.Handle.fresh (mk o i) in
         O.store_v g node.next (O.Ptr.view q);
         O.store_v g root (O.v_ptr o node)
       done);
@@ -134,7 +135,8 @@ let test_chain_drop_frees_before_child_retire () =
         List.map
           (fun i ->
             O.load g root q;
-            let node = O.alloc_node_into g p (mk o i) in
+            let node = O.alloc_node_into g p Memdom.Handle.fresh
+                         Memdom.Handle.fresh (mk o i) in
             O.store_v g node.next (O.Ptr.view q);
             O.store_v g root (O.v_ptr o node);
             node)
@@ -310,7 +312,8 @@ struct
         let p = O.ptr g and q = O.ptr g in
         for i = 1 to 10 do
           O.load g root q;
-          let node = O.alloc_node_into g p (mk o i) in
+          let node = O.alloc_node_into g p Memdom.Handle.fresh
+                       Memdom.Handle.fresh (mk o i) in
           O.store_v g node.next (O.Ptr.view q);
           O.store_v g root (O.v_ptr o node)
         done);
@@ -369,7 +372,8 @@ let build_chain o g root n =
   let p = O.ptr g and q = O.ptr g in
   for i = n downto 1 do
     O.load g root q;
-    let node = O.alloc_node_into g p (mk o i) in
+    let node = O.alloc_node_into g p Memdom.Handle.fresh
+                 Memdom.Handle.fresh (mk o i) in
     O.store_v g node.next (O.Ptr.view q);
     O.store_v g root (O.v_ptr o node)
   done
@@ -421,7 +425,8 @@ let test_advance_rotated_out_freed () =
   O.with_guard o (fun g -> build_chain o g root 1);
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-      let z = O.alloc_node_into g prev (mk o 0) in
+      let z = O.alloc_node_into g prev Memdom.Handle.fresh
+                Memdom.Handle.fresh (mk o 0) in
       O.load g root curr;
       O.load g (O.Ptr.node_exn curr).next next;
       O.advance g prev curr next;
@@ -551,7 +556,8 @@ let prop_orc_model =
             (fun (r, v) ->
               let root = roots.(r) in
               if v land 1 = 0 then begin
-                let n = O.alloc_node_into g p (mk o v) in
+                let n = O.alloc_node_into g p Memdom.Handle.fresh
+                          Memdom.Handle.fresh (mk o v) in
                 O.store_v g root (O.v_ptr o n)
               end
               else O.store_v g root Link.v_null)
@@ -736,6 +742,132 @@ let test_guard_exception_releases () =
       O.store_v g root Link.v_null);
   check_int "no leak" 0 (Memdom.Alloc.live alloc)
 
+(* {2 Type-stable node recycling (Pool mode)}
+
+   The Michael-list node ([Util.Hooked]), whose record a Pool
+   allocation re-initialises in place when it takes the record's arena
+   slot back. *)
+
+module Om = Orc_core.Orc.Make (Hooked)
+
+let stamp (v : Ml.node Link.view) = (v :> int) lsr 27
+
+(* One life: a never-linked node is freed by its handle at guard exit,
+   which releases its slot after the destructor's link drops; the next
+   life's allocation takes the slot back with the same record.  A view
+   of the link taken in an earlier life never [view_eq]s a later one,
+   and a CAS expecting it fails: the re-initialiser writes the link back
+   to [Null] under the next stamp instead of resetting the word. *)
+let test_recycled_link_stamps () =
+  let alloc = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "orc-recycle" in
+  let o = Om.create alloc in
+  let tail_root = ref None and first = ref None and views = ref [] in
+  Om.with_guard o (fun g ->
+      let t = Om.alloc_node_into g (Om.ptr g) Ml.make_node Ml.renew_node 0 in
+      tail_root := Some (Om.new_link_v g (Om.v_ptr o t), t));
+  let root, tail = Option.get !tail_root in
+  for life = 1 to 20 do
+    Om.with_guard o (fun g ->
+        let n =
+          Om.alloc_node_into g (Om.ptr g) Ml.make_node Ml.renew_node life
+        in
+        (match !first with
+        | None -> first := Some n
+        | Some f -> check_bool "the same record, re-initialised" true (n == f));
+        check_int "ord re-initialised" life n.Ml.ord;
+        let l = Ml.next_link n in
+        check_bool "link back to Null" true (Link.v_is_null (Link.view l));
+        Om.store_v g l (Om.v_ptr o tail);
+        let v = Link.view l in
+        List.iter
+          (fun old ->
+            check_bool "no earlier life's view matches" false
+              (Link.view_eq old v);
+            check_bool "stamps grow across lives" true (stamp old < stamp v);
+            check_bool "a CAS expecting it fails" false
+              (Link.cas_v l old Link.v_null))
+          !views;
+        views := v :: !views)
+  done;
+  check_int "every life after the first re-used the record" 19
+    (Memdom.Alloc.node_reuses alloc);
+  Om.release_roots o [ root ];
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* System mode never re-issues a record: each life builds its own, the
+   freed one stays freed, and touching it still raises — even though
+   its arena slot is re-used. *)
+let test_system_never_reissues () =
+  let alloc = Memdom.Alloc.create "orc-recycle-sys" in
+  let o = Om.create alloc in
+  let lives =
+    List.init 10 (fun life ->
+        Om.with_guard o (fun g ->
+            Om.alloc_node_into g (Om.ptr g) Ml.make_node Ml.renew_node life))
+  in
+  List.iteri
+    (fun i n ->
+      List.iteri
+        (fun j m -> if i < j then check_bool "a record per life" false (n == m))
+        lives;
+      check_bool "freed" true (Memdom.Hdr.is_freed n.Ml.hdr);
+      match Ml.ord_of n with
+      | _ -> Alcotest.fail "a stale access to a freed node did not raise"
+      | exception Memdom.Hdr.Use_after_free _ -> ())
+    lives;
+  check_int "no record re-used" 0 (Memdom.Alloc.node_reuses alloc);
+  check_int "one slot served every life" 1
+    (Link.arena_capacity (Om.arena o));
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
+(* A node recycled between a loader's deref and its publish: the hook
+   fires inside [load]'s uid read, where another domain unlinks the
+   node, frees it, re-uses its record for a new node under a new uid
+   and links that back in.  [load] must not keep the stale protection:
+   its validation fails, it retries, and it ends protecting the new
+   life under the new uid and the link's current word. *)
+let test_recycled_between_deref_and_publish () =
+  let alloc = Memdom.Alloc.create ~mode:Memdom.Alloc.Pool "orc-recycle-load" in
+  let o = Om.create alloc in
+  let root = ref None in
+  Om.with_guard o (fun g ->
+      let n = Om.alloc_node_into g (Om.ptr g) Ml.make_node Ml.renew_node 1 in
+      root := Some (Om.new_link_v g (Om.v_ptr o n), n));
+  let root, n = Option.get !root in
+  let old_uid = n.Ml.hdr.Memdom.Hdr.uid and before = Link.view root in
+  let recycle () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Registry.with_tid (fun _ ->
+               Om.with_guard o (fun g -> Om.store_v g root Link.v_null);
+               Om.with_guard o (fun g ->
+                   let m =
+                     Om.alloc_node_into g (Om.ptr g) Ml.make_node
+                       Ml.renew_node 2
+                   in
+                   Om.store_v g root (Om.v_ptr o m)))))
+  in
+  Om.with_guard o (fun g ->
+      let p = Om.ptr g in
+      hdr_hook := Some recycle;
+      Om.load g root p;
+      check_bool "the hook fired" true (!hdr_hook = None);
+      let m = Om.Ptr.node_exn p in
+      check_bool "the record was recycled" true (m == n);
+      check_int "as the new node" 2 m.Ml.ord;
+      let new_uid = m.Ml.hdr.Memdom.Hdr.uid in
+      check_bool "under a new uid" true (new_uid <> old_uid);
+      check_bool "the link was rewritten" false
+        (Link.view_eq before (Link.view root));
+      check_bool "the handle holds the current word" true
+        (Link.view_eq (Om.Ptr.view p) (Link.view root));
+      check_bool "the new uid is published" true
+        (Array.exists (fun (u, _) -> u = new_uid) (Om.hazard_row g));
+      check_bool "the stale uid is not" false
+        (Array.exists (fun (u, _) -> u = old_uid) (Om.hazard_row g)));
+  Om.release_roots o [ root ];
+  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+
 let suite =
   [
     ( "orc",
@@ -783,5 +915,11 @@ let suite =
           test_nested_guards;
         Alcotest.test_case "an exception empties the guard's slots" `Quick
           test_guard_exception_releases;
+        Alcotest.test_case "recycled record: link stamps stay monotone"
+          `Quick test_recycled_link_stamps;
+        Alcotest.test_case "System never re-issues a record" `Quick
+          test_system_never_reissues;
+        Alcotest.test_case "recycled between deref and publish: load retries"
+          `Quick test_recycled_between_deref_and_publish;
       ] );
   ]

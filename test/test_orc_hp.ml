@@ -82,7 +82,8 @@ let test_long_chain_cascade_iterative () =
       let p = O.ptr g and q = O.ptr g in
       for i = 1 to n do
         O.load g root q;
-        let node = O.alloc_node_into g p (mk o i) in
+        let node = O.alloc_node_into g p Memdom.Handle.fresh
+                     Memdom.Handle.fresh (mk o i) in
         O.store_v g node.next (O.Ptr.view q);
         O.store_v g root (O.v_ptr o node)
       done);
@@ -130,7 +131,8 @@ let build_chain o g root n =
   let p = O.ptr g and q = O.ptr g in
   for i = n downto 1 do
     O.load g root q;
-    let node = O.alloc_node_into g p (mk o i) in
+    let node = O.alloc_node_into g p Memdom.Handle.fresh
+                 Memdom.Handle.fresh (mk o i) in
     O.store_v g node.next (O.Ptr.view q);
     O.store_v g root (O.v_ptr o node)
   done
@@ -177,7 +179,8 @@ let test_advance_rotated_out_freed () =
   let tid = Registry.tid () in
   O.with_guard o (fun g ->
       let prev = O.ptr g and curr = O.ptr g and next = O.ptr g in
-      let z = O.alloc_node_into g prev (mk o 0) in
+      let z = O.alloc_node_into g prev Memdom.Handle.fresh
+                Memdom.Handle.fresh (mk o 0) in
       O.load g root curr;
       O.load g (O.Ptr.node_exn curr).next next;
       O.advance g prev curr next;
@@ -252,7 +255,8 @@ let test_stats_after_churn () =
   O.with_guard o (fun g ->
       let p = O.ptr g in
       for k = 1 to 200 do
-        ignore (O.alloc_node_into g p (mk o k));
+        ignore (O.alloc_node_into g p Memdom.Handle.fresh
+                  Memdom.Handle.fresh (mk o k));
         O.store_v g root (O.Ptr.view p)
       done;
       O.store_v g root Link.v_null);

@@ -89,7 +89,8 @@ let orc_zero_alloc (module O : Orc_core.Orc.S with type node = pnode) name () =
       let np = O.ptr g in
       for _ = 1 to chain_len do
         let n =
-          O.alloc_node_into g np (fun hdr ->
+          O.alloc_node_into g np Memdom.Handle.fresh
+            Memdom.Handle.fresh (fun hdr ->
               { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
         in
         O.store_v g n.p_next (Link.view root);
@@ -121,7 +122,8 @@ let orc_dec_zero_alloc (module O : Orc_core.Orc.S with type node = pnode) name (
   O.with_guard o (fun g ->
       let np = O.ptr g in
       let mk () =
-        O.alloc_node_into g np (fun hdr ->
+        O.alloc_node_into g np Memdom.Handle.fresh
+          Memdom.Handle.fresh (fun hdr ->
             { p_hdr = hdr; p_next = O.new_link_v g Link.v_null })
       in
       (* link each fresh node before [np] moves on and drops it *)
@@ -183,13 +185,12 @@ let ptp_handover_zero_alloc () =
           p_next = Link.make_in arena Link.Null;
         })
   in
-  let pins = Array.map Option.some nodes in
   let round = ref 0 in
   check_zero "ptp handover and its drain" (fun () ->
       let base = !round * per in
       incr round;
       for i = base to base + per - 1 do
-        Ptp.protect_raw s ~tid:1 ~idx:0 pins.(i);
+        Ptp.protect_raw s ~tid:1 ~idx:0 nodes.(i);
         Ptp.retire s ~tid:0 nodes.(i);
         Ptp.clear s ~tid:1 ~idx:0
       done);
@@ -213,7 +214,8 @@ let orc_handover_zero_alloc () =
         Array.init (handover_rounds * per) (fun _ ->
             let l = Orc.new_link_v g Link.v_null in
             let n =
-              Orc.alloc_node_into g np (fun hdr ->
+              Orc.alloc_node_into g np Memdom.Handle.fresh
+                Memdom.Handle.fresh (fun hdr ->
                   { p_hdr = hdr; p_next = Orc.new_link_v g Link.v_null })
             in
             Orc.store_v g l (Orc.v_ptr o n);
@@ -269,6 +271,38 @@ let map_ops_zero_alloc (module M : Ds.Orc_split_map.MAP) () =
   each "remove of an absent key" (fun m k -> M.remove m ((2 * k) + 1));
   (* the warmup and the measured run of the one op that answers true *)
   check_int "every contains hit, nothing else did" (2 * keys) !hits;
+  check_int "size unchanged" keys (M.size m);
+  M.destroy m;
+  M.flush m;
+  check_int "no leak" 0 (Memdom.Alloc.live (M.alloc m))
+
+(* A warm successful add/remove pair on Pool allocates nothing: the
+   add takes a header from the pool and a slot from the tid's arena
+   cache together with the record it names, and re-initialises that
+   record in place (its node was freed by an earlier remove); the
+   remove's retire, its scan under hp and orc-hp, and the free push
+   onto arrays.  Nothing allocated means nothing promoted: [N] warm
+   pairs and a minor collection leave the promoted-word count where it
+   was, so the churn stops feeding the major heap. *)
+let map_pair_zero_alloc (module M : Ds.Orc_split_map.MAP) () =
+  let m = M.create ~mode:Memdom.Alloc.Pool () in
+  let keys = 512 in
+  for k = 1 to keys do
+    ignore (M.add m (2 * k))
+  done;
+  let added = ref 0 and removed = ref 0 in
+  let pairs () =
+    for k = 1 to keys do
+      if M.add m ((2 * k) + 1) then incr added;
+      if M.remove m ((2 * k) + 1) then incr removed
+    done
+  in
+  let reuses0 = Memdom.Alloc.node_reuses (M.alloc m) in
+  check_zero (M.scheme_name ^ " add/remove pair") pairs;
+  check_no_promotion (M.scheme_name ^ " add/remove pairs") pairs;
+  check_int "every add and remove succeeded" (8 * keys) (!added + !removed);
+  check_bool "the adds re-used freed records" true
+    (Memdom.Alloc.node_reuses (M.alloc m) - reuses0 >= 3 * keys);
   check_int "size unchanged" keys (M.size m);
   M.destroy m;
   M.flush m;
@@ -582,6 +616,19 @@ let suite =
         Alcotest.test_case "hp: warm split-map operations allocate nothing"
           `Quick
           (map_ops_zero_alloc (module Map_hp));
+        Alcotest.test_case
+          "orc: a warm successful add/remove pair on Pool allocates nothing"
+          `Quick
+          (map_pair_zero_alloc (module Map_orc));
+        Alcotest.test_case
+          "orc-hp: a warm successful add/remove pair on Pool allocates \
+           nothing"
+          `Quick
+          (map_pair_zero_alloc (module Map_orc_hp));
+        Alcotest.test_case
+          "hp: a warm successful add/remove pair on Pool allocates nothing"
+          `Quick
+          (map_pair_zero_alloc (module Map_hp));
         Alcotest.test_case "orc: hs-list contains allocates nothing" `Quick
           (contains_zero_alloc (module Hs_orc) "hs-orc");
         Alcotest.test_case

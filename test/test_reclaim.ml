@@ -108,7 +108,7 @@ module Generic (S : Reclaim.Scheme_intf.S with type node = tnode) = struct
           if i land 1 = 0 then begin
             (* writer: swap in a fresh node, retire the old one *)
             let n = mk alloc k in
-            S.protect_raw s ~tid ~idx:0 (Some n);
+            S.protect_raw s ~tid ~idx:0 n;
             let old = swap tn_arena slot (Link.Ptr n) in
             S.end_op s ~tid;
             match Link.target old with

@@ -135,7 +135,7 @@ module Snap_ibr = Snapshot_scan (Ibr)
 let pin_ptr (type a) (module S : Reclaim.Scheme_intf.S
                        with type node = tnode
                         and type t = a) (s : a) ~tid n =
-  S.protect_raw s ~tid ~idx:0 (Some n)
+  S.protect_raw s ~tid ~idx:0 n
 
 let unpin_all (type a) (module S : Reclaim.Scheme_intf.S
                          with type node = tnode
@@ -236,7 +236,7 @@ struct
           S.begin_op s ~tid;
           if i land 1 = 0 then begin
             let n = mk alloc k in
-            S.protect_raw s ~tid ~idx:0 (Some n);
+            S.protect_raw s ~tid ~idx:0 n;
             let old = swap tn_arena slot (Link.Ptr n) in
             S.end_op s ~tid;
             match Link.target old with

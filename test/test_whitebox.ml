@@ -34,8 +34,8 @@ let test_ptp_passes_the_pointer_forward () =
   let s = Ptp.create ~max_hps:4 alloc in
   let n = mk alloc 1 in
   (* protections in two distinct "threads" *)
-  Ptp.protect_raw s ~tid:2 ~idx:1 (Some n);
-  Ptp.protect_raw s ~tid:5 ~idx:0 (Some n);
+  Ptp.protect_raw s ~tid:2 ~idx:1 n;
+  Ptp.protect_raw s ~tid:5 ~idx:0 n;
   Ptp.retire s ~tid:0 n;
   check_bool "parked, not freed" false (Memdom.Hdr.is_freed n.hdr);
   check_int "pending" 1 (Ptp.unreclaimed s);
@@ -59,12 +59,12 @@ let test_ptp_handover_eviction () =
   let alloc = Memdom.Alloc.create "ptp-wb" in
   let s = Ptp.create ~max_hps:4 alloc in
   let a = mk alloc 1 and b = mk alloc 2 in
-  Ptp.protect_raw s ~tid:3 ~idx:2 (Some a);
+  Ptp.protect_raw s ~tid:3 ~idx:2 a;
   Ptp.retire s ~tid:0 a;
   check_bool "a parked" false (Memdom.Hdr.is_freed a.hdr);
   (* repoint the hazard to b, then retire b: b parks, evicting a, and a
      (no longer protected) is freed by the continuing scan *)
-  Ptp.protect_raw s ~tid:3 ~idx:2 (Some b);
+  Ptp.protect_raw s ~tid:3 ~idx:2 b;
   Ptp.retire s ~tid:0 b;
   check_bool "a freed by eviction" true (Memdom.Hdr.is_freed a.hdr);
   check_bool "b parked" false (Memdom.Hdr.is_freed b.hdr);
@@ -86,7 +86,7 @@ let test_ptp_bound_saturation () =
       (fun tid ->
         List.init hps (fun idx ->
             let n = mk alloc ((tid * 10) + idx) in
-            Ptp.protect_raw s ~tid ~idx (Some n);
+            Ptp.protect_raw s ~tid ~idx n;
             Ptp.retire s ~tid:0 n;
             n))
       tids
@@ -147,7 +147,8 @@ let test_orc_stats_counters () =
       let p = O.ptr g and q = O.ptr g in
       for _ = 1 to 100 do
         O.load g root q;
-        let n = O.alloc_node_into g p mk in
+        let n = O.alloc_node_into g p Memdom.Handle.fresh
+                  Memdom.Handle.fresh mk in
         O.store_v g n.next (O.Ptr.view q);
         O.store_v g root (O.v_ptr o n)
       done);
@@ -181,7 +182,8 @@ let test_orc_scan_cost_bounded () =
       let p = O.ptr g and q = O.ptr g in
       for _ = 1 to 200 do
         O.load g root q;
-        let n = O.alloc_node_into g p mk in
+        let n = O.alloc_node_into g p Memdom.Handle.fresh
+                  Memdom.Handle.fresh mk in
         O.store_v g n.next (O.Ptr.view q);
         O.store_v g root (O.v_ptr o n)
       done);
@@ -249,7 +251,7 @@ let prop_hdr_matches_model =
 (* PTB's liberate can hand a value to a guard its owner lowers right
    after the snapshot; the value then waits in that handoff slot for
    the owner's next [clear].  An owner that never runs again (here: the
-   guard is unpublished raw, without a [clear]) must not strand it:
+   guard is repointed raw, without a [clear]) must not strand it:
    [flush] drains every handoff slot. *)
 module Ptb = Reclaim.Ptb.Make (TN)
 
@@ -257,15 +259,17 @@ let test_ptb_flush_drains_handoffs () =
   reserve_staged_tids ();
   let alloc = Memdom.Alloc.create "ptb-wb" in
   let s = Ptb.create ~max_hps:4 alloc in
-  let n = mk alloc 1 in
-  Ptb.protect_raw s ~tid:3 ~idx:2 (Some n);
+  let n = mk alloc 1 and other = mk alloc 2 in
+  Ptb.protect_raw s ~tid:3 ~idx:2 n;
   Ptb.retire s ~tid:0 n;
   Ptb.flush s;
   check_bool "handed to the guard, not freed" false (Memdom.Hdr.is_freed n.hdr);
-  Ptb.protect_raw s ~tid:3 ~idx:2 None;
+  (* repoint the guard at a node never retired: n stays in the handoff
+     slot, and only [flush]'s drain can free it *)
+  Ptb.protect_raw s ~tid:3 ~idx:2 other;
   Ptb.flush s;
   check_bool "freed once the guard is gone" true (Memdom.Hdr.is_freed n.hdr);
-  check_int "no leak" 0 (Memdom.Alloc.live alloc)
+  check_int "only the unretired node is live" 1 (Memdom.Alloc.live alloc)
 
 let suite =
   [

@@ -41,6 +41,29 @@ let check_zero name f =
   let d = minor_delta f in
   if d <> 0. then Alcotest.failf "%s allocated %.0f minor words" name d
 
+(* Words promoted to the major heap by the minor collections while [f]
+   runs plus one forced collection after it: what [f] left reachable
+   from old data.  The measurement's own survivors (the boxed floats it
+   keeps across a collection) are calibrated out the way [minor_delta]
+   does. *)
+let promoted_delta f =
+  let promoted () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.promoted_words
+  in
+  let a = promoted () in
+  let b = promoted () in
+  let overhead = b -. a in
+  let p0 = promoted () in
+  f ();
+  let p1 = promoted () in
+  p1 -. p0 -. overhead
+
+let check_no_promotion name f =
+  f () (* warmup *);
+  let d = promoted_delta f in
+  if d <> 0. then Alcotest.failf "%s promoted %.0f words" name d
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -105,3 +128,24 @@ let qtest ?(count = 200) name gen prop =
    arena per node type; [swap] is their atomic state-level exchange. *)
 let swap arena l st =
   Link.v_state_in arena (Link.exchange_v l (Link.v_of_state_in arena st))
+
+(* The Michael-list node, whose record Pool mode re-initialises in
+   place, with a [hdr] that runs a one-shot hook: a stand-in for another
+   thread acting between a loader's deref of a node and its publish (the
+   protect loops read the node's uid through [hdr]).  Armed and run on
+   the main domain only. *)
+let hdr_hook : (unit -> unit) option ref = ref None
+
+module Hooked = struct
+  type t = Ds.Orc_michael_list.node
+
+  let hdr (n : t) =
+    (match !hdr_hook with
+    | Some f ->
+        hdr_hook := None;
+        f ()
+    | None -> ());
+    n.Ds.Orc_michael_list.hdr
+
+  let iter_links = Ds.Orc_michael_list.N.iter_links
+end
